@@ -84,18 +84,22 @@ var paperAlgos = []struct {
 }
 
 // BenchmarkOwnerExact measures the intra-query parallel speedup of the
-// owner-driven exact search across worker counts (DESIGN.md §10;
-// workers=1 is the serial path). Meaningful speedups need GOMAXPROCS ≥
-// the worker count — on a single-core runner all counts time alike.
+// owner-driven exact search across |q.ψ| and worker counts (DESIGN.md
+// §10; workers=1 is the serial path). Whether the pool pays depends on
+// how much search one query holds, so the sweep covers both sides.
+// Meaningful speedups need GOMAXPROCS ≥ the worker count — on a
+// single-core runner all counts time alike.
 func BenchmarkOwnerExact(b *testing.B) {
 	e := hotelEngine()
-	queries := benchQueries(e, 32, 9, 900)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			e.Parallelism = workers
-			defer func() { e.Parallelism = 0 }()
-			runAlgo(b, e, queries, coskq.MaxSum, coskq.OwnerExact)
-		})
+	for _, k := range []int{9, 12, 15} {
+		queries := benchQueries(e, 32, k, 900)
+		for _, workers := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("qkw=%d/workers=%d", k, workers), func(b *testing.B) {
+				e.Parallelism = workers
+				defer func() { e.Parallelism = 0 }()
+				runAlgo(b, e, queries, coskq.MaxSum, coskq.OwnerExact)
+			})
+		}
 	}
 }
 

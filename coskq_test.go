@@ -2,6 +2,8 @@ package coskq_test
 
 import (
 	"math"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"testing"
 
@@ -217,5 +219,25 @@ func TestPublicAPIBooleanKNN(t *testing.T) {
 	d1 := ds.Object(cafes[1]).Loc.Dist(coskq.Point{})
 	if d0 > d1 {
 		t.Fatal("BooleanKNN not ascending")
+	}
+}
+
+// TestBenchModuleVets type-checks the benchmark harness against this
+// checkout. bench/ is its own module (it replaces coskq with ../), so
+// the root module's build and tests never compile it; without this test
+// an Engine API slip would first show up as a failed benchmark run.
+func TestBenchModuleVets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns go vet")
+	}
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go is not on PATH")
+	}
+	cmd := exec.Command(goBin, "vet", "./...")
+	cmd.Dir = "bench"
+	cmd.Env = append(os.Environ(), "GOFLAGS=-mod=mod", "GOPROXY=off")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet ./... in bench/: %v\n%s", err, out)
 	}
 }

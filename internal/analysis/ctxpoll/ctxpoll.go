@@ -29,7 +29,7 @@ irtree package), drains an engine-local candidate source (a Next method
 on a core type — the ownerSource interface and its pooled batch-scan
 implementation), pops the search priority queue (a Pop method on a type
 from the pqueue package), or solves a batch-cluster member
-(solveClusterMember, a full search per call) must, somewhere in its
+(solveOne, a full search per call) must, somewhere in its
 body, call chargeNode or pollCancel, check ctx.Err()/ctx.Done(), or
 call a same-package helper that directly does one of those. Otherwise
 the engine's bounded-cancellation-latency contract is broken.
@@ -157,7 +157,7 @@ func isExpansion(pass *analysis.Pass, call *ast.CallExpr, coreMode, shardMode bo
 		return lintutil.PkgIs(fn.Pkg(), "irtree") || (coreMode && fn.Pkg() == pass.Pkg)
 	case "Pop":
 		return lintutil.PkgIs(fn.Pkg(), "pqueue")
-	case "solveClusterMember":
+	case "solveOne":
 		return coreMode && fn.Pkg() == pass.Pkg
 	case "Meta", "NN", "Collect":
 		return shardMode && lintutil.IsMethodOn(fn, "shard", "Backend", fn.Name())

@@ -193,7 +193,7 @@ func (it *poolIter) Limit(d float64)            {}
 
 type Result struct{ Cost float64 }
 
-func (e *Engine) solveClusterMember(q int) (Result, error) { return Result{}, nil }
+func (e *Engine) solveOne(q int) (Result, error) { return Result{}, nil }
 
 // okOwnerSource: draining an engine-local candidate source with a poll.
 func (e *Engine) okOwnerSource(it ownerSource) {
@@ -230,7 +230,7 @@ func (e *Engine) okClusterLoop(members []int) []Result {
 		if e.ctx != nil && e.ctx.Err() != nil {
 			break
 		}
-		out[i], _ = e.solveClusterMember(q)
+		out[i], _ = e.solveOne(q)
 	}
 	return out
 }
@@ -240,7 +240,7 @@ func (e *Engine) okClusterLoop(members []int) []Result {
 func (e *Engine) badClusterLoop(members []int) []Result {
 	out := make([]Result, len(members))
 	for i, q := range members {
-		out[i], _ = e.solveClusterMember(q) // want `search loop expands nodes but never polls`
+		out[i], _ = e.solveOne(q) // want `search loop expands nodes but never polls`
 	}
 	return out
 }

@@ -13,6 +13,7 @@ package core
 // monotone in both distance components and under supersets).
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -63,19 +64,20 @@ func (e *Engine) SolveAlpha(q Query, alpha float64, method Method) (res Result, 
 	if err := checkAlpha(alpha); err != nil {
 		return Result{}, err
 	}
-	// The α-cost searches poll the budget/cancellation counters and unwind
-	// via panic like the cost-function dispatch in solve; contain those
-	// panics here so they surface as errors, not crashes.
-	defer recoverBudget(&err)
-	switch method {
-	case OwnerExact:
-		return e.alphaExact(q, alpha)
-	case OwnerAppro:
-		return e.alphaAppro(q, alpha)
-	case Brute:
-		return e.alphaBrute(q, alpha)
-	}
-	return Result{}, fmt.Errorf("%w: cost_α with %v", ErrUnsupported, method)
+	err = e.enter(context.Background(), q, func(s *search) (err error) {
+		switch method {
+		case OwnerExact:
+			res, err = s.alphaExact(q, alpha)
+		case OwnerAppro:
+			res, err = s.alphaAppro(q, alpha)
+		case Brute:
+			res, err = s.alphaBrute(q, alpha)
+		default:
+			err = fmt.Errorf("%w: cost_α with %v", ErrUnsupported, method)
+		}
+		return err
+	})
+	return res, err
 }
 
 // alphaSeed builds N(q), its cost_α and d_f.
@@ -93,11 +95,11 @@ func (e *Engine) alphaSeed(q Query, alpha float64) (set []dataset.ObjectID, c, d
 }
 
 // alphaExact is ownerExact generalized to cost_α.
-func (e *Engine) alphaExact(q Query, alpha float64) (res Result, err error) {
+func (s *search) alphaExact(q Query, alpha float64) (res Result, err error) {
 	defer recoverBudget(&err)
 	start := time.Now()
 	qi := kwds.NewQueryIndex(q.Keywords)
-	seed, curCost, df, err := e.alphaSeed(q, alpha)
+	seed, curCost, df, err := s.alphaSeed(q, alpha)
 	if err != nil {
 		return Result{}, err
 	}
@@ -107,7 +109,7 @@ func (e *Engine) alphaExact(q Query, alpha float64) (res Result, err error) {
 	var pool []cand
 	bitCands := make([][]int32, qi.Size())
 
-	it := e.Tree.NewRelevantNNIterator(q.Loc, qi)
+	it := s.Tree.NewRelevantNNIterator(q.Loc, qi)
 	it.Limit(curCost / alpha)
 	for {
 		o, dof, ok := it.Next()
@@ -126,12 +128,12 @@ func (e *Engine) alphaExact(q Query, alpha float64) (res Result, err error) {
 			}
 		}
 		stats.CandidatesSeen++
-		e.pollCancel(stats.CandidatesSeen)
+		s.pollCancel(stats.CandidatesSeen)
 		if dof < df {
 			continue
 		}
 		stats.OwnersTried++
-		set, c := e.alphaBestWithOwner(qi, alpha, pool, bitCands, int(idx), curCost, &stats)
+		set, c := s.alphaBestWithOwner(qi, alpha, pool, bitCands, int(idx), curCost, &stats)
 		if set != nil && c < curCost {
 			curSet, curCost = canonical(set), c
 			it.Limit(curCost / alpha)
@@ -143,7 +145,7 @@ func (e *Engine) alphaExact(q Query, alpha float64) (res Result, err error) {
 }
 
 // alphaBestWithOwner mirrors bestWithOwner for cost_α.
-func (e *Engine) alphaBestWithOwner(qi *kwds.QueryIndex, alpha float64, pool []cand, bitCands [][]int32, ownerIdx int, bound float64, stats *Stats) ([]dataset.ObjectID, float64) {
+func (s *search) alphaBestWithOwner(qi *kwds.QueryIndex, alpha float64, pool []cand, bitCands [][]int32, ownerIdx int, bound float64, stats *Stats) ([]dataset.ObjectID, float64) {
 	owner := pool[ownerIdx]
 	dof := owner.d
 	if qi.Full()&^owner.mask == 0 {
@@ -164,7 +166,7 @@ func (e *Engine) alphaBestWithOwner(qi *kwds.QueryIndex, alpha float64, pool []c
 	)
 	var dfs func(covered kwds.Mask, maxPair float64)
 	dfs = func(covered kwds.Mask, maxPair float64) {
-		e.chargeNode(stats)
+		s.chargeNode(stats)
 		if covered == qi.Full() {
 			stats.SetsEvaluated++
 			if c := alphaCombine(alpha, dof, maxPair); c < bestCost {
@@ -217,10 +219,10 @@ func (e *Engine) alphaBestWithOwner(qi *kwds.QueryIndex, alpha float64, pool []c
 
 // alphaAppro is ownerAppro generalized to cost_α: per owner, cover each
 // missing keyword with the owner's nearest covering disk object.
-func (e *Engine) alphaAppro(q Query, alpha float64) (Result, error) {
+func (s *search) alphaAppro(q Query, alpha float64) (Result, error) {
 	start := time.Now()
 	qi := kwds.NewQueryIndex(q.Keywords)
-	seed, curCost, df, err := e.alphaSeed(q, alpha)
+	seed, curCost, df, err := s.alphaSeed(q, alpha)
 	if err != nil {
 		return Result{}, err
 	}
@@ -231,7 +233,7 @@ func (e *Engine) alphaAppro(q Query, alpha float64) (Result, error) {
 	bitCands := make([][]int32, qi.Size())
 	set := make([]dataset.ObjectID, 0, qi.Size()+1)
 
-	it := e.Tree.NewRelevantNNIterator(q.Loc, qi)
+	it := s.Tree.NewRelevantNNIterator(q.Loc, qi)
 	it.Limit(curCost / alpha)
 	for {
 		o, dof, ok := it.Next()
@@ -250,7 +252,7 @@ func (e *Engine) alphaAppro(q Query, alpha float64) (Result, error) {
 			}
 		}
 		stats.CandidatesSeen++
-		e.pollCancel(stats.CandidatesSeen)
+		s.pollCancel(stats.CandidatesSeen)
 		if dof < df {
 			continue
 		}
@@ -296,7 +298,7 @@ func (e *Engine) alphaAppro(q Query, alpha float64) (Result, error) {
 		}
 		set = append(set, o.ID)
 		stats.SetsEvaluated++
-		if c := e.EvalCostAlpha(alpha, q.Loc, set); c < curCost {
+		if c := s.EvalCostAlpha(alpha, q.Loc, set); c < curCost {
 			curSet, curCost = canonical(set), c
 			it.Limit(curCost / alpha)
 		}
@@ -308,7 +310,7 @@ func (e *Engine) alphaAppro(q Query, alpha float64) (Result, error) {
 
 // alphaBrute is the cost_α oracle (minimal covers suffice: cost_α is
 // superset-monotone).
-func (e *Engine) alphaBrute(q Query, alpha float64) (res Result, err error) {
+func (s *search) alphaBrute(q Query, alpha float64) (res Result, err error) {
 	defer recoverBudget(&err)
 	start := time.Now()
 	qi := kwds.NewQueryIndex(q.Keywords)
@@ -321,8 +323,8 @@ func (e *Engine) alphaBrute(q Query, alpha float64) (res Result, err error) {
 		cands []rc
 		union kwds.Mask
 	)
-	for _, id := range e.Inv.Relevant(q.Keywords) {
-		m := qi.MaskOf(e.DS.Object(id).Keywords)
+	for _, id := range s.Inv.Relevant(q.Keywords) {
+		m := qi.MaskOf(s.DS.Object(id).Keywords)
 		cands = append(cands, rc{id: id, mask: m})
 		union |= m
 	}
@@ -338,10 +340,10 @@ func (e *Engine) alphaBrute(q Query, alpha float64) (res Result, err error) {
 	)
 	var dfs func(covered kwds.Mask)
 	dfs = func(covered kwds.Mask) {
-		e.chargeNode(&stats)
+		s.chargeNode(&stats)
 		if covered == qi.Full() {
 			stats.SetsEvaluated++
-			if c := e.EvalCostAlpha(alpha, q.Loc, chosen); c < bestCost {
+			if c := s.EvalCostAlpha(alpha, q.Loc, chosen); c < bestCost {
 				bestCost = c
 				bestSet = canonical(chosen)
 			}

@@ -25,19 +25,19 @@ import (
 // are popped in ascending distance, the owner's disk content is exactly
 // the prefix of relevant objects the iterator has already produced, so the
 // greedy runs over an in-memory pool instead of repeated index searches.
-func (e *Engine) ownerAppro(q Query, cost CostKind) (Result, error) {
+func (s *search) ownerAppro(q Query, cost CostKind) (Result, error) {
 	start := time.Now()
 	qi := kwds.NewQueryIndex(q.Keywords)
-	algo := e.tr.Begin("owner_appro")
+	algo := s.tr.Begin("owner_appro")
 	var stats Stats
-	e.trackStats(&stats)
-	seed, curCost, df, err := e.nnSeed(q, cost, &stats)
+	s.trackStats(&stats)
+	seed, curCost, df, err := s.nnSeed(q, cost, &stats)
 	if err != nil {
 		algo.End()
 		return Result{}, err
 	}
 	curSet := canonical(seed)
-	e.noteIncumbent(curSet, curCost, cost)
+	s.noteIncumbent(curSet, curCost, cost)
 	stats.SetsEvaluated = 1
 
 	var pool []cand
@@ -45,9 +45,9 @@ func (e *Engine) ownerAppro(q Query, cost CostKind) (Result, error) {
 	set := make([]dataset.ObjectID, 0, qi.Size()+1)
 	bitOrder := make([]int, 0, qi.Size())
 
-	loop := e.tr.Begin("owner_loop")
+	loop := s.tr.Begin("owner_loop")
 	searchStart := time.Now()
-	it := e.Tree.NewRelevantNNIterator(q.Loc, qi)
+	it := s.Tree.NewRelevantNNIterator(q.Loc, qi)
 	it.Limit(curCost)
 	for {
 		o, dof, ok := it.Next()
@@ -67,7 +67,7 @@ func (e *Engine) ownerAppro(q Query, cost CostKind) (Result, error) {
 			}
 		}
 		stats.CandidatesSeen++
-		e.pollCancel(stats.CandidatesSeen)
+		s.pollCancel(stats.CandidatesSeen)
 		if dof < df {
 			stats.Prunes[trace.PruneOwnerRing]++
 			continue // cannot be a query distance owner of a feasible set
@@ -89,7 +89,7 @@ func (e *Engine) ownerAppro(q Query, cost CostKind) (Result, error) {
 			stats.SetsEvaluated++
 			if dof < curCost {
 				curSet, curCost = []dataset.ObjectID{o.ID}, combine(cost, dof, 0)
-				e.noteIncumbent(curSet, curCost, cost)
+				s.noteIncumbent(curSet, curCost, cost)
 			}
 			continue
 		}
@@ -104,7 +104,7 @@ func (e *Engine) ownerAppro(q Query, cost CostKind) (Result, error) {
 				bitOrder[j], bitOrder[j-1] = bitOrder[j-1], bitOrder[j]
 			}
 		}
-		osp := e.tr.Begin("greedy_construct")
+		osp := s.tr.Begin("greedy_construct")
 		set = set[:0]
 		feasible := true
 		maxToOwner := 0.0
@@ -137,7 +137,7 @@ func (e *Engine) ownerAppro(q Query, cost CostKind) (Result, error) {
 		}
 		set = append(set, o.ID)
 		stats.SetsEvaluated++
-		if c := e.EvalCost(cost, q.Loc, set); c < curCost {
+		if c := s.EvalCost(cost, q.Loc, set); c < curCost {
 			if osp != nil {
 				// Keep construction spans only for improving owners.
 				osp.Attr("owner_id", float64(o.ID))
@@ -146,7 +146,7 @@ func (e *Engine) ownerAppro(q Query, cost CostKind) (Result, error) {
 				osp.End()
 			}
 			curSet, curCost = canonical(set), c
-			e.noteIncumbent(curSet, curCost, cost)
+			s.noteIncumbent(curSet, curCost, cost)
 			it.Limit(curCost)
 		} else {
 			osp.Drop()

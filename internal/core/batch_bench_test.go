@@ -81,9 +81,9 @@ func TestBatchGroupedAllocsFlat(t *testing.T) {
 	got := testing.AllocsPerRun(10, func() {
 		e.SolveBatch(queries, MaxSum, OwnerExact, 1)
 	})
-	// Budget: the same per-query bound TestOwnerExactAllocs pins for the
-	// serial path (60), plus the batch's own bookkeeping (result slice,
-	// grouping, per-cluster iterators) amortized across members.
+	// Budget: a loose per-query bound (TestOwnerExactAllocs pins the exact
+	// serial-path ceilings) plus the batch's own bookkeeping (result
+	// slice, grouping, per-cluster iterators) amortized across members.
 	maxAllocs := float64(len(queries)) * 70
 	if got > maxAllocs {
 		t.Fatalf("grouped batch allocates %.0f/run for %d queries, want <= %.0f",

@@ -35,8 +35,8 @@ package core
 // within a cell are probed in creation order, and membership depends only
 // on the queries themselves — never on map iteration order or scheduling.
 // Cluster solving preserves per-item semantics exactly: every member
-// still gets its own SolveCtx-equivalent execution (metrics record,
-// trace, degrade policy, context error), and grouped results are
+// runs the same accounted execution as SolveCtx (solveOne: metrics
+// record, trace, degrade policy, context error), and grouped results are
 // bit-identical to an independent per-query run (the grouped differential
 // tests pin this across costs, methods, seeds and worker counts).
 
@@ -45,13 +45,11 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"time"
 
 	"coskq/internal/dataset"
 	"coskq/internal/fault"
 	"coskq/internal/geo"
 	"coskq/internal/kwds"
-	"coskq/internal/trace"
 )
 
 const (
@@ -162,9 +160,9 @@ type nnObs struct {
 }
 
 // nnShare is the cluster-local keyword-NN share: a flat observation list
-// consulted by lookupNN ahead of the engine-level cache. It is per-call
-// state of the cluster's (serial) member loop and is NOT goroutine-safe;
-// parallel-search worker clones null it out (parallel.go).
+// consulted by lookupNN ahead of the engine-level cache. It belongs to
+// the cluster's (serial) member loop and is NOT goroutine-safe; a member's
+// parallel workers never see it (parallel.go).
 type nnShare struct {
 	obs []nnObs
 }
@@ -322,14 +320,7 @@ func (e *Engine) buildClusterScan(ctx context.Context, queries []Query, cl batch
 			}
 		}
 	}()
-	probe := *e
-	probe.clusterNN = &cs.nn
-	probe.nnmemo = nil
-	probe.ownerSrc = nil
-	probe.warmBound = 0
-	probe.tr = nil
-	probe.shared = nil
-	probe.any = nil
+	probe := search{Engine: e, clusterNN: &cs.nn}
 	if ctx != nil && ctx.Done() != nil {
 		probe.ctx = ctx
 	}
@@ -446,39 +437,10 @@ func (e *Engine) solveCluster(ctx context.Context, queries []Query, cl batchClus
 		if warmable {
 			wb = e.warmBoundFor(warm, q, cost)
 		}
-		res, err := e.solveClusterMember(ctx, q, cost, method, &cs.nn, src, wb)
+		res, err := e.solveOne(ctx, q, cost, method, &cs.nn, src, wb)
 		out[i] = BatchItem{Result: res, Err: err}
 		if warmable && err == nil {
 			warm.noteWarm(e, res)
 		}
 	}
-}
-
-// solveClusterMember is SolveCtx for one cluster member: the same
-// per-call engine setup, metrics record and trace accounting, plus the
-// cluster's shared state (NN share, candidate source, warm bound)
-// attached to the per-call clone.
-func (e *Engine) solveClusterMember(ctx context.Context, q Query, cost CostKind, method Method, share *nnShare, src ownerSource, wb float64) (Result, error) {
-	start := time.Now()
-	run, err := e.withCtx(ctx)
-	if err != nil {
-		return Result{}, err
-	}
-	run.clusterNN = share
-	run.ownerSrc = src
-	run.warmBound = wb
-	if wb > 0 && e.Metrics != nil {
-		e.Metrics.batchWarm.Inc()
-	}
-	defer putNNMemo(run.nnmemo)
-	defer putAnytime(run.any)
-	res, err := run.solve(q, cost, method)
-	res.Stats.Elapsed = time.Since(start)
-	if e.Metrics != nil {
-		e.Metrics.recordSolve(cost, method, res, err, res.Stats.Elapsed)
-	}
-	if tr := trace.FromContext(ctx); tr != nil {
-		tr.AddPrunes(res.Stats.Prunes)
-	}
-	return res, err
 }

@@ -19,12 +19,12 @@ import (
 // tries every cover ∪ {anchor} combination. With the anchor fixed as the
 // nearest member, removing any redundant other member never increases the
 // cost, so one anchor per minimal cover suffices.
-func (e *Engine) bruteForce(q Query, cost CostKind) (res Result, err error) {
+func (s *search) bruteForce(q Query, cost CostKind) (res Result, err error) {
 	defer recoverBudget(&err)
 	start := time.Now()
 	qi := kwds.NewQueryIndex(q.Keywords)
 
-	relevant := e.Inv.Relevant(q.Keywords)
+	relevant := s.Inv.Relevant(q.Keywords)
 	type rc struct {
 		id   dataset.ObjectID
 		mask kwds.Mask
@@ -34,7 +34,7 @@ func (e *Engine) bruteForce(q Query, cost CostKind) (res Result, err error) {
 		union kwds.Mask
 	)
 	for _, id := range relevant {
-		m := qi.MaskOf(e.DS.Object(id).Keywords)
+		m := qi.MaskOf(s.DS.Object(id).Keywords)
 		cands = append(cands, rc{id: id, mask: m})
 		union |= m
 	}
@@ -51,7 +51,7 @@ func (e *Engine) bruteForce(q Query, cost CostKind) (res Result, err error) {
 	)
 	consider := func(set []dataset.ObjectID) {
 		stats.SetsEvaluated++
-		c := e.EvalCost(cost, q.Loc, set)
+		c := s.EvalCost(cost, q.Loc, set)
 		if !found || c < bestCost {
 			found = true
 			bestCost = c
@@ -60,7 +60,7 @@ func (e *Engine) bruteForce(q Query, cost CostKind) (res Result, err error) {
 	}
 	var dfs func(covered kwds.Mask)
 	dfs = func(covered kwds.Mask) {
-		e.chargeNode(&stats)
+		s.chargeNode(&stats)
 		if covered == qi.Full() {
 			consider(chosen)
 			if cost == MinMax {

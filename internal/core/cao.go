@@ -13,11 +13,11 @@ import (
 // neighbor set N(q). For MaxSum its ratio is 3 (each member is within d_f
 // of q, so the pairwise component is at most 2·d_f while any feasible set
 // costs at least d_f).
-func (e *Engine) caoAppro1(q Query, cost CostKind) (Result, error) {
+func (s *search) caoAppro1(q Query, cost CostKind) (Result, error) {
 	start := time.Now()
-	algo := e.tr.Begin("cao_appro1")
+	algo := s.tr.Begin("cao_appro1")
 	var stats Stats
-	seed, c, _, err := e.nnSeed(q, cost, &stats)
+	seed, c, _, err := s.nnSeed(q, cost, &stats)
 	algo.End()
 	if err != nil {
 		return Result{}, err
@@ -38,25 +38,25 @@ func (e *Engine) caoAppro1(q Query, cost CostKind) (Result, error) {
 // the algorithm tries each object o containing t_f in ascending distance
 // (stopping at the best-known cost) and builds the set
 // {o} ∪ { NN(o, t) : t ∈ q.ψ uncovered by o }.
-func (e *Engine) caoAppro2(q Query, cost CostKind) (Result, error) {
+func (s *search) caoAppro2(q Query, cost CostKind) (Result, error) {
 	start := time.Now()
 	qi := kwds.NewQueryIndex(q.Keywords)
-	algo := e.tr.Begin("cao_appro2")
+	algo := s.tr.Begin("cao_appro2")
 	var stats Stats
-	e.trackStats(&stats)
-	seed, curCost, _, err := e.nnSeed(q, cost, &stats)
+	s.trackStats(&stats)
+	seed, curCost, _, err := s.nnSeed(q, cost, &stats)
 	if err != nil {
 		algo.End()
 		return Result{}, err
 	}
 	curSet := canonical(seed)
-	e.noteIncumbent(curSet, curCost, cost)
+	s.noteIncumbent(curSet, curCost, cost)
 	stats.SetsEvaluated = 1
 
-	loop := e.tr.Begin("owner_loop")
+	loop := s.tr.Begin("owner_loop")
 	searchStart := time.Now()
-	tf := e.farthestNNKeyword(q)
-	it := e.Tree.NewKeywordNNIterator(q.Loc, tf)
+	tf := s.farthestNNKeyword(q)
+	it := s.Tree.NewKeywordNNIterator(q.Loc, tf)
 	for {
 		o, d, ok := it.Next()
 		if !ok {
@@ -67,15 +67,15 @@ func (e *Engine) caoAppro2(q Query, cost CostKind) (Result, error) {
 			break // o ∈ S implies cost(S) ≥ d(o, q) under MaxSum and Dia
 		}
 		stats.OwnersTried++
-		e.pollCancel(stats.OwnersTried)
-		set, ok := e.nnAroundObject(qi, o)
+		s.pollCancel(stats.OwnersTried)
+		set, ok := s.nnAroundObject(qi, o)
 		if !ok {
 			continue
 		}
 		stats.SetsEvaluated++
-		if c := e.EvalCost(cost, q.Loc, set); c < curCost {
+		if c := s.EvalCost(cost, q.Loc, set); c < curCost {
 			curSet, curCost = canonical(set), c
-			e.noteIncumbent(curSet, curCost, cost)
+			s.noteIncumbent(curSet, curCost, cost)
 		}
 	}
 	stats.Phases.Search = time.Since(searchStart)
@@ -95,10 +95,10 @@ func (e *Engine) caoAppro2(q Query, cost CostKind) (Result, error) {
 // q is the farthest — the keyword that pins d_f. The query must be
 // feasible (checked by the callers via nnSeed). Lookups go through the
 // per-query keyword-NN memo, so after nnSeed these are cache hits.
-func (e *Engine) farthestNNKeyword(q Query) kwds.ID {
+func (s *search) farthestNNKeyword(q Query) kwds.ID {
 	best, bestD := q.Keywords[0], math.Inf(-1)
 	for _, kw := range q.Keywords {
-		if _, d, ok := e.keywordNN(q.Loc, kw); ok && d > bestD {
+		if _, d, ok := s.keywordNN(q.Loc, kw); ok && d > bestD {
 			best, bestD = kw, d
 		}
 	}
@@ -137,7 +137,7 @@ type kwCand struct {
 // top-level candidate subtree, publishing leaves through the shared
 // incumbent sh (parallel.go).
 type caoSearch struct {
-	e     *Engine
+	run   *search
 	qi    *kwds.QueryIndex
 	cost  CostKind
 	cands [][]kwCand
@@ -160,69 +160,69 @@ type caoSearch struct {
 // — in a parallel search — one ulp above the shared incumbent, so an
 // equal-cost set from an earlier-ordered subtree stays findable and the
 // (cost, ord) merge can resolve the tie (see parallel.go).
-func (s *caoSearch) bound() float64 {
-	if s.sh != nil {
-		return math.Nextafter(s.sh.costLoad(), math.Inf(1))
+func (cs *caoSearch) bound() float64 {
+	if cs.sh != nil {
+		return math.Nextafter(cs.sh.costLoad(), math.Inf(1))
 	}
-	return s.bestCost
+	return cs.bestCost
 }
 
-// dfs expands the partial set s.chosen (covering covered, with maxD the
+// dfs expands the partial set cs.chosen (covering covered, with maxD the
 // farthest member from q and maxPair the largest pairwise distance) by
 // the uncovered keyword with the fewest candidates.
-func (s *caoSearch) dfs(covered kwds.Mask, maxD, maxPair float64) {
-	s.e.chargeNode(s.stats)
-	if covered == s.qi.Full() {
-		s.stats.SetsEvaluated++
-		c := combine(s.cost, maxD, maxPair)
-		if s.sh != nil {
-			if c < s.bound() {
-				s.sh.offer(s.chosenIDs, c, s.ord)
+func (cs *caoSearch) dfs(covered kwds.Mask, maxD, maxPair float64) {
+	cs.run.chargeNode(cs.stats)
+	if covered == cs.qi.Full() {
+		cs.stats.SetsEvaluated++
+		c := combine(cs.cost, maxD, maxPair)
+		if cs.sh != nil {
+			if c < cs.bound() {
+				cs.sh.offer(cs.chosenIDs, c, cs.ord)
 			}
-		} else if c < s.bestCost {
-			s.bestCost = c
-			s.bestSet = canonical(s.chosenIDs)
-			s.e.noteIncumbent(s.bestSet, c, s.cost)
+		} else if c < cs.bestCost {
+			cs.bestCost = c
+			cs.bestSet = canonical(cs.chosenIDs)
+			cs.run.noteIncumbent(cs.bestSet, c, cs.cost)
 		}
 		return
 	}
 	// Expand by the uncovered keyword with the fewest candidates.
 	branch, branchLen := -1, math.MaxInt32
-	for b := 0; b < s.qi.Size(); b++ {
+	for b := 0; b < cs.qi.Size(); b++ {
 		if covered&(1<<uint(b)) != 0 {
 			continue
 		}
-		if n := len(s.cands[b]); n < branchLen {
+		if n := len(cs.cands[b]); n < branchLen {
 			branch, branchLen = b, n
 		}
 	}
-	for _, kc := range s.cands[branch] {
+	for _, kc := range cs.cands[branch] {
 		if kc.mask&^covered == 0 {
-			s.stats.Prunes[trace.PruneNoNewKeyword]++
+			cs.stats.Prunes[trace.PruneNoNewKeyword]++
 			continue
 		}
-		if kc.d >= s.bound() {
+		if kc.d >= cs.bound() {
 			// ascending distance: every later candidate also exceeds
 			// the bound
-			s.stats.Prunes[trace.PruneDistanceBreak]++
+			cs.stats.Prunes[trace.PruneDistanceBreak]++
 			break
 		}
 		nd := math.Max(maxD, kc.d)
 		np := maxPair
-		for _, m := range s.chosen {
+		for _, m := range cs.chosen {
 			if d := kc.o.Loc.Dist(m.Loc); d > np {
 				np = d
 			}
 		}
-		if combine(s.cost, nd, np) >= s.bound() {
-			s.stats.Prunes[trace.PrunePairBound]++
+		if combine(cs.cost, nd, np) >= cs.bound() {
+			cs.stats.Prunes[trace.PrunePairBound]++
 			continue
 		}
-		s.chosen = append(s.chosen, kc.o)
-		s.chosenIDs = append(s.chosenIDs, kc.o.ID)
-		s.dfs(covered|kc.mask, nd, np)
-		s.chosen = s.chosen[:len(s.chosen)-1]
-		s.chosenIDs = s.chosenIDs[:len(s.chosenIDs)-1]
+		cs.chosen = append(cs.chosen, kc.o)
+		cs.chosenIDs = append(cs.chosenIDs, kc.o.ID)
+		cs.dfs(covered|kc.mask, nd, np)
+		cs.chosen = cs.chosen[:len(cs.chosen)-1]
+		cs.chosenIDs = cs.chosenIDs[:len(cs.chosenIDs)-1]
 	}
 }
 
@@ -233,15 +233,15 @@ func (s *caoSearch) dfs(covered kwds.Mask, maxD, maxPair float64) {
 // C(q, curCost) with curCost seeded by Cao-Appro2 — there is no distance
 // owner enumeration, which is exactly the structural difference the paper
 // exploits.
-func (e *Engine) caoExact(q Query, cost CostKind) (res Result, err error) {
+func (s *search) caoExact(q Query, cost CostKind) (res Result, err error) {
 	defer recoverBudget(&err)
 	start := time.Now()
 	qi := kwds.NewQueryIndex(q.Keywords)
 
 	// Seed with the Appro2 result, as Cao et al. do.
-	algo := e.tr.Begin("cao_exact")
-	seedSp := e.tr.Begin("seed_appro2")
-	seedRes, err := e.caoAppro2(q, cost)
+	algo := s.tr.Begin("cao_exact")
+	seedSp := s.tr.Begin("seed_appro2")
+	seedRes, err := s.caoAppro2(q, cost)
 	seedSp.End()
 	if err != nil {
 		algo.End()
@@ -254,19 +254,19 @@ func (e *Engine) caoExact(q Query, cost CostKind) (res Result, err error) {
 	// The Appro2 seed already noted itself (same per-call holder);
 	// re-register the outer stats so an unwind recovers this run's
 	// counters, which subsume the seed's.
-	e.trackStats(&stats)
+	s.trackStats(&stats)
 
 	// Materialize, per query keyword, the candidate objects containing it
 	// within C(q, curCost), ascending by distance. The lists recycle
 	// through the scratch pool; workers read them only before the join,
 	// so releasing after the search (deferred) is safe.
-	matSp := e.tr.Begin("materialize")
+	matSp := s.tr.Begin("materialize")
 	matStart := time.Now()
 	scratch := getCaoScratch()
 	defer putCaoScratch(scratch)
 	cands := scratch.ensureCands(qi.Size())
 	for b, kw := range qi.Keywords() {
-		it := e.Tree.NewKeywordNNIterator(q.Loc, kw)
+		it := s.Tree.NewKeywordNNIterator(q.Loc, kw)
 		for {
 			o, d, ok := it.Next()
 			if !ok || d >= curCost {
@@ -274,7 +274,7 @@ func (e *Engine) caoExact(q Query, cost CostKind) (res Result, err error) {
 			}
 			cands[b] = append(cands[b], kwCand{o: o, d: d, mask: qi.MaskOf(o.Keywords)})
 			stats.CandidatesSeen++
-			e.pollCancel(stats.CandidatesSeen)
+			s.pollCancel(stats.CandidatesSeen)
 		}
 	}
 	scratch.cands = cands
@@ -284,9 +284,9 @@ func (e *Engine) caoExact(q Query, cost CostKind) (res Result, err error) {
 	}
 	matSp.End()
 
-	searchSp := e.tr.Begin("bnb_search")
+	searchSp := s.tr.Begin("bnb_search")
 	searchStart := time.Now()
-	if w := e.parWorkers(); w > 1 {
+	if w := s.workers; w > 1 {
 		// The root branches on the keyword with the fewest candidates —
 		// the same rule dfs applies — and each of its candidates seeds an
 		// independent subtree for the worker pool.
@@ -300,18 +300,18 @@ func (e *Engine) caoExact(q Query, cost CostKind) (res Result, err error) {
 		if searchSp != nil {
 			searchSp.Attr("workers", float64(w))
 		}
-		curSet, curCost = e.caoSearchPar(qi, cost, cands, branch, curSet, curCost, &stats, w)
+		curSet, curCost = s.caoSearchPar(qi, cost, cands, branch, curSet, curCost, &stats)
 	} else {
-		s := &caoSearch{
-			e: e, qi: qi, cost: cost, cands: cands, stats: &stats,
+		cs := &caoSearch{
+			run: s, qi: qi, cost: cost, cands: cands, stats: &stats,
 			chosen:    scratch.chosen[:0],
 			chosenIDs: scratch.chosenIDs[:0],
 			bestCost:  curCost,
 			bestSet:   curSet,
 		}
-		s.dfs(0, 0, 0)
-		curSet, curCost = s.bestSet, s.bestCost
-		scratch.chosen, scratch.chosenIDs = s.chosen[:0], s.chosenIDs[:0]
+		cs.dfs(0, 0, 0)
+		curSet, curCost = cs.bestSet, cs.bestCost
+		scratch.chosen, scratch.chosenIDs = cs.chosen[:0], cs.chosenIDs[:0]
 	}
 	stats.Phases.Search = time.Since(searchStart)
 	if searchSp != nil {

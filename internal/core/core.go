@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"coskq/internal/dataset"
@@ -154,6 +153,11 @@ var ErrInfeasible = errors.New("coskq: query keywords cannot be covered by the d
 // no algorithm.
 var ErrUnsupported = errors.New("coskq: unsupported cost/method combination")
 
+// ErrTooManyKeywords is returned for a query with more than
+// kwds.MaxQueryKeywords keywords, the capacity of the coverage masks every
+// algorithm runs on.
+var ErrTooManyKeywords = fmt.Errorf("coskq: query has more than %d keywords", kwds.MaxQueryKeywords)
+
 // ErrBudgetExceeded is returned when an exact search expands more nodes
 // than the engine's NodeBudget allows. The paper's evaluation reports the
 // analogous condition for the Cao-Exact baseline as "did not finish"
@@ -170,55 +174,6 @@ type budgetExceeded struct{}
 // the per-call context (SolveCtx, SolveBatchCtx, TopKCtx) is cancelled;
 // the entry points recover it into the context's error.
 type searchCanceled struct{ err error }
-
-// cancelPollMask downsamples cancellation checks in the hot loops: the
-// context is consulted once every cancelPollMask+1 counted events, which
-// bounds cancellation latency to a few hundred node expansions while
-// keeping the per-node overhead to one nil check.
-const cancelPollMask = 255
-
-// chargeNode counts one expanded search node against the budget and,
-// on a cancellable call, periodically polls the context. Inside a
-// parallel search (e.shared non-nil) the budget is enforced against the
-// shared atomic counter, so it stays global across workers: the sum of
-// worker expansions trips the budget exactly where one serial execution
-// of the same effort would.
-func (e *Engine) chargeNode(stats *Stats) {
-	stats.NodesExpanded++
-	if sh := e.shared; sh != nil {
-		n := sh.nodes.Add(1)
-		if e.NodeBudget > 0 && n > int64(e.NodeBudget) {
-			panic(budgetExceeded{})
-		}
-		if e.ctx != nil && n&cancelPollMask == 0 {
-			if err := e.ctx.Err(); err != nil {
-				panic(searchCanceled{err})
-			}
-		}
-		return
-	}
-	if e.NodeBudget > 0 && stats.NodesExpanded > e.NodeBudget {
-		panic(budgetExceeded{})
-	}
-	if e.ctx != nil && stats.NodesExpanded&cancelPollMask == 0 {
-		if err := e.ctx.Err(); err != nil {
-			panic(searchCanceled{err})
-		}
-	}
-}
-
-// pollCancel checks the per-call context every cancelPollMask+1 calls,
-// unwinding the search when it is done. counter is any monotonically
-// increasing per-execution count (e.g. Stats.CandidatesSeen); it
-// downsamples the check in loops that do not expand search nodes.
-func (e *Engine) pollCancel(counter int) {
-	if e.ctx == nil || counter&cancelPollMask != 0 {
-		return
-	}
-	if err := e.ctx.Err(); err != nil {
-		panic(searchCanceled{err})
-	}
-}
 
 // recoverBudget converts a budgetExceeded panic into ErrBudgetExceeded and
 // a searchCanceled panic into its context error, re-panicking on anything
@@ -313,9 +268,12 @@ type Result struct {
 	Stats    Stats
 }
 
-// Engine owns the dataset and the indexes the algorithms run against.
-// Build one Engine per dataset and reuse it across queries; an Engine is
-// safe for concurrent queries once built.
+// Engine owns the dataset and the indexes the algorithms run against,
+// plus the deployment knobs below. Build one Engine per dataset and reuse
+// it across queries; an Engine is safe for concurrent queries once built
+// because queries never write to it: every field is exported
+// configuration, and all per-call state lives on a pooled search
+// (search.go).
 type Engine struct {
 	DS   *dataset.Dataset
 	Tree *irtree.Tree
@@ -365,85 +323,6 @@ type Engine struct {
 	// Attach via EnableNNCache before issuing queries (the field itself
 	// is not synchronized); the cache is safe for concurrent queries.
 	NNCache *NNCache
-
-	// ctx is the per-call cancellation context. It is only ever set on the
-	// private per-call copy of the engine made by withCtx — never on a
-	// shared Engine — so concurrent queries cannot observe each other's
-	// contexts.
-	ctx context.Context
-
-	// tr is the per-call execution trace (carried in the context via
-	// internal/trace). Like ctx it only ever lives on a per-call engine
-	// copy. All trace calls are nil-safe, so a nil tr — the common case —
-	// costs one branch and never allocates.
-	tr *trace.Trace
-
-	// shared is the coordination state of a parallel exact search: the
-	// atomic incumbent bound, the global node counter and the failure
-	// slot. It is only ever set on the per-worker engine copies made by
-	// the parallel coordinators (parallel.go), never on a shared Engine.
-	shared *parShared
-
-	// nnmemo caches the query's per-keyword NN seeds so bound seeding and
-	// d_f refinement stop re-walking the IR-tree for keywords already
-	// answered (Cao-Exact seeds via Appro2, which otherwise walks every
-	// keyword NN twice). Per-call state like ctx; not goroutine-safe, so
-	// worker copies null it out.
-	nnmemo *nnMemo
-
-	// any is the per-call anytime holder: the feasible incumbent and
-	// live Stats the degrade path falls back on when a search is cut
-	// short (degrade.go). Per-call state like ctx and nnmemo; not
-	// goroutine-safe, so worker copies null it out and the coordinator
-	// notes the merged shared incumbent after the join.
-	any *anytime
-
-	// clusterNN is the cluster-local keyword-NN share of a grouped batch
-	// execution (batchgroup.go): validity-radius observations seeded by
-	// the cluster scan and reused across the cluster's members. Per-call
-	// state like nnmemo; not goroutine-safe, so worker copies null it.
-	clusterNN *nnShare
-
-	// warmBound is a grouped batch's warm-start upper bound: the cost of
-	// a finished neighbor's answer set, feasible for this query too. The
-	// exact searches use it only to pre-tighten their pruning bound (one
-	// ulp above, exact.go), never as an answer candidate, so warm and
-	// cold runs return identical results. Zero means no warm start.
-	warmBound float64
-
-	// ownerSrc, when non-nil, replaces the IR-tree relevant-NN iterator
-	// of the owner-driven exact search with a pre-materialized candidate
-	// source (the cluster's shared range scan, batchgroup.go). Per-call
-	// state; consumed by exactly one execution.
-	ownerSrc ownerSource
-}
-
-// ownerSource abstracts the candidate-owner stream of the owner-driven
-// exact search: ascending-distance relevant objects with monotone limit
-// tightening. Implemented by irtree.RelevantNNIterator (the default) and
-// by the grouped batch's shared-scan poolIter (batchgroup.go).
-type ownerSource interface {
-	Next() (*dataset.Object, float64, bool)
-	Limit(d float64)
-}
-
-// ownerIter returns the candidate-owner stream for one execution: the
-// per-call pre-materialized source when a grouped batch attached one,
-// else a fresh IR-tree iterator.
-func (e *Engine) ownerIter(q Query, qi *kwds.QueryIndex) ownerSource {
-	if e.ownerSrc != nil {
-		return e.ownerSrc
-	}
-	return e.Tree.NewRelevantNNIterator(q.Loc, qi)
-}
-
-// parWorkers resolves Parallelism to the worker count a parallel search
-// would use.
-func (e *Engine) parWorkers() int {
-	if e.Parallelism > 0 {
-		return e.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Ablation toggles the owner-driven search's pruning rules off, one by
@@ -509,117 +388,7 @@ func (e *Engine) Solve(q Query, cost CostKind, method Method) (Result, error) {
 // context's error is returned. A nil or never-cancellable ctx adds no
 // per-node overhead.
 func (e *Engine) SolveCtx(ctx context.Context, q Query, cost CostKind, method Method) (Result, error) {
-	start := time.Now()
-	res, err := e.solveCtx(ctx, q, cost, method)
-	// Every algorithm stamps its own Elapsed, but error unwinds (budget,
-	// cancellation) and future algorithms may not; stamp the wall time of
-	// the whole call here so the field is populated uniformly.
-	res.Stats.Elapsed = time.Since(start)
-	if e.Metrics != nil {
-		e.Metrics.recordSolve(cost, method, res, err, res.Stats.Elapsed)
-	}
-	if tr := trace.FromContext(ctx); tr != nil {
-		tr.AddPrunes(res.Stats.Prunes)
-	}
-	return res, err
-}
-
-func (e *Engine) solveCtx(ctx context.Context, q Query, cost CostKind, method Method) (Result, error) {
-	run, err := e.withCtx(ctx)
-	if err != nil {
-		return Result{}, err
-	}
-	defer putNNMemo(run.nnmemo)
-	defer putAnytime(run.any)
-	return run.solve(q, cost, method)
-}
-
-// withCtx returns the per-call engine a query runs on: a shallow copy of
-// e carrying the cancellation context, the trace and the pooled
-// keyword-NN memo (the copy shares the dataset and indexes; it exists so
-// that a shared Engine never holds per-request state). ctx is only
-// attached when it can actually be cancelled, keeping chargeNode's poll
-// a single nil check on background contexts.
-func (e *Engine) withCtx(ctx context.Context) (*Engine, error) {
-	clone := *e
-	if ctx != nil {
-		if ctx.Done() != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			clone.ctx = ctx
-		}
-		clone.tr = trace.FromContext(ctx)
-	}
-	clone.nnmemo = getNNMemo()
-	clone.any = getAnytime()
-	return &clone, nil
-}
-
-// solve runs the dispatch and, when the search was cut short, applies
-// the engine's degrade policy: recover the aborted execution's Stats
-// and — policy permitting — turn the error into an anytime answer
-// (degrade.go).
-func (e *Engine) solve(q Query, cost CostKind, method Method) (Result, error) {
-	res, err := e.solveInner(q, cost, method)
-	if err == nil {
-		return res, nil
-	}
-	return e.degradeSolve(q, cost, method, res, err)
-}
-
-// solveInner dispatches to the per-(cost, method) algorithm. The deferred
-// recover catches cancellation unwinds from algorithms that have no
-// recover of their own (the approximation constructions).
-func (e *Engine) solveInner(q Query, cost CostKind, method Method) (res Result, err error) {
-	defer recoverBudget(&err)
-	switch cost {
-	case MaxSum, Dia:
-		switch method {
-		case OwnerExact:
-			return e.ownerExact(q, cost)
-		case PairsExact:
-			return e.pairsExact(q, cost)
-		case OwnerAppro:
-			return e.ownerAppro(q, cost)
-		case CaoExact:
-			return e.caoExact(q, cost)
-		case CaoAppro1:
-			return e.caoAppro1(q, cost)
-		case CaoAppro2:
-			return e.caoAppro2(q, cost)
-		case Brute:
-			return e.bruteForce(q, cost)
-		}
-	case Sum:
-		switch method {
-		case GreedySum, OwnerAppro:
-			return e.greedySum(q)
-		case OwnerExact, CaoExact:
-			return e.sumExact(q)
-		case Brute:
-			return e.bruteForce(q, cost)
-		}
-	case MinMax:
-		switch method {
-		case OwnerExact:
-			return e.minMaxExact(q)
-		case OwnerAppro:
-			return e.minMaxAppro(q)
-		case Brute:
-			return e.bruteForce(q, cost)
-		}
-	case SumMax:
-		switch method {
-		case OwnerExact:
-			return e.sumMaxExact(q)
-		case OwnerAppro, GreedySum:
-			return e.sumMaxAppro(q)
-		case Brute:
-			return e.bruteForce(q, cost)
-		}
-	}
-	return Result{}, fmt.Errorf("%w: %v with %v", ErrUnsupported, cost, method)
+	return e.solveOne(ctx, q, cost, method, nil, nil, 0)
 }
 
 // Feasible reports whether set covers q's keywords.
@@ -671,107 +440,6 @@ func (e *Engine) EvalCost(cost CostKind, q geo.Point, set []dataset.ObjectID) fl
 	default:
 		panic(fmt.Sprintf("coskq: unknown cost kind %d", int(cost)))
 	}
-}
-
-// keywordNN returns the object nearest to p containing kw, answering
-// from the per-call memo when one is attached (withCtx) and the point
-// matches the memo's. Algorithms that walk the same per-keyword NN seeds
-// repeatedly — nnSeed followed by farthestNNKeyword, or an exact search
-// re-seeding after bound refinement — hit the memo instead of re-walking
-// the IR-tree.
-func (e *Engine) keywordNN(p geo.Point, kw kwds.ID) (dataset.ObjectID, float64, bool) {
-	m := e.nnmemo
-	if m == nil {
-		return e.lookupNN(p, kw)
-	}
-	if !m.valid || m.p != p {
-		m.reset(p)
-	}
-	for i, k := range m.kws {
-		if k == kw {
-			return m.ids[i], m.ds[i], m.oks[i]
-		}
-	}
-	id, d, ok := e.lookupNN(p, kw)
-	m.add(kw, id, d, ok)
-	return id, d, ok
-}
-
-// lookupNN resolves one keyword NN below the per-query memo: the
-// cluster-local share of a grouped batch first, then the engine-level
-// NNCache, then the IR-tree. Every cache hit is validity-checked
-// (nncache.go), so the chain returns bit-identical results to a bare
-// Tree.NN regardless of which layer answers. Misses with a cache
-// attached walk NN2 — the same best-first search, continued one object
-// further — so the validity radius can be recorded.
-func (e *Engine) lookupNN(p geo.Point, kw kwds.ID) (dataset.ObjectID, float64, bool) {
-	s, c := e.clusterNN, e.NNCache
-	if s == nil && c == nil {
-		return e.Tree.NN(p, kw)
-	}
-	fault.Hit(fault.NNCacheProbe)
-	if s != nil {
-		if id, d, ok, hit := s.lookup(p, kw); hit {
-			return id, d, ok
-		}
-	}
-	if c != nil {
-		if id, d, ok, hit := c.Lookup(p, kw); hit {
-			return id, d, ok
-		}
-	}
-	id, d1, d2, ok := e.Tree.NN2(p, kw)
-	var loc geo.Point
-	if ok {
-		loc = e.DS.Object(id).Loc
-	}
-	if c != nil {
-		c.Store(p, kw, id, loc, d1, d2, ok)
-	}
-	if s != nil {
-		s.store(p, kw, id, loc, d1, d2, ok)
-	}
-	return id, d1, ok
-}
-
-// nnSeed computes the nearest neighbor set N(q), its cost under the given
-// cost function, and d_f = max_{o∈N(q)} d(o,q). It returns ErrInfeasible
-// when some query keyword has no object. The phase is charged to
-// stats.Phases.Seed and recorded as an "nn_seed" span when tracing.
-func (e *Engine) nnSeed(q Query, cost CostKind, stats *Stats) (set []dataset.ObjectID, c, df float64, err error) {
-	sp := e.tr.Begin("nn_seed")
-	t0 := time.Now()
-	ids := make([]dataset.ObjectID, 0, len(q.Keywords))
-	for _, kw := range q.Keywords {
-		id, d, ok := e.keywordNN(q.Loc, kw)
-		if !ok {
-			stats.Phases.Seed += time.Since(t0)
-			sp.End()
-			return nil, 0, 0, ErrInfeasible
-		}
-		if d > df {
-			df = d
-		}
-		dup := false
-		for _, x := range ids {
-			if x == id {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			ids = append(ids, id)
-		}
-	}
-	c = e.EvalCost(cost, q.Loc, ids)
-	stats.Phases.Seed += time.Since(t0)
-	if sp != nil {
-		sp.Attr("seed_size", float64(len(ids)))
-		sp.Attr("seed_cost", c)
-		sp.Attr("d_f", df)
-	}
-	sp.End()
-	return ids, c, df, nil
 }
 
 // canonical returns set sorted ascending with duplicates removed, the form

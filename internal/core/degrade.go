@@ -8,20 +8,19 @@ package core
 // feasible incumbent from the NN seed onward, so almost any interrupted
 // exact query has a meaningful answer to give.
 //
-// Mechanics: the per-call engine clone (withCtx) carries an anytime
+// Mechanics: the call's pooled search (search.go) carries an anytime
 // holder. Algorithms publish every incumbent improvement into it
 // (noteIncumbent) and register their live Stats (trackStats); when the
 // budget/cancel panic unwinds through recoverBudget, solve consults the
 // holder — the improvements survive the unwind because the holder lives
-// on the per-call engine, not on the unwound stack frames. Parallel
-// searches note the merged shared incumbent after the worker join,
-// before re-raising the parked panic, so worker discoveries are never
-// lost to a degrade.
+// on the search, not on the unwound stack frames. Worker searches have no
+// holder: they publish through the shared incumbent, which the
+// coordinator notes after the join, before re-raising the parked panic,
+// so worker discoveries are never lost to a degrade.
 
 import (
 	"context"
 	"errors"
-	"sync"
 
 	"coskq/internal/dataset"
 )
@@ -109,10 +108,10 @@ func degradeReason(err error) DegradeReason {
 	return ""
 }
 
-// anytime is the per-call incumbent holder. set reuses one backing
-// buffer across improvements (noteIncumbent copies into it), so noting
-// is allocation-free in steady state; consumers copy out via canonical
-// before the holder recirculates.
+// anytime is the per-call incumbent holder, pooled with its search. set
+// reuses one backing buffer across improvements (noteIncumbent copies
+// into it), so noting is allocation-free in steady state; consumers copy
+// out via canonical before the holder recirculates.
 type anytime struct {
 	valid bool
 	set   []dataset.ObjectID
@@ -127,27 +126,11 @@ type anytime struct {
 	topk *topKHeap
 }
 
-var anytimePool = sync.Pool{New: func() any { return new(anytime) }}
-
-func getAnytime() *anytime {
-	h := anytimePool.Get().(*anytime)
-	h.valid, h.stats, h.topk = false, nil, nil
-	return h
-}
-
-func putAnytime(h *anytime) {
-	if h != nil {
-		anytimePool.Put(h)
-	}
-}
-
-// noteIncumbent publishes a feasible incumbent into the per-call
-// holder. set need not be canonical and may alias caller scratch; it is
-// copied. Only the coordinator goroutine may call this — worker engine
-// copies null the holder out (parallel.go) and publish through the
-// shared incumbent instead, which the coordinator notes after the join.
-func (e *Engine) noteIncumbent(set []dataset.ObjectID, cost float64, kind CostKind) {
-	h := e.any
+// noteIncumbent publishes a feasible incumbent into the call's holder.
+// set need not be canonical and may alias caller scratch; it is copied.
+// On a search without a holder (workers, the fallback) it is a no-op.
+func (s *search) noteIncumbent(set []dataset.ObjectID, cost float64, kind CostKind) {
+	h := s.any
 	if h == nil || len(set) == 0 {
 		return
 	}
@@ -161,15 +144,15 @@ func (e *Engine) noteIncumbent(set []dataset.ObjectID, cost float64, kind CostKi
 // seeding via Appro2) re-register in call order; the innermost running
 // algorithm wins, which is the one whose counters the unwind would
 // otherwise lose.
-func (e *Engine) trackStats(s *Stats) {
-	if h := e.any; h != nil {
-		h.stats = s
+func (s *search) trackStats(st *Stats) {
+	if h := s.any; h != nil {
+		h.stats = st
 	}
 }
 
 // trackTopK registers a TopK execution's live heap with the holder.
-func (e *Engine) trackTopK(t *topKHeap) {
-	if h := e.any; h != nil {
+func (s *search) trackTopK(t *topKHeap) {
+	if h := s.any; h != nil {
 		h.topk = t
 	}
 }
@@ -179,18 +162,18 @@ func (e *Engine) trackTopK(t *topKHeap) {
 // whatever the unwind produced (usually nothing). Satellite invariant:
 // whatever the policy, the aborted execution's Stats are recovered from
 // the holder so failed queries are fully accounted in slowlog/metrics.
-func (e *Engine) degradeSolve(q Query, cost CostKind, method Method, res Result, err error) (Result, error) {
+func (s *search) degradeSolve(q Query, cost CostKind, method Method, res Result, err error) (Result, error) {
 	reason := degradeReason(err)
 	if reason == "" {
 		return res, err
 	}
-	if h := e.any; h != nil && h.stats != nil {
+	if h := s.any; h != nil && h.stats != nil {
 		res.Stats = *h.stats
 	}
-	if e.Degrade == DegradeFail {
+	if s.Degrade == DegradeFail {
 		return res, err
 	}
-	if h := e.any; h != nil && h.valid {
+	if h := s.any; h != nil && h.valid {
 		res.Set = canonical(h.set)
 		res.Cost = h.cost
 		res.Cost2 = h.kind
@@ -198,8 +181,8 @@ func (e *Engine) degradeSolve(q Query, cost CostKind, method Method, res Result,
 		res.Stats.DegradeReason = reason
 		return res, nil
 	}
-	if e.Degrade == DegradeFallbackAppro {
-		fb, fbErr := e.fallbackAppro(q, cost)
+	if s.Degrade == DegradeFallbackAppro {
+		fb, fbErr := s.fallbackAppro(q, cost)
 		if fbErr == nil {
 			fb.Stats.merge(&res.Stats)
 			fb.Stats.Phases.Seed += res.Stats.Phases.Seed
@@ -212,19 +195,15 @@ func (e *Engine) degradeSolve(q Query, cost CostKind, method Method, res Result,
 	return res, err
 }
 
-// fallbackAppro runs the cost function's cheap approximation on a
-// detached engine copy: no node budget, no context (the original is
-// already tripped — the approximation is near-linear, so the overrun is
-// bounded), no parallel pool, no holder. The shield converts any stray
-// unwind (there should be none) into an error instead of escaping.
-func (e *Engine) fallbackAppro(q Query, cost CostKind) (res Result, err error) {
+// fallbackAppro runs the cost function's cheap approximation on a child
+// search that shares only the call's trace and read-through NN caches:
+// no node budget, no context (the original is already tripped — the
+// approximation is near-linear, so the overrun is bounded), no parallel
+// pool, no holder. The shield converts any stray unwind (there should be
+// none) into an error instead of escaping.
+func (s *search) fallbackAppro(q Query, cost CostKind) (res Result, err error) {
 	defer recoverBudget(&err)
-	fb := *e
-	fb.ctx = nil
-	fb.NodeBudget = 0
-	fb.shared = nil
-	fb.any = nil
-	fb.Parallelism = 1
+	fb := search{Engine: s.Engine, tr: s.tr, nnmemo: s.nnmemo, clusterNN: s.clusterNN}
 	switch cost {
 	case MaxSum, Dia:
 		return fb.caoAppro2(q, cost)

@@ -41,24 +41,24 @@ type cand struct {
 // sets are pruned with the owner lower bound
 // combine(d(o_f,q), maxPair(partial)) ≥ curCost — the same geometric facts
 // the paper's pairwise distance owner / lens pruning exploits.
-func (e *Engine) ownerExact(q Query, cost CostKind) (res Result, err error) {
-	if w := e.parWorkers(); w > 1 {
-		return e.ownerExactPar(q, cost, w)
+func (s *search) ownerExact(q Query, cost CostKind) (res Result, err error) {
+	if s.workers > 1 {
+		return s.ownerExactPar(q, cost)
 	}
 	defer recoverBudget(&err)
 	start := time.Now()
 	qi := kwds.NewQueryIndex(q.Keywords)
-	algo := e.tr.Begin("owner_exact")
+	algo := s.tr.Begin("owner_exact")
 	var stats Stats
 	stats.Workers = 1
-	e.trackStats(&stats)
-	seed, curCost, df, err := e.nnSeed(q, cost, &stats)
+	s.trackStats(&stats)
+	seed, curCost, df, err := s.nnSeed(q, cost, &stats)
 	if err != nil {
 		algo.End()
 		return Result{}, err
 	}
 	curSet := canonical(seed)
-	e.noteIncumbent(curSet, curCost, cost)
+	s.noteIncumbent(curSet, curCost, cost)
 	stats.SetsEvaluated = 1
 
 	// bound is the pruning bound of the enumeration. It starts at the
@@ -71,7 +71,7 @@ func (e *Engine) ownerExact(q Query, cost CostKind) (res Result, err error) {
 	// acceptance (c < bound) still finds its DFS-first C-cost leaf — the
 	// same answer the cold run keeps (DESIGN.md §15).
 	bound := curCost
-	if wb := e.warmBound; wb > 0 && wb < bound {
+	if wb := s.warmBound; wb > 0 && wb < bound {
 		bound = math.Nextafter(wb, math.Inf(1))
 	}
 
@@ -85,10 +85,10 @@ func (e *Engine) ownerExact(q Query, cost CostKind) (res Result, err error) {
 		putOwnerScratch(scratch)
 	}()
 
-	loop := e.tr.Begin("owner_loop")
+	loop := s.tr.Begin("owner_loop")
 	searchStart := time.Now()
-	it := e.ownerIter(q, qi)
-	if !e.Ablation.NoIncumbentBreak {
+	it := s.ownerIter(q, qi)
+	if !s.Ablation.NoIncumbentBreak {
 		it.Limit(bound)
 	}
 	for {
@@ -102,7 +102,7 @@ func (e *Engine) ownerExact(q Query, cost CostKind) (res Result, err error) {
 			// far, so the enumeration can stop (ablation A1 measures what
 			// this break is worth by degrading it to a per-owner skip).
 			stats.Prunes[trace.PruneIncumbentBreak]++
-			if !e.Ablation.NoIncumbentBreak {
+			if !s.Ablation.NoIncumbentBreak {
 				break
 			}
 			stats.CandidatesSeen++
@@ -117,9 +117,9 @@ func (e *Engine) ownerExact(q Query, cost CostKind) (res Result, err error) {
 			}
 		}
 		stats.CandidatesSeen++
-		e.pollCancel(stats.CandidatesSeen)
+		s.pollCancel(stats.CandidatesSeen)
 
-		if dof < df && !e.Ablation.NoOwnerRing {
+		if dof < df && !s.Ablation.NoOwnerRing {
 			// No feasible set has its query distance owner closer than the
 			// farthest keyword NN; o still enters the pool as a potential
 			// non-owner member.
@@ -127,9 +127,9 @@ func (e *Engine) ownerExact(q Query, cost CostKind) (res Result, err error) {
 			continue
 		}
 		stats.OwnersTried++
-		osp := e.tr.Begin("best_with_owner")
+		osp := s.tr.Begin("best_with_owner")
 		nodes0 := stats.NodesExpanded
-		set, c := e.bestWithOwner(qi, cost, pool, bitCands, int(idx), bound, scratch, &stats)
+		set, c := s.bestWithOwner(qi, cost, pool, bitCands, int(idx), bound, scratch, &stats)
 		improved := set != nil
 		if osp != nil {
 			// Keep sub-search spans only for owners that improved the
@@ -148,8 +148,8 @@ func (e *Engine) ownerExact(q Query, cost CostKind) (res Result, err error) {
 		if improved {
 			curSet, curCost = canonical(set), c
 			bound = c
-			e.noteIncumbent(curSet, curCost, cost)
-			if !e.Ablation.NoIncumbentBreak {
+			s.noteIncumbent(curSet, curCost, cost)
+			if !s.Ablation.NoIncumbentBreak {
 				it.Limit(bound)
 			}
 		}
@@ -176,10 +176,10 @@ func (e *Engine) ownerExact(q Query, cost CostKind) (res Result, err error) {
 // lacks, so the search runs over bitCands of the owner's uncovered bits.
 //
 // The returned set aliases scratch.bestSet: callers copy (canonical) what
-// they keep. Inside a parallel search (e.shared non-nil) the enumeration
+// they keep. Inside a parallel search (s.shared non-nil) the enumeration
 // additionally tightens its bound from the shared incumbent, one ulp
 // above it so equal-cost earlier-owner answers survive (parallel.go).
-func (e *Engine) bestWithOwner(qi *kwds.QueryIndex, cost CostKind, pool []cand, bitCands [][]int32, ownerIdx int, bound float64, scratch *ownerScratch, stats *Stats) ([]dataset.ObjectID, float64) {
+func (s *search) bestWithOwner(qi *kwds.QueryIndex, cost CostKind, pool []cand, bitCands [][]int32, ownerIdx int, bound float64, scratch *ownerScratch, stats *Stats) ([]dataset.ObjectID, float64) {
 	owner := pool[ownerIdx]
 	dof := owner.d
 	need := qi.Full() &^ owner.mask
@@ -204,12 +204,12 @@ func (e *Engine) bestWithOwner(qi *kwds.QueryIndex, cost CostKind, pool []cand, 
 		foundCost = 0.0   // cost of bestSet once found
 		bestCost  = bound // the pruning bound; may dip below foundCost
 		chosen    = scratch.chosen[:0]
-		sh        = e.shared
+		sh        = s.shared
 	)
 
 	var dfs func(covered kwds.Mask, maxPair float64)
 	dfs = func(covered kwds.Mask, maxPair float64) {
-		e.chargeNode(stats)
+		s.chargeNode(stats)
 		if sh != nil {
 			// Another worker may have improved the incumbent; tightening
 			// from it here never prunes the first minimum-cost leaf (one
@@ -258,7 +258,7 @@ func (e *Engine) bestWithOwner(qi *kwds.QueryIndex, cost CostKind, pool []cand, 
 					np = d
 				}
 			}
-			if combine(cost, dof, np) >= bestCost && !e.Ablation.NoPairPrune {
+			if combine(cost, dof, np) >= bestCost && !s.Ablation.NoPairPrune {
 				stats.Prunes[trace.PrunePairBound]++
 				continue
 			}

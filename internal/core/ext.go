@@ -78,19 +78,19 @@ func dominanceFilter(cands []cand) []cand {
 // greedySum is the classic weighted set cover greedy adapted to CoSKQ with
 // the Sum cost: repeatedly pick the object minimizing
 // d(o, q) / |newly covered keywords|. Approximation ratio H_{|q.ψ|}.
-func (e *Engine) greedySum(q Query) (Result, error) {
+func (s *search) greedySum(q Query) (Result, error) {
 	start := time.Now()
 	qi := kwds.NewQueryIndex(q.Keywords)
-	algo := e.tr.Begin("greedy_sum")
+	algo := s.tr.Begin("greedy_sum")
 	var stats Stats
-	seed, seedCost, _, err := e.nnSeed(q, Sum, &stats)
+	seed, seedCost, _, err := s.nnSeed(q, Sum, &stats)
 	if err != nil {
 		algo.End()
 		return Result{}, err
 	}
 	stats.SetsEvaluated = 1
 
-	cands := e.sumCandidates(q, qi, seedCost)
+	cands := s.sumCandidates(q, qi, seedCost)
 	stats.CandidatesSeen = len(cands)
 
 	var (
@@ -118,7 +118,7 @@ func (e *Engine) greedySum(q Query) (Result, error) {
 	}
 
 	res := canonical(set)
-	c := e.EvalCost(Sum, q.Loc, res)
+	c := s.EvalCost(Sum, q.Loc, res)
 	stats.SetsEvaluated++
 	// The greedy can lose to the plain NN set; return the better.
 	if seedCost < c {
@@ -134,14 +134,14 @@ func (e *Engine) greedySum(q Query) (Result, error) {
 // possible completion (for each uncovered keyword, the nearest object
 // containing it — keywords can share objects, so the max of those minima
 // is a valid bound).
-func (e *Engine) sumExact(q Query) (res Result, err error) {
+func (s *search) sumExact(q Query) (res Result, err error) {
 	defer recoverBudget(&err)
 	start := time.Now()
 	qi := kwds.NewQueryIndex(q.Keywords)
 
-	algo := e.tr.Begin("sum_exact")
-	seedSp := e.tr.Begin("seed_greedy")
-	seedRes, err := e.greedySum(q)
+	algo := s.tr.Begin("sum_exact")
+	seedSp := s.tr.Begin("seed_greedy")
+	seedRes, err := s.greedySum(q)
 	seedSp.End()
 	if err != nil {
 		algo.End()
@@ -150,13 +150,13 @@ func (e *Engine) sumExact(q Query) (res Result, err error) {
 	curSet, curCost := seedRes.Set, seedRes.Cost
 	stats := Stats{SetsEvaluated: seedRes.Stats.SetsEvaluated, Prunes: seedRes.Stats.Prunes}
 	stats.Phases.Seed = time.Since(start)
-	e.trackStats(&stats)
-	e.noteIncumbent(curSet, curCost, Sum)
+	s.trackStats(&stats)
+	s.noteIncumbent(curSet, curCost, Sum)
 
-	matSp := e.tr.Begin("materialize")
+	matSp := s.tr.Begin("materialize")
 	matStart := time.Now()
-	cands := e.sumCandidates(q, qi, curCost)
-	if !e.Ablation.NoSumDominance {
+	cands := s.sumCandidates(q, qi, curCost)
+	if !s.Ablation.NoSumDominance {
 		before := len(cands)
 		cands = dominanceFilter(cands)
 		stats.Prunes[trace.PruneDominated] += int64(before - len(cands))
@@ -195,18 +195,18 @@ func (e *Engine) sumExact(q Query) (res Result, err error) {
 		return lb
 	}
 
-	searchSp := e.tr.Begin("search")
+	searchSp := s.tr.Begin("search")
 	searchStart := time.Now()
 	var chosen []dataset.ObjectID
 	var dfs func(covered kwds.Mask, sum float64)
 	dfs = func(covered kwds.Mask, sum float64) {
-		e.chargeNode(&stats)
+		s.chargeNode(&stats)
 		if covered == qi.Full() {
 			stats.SetsEvaluated++
 			if sum < curCost {
 				curCost = sum
 				curSet = canonical(chosen)
-				e.noteIncumbent(curSet, curCost, Sum)
+				s.noteIncumbent(curSet, curCost, Sum)
 			}
 			return
 		}
@@ -257,25 +257,25 @@ func (e *Engine) sumExact(q Query) (res Result, err error) {
 // member nearest to the query. All other members of a set owned by o lie
 // within C(o, curCost − d(o,q)) (the pairwise component is at least their
 // distance from o) and at query distance ≥ d(o,q).
-func (e *Engine) minMaxExact(q Query) (res Result, err error) {
+func (s *search) minMaxExact(q Query) (res Result, err error) {
 	defer recoverBudget(&err)
 	start := time.Now()
 	qi := kwds.NewQueryIndex(q.Keywords)
-	algo := e.tr.Begin("minmax_exact")
+	algo := s.tr.Begin("minmax_exact")
 	var stats Stats
-	e.trackStats(&stats)
-	seed, curCost, _, err := e.nnSeed(q, MinMax, &stats)
+	s.trackStats(&stats)
+	seed, curCost, _, err := s.nnSeed(q, MinMax, &stats)
 	if err != nil {
 		algo.End()
 		return Result{}, err
 	}
 	curSet := canonical(seed)
-	e.noteIncumbent(curSet, curCost, MinMax)
+	s.noteIncumbent(curSet, curCost, MinMax)
 	stats.SetsEvaluated = 1
 
-	loop := e.tr.Begin("owner_loop")
+	loop := s.tr.Begin("owner_loop")
 	searchStart := time.Now()
-	it := e.Tree.NewRelevantNNIterator(q.Loc, qi)
+	it := s.Tree.NewRelevantNNIterator(q.Loc, qi)
 	it.Limit(curCost)
 	for {
 		o, do, ok := it.Next()
@@ -287,14 +287,14 @@ func (e *Engine) minMaxExact(q Query) (res Result, err error) {
 			break // cost ≥ d(nearest member, q)
 		}
 		stats.OwnersTried++
-		e.pollCancel(stats.OwnersTried)
+		s.pollCancel(stats.OwnersTried)
 
 		// Candidates: relevant objects within C(o, curCost − d(o,q)) whose
 		// query distance is at least d(o,q) (o must stay the nearest).
 		ownerMask := qi.MaskOf(o.Keywords)
 		var pool []cand
 		bitCands := make([][]int32, qi.Size())
-		e.Tree.RelevantInDisk(geo.Circle{C: o.Loc, R: curCost - do}, qi, func(x *dataset.Object, m kwds.Mask) bool {
+		s.Tree.RelevantInDisk(geo.Circle{C: o.Loc, R: curCost - do}, qi, func(x *dataset.Object, m kwds.Mask) bool {
 			if x.ID == o.ID || q.Loc.Dist(x.Loc) < do {
 				return true
 			}
@@ -312,10 +312,10 @@ func (e *Engine) minMaxExact(q Query) (res Result, err error) {
 		})
 		stats.CandidatesSeen += len(pool)
 
-		set, c := e.minMaxBestWithOwner(qi, o, do, ownerMask, pool, bitCands, curCost, &stats)
+		set, c := s.minMaxBestWithOwner(qi, o, do, ownerMask, pool, bitCands, curCost, &stats)
 		if set != nil && c < curCost {
 			curSet, curCost = canonical(set), c
-			e.noteIncumbent(curSet, curCost, MinMax)
+			s.noteIncumbent(curSet, curCost, MinMax)
 			it.Limit(curCost)
 		}
 	}
@@ -335,7 +335,7 @@ func (e *Engine) minMaxExact(q Query) (res Result, err error) {
 
 // minMaxBestWithOwner enumerates minimal covers of the owner's uncovered
 // keywords over pool with cost lower bound d(o,q) + maxPair(partial).
-func (e *Engine) minMaxBestWithOwner(qi *kwds.QueryIndex, owner *dataset.Object, do float64, ownerMask kwds.Mask, pool []cand, bitCands [][]int32, bound float64, stats *Stats) ([]dataset.ObjectID, float64) {
+func (s *search) minMaxBestWithOwner(qi *kwds.QueryIndex, owner *dataset.Object, do float64, ownerMask kwds.Mask, pool []cand, bitCands [][]int32, bound float64, stats *Stats) ([]dataset.ObjectID, float64) {
 	need := qi.Full() &^ ownerMask
 	if need == 0 {
 		stats.SetsEvaluated++
@@ -352,7 +352,7 @@ func (e *Engine) minMaxBestWithOwner(qi *kwds.QueryIndex, owner *dataset.Object,
 	)
 	var dfs func(covered kwds.Mask, maxPair float64)
 	dfs = func(covered kwds.Mask, maxPair float64) {
-		e.chargeNode(stats)
+		s.chargeNode(stats)
 		if covered == qi.Full() {
 			stats.SetsEvaluated++
 			if c := do + maxPair; c < bestCost {
@@ -408,25 +408,25 @@ func (e *Engine) minMaxBestWithOwner(qi *kwds.QueryIndex, owner *dataset.Object,
 // candidate nearest-member owner o (ascending query distance, bounded by
 // the best-known cost), cover the remaining keywords with the objects
 // nearest to o and keep the cheapest resulting set.
-func (e *Engine) minMaxAppro(q Query) (Result, error) {
+func (s *search) minMaxAppro(q Query) (Result, error) {
 	start := time.Now()
 	qi := kwds.NewQueryIndex(q.Keywords)
-	algo := e.tr.Begin("minmax_appro")
+	algo := s.tr.Begin("minmax_appro")
 	var stats Stats
-	e.trackStats(&stats)
-	seed, curCost, _, err := e.nnSeed(q, MinMax, &stats)
+	s.trackStats(&stats)
+	seed, curCost, _, err := s.nnSeed(q, MinMax, &stats)
 	if err != nil {
 		algo.End()
 		return Result{}, err
 	}
 	curSet := canonical(seed)
-	e.noteIncumbent(curSet, curCost, MinMax)
+	s.noteIncumbent(curSet, curCost, MinMax)
 	stats.SetsEvaluated = 1
 
-	loop := e.tr.Begin("owner_loop")
+	loop := s.tr.Begin("owner_loop")
 	searchStart := time.Now()
 	noDisk := geo.Circle{R: -1}
-	it := e.Tree.NewRelevantNNIterator(q.Loc, qi)
+	it := s.Tree.NewRelevantNNIterator(q.Loc, qi)
 	for {
 		o, do, ok := it.Next()
 		if !ok {
@@ -437,12 +437,12 @@ func (e *Engine) minMaxAppro(q Query) (Result, error) {
 			break
 		}
 		stats.OwnersTried++
-		e.pollCancel(stats.OwnersTried)
+		s.pollCancel(stats.OwnersTried)
 		covered := qi.MaskOf(o.Keywords)
 		set := []dataset.ObjectID{o.ID}
 		feasible := true
 		for covered != qi.Full() {
-			next, _, ok := e.Tree.NNCoveringInDisk(o.Loc, qi, qi.Full()&^covered, noDisk)
+			next, _, ok := s.Tree.NNCoveringInDisk(o.Loc, qi, qi.Full()&^covered, noDisk)
 			if !ok {
 				feasible = false
 				break
@@ -454,9 +454,9 @@ func (e *Engine) minMaxAppro(q Query) (Result, error) {
 			continue
 		}
 		stats.SetsEvaluated++
-		if c := e.EvalCost(MinMax, q.Loc, set); c < curCost {
+		if c := s.EvalCost(MinMax, q.Loc, set); c < curCost {
 			curSet, curCost = canonical(set), c
-			e.noteIncumbent(curSet, curCost, MinMax)
+			s.noteIncumbent(curSet, curCost, MinMax)
 		}
 	}
 	stats.Phases.Search = time.Since(searchStart)

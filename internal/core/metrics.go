@@ -120,7 +120,7 @@ func errorReason(err error) string {
 		return "infeasible"
 	case errors.Is(err, ErrBudgetExceeded):
 		return "budget"
-	case errors.Is(err, ErrUnsupported):
+	case errors.Is(err, ErrUnsupported), errors.Is(err, ErrTooManyKeywords):
 		return "unsupported"
 	case errors.Is(err, context.DeadlineExceeded):
 		return "deadline"

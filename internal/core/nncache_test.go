@@ -71,8 +71,7 @@ func TestNNCacheLookupMatchesTree(t *testing.T) {
 	if e.EnableNNCache(512) == nil {
 		t.Fatal("EnableNNCache returned nil for positive capacity")
 	}
-	run := *e
-	run.nnmemo = nil
+	run := &search{Engine: e}
 
 	hots := make([]geo.Point, 5)
 	for i := range hots {
@@ -110,8 +109,7 @@ func TestNNCacheNegativeEntry(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	e := genEngine(rng, 100, 5, 2)
 	e.EnableNNCache(64)
-	run := *e
-	run.nnmemo = nil
+	run := &search{Engine: e}
 	const missing = kwds.ID(99)
 	if _, _, ok := run.lookupNN(geo.Point{X: 1, Y: 1}, missing); ok {
 		t.Fatal("missing keyword reported present")
@@ -135,8 +133,7 @@ func TestNNCacheEviction(t *testing.T) {
 	e := genEngine(rng, 300, 8, 3)
 	const capacity = 16
 	e.EnableNNCache(capacity)
-	run := *e
-	run.nnmemo = nil
+	run := &search{Engine: e}
 	for trial := 0; trial < 500; trial++ {
 		p := geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
 		run.lookupNN(p, kwds.ID(rng.Intn(8)))
@@ -155,8 +152,7 @@ func TestNNCacheHitNoAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	e := genEngine(rng, 200, 6, 2)
 	e.EnableNNCache(256)
-	run := *e
-	run.nnmemo = nil
+	run := &search{Engine: e}
 	p := geo.Point{X: 42, Y: 17}
 	run.lookupNN(p, 0) // populate
 	got := testing.AllocsPerRun(100, func() {

@@ -24,32 +24,32 @@ import (
 )
 
 // pairsExact is the pair-owners-first exact search for MaxSum and Dia.
-func (e *Engine) pairsExact(q Query, cost CostKind) (res Result, err error) {
+func (s *search) pairsExact(q Query, cost CostKind) (res Result, err error) {
 	defer recoverBudget(&err)
 	start := time.Now()
 	qi := kwds.NewQueryIndex(q.Keywords)
-	algo := e.tr.Begin("pairs_exact")
+	algo := s.tr.Begin("pairs_exact")
 	var stats Stats
-	e.trackStats(&stats)
-	seed, curCost, df, err := e.nnSeed(q, cost, &stats)
+	s.trackStats(&stats)
+	seed, curCost, df, err := s.nnSeed(q, cost, &stats)
 	if err != nil {
 		algo.End()
 		return Result{}, err
 	}
 	curSet := canonical(seed)
-	e.noteIncumbent(curSet, curCost, cost)
+	s.noteIncumbent(curSet, curCost, cost)
 	stats.SetsEvaluated = 1
 	stats.Phases.Seed = time.Since(start)
 
 	// Step 0: all relevant objects in R_S = C(q, r1); r1 = curCost for
 	// both costs (any member farther than the incumbent cost disqualifies
 	// its set).
-	matSp := e.tr.Begin("materialize")
+	matSp := s.tr.Begin("materialize")
 	matStart := time.Now()
 	scratch := getOwnerScratch()
 	defer putOwnerScratch(scratch)
 	cands := scratch.pool[:0]
-	e.Tree.RelevantInDisk(geo.Circle{C: q.Loc, R: curCost}, qi, func(o *dataset.Object, m kwds.Mask) bool {
+	s.Tree.RelevantInDisk(geo.Circle{C: q.Loc, R: curCost}, qi, func(o *dataset.Object, m kwds.Mask) bool {
 		cands = append(cands, cand{o: o, d: q.Loc.Dist(o.Loc), mask: m})
 		return true
 	})
@@ -64,7 +64,7 @@ func (e *Engine) pairsExact(q Query, cost CostKind) (res Result, err error) {
 	// Step 1: candidate pairwise distance owner pairs (i == j covers
 	// singleton and co-located answers), filtered by the d_LB/d_UB bounds
 	// and ordered by the pair cost lower bound.
-	searchSp := e.tr.Begin("pair_search")
+	searchSp := s.tr.Begin("pair_search")
 	searchStart := time.Now()
 	type pairCand struct {
 		i, j   int
@@ -124,7 +124,7 @@ func (e *Engine) pairsExact(q Query, cost CostKind) (res Result, err error) {
 		}
 		for m := range cands {
 			om := &cands[m]
-			e.chargeNode(&stats)
+			s.chargeNode(&stats)
 			if om.d < rLB || om.d >= rUB {
 				continue
 			}
@@ -132,10 +132,10 @@ func (e *Engine) pairsExact(q Query, cost CostKind) (res Result, err error) {
 				continue
 			}
 			stats.OwnersTried++
-			set, c := e.bestFeasibleForTriple(q, qi, cost, cands, p.i, p.j, m, p.dij, curCost, scratch, &stats)
+			set, c := s.bestFeasibleForTriple(q, qi, cost, cands, p.i, p.j, m, p.dij, curCost, scratch, &stats)
 			if set != nil && c < curCost {
 				curSet, curCost = canonical(set), c
-				e.noteIncumbent(curSet, curCost, cost)
+				s.noteIncumbent(curSet, curCost, cost)
 			}
 		}
 	}
@@ -157,13 +157,13 @@ func (e *Engine) pairsExact(q Query, cost CostKind) (res Result, err error) {
 // triple (oi, oj, om), with the remaining members drawn from the region
 // R = C(oi, dij) ∩ C(oj, dij) ∩ C(q, d(om, q)) (the paper's
 // findBestFeasibleSet). Returns (nil, 0) when none beats bound.
-func (e *Engine) bestFeasibleForTriple(q Query, qi *kwds.QueryIndex, cost CostKind, cands []cand, i, j, m int, dij, bound float64, scratch *ownerScratch, stats *Stats) ([]dataset.ObjectID, float64) {
+func (s *search) bestFeasibleForTriple(q Query, qi *kwds.QueryIndex, cost CostKind, cands []cand, i, j, m int, dij, bound float64, scratch *ownerScratch, stats *Stats) ([]dataset.ObjectID, float64) {
 	oi, oj, om := &cands[i], &cands[j], &cands[m]
 	base := []dataset.ObjectID{oi.o.ID, oj.o.ID, om.o.ID}
 	covered := oi.mask | oj.mask | om.mask
 	if covered == qi.Full() {
 		stats.SetsEvaluated++
-		c := e.EvalCost(cost, q.Loc, base)
+		c := s.EvalCost(cost, q.Loc, base)
 		if c < bound {
 			return base, c
 		}
@@ -193,14 +193,14 @@ func (e *Engine) bestFeasibleForTriple(q Query, qi *kwds.QueryIndex, cost CostKi
 	)
 	var dfs func(cov kwds.Mask)
 	dfs = func(cov kwds.Mask) {
-		e.chargeNode(stats)
+		s.chargeNode(stats)
 		if cov == qi.Full() {
 			set := append(append([]dataset.ObjectID(nil), base...), make([]dataset.ObjectID, 0, len(chosen))...)
 			for _, r := range chosen {
 				set = append(set, cands[r].o.ID)
 			}
 			stats.SetsEvaluated++
-			if c := e.EvalCost(cost, q.Loc, canonical(set)); c < bestCost {
+			if c := s.EvalCost(cost, q.Loc, canonical(set)); c < bestCost {
 				bestCost = c
 				bestSet = canonical(set)
 			}

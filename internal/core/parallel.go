@@ -109,6 +109,14 @@ func (sh *parShared) firstPanic() any {
 	return sh.panicV
 }
 
+// worker derives the search one pool goroutine runs on: it shares the
+// engine, the call's context and budget, and the coordination state —
+// nothing else, so the memo, the holder and the batch share stay with
+// the coordinator and workers publish only through sh.
+func (s *search) worker(sh *parShared) *search {
+	return &search{Engine: s.Engine, ctx: s.ctx, budget: s.budget, shared: sh}
+}
+
 // ownerTask is one unit of worker work: the best feasible set owned by
 // pool[ownerIdx]. pool and bits are snapshots taken at enqueue time; the
 // producer only ever appends past their lengths (or reallocates, leaving
@@ -124,19 +132,20 @@ type ownerTask struct {
 	bits     [][]int32
 }
 
-// ownerExactPar is the parallel form of ownerExact, dispatched when
-// parWorkers() > 1. The trace layout mirrors the serial one, with the
+// ownerExactPar is the parallel form of ownerExact, dispatched when the
+// call resolved to more than one worker. The trace layout mirrors the serial one, with the
 // per-owner sub-search spans grouped under a concurrent "owner_workers"
 // group span.
-func (e *Engine) ownerExactPar(q Query, cost CostKind, workers int) (res Result, err error) {
+func (s *search) ownerExactPar(q Query, cost CostKind) (res Result, err error) {
 	defer recoverBudget(&err)
 	start := time.Now()
+	workers := s.workers
 	qi := kwds.NewQueryIndex(q.Keywords)
-	algo := e.tr.Begin("owner_exact")
+	algo := s.tr.Begin("owner_exact")
 	var stats Stats
 	stats.Workers = workers
-	e.trackStats(&stats)
-	seed, seedCost, df, err := e.nnSeed(q, cost, &stats)
+	s.trackStats(&stats)
+	seed, seedCost, df, err := s.nnSeed(q, cost, &stats)
 	if err != nil {
 		algo.End()
 		return Result{}, err
@@ -147,35 +156,29 @@ func (e *Engine) ownerExactPar(q Query, cost CostKind, workers int) (res Result,
 	}
 
 	sh := newParShared(canonical(seed), seedCost)
-	e.noteIncumbent(sh.set, sh.cost, cost)
+	s.noteIncumbent(sh.set, sh.cost, cost)
 	// A grouped batch's warm-start upper bound pre-tightens the shared
 	// pruning bound one ulp above it — the same tie-aware mechanism the
 	// workers use — while sh.cost/sh.set keep the seed as the answer
 	// fallback. The bound only ever prunes work whose cost exceeds the
 	// warm bound, which exceeds the optimum, so the (cost, ord) merge
 	// still lands on the serial cold run's answer (exact.go, §15).
-	if wb := e.warmBound; wb > 0 && wb < seedCost {
+	if wb := s.warmBound; wb > 0 && wb < seedCost {
 		sh.bound.Store(math.Float64bits(math.Nextafter(wb, math.Inf(1))))
 	}
-	loop := e.tr.Begin("owner_loop")
-	grp := e.tr.BeginGroup("owner_workers")
+	loop := s.tr.Begin("owner_loop")
+	grp := s.tr.BeginGroup("owner_workers")
 	searchStart := time.Now()
 
 	tasks := make(chan ownerTask, 2*workers)
 	workerStats := make([]Stats, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		wc := *e
-		wc.shared = sh
-		wc.nnmemo = nil    // not goroutine-safe; the sub-searches never seed
-		wc.any = nil       // ditto; workers publish through sh, noted at the join
-		wc.clusterNN = nil // ditto; cluster NN share is coordinator-only
-		wc.ownerSrc = nil  // the candidate source belongs to the producer
 		wg.Add(1)
-		go func(wc *Engine, ws *Stats) {
+		go func(wk *search, ws *Stats) {
 			defer wg.Done()
-			wc.ownerWorker(qi, cost, tasks, grp, ws)
-		}(&wc, &workerStats[w])
+			wk.ownerWorker(qi, cost, tasks, grp, ws)
+		}(s.worker(sh), &workerStats[w])
 	}
 
 	// The producer runs on the coordinator goroutine. A panic here
@@ -190,11 +193,11 @@ func (e *Engine) ownerExactPar(q Query, cost CostKind, workers int) (res Result,
 				sh.fail(r)
 			}
 		}()
-		it := e.ownerIter(q, qi)
+		it := s.ownerIter(q, qi)
 		ord := 0
 		for !sh.failed.Load() {
 			fault.Hit(fault.OwnerEnum)
-			if !e.Ablation.NoIncumbentBreak {
+			if !s.Ablation.NoIncumbentBreak {
 				it.Limit(sh.costLoad())
 			}
 			o, dof, ok := it.Next()
@@ -203,7 +206,7 @@ func (e *Engine) ownerExactPar(q Query, cost CostKind, workers int) (res Result,
 			}
 			if dof >= sh.costLoad() {
 				stats.Prunes[trace.PruneIncumbentBreak]++
-				if !e.Ablation.NoIncumbentBreak {
+				if !s.Ablation.NoIncumbentBreak {
 					break
 				}
 				stats.CandidatesSeen++
@@ -218,8 +221,8 @@ func (e *Engine) ownerExactPar(q Query, cost CostKind, workers int) (res Result,
 				}
 			}
 			stats.CandidatesSeen++
-			e.pollCancel(stats.CandidatesSeen)
-			if dof < df && !e.Ablation.NoOwnerRing {
+			s.pollCancel(stats.CandidatesSeen)
+			if dof < df && !s.Ablation.NoOwnerRing {
 				stats.Prunes[trace.PruneOwnerRing]++
 				continue
 			}
@@ -255,7 +258,7 @@ func (e *Engine) ownerExactPar(q Query, cost CostKind, workers int) (res Result,
 	// Workers have joined, so sh holds the merged incumbent across every
 	// worker's discoveries; note it before re-raising a parked panic so a
 	// degrade (DESIGN.md §11) can return the best answer any worker found.
-	e.noteIncumbent(sh.set, sh.cost, cost)
+	s.noteIncumbent(sh.set, sh.cost, cost)
 	if p := sh.firstPanic(); p != nil {
 		panic(p) // recoverBudget (deferred above) converts it into err
 	}
@@ -266,21 +269,21 @@ func (e *Engine) ownerExactPar(q Query, cost CostKind, workers int) (res Result,
 // ownerWorker consumes owner tasks until the channel closes. After a
 // failure it keeps draining so the producer never blocks on a full
 // channel.
-func (e *Engine) ownerWorker(qi *kwds.QueryIndex, cost CostKind, tasks <-chan ownerTask, grp *trace.Group, stats *Stats) {
+func (s *search) ownerWorker(qi *kwds.QueryIndex, cost CostKind, tasks <-chan ownerTask, grp *trace.Group, stats *Stats) {
 	scratch := getOwnerScratch()
 	defer putOwnerScratch(scratch)
 	for t := range tasks {
-		if e.shared.failed.Load() {
+		if s.shared.failed.Load() {
 			continue
 		}
-		e.runOwnerTask(qi, cost, t, grp, scratch, stats)
+		s.runOwnerTask(qi, cost, t, grp, scratch, stats)
 	}
 }
 
 // runOwnerTask solves one owner sub-search, trapping budget/cancel
 // panics into the shared failure slot.
-func (e *Engine) runOwnerTask(qi *kwds.QueryIndex, cost CostKind, t ownerTask, grp *trace.Group, scratch *ownerScratch, stats *Stats) {
-	sh := e.shared
+func (s *search) runOwnerTask(qi *kwds.QueryIndex, cost CostKind, t ownerTask, grp *trace.Group, scratch *ownerScratch, stats *Stats) {
+	sh := s.shared
 	defer func() {
 		if r := recover(); r != nil {
 			sh.fail(r)
@@ -293,7 +296,7 @@ func (e *Engine) runOwnerTask(qi *kwds.QueryIndex, cost CostKind, t ownerTask, g
 	// earlier-enumerated owner must stay findable (see the determinism
 	// notes atop this file); offer() then resolves the tie by index.
 	bound := math.Nextafter(sh.costLoad(), math.Inf(1))
-	set, c := e.bestWithOwner(qi, cost, t.pool, t.bits, int(t.ownerIdx), bound, scratch, stats)
+	set, c := s.bestWithOwner(qi, cost, t.pool, t.bits, int(t.ownerIdx), bound, scratch, stats)
 	if set == nil {
 		sp.Drop()
 		return
@@ -316,24 +319,19 @@ func (e *Engine) runOwnerTask(qi *kwds.QueryIndex, cost CostKind, t ownerTask, g
 // so the same (cost, ord) rule as ownerExactPar keeps results identical
 // to the serial search. Returns the best (set, cost) found, merging
 // worker stats into stats.
-func (e *Engine) caoSearchPar(qi *kwds.QueryIndex, cost CostKind, cands [][]kwCand, branch int, seedSet []dataset.ObjectID, seedCost float64, stats *Stats, workers int) ([]dataset.ObjectID, float64) {
+func (s *search) caoSearchPar(qi *kwds.QueryIndex, cost CostKind, cands [][]kwCand, branch int, seedSet []dataset.ObjectID, seedCost float64, stats *Stats) ([]dataset.ObjectID, float64) {
 	sh := newParShared(seedSet, seedCost)
-	grp := e.tr.BeginGroup("bnb_workers")
+	workers := s.workers
+	grp := s.tr.BeginGroup("bnb_workers")
 	tasks := make(chan int, 2*workers)
 	workerStats := make([]Stats, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		wc := *e
-		wc.shared = sh
-		wc.nnmemo = nil
-		wc.any = nil
-		wc.clusterNN = nil
-		wc.ownerSrc = nil
 		wg.Add(1)
-		go func(wc *Engine, ws *Stats) {
+		go func(wk *search, ws *Stats) {
 			defer wg.Done()
-			wc.caoWorker(qi, cost, cands, branch, tasks, grp, ws)
-		}(&wc, &workerStats[w])
+			wk.caoWorker(qi, cost, cands, branch, tasks, grp, ws)
+		}(s.worker(sh), &workerStats[w])
 	}
 	for j := range cands[branch] {
 		if sh.failed.Load() {
@@ -350,7 +348,7 @@ func (e *Engine) caoSearchPar(qi *kwds.QueryIndex, cost CostKind, cands [][]kwCa
 	// Merged incumbent across workers, noted before the parked panic
 	// re-raises so a degrade keeps the best answer found (see
 	// ownerExactPar).
-	e.noteIncumbent(sh.set, sh.cost, cost)
+	s.noteIncumbent(sh.set, sh.cost, cost)
 	if p := sh.firstPanic(); p != nil {
 		panic(p) // caoExact's recoverBudget converts it
 	}
@@ -358,48 +356,48 @@ func (e *Engine) caoSearchPar(qi *kwds.QueryIndex, cost CostKind, cands [][]kwCa
 }
 
 // caoWorker consumes top-level subtree indices until the channel closes.
-func (e *Engine) caoWorker(qi *kwds.QueryIndex, cost CostKind, cands [][]kwCand, branch int, tasks <-chan int, grp *trace.Group, stats *Stats) {
+func (s *search) caoWorker(qi *kwds.QueryIndex, cost CostKind, cands [][]kwCand, branch int, tasks <-chan int, grp *trace.Group, stats *Stats) {
 	scratch := getCaoScratch()
 	defer putCaoScratch(scratch)
-	s := &caoSearch{e: e, qi: qi, cost: cost, cands: cands, stats: stats, sh: e.shared}
+	cs := &caoSearch{run: s, qi: qi, cost: cost, cands: cands, stats: stats, sh: s.shared}
 	for j := range tasks {
-		if e.shared.failed.Load() {
+		if s.shared.failed.Load() {
 			continue
 		}
-		e.runCaoTask(s, scratch, j, branch, grp)
+		s.runCaoTask(cs, scratch, j, branch, grp)
 	}
-	scratch.chosen, scratch.chosenIDs = s.chosen, s.chosenIDs
+	scratch.chosen, scratch.chosenIDs = cs.chosen, cs.chosenIDs
 }
 
 // runCaoTask runs one top-level subtree, trapping budget/cancel panics
 // into the shared failure slot.
-func (e *Engine) runCaoTask(s *caoSearch, scratch *caoScratch, j, branch int, grp *trace.Group) {
-	sh := e.shared
+func (s *search) runCaoTask(cs *caoSearch, scratch *caoScratch, j, branch int, grp *trace.Group) {
+	sh := s.shared
 	defer func() {
 		if r := recover(); r != nil {
 			sh.fail(r)
 		}
 	}()
 	fault.Hit(fault.PoolWorker)
-	kc := s.cands[branch][j]
+	kc := cs.cands[branch][j]
 	bound := math.Nextafter(sh.costLoad(), math.Inf(1))
 	if kc.d >= bound {
-		s.stats.Prunes[trace.PruneDistanceBreak]++
+		cs.stats.Prunes[trace.PruneDistanceBreak]++
 		return
 	}
-	if combine(s.cost, kc.d, 0) >= bound {
-		s.stats.Prunes[trace.PrunePairBound]++
+	if combine(cs.cost, kc.d, 0) >= bound {
+		cs.stats.Prunes[trace.PrunePairBound]++
 		return
 	}
 	sp := grp.Begin("bnb_subtree")
-	nodes0 := s.stats.NodesExpanded
-	s.ord = j
-	s.chosen = append(scratch.chosen[:0], kc.o)
-	s.chosenIDs = append(scratch.chosenIDs[:0], kc.o.ID)
-	s.dfs(kc.mask, kc.d, 0)
-	scratch.chosen, scratch.chosenIDs = s.chosen[:0], s.chosenIDs[:0]
+	nodes0 := cs.stats.NodesExpanded
+	cs.ord = j
+	cs.chosen = append(scratch.chosen[:0], kc.o)
+	cs.chosenIDs = append(scratch.chosenIDs[:0], kc.o.ID)
+	cs.dfs(kc.mask, kc.d, 0)
+	scratch.chosen, scratch.chosenIDs = cs.chosen[:0], cs.chosenIDs[:0]
 	if sp != nil {
-		if nodes := s.stats.NodesExpanded - nodes0; nodes > 16 {
+		if nodes := cs.stats.NodesExpanded - nodes0; nodes > 16 {
 			sp.Attr("root_id", float64(kc.o.ID))
 			sp.Attr("ord", float64(j))
 			sp.Attr("nodes", float64(nodes))

@@ -134,6 +134,9 @@ func TestParallelBudgetTrip(t *testing.T) {
 // query (result set, canonical copies, iterator state — not the candidate
 // pool, bit indexes, or partial-set scratch, which all recycle).
 func TestOwnerExactAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
 	rng := rand.New(rand.NewSource(21))
 	e := genEngine(rng, 700, 20, 4)
 	e.Parallelism = 1
@@ -141,25 +144,29 @@ func TestOwnerExactAllocs(t *testing.T) {
 	for i := range queries {
 		queries[i] = randQuery(rng, 20, 3)
 	}
-	for _, m := range []Method{OwnerExact, PairsExact, CaoExact} {
+	// Ceilings are the values measured on this fixture with the per-call
+	// engine clone the pooled search replaced (one heap copy per solve):
+	// the search must not cost more than the clone did, and reverting any
+	// one scratch pool (candidates, bitCands, partial sets) blows them.
+	for _, tc := range []struct {
+		m         Method
+		maxAllocs float64
+	}{{OwnerExact, 15}, {PairsExact, 43}, {CaoExact, 47}} {
 		// Warm the scratch pools.
 		for _, q := range queries {
-			if _, err := e.Solve(q, MaxSum, m); err != nil {
-				t.Fatalf("%v warmup: %v", m, err)
+			if _, err := e.Solve(q, MaxSum, tc.m); err != nil {
+				t.Fatalf("%v warmup: %v", tc.m, err)
 			}
 		}
 		q := queries[0]
 		got := testing.AllocsPerRun(30, func() {
-			if _, err := e.Solve(q, MaxSum, m); err != nil {
+			if _, err := e.Solve(q, MaxSum, tc.m); err != nil {
 				t.Fatal(err)
 			}
 		})
-		// The bound is deliberately loose enough to absorb iterator and
-		// result-set allocations but tight enough that reverting any one
-		// scratch pool (candidates, bitCands, partial sets) blows it.
-		const maxAllocs = 60
-		if got > maxAllocs {
-			t.Errorf("%v: %.1f allocs/op, want ≤ %d", m, got, maxAllocs)
+		t.Logf("%v: %.1f allocs/op", tc.m, got)
+		if got > tc.maxAllocs {
+			t.Errorf("%v: %.1f allocs/op, want ≤ %.0f", tc.m, got, tc.maxAllocs)
 		}
 	}
 }

@@ -1,8 +1,9 @@
 package core
 
-// Pooled per-call scratch for the exact-search hot paths. One CoSKQ
-// execution materializes a candidate pool, per-keyword candidate index
-// slices and partial-set scratch; recycling them through sync.Pool makes
+// Pooled scratch for the exact-search hot paths (the per-call state
+// itself is the pooled search, search.go). One CoSKQ execution
+// materializes a candidate pool, per-keyword candidate index slices and
+// partial-set scratch; recycling them through sync.Pool makes
 // the steady-state per-query allocation count small and flat (pinned by
 // TestOwnerExactAllocs). Pooled objects may retain *dataset.Object
 // pointers between queries; engines own their datasets for their entire
@@ -12,47 +13,7 @@ import (
 	"sync"
 
 	"coskq/internal/dataset"
-	"coskq/internal/geo"
-	"coskq/internal/kwds"
 )
-
-// nnMemo caches one query's per-keyword NN seeds (see Engine.keywordNN).
-// Queries carry at most kwds.MaxQueryKeywords keywords, so a linear scan
-// beats a map.
-type nnMemo struct {
-	valid bool
-	p     geo.Point
-	kws   []kwds.ID
-	ids   []dataset.ObjectID
-	ds    []float64
-	oks   []bool
-}
-
-func (m *nnMemo) reset(p geo.Point) {
-	m.valid, m.p = true, p
-	m.kws, m.ids, m.ds, m.oks = m.kws[:0], m.ids[:0], m.ds[:0], m.oks[:0]
-}
-
-func (m *nnMemo) add(kw kwds.ID, id dataset.ObjectID, d float64, ok bool) {
-	m.kws = append(m.kws, kw)
-	m.ids = append(m.ids, id)
-	m.ds = append(m.ds, d)
-	m.oks = append(m.oks, ok)
-}
-
-var nnMemoPool = sync.Pool{New: func() any { return new(nnMemo) }}
-
-func getNNMemo() *nnMemo {
-	m := nnMemoPool.Get().(*nnMemo)
-	m.valid = false
-	return m
-}
-
-func putNNMemo(m *nnMemo) {
-	if m != nil {
-		nnMemoPool.Put(m)
-	}
-}
 
 // ownerScratch bundles the owner-driven search's reusable slices: the
 // ascending-distance candidate pool, the per-keyword-bit candidate index

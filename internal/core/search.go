@@ -1,0 +1,386 @@
+package core
+
+// Per-search state. An Engine is the immutable index plus the deployment
+// config, shared by every query; everything one execution mutates lives
+// on a search. Every exported query entry point reaches the algorithms
+// through Engine.enter, which takes a search from searchPool and puts it
+// back; helper executions inside a call (parallel workers, the batch
+// cluster probe, the degrade fallback) build a child search literal that
+// names exactly what it shares with its parent, so anything not named is
+// zero: no budget, no context, no trace, no memo, no holder.
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"sync"
+	"time"
+
+	"coskq/internal/dataset"
+	"coskq/internal/fault"
+	"coskq/internal/geo"
+	"coskq/internal/kwds"
+	"coskq/internal/trace"
+)
+
+// search is one execution's state. It is confined to one goroutine.
+type search struct {
+	*Engine // index and config; a search only ever reads through it
+
+	// ctx is the call's cancellation context, attached only when it can
+	// actually be cancelled: chargeNode's poll stays a single nil check
+	// on background contexts.
+	ctx context.Context
+	// tr is the call's execution trace (carried in the context via
+	// internal/trace). Every trace call is nil-safe, so a nil tr — the
+	// common case — costs one branch and never allocates.
+	tr *trace.Trace
+	// budget and workers are the engine's NodeBudget and Parallelism as
+	// resolved for this call; zero means unlimited and serial.
+	budget, workers int
+	// shared is set on the workers of a parallel exact search: the atomic
+	// incumbent bound, the global node counter and the failure slot
+	// (parallel.go).
+	shared *parShared
+	// nnmemo caches the query's per-keyword NN seeds so bound seeding and
+	// d_f refinement stop re-walking the IR-tree for keywords already
+	// answered (Cao-Exact seeds via Appro2, which otherwise walks every
+	// keyword NN twice).
+	nnmemo *nnMemo
+	// any is the anytime holder: the feasible incumbent and live Stats
+	// the degrade path falls back on when the search is cut short
+	// (degrade.go).
+	any *anytime
+	// clusterNN, ownerSrc and warmBound are a grouped batch member's share
+	// of its cluster (batchgroup.go): the cluster-local keyword-NN
+	// observations, a pre-materialized candidate-owner stream replacing
+	// the IR-tree iterator of the owner-driven exact search, and the cost
+	// of a finished neighbor's answer at this query's location. The warm
+	// bound only ever pre-tightens a pruning bound (one ulp above,
+	// exact.go), so warm and cold runs return identical results.
+	clusterNN *nnShare
+	ownerSrc  ownerSource
+	warmBound float64
+}
+
+// searchPool recycles searches together with their memo and holder
+// buffers. It is the only pool of per-call state; the pools in pool.go
+// and batchgroup.go recycle algorithm scratch.
+var searchPool = sync.Pool{New: func() any {
+	return &search{nnmemo: new(nnMemo), any: new(anytime)}
+}}
+
+// release drops every reference the call attached — a parked search pins
+// no context, trace, Stats or ranking — and returns s to the pool.
+func (s *search) release() {
+	m, h := s.nnmemo, s.any
+	m.valid = false
+	h.valid, h.stats, h.topk = false, nil, nil
+	*s = search{nnmemo: m, any: h}
+	searchPool.Put(s)
+}
+
+// enter is the one way into the algorithms: it rejects a query the
+// keyword masks cannot represent, takes a search from the pool, binds the
+// call's context, trace, node budget and worker count, runs fn on it and
+// releases it. A budget or cancellation unwind no algorithm shielded
+// surfaces as fn's error, never as a panic.
+func (e *Engine) enter(ctx context.Context, q Query, fn func(*search) error) (err error) {
+	if len(q.Keywords) > kwds.MaxQueryKeywords {
+		return fmt.Errorf("%w (%d given)", ErrTooManyKeywords, len(q.Keywords))
+	}
+	cancellable := ctx != nil && ctx.Done() != nil
+	if cancellable {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+	}
+	s := searchPool.Get().(*search)
+	defer s.release()
+	defer recoverBudget(&err)
+	s.Engine, s.budget, s.workers = e, e.NodeBudget, e.Parallelism
+	if s.workers <= 0 {
+		s.workers = runtime.GOMAXPROCS(0)
+	}
+	if cancellable {
+		s.ctx = ctx
+	}
+	if ctx != nil {
+		s.tr = trace.FromContext(ctx)
+	}
+	return fn(s)
+}
+
+// solveOne is one accounted Solve execution. SolveCtx runs it bare; a
+// grouped batch runs it per cluster member with the cluster's NN share,
+// candidate source and warm bound attached.
+func (e *Engine) solveOne(ctx context.Context, q Query, cost CostKind, method Method, share *nnShare, src ownerSource, wb float64) (res Result, err error) {
+	start := time.Now()
+	err = e.enter(ctx, q, func(s *search) (err error) {
+		s.clusterNN, s.ownerSrc, s.warmBound = share, src, wb
+		if wb > 0 && e.Metrics != nil {
+			e.Metrics.batchWarm.Inc()
+		}
+		res, err = s.solve(q, cost, method)
+		return err
+	})
+	// Every algorithm stamps its own Elapsed, but error unwinds (budget,
+	// cancellation) and future algorithms may not; stamp the wall time of
+	// the whole call here so the field is populated uniformly.
+	res.Stats.Elapsed = time.Since(start)
+	if e.Metrics != nil {
+		e.Metrics.recordSolve(cost, method, res, err, res.Stats.Elapsed)
+	}
+	return res, err
+}
+
+// solve runs the dispatch and, when the search was cut short, applies
+// the engine's degrade policy: recover the aborted execution's Stats
+// and — policy permitting — turn the error into an anytime answer
+// (degrade.go). Whatever the outcome, the prune counters reach the trace.
+func (s *search) solve(q Query, cost CostKind, method Method) (Result, error) {
+	res, err := s.solveInner(q, cost, method)
+	if err != nil {
+		res, err = s.degradeSolve(q, cost, method, res, err)
+	}
+	s.tr.AddPrunes(res.Stats.Prunes)
+	return res, err
+}
+
+// solveInner dispatches to the per-(cost, method) algorithm. The deferred
+// recover catches cancellation unwinds from algorithms that have no
+// recover of their own (the approximation constructions).
+func (s *search) solveInner(q Query, cost CostKind, method Method) (res Result, err error) {
+	defer recoverBudget(&err)
+	switch cost {
+	case MaxSum, Dia:
+		switch method {
+		case OwnerExact:
+			return s.ownerExact(q, cost)
+		case PairsExact:
+			return s.pairsExact(q, cost)
+		case OwnerAppro:
+			return s.ownerAppro(q, cost)
+		case CaoExact:
+			return s.caoExact(q, cost)
+		case CaoAppro1:
+			return s.caoAppro1(q, cost)
+		case CaoAppro2:
+			return s.caoAppro2(q, cost)
+		case Brute:
+			return s.bruteForce(q, cost)
+		}
+	case Sum:
+		switch method {
+		case GreedySum, OwnerAppro:
+			return s.greedySum(q)
+		case OwnerExact, CaoExact:
+			return s.sumExact(q)
+		case Brute:
+			return s.bruteForce(q, cost)
+		}
+	case MinMax:
+		switch method {
+		case OwnerExact:
+			return s.minMaxExact(q)
+		case OwnerAppro:
+			return s.minMaxAppro(q)
+		case Brute:
+			return s.bruteForce(q, cost)
+		}
+	case SumMax:
+		switch method {
+		case OwnerExact:
+			return s.sumMaxExact(q)
+		case OwnerAppro, GreedySum:
+			return s.sumMaxAppro(q)
+		case Brute:
+			return s.bruteForce(q, cost)
+		}
+	}
+	return Result{}, fmt.Errorf("%w: %v with %v", ErrUnsupported, cost, method)
+}
+
+// cancelPollMask downsamples cancellation checks in the hot loops: the
+// context is consulted once every cancelPollMask+1 counted events, which
+// bounds cancellation latency to a few hundred node expansions while
+// keeping the per-node overhead to one nil check.
+const cancelPollMask = 255
+
+// chargeNode counts one expanded search node against the budget and,
+// on a cancellable call, periodically polls the context. Inside a
+// parallel search (s.shared non-nil) the budget is enforced against the
+// shared atomic counter, so it stays global across workers: the sum of
+// worker expansions trips the budget exactly where one serial execution
+// of the same effort would.
+func (s *search) chargeNode(stats *Stats) {
+	stats.NodesExpanded++
+	n := int64(stats.NodesExpanded)
+	if sh := s.shared; sh != nil {
+		n = sh.nodes.Add(1)
+	}
+	if s.budget > 0 && n > int64(s.budget) {
+		panic(budgetExceeded{})
+	}
+	if s.ctx != nil && n&cancelPollMask == 0 {
+		if err := s.ctx.Err(); err != nil {
+			panic(searchCanceled{err})
+		}
+	}
+}
+
+// pollCancel checks the call's context every cancelPollMask+1 calls,
+// unwinding the search when it is done. counter is any monotonically
+// increasing per-execution count (e.g. Stats.CandidatesSeen); it
+// downsamples the check in loops that do not expand search nodes.
+func (s *search) pollCancel(counter int) {
+	if s.ctx == nil || counter&cancelPollMask != 0 {
+		return
+	}
+	if err := s.ctx.Err(); err != nil {
+		panic(searchCanceled{err})
+	}
+}
+
+// ownerSource abstracts the candidate-owner stream of the owner-driven
+// exact search: ascending-distance relevant objects with monotone limit
+// tightening. Implemented by irtree.RelevantNNIterator (the default) and
+// by the grouped batch's shared-scan poolIter (batchgroup.go).
+type ownerSource interface {
+	Next() (*dataset.Object, float64, bool)
+	Limit(d float64)
+}
+
+// ownerIter returns the candidate-owner stream for this execution: the
+// pre-materialized source when a grouped batch attached one, else a fresh
+// IR-tree iterator.
+func (s *search) ownerIter(q Query, qi *kwds.QueryIndex) ownerSource {
+	if s.ownerSrc != nil {
+		return s.ownerSrc
+	}
+	return s.Tree.NewRelevantNNIterator(q.Loc, qi)
+}
+
+// nnMemo caches one query's per-keyword NN seeds (see keywordNN). Queries
+// carry at most kwds.MaxQueryKeywords keywords, so a linear scan beats a
+// map.
+type nnMemo struct {
+	valid bool
+	p     geo.Point
+	kws   []kwds.ID
+	ids   []dataset.ObjectID
+	ds    []float64
+	oks   []bool
+}
+
+func (m *nnMemo) reset(p geo.Point) {
+	m.valid, m.p = true, p
+	m.kws, m.ids, m.ds, m.oks = m.kws[:0], m.ids[:0], m.ds[:0], m.oks[:0]
+}
+
+func (m *nnMemo) add(kw kwds.ID, id dataset.ObjectID, d float64, ok bool) {
+	m.kws = append(m.kws, kw)
+	m.ids = append(m.ids, id)
+	m.ds = append(m.ds, d)
+	m.oks = append(m.oks, ok)
+}
+
+// keywordNN returns the object nearest to p containing kw, answering
+// from the call's memo when it has one and the point matches the memo's.
+// Algorithms that walk the same per-keyword NN seeds repeatedly — nnSeed
+// followed by farthestNNKeyword, or an exact search re-seeding after
+// bound refinement — hit the memo instead of re-walking the IR-tree.
+func (s *search) keywordNN(p geo.Point, kw kwds.ID) (dataset.ObjectID, float64, bool) {
+	m := s.nnmemo
+	if m == nil {
+		return s.lookupNN(p, kw)
+	}
+	if !m.valid || m.p != p {
+		m.reset(p)
+	}
+	for i, k := range m.kws {
+		if k == kw {
+			return m.ids[i], m.ds[i], m.oks[i]
+		}
+	}
+	id, d, ok := s.lookupNN(p, kw)
+	m.add(kw, id, d, ok)
+	return id, d, ok
+}
+
+// lookupNN resolves one keyword NN below the memo: the cluster-local
+// share of a grouped batch first, then the engine-level NNCache, then the
+// IR-tree. Every cache hit is validity-checked (nncache.go), so the chain
+// returns bit-identical results to a bare Tree.NN regardless of which
+// layer answers. Misses with a cache attached walk NN2 — the same
+// best-first search, continued one object further — so the validity
+// radius can be recorded.
+func (s *search) lookupNN(p geo.Point, kw kwds.ID) (dataset.ObjectID, float64, bool) {
+	share, cache := s.clusterNN, s.NNCache
+	if share == nil && cache == nil {
+		return s.Tree.NN(p, kw)
+	}
+	fault.Hit(fault.NNCacheProbe)
+	if share != nil {
+		if id, d, ok, hit := share.lookup(p, kw); hit {
+			return id, d, ok
+		}
+	}
+	if cache != nil {
+		if id, d, ok, hit := cache.Lookup(p, kw); hit {
+			return id, d, ok
+		}
+	}
+	id, d1, d2, ok := s.Tree.NN2(p, kw)
+	var loc geo.Point
+	if ok {
+		loc = s.DS.Object(id).Loc
+	}
+	if cache != nil {
+		cache.Store(p, kw, id, loc, d1, d2, ok)
+	}
+	if share != nil {
+		share.store(p, kw, id, loc, d1, d2, ok)
+	}
+	return id, d1, ok
+}
+
+// nnSeed computes the nearest neighbor set N(q), its cost under the given
+// cost function, and d_f = max_{o∈N(q)} d(o,q). It returns ErrInfeasible
+// when some query keyword has no object. The phase is charged to
+// stats.Phases.Seed and recorded as an "nn_seed" span when tracing.
+func (s *search) nnSeed(q Query, cost CostKind, stats *Stats) (set []dataset.ObjectID, c, df float64, err error) {
+	sp := s.tr.Begin("nn_seed")
+	t0 := time.Now()
+	ids := make([]dataset.ObjectID, 0, len(q.Keywords))
+	for _, kw := range q.Keywords {
+		id, d, ok := s.keywordNN(q.Loc, kw)
+		if !ok {
+			stats.Phases.Seed += time.Since(t0)
+			sp.End()
+			return nil, 0, 0, ErrInfeasible
+		}
+		if d > df {
+			df = d
+		}
+		dup := false
+		for _, x := range ids {
+			if x == id {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			ids = append(ids, id)
+		}
+	}
+	c = s.EvalCost(cost, q.Loc, ids)
+	stats.Phases.Seed += time.Since(t0)
+	if sp != nil {
+		sp.Attr("seed_size", float64(len(ids)))
+		sp.Attr("seed_cost", c)
+		sp.Attr("d_f", df)
+	}
+	sp.End()
+	return ids, c, df, nil
+}

@@ -22,14 +22,14 @@ import (
 )
 
 // sumMaxExact finds the optimal SumMax set.
-func (e *Engine) sumMaxExact(q Query) (res Result, err error) {
+func (s *search) sumMaxExact(q Query) (res Result, err error) {
 	defer recoverBudget(&err)
 	start := time.Now()
 	qi := kwds.NewQueryIndex(q.Keywords)
 
-	algo := e.tr.Begin("summax_exact")
-	seedSp := e.tr.Begin("seed_appro")
-	seedRes, err := e.sumMaxAppro(q)
+	algo := s.tr.Begin("summax_exact")
+	seedSp := s.tr.Begin("seed_appro")
+	seedRes, err := s.sumMaxAppro(q)
 	seedSp.End()
 	if err != nil {
 		algo.End()
@@ -38,14 +38,14 @@ func (e *Engine) sumMaxExact(q Query) (res Result, err error) {
 	curSet, curCost := seedRes.Set, seedRes.Cost
 	stats := Stats{SetsEvaluated: seedRes.Stats.SetsEvaluated, Prunes: seedRes.Stats.Prunes}
 	stats.Phases.Seed = time.Since(start)
-	e.trackStats(&stats)
-	e.noteIncumbent(curSet, curCost, SumMax)
+	s.trackStats(&stats)
+	s.noteIncumbent(curSet, curCost, SumMax)
 
 	// Each member contributes its own distance to the sum, so members of
 	// any improving set lie inside C(q, curCost).
-	matSp := e.tr.Begin("materialize")
+	matSp := s.tr.Begin("materialize")
 	matStart := time.Now()
-	cands := e.sumCandidates(q, qi, curCost)
+	cands := s.sumCandidates(q, qi, curCost)
 	stats.CandidatesSeen = len(cands)
 	stats.Phases.Materialize = time.Since(matStart)
 	if matSp != nil {
@@ -78,12 +78,12 @@ func (e *Engine) sumMaxExact(q Query) (res Result, err error) {
 		return lb
 	}
 
-	searchSp := e.tr.Begin("search")
+	searchSp := s.tr.Begin("search")
 	searchStart := time.Now()
 	var chosen []int
 	var dfs func(covered kwds.Mask, sum, maxPair float64)
 	dfs = func(covered kwds.Mask, sum, maxPair float64) {
-		e.chargeNode(&stats)
+		s.chargeNode(&stats)
 		if covered == qi.Full() {
 			stats.SetsEvaluated++
 			if c := sum + maxPair; c < curCost {
@@ -93,7 +93,7 @@ func (e *Engine) sumMaxExact(q Query) (res Result, err error) {
 					set[i] = cands[ci].o.ID
 				}
 				curSet = canonical(set)
-				e.noteIncumbent(curSet, curCost, SumMax)
+				s.noteIncumbent(curSet, curCost, SumMax)
 			}
 			return
 		}
@@ -146,27 +146,27 @@ func (e *Engine) sumMaxExact(q Query) (res Result, err error) {
 }
 
 // sumMaxAppro is the owner-driven H_{|q.ψ|}-approximation for SumMax.
-func (e *Engine) sumMaxAppro(q Query) (Result, error) {
+func (s *search) sumMaxAppro(q Query) (Result, error) {
 	start := time.Now()
 	qi := kwds.NewQueryIndex(q.Keywords)
-	algo := e.tr.Begin("summax_appro")
+	algo := s.tr.Begin("summax_appro")
 	var stats Stats
-	e.trackStats(&stats)
-	seed, curCost, df, err := e.nnSeed(q, SumMax, &stats)
+	s.trackStats(&stats)
+	seed, curCost, df, err := s.nnSeed(q, SumMax, &stats)
 	if err != nil {
 		algo.End()
 		return Result{}, err
 	}
 	curSet := canonical(seed)
-	e.noteIncumbent(curSet, curCost, SumMax)
+	s.noteIncumbent(curSet, curCost, SumMax)
 	stats.SetsEvaluated = 1
 
 	var pool []cand
 	set := make([]dataset.ObjectID, 0, qi.Size()+1)
 
-	loop := e.tr.Begin("owner_loop")
+	loop := s.tr.Begin("owner_loop")
 	searchStart := time.Now()
-	it := e.Tree.NewRelevantNNIterator(q.Loc, qi)
+	it := s.Tree.NewRelevantNNIterator(q.Loc, qi)
 	it.Limit(curCost)
 	for {
 		o, dof, ok := it.Next()
@@ -180,7 +180,7 @@ func (e *Engine) sumMaxAppro(q Query) (Result, error) {
 		ownerMask := qi.MaskOf(o.Keywords)
 		pool = append(pool, cand{o: o, d: dof, mask: ownerMask})
 		stats.CandidatesSeen++
-		e.pollCancel(stats.CandidatesSeen)
+		s.pollCancel(stats.CandidatesSeen)
 		if dof < df {
 			stats.Prunes[trace.PruneOwnerRing]++
 			continue
@@ -222,9 +222,9 @@ func (e *Engine) sumMaxAppro(q Query) (Result, error) {
 			continue
 		}
 		stats.SetsEvaluated++
-		if c := e.EvalCost(SumMax, q.Loc, set); c < curCost {
+		if c := s.EvalCost(SumMax, q.Loc, set); c < curCost {
 			curSet, curCost = canonical(set), c
-			e.noteIncumbent(curSet, curCost, SumMax)
+			s.noteIncumbent(curSet, curCost, SumMax)
 			it.Limit(curCost)
 		}
 	}

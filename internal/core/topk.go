@@ -81,37 +81,35 @@ func (e *Engine) TopK(q Query, cost CostKind, k int) ([]Result, error) {
 // TopKCtx is TopK with cancellation, using the same per-call mechanism as
 // SolveCtx: when ctx is cancelled, the enumeration unwinds promptly and
 // the context's error is returned.
-func (e *Engine) TopKCtx(ctx context.Context, q Query, cost CostKind, k int) ([]Result, error) {
-	run, err := e.withCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer putNNMemo(run.nnmemo)
-	defer putAnytime(run.any)
-	return run.topK(q, cost, k)
+func (e *Engine) TopKCtx(ctx context.Context, q Query, cost CostKind, k int) (res []Result, err error) {
+	err = e.enter(ctx, q, func(s *search) (err error) {
+		res, err = s.topK(q, cost, k)
+		return err
+	})
+	return res, err
 }
 
 // topK runs the enumeration and, when it is cut short, applies the
 // engine's degrade policy: the partial ranking accumulated in the heap
 // is itself the anytime answer (each entry marked Degraded), and with
 // DegradeFallbackAppro an empty heap falls back to one approximate set.
-func (e *Engine) topK(q Query, cost CostKind, k int) ([]Result, error) {
+func (s *search) topK(q Query, cost CostKind, k int) ([]Result, error) {
 	start := time.Now()
-	res, err := e.topKInner(q, cost, k)
+	res, err := s.topKInner(q, cost, k)
 	if err == nil {
 		return res, nil
 	}
 	reason := degradeReason(err)
-	if reason == "" || e.Degrade == DegradeFail {
+	if reason == "" || s.Degrade == DegradeFail {
 		return res, err
 	}
 	var stats Stats
-	if h := e.any; h != nil && h.stats != nil {
+	if h := s.any; h != nil && h.stats != nil {
 		stats = *h.stats
 	}
 	stats.Elapsed = time.Since(start)
 	stats.DegradeReason = reason
-	if h := e.any; h != nil && h.topk != nil && len(h.topk.sets) > 0 {
+	if h := s.any; h != nil && h.topk != nil && len(h.topk.sets) > 0 {
 		out := make([]Result, len(h.topk.sets))
 		for i, r := range h.topk.sets {
 			r.Degraded = true
@@ -120,8 +118,8 @@ func (e *Engine) topK(q Query, cost CostKind, k int) ([]Result, error) {
 		}
 		return out, nil
 	}
-	if e.Degrade == DegradeFallbackAppro {
-		fb, fbErr := e.fallbackAppro(q, cost)
+	if s.Degrade == DegradeFallbackAppro {
+		fb, fbErr := s.fallbackAppro(q, cost)
 		if fbErr == nil {
 			fb.Degraded = true
 			fb.Stats.merge(&stats)
@@ -133,7 +131,7 @@ func (e *Engine) topK(q Query, cost CostKind, k int) ([]Result, error) {
 	return nil, err
 }
 
-func (e *Engine) topKInner(q Query, cost CostKind, k int) (res []Result, err error) {
+func (s *search) topKInner(q Query, cost CostKind, k int) (res []Result, err error) {
 	defer recoverBudget(&err)
 	if cost != MaxSum && cost != Dia {
 		return nil, fmt.Errorf("%w: TopK supports MaxSum and Dia, got %v", ErrUnsupported, cost)
@@ -143,10 +141,10 @@ func (e *Engine) topKInner(q Query, cost CostKind, k int) (res []Result, err err
 	}
 	start := time.Now()
 	qi := kwds.NewQueryIndex(q.Keywords)
-	algo := e.tr.Begin("topk")
+	algo := s.tr.Begin("topk")
 	var stats Stats
-	e.trackStats(&stats)
-	seed, seedCost, df, err := e.nnSeed(q, cost, &stats)
+	s.trackStats(&stats)
+	seed, seedCost, df, err := s.nnSeed(q, cost, &stats)
 	if err != nil {
 		algo.End()
 		return nil, err
@@ -155,18 +153,18 @@ func (e *Engine) topKInner(q Query, cost CostKind, k int) (res []Result, err err
 
 	_ = seedCost // the irredundant form may be cheaper; recompute below
 	top := newTopKHeap(k)
-	e.trackTopK(top)
-	verifySp := e.tr.Begin("verify")
-	seedSet := irredundant(e, qi, canonical(seed))
-	top.offer(seedSet, e.EvalCost(cost, q.Loc, seedSet), cost)
+	s.trackTopK(top)
+	verifySp := s.tr.Begin("verify")
+	seedSet := irredundant(s.Engine, qi, canonical(seed))
+	top.offer(seedSet, s.EvalCost(cost, q.Loc, seedSet), cost)
 	verifySp.End()
 
 	var pool []cand
 	bitCands := make([][]int32, qi.Size())
 
-	loop := e.tr.Begin("owner_loop")
+	loop := s.tr.Begin("owner_loop")
 	searchStart := time.Now()
-	it := e.Tree.NewRelevantNNIterator(q.Loc, qi)
+	it := s.Tree.NewRelevantNNIterator(q.Loc, qi)
 	for {
 		it.Limit(top.bound())
 		o, dof, ok := it.Next()
@@ -186,13 +184,13 @@ func (e *Engine) topKInner(q Query, cost CostKind, k int) (res []Result, err err
 			}
 		}
 		stats.CandidatesSeen++
-		e.pollCancel(stats.CandidatesSeen)
+		s.pollCancel(stats.CandidatesSeen)
 		if dof < df {
 			stats.Prunes[trace.PruneOwnerRing]++
 			continue
 		}
 		stats.OwnersTried++
-		e.allSetsWithOwner(q, qi, cost, pool, bitCands, int(idx), top, &stats)
+		s.allSetsWithOwner(q, qi, cost, pool, bitCands, int(idx), top, &stats)
 	}
 	stats.Phases.Search = time.Since(searchStart)
 	if loop != nil {
@@ -203,9 +201,7 @@ func (e *Engine) topKInner(q Query, cost CostKind, k int) (res []Result, err err
 	}
 	loop.End()
 	algo.End()
-	// TopKCtx does not route through SolveCtx, so fold the prune counters
-	// into the trace here.
-	e.tr.AddPrunes(stats.Prunes)
+	s.tr.AddPrunes(stats.Prunes)
 
 	for i := range top.sets {
 		top.sets[i].Stats = stats
@@ -240,7 +236,7 @@ func irredundant(e *Engine, qi *kwds.QueryIndex, set []dataset.ObjectID) []datas
 // allSetsWithOwner enumerates the irredundant covers owned by
 // pool[ownerIdx] and offers each to the top-k heap, pruning partial sets
 // against the heap's current bound.
-func (e *Engine) allSetsWithOwner(q Query, qi *kwds.QueryIndex, cost CostKind, pool []cand, bitCands [][]int32, ownerIdx int, top *topKHeap, stats *Stats) {
+func (s *search) allSetsWithOwner(q Query, qi *kwds.QueryIndex, cost CostKind, pool []cand, bitCands [][]int32, ownerIdx int, top *topKHeap, stats *Stats) {
 	owner := pool[ownerIdx]
 	dof := owner.d
 
@@ -257,16 +253,16 @@ func (e *Engine) allSetsWithOwner(q Query, qi *kwds.QueryIndex, cost CostKind, p
 	chosen := make([]int32, 0, qi.Size())
 	var dfs func(covered kwds.Mask, maxPair float64)
 	dfs = func(covered kwds.Mask, maxPair float64) {
-		e.chargeNode(stats)
+		s.chargeNode(stats)
 		if covered == qi.Full() {
 			set := make([]dataset.ObjectID, 0, len(chosen)+1)
 			set = append(set, owner.o.ID)
 			for _, ci := range chosen {
 				set = append(set, pool[ci].o.ID)
 			}
-			set = irredundant(e, qi, canonical(set))
+			set = irredundant(s.Engine, qi, canonical(set))
 			stats.SetsEvaluated++
-			top.offer(set, e.EvalCost(cost, q.Loc, set), cost)
+			top.offer(set, s.EvalCost(cost, q.Loc, set), cost)
 			return
 		}
 		branchBit, branchLen := -1, math.MaxInt32

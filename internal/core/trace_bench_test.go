@@ -54,6 +54,9 @@ func BenchmarkSolveTraceOn(b *testing.B) {
 // exactly as much as plain Solve — the nil-safe span calls and the
 // always-on prune counters may not add a single allocation per query.
 func TestTraceDisabledZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
 	rng := rand.New(rand.NewSource(7))
 	e := genEngine(rng, 400, 12, 3)
 	// Allocation counts on the parallel path vary with goroutine timing

@@ -431,8 +431,8 @@ func X1(opt Options) {
 // tracing off (untraced context, zero-alloc serve path) vs. on (per-
 // query trace + span context, fragments stitched per shard call). The
 // router is in-process — the delta is pure instrumentation and stitch
-// cost, with no network noise; coskq-bench -exp X2 records it for
-// BENCH_shard.json.
+// cost, with no network noise. The served equivalent is the benchmark's
+// trace.solve_overhead_ratio on gn-sharded (bench/README.md).
 func X2(opt Options) {
 	opt = opt.withDefaults()
 	header(opt.Out, "X2", fmt.Sprintf("scatter-gather trace overhead, Hotel, 4 subtree shards (%d queries/setting)", opt.Queries))

@@ -25,7 +25,9 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
+	"net/url"
 	"runtime/debug"
 	"strconv"
 	"strings"
@@ -688,16 +690,30 @@ func (s *server) handleSlowLog(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, slowLogResponse{Capacity: s.slow.Cap(), Entries: entries})
 }
 
+// parseLoc extracts the query location. strconv.ParseFloat accepts "NaN"
+// and "Inf"; a non-finite coordinate would reach the solver and come back
+// as a NaN cost that cannot be JSON-encoded, so it is rejected here.
+func parseLoc(q url.Values) (geo.Point, error) {
+	var xy [2]float64
+	for i, name := range [2]string{"x", "y"} {
+		v, err := strconv.ParseFloat(q.Get(name), 64)
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+			return geo.Point{}, errors.New("x and y must be finite numbers")
+		}
+		xy[i] = v
+	}
+	return geo.Point{X: xy[0], Y: xy[1]}, nil
+}
+
 // parseQuery extracts the common query parameters (location, keywords,
 // cost) from the request, resolving keywords against the pinned
 // engine's vocabulary so a live server's parse and solve agree on one
 // generation.
 func (s *server) parseQuery(eng *core.Engine, r *http.Request) (core.Query, core.CostKind, error) {
 	q := r.URL.Query()
-	x, errX := strconv.ParseFloat(q.Get("x"), 64)
-	y, errY := strconv.ParseFloat(q.Get("y"), 64)
-	if errX != nil || errY != nil {
-		return core.Query{}, 0, fmt.Errorf("x and y must be numbers")
+	loc, err := parseLoc(q)
+	if err != nil {
+		return core.Query{}, 0, err
 	}
 
 	var keywords kwds.Set
@@ -740,7 +756,7 @@ func (s *server) parseQuery(eng *core.Engine, r *http.Request) (core.Query, core
 			return core.Query{}, 0, fmt.Errorf("unknown cost %q", cs)
 		}
 	}
-	return core.Query{Loc: geo.Point{X: x, Y: y}, Keywords: keywords}, cost, nil
+	return core.Query{Loc: loc, Keywords: keywords}, cost, nil
 }
 
 func costByName(s string) (core.CostKind, bool) {

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"coskq/internal/core"
-	"coskq/internal/geo"
 	"coskq/internal/metrics"
 	"coskq/internal/shard"
 	"coskq/internal/trace"
@@ -143,10 +142,9 @@ func (s *server) handleShardMeta(w http.ResponseWriter, r *http.Request) {
 // Backend contract resolves unknown words to "not found".
 func parseShardParams(r *http.Request) (shard.ShardQuery, error) {
 	q := r.URL.Query()
-	x, errX := strconv.ParseFloat(q.Get("x"), 64)
-	y, errY := strconv.ParseFloat(q.Get("y"), 64)
-	if errX != nil || errY != nil {
-		return shard.ShardQuery{}, errors.New("x and y must be numbers")
+	loc, err := parseLoc(q)
+	if err != nil {
+		return shard.ShardQuery{}, err
 	}
 	var words []string
 	for _, wrd := range strings.Split(q.Get("kw"), ",") {
@@ -157,7 +155,7 @@ func parseShardParams(r *http.Request) (shard.ShardQuery, error) {
 	if len(words) == 0 {
 		return shard.ShardQuery{}, errors.New("provide kw=a,b,c")
 	}
-	return shard.ShardQuery{Loc: geo.Point{X: x, Y: y}, Words: words}, nil
+	return shard.ShardQuery{Loc: loc, Words: words}, nil
 }
 
 func (s *server) handleShardNN(w http.ResponseWriter, r *http.Request) {
@@ -342,13 +340,11 @@ func writeScatterError(w http.ResponseWriter, err error) {
 func (s *server) scatterQueryHandler(rt *shard.Router) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
-		x, errX := strconv.ParseFloat(q.Get("x"), 64)
-		y, errY := strconv.ParseFloat(q.Get("y"), 64)
-		if errX != nil || errY != nil {
-			jsonError(w, http.StatusBadRequest, "x and y must be numbers")
+		loc, err := parseLoc(q)
+		if err != nil {
+			jsonError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		loc := geo.Point{X: x, Y: y}
 		var words []string
 		for _, wrd := range strings.Split(q.Get("kw"), ",") {
 			if wrd = strings.TrimSpace(wrd); wrd != "" {
