@@ -25,9 +25,7 @@ const Doc = `check that search and scatter loops poll the budget or the context
 
 Inside the engine package (import path base "core"), any for/range loop
 that advances an IR-tree iterator (a Next method on a type from the
-irtree package), drains an engine-local candidate source (a Next method
-on a core type — the ownerSource interface and its pooled batch-scan
-implementation), pops the search priority queue (a Pop method on a type
+irtree package), pops the search priority queue (a Pop method on a type
 from the pqueue package), or solves a batch-cluster member
 (solveOne, a full search per call) must, somewhere in its
 body, call chargeNode or pollCancel, check ctx.Err()/ctx.Done(), or
@@ -141,12 +139,9 @@ func run(pass *analysis.Pass) (interface{}, error) {
 }
 
 // isExpansion reports whether call advances a search frontier: Next on an
-// irtree iterator — or, in the engine package, on an engine-local
-// candidate source (ownerSource and its batch-scan implementation feed
-// the exact searches the same objects an IR-tree walk would) — Pop on a
-// pqueue queue, a batch-cluster member solve (a full search per call),
-// or, in the shard package, a Backend data-plane call issued from a
-// fan-out loop.
+// irtree iterator, Pop on a pqueue queue, a batch-cluster member solve (a
+// full search per call), or, in the shard package, a Backend data-plane
+// call issued from a fan-out loop.
 func isExpansion(pass *analysis.Pass, call *ast.CallExpr, coreMode, shardMode bool) bool {
 	fn := lintutil.CalleeFunc(pass.TypesInfo, call)
 	if fn == nil {
@@ -154,7 +149,7 @@ func isExpansion(pass *analysis.Pass, call *ast.CallExpr, coreMode, shardMode bo
 	}
 	switch fn.Name() {
 	case "Next":
-		return lintutil.PkgIs(fn.Pkg(), "irtree") || (coreMode && fn.Pkg() == pass.Pkg)
+		return lintutil.PkgIs(fn.Pkg(), "irtree")
 	case "Pop":
 		return lintutil.PkgIs(fn.Pkg(), "pqueue")
 	case "solveOne":

@@ -178,49 +178,9 @@ func (e *Engine) okFaultHitPlusPoll(it *irtree.RelevantNNIterator) {
 	}
 }
 
-// ownerSource mirrors the engine's candidate-source abstraction: the
-// batch tier swaps IR-tree iterators for pooled pre-scanned lists, and
-// loops draining either carry the same polling obligation.
-type ownerSource interface {
-	Next() (int, float64, bool)
-	Limit(d float64)
-}
-
-type poolIter struct{ pos int }
-
-func (it *poolIter) Next() (int, float64, bool) { it.pos++; return it.pos, 0, it.pos < 8 }
-func (it *poolIter) Limit(d float64)            {}
-
 type Result struct{ Cost float64 }
 
 func (e *Engine) solveOne(q int) (Result, error) { return Result{}, nil }
-
-// okOwnerSource: draining an engine-local candidate source with a poll.
-func (e *Engine) okOwnerSource(it ownerSource) {
-	stats := &Stats{}
-	for {
-		_, _, ok := it.Next()
-		if !ok {
-			break
-		}
-		stats.CandidatesSeen++
-		e.pollCancel(stats.CandidatesSeen)
-	}
-}
-
-// badOwnerSource: the same loop without a poll — swapping the IR-tree
-// iterator for a pooled scan must not shed the obligation.
-func (e *Engine) badOwnerSource(it *poolIter) int {
-	n := 0
-	for {
-		_, _, ok := it.Next() // want `search loop expands nodes but never polls`
-		if !ok {
-			break
-		}
-		n++
-	}
-	return n
-}
 
 // okClusterLoop: the batch cluster-solve loop checks the context before
 // each member solve.

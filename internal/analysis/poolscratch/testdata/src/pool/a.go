@@ -68,50 +68,47 @@ func goodFieldTransfer() *holder {
 	return h
 }
 
-// clusterShare mirrors the batch tier's pooled per-cluster scratch: a
-// struct of reslice-able sub-buffers (NN observations, the shared
-// candidate scan) recycled across clusters.
-type clusterShare struct {
-	obs  []int
-	scan []int
+// nnShare mirrors the batch tier's pooled per-cluster scratch: a
+// reslice-able observation list recycled across clusters.
+type nnShare struct {
+	obs []int
 }
 
-var clusterSharePool = sync.Pool{New: func() interface{} { return new(clusterShare) }}
+var nnSharePool = sync.Pool{New: func() interface{} { return new(nnShare) }}
 
-// getClusterShare is the acquirer: reset the sub-buffers, hand off.
-func getClusterShare() *clusterShare {
-	cs := clusterSharePool.Get().(*clusterShare)
-	cs.obs = cs.obs[:0]
-	cs.scan = cs.scan[:0]
-	return cs
+// getNNShare is the acquirer: reset the list, hand off.
+func getNNShare() *nnShare {
+	s := nnSharePool.Get().(*nnShare)
+	s.obs = s.obs[:0]
+	return s
 }
 
-// putClusterShare is the releaser.
-func putClusterShare(cs *clusterShare) {
-	clusterSharePool.Put(cs)
+// putNNShare is the releaser.
+func putNNShare(s *nnShare) {
+	nnSharePool.Put(s)
 }
 
 // goodClusterSolve: the batch cluster-solve shape — acquire once per
 // cluster, deferred release covers member-loop panics (budget unwind).
 func goodClusterSolve(members []int) {
-	cs := getClusterShare()
-	defer putClusterShare(cs)
+	share := getNNShare()
+	defer putNNShare(share)
 	for _, m := range members {
-		cs.obs = append(cs.obs, m)
+		share.obs = append(share.obs, m)
 	}
 }
 
 // badClusterSolveEarlyReturn: bailing out of the cluster mid-loop
 // without the deferred release leaks the share on the error path.
 func badClusterSolveEarlyReturn(members []int) {
-	cs := getClusterShare() // want "not returned to the pool on all paths"
+	share := getNNShare() // want "not returned to the pool on all paths"
 	for _, m := range members {
 		if m < 0 {
 			return
 		}
-		cs.scan = append(cs.scan, m)
+		share.obs = append(share.obs, m)
 	}
-	putClusterShare(cs)
+	putNNShare(share)
 }
 
 // Field resets on the object do NOT discharge the obligation: this

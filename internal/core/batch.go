@@ -19,9 +19,9 @@ type BatchItem struct {
 //
 // Queries are first clustered by location cell and keyword similarity
 // (batchgroup.go); each cluster is one unit of worker work, and its
-// members share NN observations, one candidate range scan and incumbent
-// warm starts. Grouping never changes answers: grouped results are
-// bit-identical to an independent per-query run.
+// members share NN observations and incumbent warm starts. Grouping never
+// changes answers: grouped results are bit-identical to an independent
+// per-query run.
 //
 // The engine's indexes are read-only during queries, so concurrent
 // execution is safe; NodeBudget and Ablation must not be mutated while a

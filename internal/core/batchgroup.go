@@ -4,7 +4,7 @@ package core
 // is rarely a set of unrelated queries: hot locations and hot keyword
 // combinations repeat. SolveBatchCtx therefore clusters its queries by
 // query-location grid cell and keyword-set Jaccard similarity, and solves
-// each cluster with three kinds of shared work:
+// each cluster with two kinds of shared work:
 //
 //  1. A cluster-local keyword-NN share (nnShare): every NN2 observation
 //     made while solving one member carries a validity radius (the same
@@ -12,24 +12,20 @@ package core
 //     re-resolve their keyword NNs from the share — provably
 //     bit-identically — instead of re-walking the IR-tree.
 //
-//  2. One shared candidate-retrieval range scan (buildClusterScan): for
-//     the owner-driven exact search, every member's candidate-owner
-//     stream draws from the disk C(q_i, seedCost_i). One RelevantInDisk
-//     scan around the cluster anchor with radius
-//     R = max_i (d(anchor, q_i) + seedCost_i) covers them all (triangle
-//     inequality: any object with d(o, q_i) < seedCost_i has
-//     d(o, anchor) ≤ d(o, q_i) + d(q_i, anchor) < R), and each member's
-//     stream is the scan filtered to its relevant objects and sorted
-//     ascending by (distance, object ID) — the same objects in the same
-//     order the per-query IR-tree iterator would produce.
-//
-//  3. Incumbent warm-starting (warmBoundFor): when a member's exact
+//  2. Incumbent warm-starting (warmBoundFor): when a member's exact
 //     answer set W also covers the next member's keywords, the next
 //     member's optimum is at most cost(W) evaluated at its own location —
-//     W is feasible for it — so the search's pruning bound starts one ulp
-//     above that value instead of at the NN-seed cost. The warm value is
-//     used only as a bound, never as an answer candidate, which keeps
+//     W is feasible for it — so the bound that prunes owners and partial
+//     sets starts one ulp above that value instead of at the NN-seed
+//     cost. The warm value is used only as a bound, never as an answer
+//     candidate and never as the IR-tree iterator's limit, which keeps
 //     warm and cold runs bit-identical (see the proof in exact.go).
+//
+// Candidate owners are NOT shared: every member pulls them lazily from its
+// own irtree.RelevantNNIterator, the engine's one candidate stream, and
+// usually stops after a few dozen objects — fewer than any cluster-wide
+// range fetch would materialize, filter and sort for it (DESIGN.md §15.1
+// has the measurement).
 //
 // Grouping is deterministic: queries are scanned in batch order, clusters
 // within a cell are probed in creation order, and membership depends only
@@ -43,11 +39,9 @@ package core
 import (
 	"context"
 	"math"
-	"sort"
 	"sync"
 
 	"coskq/internal/dataset"
-	"coskq/internal/fault"
 	"coskq/internal/geo"
 	"coskq/internal/kwds"
 )
@@ -66,10 +60,10 @@ const (
 	nnShareCap = 256
 )
 
-// batchCluster is one group of near-identical queries solved together.
+// batchCluster is one group of near-identical queries solved together:
+// indices into the batch's query slice, ascending.
 type batchCluster struct {
-	idxs  []int    // indices into the batch's query slice, ascending
-	union kwds.Set // union of member keyword sets (fits a QueryIndex)
+	idxs []int
 }
 
 // jaccardSim returns |a∩b| / |a∪b| for two sorted keyword sets (1 when
@@ -97,8 +91,7 @@ func jaccardSim(a, b kwds.Set) float64 {
 // groupBatch clusters the batch's queries. Two queries share a cluster
 // when they fall in the same grouping-grid cell and the later one's
 // keyword set has Jaccard similarity ≥ batchJaccardMin with the cluster's
-// first member — provided the cluster's keyword union stays within
-// kwds.MaxQueryKeywords, the capacity of the shared scan's QueryIndex.
+// first member; a query joins the first such cluster of its cell.
 // Scanning in batch order with in-cell probes in creation order makes the
 // clustering deterministic.
 func (e *Engine) groupBatch(queries []Query) []batchCluster {
@@ -122,25 +115,18 @@ func (e *Engine) groupBatch(queries []Query) []batchCluster {
 	byCell := make(map[uint64][]int)
 	for i, q := range queries {
 		cell := cellOf(q.Loc)
-		joined := -1
+		joined := false
 		for _, ci := range byCell[cell] {
 			c := &clusters[ci]
 			rep := queries[c.idxs[0]].Keywords
-			if jaccardSim(q.Keywords, rep) < batchJaccardMin {
-				continue
-			}
-			if u := c.union.Union(q.Keywords); len(u) <= kwds.MaxQueryKeywords {
+			if jaccardSim(q.Keywords, rep) >= batchJaccardMin {
 				c.idxs = append(c.idxs, i)
-				c.union = u
-				joined = ci
+				joined = true
+				break
 			}
-			break
 		}
-		if joined < 0 {
-			clusters = append(clusters, batchCluster{
-				idxs:  []int{i},
-				union: append(kwds.Set(nil), q.Keywords...),
-			})
+		if !joined {
+			clusters = append(clusters, batchCluster{idxs: []int{i}})
 			byCell[cell] = append(byCell[cell], len(clusters)-1)
 		}
 	}
@@ -199,168 +185,26 @@ func (s *nnShare) store(p geo.Point, kw kwds.ID, id dataset.ObjectID, loc geo.Po
 	s.obs = append(s.obs, nnObs{p: p, kw: kw, id: id, loc: loc, d1: d1, d2: d2, ok: ok})
 }
 
-// memberCand is one shared-scan object as seen by one cluster member:
-// the object and its distance from that member's query location.
-type memberCand struct {
-	o *dataset.Object
-	d float64
-}
+// nnSharePool recycles shares (their observation lists) across clusters;
+// acquire with getNNShare, release with putNNShare.
+var nnSharePool = sync.Pool{New: func() any { return new(nnShare) }}
 
-// clusterShare bundles one cluster execution's shared state and scratch:
-// the NN share, the shared range-scan result, and the per-member
-// candidate list the poolIter walks. Recycled through a sync.Pool across
-// clusters; acquire with getClusterShare, release with putClusterShare.
-type clusterShare struct {
-	nn   nnShare
-	scan []*dataset.Object
-	mcs  []memberCand
-	it   poolIter
-}
-
-var clusterSharePool = sync.Pool{New: func() any { return new(clusterShare) }}
-
-func getClusterShare() *clusterShare {
-	s := clusterSharePool.Get().(*clusterShare)
-	s.nn.obs = s.nn.obs[:0]
-	s.scan = s.scan[:0]
+func getNNShare() *nnShare {
+	s := nnSharePool.Get().(*nnShare)
+	s.obs = s.obs[:0]
 	return s
 }
 
-// putClusterShare returns s to the pool. Callers must be done with every
-// iterator handed out of s — member executions run strictly before the
-// release — since the per-member candidate list recirculates.
-func putClusterShare(s *clusterShare) { clusterSharePool.Put(s) }
+func putNNShare(s *nnShare) { nnSharePool.Put(s) }
 
-// poolIter streams one member's pre-materialized candidates ascending by
-// (distance, object ID), implementing ownerSource. It mirrors the
-// contract of irtree.RelevantNNIterator exactly: objects at distance ≥
-// the limit are never returned, the limit only decreases, and each Next
-// passes the RTreeVisit fault point — so a chaos schedule armed on
-// candidate enumeration fires on the shared-scan path too.
-type poolIter struct {
-	list  []memberCand
-	pos   int
-	limit float64
-}
-
-func (it *poolIter) Next() (*dataset.Object, float64, bool) {
-	fault.Hit(fault.RTreeVisit)
-	if it.pos >= len(it.list) {
-		return nil, 0, false
-	}
-	mc := it.list[it.pos]
-	if mc.d >= it.limit {
-		return nil, 0, false // ascending order: everything left is farther
-	}
-	it.pos++
-	return mc.o, mc.d, true
-}
-
-func (it *poolIter) Limit(d float64) {
-	if d < it.limit {
-		it.limit = d
-	}
-}
-
-// memberIter builds the ownerSource for one member from the shared scan:
-// the scan filtered to the member's relevant objects, with distances from
-// the member's location, sorted ascending by (d, ID). On float datasets
-// without exact distance ties this is the precise order the member's own
-// IR-tree iterator would produce (DESIGN.md §15 discusses the tie
-// caveat).
-func (cs *clusterShare) memberIter(q Query, qi *kwds.QueryIndex) *poolIter {
-	mcs := cs.mcs[:0]
-	for _, o := range cs.scan {
-		if qi.MaskOf(o.Keywords) == 0 {
-			continue
-		}
-		mcs = append(mcs, memberCand{o: o, d: q.Loc.Dist(o.Loc)})
-	}
-	sort.Slice(mcs, func(a, b int) bool {
-		if mcs[a].d != mcs[b].d {
-			return mcs[a].d < mcs[b].d
-		}
-		return mcs[a].o.ID < mcs[b].o.ID
-	})
-	cs.mcs = mcs
-	cs.it = poolIter{list: mcs, limit: math.Inf(1)}
-	return &cs.it
-}
-
-// sharedScanEligible reports whether the cluster's members may draw their
-// candidate owners from one shared range scan: only the owner-driven
-// exact search under MaxSum/Dia consumes an ownerSource, and ablations
-// that widen the enumeration (NoIncumbentBreak reads past every bound)
-// need the unbounded tree iterator.
-func (e *Engine) sharedScanEligible(cost CostKind, method Method) bool {
+// warmStartEligible reports whether the cluster's members may chain warm
+// starts: only the owner-driven exact search under MaxSum/Dia reads a
+// warm bound, and ablations that widen the enumeration (NoIncumbentBreak
+// reads past every bound) are measured cold.
+func (e *Engine) warmStartEligible(cost CostKind, method Method) bool {
 	return method == OwnerExact &&
 		(cost == MaxSum || cost == Dia) &&
 		e.Ablation == (Ablation{})
-}
-
-// buildClusterScan materializes the cluster's shared candidate scan into
-// cs.scan, returning false when the scan is unusable (every member
-// infeasible, or the probe was cut short by cancellation or an injected
-// fault — members then fall back to their own tree iterators). The
-// per-member NN-seed probes run against the cluster NN share, so they
-// double as its warm-up: by the time members solve, their seeds resolve
-// from the share.
-func (e *Engine) buildClusterScan(ctx context.Context, queries []Query, cl batchCluster, cost CostKind, cs *clusterShare) (scanOK bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			switch r.(type) {
-			case budgetExceeded, searchCanceled, fault.Unwind:
-				// The probe died mid-flight (injected fault or a cancel
-				// poll); the members' own executions will observe and
-				// report the real condition. Drop the partial scan.
-				cs.scan = cs.scan[:0]
-				scanOK = false
-			default:
-				panic(r)
-			}
-		}
-	}()
-	probe := search{Engine: e, clusterNN: &cs.nn}
-	if ctx != nil && ctx.Done() != nil {
-		probe.ctx = ctx
-	}
-
-	anchor := queries[cl.idxs[0]].Loc
-	radius := 0.0
-	feasible := false
-	var stats Stats
-	for _, i := range cl.idxs {
-		q := queries[i]
-		_, c, _, err := probe.nnSeed(q, cost, &stats)
-		if err != nil {
-			continue // infeasible member; its own execution reports it
-		}
-		feasible = true
-		if r := anchor.Dist(q.Loc) + c; r > radius {
-			radius = r
-		}
-	}
-	if !feasible {
-		return false
-	}
-
-	uqi := kwds.NewQueryIndex(cl.union)
-	cancelled := false
-	n := 0
-	e.Tree.RelevantInDisk(geo.Circle{C: anchor, R: radius}, uqi, func(o *dataset.Object, _ kwds.Mask) bool {
-		cs.scan = append(cs.scan, o)
-		n++
-		if probe.ctx != nil && n&cancelPollMask == 0 && probe.ctx.Err() != nil {
-			cancelled = true
-			return false
-		}
-		return true
-	})
-	if cancelled {
-		cs.scan = cs.scan[:0]
-		return false
-	}
-	return true
 }
 
 // warmSeed carries a finished member's answer forward: the canonical set,
@@ -397,8 +241,8 @@ func (w *warmSeed) noteWarm(e *Engine, res Result) {
 }
 
 // solveCluster answers one cluster's members in index order, sharing the
-// NN observations, the candidate scan and the warm-start chain described
-// atop this file. Results land in out at each member's batch index.
+// NN observations and the warm-start chain described atop this file.
+// Results land in out at each member's batch index.
 func (e *Engine) solveCluster(ctx context.Context, queries []Query, cl batchCluster, cost CostKind, method Method, out []BatchItem) {
 	if len(cl.idxs) == 1 {
 		i := cl.idxs[0]
@@ -411,15 +255,10 @@ func (e *Engine) solveCluster(ctx context.Context, queries []Query, cl batchClus
 		return
 	}
 
-	cs := getClusterShare()
-	defer putClusterShare(cs)
+	share := getNNShare()
+	defer putNNShare(share)
 
-	scanOK := false
-	warmable := e.sharedScanEligible(cost, method)
-	if warmable {
-		scanOK = e.buildClusterScan(ctx, queries, cl, cost, cs)
-	}
-
+	warmable := e.warmStartEligible(cost, method)
 	var warm warmSeed
 	for _, i := range cl.idxs {
 		// Poll between members: a cancelled batch must stop starting new
@@ -429,15 +268,11 @@ func (e *Engine) solveCluster(ctx context.Context, queries []Query, cl batchClus
 			continue
 		}
 		q := queries[i]
-		var src ownerSource
-		if scanOK {
-			src = cs.memberIter(q, kwds.NewQueryIndex(q.Keywords))
-		}
 		wb := 0.0
 		if warmable {
 			wb = e.warmBoundFor(warm, q, cost)
 		}
-		res, err := e.solveOne(ctx, q, cost, method, &cs.nn, src, wb)
+		res, err := e.solveOne(ctx, q, cost, method, share, wb)
 		out[i] = BatchItem{Result: res, Err: err}
 		if warmable && err == nil {
 			warm.noteWarm(e, res)

@@ -162,7 +162,7 @@ type caoSearch struct {
 // (cost, ord) merge can resolve the tie (see parallel.go).
 func (cs *caoSearch) bound() float64 {
 	if cs.sh != nil {
-		return math.Nextafter(cs.sh.costLoad(), math.Inf(1))
+		return cs.sh.pruneBound()
 	}
 	return cs.bestCost
 }

@@ -388,7 +388,7 @@ func (e *Engine) Solve(q Query, cost CostKind, method Method) (Result, error) {
 // context's error is returned. A nil or never-cancellable ctx adds no
 // per-node overhead.
 func (e *Engine) SolveCtx(ctx context.Context, q Query, cost CostKind, method Method) (Result, error) {
-	return e.solveOne(ctx, q, cost, method, nil, nil, 0)
+	return e.solveOne(ctx, q, cost, method, nil, 0)
 }
 
 // Feasible reports whether set covers q's keywords.

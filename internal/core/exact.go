@@ -61,15 +61,19 @@ func (s *search) ownerExact(q Query, cost CostKind) (res Result, err error) {
 	s.noteIncumbent(curSet, curCost, cost)
 	stats.SetsEvaluated = 1
 
-	// bound is the pruning bound of the enumeration. It starts at the
-	// incumbent cost, except that a grouped batch may pre-tighten it one
-	// ulp above a warm-start upper bound (a finished neighbor's answer
-	// cost, feasible for this query too — batchgroup.go). The warm bound
-	// is used ONLY for pruning, never as an answer: any owner achieving
-	// the true optimum C has d(o,q) ≤ C ≤ warm < bound, so it is neither
-	// skipped nor cut from the pool, and bestWithOwner's strict
-	// acceptance (c < bound) still finds its DFS-first C-cost leaf — the
-	// same answer the cold run keeps (DESIGN.md §15).
+	// bound prunes owners (the dof ≥ bound break) and partial sets
+	// (bestWithOwner). It starts at the incumbent cost, except that a
+	// grouped batch may pre-tighten it one ulp above a warm-start upper
+	// bound (a finished neighbor's answer cost, feasible for this query
+	// too — batchgroup.go). The warm bound is used ONLY for pruning, never
+	// as an answer: any owner achieving the true optimum C has
+	// d(o,q) ≤ C ≤ warm < bound, so it is neither skipped nor cut from the
+	// pool, and bestWithOwner's strict acceptance (c < bound) still finds
+	// its DFS-first C-cost leaf — the same answer the cold run keeps
+	// (DESIGN.md §15). The IR-tree iterator is limited by curCost, a real
+	// incumbent's cost, never by bound: a warm bound can sit within one ulp
+	// of the optimal owner's distance, closer than Rect.MinDist and
+	// Point.Dist agree (irtree.RelevantNNIterator.Limit).
 	bound := curCost
 	if wb := s.warmBound; wb > 0 && wb < bound {
 		bound = math.Nextafter(wb, math.Inf(1))
@@ -87,9 +91,9 @@ func (s *search) ownerExact(q Query, cost CostKind) (res Result, err error) {
 
 	loop := s.tr.Begin("owner_loop")
 	searchStart := time.Now()
-	it := s.ownerIter(q, qi)
+	it := s.Tree.NewRelevantNNIterator(q.Loc, qi)
 	if !s.Ablation.NoIncumbentBreak {
-		it.Limit(bound)
+		it.Limit(curCost)
 	}
 	for {
 		fault.Hit(fault.OwnerEnum)
@@ -150,7 +154,7 @@ func (s *search) ownerExact(q Query, cost CostKind) (res Result, err error) {
 			bound = c
 			s.noteIncumbent(curSet, curCost, cost)
 			if !s.Ablation.NoIncumbentBreak {
-				it.Limit(bound)
+				it.Limit(curCost)
 			}
 		}
 	}
@@ -214,7 +218,7 @@ func (s *search) bestWithOwner(qi *kwds.QueryIndex, cost CostKind, pool []cand, 
 			// Another worker may have improved the incumbent; tightening
 			// from it here never prunes the first minimum-cost leaf (one
 			// ulp above), so the sub-search minimum stays deterministic.
-			if b := math.Nextafter(sh.costLoad(), math.Inf(1)); b < bestCost {
+			if b := sh.pruneBound(); b < bestCost {
 				bestCost = b
 			}
 		}

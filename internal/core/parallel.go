@@ -61,6 +61,12 @@ type parShared struct {
 	// producer stops enumerating, and the coordinator re-raises the
 	// recorded panic after the join so recoverBudget converts it.
 	failed atomic.Bool
+	// warm is one ulp above a grouped batch member's warm-start upper
+	// bound (+Inf when there is none), fixed before the workers start. It
+	// caps what owners and sub-searches prune against (pruneBound) but
+	// never enters bound: the producer limits the IR-tree iterator by the
+	// incumbent's cost alone, as an independent solve does (exact.go).
+	warm float64
 
 	mu     sync.Mutex
 	cost   float64
@@ -70,13 +76,24 @@ type parShared struct {
 }
 
 func newParShared(seedSet []dataset.ObjectID, seedCost float64) *parShared {
-	sh := &parShared{cost: seedCost, ord: -1, set: seedSet}
+	sh := &parShared{warm: math.Inf(1), cost: seedCost, ord: -1, set: seedSet}
 	sh.bound.Store(math.Float64bits(seedCost))
 	return sh
 }
 
 // costLoad returns the incumbent cost without taking the mutex.
 func (sh *parShared) costLoad() float64 { return math.Float64frombits(sh.bound.Load()) }
+
+// pruneBound returns the bound a sub-search prunes against: one ulp above
+// the incumbent, so an equal-cost set from an earlier-enumerated owner
+// stays findable (see the determinism notes atop this file), capped by
+// the warm bound.
+func (sh *parShared) pruneBound() float64 {
+	if b := math.Nextafter(sh.costLoad(), math.Inf(1)); b < sh.warm {
+		return b
+	}
+	return sh.warm
+}
 
 // offer installs (set, c), found for the owner with enumeration index
 // ord, iff it beats the incumbent in (cost, ord) lexicographic order —
@@ -157,14 +174,14 @@ func (s *search) ownerExactPar(q Query, cost CostKind) (res Result, err error) {
 
 	sh := newParShared(canonical(seed), seedCost)
 	s.noteIncumbent(sh.set, sh.cost, cost)
-	// A grouped batch's warm-start upper bound pre-tightens the shared
-	// pruning bound one ulp above it — the same tie-aware mechanism the
-	// workers use — while sh.cost/sh.set keep the seed as the answer
-	// fallback. The bound only ever prunes work whose cost exceeds the
-	// warm bound, which exceeds the optimum, so the (cost, ord) merge
-	// still lands on the serial cold run's answer (exact.go, §15).
+	// A grouped batch's warm-start upper bound caps the pruning bound one
+	// ulp above it — the same tie-aware mechanism the workers use — while
+	// sh.cost/sh.set keep the seed as the answer fallback. It only ever
+	// prunes work whose cost exceeds the warm bound, which exceeds the
+	// optimum, so the (cost, ord) merge still lands on the serial cold
+	// run's answer (exact.go, §15).
 	if wb := s.warmBound; wb > 0 && wb < seedCost {
-		sh.bound.Store(math.Float64bits(math.Nextafter(wb, math.Inf(1))))
+		sh.warm = math.Nextafter(wb, math.Inf(1))
 	}
 	loop := s.tr.Begin("owner_loop")
 	grp := s.tr.BeginGroup("owner_workers")
@@ -193,7 +210,7 @@ func (s *search) ownerExactPar(q Query, cost CostKind) (res Result, err error) {
 				sh.fail(r)
 			}
 		}()
-		it := s.ownerIter(q, qi)
+		it := s.Tree.NewRelevantNNIterator(q.Loc, qi)
 		ord := 0
 		for !sh.failed.Load() {
 			fault.Hit(fault.OwnerEnum)
@@ -204,7 +221,7 @@ func (s *search) ownerExactPar(q Query, cost CostKind) (res Result, err error) {
 			if !ok {
 				break
 			}
-			if dof >= sh.costLoad() {
+			if dof >= sh.costLoad() || dof >= sh.warm {
 				stats.Prunes[trace.PruneIncumbentBreak]++
 				if !s.Ablation.NoIncumbentBreak {
 					break
@@ -292,11 +309,9 @@ func (s *search) runOwnerTask(qi *kwds.QueryIndex, cost CostKind, t ownerTask, g
 	fault.Hit(fault.PoolWorker)
 	sp := grp.Begin("best_with_owner")
 	nodes0 := stats.NodesExpanded
-	// One ulp above the incumbent: an equal-cost set from an
-	// earlier-enumerated owner must stay findable (see the determinism
-	// notes atop this file); offer() then resolves the tie by index.
-	bound := math.Nextafter(sh.costLoad(), math.Inf(1))
-	set, c := s.bestWithOwner(qi, cost, t.pool, t.bits, int(t.ownerIdx), bound, scratch, stats)
+	// pruneBound leaves equal-cost sets findable; offer() then resolves
+	// the tie by index.
+	set, c := s.bestWithOwner(qi, cost, t.pool, t.bits, int(t.ownerIdx), sh.pruneBound(), scratch, stats)
 	if set == nil {
 		sp.Drop()
 		return
@@ -380,7 +395,7 @@ func (s *search) runCaoTask(cs *caoSearch, scratch *caoScratch, j, branch int, g
 	}()
 	fault.Hit(fault.PoolWorker)
 	kc := cs.cands[branch][j]
-	bound := math.Nextafter(sh.costLoad(), math.Inf(1))
+	bound := sh.pruneBound()
 	if kc.d >= bound {
 		cs.stats.Prunes[trace.PruneDistanceBreak]++
 		return

@@ -4,10 +4,10 @@ package core
 // config, shared by every query; everything one execution mutates lives
 // on a search. Every exported query entry point reaches the algorithms
 // through Engine.enter, which takes a search from searchPool and puts it
-// back; helper executions inside a call (parallel workers, the batch
-// cluster probe, the degrade fallback) build a child search literal that
-// names exactly what it shares with its parent, so anything not named is
-// zero: no budget, no context, no trace, no memo, no holder.
+// back; helper executions inside a call (parallel workers, the degrade
+// fallback) build a child search literal that names exactly what it
+// shares with its parent, so anything not named is zero: no budget, no
+// context, no trace, no memo, no holder.
 
 import (
 	"context"
@@ -51,15 +51,13 @@ type search struct {
 	// the degrade path falls back on when the search is cut short
 	// (degrade.go).
 	any *anytime
-	// clusterNN, ownerSrc and warmBound are a grouped batch member's share
-	// of its cluster (batchgroup.go): the cluster-local keyword-NN
-	// observations, a pre-materialized candidate-owner stream replacing
-	// the IR-tree iterator of the owner-driven exact search, and the cost
-	// of a finished neighbor's answer at this query's location. The warm
-	// bound only ever pre-tightens a pruning bound (one ulp above,
-	// exact.go), so warm and cold runs return identical results.
+	// clusterNN and warmBound are a grouped batch member's share of its
+	// cluster (batchgroup.go): the cluster-local keyword-NN observations,
+	// and the cost of a finished neighbor's answer at this query's
+	// location. The warm bound only ever pre-tightens the bound that prunes
+	// owners and partial sets (one ulp above, exact.go) — never the IR-tree
+	// iterator's limit — so warm and cold runs return identical results.
 	clusterNN *nnShare
-	ownerSrc  ownerSource
 	warmBound float64
 }
 
@@ -112,12 +110,12 @@ func (e *Engine) enter(ctx context.Context, q Query, fn func(*search) error) (er
 }
 
 // solveOne is one accounted Solve execution. SolveCtx runs it bare; a
-// grouped batch runs it per cluster member with the cluster's NN share,
-// candidate source and warm bound attached.
-func (e *Engine) solveOne(ctx context.Context, q Query, cost CostKind, method Method, share *nnShare, src ownerSource, wb float64) (res Result, err error) {
+// grouped batch runs it per cluster member with the cluster's NN share
+// and warm bound attached.
+func (e *Engine) solveOne(ctx context.Context, q Query, cost CostKind, method Method, share *nnShare, wb float64) (res Result, err error) {
 	start := time.Now()
 	err = e.enter(ctx, q, func(s *search) (err error) {
-		s.clusterNN, s.ownerSrc, s.warmBound = share, src, wb
+		s.clusterNN, s.warmBound = share, wb
 		if wb > 0 && e.Metrics != nil {
 			e.Metrics.batchWarm.Inc()
 		}
@@ -240,25 +238,6 @@ func (s *search) pollCancel(counter int) {
 	if err := s.ctx.Err(); err != nil {
 		panic(searchCanceled{err})
 	}
-}
-
-// ownerSource abstracts the candidate-owner stream of the owner-driven
-// exact search: ascending-distance relevant objects with monotone limit
-// tightening. Implemented by irtree.RelevantNNIterator (the default) and
-// by the grouped batch's shared-scan poolIter (batchgroup.go).
-type ownerSource interface {
-	Next() (*dataset.Object, float64, bool)
-	Limit(d float64)
-}
-
-// ownerIter returns the candidate-owner stream for this execution: the
-// pre-materialized source when a grouped batch attached one, else a fresh
-// IR-tree iterator.
-func (s *search) ownerIter(q Query, qi *kwds.QueryIndex) ownerSource {
-	if s.ownerSrc != nil {
-		return s.ownerSrc
-	}
-	return s.Tree.NewRelevantNNIterator(q.Loc, qi)
 }
 
 // nnMemo caches one query's per-keyword NN seeds (see keywordNN). Queries

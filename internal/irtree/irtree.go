@@ -334,6 +334,13 @@ func (t *Tree) NewRelevantNNIterator(p geo.Point, qi *kwds.QueryIndex) *Relevant
 // of queued. The owner-driven algorithms tighten the limit as their
 // incumbent cost shrinks; a limit may only decrease (larger values are
 // ignored).
+//
+// Contract: d must leave real slack above every object the caller still
+// needs — pass the cost of an incumbent the caller holds, never a bound
+// derived to sit one ulp above a needed object's distance. Subtrees are
+// cut by Rect.MinDist (sqrt(dx²+dy²)) and objects by Point.Dist
+// (math.Hypot), which can disagree by one ulp on the same offsets, so a
+// limit of Nextafter(d(o, p), +Inf) may prune the leaf holding o.
 func (it *RelevantNNIterator) Limit(d float64) {
 	if d < it.limit {
 		it.limit = d

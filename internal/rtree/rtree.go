@@ -1,11 +1,12 @@
-// Package rtree implements an in-memory R-tree over planar points: STR
-// (Sort-Tile-Recursive) bulk loading, Guttman quadratic-split dynamic
-// insertion, rectangle and disk range search, and best-first (incremental)
-// nearest-neighbor search.
+// Package rtree implements a build-once in-memory R-tree over planar
+// points: STR (Sort-Tile-Recursive) bulk loading and the node layout. It
+// carries no search of its own and no dynamic maintenance — the indexes
+// of this system are rebuilt, never edited (internal/epoch).
 //
 // The IR-tree (package irtree) builds on this structure by annotating every
-// node with the keyword union of its subtree; the node layout is therefore
-// exported within the module.
+// node with the keyword union of its subtree and runs every traversal; the
+// shard partitioner cuts the tree along subtrees. The node layout is
+// therefore exported within the module.
 package rtree
 
 import (
@@ -14,7 +15,6 @@ import (
 	"sort"
 
 	"coskq/internal/geo"
-	"coskq/internal/pqueue"
 )
 
 // Entry is a leaf payload: an indexed point and its external identifier
@@ -38,14 +38,12 @@ type Node struct {
 	Entries  []Entry
 }
 
-// Tree is an R-tree. Construct with New (empty, for dynamic insertion) or
-// BulkLoad (STR packing). A Tree is not safe for concurrent mutation;
-// concurrent read-only use is safe.
+// Tree is an R-tree, constructed with BulkLoad (STR packing) and immutable
+// afterwards, so concurrent use is safe.
 type Tree struct {
 	root       *Node
 	size       int
 	maxEntries int
-	minEntries int
 	nextID     int
 }
 
@@ -54,35 +52,24 @@ type Tree struct {
 // standard in-memory choice.
 const DefaultFanout = 32
 
-func normalizeFanout(maxEntries int) (maxE, minE int) {
-	if maxEntries <= 0 {
-		maxEntries = DefaultFanout
-	}
-	if maxEntries < 4 {
-		maxEntries = 4
-	}
-	return maxEntries, maxEntries * 2 / 5
-}
-
-// New returns an empty tree with the given node capacity (0 for default).
-func New(maxEntries int) *Tree {
-	maxE, minE := normalizeFanout(maxEntries)
-	t := &Tree{maxEntries: maxE, minEntries: minE}
-	t.root = t.newNode(true)
-	return t
-}
-
 func (t *Tree) newNode(leaf bool) *Node {
 	n := &Node{NodeID: t.nextID, Leaf: leaf, Rect: geo.EmptyRect()}
 	t.nextID++
 	return n
 }
 
-// BulkLoad builds a tree over entries using Sort-Tile-Recursive packing.
-// The entries slice is reordered in place.
+// BulkLoad builds a tree over entries using Sort-Tile-Recursive packing
+// with the given node capacity (0 for DefaultFanout). The entries slice is
+// reordered in place.
 func BulkLoad(entries []Entry, maxEntries int) *Tree {
-	maxE, minE := normalizeFanout(maxEntries)
-	t := &Tree{maxEntries: maxE, minEntries: minE, size: len(entries)}
+	maxE := maxEntries
+	if maxE <= 0 {
+		maxE = DefaultFanout
+	}
+	if maxE < 4 {
+		maxE = 4
+	}
+	t := &Tree{maxEntries: maxE, size: len(entries)}
 	if len(entries) == 0 {
 		t.root = t.newNode(true)
 		return t
@@ -170,276 +157,6 @@ func (t *Tree) Height() int {
 	return h
 }
 
-// Insert adds an entry to the tree (Guttman insertion with quadratic
-// split). The descent path is recorded explicitly so rect updates and
-// splits propagate upward in O(height).
-func (t *Tree) Insert(e Entry) {
-	// Descend to a leaf, recording the path.
-	var path []*Node
-	n := t.root
-	for {
-		path = append(path, n)
-		if n.Leaf {
-			break
-		}
-		best := n.Children[0]
-		bestEnl := best.Rect.Enlargement(geo.RectFromPoint(e.P))
-		for _, c := range n.Children[1:] {
-			enl := c.Rect.Enlargement(geo.RectFromPoint(e.P))
-			if enl < bestEnl || (enl == bestEnl && c.Rect.Area() < best.Rect.Area()) {
-				best, bestEnl = c, enl
-			}
-		}
-		n = best
-	}
-
-	leaf := path[len(path)-1]
-	leaf.Entries = append(leaf.Entries, e)
-	leaf.Rect = leaf.Rect.ExtendPoint(e.P)
-	t.size++
-
-	var split *Node
-	if len(leaf.Entries) > t.maxEntries {
-		split = t.splitLeaf(leaf)
-	}
-	// Propagate rect growth and splits toward the root.
-	for i := len(path) - 2; i >= 0; i-- {
-		p := path[i]
-		p.Rect = p.Rect.Union(path[i+1].Rect)
-		if split != nil {
-			p.Children = append(p.Children, split)
-			p.Rect = p.Rect.Union(split.Rect)
-			if len(p.Children) > t.maxEntries {
-				split = t.splitInternal(p)
-			} else {
-				split = nil
-			}
-		}
-	}
-	if split != nil {
-		newRoot := t.newNode(false)
-		newRoot.Children = []*Node{t.root, split}
-		newRoot.Rect = t.root.Rect.Union(split.Rect)
-		t.root = newRoot
-	}
-}
-
-// splitLeaf performs a quadratic split of an overfull leaf, leaving one
-// group in n and returning the new sibling.
-func (t *Tree) splitLeaf(n *Node) *Node {
-	entries := n.Entries
-	// Pick seeds: the pair wasting the most area.
-	si, sj := pickSeeds(len(entries), func(i, j int) float64 {
-		r := geo.RectFromPoint(entries[i].P).ExtendPoint(entries[j].P)
-		return r.Area()
-	})
-	g1 := []Entry{entries[si]}
-	g2 := []Entry{entries[sj]}
-	r1 := geo.RectFromPoint(entries[si].P)
-	r2 := geo.RectFromPoint(entries[sj].P)
-	for k, e := range entries {
-		if k == si || k == sj {
-			continue
-		}
-		d1 := r1.Enlargement(geo.RectFromPoint(e.P))
-		d2 := r2.Enlargement(geo.RectFromPoint(e.P))
-		// Force-assign to honor minimum fill.
-		remaining := len(entries) - k - 1
-		switch {
-		case len(g1)+remaining+1 <= t.minEntries:
-			g1 = append(g1, e)
-			r1 = r1.ExtendPoint(e.P)
-		case len(g2)+remaining+1 <= t.minEntries:
-			g2 = append(g2, e)
-			r2 = r2.ExtendPoint(e.P)
-		case d1 < d2 || (d1 == d2 && len(g1) < len(g2)):
-			g1 = append(g1, e)
-			r1 = r1.ExtendPoint(e.P)
-		default:
-			g2 = append(g2, e)
-			r2 = r2.ExtendPoint(e.P)
-		}
-	}
-	n.Entries = g1
-	n.Rect = r1
-	sib := t.newNode(true)
-	sib.Entries = g2
-	sib.Rect = r2
-	return sib
-}
-
-// splitInternal performs a quadratic split of an overfull internal node.
-func (t *Tree) splitInternal(n *Node) *Node {
-	children := n.Children
-	si, sj := pickSeeds(len(children), func(i, j int) float64 {
-		return children[i].Rect.Union(children[j].Rect).Area()
-	})
-	g1 := []*Node{children[si]}
-	g2 := []*Node{children[sj]}
-	r1 := children[si].Rect
-	r2 := children[sj].Rect
-	for k, c := range children {
-		if k == si || k == sj {
-			continue
-		}
-		d1 := r1.Enlargement(c.Rect)
-		d2 := r2.Enlargement(c.Rect)
-		remaining := len(children) - k - 1
-		switch {
-		case len(g1)+remaining+1 <= t.minEntries:
-			g1 = append(g1, c)
-			r1 = r1.Union(c.Rect)
-		case len(g2)+remaining+1 <= t.minEntries:
-			g2 = append(g2, c)
-			r2 = r2.Union(c.Rect)
-		case d1 < d2 || (d1 == d2 && len(g1) < len(g2)):
-			g1 = append(g1, c)
-			r1 = r1.Union(c.Rect)
-		default:
-			g2 = append(g2, c)
-			r2 = r2.Union(c.Rect)
-		}
-	}
-	n.Children = g1
-	n.Rect = r1
-	sib := t.newNode(false)
-	sib.Children = g2
-	sib.Rect = r2
-	return sib
-}
-
-// pickSeeds returns the index pair maximizing waste(i, j).
-func pickSeeds(n int, waste func(i, j int) float64) (int, int) {
-	bi, bj, bw := 0, 1, math.Inf(-1)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if w := waste(i, j); w > bw {
-				bi, bj, bw = i, j, w
-			}
-		}
-	}
-	return bi, bj
-}
-
-// SearchRect invokes fn for every entry whose point lies inside r.
-// Returning false from fn stops the search.
-func (t *Tree) SearchRect(r geo.Rect, fn func(Entry) bool) {
-	t.searchRect(t.root, r, fn)
-}
-
-func (t *Tree) searchRect(n *Node, r geo.Rect, fn func(Entry) bool) bool {
-	if !n.Rect.Intersects(r) {
-		return true
-	}
-	if n.Leaf {
-		for _, e := range n.Entries {
-			if r.ContainsPoint(e.P) {
-				if !fn(e) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	for _, c := range n.Children {
-		if !t.searchRect(c, r, fn) {
-			return false
-		}
-	}
-	return true
-}
-
-// SearchCircle invokes fn for every entry whose point lies inside the disk
-// c. Returning false from fn stops the search.
-func (t *Tree) SearchCircle(c geo.Circle, fn func(Entry) bool) {
-	t.searchCircle(t.root, c, fn)
-}
-
-func (t *Tree) searchCircle(n *Node, c geo.Circle, fn func(Entry) bool) bool {
-	if !c.IntersectsRect(n.Rect) {
-		return true
-	}
-	if n.Leaf {
-		for _, e := range n.Entries {
-			if c.ContainsPoint(e.P) {
-				if !fn(e) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	for _, ch := range n.Children {
-		if !t.searchCircle(ch, c, fn) {
-			return false
-		}
-	}
-	return true
-}
-
-// NearestK returns the k entries nearest to p in ascending distance order
-// (fewer if the tree holds fewer than k entries).
-func (t *Tree) NearestK(p geo.Point, k int) []Entry {
-	if k <= 0 {
-		return nil
-	}
-	it := t.NewNNIterator(p)
-	out := make([]Entry, 0, k)
-	for len(out) < k {
-		e, _, ok := it.Next()
-		if !ok {
-			break
-		}
-		out = append(out, e)
-	}
-	return out
-}
-
-// nnItem is a heap element of the best-first NN search: either a node or a
-// resolved entry.
-type nnItem struct {
-	node  *Node
-	entry Entry
-}
-
-// NNIterator yields entries in ascending distance from a fixed point using
-// the classic best-first traversal (Hjaltason & Samet).
-type NNIterator struct {
-	p geo.Point
-	h *pqueue.Queue[nnItem]
-}
-
-// NewNNIterator returns an incremental nearest-neighbor iterator from p.
-func (t *Tree) NewNNIterator(p geo.Point) *NNIterator {
-	it := &NNIterator{p: p, h: pqueue.New[nnItem](64)}
-	if t.size > 0 || len(t.root.Entries) > 0 || len(t.root.Children) > 0 {
-		it.h.Push(nnItem{node: t.root}, t.root.Rect.MinDist(p))
-	}
-	return it
-}
-
-// Next returns the next nearest entry and its distance, or ok=false when
-// the tree is exhausted.
-func (it *NNIterator) Next() (Entry, float64, bool) {
-	for !it.h.Empty() {
-		item, pri := it.h.Pop()
-		if item.node == nil {
-			return item.entry, pri, true
-		}
-		n := item.node
-		if n.Leaf {
-			for _, e := range n.Entries {
-				it.h.Push(nnItem{entry: e}, it.p.Dist(e.P))
-			}
-		} else {
-			for _, c := range n.Children {
-				it.h.Push(nnItem{node: c}, c.Rect.MinDist(it.p))
-			}
-		}
-	}
-	return Entry{}, 0, false
-}
-
 // CheckInvariants validates the structural invariants of the tree. It is
 // O(n log n) and intended for tests.
 func (t *Tree) CheckInvariants() error {
@@ -512,111 +229,4 @@ func (t *Tree) check(n *Node, isRoot bool, depthOfLeaves int) (int, error) {
 		return 0, fmt.Errorf("rtree: node %d has leaves at multiple depths", n.NodeID)
 	}
 	return total, nil
-}
-
-// Delete removes one entry matching e's point and id, returning whether a
-// match was found. Underfull nodes along the path are condensed: their
-// remaining entries (or subtrees' entries) are reinserted, the classic
-// R-tree condense-tree step. The CoSKQ indexes are build-once, but the
-// substrate supports full maintenance.
-func (t *Tree) Delete(e Entry) bool {
-	// Find the leaf containing e, keeping the path.
-	var path []*Node
-	leaf, pos := t.findLeaf(t.root, e, &path)
-	if leaf == nil {
-		return false
-	}
-	leaf.Entries = append(leaf.Entries[:pos], leaf.Entries[pos+1:]...)
-	t.size--
-
-	// Condense: walk the path bottom-up, removing underfull nodes and
-	// collecting their orphaned entries for reinsertion.
-	var orphans []Entry
-	for i := len(path) - 1; i >= 0; i-- {
-		n := path[i]
-		if n == t.root {
-			break
-		}
-		parent := path[i-1]
-		under := (n.Leaf && len(n.Entries) < t.minEntries) ||
-			(!n.Leaf && len(n.Children) < 2)
-		if under {
-			for j, c := range parent.Children {
-				if c == n {
-					parent.Children = append(parent.Children[:j], parent.Children[j+1:]...)
-					break
-				}
-			}
-			collectEntries(n, &orphans)
-		}
-	}
-	// Recompute rects along the (possibly shortened) path.
-	for i := len(path) - 1; i >= 0; i-- {
-		recomputeRect(path[i])
-	}
-	// Shrink the root when it has a single internal child.
-	for !t.root.Leaf && len(t.root.Children) == 1 {
-		t.root = t.root.Children[0]
-	}
-	if !t.root.Leaf && len(t.root.Children) == 0 {
-		t.root = t.newNode(true)
-	}
-	// Reinsert orphans (they were already counted in size; Insert
-	// increments, so decrement first).
-	t.size -= len(orphans)
-	for _, o := range orphans {
-		t.Insert(o)
-	}
-	return true
-}
-
-// findLeaf locates the leaf and position of e, appending the root-to-leaf
-// path (excluding nothing) to *path. Returns (nil, 0) when not found.
-func (t *Tree) findLeaf(n *Node, e Entry, path *[]*Node) (*Node, int) {
-	if !n.Rect.ContainsPoint(e.P) {
-		return nil, 0
-	}
-	*path = append(*path, n)
-	if n.Leaf {
-		for i, ent := range n.Entries {
-			if ent.ID == e.ID && ent.P == e.P {
-				return n, i
-			}
-		}
-		*path = (*path)[:len(*path)-1]
-		return nil, 0
-	}
-	for _, c := range n.Children {
-		if leaf, pos := t.findLeaf(c, e, path); leaf != nil {
-			return leaf, pos
-		}
-	}
-	*path = (*path)[:len(*path)-1]
-	return nil, 0
-}
-
-// collectEntries gathers every entry in n's subtree.
-func collectEntries(n *Node, out *[]Entry) {
-	if n.Leaf {
-		*out = append(*out, n.Entries...)
-		return
-	}
-	for _, c := range n.Children {
-		collectEntries(c, out)
-	}
-}
-
-// recomputeRect tightens n's rect to its current content.
-func recomputeRect(n *Node) {
-	r := geo.EmptyRect()
-	if n.Leaf {
-		for _, e := range n.Entries {
-			r = r.ExtendPoint(e.P)
-		}
-	} else {
-		for _, c := range n.Children {
-			r = r.Union(c.Rect)
-		}
-	}
-	n.Rect = r
 }

@@ -2,7 +2,6 @@ package rtree
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"coskq/internal/geo"
@@ -16,51 +15,49 @@ func randEntries(rng *rand.Rand, n int) []Entry {
 	return es
 }
 
-// linearRect is the brute-force oracle for SearchRect.
-func linearRect(es []Entry, r geo.Rect) map[uint32]bool {
-	out := map[uint32]bool{}
-	for _, e := range es {
-		if r.ContainsPoint(e.P) {
-			out[e.ID] = true
-		}
-	}
-	return out
-}
-
-// linearNearest is the brute-force oracle for NearestK.
-func linearNearest(es []Entry, p geo.Point, k int) []float64 {
-	ds := make([]float64, len(es))
-	for i, e := range es {
-		ds[i] = p.Dist(e.P)
-	}
-	sort.Float64s(ds)
-	if k > len(ds) {
-		k = len(ds)
-	}
-	return ds[:k]
-}
-
-func TestEmptyTree(t *testing.T) {
-	tr := New(0)
-	if tr.Len() != 0 || tr.Height() != 1 {
-		t.Fatalf("empty tree Len=%d Height=%d", tr.Len(), tr.Height())
+// checkLoaded asserts what every consumer of a bulk-loaded tree relies on:
+// the structural invariants hold, and a walk of the exported node layout
+// reaches every input entry exactly once, at the point it was loaded with.
+func checkLoaded(t *testing.T, tr *Tree, es []Entry) {
+	t.Helper()
+	if tr.Len() != len(es) {
+		t.Fatalf("Len = %d, want %d", tr.Len(), len(es))
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.NearestK(geo.Point{}, 3); len(got) != 0 {
-		t.Fatalf("NearestK on empty = %v", got)
+	want := make(map[uint32]geo.Point, len(es))
+	for _, e := range es {
+		want[e.ID] = e.P
 	}
-	found := false
-	tr.SearchRect(geo.Rect{MinX: -1, MinY: -1, MaxX: 1, MaxY: 1}, func(Entry) bool { found = true; return true })
-	if found {
-		t.Fatal("search on empty tree found something")
+	var walk func(n *Node)
+	walk = func(n *Node) {
+		for _, e := range n.Entries {
+			p, ok := want[e.ID]
+			if !ok || p != e.P {
+				t.Fatalf("leaf %d holds %v: not loaded, or reached twice", n.NodeID, e)
+			}
+			delete(want, e.ID)
+		}
+		for _, c := range n.Children {
+			walk(c)
+		}
 	}
-	tr2 := BulkLoad(nil, 0)
-	if tr2.Len() != 0 {
-		t.Fatal("bulk load of nil should be empty")
+	walk(tr.Root())
+	if len(want) != 0 {
+		t.Fatalf("%d loaded entries unreachable from the root", len(want))
 	}
-	if err := tr2.CheckInvariants(); err != nil {
+}
+
+func TestEmptyTree(t *testing.T) {
+	tr := BulkLoad(nil, 0)
+	if tr.Len() != 0 || tr.Height() != 1 {
+		t.Fatalf("empty tree Len=%d Height=%d", tr.Len(), tr.Height())
+	}
+	if root := tr.Root(); !root.Leaf || len(root.Entries) != 0 {
+		t.Fatalf("empty tree root = %+v, want an empty leaf", root)
+	}
+	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -69,188 +66,22 @@ func TestBulkLoadInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 2, 31, 32, 33, 100, 1000, 5000} {
 		es := randEntries(rng, n)
-		tr := BulkLoad(es, 16)
-		if tr.Len() != n {
-			t.Fatalf("n=%d: Len=%d", n, tr.Len())
-		}
-		if err := tr.CheckInvariants(); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
+		checkLoaded(t, BulkLoad(append([]Entry(nil), es...), 16), es)
 	}
 }
 
-func TestInsertInvariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	tr := New(8)
-	es := randEntries(rng, 600)
-	for i, e := range es {
-		tr.Insert(e)
-		if i%97 == 0 {
-			if err := tr.CheckInvariants(); err != nil {
-				t.Fatalf("after %d inserts: %v", i+1, err)
-			}
-		}
-	}
-	if tr.Len() != 600 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Height() < 2 {
-		t.Fatal("tree should have split")
-	}
-}
-
+// TestInsertDuplicatePoints: fifty entries at one point pack into
+// degenerate (zero-area) leaves without losing any.
 func TestInsertDuplicatePoints(t *testing.T) {
-	tr := New(4)
 	p := geo.Point{X: 5, Y: 5}
-	for i := 0; i < 50; i++ {
-		tr.Insert(Entry{P: p, ID: uint32(i)})
+	es := make([]Entry, 50)
+	for i := range es {
+		es[i] = Entry{P: p, ID: uint32(i)}
 	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	got := map[uint32]bool{}
-	tr.SearchRect(geo.RectFromPoint(p), func(e Entry) bool { got[e.ID] = true; return true })
-	if len(got) != 50 {
-		t.Fatalf("found %d of 50 duplicate points", len(got))
-	}
-}
-
-func TestSearchRectMatchesLinearScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	es := randEntries(rng, 2000)
-	for _, build := range []func() *Tree{
-		func() *Tree { cp := append([]Entry(nil), es...); return BulkLoad(cp, 16) },
-		func() *Tree {
-			tr := New(16)
-			for _, e := range es {
-				tr.Insert(e)
-			}
-			return tr
-		},
-	} {
-		tr := build()
-		for trial := 0; trial < 100; trial++ {
-			x, y := rng.Float64()*1000, rng.Float64()*1000
-			r := geo.Rect{MinX: x, MinY: y, MaxX: x + rng.Float64()*200, MaxY: y + rng.Float64()*200}
-			want := linearRect(es, r)
-			got := map[uint32]bool{}
-			tr.SearchRect(r, func(e Entry) bool { got[e.ID] = true; return true })
-			if len(got) != len(want) {
-				t.Fatalf("rect %v: got %d, want %d", r, len(got), len(want))
-			}
-			for id := range want {
-				if !got[id] {
-					t.Fatalf("rect %v: missing id %d", r, id)
-				}
-			}
-		}
-	}
-}
-
-func TestSearchCircleMatchesLinearScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	es := randEntries(rng, 2000)
-	tr := BulkLoad(append([]Entry(nil), es...), 16)
-	for trial := 0; trial < 100; trial++ {
-		c := geo.Circle{C: geo.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}, R: rng.Float64() * 150}
-		want := map[uint32]bool{}
-		for _, e := range es {
-			if c.ContainsPoint(e.P) {
-				want[e.ID] = true
-			}
-		}
-		got := map[uint32]bool{}
-		tr.SearchCircle(c, func(e Entry) bool { got[e.ID] = true; return true })
-		if len(got) != len(want) {
-			t.Fatalf("circle %v: got %d, want %d", c, len(got), len(want))
-		}
-	}
-}
-
-func TestSearchEarlyStop(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	es := randEntries(rng, 500)
-	tr := BulkLoad(es, 8)
-	count := 0
-	tr.SearchRect(geo.Rect{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}, func(Entry) bool {
-		count++
-		return count < 7
-	})
-	if count != 7 {
-		t.Fatalf("early stop visited %d entries, want 7", count)
-	}
-}
-
-func TestNearestKMatchesLinearScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	es := randEntries(rng, 1500)
-	tr := BulkLoad(append([]Entry(nil), es...), 16)
-	for trial := 0; trial < 60; trial++ {
-		p := geo.Point{X: rng.Float64() * 1200, Y: rng.Float64() * 1200}
-		k := 1 + rng.Intn(20)
-		want := linearNearest(es, p, k)
-		got := tr.NearestK(p, k)
-		if len(got) != len(want) {
-			t.Fatalf("k=%d: got %d results", k, len(got))
-		}
-		for i, e := range got {
-			if d := p.Dist(e.P); !almostEq(d, want[i]) {
-				t.Fatalf("k=%d result %d: dist %v, want %v", k, i, d, want[i])
-			}
-		}
-	}
-}
-
-func almostEq(a, b float64) bool {
-	diff := a - b
-	if diff < 0 {
-		diff = -diff
-	}
-	return diff <= 1e-9*(1+a+b)
-}
-
-func TestNNIteratorAscendingAndComplete(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	es := randEntries(rng, 800)
-	tr := BulkLoad(append([]Entry(nil), es...), 16)
-	p := geo.Point{X: 500, Y: 500}
-	it := tr.NewNNIterator(p)
-	var prev float64 = -1
-	seen := map[uint32]bool{}
-	for {
-		e, d, ok := it.Next()
-		if !ok {
-			break
-		}
-		if d < prev {
-			t.Fatalf("distances not ascending: %v after %v", d, prev)
-		}
-		if !almostEq(d, p.Dist(e.P)) {
-			t.Fatalf("reported distance %v != actual %v", d, p.Dist(e.P))
-		}
-		prev = d
-		seen[e.ID] = true
-	}
-	if len(seen) != len(es) {
-		t.Fatalf("iterator yielded %d of %d entries", len(seen), len(es))
-	}
-}
-
-func TestNearestKEdgeCases(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	es := randEntries(rng, 10)
 	tr := BulkLoad(append([]Entry(nil), es...), 4)
-	if got := tr.NearestK(geo.Point{}, 0); got != nil {
-		t.Fatal("k=0 should return nil")
-	}
-	if got := tr.NearestK(geo.Point{}, -1); got != nil {
-		t.Fatal("k<0 should return nil")
-	}
-	if got := tr.NearestK(geo.Point{}, 100); len(got) != 10 {
-		t.Fatalf("k>n should return all %d, got %d", 10, len(got))
+	checkLoaded(t, tr, es)
+	if r := tr.Root().Rect; r != geo.RectFromPoint(p) {
+		t.Fatalf("root rect %v, want the single point %v", r, p)
 	}
 }
 
@@ -267,8 +98,9 @@ func TestHeightGrowsLogarithmically(t *testing.T) {
 	}
 }
 
+// TestClusteredData: heavily clustered data (ten tight Gaussian blobs)
+// exercises the STR tiling where slabs cut through dense clumps.
 func TestClusteredData(t *testing.T) {
-	// Heavily clustered data exercises split quality.
 	rng := rand.New(rand.NewSource(10))
 	var es []Entry
 	id := uint32(0)
@@ -279,21 +111,7 @@ func TestClusteredData(t *testing.T) {
 			id++
 		}
 	}
-	tr := New(8)
-	for _, e := range es {
-		tr.Insert(e)
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	p := geo.Point{X: 500, Y: 500}
-	want := linearNearest(es, p, 5)
-	got := tr.NearestK(p, 5)
-	for i := range want {
-		if !almostEq(p.Dist(got[i].P), want[i]) {
-			t.Fatalf("clustered NN mismatch at %d", i)
-		}
-	}
+	checkLoaded(t, BulkLoad(append([]Entry(nil), es...), 8), es)
 }
 
 func BenchmarkBulkLoad10k(b *testing.B) {
@@ -303,146 +121,5 @@ func BenchmarkBulkLoad10k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cp := append([]Entry(nil), es...)
 		BulkLoad(cp, DefaultFanout)
-	}
-}
-
-func BenchmarkNearestK10(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	tr := BulkLoad(randEntries(rng, 100000), DefaultFanout)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.NearestK(geo.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}, 10)
-	}
-}
-
-func BenchmarkSearchCircle(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	tr := BulkLoad(randEntries(rng, 100000), DefaultFanout)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := geo.Circle{C: geo.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}, R: 50}
-		n := 0
-		tr.SearchCircle(c, func(Entry) bool { n++; return true })
-	}
-}
-
-func TestDeleteBasic(t *testing.T) {
-	tr := New(4)
-	e1 := Entry{P: geo.Point{X: 1, Y: 1}, ID: 1}
-	e2 := Entry{P: geo.Point{X: 2, Y: 2}, ID: 2}
-	tr.Insert(e1)
-	tr.Insert(e2)
-	if !tr.Delete(e1) {
-		t.Fatal("delete of present entry failed")
-	}
-	if tr.Delete(e1) {
-		t.Fatal("second delete should fail")
-	}
-	if tr.Delete(Entry{P: geo.Point{X: 9, Y: 9}, ID: 9}) {
-		t.Fatal("delete of absent entry should fail")
-	}
-	if tr.Len() != 1 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	tr.SearchRect(geo.Rect{MinX: 0, MinY: 0, MaxX: 3, MaxY: 3}, func(e Entry) bool {
-		if e.ID == 1 {
-			t.Fatal("deleted entry still found")
-		}
-		found = e.ID == 2 || found
-		return true
-	})
-	if !found {
-		t.Fatal("remaining entry lost")
-	}
-}
-
-// TestDeleteRandomized: interleave inserts and deletes, checking
-// invariants and search equivalence against a mirror map.
-func TestDeleteRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	tr := New(6)
-	mirror := map[uint32]geo.Point{}
-	nextID := uint32(0)
-	for op := 0; op < 4000; op++ {
-		if len(mirror) == 0 || rng.Intn(3) > 0 {
-			p := geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
-			tr.Insert(Entry{P: p, ID: nextID})
-			mirror[nextID] = p
-			nextID++
-		} else {
-			// Delete a random present entry.
-			var id uint32
-			for k := range mirror {
-				id = k
-				break
-			}
-			if !tr.Delete(Entry{P: mirror[id], ID: id}) {
-				t.Fatalf("op %d: failed to delete present entry %d", op, id)
-			}
-			delete(mirror, id)
-		}
-		if op%500 == 0 {
-			if err := tr.CheckInvariants(); err != nil {
-				t.Fatalf("op %d: %v", op, err)
-			}
-		}
-	}
-	if tr.Len() != len(mirror) {
-		t.Fatalf("Len = %d, mirror %d", tr.Len(), len(mirror))
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// Full-range search must return exactly the mirror.
-	got := map[uint32]geo.Point{}
-	tr.SearchRect(geo.Rect{MinX: -1, MinY: -1, MaxX: 101, MaxY: 101}, func(e Entry) bool {
-		got[e.ID] = e.P
-		return true
-	})
-	if len(got) != len(mirror) {
-		t.Fatalf("search found %d, want %d", len(got), len(mirror))
-	}
-	for id, p := range mirror {
-		if got[id] != p {
-			t.Fatalf("entry %d mismatch", id)
-		}
-	}
-	// Nearest neighbors still correct after heavy churn.
-	var es []Entry
-	for id, p := range mirror {
-		es = append(es, Entry{P: p, ID: id})
-	}
-	q := geo.Point{X: 50, Y: 50}
-	want := linearNearest(es, q, 5)
-	for i, e := range tr.NearestK(q, 5) {
-		if !almostEq(q.Dist(e.P), want[i]) {
-			t.Fatalf("post-delete NN %d wrong", i)
-		}
-	}
-}
-
-func TestDeleteDrainCompletely(t *testing.T) {
-	rng := rand.New(rand.NewSource(78))
-	es := randEntries(rng, 300)
-	tr := BulkLoad(append([]Entry(nil), es...), 8)
-	for _, e := range es {
-		if !tr.Delete(e) {
-			t.Fatalf("failed to delete %v", e)
-		}
-	}
-	if tr.Len() != 0 {
-		t.Fatalf("Len = %d after draining", tr.Len())
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// The drained tree is reusable.
-	tr.Insert(Entry{P: geo.Point{X: 1, Y: 1}, ID: 1})
-	if tr.Len() != 1 {
-		t.Fatal("insert after drain failed")
 	}
 }
