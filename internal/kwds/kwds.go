@@ -7,6 +7,7 @@ package kwds
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -73,7 +74,7 @@ func NewSet(ids ...ID) Set {
 	}
 	s := make(Set, len(ids))
 	copy(s, ids)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 	out := s[:1]
 	for _, id := range s[1:] {
 		if id != out[len(out)-1] {

@@ -10,9 +10,10 @@
 package rtree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"coskq/internal/geo"
 )
@@ -77,7 +78,7 @@ func BulkLoad(entries []Entry, maxEntries int) *Tree {
 
 	// Leaf level: sort by x, cut into vertical slabs of S runs, sort each
 	// slab by y, pack runs of maxE entries.
-	sort.Slice(entries, func(i, j int) bool { return entries[i].P.X < entries[j].P.X })
+	slices.SortFunc(entries, func(a, b Entry) int { return cmp.Compare(a.P.X, b.P.X) })
 	leafCount := (len(entries) + maxE - 1) / maxE
 	slabs := int(math.Ceil(math.Sqrt(float64(leafCount))))
 	perSlab := slabs * maxE
@@ -89,7 +90,7 @@ func BulkLoad(entries []Entry, maxEntries int) *Tree {
 			end = len(entries)
 		}
 		slab := entries[start:end]
-		sort.Slice(slab, func(i, j int) bool { return slab[i].P.Y < slab[j].P.Y })
+		slices.SortFunc(slab, func(a, b Entry) int { return cmp.Compare(a.P.Y, b.P.Y) })
 		for ls := 0; ls < len(slab); ls += maxE {
 			le := ls + maxE
 			if le > len(slab) {
@@ -106,7 +107,7 @@ func BulkLoad(entries []Entry, maxEntries int) *Tree {
 
 	// Upper levels: pack child nodes by center, same tiling.
 	for len(level) > 1 {
-		sort.Slice(level, func(i, j int) bool { return level[i].Rect.Center().X < level[j].Rect.Center().X })
+		slices.SortFunc(level, func(a, b *Node) int { return cmp.Compare(a.Rect.Center().X, b.Rect.Center().X) })
 		nodeCount := (len(level) + maxE - 1) / maxE
 		slabs := int(math.Ceil(math.Sqrt(float64(nodeCount))))
 		perSlab := slabs * maxE
@@ -117,7 +118,7 @@ func BulkLoad(entries []Entry, maxEntries int) *Tree {
 				end = len(level)
 			}
 			slab := level[start:end]
-			sort.Slice(slab, func(i, j int) bool { return slab[i].Rect.Center().Y < slab[j].Rect.Center().Y })
+			slices.SortFunc(slab, func(a, b *Node) int { return cmp.Compare(a.Rect.Center().Y, b.Rect.Center().Y) })
 			for ls := 0; ls < len(slab); ls += maxE {
 				le := ls + maxE
 				if le > len(slab) {

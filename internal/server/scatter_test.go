@@ -1,10 +1,14 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"testing"
 
 	"coskq/internal/client"
@@ -231,12 +235,51 @@ func TestShardDataPlane(t *testing.T) {
 		t.Fatal("collect returned no objects inside a covering radius")
 	}
 
+	// A word's position is its bit in a 64-bit coverage mask. 64 words fit:
+	// the last one lands on bit 63, and the wire still answers one hit slot
+	// per word. A 65th would shift out of the mask (1 << 64 is 0 in Go), so
+	// it is refused before any mask exists (65 known words used to panic in
+	// kwds.NewQueryIndex on collect, a 500, and answer 65 slots on nn). The
+	// limit counts list entries, repeats included: each entry owns a bit.
+	filler := func(n int) string {
+		ws := make([]string, n)
+		for i := range ws {
+			ws[i] = fmt.Sprintf("filler-%02d", i)
+		}
+		return strings.Join(ws, ",")
+	}
+	wide := filler(kwds.MaxQueryKeywords-1) + ",cafe"
+	getJSON(t, srv.URL+"/shard/nn?x=0&y=0&kw="+wide, http.StatusOK, &nn)
+	if len(nn.Hits) != kwds.MaxQueryKeywords || !nn.Hits[kwds.MaxQueryKeywords-1].Found || nn.Hits[0].Found {
+		t.Fatalf("64-word nn: %d hits, last found %v", len(nn.Hits), nn.Hits[len(nn.Hits)-1].Found)
+	}
+	hb := shard.NewHTTPBackend(&client.Client{Base: srv.URL, MaxRetries: -1})
+	wq := shard.ShardQuery{Words: strings.Split(wide, ",")}
+	got, err := hb.Collect(context.Background(), wq, 10)
+	if err != nil || len(got.Objects) != len(coll.Objects) {
+		t.Fatalf("64-word collect: %d objects (want %d), err %v", len(got.Objects), len(coll.Objects), err)
+	}
+	for _, c := range got.Objects {
+		if c.Mask != 1<<63 {
+			t.Fatalf("64-word collect: object %d mask %b, want bit 63 alone", c.GID, c.Mask)
+		}
+	}
+	wq.Words = append(wq.Words, "park")
+	if _, err := hb.Collect(context.Background(), wq, 10); !errors.Is(err, core.ErrTooManyKeywords) {
+		t.Fatalf("65-word HTTPBackend.Collect: err %v, want ErrTooManyKeywords", err)
+	}
+
+	repeats65 := strings.Repeat("cafe,", kwds.MaxQueryKeywords) + "park"
 	for _, bad := range []string{
 		"/shard/collect?x=0&y=0&r=-1&kw=cafe",
 		"/shard/collect?x=0&y=0&r=NaN&kw=cafe",
 		"/shard/collect?x=0&y=0&kw=cafe",
 		"/shard/nn?x=zero&y=0&kw=cafe",
 		"/shard/nn?x=0&y=0",
+		"/shard/nn?x=0&y=0&kw=" + wide + ",park",
+		"/shard/collect?x=0&y=0&r=10&kw=" + wide + ",park",
+		"/shard/nn?x=0&y=0&kw=" + repeats65,
+		"/shard/collect?x=0&y=0&r=10&kw=" + repeats65,
 	} {
 		resp, err := http.Get(srv.URL + bad)
 		if err != nil {
@@ -245,6 +288,102 @@ func TestShardDataPlane(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("GET %s: status %d, want 400", bad, resp.StatusCode)
+		}
+	}
+}
+
+// TestShardDataPlaneParity: a shard reached in-process and the same shard
+// reached over /shard/* surface the same candidates — ids, locations,
+// distances, coverage masks (computed shard-side in-process, derived from
+// the wire keywords over HTTP) and, once the in-process side is hydrated,
+// the same keyword strings.
+func TestShardDataPlaneParity(t *testing.T) {
+	parts, _ := districts()
+	ctx := context.Background()
+	same := func(what string, local *shard.EngineBackend, a, b shard.Candidate) {
+		t.Helper()
+		local.Hydrate(&a)
+		if a.GID != b.GID || a.Loc != b.Loc || a.Mask != b.Mask || !slices.Equal(a.Words, b.Words) {
+			t.Fatalf("%s: in-process %+v, over HTTP %+v", what, a, b)
+		}
+	}
+	for _, ds := range parts {
+		eng := core.NewEngine(ds, 0)
+		srv := httptest.NewServer(NewWith(eng, Options{}))
+		t.Cleanup(srv.Close)
+		local := shard.WrapEngine(ds.Name, eng)
+		remote := shard.NewHTTPBackend(&client.Client{Base: srv.URL, MaxRetries: -1})
+		for _, loc := range []geo.Point{{X: 0, Y: 0}, {X: 51, Y: 40}, {X: 104, Y: 3}} {
+			q := shard.ShardQuery{Loc: loc, Words: []string{"park", "absent", "cafe", "museum"}}
+			ln, err := local.NN(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rn, err := remote.NN(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range q.Words {
+				if ln.Hits[i].Found != rn.Hits[i].Found || ln.Hits[i].Dist != rn.Hits[i].Dist {
+					t.Fatalf("%s nn %q: in-process %+v, over HTTP %+v", ds.Name, q.Words[i], ln.Hits[i], rn.Hits[i])
+				}
+				if ln.Hits[i].Found {
+					same(ds.Name+" nn "+q.Words[i], local, ln.Hits[i].Cand, rn.Hits[i].Cand)
+				}
+			}
+			for _, radius := range []float64{0, 3, 60, 500} {
+				lc, err := local.Collect(ctx, q, radius)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rc, err := remote.Collect(ctx, q, radius)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(lc.Objects) != len(rc.Objects) {
+					t.Fatalf("%s collect r=%v: %d objects in-process, %d over HTTP", ds.Name, radius, len(lc.Objects), len(rc.Objects))
+				}
+				for i := range lc.Objects {
+					same(fmt.Sprintf("%s collect r=%v [%d]", ds.Name, radius, i), local, lc.Objects[i], rc.Objects[i])
+				}
+			}
+		}
+	}
+}
+
+// TestScatterQueryReturnsFullKeywordLists: the router solves over
+// coverage masks, but /query still reports every member's complete
+// keyword list — words outside the query included — for in-process shards
+// (hydrated after the solve) and HTTP shards (decoded off the wire) alike.
+func TestScatterQueryReturnsFullKeywordLists(t *testing.T) {
+	_, all := districts()
+	rt, err := shard.NewLocalRouter(all, 3, shard.Grid(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := httptest.NewServer(NewScatterGather(rt, Options{}))
+	t.Cleanup(local.Close)
+	remote, _, _ := scatterFleet(t, Options{})
+	for _, coord := range []*httptest.Server{local, remote} {
+		var got queryResponse
+		getJSON(t, coord.URL+"/query?x=50&y=78&kw=museum,park", http.StatusOK, &got)
+		outside := false
+		for _, o := range got.Objects {
+			var want []string
+			for i := range all.Objects {
+				if p := all.Objects[i].Loc; p.X == o.X && p.Y == o.Y {
+					for _, id := range all.Objects[i].Keywords {
+						want = append(want, all.Vocab.Word(id))
+					}
+				}
+			}
+			if !slices.Equal(o.Keywords, want) {
+				t.Fatalf("member at (%v, %v) reports keywords %v, object has %v", o.X, o.Y, o.Keywords, want)
+			}
+			outside = outside || slices.Contains(o.Keywords, "cafe")
+		}
+		if len(got.Objects) == 0 || !outside {
+			t.Fatalf("fixture should answer with the {cafe, park} object: %+v", got.Objects)
 		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"coskq/internal/core"
+	"coskq/internal/kwds"
 	"coskq/internal/metrics"
 	"coskq/internal/shard"
 	"coskq/internal/trace"
@@ -155,6 +156,11 @@ func parseShardParams(r *http.Request) (shard.ShardQuery, error) {
 	if len(words) == 0 {
 		return shard.ShardQuery{}, errors.New("provide kw=a,b,c")
 	}
+	// A word's position is its bit in the candidates' coverage masks, so
+	// the limit is checked here, before any mask is computed.
+	if len(words) > kwds.MaxQueryKeywords {
+		return shard.ShardQuery{}, fmt.Errorf("kw lists %d keywords, at most %d are accepted", len(words), kwds.MaxQueryKeywords)
+	}
 	return shard.ShardQuery{Loc: loc, Words: words}, nil
 }
 
@@ -181,6 +187,9 @@ func (s *server) handleShardNN(w http.ResponseWriter, r *http.Request) {
 		if !h.Found {
 			continue
 		}
+		// The wire carries full keyword lists; this is where an
+		// in-process candidate's strings are first needed.
+		b.Hydrate(&h.Cand)
 		resp.Hits[i] = shardNNHitJSON{
 			Found: true, ID: uint32(h.Cand.GID),
 			X: h.Cand.Loc.X, Y: h.Cand.Loc.Y,
@@ -217,6 +226,7 @@ func (s *server) handleShardCollect(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := shardCollectJSON{Gen: gen, Objects: make([]shardObjectJSON, len(res.Objects))}
 	for i, c := range res.Objects {
+		b.Hydrate(&c)
 		resp.Objects[i] = shardObjectJSON{
 			ID: uint32(c.GID), X: c.Loc.X, Y: c.Loc.Y, Keywords: c.Words,
 		}

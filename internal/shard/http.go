@@ -7,6 +7,7 @@ import (
 	"coskq/internal/client"
 	"coskq/internal/dataset"
 	"coskq/internal/geo"
+	"coskq/internal/kwds"
 	"coskq/internal/trace"
 )
 
@@ -67,45 +68,63 @@ func (b *HTTPBackend) FetchMetrics(ctx context.Context) ([]byte, error) {
 	return b.C.MetricsText(ctx)
 }
 
+// wireMasker derives Candidate.Mask on the coordinator side: the wire
+// carries each object's full keyword strings (which Words keeps, so an
+// HTTP candidate is born hydrated), and the mask is their intersection
+// with the query words, by position.
+type wireMasker map[string]kwds.Mask
+
+func newWireMasker(words []string) wireMasker {
+	m := make(wireMasker, len(words))
+	for i, w := range words {
+		m[w] |= 1 << uint(i)
+	}
+	return m
+}
+
+func (m wireMasker) candidate(id uint32, x, y float64, keywords []string) Candidate {
+	c := Candidate{GID: dataset.ObjectID(id), Loc: geo.Point{X: x, Y: y}, Words: keywords}
+	for _, w := range keywords {
+		c.Mask |= m[w]
+	}
+	return c
+}
+
 // NN implements Backend, surfacing the peer's generation header.
 func (b *HTTPBackend) NN(ctx context.Context, q ShardQuery) (NNResult, error) {
+	if err := checkWords(q); err != nil {
+		return NNResult{}, err
+	}
 	resp, err := b.C.ShardNN(ctx, q.Loc.X, q.Loc.Y, q.Words)
 	if err != nil {
 		return NNResult{}, err
 	}
 	attachFragment(ctx, resp.Trace)
+	masker := newWireMasker(q.Words)
 	hits := make([]NNHit, len(resp.Hits))
 	for i, h := range resp.Hits {
 		if !h.Found {
 			continue
 		}
-		hits[i] = NNHit{
-			Found: true,
-			Dist:  h.Dist,
-			Cand: Candidate{
-				GID:   dataset.ObjectID(h.ID),
-				Loc:   geo.Point{X: h.X, Y: h.Y},
-				Words: h.Keywords,
-			},
-		}
+		hits[i] = NNHit{Found: true, Dist: h.Dist, Cand: masker.candidate(h.ID, h.X, h.Y, h.Keywords)}
 	}
 	return NNResult{Gen: resp.Gen, Hits: hits}, nil
 }
 
 // Collect implements Backend, surfacing the peer's generation header.
 func (b *HTTPBackend) Collect(ctx context.Context, q ShardQuery, radius float64) (CollectResult, error) {
+	if err := checkWords(q); err != nil {
+		return CollectResult{}, err
+	}
 	resp, err := b.C.ShardCollect(ctx, q.Loc.X, q.Loc.Y, radius, q.Words)
 	if err != nil {
 		return CollectResult{}, err
 	}
 	attachFragment(ctx, resp.Trace)
+	masker := newWireMasker(q.Words)
 	out := make([]Candidate, len(resp.Objects))
 	for i, o := range resp.Objects {
-		out[i] = Candidate{
-			GID:   dataset.ObjectID(o.ID),
-			Loc:   geo.Point{X: o.X, Y: o.Y},
-			Words: o.Keywords,
-		}
+		out[i] = masker.candidate(o.ID, o.X, o.Y, o.Keywords)
 	}
 	return CollectResult{Gen: resp.Gen, Objects: out}, nil
 }

@@ -1,10 +1,12 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"sync"
 	"time"
 
@@ -139,31 +141,53 @@ func (m *Metrics) pool(size int) {
 	}
 }
 
-func (m *Metrics) call(phase, name string) {
-	if m != nil {
-		m.reg.Counter(fmt.Sprintf("coskq_shard_calls_total{phase=%q,shard=%q}", phase, name)).Inc()
-	}
-}
-
-func (m *Metrics) failure(phase, name string) {
-	if m != nil {
-		m.reg.Counter(fmt.Sprintf("coskq_shard_failures_total{phase=%q,shard=%q}", phase, name)).Inc()
-	}
-}
-
 // rpcBuckets spans sub-millisecond in-process calls through multi-second
 // degraded remote calls.
 var rpcBuckets = []float64{0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5}
 
-func (m *Metrics) rpc(phase, name string, seconds float64) {
-	if m != nil {
-		m.reg.Histogram(fmt.Sprintf("coskq_shard_rpc_seconds{phase=%q,shard=%q}", phase, name), rpcBuckets).Observe(seconds)
+// phaseSeries is the per-(phase, shard) series of one kind of shard
+// call. A routed query makes 2 calls per surviving shard and touches up
+// to four series per call, so the handles are resolved once (Router.Init)
+// instead of formatting a name and taking the registry lock each time.
+// The nil receiver is the unmetered router.
+type phaseSeries struct {
+	calls, failures, rpcErrors *metrics.Counter
+	seconds                    *metrics.Histogram
+}
+
+// shardSeries holds one shard's series for the two scatter phases.
+type shardSeries struct {
+	nn, collect phaseSeries
+}
+
+func (m *Metrics) phaseSeries(phase, name string) phaseSeries {
+	return phaseSeries{
+		calls:     m.reg.Counter(fmt.Sprintf("coskq_shard_calls_total{phase=%q,shard=%q}", phase, name)),
+		failures:  m.reg.Counter(fmt.Sprintf("coskq_shard_failures_total{phase=%q,shard=%q}", phase, name)),
+		rpcErrors: m.reg.Counter(fmt.Sprintf("coskq_shard_rpc_errors_total{phase=%q,shard=%q}", phase, name)),
+		seconds:   m.reg.Histogram(fmt.Sprintf("coskq_shard_rpc_seconds{phase=%q,shard=%q}", phase, name), rpcBuckets),
 	}
 }
 
-func (m *Metrics) rpcError(phase, name string) {
-	if m != nil {
-		m.reg.Counter(fmt.Sprintf("coskq_shard_rpc_errors_total{phase=%q,shard=%q}", phase, name)).Inc()
+func (p *phaseSeries) call() {
+	if p != nil {
+		p.calls.Inc()
+	}
+}
+
+func (p *phaseSeries) failure() {
+	if p != nil {
+		p.failures.Inc()
+	}
+}
+
+func (p *phaseSeries) rpc(seconds float64, failed bool) {
+	if p == nil {
+		return
+	}
+	p.seconds.Observe(seconds)
+	if failed {
+		p.rpcErrors.Inc()
 	}
 }
 
@@ -208,11 +232,14 @@ type Router struct {
 	ShardTimeout time.Duration
 	// TreeFanout is the IR-tree fanout of the per-query pool engine.
 	TreeFanout int
-	// Metrics, when non-nil, receives per-query routing counters.
+	// Metrics, when non-nil, receives per-query routing counters. Init
+	// resolves the per-shard series from it, so set it before the first
+	// query.
 	Metrics *Metrics
 
-	mu    sync.Mutex
-	metas []Meta
+	mu     sync.Mutex
+	metas  []Meta
+	series []shardSeries // per shard ordinal; nil when unmetered
 }
 
 // Init fetches every shard's routing summary. Routing calls it lazily;
@@ -240,8 +267,26 @@ func (r *Router) Init(ctx context.Context) error {
 		}
 		metas[i] = m
 	}
+	if r.Metrics != nil {
+		r.series = make([]shardSeries, len(r.Backends))
+		for i, b := range r.Backends {
+			r.series[i] = shardSeries{nn: r.Metrics.phaseSeries("nn", b.Name()), collect: r.Metrics.phaseSeries("collect", b.Name())}
+		}
+	}
 	r.metas = metas
 	return nil
+}
+
+// phaseSeries returns the metric handles of one shard call, nil for an
+// unmetered router.
+func (r *Router) phaseSeries(ord int, phase string) *phaseSeries {
+	if r.series == nil {
+		return nil
+	}
+	if phase == "nn" {
+		return &r.series[ord].nn
+	}
+	return &r.series[ord].collect
 }
 
 // Solve mirrors core.Engine.Solve over the shard fleet.
@@ -320,13 +365,10 @@ func evalCandidates(cost core.CostKind, q geo.Point, set []Candidate) float64 {
 	}
 }
 
-// candKey identifies a candidate across shards. In-process backends
-// report unique global ids, but HTTP backends report shard-local ids, so
-// the shard ordinal is part of the key.
-type candKey struct {
-	shard int
-	gid   dataset.ObjectID
-}
+// sameObject reports whether two candidates are one object. In-process
+// backends report unique global ids, but HTTP backends report shard-local
+// ids, so the shard ordinal is part of the identity.
+func sameObject(a, b Candidate) bool { return a.GID == b.GID && a.Shard == b.Shard }
 
 // callShard runs one shard call under the fault injection point, the
 // per-shard timeout, and a panic shield. The router models the process
@@ -335,7 +377,8 @@ type candKey struct {
 // one crashing shard can degrade a query but never tear down the
 // router or produce a torn merge.
 func (r *Router) callShard(ctx context.Context, ord int, phase string, fn func(context.Context) error) error {
-	r.Metrics.call(phase, r.Backends[ord].Name())
+	ps := r.phaseSeries(ord, phase)
+	ps.call()
 	cctx := ctx
 	var cancel context.CancelFunc
 	if r.ShardTimeout > 0 {
@@ -371,7 +414,7 @@ func (r *Router) callShard(ctx context.Context, ord int, phase string, fn func(c
 		}
 	}
 	if err != nil {
-		r.Metrics.failure(phase, r.Backends[ord].Name())
+		ps.failure()
 		return &ShardError{Name: r.Backends[ord].Name(), Shard: ord, Phase: phase, Err: err}
 	}
 	return nil
@@ -412,10 +455,9 @@ func (r *Router) scatter(ctx context.Context, phase string, grp *trace.Group, sh
 		start := time.Now()
 		errs[ord] = r.callShard(cctx, ord, phase, func(c context.Context) error { return call(c, ord) })
 		elapsed := time.Since(start)
-		r.Metrics.rpc(phase, name, elapsed.Seconds())
+		r.phaseSeries(ord, phase).rpc(elapsed.Seconds(), errs[ord] != nil)
 		rec := trace.ShardCall{Shard: name, Phase: phase, ElapsedMs: float64(elapsed.Nanoseconds()) / 1e6}
 		if errs[ord] != nil {
-			r.Metrics.rpcError(phase, name)
 			rec.Err = errs[ord].Error()
 		}
 		if tr != nil {
@@ -553,7 +595,7 @@ func (r *Router) routeOnce(ctx context.Context, loc geo.Point, words []string, c
 	grp.End()
 	info.Calls = nnCalls
 
-	failed := make(map[int]bool)
+	failed := make([]bool, len(r.Backends))
 	for _, ord := range alive {
 		if nnErrs[ord] != nil {
 			failed[ord] = true
@@ -596,11 +638,8 @@ func (r *Router) routeOnce(ctx context.Context, loc geo.Point, words []string, c
 	// optimal cost of q (DESIGN.md §12), so the disk C(q, U) contains
 	// every possible answer member for all five cost kinds.
 	seeds := make([]Candidate, 0, len(words))
-	seen := make(map[candKey]bool)
 	for _, h := range best {
-		k := candKey{h.Cand.Shard, h.Cand.GID}
-		if !seen[k] {
-			seen[k] = true
+		if !slices.ContainsFunc(seeds, func(c Candidate) bool { return sameObject(c, h.Cand) }) {
 			seeds = append(seeds, h.Cand)
 		}
 	}
@@ -669,31 +708,36 @@ func (r *Router) routeOnce(ctx context.Context, loc geo.Point, words []string, c
 		return Answer{Info: info}, torn, r.failError(info)
 	}
 
-	// Phase 6: deterministic merge. Collect results shard by shard in
-	// ordinal order, add the NN seeds (kept even when their shard later
-	// failed collect — they are fetched data and preserve coverage), and
-	// sort by (GID, shard ordinal) so the pool — and therefore the pool
-	// engine's canonical answer — is independent of arrival order.
-	pool := seeds
+	// Phase 6: deterministic merge. The NN seeds (kept even when their
+	// shard later failed collect — they are fetched data and preserve
+	// coverage) and the collect results are sorted by (GID, shard ordinal),
+	// so the pool — and therefore the pool engine's canonical answer — is
+	// independent of arrival order. A seed its own shard collected again
+	// lands beside its copy; a backend reports one mask per object, so the
+	// copies are identical and either one stays.
+	n := len(seeds)
+	for _, ord := range keep {
+		if !failed[ord] {
+			n += len(collected[ord])
+		}
+	}
+	pool := append(make([]Candidate, 0, n), seeds...)
 	for _, ord := range keep {
 		if failed[ord] {
 			continue
 		}
 		for _, c := range collected[ord] {
 			c.Shard = ord
-			k := candKey{ord, c.GID}
-			if !seen[k] {
-				seen[k] = true
-				pool = append(pool, c)
-			}
+			pool = append(pool, c)
 		}
 	}
-	sort.Slice(pool, func(i, j int) bool {
-		if pool[i].GID != pool[j].GID {
-			return pool[i].GID < pool[j].GID
+	slices.SortFunc(pool, func(a, b Candidate) int {
+		if c := cmp.Compare(a.GID, b.GID); c != 0 {
+			return c
 		}
-		return pool[i].Shard < pool[j].Shard
+		return cmp.Compare(a.Shard, b.Shard)
 	})
+	pool = slices.CompactFunc(pool, sameObject)
 	info.PoolSize = len(pool)
 	r.Metrics.pool(len(pool))
 	gatherElapsed := time.Since(gatherStart)
@@ -701,39 +745,56 @@ func (r *Router) routeOnce(ctx context.Context, loc geo.Point, words []string, c
 	// Phase 7: solve over the pool with a per-query engine. The pool
 	// contains an optimal set, so exact methods return the global
 	// optimum; approximation methods keep their ratio (the pool is a
-	// feasible dataset containing N(q)).
-	b := dataset.NewBuilder("scatter-pool")
+	// feasible dataset containing N(q)). The search only ever asks an
+	// object which query keywords it covers, so the pool dataset is built
+	// over the query's own words — keyword id i is words[i], an object's
+	// keyword set is the set bits of its Mask — with no string in sight.
+	var covered kwds.Mask
+	occurrences := 0
 	for _, c := range pool {
-		b.Add(c.Loc, c.Words...)
+		covered |= c.Mask
+		occurrences += c.Mask.Count()
 	}
-	ds := b.Build()
-	qids := make([]kwds.ID, len(words))
+	if full := ^kwds.Mask(0) >> uint(kwds.MaxQueryKeywords-len(words)); covered != full {
+		// Unreachable with honest backends: every word is covered by a
+		// pooled NN seed.
+		return Answer{Info: info}, torn, fmt.Errorf("shard: keywords %b of %b lost during gather", full&^covered, full)
+	}
+	b := dataset.NewBuilder("scatter-pool")
+	qids := make(kwds.Set, len(words))
 	for i, w := range words {
-		id, ok := ds.Vocab.Lookup(w)
-		if !ok {
-			// Unreachable: every word is covered by a pooled NN seed.
-			return Answer{Info: info}, torn, fmt.Errorf("shard: keyword %q lost during gather", w)
-		}
-		qids[i] = id
+		qids[i] = b.Vocab().Intern(w)
 	}
-	eng := core.NewEngine(ds, r.TreeFanout)
+	ids := make([]kwds.ID, 0, occurrences) // one backing array for every object's set
+	for _, c := range pool {
+		from := len(ids)
+		for m := c.Mask; m != 0; m &= m - 1 {
+			ids = append(ids, kwds.ID(bits.TrailingZeros64(uint64(m))))
+		}
+		b.AddIDs(c.Loc, kwds.Set(ids[from:len(ids):len(ids)]))
+	}
+	eng := core.NewEngine(b.Build(), r.TreeFanout)
 	eng.Parallelism = r.Workers
 	eng.NodeBudget = r.NodeBudget
 	eng.Degrade = r.Degrade
-	res, err := eng.SolveCtx(ctx, core.Query{Loc: loc, Keywords: kwds.NewSet(qids...)}, cost, method)
+	res, err := eng.SolveCtx(ctx, core.Query{Loc: loc, Keywords: qids}, cost, method)
 	if err != nil {
 		return Answer{Info: info}, torn, err
 	}
 	res.Stats.Phases.Materialize += gatherElapsed
 
-	// Map pool-local ids back: Builder.Add assigned local id i to
-	// pool[i], and pool is (GID, shard)-sorted, so the ascending local
-	// ids of the canonical answer map to sorted members directly.
+	// Map pool-local ids back: AddIDs assigned local id i to pool[i], and
+	// pool is (GID, shard)-sorted, so the ascending local ids of the
+	// canonical answer map to sorted members directly. Only these ≤ |q.ψ|
+	// members get their keyword strings materialized.
 	members := make([]Candidate, len(res.Set))
 	gids := make([]dataset.ObjectID, len(res.Set))
 	for i, lid := range res.Set {
 		members[i] = pool[lid]
 		gids[i] = pool[lid].GID
+		if h, ok := r.Backends[members[i].Shard].(Hydrator); ok && members[i].Words == nil {
+			h.Hydrate(&members[i])
+		}
 	}
 	res.Set = gids
 	if len(info.Failed) > 0 {

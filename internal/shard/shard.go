@@ -15,12 +15,28 @@
 // The optimum over the pool equals the global optimum, so exact methods
 // return exactly the single-engine answer, and approximation methods
 // keep their proven ratios (the pool is itself a feasible dataset).
+//
+// The currency of the data plane is the coverage mask, and its access
+// path is the inverted index. The search only ever asks an object which
+// of the query's keywords it covers, so a shard answers with
+// Candidate.Mask — bit i ⇔ the object contains ShardQuery.Words[i] — and
+// the router merges masks, checks coverage by OR-ing them, and builds the
+// pool dataset over a |q.ψ|-word vocabulary straight from the bits.
+// EngineBackend computes the masks by scanning the posting lists of the
+// query words it knows (a probe or a gather is textually selective and
+// spatially wide, the opposite of what a disk walk of the IR-tree is good
+// at). Keyword strings are materialized only where they leave the
+// process: on the /shard/* wire, which carries full keyword lists
+// (HTTPBackend derives each mask from them), and for the at most |q.ψ|
+// members of an Answer (Hydrator).
 package shard
 
 import (
+	"cmp"
 	"context"
 	"encoding/hex"
 	"fmt"
+	"slices"
 
 	"coskq/internal/core"
 	"coskq/internal/dataset"
@@ -132,7 +148,9 @@ type Meta struct {
 // ShardQuery is the query a Backend call receives. Keywords travel as
 // strings so shards with independently interned vocabularies (the HTTP
 // mode) resolve them against their own vocabulary; unknown words are
-// simply not found, never an error.
+// simply not found, never an error. The position of a word in Words is
+// its bit in every Candidate.Mask the call returns, so a query carries at
+// most kwds.MaxQueryKeywords words.
 type ShardQuery struct {
 	Loc   geo.Point
 	Words []string
@@ -141,12 +159,29 @@ type ShardQuery struct {
 // Candidate is one object surfaced by a shard. GID is the object's
 // global id for in-process backends (the partitioner records the
 // mapping); HTTP backends report shard-local ids, unique only within
-// (Shard, GID). Words carries the object's full keyword set as strings.
+// (Shard, GID).
+//
+// Mask is the object's coverage of the query that surfaced it: bit i is
+// set exactly when the object contains ShardQuery.Words[i]. It is all
+// the router's merge and pool solve read. Words, the object's full
+// keyword set as strings, is filled only where strings leave the process:
+// an HTTPBackend decodes it off the wire, while an EngineBackend leaves
+// it nil until Hydrate is called — by the /shard/* encoders for every
+// candidate, and by the Router for the ≤ |q.ψ| members of an answer.
 type Candidate struct {
 	GID   dataset.ObjectID
+	local dataset.ObjectID // EngineBackend's own id for GID, what Hydrate reads
 	Shard int
 	Loc   geo.Point
+	Mask  kwds.Mask
 	Words []string
+}
+
+// Hydrator is an optional Backend capability: filling in the Words of a
+// candidate the same backend returned with Words nil. A backend wrapped
+// in a type that hides it yields answer members without keyword strings.
+type Hydrator interface {
+	Hydrate(c *Candidate)
 }
 
 // NNHit is a per-query-keyword nearest-neighbor answer from one shard.
@@ -199,12 +234,19 @@ type Backend interface {
 	// Meta returns the shard's routing summary.
 	Meta(ctx context.Context) (Meta, error)
 	// NN returns, for each query word, the shard's nearest object
-	// containing it. The result's Hits slice has len(q.Words) entries;
-	// Gen is the generation header described on NNResult.
+	// containing it (lowest id among equidistant ones), with the object's
+	// Mask over all of q.Words. The result's Hits slice has len(q.Words)
+	// entries; Gen is the generation header described on NNResult.
 	NN(ctx context.Context, q ShardQuery) (NNResult, error)
 	// Collect returns every object within radius of q.Loc sharing at
-	// least one keyword with q.Words, under the same generation-header
-	// contract as NN.
+	// least one keyword with q.Words, each with its Mask, in ascending
+	// id, under the same generation-header contract as NN. "Within" is
+	// geo.Circle.ContainsPoint, which tolerates one ulp of rounding on the
+	// boundary. The IR-tree's disk walk tests nodes with the strict
+	// Circle.IntersectsRect first and can drop an object sitting exactly
+	// on the radius, so Collect is a superset of that walk, equal
+	// everywhere but on the boundary. More candidates never hurt the
+	// gather bound.
 	Collect(ctx context.Context, q ShardQuery, radius float64) (CollectResult, error)
 }
 
@@ -257,17 +299,39 @@ func (b *EngineBackend) global(id dataset.ObjectID) dataset.ObjectID {
 	return b.GIDs[id]
 }
 
-func (b *EngineBackend) candidate(o *dataset.Object) Candidate {
-	words := make([]string, o.Keywords.Len())
-	for i, kid := range o.Keywords {
-		words[i] = b.Eng.DS.Vocab.Word(kid)
-	}
-	return Candidate{GID: b.global(o.ID), Loc: o.Loc, Words: words}
+// candidate surfaces the shard object id with the given coverage mask.
+func (b *EngineBackend) candidate(id dataset.ObjectID, mask kwds.Mask) Candidate {
+	return Candidate{GID: b.global(id), local: id, Loc: b.Eng.DS.Objects[id].Loc, Mask: mask}
 }
 
-// NN implements Backend. A static engine backend is always generation
-// 0.
+// Hydrate implements Hydrator: it materializes the keyword strings of a
+// candidate this backend returned.
+func (b *EngineBackend) Hydrate(c *Candidate) {
+	o := b.Eng.DS.Object(c.local)
+	c.Words = make([]string, o.Keywords.Len())
+	for i, kid := range o.Keywords {
+		c.Words[i] = b.Eng.DS.Vocab.Word(kid)
+	}
+}
+
+// checkWords rejects a query whose words outnumber the bits of a Mask:
+// 1 << 64 is 0 in Go, so an unchecked 65th word would silently drop out
+// of every mask instead of failing.
+func checkWords(q ShardQuery) error {
+	if len(q.Words) > kwds.MaxQueryKeywords {
+		return fmt.Errorf("shard: %w (%d given)", core.ErrTooManyKeywords, len(q.Words))
+	}
+	return nil
+}
+
+// NN implements Backend with one scan of each known word's posting list:
+// a probe is textually selective and spatially unbounded, which is the
+// shape an inverted list serves with less work than a best-first IR-tree
+// descent. A static engine backend is always generation 0.
 func (b *EngineBackend) NN(ctx context.Context, q ShardQuery) (NNResult, error) {
+	if err := checkWords(q); err != nil {
+		return NNResult{}, err
+	}
 	tr := trace.FromContext(ctx)
 	sp := tr.Begin("nn_probes")
 	defer sp.End()
@@ -275,33 +339,67 @@ func (b *EngineBackend) NN(ctx context.Context, q ShardQuery) (NNResult, error) 
 	if b.Eng == nil {
 		return NNResult{Hits: hits}, nil
 	}
-	found := 0
+	ds := b.Eng.DS
+	// ids[i] is the shard's id of q.Words[i] where known has bit i set.
+	var ids [kwds.MaxQueryKeywords]kwds.ID
+	var known kwds.Mask
 	for i, w := range q.Words {
+		if kw, ok := ds.Vocab.Lookup(w); ok {
+			ids[i], known = kw, known|1<<uint(i)
+		}
+	}
+	found := 0
+	for i := range q.Words {
 		ps := tr.Begin("probe")
 		ps.Attr("kw", float64(i))
-		kw, ok := b.Eng.DS.Vocab.Lookup(w)
-		if !ok {
+		var post []dataset.ObjectID
+		if known&(1<<uint(i)) != 0 {
+			post = b.Eng.Inv.Postings(ids[i])
+		}
+		if len(post) == 0 {
 			ps.Drop()
 			continue
 		}
-		oid, d, ok := b.Eng.Tree.NN(q.Loc, kw)
-		if !ok {
-			ps.Drop()
-			continue
+		// Postings ascend by id, so strict < keeps the lowest id on ties.
+		best, bestD := post[0], q.Loc.Dist(ds.Objects[post[0]].Loc)
+		for _, id := range post[1:] {
+			if d := q.Loc.Dist(ds.Objects[id].Loc); d < bestD {
+				best, bestD = id, d
+			}
 		}
 		found++
-		ps.Attr("dist", d)
+		ps.Attr("dist", bestD)
 		ps.End()
-		hits[i] = NNHit{Found: true, Dist: d, Cand: b.candidate(b.Eng.DS.Object(oid))}
+		var mask kwds.Mask
+		for j := range q.Words {
+			if known&(1<<uint(j)) != 0 && ds.Objects[best].Keywords.Contains(ids[j]) {
+				mask |= 1 << uint(j)
+			}
+		}
+		hits[i] = NNHit{Found: true, Dist: bestD, Cand: b.candidate(best, mask)}
 	}
 	sp.Attr("keywords", float64(len(q.Words)))
 	sp.Attr("found", float64(found))
 	return NNResult{Hits: hits}, nil
 }
 
-// Collect implements Backend. A static engine backend is always
+// maskedID is one posting that fell inside the gather disk.
+type maskedID struct {
+	id  dataset.ObjectID
+	bit kwds.Mask
+}
+
+// Collect implements Backend from the posting lists of the query words
+// the shard knows: every posting is tested against the disk, the
+// survivors are sorted by object id, and equal ids merge by OR-ing their
+// bits — so candidates come out in ascending id with complete masks, and
+// the work is proportional to the words' frequencies, not to the number
+// of objects the disk holds. A static engine backend is always
 // generation 0.
 func (b *EngineBackend) Collect(ctx context.Context, q ShardQuery, radius float64) (CollectResult, error) {
+	if err := checkWords(q); err != nil {
+		return CollectResult{}, err
+	}
 	tr := trace.FromContext(ctx)
 	sp := tr.Begin("collect_scan")
 	defer sp.End()
@@ -309,21 +407,29 @@ func (b *EngineBackend) Collect(ctx context.Context, q ShardQuery, radius float6
 	if b.Eng == nil {
 		return CollectResult{}, nil
 	}
-	ids := make([]kwds.ID, 0, len(q.Words))
-	for _, w := range q.Words {
-		if kw, ok := b.Eng.DS.Vocab.Lookup(w); ok {
-			ids = append(ids, kw)
+	ds := b.Eng.DS
+	disk := geo.Circle{C: q.Loc, R: radius}
+	in := make([]maskedID, 0, 64) // stays on the stack for the common small gather
+	for i, w := range q.Words {
+		kw, ok := ds.Vocab.Lookup(w)
+		if !ok {
+			continue
+		}
+		for _, id := range b.Eng.Inv.Postings(kw) {
+			if disk.ContainsPoint(ds.Objects[id].Loc) {
+				in = append(in, maskedID{id: id, bit: 1 << uint(i)})
+			}
 		}
 	}
-	if len(ids) == 0 {
-		return CollectResult{}, nil
+	slices.SortFunc(in, func(a, b maskedID) int { return cmp.Compare(a.id, b.id) })
+	out := make([]Candidate, 0, len(in))
+	for _, p := range in {
+		if n := len(out); n > 0 && out[n-1].local == p.id {
+			out[n-1].Mask |= p.bit
+			continue
+		}
+		out = append(out, b.candidate(p.id, p.bit))
 	}
-	qi := kwds.NewQueryIndex(kwds.NewSet(ids...))
-	var out []Candidate
-	b.Eng.Tree.RelevantInDisk(geo.Circle{C: q.Loc, R: radius}, qi, func(o *dataset.Object, _ kwds.Mask) bool {
-		out = append(out, b.candidate(o))
-		return true
-	})
 	sp.Attr("objects", float64(len(out)))
 	return CollectResult{Objects: out}, nil
 }
