@@ -70,9 +70,11 @@ func TestAlphaOneIsFarthestNNDistance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, df, err := e.alphaSeed(q, 1)
-		if err != nil {
-			t.Fatal(err)
+		df := 0.0
+		for _, kw := range q.Keywords {
+			if _, d, _ := e.Tree.NN(q.Loc, kw); d > df {
+				df = d
+			}
 		}
 		if math.Abs(res.Cost-df) > 1e-9 {
 			t.Fatalf("α=1 optimum %v, want d_f %v", res.Cost, df)

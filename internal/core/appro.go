@@ -25,7 +25,7 @@ import (
 // are popped in ascending distance, the owner's disk content is exactly
 // the prefix of relevant objects the iterator has already produced, so the
 // greedy runs over an in-memory pool instead of repeated index searches.
-func (s *search) ownerAppro(q Query, cost CostKind) (Result, error) {
+func (s *search) ownerAppro(q Query, cost costFn) (Result, error) {
 	start := time.Now()
 	qi := kwds.NewQueryIndex(q.Keywords)
 	algo := s.tr.Begin("owner_appro")
@@ -37,43 +37,15 @@ func (s *search) ownerAppro(q Query, cost CostKind) (Result, error) {
 		return Result{}, err
 	}
 	curSet := canonical(seed)
-	s.noteIncumbent(curSet, curCost, cost)
+	s.noteIncumbent(curSet, curCost, cost.kind)
 	stats.SetsEvaluated = 1
 
-	var pool []cand
-	bitCands := make([][]int32, qi.Size())
 	set := make([]dataset.ObjectID, 0, qi.Size()+1)
 	bitOrder := make([]int, 0, qi.Size())
 
-	loop := s.tr.Begin("owner_loop")
-	searchStart := time.Now()
-	it := s.Tree.NewRelevantNNIterator(q.Loc, qi)
-	it.Limit(curCost)
-	for {
-		o, dof, ok := it.Next()
-		if !ok {
-			break
-		}
-		if dof >= curCost {
-			stats.Prunes[trace.PruneIncumbentBreak]++
-			break // cost(S) ≥ d(owner, q)
-		}
-		ownerMask := qi.MaskOf(o.Keywords)
-		idx := int32(len(pool))
-		pool = append(pool, cand{o: o, d: dof, mask: ownerMask})
-		for b := 0; b < qi.Size(); b++ {
-			if ownerMask&(1<<uint(b)) != 0 {
-				bitCands[b] = append(bitCands[b], idx)
-			}
-		}
-		stats.CandidatesSeen++
-		s.pollCancel(stats.CandidatesSeen)
-		if dof < df {
-			stats.Prunes[trace.PruneOwnerRing]++
-			continue // cannot be a query distance owner of a feasible set
-		}
-		stats.OwnersTried++
-
+	en := s.owners(q, qi, cost, df, false, &stats)
+	defer en.release()
+	for en.next(curCost, curCost) {
 		// Construction around this owner (the 2013 paper's recipe): for
 		// each keyword the owner lacks, take the owner's nearest pool
 		// object covering it. Every chosen member is at most
@@ -84,13 +56,13 @@ func (s *search) ownerAppro(q Query, cost CostKind) (Result, error) {
 		// each per-keyword minimum lower-bounds the final pairwise
 		// component, so hopeless owners are abandoned after scanning only
 		// the rarest keyword's short list.
-		need := qi.Full() &^ ownerMask
+		owner := en.owner()
+		o, dof := owner.o, owner.d
+		need := qi.Full() &^ owner.mask
 		if need == 0 {
 			stats.SetsEvaluated++
-			if dof < curCost {
-				curSet, curCost = []dataset.ObjectID{o.ID}, combine(cost, dof, 0)
-				s.noteIncumbent(curSet, curCost, cost)
-			}
+			curSet, curCost = []dataset.ObjectID{o.ID}, cost.combine(dof, 0)
+			s.noteIncumbent(curSet, curCost, cost.kind)
 			continue
 		}
 		bitOrder = bitOrder[:0]
@@ -100,7 +72,7 @@ func (s *search) ownerAppro(q Query, cost CostKind) (Result, error) {
 			}
 		}
 		for i := 1; i < len(bitOrder); i++ {
-			for j := i; j > 0 && len(bitCands[bitOrder[j]]) < len(bitCands[bitOrder[j-1]]); j-- {
+			for j := i; j > 0 && len(en.bits[bitOrder[j]]) < len(en.bits[bitOrder[j-1]]); j-- {
 				bitOrder[j], bitOrder[j-1] = bitOrder[j-1], bitOrder[j]
 			}
 		}
@@ -110,8 +82,8 @@ func (s *search) ownerAppro(q Query, cost CostKind) (Result, error) {
 		maxToOwner := 0.0
 		for _, b := range bitOrder {
 			bestIdx, bestDist := int32(-1), 0.0
-			for _, ci := range bitCands[b] {
-				d := pool[ci].o.Loc.Dist(o.Loc)
+			for _, ci := range en.bits[b] {
+				d := en.pool[ci].o.Loc.Dist(o.Loc)
 				if bestIdx < 0 || d < bestDist {
 					bestIdx, bestDist = ci, d
 				}
@@ -124,12 +96,12 @@ func (s *search) ownerAppro(q Query, cost CostKind) (Result, error) {
 				maxToOwner = bestDist
 			}
 			// maxToOwner lower-bounds the final pairwise component.
-			if combine(cost, dof, maxToOwner) >= curCost {
+			if cost.combine(dof, maxToOwner) >= curCost {
 				stats.Prunes[trace.PruneGreedyBound]++
 				feasible = false
 				break
 			}
-			set = append(set, pool[bestIdx].o.ID)
+			set = append(set, en.pool[bestIdx].o.ID)
 		}
 		if !feasible {
 			osp.Drop()
@@ -137,7 +109,7 @@ func (s *search) ownerAppro(q Query, cost CostKind) (Result, error) {
 		}
 		set = append(set, o.ID)
 		stats.SetsEvaluated++
-		if c := s.EvalCost(cost, q.Loc, set); c < curCost {
+		if c := s.evalCost(cost, q, set); c < curCost {
 			if osp != nil {
 				// Keep construction spans only for improving owners.
 				osp.Attr("owner_id", float64(o.ID))
@@ -146,22 +118,14 @@ func (s *search) ownerAppro(q Query, cost CostKind) (Result, error) {
 				osp.End()
 			}
 			curSet, curCost = canonical(set), c
-			s.noteIncumbent(curSet, curCost, cost)
-			it.Limit(curCost)
+			s.noteIncumbent(curSet, curCost, cost.kind)
 		} else {
 			osp.Drop()
 		}
 	}
-	stats.Phases.Search = time.Since(searchStart)
-	if loop != nil {
-		loop.Attr("candidates", float64(stats.CandidatesSeen))
-		loop.Attr("owners_tried", float64(stats.OwnersTried))
-		loop.Attr("sets_evaluated", float64(stats.SetsEvaluated))
-		loop.Attr("cost", curCost)
-	}
-	loop.End()
+	en.finish(curCost)
 	algo.End()
 
 	stats.Elapsed = time.Since(start)
-	return Result{Set: curSet, Cost: curCost, Cost2: cost, Stats: stats}, nil
+	return Result{Set: curSet, Cost: curCost, Cost2: cost.kind, Stats: stats}, nil
 }

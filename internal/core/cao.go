@@ -17,7 +17,7 @@ func (s *search) caoAppro1(q Query, cost CostKind) (Result, error) {
 	start := time.Now()
 	algo := s.tr.Begin("cao_appro1")
 	var stats Stats
-	seed, c, _, err := s.nnSeed(q, cost, &stats)
+	seed, c, _, err := s.nnSeed(q, costFn{kind: cost}, &stats)
 	algo.End()
 	if err != nil {
 		return Result{}, err
@@ -44,7 +44,7 @@ func (s *search) caoAppro2(q Query, cost CostKind) (Result, error) {
 	algo := s.tr.Begin("cao_appro2")
 	var stats Stats
 	s.trackStats(&stats)
-	seed, curCost, _, err := s.nnSeed(q, cost, &stats)
+	seed, curCost, _, err := s.nnSeed(q, costFn{kind: cost}, &stats)
 	if err != nil {
 		algo.End()
 		return Result{}, err
@@ -139,7 +139,7 @@ type kwCand struct {
 type caoSearch struct {
 	run   *search
 	qi    *kwds.QueryIndex
-	cost  CostKind
+	cost  costFn
 	cands [][]kwCand
 	stats *Stats
 
@@ -174,7 +174,7 @@ func (cs *caoSearch) dfs(covered kwds.Mask, maxD, maxPair float64) {
 	cs.run.chargeNode(cs.stats)
 	if covered == cs.qi.Full() {
 		cs.stats.SetsEvaluated++
-		c := combine(cs.cost, maxD, maxPair)
+		c := cs.cost.combine(maxD, maxPair)
 		if cs.sh != nil {
 			if c < cs.bound() {
 				cs.sh.offer(cs.chosenIDs, c, cs.ord)
@@ -182,7 +182,7 @@ func (cs *caoSearch) dfs(covered kwds.Mask, maxD, maxPair float64) {
 		} else if c < cs.bestCost {
 			cs.bestCost = c
 			cs.bestSet = canonical(cs.chosenIDs)
-			cs.run.noteIncumbent(cs.bestSet, c, cs.cost)
+			cs.run.noteIncumbent(cs.bestSet, c, cs.cost.kind)
 		}
 		return
 	}
@@ -214,7 +214,7 @@ func (cs *caoSearch) dfs(covered kwds.Mask, maxD, maxPair float64) {
 				np = d
 			}
 		}
-		if combine(cs.cost, nd, np) >= cs.bound() {
+		if cs.cost.combine(nd, np) >= cs.bound() {
 			cs.stats.Prunes[trace.PrunePairBound]++
 			continue
 		}
@@ -303,7 +303,7 @@ func (s *search) caoExact(q Query, cost CostKind) (res Result, err error) {
 		curSet, curCost = s.caoSearchPar(qi, cost, cands, branch, curSet, curCost, &stats)
 	} else {
 		cs := &caoSearch{
-			run: s, qi: qi, cost: cost, cands: cands, stats: &stats,
+			run: s, qi: qi, cost: costFn{kind: cost}, cands: cands, stats: &stats,
 			chosen:    scratch.chosen[:0],
 			chosenIDs: scratch.chosenIDs[:0],
 			bestCost:  curCost,

@@ -335,7 +335,8 @@ type Ablation struct {
 	// the owner enumeration (owners are still skipped one by one).
 	NoIncumbentBreak bool
 	// NoPairPrune drops the combine(d(o,q), maxPair) ≥ best partial-set
-	// bound inside the cover enumeration.
+	// bound inside the cover search (bestWithOwner — so MinMax-Exact and
+	// top-k, which run the same search, widen with it).
 	NoPairPrune bool
 	// NoSumDominance drops the dominated-candidate filter of the Sum-cost
 	// exact search (an object is dominated when a distinct object is at

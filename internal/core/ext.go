@@ -3,9 +3,12 @@ package core
 // This file holds the extension cost functions beyond the paper's core
 // scope: Cao et al.'s Sum cost (greedy weighted set cover approximation
 // with ratio H_{|q.ψ|}, plus a pruned exact search) and the MinMax cost
-// (min owner distance + pairwise distance owner), solved with the same
-// distance owner-driven skeleton as MaxSum/Dia but with the owner being
-// the member *nearest* to the query.
+// (min owner distance + pairwise distance owner). MinMax is owner-driven
+// too, but its owner is the member *nearest* to the query, so the other
+// members are not the prefix of the ascending stream: its two loops walk
+// the relevant-NN iterator themselves instead of going through ownerEnum,
+// and the exact one hands each owner's disk to the shared cover search
+// (bestWithOwner, owner.go).
 
 import (
 	"math"
@@ -83,7 +86,7 @@ func (s *search) greedySum(q Query) (Result, error) {
 	qi := kwds.NewQueryIndex(q.Keywords)
 	algo := s.tr.Begin("greedy_sum")
 	var stats Stats
-	seed, seedCost, _, err := s.nnSeed(q, Sum, &stats)
+	seed, seedCost, _, err := s.nnSeed(q, costFn{kind: Sum}, &stats)
 	if err != nil {
 		algo.End()
 		return Result{}, err
@@ -264,7 +267,7 @@ func (s *search) minMaxExact(q Query) (res Result, err error) {
 	algo := s.tr.Begin("minmax_exact")
 	var stats Stats
 	s.trackStats(&stats)
-	seed, curCost, _, err := s.nnSeed(q, MinMax, &stats)
+	seed, curCost, _, err := s.nnSeed(q, costFn{kind: MinMax}, &stats)
 	if err != nil {
 		algo.End()
 		return Result{}, err
@@ -273,6 +276,13 @@ func (s *search) minMaxExact(q Query) (res Result, err error) {
 	s.noteIncumbent(curSet, curCost, MinMax)
 	stats.SetsEvaluated = 1
 
+	// The owner being the nearest member, each owner's pool is its own
+	// disk query, not a prefix of the ascending stream, so this loop walks
+	// the iterator itself; the per-owner step is the shared cover search
+	// under the MaxSum combiner, d(o,q) + maxPair, with the owner appended
+	// as the pool's last entry and left out of the bit index.
+	scratch := getOwnerScratch()
+	defer putOwnerScratch(scratch)
 	loop := s.tr.Begin("owner_loop")
 	searchStart := time.Now()
 	it := s.Tree.NewRelevantNNIterator(q.Loc, qi)
@@ -292,8 +302,7 @@ func (s *search) minMaxExact(q Query) (res Result, err error) {
 		// Candidates: relevant objects within C(o, curCost − d(o,q)) whose
 		// query distance is at least d(o,q) (o must stay the nearest).
 		ownerMask := qi.MaskOf(o.Keywords)
-		var pool []cand
-		bitCands := make([][]int32, qi.Size())
+		pool, bits := scratch.pool[:0], scratch.ensureBits(qi.Size())
 		s.Tree.RelevantInDisk(geo.Circle{C: o.Loc, R: curCost - do}, qi, func(x *dataset.Object, m kwds.Mask) bool {
 			if x.ID == o.ID || q.Loc.Dist(x.Loc) < do {
 				return true
@@ -305,15 +314,16 @@ func (s *search) minMaxExact(q Query) (res Result, err error) {
 			pool = append(pool, cand{o: x, d: q.Loc.Dist(x.Loc), mask: m})
 			for b := 0; b < qi.Size(); b++ {
 				if m&(1<<uint(b)) != 0 {
-					bitCands[b] = append(bitCands[b], idx)
+					bits[b] = append(bits[b], idx)
 				}
 			}
 			return true
 		})
 		stats.CandidatesSeen += len(pool)
+		pool = append(pool, cand{o: o, d: do, mask: ownerMask})
+		scratch.pool = pool
 
-		set, c := s.minMaxBestWithOwner(qi, o, do, ownerMask, pool, bitCands, curCost, &stats)
-		if set != nil && c < curCost {
+		if set, c := s.bestWithOwner(qi, costFn{kind: MaxSum}, pool, bits, curCost, scratch, &stats, nil); set != nil {
 			curSet, curCost = canonical(set), c
 			s.noteIncumbent(curSet, curCost, MinMax)
 			it.Limit(curCost)
@@ -333,77 +343,6 @@ func (s *search) minMaxExact(q Query) (res Result, err error) {
 	return Result{Set: curSet, Cost: curCost, Cost2: MinMax, Stats: stats}, nil
 }
 
-// minMaxBestWithOwner enumerates minimal covers of the owner's uncovered
-// keywords over pool with cost lower bound d(o,q) + maxPair(partial).
-func (s *search) minMaxBestWithOwner(qi *kwds.QueryIndex, owner *dataset.Object, do float64, ownerMask kwds.Mask, pool []cand, bitCands [][]int32, bound float64, stats *Stats) ([]dataset.ObjectID, float64) {
-	need := qi.Full() &^ ownerMask
-	if need == 0 {
-		stats.SetsEvaluated++
-		if do < bound {
-			return []dataset.ObjectID{owner.ID}, do
-		}
-		return nil, 0
-	}
-
-	var (
-		bestSet  []dataset.ObjectID
-		bestCost = bound
-		chosen   = make([]int32, 0, qi.Size())
-	)
-	var dfs func(covered kwds.Mask, maxPair float64)
-	dfs = func(covered kwds.Mask, maxPair float64) {
-		s.chargeNode(stats)
-		if covered == qi.Full() {
-			stats.SetsEvaluated++
-			if c := do + maxPair; c < bestCost {
-				bestCost = c
-				bestSet = bestSet[:0]
-				bestSet = append(bestSet, owner.ID)
-				for _, ci := range chosen {
-					bestSet = append(bestSet, pool[ci].o.ID)
-				}
-			}
-			return
-		}
-		branch, branchLen := -1, math.MaxInt32
-		for b := 0; b < qi.Size(); b++ {
-			if covered&(1<<uint(b)) != 0 {
-				continue
-			}
-			if n := len(bitCands[b]); n < branchLen {
-				branch, branchLen = b, n
-			}
-		}
-		for _, ci := range bitCands[branch] {
-			c := pool[ci]
-			if c.mask&^covered == 0 {
-				continue
-			}
-			np := maxPair
-			if d := c.o.Loc.Dist(owner.Loc); d > np {
-				np = d
-			}
-			for _, pi := range chosen {
-				if d := c.o.Loc.Dist(pool[pi].o.Loc); d > np {
-					np = d
-				}
-			}
-			if do+np >= bestCost {
-				continue
-			}
-			chosen = append(chosen, ci)
-			dfs(covered|c.mask, np)
-			chosen = chosen[:len(chosen)-1]
-		}
-	}
-	dfs(ownerMask, 0)
-
-	if bestSet == nil {
-		return nil, 0
-	}
-	return bestSet, bestCost
-}
-
 // minMaxAppro approximates the MinMax cost with ratio 2: for each
 // candidate nearest-member owner o (ascending query distance, bounded by
 // the best-known cost), cover the remaining keywords with the objects
@@ -414,7 +353,7 @@ func (s *search) minMaxAppro(q Query) (Result, error) {
 	algo := s.tr.Begin("minmax_appro")
 	var stats Stats
 	s.trackStats(&stats)
-	seed, curCost, _, err := s.nnSeed(q, MinMax, &stats)
+	seed, curCost, _, err := s.nnSeed(q, costFn{kind: MinMax}, &stats)
 	if err != nil {
 		algo.End()
 		return Result{}, err

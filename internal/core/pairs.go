@@ -31,7 +31,7 @@ func (s *search) pairsExact(q Query, cost CostKind) (res Result, err error) {
 	algo := s.tr.Begin("pairs_exact")
 	var stats Stats
 	s.trackStats(&stats)
-	seed, curCost, df, err := s.nnSeed(q, cost, &stats)
+	seed, curCost, df, err := s.nnSeed(q, costFn{kind: cost}, &stats)
 	if err != nil {
 		algo.End()
 		return Result{}, err

@@ -135,25 +135,25 @@ func (s *search) worker(sh *parShared) *search {
 }
 
 // ownerTask is one unit of worker work: the best feasible set owned by
-// pool[ownerIdx]. pool and bits are snapshots taken at enqueue time; the
-// producer only ever appends past their lengths (or reallocates, leaving
-// the snapshot's array untouched), so workers read them without
-// synchronization. bits must be a copied header slice — the producer
-// rewrites the outer bitCands elements on append, and a slice header is
+// the last entry of pool. pool and bits are snapshots taken at enqueue
+// time; the producer only ever appends past their lengths (or
+// reallocates, leaving the snapshot's array untouched), so workers read
+// them without synchronization. bits must be a copied header slice — the
+// producer rewrites the outer elements on append, and a slice header is
 // several words.
 type ownerTask struct {
-	ord      int
-	ownerIdx int32
-	dof      float64
-	pool     []cand
-	bits     [][]int32
+	ord  int
+	pool []cand
+	bits [][]int32
 }
 
 // ownerExactPar is the parallel form of ownerExact, dispatched when the
-// call resolved to more than one worker. The trace layout mirrors the serial one, with the
-// per-owner sub-search spans grouped under a concurrent "owner_workers"
-// group span.
-func (s *search) ownerExactPar(q Query, cost CostKind) (res Result, err error) {
+// call resolved to more than one worker. The producer is the same
+// enumerator the serial search loops over; its per-owner step enqueues
+// the sub-search instead of running it. The trace layout mirrors the
+// serial one, with the per-owner sub-search spans grouped under a
+// concurrent "owner_workers" group span.
+func (s *search) ownerExactPar(q Query, cost costFn) (res Result, err error) {
 	defer recoverBudget(&err)
 	start := time.Now()
 	workers := s.workers
@@ -173,7 +173,7 @@ func (s *search) ownerExactPar(q Query, cost CostKind) (res Result, err error) {
 	}
 
 	sh := newParShared(canonical(seed), seedCost)
-	s.noteIncumbent(sh.set, sh.cost, cost)
+	s.noteIncumbent(sh.set, sh.cost, cost.kind)
 	// A grouped batch's warm-start upper bound caps the pruning bound one
 	// ulp above it — the same tie-aware mechanism the workers use — while
 	// sh.cost/sh.set keep the seed as the answer fallback. It only ever
@@ -183,9 +183,11 @@ func (s *search) ownerExactPar(q Query, cost CostKind) (res Result, err error) {
 	if wb := s.warmBound; wb > 0 && wb < seedCost {
 		sh.warm = math.Nextafter(wb, math.Inf(1))
 	}
-	loop := s.tr.Begin("owner_loop")
+	// The workers' snapshots die at the join below, before the deferred
+	// release lets the backing arrays recirculate.
+	en := s.owners(q, qi, cost, df, true, &stats)
+	defer en.release()
 	grp := s.tr.BeginGroup("owner_workers")
-	searchStart := time.Now()
 
 	tasks := make(chan ownerTask, 2*workers)
 	workerStats := make([]Stats, workers)
@@ -202,91 +204,48 @@ func (s *search) ownerExactPar(q Query, cost CostKind) (res Result, err error) {
 	// (cancellation poll) is parked in sh instead of unwinding past the
 	// channel close — the workers must always see a closed channel, or
 	// they would block forever — and re-raised after the join.
-	scratch := getOwnerScratch()
-	pool, bitCands := scratch.pool[:0], scratch.ensureBits(qi.Size())
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
 				sh.fail(r)
 			}
 		}()
-		it := s.Tree.NewRelevantNNIterator(q.Loc, qi)
-		ord := 0
-		for !sh.failed.Load() {
-			fault.Hit(fault.OwnerEnum)
-			if !s.Ablation.NoIncumbentBreak {
-				it.Limit(sh.costLoad())
-			}
-			o, dof, ok := it.Next()
-			if !ok {
+		for ord := 0; !sh.failed.Load(); ord++ {
+			// The walk is limited by the incumbent's cost alone; owners
+			// are additionally cut by the warm bound (ownerEnum.next).
+			incumbent := sh.costLoad()
+			if !en.next(incumbent, math.Min(incumbent, sh.warm)) {
 				break
 			}
-			if dof >= sh.costLoad() || dof >= sh.warm {
-				stats.Prunes[trace.PruneIncumbentBreak]++
-				if !s.Ablation.NoIncumbentBreak {
-					break
-				}
-				stats.CandidatesSeen++
-				continue
-			}
-			mask := qi.MaskOf(o.Keywords)
-			idx := int32(len(pool))
-			pool = append(pool, cand{o: o, d: dof, mask: mask})
-			for b := 0; b < qi.Size(); b++ {
-				if mask&(1<<uint(b)) != 0 {
-					bitCands[b] = append(bitCands[b], idx)
-				}
-			}
-			stats.CandidatesSeen++
-			s.pollCancel(stats.CandidatesSeen)
-			if dof < df && !s.Ablation.NoOwnerRing {
-				stats.Prunes[trace.PruneOwnerRing]++
-				continue
-			}
-			stats.OwnersTried++
-			bits := make([][]int32, len(bitCands))
-			copy(bits, bitCands)
-			tasks <- ownerTask{ord: ord, ownerIdx: idx, dof: dof, pool: pool[:idx+1], bits: bits}
-			ord++
+			bits := make([][]int32, len(en.bits))
+			copy(bits, en.bits)
+			tasks <- ownerTask{ord: ord, pool: en.pool, bits: bits}
 		}
 	}()
 	close(tasks)
 	wg.Wait()
 	grp.End()
 
-	// Workers have joined: their pool/bits snapshots are dead, so the
-	// backing arrays may recirculate.
-	scratch.pool = pool
-	putOwnerScratch(scratch)
-
 	for w := range workerStats {
 		stats.merge(&workerStats[w])
 	}
-	stats.Phases.Search = time.Since(searchStart)
-	if loop != nil {
-		loop.Attr("candidates", float64(stats.CandidatesSeen))
-		loop.Attr("owners_tried", float64(stats.OwnersTried))
-		loop.Attr("nodes", float64(stats.NodesExpanded))
-		loop.Attr("sets_evaluated", float64(stats.SetsEvaluated))
-		loop.Attr("cost", sh.cost)
-	}
-	loop.End()
+	en.finish(sh.cost)
 	algo.End()
 	// Workers have joined, so sh holds the merged incumbent across every
 	// worker's discoveries; note it before re-raising a parked panic so a
 	// degrade (DESIGN.md §11) can return the best answer any worker found.
-	s.noteIncumbent(sh.set, sh.cost, cost)
+	s.noteIncumbent(sh.set, sh.cost, cost.kind)
 	if p := sh.firstPanic(); p != nil {
 		panic(p) // recoverBudget (deferred above) converts it into err
 	}
 	stats.Elapsed = time.Since(start)
-	return Result{Set: sh.set, Cost: sh.cost, Cost2: cost, Stats: stats}, nil
+	return Result{Set: sh.set, Cost: sh.cost, Cost2: cost.kind, Stats: stats}, nil
 }
 
 // ownerWorker consumes owner tasks until the channel closes. After a
 // failure it keeps draining so the producer never blocks on a full
 // channel.
-func (s *search) ownerWorker(qi *kwds.QueryIndex, cost CostKind, tasks <-chan ownerTask, grp *trace.Group, stats *Stats) {
+func (s *search) ownerWorker(qi *kwds.QueryIndex, cost costFn, tasks <-chan ownerTask, grp *trace.Group, stats *Stats) {
 	scratch := getOwnerScratch()
 	defer putOwnerScratch(scratch)
 	for t := range tasks {
@@ -299,7 +258,7 @@ func (s *search) ownerWorker(qi *kwds.QueryIndex, cost CostKind, tasks <-chan ow
 
 // runOwnerTask solves one owner sub-search, trapping budget/cancel
 // panics into the shared failure slot.
-func (s *search) runOwnerTask(qi *kwds.QueryIndex, cost CostKind, t ownerTask, grp *trace.Group, scratch *ownerScratch, stats *Stats) {
+func (s *search) runOwnerTask(qi *kwds.QueryIndex, cost costFn, t ownerTask, grp *trace.Group, scratch *ownerScratch, stats *Stats) {
 	sh := s.shared
 	defer func() {
 		if r := recover(); r != nil {
@@ -311,15 +270,16 @@ func (s *search) runOwnerTask(qi *kwds.QueryIndex, cost CostKind, t ownerTask, g
 	nodes0 := stats.NodesExpanded
 	// pruneBound leaves equal-cost sets findable; offer() then resolves
 	// the tie by index.
-	set, c := s.bestWithOwner(qi, cost, t.pool, t.bits, int(t.ownerIdx), sh.pruneBound(), scratch, stats)
+	set, c := s.bestWithOwner(qi, cost, t.pool, t.bits, sh.pruneBound(), scratch, stats, nil)
 	if set == nil {
 		sp.Drop()
 		return
 	}
 	sh.offer(set, c, t.ord)
 	if sp != nil {
-		sp.Attr("owner_id", float64(t.pool[t.ownerIdx].o.ID))
-		sp.Attr("d_owner", t.dof)
+		owner := t.pool[len(t.pool)-1]
+		sp.Attr("owner_id", float64(owner.o.ID))
+		sp.Attr("d_owner", owner.d)
 		sp.Attr("ord", float64(t.ord))
 		sp.Attr("nodes", float64(stats.NodesExpanded-nodes0))
 		sp.Attr("cost", c)
@@ -374,7 +334,7 @@ func (s *search) caoSearchPar(qi *kwds.QueryIndex, cost CostKind, cands [][]kwCa
 func (s *search) caoWorker(qi *kwds.QueryIndex, cost CostKind, cands [][]kwCand, branch int, tasks <-chan int, grp *trace.Group, stats *Stats) {
 	scratch := getCaoScratch()
 	defer putCaoScratch(scratch)
-	cs := &caoSearch{run: s, qi: qi, cost: cost, cands: cands, stats: stats, sh: s.shared}
+	cs := &caoSearch{run: s, qi: qi, cost: costFn{kind: cost}, cands: cands, stats: stats, sh: s.shared}
 	for j := range tasks {
 		if s.shared.failed.Load() {
 			continue
@@ -400,7 +360,7 @@ func (s *search) runCaoTask(cs *caoSearch, scratch *caoScratch, j, branch int, g
 		cs.stats.Prunes[trace.PruneDistanceBreak]++
 		return
 	}
-	if combine(cs.cost, kc.d, 0) >= bound {
+	if cs.cost.combine(kc.d, 0) >= bound {
 		cs.stats.Prunes[trace.PrunePairBound]++
 		return
 	}

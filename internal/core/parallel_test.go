@@ -35,39 +35,56 @@ func TestParallelMatchesSerial(t *testing.T) {
 		for i := range queries {
 			queries[i] = randQuery(rng, 25, 2+i%3)
 		}
+		// Every path that reaches the worker pool: the Solve matrix, plus
+		// cost_α, which runs the same ownerExact at default Parallelism.
+		type row struct {
+			name  string
+			solve func(*Engine, Query) (Result, error)
+		}
+		var rows []row
 		for _, cost := range []CostKind{MaxSum, Dia} {
 			for _, m := range []Method{OwnerExact, CaoExact} {
-				t.Run(fmt.Sprintf("seed%d/%v/%v", seed, cost, m), func(t *testing.T) {
-					for qi, q := range queries {
-						serial := *e
-						serial.Parallelism = 1
-						want, errS := serial.Solve(q, cost, m)
-						for _, workers := range []int{2, 4, 8} {
-							par := *e
-							par.Parallelism = workers
-							got, errP := par.Solve(q, cost, m)
-							if (errS == nil) != (errP == nil) {
-								t.Fatalf("q%d workers=%d: err = %v, serial err = %v", qi, workers, errP, errS)
+				rows = append(rows, row{fmt.Sprintf("%v/%v", cost, m), func(e *Engine, q Query) (Result, error) {
+					return e.Solve(q, cost, m)
+				}})
+			}
+		}
+		for _, alpha := range []float64{0.2, 0.8} {
+			rows = append(rows, row{fmt.Sprintf("alpha%v/%v", alpha, OwnerExact), func(e *Engine, q Query) (Result, error) {
+				return e.SolveAlpha(q, alpha, OwnerExact)
+			}})
+		}
+		for _, r := range rows {
+			t.Run(fmt.Sprintf("seed%d/%s", seed, r.name), func(t *testing.T) {
+				for qi, q := range queries {
+					serial := *e
+					serial.Parallelism = 1
+					want, errS := r.solve(&serial, q)
+					for _, workers := range []int{2, 4, 8} {
+						par := *e
+						par.Parallelism = workers
+						got, errP := r.solve(&par, q)
+						if (errS == nil) != (errP == nil) {
+							t.Fatalf("q%d workers=%d: err = %v, serial err = %v", qi, workers, errP, errS)
+						}
+						if errS != nil {
+							if !errors.Is(errP, errS) {
+								t.Fatalf("q%d workers=%d: err = %v, want %v", qi, workers, errP, errS)
 							}
-							if errS != nil {
-								if !errors.Is(errP, errS) {
-									t.Fatalf("q%d workers=%d: err = %v, want %v", qi, workers, errP, errS)
-								}
-								continue
-							}
-							if got.Cost != want.Cost {
-								t.Fatalf("q%d workers=%d: cost = %v, serial = %v", qi, workers, got.Cost, want.Cost)
-							}
-							if !equalIDs(got.Set, want.Set) {
-								t.Fatalf("q%d workers=%d: set = %v, serial = %v (cost %v)", qi, workers, got.Set, want.Set, got.Cost)
-							}
-							if got.Stats.Workers != workers {
-								t.Errorf("q%d workers=%d: Stats.Workers = %d", qi, workers, got.Stats.Workers)
-							}
+							continue
+						}
+						if got.Cost != want.Cost {
+							t.Fatalf("q%d workers=%d: cost = %v, serial = %v", qi, workers, got.Cost, want.Cost)
+						}
+						if !equalIDs(got.Set, want.Set) {
+							t.Fatalf("q%d workers=%d: set = %v, serial = %v (cost %v)", qi, workers, got.Set, want.Set, got.Cost)
+						}
+						if got.Stats.Workers != workers {
+							t.Errorf("q%d workers=%d: Stats.Workers = %d", qi, workers, got.Stats.Workers)
 						}
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
@@ -119,6 +136,11 @@ func TestParallelBudgetTrip(t *testing.T) {
 		par.NodeBudget = res.Stats.NodesExpanded / 2
 		if _, err := par.Solve(q, MaxSum, OwnerExact); !errors.Is(err, ErrBudgetExceeded) {
 			t.Errorf("workers=%d budget=%d: err = %v, want ErrBudgetExceeded", workers, par.NodeBudget, err)
+		}
+		// cost_α reaches the same pool through SolveAlpha (no degrade layer
+		// above it): the parked worker panic must surface there too.
+		if _, err := par.SolveAlpha(q, 0.5, OwnerExact); !errors.Is(err, ErrBudgetExceeded) {
+			t.Errorf("workers=%d budget=%d: SolveAlpha err = %v, want ErrBudgetExceeded", workers, par.NodeBudget, err)
 		}
 		par.NodeBudget = 1
 		for _, m := range []Method{OwnerExact, CaoExact} {

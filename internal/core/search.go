@@ -154,11 +154,11 @@ func (s *search) solveInner(q Query, cost CostKind, method Method) (res Result, 
 	case MaxSum, Dia:
 		switch method {
 		case OwnerExact:
-			return s.ownerExact(q, cost)
+			return s.ownerExact(q, costFn{kind: cost})
 		case PairsExact:
 			return s.pairsExact(q, cost)
 		case OwnerAppro:
-			return s.ownerAppro(q, cost)
+			return s.ownerAppro(q, costFn{kind: cost})
 		case CaoExact:
 			return s.caoExact(q, cost)
 		case CaoAppro1:
@@ -328,7 +328,7 @@ func (s *search) lookupNN(p geo.Point, kw kwds.ID) (dataset.ObjectID, float64, b
 // cost function, and d_f = max_{o∈N(q)} d(o,q). It returns ErrInfeasible
 // when some query keyword has no object. The phase is charged to
 // stats.Phases.Seed and recorded as an "nn_seed" span when tracing.
-func (s *search) nnSeed(q Query, cost CostKind, stats *Stats) (set []dataset.ObjectID, c, df float64, err error) {
+func (s *search) nnSeed(q Query, cost costFn, stats *Stats) (set []dataset.ObjectID, c, df float64, err error) {
 	sp := s.tr.Begin("nn_seed")
 	t0 := time.Now()
 	ids := make([]dataset.ObjectID, 0, len(q.Keywords))
@@ -353,7 +353,7 @@ func (s *search) nnSeed(q Query, cost CostKind, stats *Stats) (set []dataset.Obj
 			ids = append(ids, id)
 		}
 	}
-	c = s.EvalCost(cost, q.Loc, ids)
+	c = s.evalCost(cost, q, ids)
 	stats.Phases.Seed += time.Since(t0)
 	if sp != nil {
 		sp.Attr("seed_size", float64(len(ids)))

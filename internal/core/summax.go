@@ -145,14 +145,15 @@ func (s *search) sumMaxExact(q Query) (res Result, err error) {
 	return Result{Set: curSet, Cost: curCost, Cost2: SumMax, Stats: stats}, nil
 }
 
-// sumMaxAppro is the owner-driven H_{|q.ψ|}-approximation for SumMax.
+// sumMaxAppro is the owner-driven H_{|q.ψ|}-approximation for SumMax. The
+// enumerator's break holds as it stands: cost(S) ≥ Σ d ≥ d(owner, q).
 func (s *search) sumMaxAppro(q Query) (Result, error) {
 	start := time.Now()
-	qi := kwds.NewQueryIndex(q.Keywords)
+	qi, cost := kwds.NewQueryIndex(q.Keywords), costFn{kind: SumMax}
 	algo := s.tr.Begin("summax_appro")
 	var stats Stats
 	s.trackStats(&stats)
-	seed, curCost, df, err := s.nnSeed(q, SumMax, &stats)
+	seed, curCost, df, err := s.nnSeed(q, cost, &stats)
 	if err != nil {
 		algo.End()
 		return Result{}, err
@@ -161,42 +162,22 @@ func (s *search) sumMaxAppro(q Query) (Result, error) {
 	s.noteIncumbent(curSet, curCost, SumMax)
 	stats.SetsEvaluated = 1
 
-	var pool []cand
 	set := make([]dataset.ObjectID, 0, qi.Size()+1)
 
-	loop := s.tr.Begin("owner_loop")
-	searchStart := time.Now()
-	it := s.Tree.NewRelevantNNIterator(q.Loc, qi)
-	it.Limit(curCost)
-	for {
-		o, dof, ok := it.Next()
-		if !ok {
-			break
-		}
-		if dof >= curCost {
-			stats.Prunes[trace.PruneIncumbentBreak]++
-			break // cost(S) ≥ Σ d ≥ d(owner, q)
-		}
-		ownerMask := qi.MaskOf(o.Keywords)
-		pool = append(pool, cand{o: o, d: dof, mask: ownerMask})
-		stats.CandidatesSeen++
-		s.pollCancel(stats.CandidatesSeen)
-		if dof < df {
-			stats.Prunes[trace.PruneOwnerRing]++
-			continue
-		}
-		stats.OwnersTried++
-
+	en := s.owners(q, qi, cost, df, false, &stats)
+	defer en.release()
+	for en.next(curCost, curCost) {
 		// Weighted-set-cover greedy restricted to the owner's disk:
 		// repeatedly add the candidate minimizing d(c,q) / |new keywords|.
-		covered := ownerMask
-		set = append(set[:0], o.ID)
-		sum := dof
+		owner := en.owner()
+		covered := owner.mask
+		set = append(set[:0], owner.o.ID)
+		sum := owner.d
 		feasible := true
 		for covered != qi.Full() {
 			bestIdx, bestRatio := -1, math.Inf(1)
-			for i := range pool {
-				c := &pool[i]
+			for i := range en.pool {
+				c := &en.pool[i]
 				n := (c.mask &^ covered).Count()
 				if n == 0 {
 					continue
@@ -209,9 +190,9 @@ func (s *search) sumMaxAppro(q Query) (Result, error) {
 				feasible = false
 				break
 			}
-			covered |= pool[bestIdx].mask
-			set = append(set, pool[bestIdx].o.ID)
-			sum += pool[bestIdx].d
+			covered |= en.pool[bestIdx].mask
+			set = append(set, en.pool[bestIdx].o.ID)
+			sum += en.pool[bestIdx].d
 			if sum >= curCost {
 				stats.Prunes[trace.PruneSumBound]++
 				feasible = false // partial sum already exceeds the incumbent
@@ -225,17 +206,9 @@ func (s *search) sumMaxAppro(q Query) (Result, error) {
 		if c := s.EvalCost(SumMax, q.Loc, set); c < curCost {
 			curSet, curCost = canonical(set), c
 			s.noteIncumbent(curSet, curCost, SumMax)
-			it.Limit(curCost)
 		}
 	}
-	stats.Phases.Search = time.Since(searchStart)
-	if loop != nil {
-		loop.Attr("candidates", float64(stats.CandidatesSeen))
-		loop.Attr("owners_tried", float64(stats.OwnersTried))
-		loop.Attr("sets_evaluated", float64(stats.SetsEvaluated))
-		loop.Attr("cost", curCost)
-	}
-	loop.End()
+	en.finish(curCost)
 	algo.End()
 
 	stats.Elapsed = time.Since(start)

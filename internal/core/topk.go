@@ -1,12 +1,15 @@
 package core
 
 // Top-k CoSKQ (an extension following Cao et al., TODS 2015): return the
-// k cheapest feasible sets instead of only the best one. The owner-driven
-// search adapts directly — the incumbent-cost bound becomes the k-th best
-// cost — with one semantic refinement: the enumeration produces
-// irredundant sets (no member can be removed without losing coverage).
-// Under the max-composed costs a redundant superset never costs less than
-// its irredundant subset, so excluding them is the useful ranking.
+// k cheapest feasible sets instead of only the best one. It is the
+// owner-driven skeleton of owner.go with two things plugged in: the k-th
+// best cost wherever the single search has its incumbent cost (the ring,
+// the iterator limit, the partial-set bound), and the heap as the cover
+// search's leaf action. One semantic refinement: covers are ranked in
+// their irredundant form (no member can be removed without losing
+// coverage). Under the max-composed costs a redundant superset never
+// costs less than its irredundant subset, so excluding them is the useful
+// ranking.
 
 import (
 	"context"
@@ -18,19 +21,20 @@ import (
 
 	"coskq/internal/dataset"
 	"coskq/internal/kwds"
-	"coskq/internal/trace"
 )
 
 // topKHeap keeps the best k candidate sets found so far, deduplicated by
-// canonical membership.
+// canonical membership. It knows the query and the cost, so the cover
+// search can hand it raw covers (offerCover).
 type topKHeap struct {
 	k    int
 	sets []Result
 	seen map[string]bool
-}
 
-func newTopKHeap(k int) *topKHeap {
-	return &topKHeap{k: k, seen: make(map[string]bool)}
+	e    *Engine
+	q    Query
+	qi   *kwds.QueryIndex
+	cost CostKind
 }
 
 // bound returns the pruning threshold: the k-th best cost once k sets are
@@ -50,9 +54,11 @@ func setKey(ids []dataset.ObjectID) string {
 	return sb.String()
 }
 
-// offer inserts a candidate set (already canonical) if it ranks in the
-// top k and was not seen before.
-func (h *topKHeap) offer(set []dataset.ObjectID, cost float64, kind CostKind) {
+// offerCover ranks one feasible cover: its irredundant form, at that
+// form's cost, if it makes the top k and was not seen before.
+func (h *topKHeap) offerCover(cover []dataset.ObjectID) {
+	set := irredundant(h.e, h.qi, cover)
+	cost := h.e.EvalCost(h.cost, h.q.Loc, set)
 	key := setKey(set)
 	if h.seen[key] {
 		return
@@ -61,7 +67,7 @@ func (h *topKHeap) offer(set []dataset.ObjectID, cost float64, kind CostKind) {
 		return
 	}
 	h.seen[key] = true
-	h.sets = append(h.sets, Result{Set: set, Cost: cost, Cost2: kind})
+	h.sets = append(h.sets, Result{Set: set, Cost: cost, Cost2: h.cost})
 	sort.SliceStable(h.sets, func(i, j int) bool { return h.sets[i].Cost < h.sets[j].Cost })
 	if len(h.sets) > h.k {
 		evicted := h.sets[h.k]
@@ -140,66 +146,33 @@ func (s *search) topKInner(q Query, cost CostKind, k int) (res []Result, err err
 		return nil, nil
 	}
 	start := time.Now()
-	qi := kwds.NewQueryIndex(q.Keywords)
+	qi, fn := kwds.NewQueryIndex(q.Keywords), costFn{kind: cost}
 	algo := s.tr.Begin("topk")
 	var stats Stats
 	s.trackStats(&stats)
-	seed, seedCost, df, err := s.nnSeed(q, cost, &stats)
+	seed, _, df, err := s.nnSeed(q, fn, &stats)
 	if err != nil {
 		algo.End()
 		return nil, err
 	}
 	stats.SetsEvaluated = 1
 
-	_ = seedCost // the irredundant form may be cheaper; recompute below
-	top := newTopKHeap(k)
+	// The seed enters in its irredundant form, which may be cheaper than
+	// N(q) itself.
+	top := &topKHeap{k: k, seen: make(map[string]bool), e: s.Engine, q: q, qi: qi, cost: cost}
 	s.trackTopK(top)
 	verifySp := s.tr.Begin("verify")
-	seedSet := irredundant(s.Engine, qi, canonical(seed))
-	top.offer(seedSet, s.EvalCost(cost, q.Loc, seedSet), cost)
+	top.offerCover(seed)
 	verifySp.End()
 
-	var pool []cand
-	bitCands := make([][]int32, qi.Size())
-
-	loop := s.tr.Begin("owner_loop")
-	searchStart := time.Now()
-	it := s.Tree.NewRelevantNNIterator(q.Loc, qi)
-	for {
-		it.Limit(top.bound())
-		o, dof, ok := it.Next()
-		if !ok {
-			break
-		}
-		if dof >= top.bound() {
-			stats.Prunes[trace.PruneIncumbentBreak]++
-			break // every further set costs at least d(owner, q)
-		}
-		mask := qi.MaskOf(o.Keywords)
-		idx := int32(len(pool))
-		pool = append(pool, cand{o: o, d: dof, mask: mask})
-		for b := 0; b < qi.Size(); b++ {
-			if mask&(1<<uint(b)) != 0 {
-				bitCands[b] = append(bitCands[b], idx)
-			}
-		}
-		stats.CandidatesSeen++
-		s.pollCancel(stats.CandidatesSeen)
-		if dof < df {
-			stats.Prunes[trace.PruneOwnerRing]++
-			continue
-		}
-		stats.OwnersTried++
-		s.allSetsWithOwner(q, qi, cost, pool, bitCands, int(idx), top, &stats)
+	// The ring and every pruning bound are the k-th best cost; the
+	// per-owner step is the cover search with the heap as its leaf action.
+	en := s.owners(q, qi, fn, df, false, &stats)
+	defer en.release()
+	for en.next(top.bound(), top.bound()) {
+		s.bestWithOwner(qi, fn, en.pool, en.bits, top.bound(), en.scratch, &stats, top)
 	}
-	stats.Phases.Search = time.Since(searchStart)
-	if loop != nil {
-		loop.Attr("candidates", float64(stats.CandidatesSeen))
-		loop.Attr("owners_tried", float64(stats.OwnersTried))
-		loop.Attr("nodes", float64(stats.NodesExpanded))
-		loop.Attr("sets_evaluated", float64(stats.SetsEvaluated))
-	}
-	loop.End()
+	en.finish(top.sets[0].Cost)
 	algo.End()
 	s.tr.AddPrunes(stats.Prunes)
 
@@ -231,72 +204,4 @@ func irredundant(e *Engine, qi *kwds.QueryIndex, set []dataset.ObjectID) []datas
 		}
 	}
 	return out
-}
-
-// allSetsWithOwner enumerates the irredundant covers owned by
-// pool[ownerIdx] and offers each to the top-k heap, pruning partial sets
-// against the heap's current bound.
-func (s *search) allSetsWithOwner(q Query, qi *kwds.QueryIndex, cost CostKind, pool []cand, bitCands [][]int32, ownerIdx int, top *topKHeap, stats *Stats) {
-	owner := pool[ownerIdx]
-	dof := owner.d
-
-	if combine(cost, dof, 0) >= top.bound() {
-		stats.Prunes[trace.PruneOwnerBound]++
-		return
-	}
-	if qi.Full()&^owner.mask == 0 {
-		stats.SetsEvaluated++
-		top.offer([]dataset.ObjectID{owner.o.ID}, combine(cost, dof, 0), cost)
-		return
-	}
-
-	chosen := make([]int32, 0, qi.Size())
-	var dfs func(covered kwds.Mask, maxPair float64)
-	dfs = func(covered kwds.Mask, maxPair float64) {
-		s.chargeNode(stats)
-		if covered == qi.Full() {
-			set := make([]dataset.ObjectID, 0, len(chosen)+1)
-			set = append(set, owner.o.ID)
-			for _, ci := range chosen {
-				set = append(set, pool[ci].o.ID)
-			}
-			set = irredundant(s.Engine, qi, canonical(set))
-			stats.SetsEvaluated++
-			top.offer(set, s.EvalCost(cost, q.Loc, set), cost)
-			return
-		}
-		branchBit, branchLen := -1, math.MaxInt32
-		for b := 0; b < qi.Size(); b++ {
-			if covered&(1<<uint(b)) != 0 {
-				continue
-			}
-			if n := len(bitCands[b]); n < branchLen {
-				branchBit, branchLen = b, n
-			}
-		}
-		for _, ci := range bitCands[branchBit] {
-			c := pool[ci]
-			if c.mask&^covered == 0 {
-				stats.Prunes[trace.PruneNoNewKeyword]++
-				continue
-			}
-			np := maxPair
-			if d := c.o.Loc.Dist(owner.o.Loc); d > np {
-				np = d
-			}
-			for _, pi := range chosen {
-				if d := c.o.Loc.Dist(pool[pi].o.Loc); d > np {
-					np = d
-				}
-			}
-			if combine(cost, dof, np) >= top.bound() {
-				stats.Prunes[trace.PrunePairBound]++
-				continue
-			}
-			chosen = append(chosen, ci)
-			dfs(covered|c.mask, np)
-			chosen = chosen[:len(chosen)-1]
-		}
-	}
-	dfs(owner.mask, 0)
 }

@@ -229,31 +229,6 @@ func (c Circle) BoundingRect() Rect {
 	return Rect{MinX: c.C.X - c.R, MinY: c.C.Y - c.R, MaxX: c.C.X + c.R, MaxY: c.C.Y + c.R}
 }
 
-// Ring is the set of points p with RMin <= d(C, p) <= RMax. The CoSKQ
-// algorithms iterate candidate distance owners inside a ring around the
-// query location.
-type Ring struct {
-	C          Point
-	RMin, RMax float64
-}
-
-// ContainsPoint reports whether p lies inside the ring (both boundaries
-// inclusive).
-func (g Ring) ContainsPoint(p Point) bool {
-	d := g.C.Dist(p)
-	return d >= g.RMin && d <= g.RMax
-}
-
-// IntersectsRect reports whether the ring and the rectangle share at least
-// one point: the rectangle must reach inward past RMin and its nearest
-// point must be within RMax.
-func (g Ring) IntersectsRect(r Rect) bool {
-	if r.IsEmpty() {
-		return false
-	}
-	return r.MinDist(g.C) <= g.RMax && r.MaxDist(g.C) >= g.RMin
-}
-
 // Lens reports whether p lies in the intersection region
 // C(a, r) ∩ C(b, r): the "lens" the exact algorithms enumerate after fixing
 // the pairwise distance owners a and b with d(a, b) = r.

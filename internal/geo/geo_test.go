@@ -292,49 +292,6 @@ func TestCircleRectConsistencyProperty(t *testing.T) {
 	}
 }
 
-func TestRing(t *testing.T) {
-	g := Ring{C: Point{0, 0}, RMin: 2, RMax: 5}
-	if g.ContainsPoint(Point{1, 0}) {
-		t.Error("point inside inner hole should be excluded")
-	}
-	if !g.ContainsPoint(Point{3, 0}) || !g.ContainsPoint(Point{2, 0}) || !g.ContainsPoint(Point{5, 0}) {
-		t.Error("ring boundaries are inclusive")
-	}
-	if g.ContainsPoint(Point{6, 0}) {
-		t.Error("point beyond RMax should be excluded")
-	}
-	if !g.IntersectsRect(Rect{3, -1, 4, 1}) {
-		t.Error("rect straddling the ring should intersect")
-	}
-	if g.IntersectsRect(Rect{-0.5, -0.5, 0.5, 0.5}) {
-		t.Error("rect fully inside the hole should not intersect")
-	}
-	if g.IntersectsRect(Rect{10, 10, 11, 11}) {
-		t.Error("distant rect should not intersect")
-	}
-	if g.IntersectsRect(EmptyRect()) {
-		t.Error("empty rect intersects nothing")
-	}
-}
-
-// Ring.IntersectsRect must never report false for a rect that contains a
-// ring point (it is a conservative filter, so false positives are fine but
-// false negatives are bugs).
-func TestRingNoFalseNegativesProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for i := 0; i < 500; i++ {
-		rmin := rng.Float64() * 20
-		g := Ring{C: Point{rng.Float64() * 100, rng.Float64() * 100}, RMin: rmin, RMax: rmin + rng.Float64()*30}
-		r := randRect(rng)
-		for j := 0; j < 10; j++ {
-			p := Point{r.MinX + rng.Float64()*r.Width(), r.MinY + rng.Float64()*r.Height()}
-			if g.ContainsPoint(p) && !g.IntersectsRect(r) {
-				t.Fatalf("ring %+v contains %v inside rect %v but IntersectsRect is false", g, p, r)
-			}
-		}
-	}
-}
-
 func TestLens(t *testing.T) {
 	a, b := Point{0, 0}, Point{4, 0}
 	r := 4.0

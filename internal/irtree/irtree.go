@@ -4,10 +4,9 @@
 // primitives the CoSKQ algorithms are built from:
 //
 //   - keyword nearest neighbor NN(p, t): the object nearest to p whose
-//     keyword set contains t, optionally restricted to a disk;
-//   - the nearest neighbor set N(q) = { NN(q, t) : t ∈ q.ψ };
-//   - relevant-object retrieval inside a disk or ring (objects sharing at
-//     least one keyword with the query);
+//     keyword set contains t;
+//   - relevant-object retrieval inside a disk (objects sharing at least
+//     one keyword with the query);
 //   - an incremental iterator over relevant objects in ascending distance,
 //     used to enumerate candidate distance owners.
 //
@@ -92,9 +91,6 @@ func (t *Tree) Len() int { return t.rt.Len() }
 // Height returns the tree height.
 func (t *Tree) Height() int { return t.rt.Height() }
 
-// NodeKeywords exposes a node's keyword union (read-only), for tests.
-func (t *Tree) NodeKeywords(nodeID int) kwds.Set { return t.nodeKw[nodeID] }
-
 // Root exposes the underlying root node, for tests.
 func (t *Tree) Root() *rtree.Node { return t.rt.Root() }
 
@@ -117,23 +113,9 @@ type nnHeapItem struct {
 }
 
 // NN returns the object nearest to p containing keyword kw, with its
-// distance from p; ok is false when no object contains kw.
+// distance from p; ok is false when no object contains kw. It is a
+// best-first search over the nodes whose keyword union contains kw.
 func (t *Tree) NN(p geo.Point, kw kwds.ID) (dataset.ObjectID, float64, bool) {
-	return t.nnConstrained(p, kw, geo.Circle{R: -1})
-}
-
-// NNInDisk returns the object nearest to p containing keyword kw among
-// objects located inside disk; ok is false when no such object exists.
-// This is the primitive the approximation algorithms use to cover each
-// uncovered keyword near a candidate distance owner without leaving the
-// owner's disk.
-func (t *Tree) NNInDisk(p geo.Point, kw kwds.ID, disk geo.Circle) (dataset.ObjectID, float64, bool) {
-	return t.nnConstrained(p, kw, disk)
-}
-
-// nnConstrained runs the best-first keyword NN search. A negative disk
-// radius disables the spatial constraint.
-func (t *Tree) nnConstrained(p geo.Point, kw kwds.ID, disk geo.Circle) (dataset.ObjectID, float64, bool) {
 	h := pqueue.New[nnHeapItem](64)
 	root := t.rt.Root()
 	if t.nodeKw[root.NodeID].Contains(kw) {
@@ -151,18 +133,12 @@ func (t *Tree) nnConstrained(p geo.Point, kw kwds.ID, disk geo.Circle) (dataset.
 				if !o.Keywords.Contains(kw) {
 					continue
 				}
-				if disk.R >= 0 && !disk.ContainsPoint(o.Loc) {
-					continue
-				}
 				h.Push(nnHeapItem{obj: o.ID}, p.Dist(o.Loc))
 			}
 			continue
 		}
 		for _, c := range n.Children {
 			if !t.nodeKw[c.NodeID].Contains(kw) {
-				continue
-			}
-			if disk.R >= 0 && !disk.IntersectsRect(c.Rect) {
 				continue
 			}
 			h.Push(nnHeapItem{node: c}, c.Rect.MinDist(p))
@@ -219,25 +195,6 @@ func (t *Tree) NN2(p geo.Point, kw kwds.ID) (id dataset.ObjectID, d1, d2 float64
 	return 0, 0, 0, false
 }
 
-// NNSet computes the paper's nearest neighbor set N(q): one nearest object
-// per query keyword (duplicates collapse). ok is false when some query
-// keyword appears in no object, i.e. the query is infeasible.
-func (t *Tree) NNSet(p geo.Point, query kwds.Set) ([]dataset.ObjectID, bool) {
-	seen := make(map[dataset.ObjectID]bool, len(query))
-	out := make([]dataset.ObjectID, 0, len(query))
-	for _, kw := range query {
-		id, _, ok := t.NN(p, kw)
-		if !ok {
-			return nil, false
-		}
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	return out, true
-}
-
 // RelevantInDisk invokes fn for each relevant object (one sharing at least
 // one query keyword) located inside the disk, passing its coverage mask.
 // Returning false from fn stops the search. Order is unspecified.
@@ -267,40 +224,6 @@ func (t *Tree) relevantInDisk(n *rtree.Node, disk geo.Circle, qi *kwds.QueryInde
 	}
 	for _, c := range n.Children {
 		if !t.relevantInDisk(c, disk, qi, fn) {
-			return false
-		}
-	}
-	return true
-}
-
-// RelevantInRing invokes fn for each relevant object inside the ring.
-// Returning false from fn stops the search. Order is unspecified.
-func (t *Tree) RelevantInRing(ring geo.Ring, qi *kwds.QueryIndex, fn func(*dataset.Object, kwds.Mask) bool) {
-	t.relevantInRing(t.rt.Root(), ring, qi, fn)
-}
-
-func (t *Tree) relevantInRing(n *rtree.Node, ring geo.Ring, qi *kwds.QueryIndex, fn func(*dataset.Object, kwds.Mask) bool) bool {
-	if !ring.IntersectsRect(n.Rect) || !containsAny(t.nodeKw[n.NodeID], qi.Keywords()) {
-		return true
-	}
-	if n.Leaf {
-		for _, e := range n.Entries {
-			o := t.ds.Object(dataset.ObjectID(e.ID))
-			if !ring.ContainsPoint(o.Loc) {
-				continue
-			}
-			m := qi.MaskOf(o.Keywords)
-			if m == 0 {
-				continue
-			}
-			if !fn(o, m) {
-				return false
-			}
-		}
-		return true
-	}
-	for _, c := range n.Children {
-		if !t.relevantInRing(c, ring, qi, fn) {
 			return false
 		}
 	}
@@ -376,13 +299,14 @@ func (it *RelevantNNIterator) Next() (*dataset.Object, float64, bool) {
 			continue
 		}
 		for _, c := range n.Children {
-			if c.Rect.MinDist(it.p) >= it.limit {
+			d := c.Rect.MinDist(it.p)
+			if d >= it.limit {
 				continue
 			}
 			if !containsAny(it.t.nodeKw[c.NodeID], it.qi.Keywords()) {
 				continue
 			}
-			it.h.Push(nnHeapItem{node: c}, c.Rect.MinDist(it.p))
+			it.h.Push(nnHeapItem{node: c}, d)
 		}
 	}
 	return nil, 0, false

@@ -34,14 +34,11 @@ func word(i int) string {
 }
 
 // bruteNN is the linear-scan oracle for keyword NN.
-func bruteNN(ds *dataset.Dataset, p geo.Point, kw kwds.ID, disk *geo.Circle) (dataset.ObjectID, float64, bool) {
+func bruteNN(ds *dataset.Dataset, p geo.Point, kw kwds.ID) (dataset.ObjectID, float64, bool) {
 	best, bestD, found := dataset.ObjectID(0), math.Inf(1), false
 	for i := range ds.Objects {
 		o := &ds.Objects[i]
 		if !o.Keywords.Contains(kw) {
-			continue
-		}
-		if disk != nil && !disk.ContainsPoint(o.Loc) {
 			continue
 		}
 		if d := p.Dist(o.Loc); d < bestD {
@@ -59,7 +56,7 @@ func TestBuildAnnotations(t *testing.T) {
 		t.Fatalf("Len = %d", tr.Len())
 	}
 	// Root keyword union must cover every object's keywords.
-	rootKw := tr.NodeKeywords(tr.Root().NodeID)
+	rootKw := tr.nodeKw[tr.Root().NodeID]
 	for i := range ds.Objects {
 		if !rootKw.Covers(ds.Objects[i].Keywords) {
 			t.Fatalf("root union misses keywords of object %d", i)
@@ -76,12 +73,12 @@ func TestBuildAnnotations(t *testing.T) {
 			}
 		} else {
 			for _, c := range n.Children {
-				parts = parts.Union(tr.NodeKeywords(c.NodeID))
+				parts = parts.Union(tr.nodeKw[c.NodeID])
 				rec(c)
 			}
 		}
-		if !tr.NodeKeywords(n.NodeID).Equal(parts) {
-			t.Fatalf("node %d union %v != recomputed %v", n.NodeID, tr.NodeKeywords(n.NodeID), parts)
+		if !tr.nodeKw[n.NodeID].Equal(parts) {
+			t.Fatalf("node %d union %v != recomputed %v", n.NodeID, tr.nodeKw[n.NodeID], parts)
 		}
 	}
 	rec(tr.Root())
@@ -94,7 +91,7 @@ func TestNNMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		p := geo.Point{X: rng.Float64() * 1100, Y: rng.Float64() * 1100}
 		kw := kwds.ID(rng.Intn(40))
-		wantID, wantD, wantOK := bruteNN(ds, p, kw, nil)
+		wantID, wantD, wantOK := bruteNN(ds, p, kw)
 		gotID, gotD, gotOK := tr.NN(p, kw)
 		if gotOK != wantOK {
 			t.Fatalf("NN ok mismatch for kw %d", kw)
@@ -114,63 +111,6 @@ func TestNNMissingKeyword(t *testing.T) {
 	tr := Build(ds, 8)
 	if _, _, ok := tr.NN(geo.Point{}, kwds.ID(999)); ok {
 		t.Fatal("NN of absent keyword should report !ok")
-	}
-}
-
-func TestNNInDiskMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	ds := genDataset(rng, 2000, 30, 5)
-	tr := Build(ds, 16)
-	for trial := 0; trial < 200; trial++ {
-		p := geo.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
-		center := geo.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
-		disk := geo.Circle{C: center, R: rng.Float64() * 300}
-		kw := kwds.ID(rng.Intn(30))
-		wantID, wantD, wantOK := bruteNN(ds, p, kw, &disk)
-		gotID, gotD, gotOK := tr.NNInDisk(p, kw, disk)
-		if gotOK != wantOK {
-			t.Fatalf("NNInDisk ok = %v, want %v", gotOK, wantOK)
-		}
-		if wantOK && math.Abs(gotD-wantD) > 1e-9 {
-			t.Fatalf("NNInDisk dist %v, want %v (ids %d vs %d)", gotD, wantD, gotID, wantID)
-		}
-	}
-}
-
-func TestNNSet(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	ds := genDataset(rng, 1000, 25, 4)
-	tr := Build(ds, 16)
-	p := geo.Point{X: 500, Y: 500}
-	query := kwds.NewSet(0, 3, 7, 12)
-	got, ok := tr.NNSet(p, query)
-	if !ok {
-		t.Fatal("NNSet should succeed on present keywords")
-	}
-	// The union of the result must cover the query and each member must be
-	// the true NN of at least one keyword.
-	var union kwds.Set
-	for _, id := range got {
-		union = union.Union(ds.Object(id).Keywords)
-	}
-	if !union.Covers(query) {
-		t.Fatal("NNSet result does not cover the query")
-	}
-	for _, kw := range query {
-		wantID, wantD, _ := bruteNN(ds, p, kw, nil)
-		found := false
-		for _, id := range got {
-			if ds.Object(id).Keywords.Contains(kw) && math.Abs(p.Dist(ds.Object(id).Loc)-wantD) < 1e-9 {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("keyword %d not covered at NN distance (brute NN %d at %v)", kw, wantID, wantD)
-		}
-	}
-	// Infeasible query.
-	if _, ok := tr.NNSet(p, kwds.NewSet(0, 999)); ok {
-		t.Fatal("NNSet with absent keyword should fail")
 	}
 }
 
@@ -204,37 +144,6 @@ func TestRelevantInDiskMatchesScan(t *testing.T) {
 			if got[id] != m {
 				t.Fatalf("trial %d: object %d mask %b, want %b", trial, id, got[id], m)
 			}
-		}
-	}
-}
-
-func TestRelevantInRingMatchesScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	ds := genDataset(rng, 3000, 50, 5)
-	tr := Build(ds, 16)
-	for trial := 0; trial < 50; trial++ {
-		query := kwds.NewSet(kwds.ID(rng.Intn(50)), kwds.ID(rng.Intn(50)))
-		qi := kwds.NewQueryIndex(query)
-		rmin := rng.Float64() * 200
-		ring := geo.Ring{C: geo.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}, RMin: rmin, RMax: rmin + rng.Float64()*200}
-
-		want := 0
-		for i := range ds.Objects {
-			o := &ds.Objects[i]
-			if ring.ContainsPoint(o.Loc) && qi.MaskOf(o.Keywords) != 0 {
-				want++
-			}
-		}
-		got := 0
-		tr.RelevantInRing(ring, qi, func(o *dataset.Object, m kwds.Mask) bool {
-			if !ring.ContainsPoint(o.Loc) {
-				t.Fatal("object outside ring delivered")
-			}
-			got++
-			return true
-		})
-		if got != want {
-			t.Fatalf("trial %d: got %d, want %d", trial, got, want)
 		}
 	}
 }
@@ -342,7 +251,7 @@ func TestTreeStats(t *testing.T) {
 	}
 	// Root union alone contributes its length; totals must be at least
 	// the root's and at most nodes × vocab.
-	root := len(tr.NodeKeywords(tr.Root().NodeID))
+	root := len(tr.nodeKw[tr.Root().NodeID])
 	if s.KeywordUnions < root || s.KeywordUnions > s.Nodes*30 {
 		t.Fatalf("KeywordUnions = %d (root %d, nodes %d)", s.KeywordUnions, root, s.Nodes)
 	}
