@@ -36,37 +36,100 @@ func TestLintCleanOnRepo(t *testing.T) {
 	}
 }
 
-// TestLintCatchesViolation verifies the tool actually fires: a module
-// with a package whose import path ends in "server" that logs through
-// the legacy log package must fail vet with a slogonly diagnostic.
+// TestLintCatchesViolation verifies the tool actually fires through the
+// real go vet -vettool binary: a package whose import path ends in
+// "server" that logs through the legacy log package must fail vet with a
+// slogonly diagnostic, and each row of the acquire/release checker
+// (spanend, poolscratch, epochpin) must report its own seeded leak under
+// its own message while a justified //coskq:nolint(epochpin) silences
+// the one pin it covers.
 func TestLintCatchesViolation(t *testing.T) {
 	bin, _ := buildLint(t)
-	mod := t.TempDir()
-	write := func(rel, src string) {
-		t.Helper()
-		path := filepath.Join(mod, rel)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("go.mod", "module smoketest\n\ngo 1.22\n")
-	write("server/server.go", `package server
+	run := writeModule(t, bin, map[string]string{
+		"go.mod": "module smoketest\n\ngo 1.22\n",
+		"server/server.go": `package server
 
 import "log"
 
 func Warn(msg string) { log.Println(msg) }
-`)
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	cmd.Dir = mod
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet passed over a package that logs via the legacy log package; want a slogonly failure\n%s", out)
+`,
+		"trace/trace.go": `package trace
+
+type Trace struct{}
+
+type Span struct{}
+
+func (t *Trace) Begin(name string) *Span { return &Span{} }
+
+func (s *Span) End() {}
+`,
+		"engine/engine.go": `package engine
+
+import (
+	"sync"
+
+	"smoketest/trace"
+)
+
+type Generation struct{ Objects int }
+
+func (g *Generation) Unpin() {}
+
+type Store struct{ cur *Generation }
+
+func (s *Store) Pin() *Generation { return s.cur }
+
+var scratchPool = sync.Pool{New: func() interface{} { return new([]int) }}
+
+func leakySpan(tr *trace.Trace, fail bool) {
+	sp := tr.Begin("phase")
+	if fail {
+		return
 	}
-	if !strings.Contains(string(out), "log/slog") {
-		t.Fatalf("vet failed but without the slogonly diagnostic:\n%s", out)
+	sp.End()
+}
+
+func leakyScratch(fail bool) {
+	buf := scratchPool.Get().(*[]int)
+	if fail {
+		return
+	}
+	scratchPool.Put(buf)
+}
+
+func leakyPin(st *Store, fail bool) int {
+	gen := st.Pin()
+	if fail {
+		return 0
+	}
+	n := gen.Objects
+	gen.Unpin()
+	return n
+}
+
+func heldPin(st *Store) int {
+	//coskq:nolint(epochpin) process-lifetime pin, released by OS teardown
+	held := st.Pin()
+	return held.Objects
+}
+`,
+	})
+	out, err := run()
+	if err == nil {
+		t.Fatalf("go vet passed over the seeded violations\n%s", out)
+	}
+	for _, want := range []string{
+		"log/slog", // slogonly
+		"span sp is not closed on all paths",
+		"pooled object buf is not returned to the pool on all paths",
+		"pinned generation gen is not unpinned on all paths",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("vet output lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "pinned generation held") {
+		t.Errorf("a justified //coskq:nolint(epochpin) must suppress the pin it covers:\n%s", out)
 	}
 }
 

@@ -39,7 +39,21 @@ import (
 // "testdata") and checks a's diagnostics against the // want comments.
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
-	if err := analysis.Validate([]*analysis.Analyzer{a}); err != nil {
+	run(t, dir, []*analysis.Analyzer{a}, false, pkgs)
+}
+
+// RunSuite checks the diagnostics of several analyzers over the same
+// fixture packages at once. Each message is matched as "name: message",
+// so a want can pin which analyzer reports (// want "spanend: span sp")
+// and a fixture written for one analyzer also proves the others silent.
+func RunSuite(t *testing.T, dir string, suite []*analysis.Analyzer, pkgs ...string) {
+	t.Helper()
+	run(t, dir, suite, true, pkgs)
+}
+
+func run(t *testing.T, dir string, suite []*analysis.Analyzer, named bool, pkgs []string) {
+	t.Helper()
+	if err := analysis.Validate(suite); err != nil {
 		t.Fatalf("invalid analyzer: %v", err)
 	}
 	abs, err := filepath.Abs(dir)
@@ -57,11 +71,20 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgs ...string) {
 		if err != nil {
 			t.Fatalf("loading fixture package %q: %v", path, err)
 		}
-		diags, err := runGraph(l, p, a)
-		if err != nil {
-			t.Fatalf("running %s on %q: %v", a.Name, path, err)
+		var all []analysis.Diagnostic
+		for _, a := range suite {
+			diags, err := runGraph(l, p, a)
+			if err != nil {
+				t.Fatalf("running %s on %q: %v", a.Name, path, err)
+			}
+			for _, d := range diags {
+				if named {
+					d.Message = a.Name + ": " + d.Message
+				}
+				all = append(all, d)
+			}
 		}
-		checkWants(t, l.fset, p, diags)
+		checkWants(t, l.fset, p, all)
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package coskqlint assembles the repository's analyzer suite: the
-// eleven machine-checked safety invariants of the CoSKQ engine and its
-// distributed tier. cmd/coskq-lint exposes them as a go vet -vettool;
-// DESIGN.md ("Enforced invariants", first and second generation) maps
-// each analyzer to the contract it guards.
+// machine-checked safety invariants of the CoSKQ engine, its distributed
+// tier and its live index. cmd/coskq-lint exposes them as a go vet
+// -vettool; DESIGN.md maps each analyzer to the contract it guards (§9
+// the engine's, §9.1 the three acquire/release rows of package release,
+// §14 the distributed tier's).
 //
 // A diagnostic may be suppressed only with a justified
 // //coskq:nolint(analyzer) reason comment (see lintutil); a suppression
@@ -15,14 +16,12 @@ import (
 	"coskq/internal/analysis/budgetrecover"
 	"coskq/internal/analysis/ctxpoll"
 	"coskq/internal/analysis/detmaps"
-	"coskq/internal/analysis/epochpin"
 	"coskq/internal/analysis/errtyped"
 	"coskq/internal/analysis/geodist"
 	"coskq/internal/analysis/metriclabel"
-	"coskq/internal/analysis/poolscratch"
+	"coskq/internal/analysis/release"
 	"coskq/internal/analysis/rpcdeadline"
 	"coskq/internal/analysis/slogonly"
-	"coskq/internal/analysis/spanend"
 )
 
 // Analyzers returns the full suite in a stable order: the first
@@ -35,12 +34,12 @@ func Analyzers() []*analysis.Analyzer {
 		ctxpoll.Analyzer,
 		geodist.Analyzer,
 		slogonly.Analyzer,
-		spanend.Analyzer,
+		release.Spanend,
 		detmaps.Analyzer,
 		errtyped.Analyzer,
 		metriclabel.Analyzer,
-		poolscratch.Analyzer,
+		release.Poolscratch,
 		rpcdeadline.Analyzer,
-		epochpin.Analyzer,
+		release.Epochpin,
 	}
 }

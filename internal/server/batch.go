@@ -3,13 +3,13 @@ package server
 // POST /batch: the grouped batch-solving surface. One request carries up
 // to maxBatchQueries queries sharing a cost function and method; the
 // engine clusters them by location and keyword similarity and solves each
-// cluster with shared candidate retrieval, shared NN observations and
-// incumbent warm starts (core/batchgroup.go) — answers stay bit-identical
-// to per-query /query calls. Per-item failures (unknown keywords,
-// infeasible queries) are reported in place; the batch itself only fails
-// on malformed requests or server-level faults. The route sits behind the
-// same admission middleware as /query: one batch holds one admission
-// slot, so MaxInFlight bounds solving requests, not solving queries.
+// cluster with shared NN observations and incumbent warm starts
+// (core/batchgroup.go) — answers stay bit-identical to per-query /query
+// calls. Per-item failures (unknown keywords, infeasible queries) are
+// reported in place; the batch itself only fails on malformed requests or
+// server-level faults. The route sits behind the same admission
+// middleware as /query: one batch holds one admission slot, so
+// MaxInFlight bounds solving requests, not solving queries.
 
 import (
 	"context"
@@ -95,17 +95,14 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusBadRequest, "batch carries %d queries, limit %d", len(req.Queries), maxBatchQueries)
 		return
 	}
-	cost := core.MaxSum
-	if req.Cost != "" {
-		var ok bool
-		if cost, ok = costByName(req.Cost); !ok {
-			jsonError(w, http.StatusBadRequest, "unknown cost %q", req.Cost)
-			return
-		}
+	cost, err := costByName(req.Cost)
+	if err != nil {
+		jsonError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
-	method, ok := methodByName(req.Method)
-	if !ok {
-		jsonError(w, http.StatusBadRequest, "unknown method %q", req.Method)
+	method, err := methodByName(req.Method)
+	if err != nil {
+		jsonError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	workers := req.Workers
@@ -121,8 +118,9 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// One pin covers the whole batch: keyword resolution, the grouped
 	// solve and answer rendering all see the same generation.
-	eng, _, release := s.pinned()
-	defer release()
+	p := s.Pin()
+	defer p.Unpin()
+	eng := p.eng
 
 	// Per-item keyword resolution: an unresolvable query fails in place
 	// without poisoning the batch. Valid queries keep their request

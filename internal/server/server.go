@@ -243,19 +243,34 @@ type server struct {
 	shardLiveGen uint64
 }
 
-// pinned returns the engine this request serves from, its generation,
-// and a release func. A static server returns the fixed engine at
-// generation 0 with a no-op release; a live server pins the store's
-// current generation so the whole request — keyword resolution, solve,
-// answer rendering — sees one consistent snapshot. Callers must invoke
-// release on every path (deferred; the epochpin analyzer checks the
-// underlying Pin/Unpin balance inside the live branch).
-func (s *server) pinned() (*core.Engine, uint64, func()) {
+// pin is one request's hold on the index it serves from: the engine, its
+// generation (0 on a static server) and, on a live server, the pinned
+// generation behind them. It is a value — taking one allocates nothing.
+type pin struct {
+	eng *core.Engine
+	gen uint64
+	g   *epoch.Generation // nil on a static server
+}
+
+// Unpin releases the hold; a no-op on a static server.
+func (p pin) Unpin() {
+	if p.g != nil {
+		p.g.Unpin()
+	}
+}
+
+// Pin returns the engine this request serves from. A live server pins
+// the store's current generation so the whole request — keyword
+// resolution, solve, answer rendering — sees one consistent snapshot; a
+// static server hands out its fixed engine. The method has the Pin/Unpin
+// shape the epochpin analyzer matches, so every handler's
+// "p := s.Pin(); defer p.Unpin()" is checked on all paths.
+func (s *server) Pin() pin {
 	if s.store == nil {
-		return s.eng, 0, func() {}
+		return pin{eng: s.eng}
 	}
 	g := s.store.Pin()
-	return g.Eng, g.Gen, g.Unpin
+	return pin{eng: g.Eng, gen: g.Gen, g: g}
 }
 
 // requestEngine returns the engine one request solves on: the pinned
@@ -545,15 +560,15 @@ type statsResponse struct {
 // before the listener starts, so reaching this handler means the server
 // can answer queries.
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	eng, gen, release := s.pinned()
-	defer release()
+	p := s.Pin()
+	defer p.Unpin()
 	body := map[string]any{
 		"status":  "ok",
-		"dataset": eng.DS.Name,
-		"objects": eng.DS.Len(),
+		"dataset": p.eng.DS.Name,
+		"objects": p.eng.DS.Len(),
 	}
 	if s.store != nil {
-		body["gen"] = gen
+		body["gen"] = p.gen
 		body["backlog"] = s.store.Backlog()
 	}
 	writeJSON(w, body)
@@ -567,12 +582,12 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	eng, gen, release := s.pinned()
-	defer release()
-	st := eng.DS.Stats()
+	p := s.Pin()
+	defer p.Unpin()
+	st := p.eng.DS.Stats()
 	writeJSON(w, statsResponse{
-		Name:        eng.DS.Name,
-		Gen:         gen,
+		Name:        p.eng.DS.Name,
+		Gen:         p.gen,
 		Objects:     st.NumObjects,
 		UniqueWords: st.NumUniqueWords,
 		Words:       st.NumWords,
@@ -646,8 +661,9 @@ func (s *server) beginTrace(r *http.Request, root string) (context.Context, *tra
 
 // finishTrace stamps the trace, offers it to the slow-query log — with
 // the per-shard RPC breakdown when the execution was distributed — and
-// returns the export for inlining in the response.
-func (s *server) finishTrace(r *http.Request, tr *trace.Trace, elapsed time.Duration, err error, shards []trace.ShardCall) *trace.Export {
+// returns the export for inlining in the response, nil unless the
+// request asked for it (explain).
+func (s *server) finishTrace(r *http.Request, tr *trace.Trace, explain bool, elapsed time.Duration, err error, shards []trace.ShardCall) *trace.Export {
 	if tr == nil {
 		return nil
 	}
@@ -666,6 +682,9 @@ func (s *server) finishTrace(r *http.Request, tr *trace.Trace, elapsed time.Dura
 			e.Err = err.Error()
 		}
 		s.slow.Observe(e)
+	}
+	if !explain {
+		return nil
 	}
 	return x
 }
@@ -717,11 +736,10 @@ func (s *server) parseQuery(eng *core.Engine, r *http.Request) (core.Query, core
 	}
 
 	var keywords kwds.Set
-	switch {
-	case q.Get("kw") != "":
+	switch words := splitKeywords(q.Get("kw")); {
+	case len(words) > 0:
 		var missing []string
-		for _, wrd := range strings.Split(q.Get("kw"), ",") {
-			wrd = strings.TrimSpace(wrd)
+		for _, wrd := range words {
 			if id, ok := eng.DS.Vocab.Lookup(wrd); ok {
 				keywords = keywords.Union(kwds.NewSet(id))
 			} else {
@@ -748,49 +766,61 @@ func (s *server) parseQuery(eng *core.Engine, r *http.Request) (core.Query, core
 		return core.Query{}, 0, fmt.Errorf("provide kw=a,b,c or k=N")
 	}
 
-	cost := core.MaxSum
-	if cs := q.Get("cost"); cs != "" {
-		var ok bool
-		cost, ok = costByName(cs)
-		if !ok {
-			return core.Query{}, 0, fmt.Errorf("unknown cost %q", cs)
-		}
+	cost, err := costByName(q.Get("cost"))
+	if err != nil {
+		return core.Query{}, 0, err
 	}
 	return core.Query{Loc: loc, Keywords: keywords}, cost, nil
 }
 
-func costByName(s string) (core.CostKind, bool) {
-	switch strings.ToLower(s) {
-	case "maxsum":
-		return core.MaxSum, true
-	case "dia":
-		return core.Dia, true
-	case "sum":
-		return core.Sum, true
-	case "minmax":
-		return core.MinMax, true
-	case "summax":
-		return core.SumMax, true
+// splitKeywords splits a kw=a,b,c parameter into its trimmed, non-empty
+// entries — the one reading of the parameter that /query, /topk, the
+// coordinator's /query and the shard data plane share.
+func splitKeywords(kw string) []string {
+	parts := strings.Split(kw, ",")
+	words := parts[:0] // filtered in place: one allocation per request
+	for _, wrd := range parts {
+		if wrd = strings.TrimSpace(wrd); wrd != "" {
+			words = append(words, wrd)
+		}
 	}
-	return 0, false
+	return words
 }
 
-func methodByName(s string) (core.Method, bool) {
+// costByName resolves a cost parameter; empty means MaxSum.
+func costByName(s string) (core.CostKind, error) {
+	switch strings.ToLower(s) {
+	case "", "maxsum":
+		return core.MaxSum, nil
+	case "dia":
+		return core.Dia, nil
+	case "sum":
+		return core.Sum, nil
+	case "minmax":
+		return core.MinMax, nil
+	case "summax":
+		return core.SumMax, nil
+	}
+	return 0, fmt.Errorf("unknown cost %q", s)
+}
+
+// methodByName resolves a method parameter; empty means exact.
+func methodByName(s string) (core.Method, error) {
 	switch strings.ToLower(s) {
 	case "", "exact":
-		return core.OwnerExact, true
+		return core.OwnerExact, nil
 	case "appro":
-		return core.OwnerAppro, true
+		return core.OwnerAppro, nil
 	case "cao-exact":
-		return core.CaoExact, true
+		return core.CaoExact, nil
 	case "cao-appro1":
-		return core.CaoAppro1, true
+		return core.CaoAppro1, nil
 	case "cao-appro2":
-		return core.CaoAppro2, true
+		return core.CaoAppro2, nil
 	case "greedy-sum":
-		return core.GreedySum, true
+		return core.GreedySum, nil
 	}
-	return 0, false
+	return 0, fmt.Errorf("unknown method %q", s)
 }
 
 func (s *server) objectsJSON(eng *core.Engine, q core.Query, ids []dataset.ObjectID) []objectJSON {
@@ -811,16 +841,17 @@ func (s *server) objectsJSON(eng *core.Engine, q core.Query, ids []dataset.Objec
 }
 
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	eng, _, release := s.pinned()
-	defer release()
+	p := s.Pin()
+	defer p.Unpin()
+	eng := p.eng
 	q, cost, err := s.parseQuery(eng, r)
 	if err != nil {
 		jsonError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	method, ok := methodByName(r.URL.Query().Get("method"))
-	if !ok {
-		jsonError(w, http.StatusBadRequest, "unknown method %q", r.URL.Query().Get("method"))
+	method, err := methodByName(r.URL.Query().Get("method"))
+	if err != nil {
+		jsonError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if err := serveFault(); err != nil {
@@ -830,27 +861,31 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx, tr, explain := s.beginTrace(r, "query")
 	start := time.Now()
 	res, err := s.requestEngine(ctx, eng).SolveCtx(ctx, q, cost, method)
-	x := s.finishTrace(r, tr, time.Since(start), err, nil)
+	x := s.finishTrace(r, tr, explain, time.Since(start), err, nil)
 	if err != nil {
 		writeSolveError(w, err)
 		return
 	}
+	writeQueryResponse(w, res, cost, method, res.Stats.Elapsed, s.objectsJSON(eng, q, res.Set), x)
+}
+
+// writeQueryResponse writes the /query body — and the degraded header —
+// for a solved query, whichever handler stack solved it.
+func writeQueryResponse(w http.ResponseWriter, res core.Result, cost core.CostKind, method core.Method,
+	elapsed time.Duration, objs []objectJSON, x *trace.Export) {
 	if res.Degraded {
 		w.Header().Set("X-Coskq-Degraded", string(res.Stats.DegradeReason))
 	}
-	resp := queryResponse{
+	writeJSON(w, queryResponse{
 		Cost:      res.Cost,
 		CostKind:  cost.String(),
 		Method:    method.String(),
-		ElapsedMs: float64(res.Stats.Elapsed.Microseconds()) / 1000,
-		Objects:   s.objectsJSON(eng, q, res.Set),
+		ElapsedMs: float64(elapsed.Microseconds()) / 1000,
+		Objects:   objs,
 		Degraded:  res.Degraded,
 		Reason:    string(res.Stats.DegradeReason),
-	}
-	if explain {
-		resp.Trace = x
-	}
-	writeJSON(w, resp)
+		Trace:     x,
+	})
 }
 
 type topKResponse struct {
@@ -859,8 +894,9 @@ type topKResponse struct {
 }
 
 func (s *server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	eng, _, release := s.pinned()
-	defer release()
+	p := s.Pin()
+	defer p.Unpin()
+	eng := p.eng
 	q, cost, err := s.parseQuery(eng, r)
 	if err != nil {
 		jsonError(w, http.StatusBadRequest, "%v", err)
@@ -885,7 +921,7 @@ func (s *server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	ctx, tr, explain := s.beginTrace(r, "topk")
 	start := time.Now()
 	results, err := s.requestEngine(ctx, eng).TopKCtx(ctx, q, cost, n)
-	x := s.finishTrace(r, tr, time.Since(start), err, nil)
+	x := s.finishTrace(r, tr, explain, time.Since(start), err, nil)
 	if err != nil {
 		writeSolveError(w, err)
 		return
@@ -893,7 +929,7 @@ func (s *server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if len(results) > 0 && results[0].Degraded {
 		w.Header().Set("X-Coskq-Degraded", string(results[0].Stats.DegradeReason))
 	}
-	resp := topKResponse{Results: make([]queryResponse, len(results))}
+	resp := topKResponse{Results: make([]queryResponse, len(results)), Trace: x}
 	for i, res := range results {
 		resp.Results[i] = queryResponse{
 			Cost:     res.Cost,
@@ -902,9 +938,6 @@ func (s *server) handleTopK(w http.ResponseWriter, r *http.Request) {
 			Degraded: res.Degraded,
 			Reason:   string(res.Stats.DegradeReason),
 		}
-	}
-	if explain {
-		resp.Trace = x
 	}
 	writeJSON(w, resp)
 }

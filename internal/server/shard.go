@@ -15,7 +15,6 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -30,35 +29,26 @@ import (
 // fan-out when Options.FederateTimeout is zero.
 const DefaultFederateTimeout = 2 * time.Second
 
-// shardBackend lazily wraps the server's engine as an in-process shard
-// backend (identity id mapping: reported ids are this server's own
-// object ids). Lazy because the keyword summary scans the dataset once.
-func (s *server) shardBackend() *shard.EngineBackend {
-	s.shardOnce.Do(func() {
-		s.shardB = shard.WrapEngine(s.eng.DS.Name, s.eng)
-	})
-	return s.shardB
-}
-
-// pinnedShardBackend resolves the backend one shard data-plane call
-// runs against, together with the generation header it must report and
-// the unpin release. A static server reuses the lazy singleton at
-// generation 0. A live server pins the current generation and wraps its
-// engine once per generation — WrapEngine scans the dataset for the
-// keyword summary, so the wrap is cached until the store swaps.
-func (s *server) pinnedShardBackend() (*shard.EngineBackend, uint64, func()) {
-	if s.store == nil {
-		return s.shardBackend(), 0, func() {}
+// shardBackendAt resolves the backend one shard data-plane call runs
+// against, for the pin the handler holds. A static server lazily wraps
+// its engine once (identity id mapping: reported ids are this server's
+// own object ids). A live server wraps the pinned engine once per
+// generation — WrapEngine scans the dataset for the keyword summary, so
+// the wrap is cached until the store swaps.
+func (s *server) shardBackendAt(p pin) *shard.EngineBackend {
+	if p.g == nil {
+		s.shardOnce.Do(func() {
+			s.shardB = shard.WrapEngine(s.eng.DS.Name, s.eng)
+		})
+		return s.shardB
 	}
-	g := s.store.Pin()
 	s.shardMu.Lock()
-	if s.shardLive == nil || s.shardLiveGen != g.Gen {
-		s.shardLive = shard.WrapEngine(g.Eng.DS.Name, g.Eng)
-		s.shardLiveGen = g.Gen
+	defer s.shardMu.Unlock()
+	if s.shardLive == nil || s.shardLiveGen != p.gen {
+		s.shardLive = shard.WrapEngine(p.eng.DS.Name, p.eng)
+		s.shardLiveGen = p.gen
 	}
-	b := s.shardLive
-	s.shardMu.Unlock()
-	return b, g.Gen, g.Unpin
+	return s.shardLive
 }
 
 // shardMetaJSON is the /shard/meta body (client.ShardMetaResponse).
@@ -124,10 +114,11 @@ func beginShardTrace(r *http.Request) (context.Context, *trace.Trace) {
 }
 
 func (s *server) handleShardMeta(w http.ResponseWriter, r *http.Request) {
-	b, gen, release := s.pinnedShardBackend()
-	defer release()
+	p := s.Pin()
+	defer p.Unpin()
+	b := s.shardBackendAt(p)
 	m, _ := b.Meta(r.Context())
-	resp := shardMetaJSON{Name: m.Name, Objects: m.Objects, Summary: m.Summary.Encode(), Gen: gen}
+	resp := shardMetaJSON{Name: m.Name, Objects: m.Objects, Summary: m.Summary.Encode(), Gen: p.gen}
 	if m.Objects == 0 {
 		resp.Empty = true
 	} else {
@@ -147,12 +138,7 @@ func parseShardParams(r *http.Request) (shard.ShardQuery, error) {
 	if err != nil {
 		return shard.ShardQuery{}, err
 	}
-	var words []string
-	for _, wrd := range strings.Split(q.Get("kw"), ",") {
-		if wrd = strings.TrimSpace(wrd); wrd != "" {
-			words = append(words, wrd)
-		}
-	}
+	words := splitKeywords(q.Get("kw"))
 	if len(words) == 0 {
 		return shard.ShardQuery{}, errors.New("provide kw=a,b,c")
 	}
@@ -175,14 +161,15 @@ func (s *server) handleShardNN(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx, tr := beginShardTrace(r)
-	b, gen, release := s.pinnedShardBackend()
-	defer release()
+	p := s.Pin()
+	defer p.Unpin()
+	b := s.shardBackendAt(p)
 	res, err := b.NN(ctx, sq)
 	if err != nil {
 		writeSolveError(w, err)
 		return
 	}
-	resp := shardNNJSON{Gen: gen, Hits: make([]shardNNHitJSON, len(res.Hits))}
+	resp := shardNNJSON{Gen: p.gen, Hits: make([]shardNNHitJSON, len(res.Hits))}
 	for i, h := range res.Hits {
 		if !h.Found {
 			continue
@@ -217,14 +204,15 @@ func (s *server) handleShardCollect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx, tr := beginShardTrace(r)
-	b, gen, release := s.pinnedShardBackend()
-	defer release()
+	p := s.Pin()
+	defer p.Unpin()
+	b := s.shardBackendAt(p)
 	res, err := b.Collect(ctx, sq, radius)
 	if err != nil {
 		writeSolveError(w, err)
 		return
 	}
-	resp := shardCollectJSON{Gen: gen, Objects: make([]shardObjectJSON, len(res.Objects))}
+	resp := shardCollectJSON{Gen: p.gen, Objects: make([]shardObjectJSON, len(res.Objects))}
 	for i, c := range res.Objects {
 		b.Hydrate(&c)
 		resp.Objects[i] = shardObjectJSON{
@@ -355,27 +343,19 @@ func (s *server) scatterQueryHandler(rt *shard.Router) http.Handler {
 			jsonError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		var words []string
-		for _, wrd := range strings.Split(q.Get("kw"), ",") {
-			if wrd = strings.TrimSpace(wrd); wrd != "" {
-				words = append(words, wrd)
-			}
-		}
+		words := splitKeywords(q.Get("kw"))
 		if len(words) == 0 {
 			jsonError(w, http.StatusBadRequest, "provide kw=a,b,c")
 			return
 		}
-		cost := core.MaxSum
-		if cs := q.Get("cost"); cs != "" {
-			var ok bool
-			if cost, ok = costByName(cs); !ok {
-				jsonError(w, http.StatusBadRequest, "unknown cost %q", cs)
-				return
-			}
+		cost, err := costByName(q.Get("cost"))
+		if err != nil {
+			jsonError(w, http.StatusBadRequest, "%v", err)
+			return
 		}
-		method, ok := methodByName(q.Get("method"))
-		if !ok {
-			jsonError(w, http.StatusBadRequest, "unknown method %q", q.Get("method"))
+		method, err := methodByName(q.Get("method"))
+		if err != nil {
+			jsonError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		if err := serveFault(); err != nil {
@@ -388,14 +368,10 @@ func (s *server) scatterQueryHandler(rt *shard.Router) http.Handler {
 		elapsed := time.Since(start)
 		// Info.Calls is populated even on error returns, so a slow query
 		// that ultimately failed still shows which shard calls it made.
-		xp := s.finishTrace(r, tr, elapsed, err, ans.Info.Calls)
+		xp := s.finishTrace(r, tr, explain, elapsed, err, ans.Info.Calls)
 		if err != nil {
 			writeScatterError(w, err)
 			return
-		}
-		res := ans.Result
-		if res.Degraded {
-			w.Header().Set("X-Coskq-Degraded", string(res.Stats.DegradeReason))
 		}
 		objs := make([]objectJSON, len(ans.Members))
 		for i, c := range ans.Members {
@@ -405,18 +381,6 @@ func (s *server) scatterQueryHandler(rt *shard.Router) http.Handler {
 				Keywords: c.Words,
 			}
 		}
-		resp := queryResponse{
-			Cost:      res.Cost,
-			CostKind:  cost.String(),
-			Method:    method.String(),
-			ElapsedMs: float64(elapsed.Microseconds()) / 1000,
-			Objects:   objs,
-			Degraded:  res.Degraded,
-			Reason:    string(res.Stats.DegradeReason),
-		}
-		if explain {
-			resp.Trace = xp
-		}
-		writeJSON(w, resp)
+		writeQueryResponse(w, ans.Result, cost, method, elapsed, objs, xp)
 	})
 }

@@ -77,3 +77,31 @@ func TestNonFiniteCoordinates(t *testing.T) {
 		}
 	}
 }
+
+// TestBlankKeywordEntries pins the one reading of kw=a,b,c every endpoint
+// shares (splitKeywords): blank entries are dropped, so "cafe,,museum"
+// is the query "cafe,museum" — the engine's /query used to answer 400
+// "unknown keywords: " where the coordinator's /query answered 200 — and
+// a list of nothing but blanks is a missing kw.
+func TestBlankKeywordEntries(t *testing.T) {
+	srv, _ := testServer(t)
+	for _, path := range []string{"/query", "/topk"} {
+		var want, got struct {
+			Cost    float64 `json:"cost"`
+			Results []struct {
+				Cost float64 `json:"cost"`
+			} `json:"results"`
+		}
+		getJSON(t, srv.URL+path+"?x=0&y=0&kw=cafe,museum", http.StatusOK, &want)
+		getJSON(t, srv.URL+path+"?x=0&y=0&kw=cafe,,%20museum,", http.StatusOK, &got)
+		if got.Cost != want.Cost || len(got.Results) != len(want.Results) {
+			t.Errorf("GET %s: blank entries changed the answer: %+v vs %+v", path, got, want)
+		}
+		var bad map[string]string
+		getJSON(t, srv.URL+path+"?x=0&y=0&kw=,%20,", http.StatusBadRequest, &bad)
+		if !strings.Contains(bad["error"], "provide kw=") {
+			t.Errorf("GET %s: error %q", path, bad["error"])
+		}
+	}
+	getJSON(t, srv.URL+"/shard/nn?x=0&y=0&kw=,", http.StatusBadRequest, nil)
+}

@@ -230,8 +230,6 @@ type Router struct {
 	// ShardTimeout bounds each individual shard call. Zero means calls
 	// are bounded only by ctx.
 	ShardTimeout time.Duration
-	// TreeFanout is the IR-tree fanout of the per-query pool engine.
-	TreeFanout int
 	// Metrics, when non-nil, receives per-query routing counters. Init
 	// resolves the per-shard series from it, so set it before the first
 	// query.
@@ -773,7 +771,7 @@ func (r *Router) routeOnce(ctx context.Context, loc geo.Point, words []string, c
 		}
 		b.AddIDs(c.Loc, kwds.Set(ids[from:len(ids):len(ids)]))
 	}
-	eng := core.NewEngine(b.Build(), r.TreeFanout)
+	eng := core.NewEngine(b.Build(), 0) // default fanout
 	eng.Parallelism = r.Workers
 	eng.NodeBudget = r.NodeBudget
 	eng.Degrade = r.Degrade
