@@ -24,8 +24,9 @@
 // Scatter-gather modes (see DESIGN.md §12):
 //
 //	coskq-server -data hotel.gob -shards 4 [-partition grid|subtree]
-//	    partitions the dataset into in-process shards and answers /query
-//	    by scatter-gather across per-shard engines.
+//	    partitions the dataset into in-process shards (a dataset and its
+//	    posting lists each) and answers /query by scatter-gather across
+//	    them.
 //	coskq-server -peers http://h1:8080,http://h2:8080 [-shard-timeout 5s]
 //	    serves as a coordinator fanning /query out to peer shard servers
 //	    (every coskq-server exposes the /shard/* data plane); -data is

@@ -13,7 +13,6 @@ package coskqlint
 import (
 	"golang.org/x/tools/go/analysis"
 
-	"coskq/internal/analysis/budgetrecover"
 	"coskq/internal/analysis/ctxpoll"
 	"coskq/internal/analysis/detmaps"
 	"coskq/internal/analysis/errtyped"
@@ -30,7 +29,6 @@ import (
 // invariant.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		budgetrecover.Analyzer,
 		ctxpoll.Analyzer,
 		geodist.Analyzer,
 		slogonly.Analyzer,

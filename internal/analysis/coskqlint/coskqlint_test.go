@@ -7,9 +7,8 @@ import "testing"
 // diagnostics print in.
 func TestAnalyzersOrder(t *testing.T) {
 	want := []string{
-		"budgetrecover", "ctxpoll", "geodist", "slogonly", "spanend",
-		"detmaps", "errtyped", "metriclabel", "poolscratch", "rpcdeadline",
-		"epochpin",
+		"ctxpoll", "geodist", "slogonly", "spanend", "detmaps", "errtyped",
+		"metriclabel", "poolscratch", "rpcdeadline", "epochpin",
 	}
 	got := Analyzers()
 	if len(got) != len(want) {

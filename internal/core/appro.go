@@ -109,7 +109,7 @@ func (s *search) ownerAppro(q Query, cost costFn) (Result, error) {
 		}
 		set = append(set, o.ID)
 		stats.SetsEvaluated++
-		if c := s.evalCost(cost, q, set); c < curCost {
+		if c := s.evalSet(cost, q.Loc, set); c < curCost {
 			if osp != nil {
 				// Keep construction spans only for improving owners.
 				osp.Attr("owner_id", float64(o.ID))

@@ -9,22 +9,21 @@ import (
 
 // bruteForce exhaustively enumerates minimal covers of the query keywords
 // over all relevant objects and returns the cheapest one. It uses no index
-// and no geometric pruning — it is the oracle the exact algorithms are
-// property-tested against, and it is exponential in |q.ψ|.
+// and no geometric pruning — the relevant objects come from a scan of the
+// dataset — so it shares nothing with the algorithms it is the oracle
+// for, and it is exponential in |q.ψ|. The cost may carry an α (alpha.go).
 //
-// MaxSum, Dia and Sum are monotone under supersets, so some optimal
-// solution is a minimal cover. MinMax is not: adding one extra relevant
-// object near q (an "anchor") can lower the min-distance component by more
-// than it raises the pairwise component, so for MinMax the oracle also
-// tries every cover ∪ {anchor} combination. With the anchor fixed as the
-// nearest member, removing any redundant other member never increases the
-// cost, so one anchor per minimal cover suffices.
-func (s *search) bruteForce(q Query, cost CostKind) (res Result, err error) {
-	defer recoverBudget(&err)
+// MaxSum, Dia, Sum and cost_α are monotone under supersets, so some
+// optimal solution is a minimal cover. MinMax is not: adding one extra
+// relevant object near q (an "anchor") can lower the min-distance
+// component by more than it raises the pairwise component, so for MinMax
+// the oracle also tries every cover ∪ {anchor} combination. With the
+// anchor fixed as the nearest member, removing any redundant other member
+// never increases the cost, so one anchor per minimal cover suffices.
+func (s *search) bruteForce(q Query, cost costFn) (Result, error) {
 	start := time.Now()
 	qi := kwds.NewQueryIndex(q.Keywords)
 
-	relevant := s.Inv.Relevant(q.Keywords)
 	type rc struct {
 		id   dataset.ObjectID
 		mask kwds.Mask
@@ -33,10 +32,12 @@ func (s *search) bruteForce(q Query, cost CostKind) (res Result, err error) {
 		cands []rc
 		union kwds.Mask
 	)
-	for _, id := range relevant {
-		m := qi.MaskOf(s.DS.Object(id).Keywords)
-		cands = append(cands, rc{id: id, mask: m})
-		union |= m
+	for i := range s.DS.Objects {
+		o := &s.DS.Objects[i]
+		if m := qi.MaskOf(o.Keywords); m != 0 {
+			cands = append(cands, rc{id: o.ID, mask: m})
+			union |= m
+		}
 	}
 	if union != qi.Full() {
 		return Result{}, ErrInfeasible
@@ -51,7 +52,7 @@ func (s *search) bruteForce(q Query, cost CostKind) (res Result, err error) {
 	)
 	consider := func(set []dataset.ObjectID) {
 		stats.SetsEvaluated++
-		c := s.EvalCost(cost, q.Loc, set)
+		c := s.evalSet(cost, q.Loc, set)
 		if !found || c < bestCost {
 			found = true
 			bestCost = c
@@ -63,7 +64,7 @@ func (s *search) bruteForce(q Query, cost CostKind) (res Result, err error) {
 		s.chargeNode(&stats)
 		if covered == qi.Full() {
 			consider(chosen)
-			if cost == MinMax {
+			if cost.kind == MinMax {
 				for _, a := range cands {
 					already := false
 					for _, id := range chosen {
@@ -99,5 +100,5 @@ func (s *search) bruteForce(q Query, cost CostKind) (res Result, err error) {
 	dfs(0)
 
 	stats.Elapsed = time.Since(start)
-	return Result{Set: bestSet, Cost: bestCost, Cost2: cost, Stats: stats}, nil
+	return Result{Set: bestSet, Cost: bestCost, Cost2: cost.kind, Stats: stats}, nil
 }

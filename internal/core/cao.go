@@ -233,8 +233,7 @@ func (cs *caoSearch) dfs(covered kwds.Mask, maxD, maxPair float64) {
 // C(q, curCost) with curCost seeded by Cao-Appro2 — there is no distance
 // owner enumeration, which is exactly the structural difference the paper
 // exploits.
-func (s *search) caoExact(q Query, cost CostKind) (res Result, err error) {
-	defer recoverBudget(&err)
+func (s *search) caoExact(q Query, cost CostKind) (Result, error) {
 	start := time.Now()
 	qi := kwds.NewQueryIndex(q.Keywords)
 

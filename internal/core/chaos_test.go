@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"coskq/internal/fault"
+	"coskq/internal/geo"
 	"coskq/internal/testutil"
 )
 
@@ -145,8 +147,10 @@ func TestChaosLatencyInjection(t *testing.T) {
 }
 
 // TestChaosCrashNotSwallowed: a KindPanic firing is a stand-in for a
-// programming error and must propagate out of Solve as a panic, not be
-// converted into a degraded answer or a typed error.
+// programming error and must propagate out of every entry point that runs
+// on the caller's goroutine as a panic, not be converted into a degraded
+// answer or a typed error. (A batch solves on its own worker goroutines,
+// where an unrecovered crash ends the process, as it should.)
 func TestChaosCrashNotSwallowed(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	rng := rand.New(rand.NewSource(17))
@@ -154,23 +158,176 @@ func TestChaosCrashNotSwallowed(t *testing.T) {
 	e.Degrade = DegradeIncumbent // must NOT mask the crash
 	q := randQuery(rng, 14, 3)
 
-	for _, workers := range []int{1, 4} {
-		e.Parallelism = workers
-		disarm := fault.Arm(1, fault.Rule{Point: fault.OwnerEnum, Kind: fault.KindPanic, Every: 1, After: 2})
-		func() {
-			defer disarm()
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Errorf("workers=%d: injected panic was swallowed", workers)
-					return
+	entries := []struct {
+		name  string
+		point fault.Point
+		run   func()
+	}{
+		{"Solve", fault.OwnerEnum, func() { e.Solve(q, MaxSum, OwnerExact) }},
+		{"TopKCtx", fault.RTreeVisit, func() { e.TopKCtx(context.Background(), q, MaxSum, 3) }},
+		{"SolveAlpha", fault.OwnerEnum, func() { e.SolveAlpha(q, 0.3, OwnerExact) }},
+	}
+	for _, en := range entries {
+		for _, workers := range []int{1, 4} {
+			e.Parallelism = workers
+			disarm := fault.Arm(1, fault.Rule{Point: en.point, Kind: fault.KindPanic, Every: 1, After: 2})
+			func() {
+				defer disarm()
+				defer func() {
+					r := recover()
+					if r == nil {
+						t.Errorf("%s workers=%d: injected panic was swallowed", en.name, workers)
+						return
+					}
+					if _, ok := r.(fault.Crash); !ok {
+						t.Errorf("%s workers=%d: panic payload %T, want fault.Crash", en.name, workers, r)
+					}
+				}()
+				en.run()
+			}()
+		}
+	}
+}
+
+// chaosEntry is one way into the algorithms: an exported entry point bound
+// to a cost and a method it accepts. run reports every (result, error)
+// pair the call produced — one per batch item or ranked set.
+type chaosEntry struct {
+	name string
+	run  func(e *Engine, q Query) ([]Result, []error)
+}
+
+// chaosEntries lists every exported entry point × every (cost, method) it
+// accepts on e, found by asking the unfaulted engine.
+func chaosEntries(e *Engine, q Query) []chaosEntry {
+	ctx := context.Background()
+	var out []chaosEntry
+	for _, c := range []CostKind{MaxSum, Dia, Sum, MinMax, SumMax} {
+		for _, m := range []Method{OwnerExact, OwnerAppro, CaoExact, CaoAppro1, CaoAppro2, Brute, GreedySum, PairsExact} {
+			if _, err := e.Solve(q, c, m); errors.Is(err, ErrUnsupported) {
+				continue
+			}
+			c, m := c, m
+			out = append(out, chaosEntry{fmt.Sprintf("SolveCtx/%v/%v", c, m), func(e *Engine, q Query) ([]Result, []error) {
+				res, err := e.SolveCtx(ctx, q, c, m)
+				return []Result{res}, []error{err}
+			}}, chaosEntry{fmt.Sprintf("SolveBatchCtx/%v/%v", c, m), func(e *Engine, q Query) ([]Result, []error) {
+				// Two members of one cluster and a far-away singleton: both
+				// branches of solveCluster.
+				far := Query{Loc: geo.Point{X: 100 - q.Loc.X, Y: 100 - q.Loc.Y}, Keywords: q.Keywords}
+				var rs []Result
+				var errs []error
+				for _, it := range e.SolveBatchCtx(ctx, []Query{q, q, far}, c, m, 2) {
+					rs, errs = append(rs, it.Result), append(errs, it.Err)
 				}
-				if _, ok := r.(fault.Crash); !ok {
-					t.Errorf("workers=%d: panic payload %T, want fault.Crash", workers, r)
+				return rs, errs
+			}})
+		}
+	}
+	for _, c := range []CostKind{MaxSum, Dia} {
+		c := c
+		out = append(out, chaosEntry{fmt.Sprintf("TopKCtx/%v", c), func(e *Engine, q Query) ([]Result, []error) {
+			rs, err := e.TopKCtx(ctx, q, c, 3)
+			if err != nil {
+				return nil, []error{err}
+			}
+			return rs, make([]error, len(rs))
+		}})
+	}
+	for _, m := range []Method{OwnerExact, OwnerAppro, Brute} {
+		m := m
+		out = append(out, chaosEntry{fmt.Sprintf("SolveAlpha/%v", m), func(e *Engine, q Query) ([]Result, []error) {
+			res, err := e.SolveAlpha(q, 0.3, m)
+			return []Result{res}, []error{err}
+		}})
+	}
+	return out
+}
+
+// TestChaosEveryEntryPointIsShielded: no algorithm shields itself — a
+// budget or cancellation unwind is caught by the frame every search is
+// entered under (Engine.enter, and solveInner / topKInner beneath it so a
+// degrade can act on the error). So whatever entry point, cost, method,
+// worker count and degrade policy a fault lands in, the caller sees a typed
+// error or a flagged degraded answer, never a panic.
+func TestChaosEveryEntryPointIsShielded(t *testing.T) {
+	testutil.CheckGoroutineLeaks(t)
+	rng := rand.New(rand.NewSource(57))
+	base := genEngine(rng, 60, 8, 2) // small: Brute under MinMax is in the table
+	queries := []Query{randQuery(rng, 8, 3), randQuery(rng, 8, 3), randQuery(rng, 8, 2)}
+	entries := chaosEntries(base, queries[0])
+
+	// faulted runs one entry point on one query under rule and reports how
+	// many of its executions the fault cut short.
+	faulted := func(e *Engine, en chaosEntry, q Query, rule fault.Rule) (cut int) {
+		what := fmt.Sprintf("%s workers=%d %v, %v at %s", en.name, e.Parallelism, e.Degrade, rule.Kind, rule.Point)
+		var (
+			rs   []Result
+			errs []error
+		)
+		func() {
+			defer fault.Arm(9, rule)()
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: escaped as panic %v", what, r)
 				}
 			}()
-			e.Solve(q, MaxSum, OwnerExact)
+			rs, errs = en.run(e, q)
 		}()
+		for i, err := range errs {
+			if err != nil {
+				if !errors.Is(err, ErrBudgetExceeded) && !errors.Is(err, context.Canceled) && !errors.Is(err, ErrInfeasible) {
+					t.Errorf("%s: untyped error %v", what, err)
+				}
+				if !errors.Is(err, ErrInfeasible) {
+					cut++
+				}
+				continue
+			}
+			if rs[i].Degraded {
+				if e.Degrade == DegradeFail || rs[i].Stats.DegradeReason == "" {
+					t.Errorf("%s: degraded answer with reason %q", what, rs[i].Stats.DegradeReason)
+				}
+				cut++
+			}
+			if !e.Feasible(q, rs[i].Set) {
+				t.Errorf("%s: infeasible set %v", what, rs[i].Set)
+			}
+		}
+		return cut
+	}
+
+	type where struct {
+		point   fault.Point
+		workers int
+	}
+	cut := map[where]int{} // executions a fault cut short, per point and worker count
+	for _, p := range []fault.Point{fault.OwnerEnum, fault.RTreeVisit, fault.PoolWorker} {
+		for _, k := range []fault.Kind{fault.KindBudget, fault.KindCancel} {
+			rule := fault.Rule{Point: p, Kind: k, After: 1, Every: 1}
+			for _, workers := range []int{1, 2} {
+				for _, policy := range []DegradePolicy{DegradeFail, DegradeIncumbent} {
+					e := *base
+					e.Parallelism, e.Degrade = workers, policy
+					for _, en := range entries {
+						for _, q := range queries {
+							cut[where{p, workers}] += faulted(&e, en, q, rule)
+						}
+					}
+				}
+			}
+		}
+	}
+	// The table must not pass vacuously: every point fired somewhere at
+	// each worker count that reaches it (core.worker needs a pool).
+	for _, w := range []where{
+		{fault.OwnerEnum, 1}, {fault.OwnerEnum, 2},
+		{fault.RTreeVisit, 1}, {fault.RTreeVisit, 2},
+		{fault.PoolWorker, 2},
+	} {
+		if cut[w] == 0 {
+			t.Errorf("no execution was cut short by %s at workers=%d; tighten the rule", w.point, w.workers)
+		}
 	}
 }
 

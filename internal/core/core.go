@@ -30,7 +30,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"coskq/internal/dataset"
@@ -179,9 +178,10 @@ type searchCanceled struct{ err error }
 // a searchCanceled panic into its context error, re-panicking on anything
 // else. Injected fault unwinds (internal/fault) translate the same way, so
 // an armed fault surfaces exactly like the real condition it simulates;
-// injected crashes (fault.Crash) deliberately re-panic. Use as:
-//
-//	defer recoverBudget(&err)
+// injected crashes (fault.Crash) deliberately re-panic. It is deferred
+// with the address of the frame's named error result: by Engine.enter for
+// every entry point, and again by solveInner, topKInner and fallbackAppro
+// because their callers act on the error (degrade.go).
 func recoverBudget(err *error) {
 	if r := recover(); r != nil {
 		switch p := r.(type) {
@@ -277,7 +277,10 @@ type Result struct {
 type Engine struct {
 	DS   *dataset.Dataset
 	Tree *irtree.Tree
-	Inv  *invindex.Index
+	// Inv belongs to the facade (query generation) and the shard data
+	// plane (posting scans). No solver reads it, so an Engine literal that
+	// names only DS and Tree answers every query.
+	Inv *invindex.Index
 
 	// NodeBudget caps the number of search nodes an exact algorithm may
 	// expand per query; exceeding it returns ErrBudgetExceeded. Zero means
@@ -404,43 +407,26 @@ func (e *Engine) Feasible(q Query, set []dataset.ObjectID) bool {
 // EvalCost computes cost(S) for the given cost function. It panics on an
 // empty set (a CoSKQ answer is never empty for a non-empty query).
 func (e *Engine) EvalCost(cost CostKind, q geo.Point, set []dataset.ObjectID) float64 {
-	if len(set) == 0 {
-		panic("coskq: EvalCost on empty set")
-	}
-	maxD, minD, sumD := math.Inf(-1), math.Inf(1), 0.0
+	return e.evalSet(costFn{kind: cost}, q, set)
+}
+
+// EvalPoints is EvalCost for a set given by its members' locations, for
+// callers whose candidates are not objects of an engine's dataset (the
+// shard router's merged NN seeds).
+func EvalPoints(cost CostKind, q geo.Point, pts []geo.Point) float64 {
+	return costFn{kind: cost}.eval(q, pts)
+}
+
+// evalSet resolves set to its locations and evaluates c over them. Answer
+// sets have at most |q.ψ| + 1 members, so the locations normally fit the
+// stack buffer.
+func (e *Engine) evalSet(c costFn, q geo.Point, set []dataset.ObjectID) float64 {
+	var buf [16]geo.Point
+	pts := buf[:0]
 	for _, id := range set {
-		d := q.Dist(e.DS.Object(id).Loc)
-		sumD += d
-		if d > maxD {
-			maxD = d
-		}
-		if d < minD {
-			minD = d
-		}
+		pts = append(pts, e.DS.Object(id).Loc)
 	}
-	maxPair := 0.0
-	for i := 0; i < len(set); i++ {
-		pi := e.DS.Object(set[i]).Loc
-		for j := i + 1; j < len(set); j++ {
-			if d := pi.Dist(e.DS.Object(set[j]).Loc); d > maxPair {
-				maxPair = d
-			}
-		}
-	}
-	switch cost {
-	case MaxSum:
-		return maxD + maxPair
-	case Dia:
-		return math.Max(maxD, maxPair)
-	case Sum:
-		return sumD
-	case MinMax:
-		return minD + maxPair
-	case SumMax:
-		return sumD + maxPair
-	default:
-		panic(fmt.Sprintf("coskq: unknown cost kind %d", int(cost)))
-	}
+	return c.eval(q, pts)
 }
 
 // canonical returns set sorted ascending with duplicates removed, the form

@@ -158,6 +158,42 @@ func TestExactMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestOracleReadsNoPostings: on the oracle seeds above (and alpha_test's),
+// an engine that is only a dataset and a tree — the shape of the shard
+// router's pool engine — answers Brute under every cost and under cost_α,
+// and the oracle's dataset scan finds exactly the relevant objects the
+// posting lists name.
+func TestOracleReadsNoPostings(t *testing.T) {
+	for _, seed := range []int64{5, 60} {
+		rng := rand.New(rand.NewSource(seed))
+		for trial := 0; trial < 20; trial++ {
+			full := genEngine(rng, 20+rng.Intn(50), 6+rng.Intn(5), 3)
+			e := &Engine{DS: full.DS, Tree: full.Tree}
+			q := randQuery(rng, 10, 1+rng.Intn(4))
+			relevant := len(full.Inv.Relevant(q.Keywords))
+			check := func(what string, res Result, err error) {
+				t.Helper()
+				if err == ErrInfeasible {
+					return
+				}
+				if err != nil {
+					t.Fatalf("seed %d trial %d %s: %v", seed, trial, what, err)
+				}
+				if res.Stats.CandidatesSeen != relevant {
+					t.Fatalf("seed %d trial %d %s: oracle scanned %d candidates, postings name %d",
+						seed, trial, what, res.Stats.CandidatesSeen, relevant)
+				}
+			}
+			for _, cost := range []CostKind{MaxSum, Dia, Sum, MinMax, SumMax} {
+				res, err := e.Solve(q, cost, Brute)
+				check(cost.String(), res, err)
+			}
+			res, err := e.SolveAlpha(q, 0.3, Brute)
+			check("cost_α", res, err)
+		}
+	}
+}
+
 // TestApproximationRatios verifies the proved bounds hold against the
 // exact optimum: MaxSum-Appro ≤ 1.375, Dia-Appro ≤ √3, Cao-Appro1 ≤ 3,
 // Cao-Appro2 ≤ 2 (all for MaxSum; Dia adaptations are checked against

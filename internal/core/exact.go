@@ -18,11 +18,10 @@ import (
 // C(q, d(o_f, q)), which is exactly the pool of objects the enumerator
 // has already produced; the per-owner step is the cover search
 // (bestWithOwner).
-func (s *search) ownerExact(q Query, cost costFn) (res Result, err error) {
+func (s *search) ownerExact(q Query, cost costFn) (Result, error) {
 	if s.workers > 1 {
 		return s.ownerExactPar(q, cost)
 	}
-	defer recoverBudget(&err)
 	start := time.Now()
 	qi := kwds.NewQueryIndex(q.Keywords)
 	algo := s.tr.Begin("owner_exact")

@@ -137,8 +137,7 @@ func (s *search) greedySum(q Query) (Result, error) {
 // possible completion (for each uncovered keyword, the nearest object
 // containing it — keywords can share objects, so the max of those minima
 // is a valid bound).
-func (s *search) sumExact(q Query) (res Result, err error) {
-	defer recoverBudget(&err)
+func (s *search) sumExact(q Query) (Result, error) {
 	start := time.Now()
 	qi := kwds.NewQueryIndex(q.Keywords)
 
@@ -260,8 +259,7 @@ func (s *search) sumExact(q Query) (res Result, err error) {
 // member nearest to the query. All other members of a set owned by o lie
 // within C(o, curCost − d(o,q)) (the pairwise component is at least their
 // distance from o) and at query distance ≥ d(o,q).
-func (s *search) minMaxExact(q Query) (res Result, err error) {
-	defer recoverBudget(&err)
+func (s *search) minMaxExact(q Query) (Result, error) {
 	start := time.Now()
 	qi := kwds.NewQueryIndex(q.Keywords)
 	algo := s.tr.Begin("minmax_exact")

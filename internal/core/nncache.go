@@ -56,11 +56,11 @@ type nnCacheKey struct {
 // (the batched-path alloc guard pins this).
 type nnCacheEntry struct {
 	key        nnCacheKey
-	p          geo.Point          // observation point p0
-	id         dataset.ObjectID   // NN of p0 for key.kw
-	loc        geo.Point          // location of id
-	d1, d2     float64            // NN and second-NN distances from p0
-	ok         bool               // false: keyword appears in no object
+	p          geo.Point        // observation point p0
+	id         dataset.ObjectID // NN of p0 for key.kw
+	loc        geo.Point        // location of id
+	d1, d2     float64          // NN and second-NN distances from p0
+	ok         bool             // false: keyword appears in no object
 	prev, next *nnCacheEntry
 }
 

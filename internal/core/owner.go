@@ -7,11 +7,13 @@ package core
 // enumerator that plug in a combiner and a per-owner step.
 
 import (
+	"fmt"
 	"math"
 	"time"
 
 	"coskq/internal/dataset"
 	"coskq/internal/fault"
+	"coskq/internal/geo"
 	"coskq/internal/irtree"
 	"coskq/internal/kwds"
 	"coskq/internal/trace"
@@ -52,12 +54,46 @@ func (c costFn) ownerLimit(bound float64) float64 {
 	return bound
 }
 
-// evalCost is EvalCost / EvalCostAlpha by cost value.
-func (s *search) evalCost(c costFn, q Query, set []dataset.ObjectID) float64 {
-	if c.alpha != 0 {
-		return s.EvalCostAlpha(c.alpha, q.Loc, set)
+// eval computes the cost of the set whose members sit at pts, for a query
+// at q: the one walk over the member and pairwise distances behind
+// EvalCost, EvalCostAlpha and EvalPoints. It panics on an empty set.
+func (c costFn) eval(q geo.Point, pts []geo.Point) float64 {
+	if len(pts) == 0 {
+		panic("coskq: cost of an empty set")
 	}
-	return s.EvalCost(c.kind, q.Loc, set)
+	maxD, minD, sumD := math.Inf(-1), math.Inf(1), 0.0
+	for _, p := range pts {
+		d := q.Dist(p)
+		sumD += d
+		if d > maxD {
+			maxD = d
+		}
+		if d < minD {
+			minD = d
+		}
+	}
+	maxPair := 0.0
+	for i, p := range pts {
+		for _, r := range pts[i+1:] {
+			if d := p.Dist(r); d > maxPair {
+				maxPair = d
+			}
+		}
+	}
+	if c.alpha == 0 {
+		switch c.kind {
+		case MaxSum, Dia:
+		case Sum:
+			return sumD
+		case MinMax:
+			return minD + maxPair
+		case SumMax:
+			return sumD + maxPair
+		default:
+			panic(fmt.Sprintf("coskq: unknown cost kind %d", int(c.kind)))
+		}
+	}
+	return c.combine(maxD, maxPair)
 }
 
 // cand is one relevant object materialized by the ascending-distance

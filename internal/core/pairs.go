@@ -24,8 +24,7 @@ import (
 )
 
 // pairsExact is the pair-owners-first exact search for MaxSum and Dia.
-func (s *search) pairsExact(q Query, cost CostKind) (res Result, err error) {
-	defer recoverBudget(&err)
+func (s *search) pairsExact(q Query, cost CostKind) (Result, error) {
 	start := time.Now()
 	qi := kwds.NewQueryIndex(q.Keywords)
 	algo := s.tr.Begin("pairs_exact")

@@ -153,8 +153,7 @@ type ownerTask struct {
 // the sub-search instead of running it. The trace layout mirrors the
 // serial one, with the per-owner sub-search spans grouped under a
 // concurrent "owner_workers" group span.
-func (s *search) ownerExactPar(q Query, cost costFn) (res Result, err error) {
-	defer recoverBudget(&err)
+func (s *search) ownerExactPar(q Query, cost costFn) (Result, error) {
 	start := time.Now()
 	workers := s.workers
 	qi := kwds.NewQueryIndex(q.Keywords)
@@ -236,7 +235,7 @@ func (s *search) ownerExactPar(q Query, cost costFn) (res Result, err error) {
 	// degrade (DESIGN.md §11) can return the best answer any worker found.
 	s.noteIncumbent(sh.set, sh.cost, cost.kind)
 	if p := sh.firstPanic(); p != nil {
-		panic(p) // recoverBudget (deferred above) converts it into err
+		panic(p) // the shielded frame above (solveInner, enter) converts it
 	}
 	stats.Elapsed = time.Since(start)
 	return Result{Set: sh.set, Cost: sh.cost, Cost2: cost.kind, Stats: stats}, nil
@@ -325,7 +324,7 @@ func (s *search) caoSearchPar(qi *kwds.QueryIndex, cost CostKind, cands [][]kwCa
 	// ownerExactPar).
 	s.noteIncumbent(sh.set, sh.cost, cost)
 	if p := sh.firstPanic(); p != nil {
-		panic(p) // caoExact's recoverBudget converts it
+		panic(p) // solveInner converts it
 	}
 	return sh.set, sh.cost
 }

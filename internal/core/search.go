@@ -81,8 +81,11 @@ func (s *search) release() {
 // enter is the one way into the algorithms: it rejects a query the
 // keyword masks cannot represent, takes a search from the pool, binds the
 // call's context, trace, node budget and worker count, runs fn on it and
-// releases it. A budget or cancellation unwind no algorithm shielded
-// surfaces as fn's error, never as a panic.
+// releases it. A budget or cancellation unwind that no frame below
+// converted (solveInner, topKInner and fallbackAppro do, so that their
+// callers can degrade) surfaces as fn's error, never as a panic. A search
+// only ever comes from here, or from a child literal built beneath this
+// frame, so the shield is structural.
 func (e *Engine) enter(ctx context.Context, q Query, fn func(*search) error) (err error) {
 	if len(q.Keywords) > kwds.MaxQueryKeywords {
 		return fmt.Errorf("%w (%d given)", ErrTooManyKeywords, len(q.Keywords))
@@ -145,9 +148,9 @@ func (s *search) solve(q Query, cost CostKind, method Method) (Result, error) {
 	return res, err
 }
 
-// solveInner dispatches to the per-(cost, method) algorithm. The deferred
-// recover catches cancellation unwinds from algorithms that have no
-// recover of their own (the approximation constructions).
+// solveInner dispatches to the per-(cost, method) algorithm. No algorithm
+// shields itself: a budget or cancellation unwind from any of them lands
+// on the recover deferred here, so solve sees it as an error to degrade.
 func (s *search) solveInner(q Query, cost CostKind, method Method) (res Result, err error) {
 	defer recoverBudget(&err)
 	switch cost {
@@ -166,7 +169,7 @@ func (s *search) solveInner(q Query, cost CostKind, method Method) (res Result, 
 		case CaoAppro2:
 			return s.caoAppro2(q, cost)
 		case Brute:
-			return s.bruteForce(q, cost)
+			return s.bruteForce(q, costFn{kind: cost})
 		}
 	case Sum:
 		switch method {
@@ -175,7 +178,7 @@ func (s *search) solveInner(q Query, cost CostKind, method Method) (res Result, 
 		case OwnerExact, CaoExact:
 			return s.sumExact(q)
 		case Brute:
-			return s.bruteForce(q, cost)
+			return s.bruteForce(q, costFn{kind: cost})
 		}
 	case MinMax:
 		switch method {
@@ -184,7 +187,7 @@ func (s *search) solveInner(q Query, cost CostKind, method Method) (res Result, 
 		case OwnerAppro:
 			return s.minMaxAppro(q)
 		case Brute:
-			return s.bruteForce(q, cost)
+			return s.bruteForce(q, costFn{kind: cost})
 		}
 	case SumMax:
 		switch method {
@@ -193,7 +196,7 @@ func (s *search) solveInner(q Query, cost CostKind, method Method) (res Result, 
 		case OwnerAppro, GreedySum:
 			return s.sumMaxAppro(q)
 		case Brute:
-			return s.bruteForce(q, cost)
+			return s.bruteForce(q, costFn{kind: cost})
 		}
 	}
 	return Result{}, fmt.Errorf("%w: %v with %v", ErrUnsupported, cost, method)
@@ -353,7 +356,7 @@ func (s *search) nnSeed(q Query, cost costFn, stats *Stats) (set []dataset.Objec
 			ids = append(ids, id)
 		}
 	}
-	c = s.evalCost(cost, q, ids)
+	c = s.evalSet(cost, q.Loc, ids)
 	stats.Phases.Seed += time.Since(t0)
 	if sp != nil {
 		sp.Attr("seed_size", float64(len(ids)))

@@ -22,8 +22,7 @@ import (
 )
 
 // sumMaxExact finds the optimal SumMax set.
-func (s *search) sumMaxExact(q Query) (res Result, err error) {
-	defer recoverBudget(&err)
+func (s *search) sumMaxExact(q Query) (Result, error) {
 	start := time.Now()
 	qi := kwds.NewQueryIndex(q.Keywords)
 

@@ -443,7 +443,7 @@ func X2(opt Options) {
 	}
 	backends := make([]shard.Backend, len(shards))
 	for i, sh := range shards {
-		backends[i] = shard.NewEngineBackend(fmt.Sprintf("shard-%d", i), sh, 0)
+		backends[i] = shard.NewEngineBackend(fmt.Sprintf("shard-%d", i), sh)
 	}
 	rt := &shard.Router{Backends: backends}
 	eng := opt.newEngine(ds) // query generation only

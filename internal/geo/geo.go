@@ -1,8 +1,8 @@
 // Package geo provides the planar Euclidean geometry substrate used by the
 // spatial indexes and the CoSKQ algorithms: points, axis-aligned rectangles
 // (MBRs), circles, and the distance predicates the distance owner-driven
-// search relies on (point–point, point–rectangle min/max distance, and
-// circle/rectangle/lens containment tests).
+// search relies on (point–point and point–rectangle minimum distance, and
+// the circle and lens tests of the index descents).
 //
 // All coordinates are float64 and distances are Euclidean, matching the
 // paper's setting.
@@ -35,11 +35,6 @@ func (p Point) String() string {
 	return fmt.Sprintf("(%.6g, %.6g)", p.X, p.Y)
 }
 
-// Midpoint returns the midpoint of the segment p–r.
-func (p Point) Midpoint(r Point) Point {
-	return Point{X: (p.X + r.X) / 2, Y: (p.Y + r.Y) / 2}
-}
-
 // Rect is a closed axis-aligned rectangle (a minimum bounding rectangle).
 // A Rect is valid when MinX <= MaxX and MinY <= MaxY; EmptyRect is the
 // identity element for Union.
@@ -61,16 +56,6 @@ func RectFromPoint(p Point) Rect {
 	return Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}
 }
 
-// RectFromPoints returns the minimum bounding rectangle of pts, or
-// EmptyRect when pts is empty.
-func RectFromPoints(pts ...Point) Rect {
-	r := EmptyRect()
-	for _, p := range pts {
-		r = r.ExtendPoint(p)
-	}
-	return r
-}
-
 // IsEmpty reports whether r contains no points.
 func (r Rect) IsEmpty() bool {
 	return r.MinX > r.MaxX || r.MinY > r.MaxY
@@ -90,16 +75,6 @@ func (r Rect) Height() float64 {
 		return 0
 	}
 	return r.MaxY - r.MinY
-}
-
-// Area returns the area of r (0 when empty or degenerate).
-func (r Rect) Area() float64 {
-	return r.Width() * r.Height()
-}
-
-// Margin returns half the perimeter of r.
-func (r Rect) Margin() float64 {
-	return r.Width() + r.Height()
 }
 
 // Center returns the center point of r. Undefined for the empty rectangle.
@@ -153,12 +128,6 @@ func (r Rect) ExtendPoint(p Point) Rect {
 	return r.Union(RectFromPoint(p))
 }
 
-// Enlargement returns the area increase Union(r, s).Area() - r.Area().
-// It is the quantity the R-tree insertion heuristic minimizes.
-func (r Rect) Enlargement(s Rect) float64 {
-	return r.Union(s).Area() - r.Area()
-}
-
 // MinDist returns the minimum Euclidean distance from p to any point of r,
 // which is 0 when p lies inside r. This is the classic R-tree MINDIST bound:
 // no object inside r can be closer to p than MinDist.
@@ -174,17 +143,6 @@ func (r Rect) MinDist2(p Point) float64 {
 	dx := math.Max(math.Max(r.MinX-p.X, 0), p.X-r.MaxX)
 	dy := math.Max(math.Max(r.MinY-p.Y, 0), p.Y-r.MaxY)
 	return dx*dx + dy*dy
-}
-
-// MaxDist returns the maximum Euclidean distance from p to any point of r:
-// every object inside r is within MaxDist of p.
-func (r Rect) MaxDist(p Point) float64 {
-	if r.IsEmpty() {
-		return 0
-	}
-	dx := math.Max(math.Abs(p.X-r.MinX), math.Abs(p.X-r.MaxX))
-	dy := math.Max(math.Abs(p.Y-r.MinY), math.Abs(p.Y-r.MaxY))
-	return math.Hypot(dx, dy)
 }
 
 // String implements fmt.Stringer.
@@ -214,19 +172,6 @@ func (c Circle) ContainsPoint(p Point) bool {
 // least one point. Used by index descents restricted to a disk.
 func (c Circle) IntersectsRect(r Rect) bool {
 	return r.MinDist2(c.C) <= c.R*c.R
-}
-
-// ContainsRect reports whether r lies entirely inside the disk c.
-func (c Circle) ContainsRect(r Rect) bool {
-	if r.IsEmpty() {
-		return true
-	}
-	return r.MaxDist(c.C) <= c.R
-}
-
-// BoundingRect returns the tight axis-aligned bounding rectangle of c.
-func (c Circle) BoundingRect() Rect {
-	return Rect{MinX: c.C.X - c.R, MinY: c.C.Y - c.R, MaxX: c.C.X + c.R, MaxY: c.C.Y + c.R}
 }
 
 // Lens reports whether p lies in the intersection region

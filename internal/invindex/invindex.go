@@ -1,9 +1,9 @@
 // Package invindex provides a flat inverted index over a geo-textual
-// dataset: keyword → posting list of object ids. It backs keyword
-// frequency statistics (used by the query generator's percentile band and
-// by the Cao branch-and-bound baseline's least-frequent-keyword expansion
-// order) and serves as the linear-scan complement to the IR-tree for
-// testing and ablation.
+// dataset: keyword → posting list of object ids. It is the access path of
+// the shard data plane (shard.EngineBackend answers NN and Collect from
+// Postings) and backs the keyword frequency ranking the query generator
+// draws its percentile band from. No solver in internal/core reads it:
+// core.Engine carries one for the facade and the data plane.
 package invindex
 
 import (
@@ -40,22 +40,6 @@ func (idx *Index) Postings(kw kwds.ID) []dataset.ObjectID {
 // Frequency returns the number of objects containing kw.
 func (idx *Index) Frequency(kw kwds.ID) int {
 	return len(idx.postings[kw])
-}
-
-// LeastFrequent returns the keyword of q with the shortest posting list
-// (ok=false for an empty q). Ties break toward the smaller keyword id so
-// the result is deterministic.
-func (idx *Index) LeastFrequent(q kwds.Set) (kwds.ID, bool) {
-	if q.IsEmpty() {
-		return 0, false
-	}
-	best, bestN := q[0], idx.Frequency(q[0])
-	for _, kw := range q[1:] {
-		if n := idx.Frequency(kw); n < bestN {
-			best, bestN = kw, n
-		}
-	}
-	return best, true
 }
 
 // ByFrequency returns all keywords with non-empty postings sorted by

@@ -40,27 +40,6 @@ func TestPostingsAndFrequency(t *testing.T) {
 	}
 }
 
-func TestLeastFrequent(t *testing.T) {
-	ds, ids := buildSample()
-	idx := Build(ds)
-	kw, ok := idx.LeastFrequent(kwds.NewSet(ids["a"], ids["b"]))
-	if !ok || kw != ids["b"] {
-		t.Fatalf("LeastFrequent = %v, %v", kw, ok)
-	}
-	// Tie between b and c breaks toward smaller id.
-	kw, _ = idx.LeastFrequent(kwds.NewSet(ids["b"], ids["c"]))
-	lo := ids["b"]
-	if ids["c"] < lo {
-		lo = ids["c"]
-	}
-	if kw != lo {
-		t.Fatalf("tie break: got %v, want %v", kw, lo)
-	}
-	if _, ok := idx.LeastFrequent(nil); ok {
-		t.Fatal("empty query should report !ok")
-	}
-}
-
 func TestByFrequency(t *testing.T) {
 	ds, ids := buildSample()
 	idx := Build(ds)

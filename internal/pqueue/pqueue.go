@@ -48,15 +48,6 @@ func (q *Queue[T]) Pop() (T, float64) {
 	return top.Value, top.Priority
 }
 
-// Peek returns the item with the smallest priority without removing it.
-// It panics when the queue is empty.
-func (q *Queue[T]) Peek() (T, float64) {
-	return q.items[0].Value, q.items[0].Priority
-}
-
-// Reset empties the queue, retaining the backing storage.
-func (q *Queue[T]) Reset() { q.items = q.items[:0] }
-
 func (q *Queue[T]) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2

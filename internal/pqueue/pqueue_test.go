@@ -35,33 +35,6 @@ func TestPushPopOrder(t *testing.T) {
 	}
 }
 
-func TestPeek(t *testing.T) {
-	q := New[int](2)
-	q.Push(10, 5)
-	q.Push(20, 1)
-	v, p := q.Peek()
-	if v != 20 || p != 1 {
-		t.Fatalf("Peek = (%v, %v)", v, p)
-	}
-	if q.Len() != 2 {
-		t.Fatal("Peek must not remove")
-	}
-}
-
-func TestReset(t *testing.T) {
-	q := New[int](2)
-	q.Push(1, 1)
-	q.Push(2, 2)
-	q.Reset()
-	if !q.Empty() {
-		t.Fatal("Reset should empty the queue")
-	}
-	q.Push(3, 3)
-	if v, _ := q.Pop(); v != 3 {
-		t.Fatal("queue should be reusable after Reset")
-	}
-}
-
 func TestDuplicatePriorities(t *testing.T) {
 	q := New[int](8)
 	for i := 0; i < 8; i++ {

@@ -311,7 +311,7 @@ func TestShardDataPlaneParity(t *testing.T) {
 		eng := core.NewEngine(ds, 0)
 		srv := httptest.NewServer(NewWith(eng, Options{}))
 		t.Cleanup(srv.Close)
-		local := shard.WrapEngine(ds.Name, eng)
+		local := shard.WrapEngine(ds.Name, eng.DS, eng.Inv)
 		remote := shard.NewHTTPBackend(&client.Client{Base: srv.URL, MaxRetries: -1})
 		for _, loc := range []geo.Point{{X: 0, Y: 0}, {X: 51, Y: 40}, {X: 104, Y: 3}} {
 			q := shard.ShardQuery{Loc: loc, Words: []string{"park", "absent", "cafe", "museum"}}

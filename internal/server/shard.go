@@ -31,21 +31,21 @@ const DefaultFederateTimeout = 2 * time.Second
 
 // shardBackendAt resolves the backend one shard data-plane call runs
 // against, for the pin the handler holds. A static server lazily wraps
-// its engine once (identity id mapping: reported ids are this server's
-// own object ids). A live server wraps the pinned engine once per
-// generation — WrapEngine scans the dataset for the keyword summary, so
-// the wrap is cached until the store swaps.
+// its engine's dataset and postings once (identity id mapping: reported
+// ids are this server's own object ids). A live server wraps the pinned
+// engine's once per generation — WrapEngine scans the dataset for the
+// keyword summary, so the wrap is cached until the store swaps.
 func (s *server) shardBackendAt(p pin) *shard.EngineBackend {
 	if p.g == nil {
 		s.shardOnce.Do(func() {
-			s.shardB = shard.WrapEngine(s.eng.DS.Name, s.eng)
+			s.shardB = shard.WrapEngine(s.eng.DS.Name, s.eng.DS, s.eng.Inv)
 		})
 		return s.shardB
 	}
 	s.shardMu.Lock()
 	defer s.shardMu.Unlock()
 	if s.shardLive == nil || s.shardLiveGen != p.gen {
-		s.shardLive = shard.WrapEngine(p.eng.DS.Name, p.eng)
+		s.shardLive = shard.WrapEngine(p.eng.DS.Name, p.eng.DS, p.eng.Inv)
 		s.shardLiveGen = p.gen
 	}
 	return s.shardLive

@@ -5,7 +5,9 @@ package shard
 // tests pin what that must mean: Collect is exactly the brute-force set
 // {o : mask(o) ≠ 0 ∧ disk.ContainsPoint(o.Loc)} with brute-force masks,
 // a superset of the IR-tree disk walk that differs only on the one-ulp
-// boundary, and NN is Tree.NN with a stated tie order.
+// boundary, and NN is Tree.NN with a stated tie order. A backend holds no
+// tree, so each check is handed a reference tree built here over the
+// shard's dataset.
 
 import (
 	"context"
@@ -20,6 +22,8 @@ import (
 	"coskq/internal/datagen"
 	"coskq/internal/dataset"
 	"coskq/internal/geo"
+	"coskq/internal/invindex"
+	"coskq/internal/irtree"
 	"coskq/internal/kwds"
 )
 
@@ -50,7 +54,7 @@ func accessWords(rng *rand.Rand, ds *dataset.Dataset, n int) []string {
 }
 
 // checkCollect asserts the Collect contract of one backend for one call.
-func checkCollect(t *testing.T, b *EngineBackend, sh Shard, q ShardQuery, radius float64) {
+func checkCollect(t *testing.T, b *EngineBackend, tree *irtree.Tree, sh Shard, q ShardQuery, radius float64) {
 	t.Helper()
 	got, err := b.Collect(context.Background(), q, radius)
 	if err != nil {
@@ -97,7 +101,7 @@ func checkCollect(t *testing.T, b *EngineBackend, sh Shard, q ShardQuery, radius
 	}
 	walked := 0
 	if len(ids) > 0 {
-		b.Eng.Tree.RelevantInDisk(disk, kwds.NewQueryIndex(kwds.NewSet(ids...)), func(o *dataset.Object, _ kwds.Mask) bool {
+		tree.RelevantInDisk(disk, kwds.NewQueryIndex(kwds.NewSet(ids...)), func(o *dataset.Object, _ kwds.Mask) bool {
 			walked++
 			if !inCollect[b.global(o.ID)] {
 				t.Fatalf("IR-tree walk found object %d that Collect missed", b.global(o.ID))
@@ -120,7 +124,7 @@ func checkCollect(t *testing.T, b *EngineBackend, sh Shard, q ShardQuery, radius
 }
 
 // checkNN asserts the NN contract of one backend for one query.
-func checkNN(t *testing.T, b *EngineBackend, sh Shard, q ShardQuery) {
+func checkNN(t *testing.T, b *EngineBackend, tree *irtree.Tree, sh Shard, q ShardQuery) {
 	t.Helper()
 	got, err := b.NN(context.Background(), q)
 	if err != nil {
@@ -135,7 +139,7 @@ func checkNN(t *testing.T, b *EngineBackend, sh Shard, q ShardQuery) {
 		var treeD float64
 		treeOK := false
 		if known {
-			_, treeD, treeOK = b.Eng.Tree.NN(q.Loc, kw)
+			_, treeD, treeOK = tree.NN(q.Loc, kw)
 		}
 		if h.Found != treeOK {
 			t.Fatalf("word %q: NN found=%v, Tree.NN found=%v", w, h.Found, treeOK)
@@ -180,8 +184,10 @@ func TestAccessPathContract(t *testing.T) {
 				t.Fatal(err)
 			}
 			backends := make([]*EngineBackend, len(shards))
+			trees := make([]*irtree.Tree, len(shards))
 			for i, sh := range shards {
-				backends[i] = NewEngineBackend(sh.DS.Name, sh, 0)
+				backends[i] = NewEngineBackend(sh.DS.Name, sh)
+				trees[i] = irtree.Build(sh.DS, 0)
 			}
 			for _, size := range []int{1, 3, 9, kwds.MaxQueryKeywords} {
 				t.Run(fmt.Sprintf("%s/%s/k%d", cfg.Name, part.Name(), size), func(t *testing.T) {
@@ -192,12 +198,12 @@ func TestAccessPathContract(t *testing.T) {
 							Words: accessWords(rng, ds, size),
 						}
 						for s, b := range backends {
-							if b.Eng == nil {
+							if shards[s].DS.Len() == 0 {
 								continue
 							}
-							checkNN(t, b, shards[s], q)
+							checkNN(t, b, trees[s], shards[s], q)
 							for _, radius := range []float64{0, 40, 250, 2000} {
-								checkCollect(t, b, shards[s], q, radius)
+								checkCollect(t, b, trees[s], shards[s], q, radius)
 							}
 						}
 					}
@@ -217,10 +223,11 @@ func TestAccessPathEdges(t *testing.T) {
 	ctx := context.Background()
 	holders := 0
 	for s, sh := range shards {
-		b := NewEngineBackend(sh.DS.Name, sh, 0)
+		b := NewEngineBackend(sh.DS.Name, sh)
+		tree := irtree.Build(sh.DS, 0)
 		q := ShardQuery{Loc: pt(500, 500), Words: []string{"rare", "never-interned"}}
-		checkNN(t, b, sh, q)
-		checkCollect(t, b, sh, q, 2000)
+		checkNN(t, b, tree, sh, q)
+		checkCollect(t, b, tree, sh, q, 2000)
 		nn, _ := b.NN(ctx, q)
 		col, _ := b.Collect(ctx, q, 2000)
 		if nn.Hits[1].Found {
@@ -239,7 +246,7 @@ func TestAccessPathEdges(t *testing.T) {
 		// radius exactly d(o, q) includes o (the disk is closed).
 		o := sh.DS.Objects[0]
 		alpha := ShardQuery{Loc: o.Loc, Words: []string{"alpha"}}
-		checkCollect(t, b, sh, alpha, 0)
+		checkCollect(t, b, tree, sh, alpha, 0)
 		at, _ := b.Collect(ctx, alpha, 0)
 		if len(at.Objects) != 1 || at.Objects[0].GID != sh.GlobalIDs[0] {
 			t.Fatalf("shard %d: radius 0 at object 0 returned %+v", s, at.Objects)
@@ -247,12 +254,12 @@ func TestAccessPathEdges(t *testing.T) {
 		far := ShardQuery{Loc: pt(500, 500), Words: []string{"alpha"}}
 		for i := range sh.DS.Objects {
 			d := far.Loc.Dist(sh.DS.Objects[i].Loc)
-			checkCollect(t, b, sh, far, d)
+			checkCollect(t, b, tree, sh, far, d)
 			on, _ := b.Collect(ctx, far, d)
 			if !slices.ContainsFunc(on.Objects, func(c Candidate) bool { return c.GID == sh.GlobalIDs[i] }) {
 				t.Fatalf("shard %d: radius exactly d(o%d, q) = %v excludes o%d", s, i, d, i)
 			}
-			checkCollect(t, b, sh, far, math.Nextafter(d, 0))
+			checkCollect(t, b, tree, sh, far, math.Nextafter(d, 0))
 		}
 	}
 	if holders != 1 {
@@ -265,15 +272,16 @@ func TestAccessPathEdges(t *testing.T) {
 	for _, p := range []geo.Point{pt(3, 0), pt(0, 1), pt(1, 0), pt(0, -1), pt(-1, 0)} {
 		tb.Add(p, "tie")
 	}
-	tied := WrapEngine("ties", core.NewEngine(tb.Build(), 0))
+	tds := tb.Build()
+	tied := WrapEngine("ties", tds, invindex.Build(tds))
 	tq := ShardQuery{Words: []string{"tie"}}
-	checkNN(t, tied, Shard{DS: tied.Eng.DS, GlobalIDs: []dataset.ObjectID{0, 1, 2, 3, 4}}, tq)
+	checkNN(t, tied, irtree.Build(tds, 0), Shard{DS: tds, GlobalIDs: []dataset.ObjectID{0, 1, 2, 3, 4}}, tq)
 	if nn, _ := tied.NN(ctx, tq); nn.Hits[0].Cand.GID != 1 || nn.Hits[0].Dist != 1 {
 		t.Fatalf("four-way tie at distance 1 resolved to object %d at %v, want object 1", nn.Hits[0].Cand.GID, nn.Hits[0].Dist)
 	}
 
-	// The empty shard has no engine and answers with empty results.
-	empty := NewEngineBackend("empty", Shard{DS: dataset.NewBuilder("empty").Build()}, 0)
+	// The empty shard answers with empty results.
+	empty := NewEngineBackend("empty", Shard{DS: dataset.NewBuilder("empty").Build()})
 	q := ShardQuery{Loc: pt(1, 1), Words: []string{"alpha", "beta"}}
 	nn, err := empty.NN(ctx, q)
 	if err != nil || len(nn.Hits) != 2 || nn.Hits[0].Found || nn.Hits[1].Found {
@@ -289,7 +297,7 @@ func TestAccessPathEdges(t *testing.T) {
 	for i := range wide.Words {
 		wide.Words[i] = "alpha"
 	}
-	for _, b := range []*EngineBackend{empty, NewEngineBackend("s0", shards[0], 0)} {
+	for _, b := range []*EngineBackend{empty, NewEngineBackend("s0", shards[0])} {
 		if _, err := b.NN(ctx, wide); !errors.Is(err, core.ErrTooManyKeywords) {
 			t.Fatalf("%s: 65-word NN err = %v, want ErrTooManyKeywords", b.Name(), err)
 		}

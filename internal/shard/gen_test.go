@@ -57,7 +57,7 @@ func genRouter(t *testing.T, nnGens, colGens []uint64) (*Router, *core.Engine, *
 	t.Helper()
 	ds := testDataset(51, 150)
 	eng := core.NewEngine(ds, 0)
-	script := &genScript{Backend: WrapEngine("live0", eng), nnGens: nnGens, colGens: colGens}
+	script := &genScript{Backend: WrapEngine("live0", eng.DS, eng.Inv), nnGens: nnGens, colGens: colGens}
 	r := &Router{
 		Backends: []Backend{script},
 		Vocab:    ds.Vocab,

@@ -214,25 +214,25 @@ func PartitionerByName(name string) (Partitioner, bool) {
 	return nil, false
 }
 
-// BuildBackends indexes each shard into an in-process backend (IR-tree
-// fanout 0 for default).
-func BuildBackends(shards []Shard, fanout int) []Backend {
+// BuildBackends builds each shard's posting lists into an in-process
+// backend.
+func BuildBackends(shards []Shard) []Backend {
 	out := make([]Backend, len(shards))
 	for i, sh := range shards {
-		out[i] = NewEngineBackend(sh.DS.Name, sh, fanout)
+		out[i] = NewEngineBackend(sh.DS.Name, sh)
 	}
 	return out
 }
 
 // NewLocalRouter partitions ds into n shards with the given strategy and
-// returns a ready in-process router over per-shard engines. The router's
-// Vocab is the dataset's, so core.Query keyword sets pass straight
-// through Solve/SolveCtx.
-func NewLocalRouter(ds *dataset.Dataset, n int, part Partitioner, fanout int) (*Router, error) {
+// returns a ready in-process router over the per-shard backends. The
+// router's Vocab is the dataset's, so core.Query keyword sets pass
+// straight through Solve/SolveCtx. The unnamed int was the shards'
+// IR-tree fanout; it stays only because bench/ladder.go still passes it.
+func NewLocalRouter(ds *dataset.Dataset, n int, part Partitioner, _ int) (*Router, error) {
 	shards, err := part.Partition(ds, n)
 	if err != nil {
 		return nil, err
 	}
-	r := &Router{Backends: BuildBackends(shards, fanout), Vocab: ds.Vocab}
-	return r, nil
+	return &Router{Backends: BuildBackends(shards), Vocab: ds.Vocab}, nil
 }

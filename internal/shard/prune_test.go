@@ -63,7 +63,7 @@ func TestMBRPruneNeverHidesTheOptimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &Router{Backends: BuildBackends(shards, 0), Vocab: ds.Vocab}
+	r := &Router{Backends: BuildBackends(shards), Vocab: ds.Vocab}
 	eng := core.NewEngine(ds, 0)
 	loc := pt(55, 55)
 	words := []string{"alpha", "gamma"}
@@ -90,7 +90,7 @@ func TestPrunePropertyRandomWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &Router{Backends: BuildBackends(shards, 0), Vocab: ds.Vocab}
+	r := &Router{Backends: BuildBackends(shards), Vocab: ds.Vocab}
 	eng := core.NewEngine(ds, 0)
 	g := datagen.NewQueryGen(ds, eng.Inv, 0, 40, 77)
 	mbrPrunes, kwPrunes := 0, 0
@@ -123,7 +123,7 @@ func TestKeywordPruneIsProof(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &Router{Backends: BuildBackends(shards, 0), Vocab: ds.Vocab}
+	r := &Router{Backends: BuildBackends(shards), Vocab: ds.Vocab}
 	ans, err := r.RouteWords(context.Background(), pt(60, 60), []string{"rare"}, core.MaxSum, core.OwnerExact)
 	if err != nil {
 		t.Fatal(err)

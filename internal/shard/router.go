@@ -14,6 +14,7 @@ import (
 	"coskq/internal/dataset"
 	"coskq/internal/fault"
 	"coskq/internal/geo"
+	"coskq/internal/irtree"
 	"coskq/internal/kwds"
 	"coskq/internal/metrics"
 	"coskq/internal/trace"
@@ -322,47 +323,6 @@ func dedupeWords(words []string) []string {
 	return out
 }
 
-// evalCandidates computes cost(S) over candidates, mirroring
-// core.Engine.EvalCost.
-func evalCandidates(cost core.CostKind, q geo.Point, set []Candidate) float64 {
-	maxD, minD, sumD := 0.0, 0.0, 0.0
-	for i, c := range set {
-		d := q.Dist(c.Loc)
-		sumD += d
-		if i == 0 || d > maxD {
-			maxD = d
-		}
-		if i == 0 || d < minD {
-			minD = d
-		}
-	}
-	maxPair := 0.0
-	for i := 0; i < len(set); i++ {
-		for j := i + 1; j < len(set); j++ {
-			if d := set[i].Loc.Dist(set[j].Loc); d > maxPair {
-				maxPair = d
-			}
-		}
-	}
-	switch cost {
-	case core.MaxSum:
-		return maxD + maxPair
-	case core.Dia:
-		if maxD > maxPair {
-			return maxD
-		}
-		return maxPair
-	case core.Sum:
-		return sumD
-	case core.MinMax:
-		return minD + maxPair
-	case core.SumMax:
-		return sumD + maxPair
-	default:
-		panic(fmt.Sprintf("shard: unknown cost kind %d", int(cost)))
-	}
-}
-
 // sameObject reports whether two candidates are one object. In-process
 // backends report unique global ids, but HTTP backends report shard-local
 // ids, so the shard ordinal is part of the identity.
@@ -636,12 +596,14 @@ func (r *Router) routeOnce(ctx context.Context, loc geo.Point, words []string, c
 	// optimal cost of q (DESIGN.md §12), so the disk C(q, U) contains
 	// every possible answer member for all five cost kinds.
 	seeds := make([]Candidate, 0, len(words))
+	seedLocs := make([]geo.Point, 0, len(words))
 	for _, h := range best {
 		if !slices.ContainsFunc(seeds, func(c Candidate) bool { return sameObject(c, h.Cand) }) {
 			seeds = append(seeds, h.Cand)
+			seedLocs = append(seedLocs, h.Cand.Loc)
 		}
 	}
-	info.SeedCost = evalCandidates(cost, loc, seeds)
+	info.SeedCost = core.EvalPoints(cost, loc, seedLocs)
 	info.Radius = info.SeedCost
 
 	// Phase 4: MBR prune — strict inequality keeps boundary ties.
@@ -771,10 +733,15 @@ func (r *Router) routeOnce(ctx context.Context, loc geo.Point, words []string, c
 		}
 		b.AddIDs(c.Loc, kwds.Set(ids[from:len(ids):len(ids)]))
 	}
-	eng := core.NewEngine(b.Build(), 0) // default fanout
-	eng.Parallelism = r.Workers
-	eng.NodeBudget = r.NodeBudget
-	eng.Degrade = r.Degrade
+	// The pool engine has a tree and no postings: no solver reads Inv.
+	ds := b.Build()
+	eng := core.Engine{
+		DS:          ds,
+		Tree:        irtree.Build(ds, 0), // default fanout
+		Parallelism: r.Workers,
+		NodeBudget:  r.NodeBudget,
+		Degrade:     r.Degrade,
+	}
 	res, err := eng.SolveCtx(ctx, core.Query{Loc: loc, Keywords: qids}, cost, method)
 	if err != nil {
 		return Answer{Info: info}, torn, err

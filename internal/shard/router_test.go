@@ -99,7 +99,7 @@ func TestRouterValidation(t *testing.T) {
 	if err := empty.Init(ctx); err == nil {
 		t.Fatal("router with no backends initialized")
 	}
-	if _, err := (&Router{Backends: BuildBackends(nil, 0)}).SolveCtx(ctx, core.Query{}, core.MaxSum, core.OwnerExact); err == nil {
+	if _, err := (&Router{Backends: BuildBackends(nil)}).SolveCtx(ctx, core.Query{}, core.MaxSum, core.OwnerExact); err == nil {
 		t.Fatal("SolveCtx without vocabulary accepted")
 	}
 }
@@ -175,7 +175,7 @@ func TestRouterMetrics(t *testing.T) {
 func TestWrapEngine(t *testing.T) {
 	ds := testDataset(25, 90)
 	eng := core.NewEngine(ds, 0)
-	b := WrapEngine(ds.Name, eng)
+	b := WrapEngine(ds.Name, eng.DS, eng.Inv)
 	m, err := b.Meta(context.Background())
 	if err != nil {
 		t.Fatal(err)

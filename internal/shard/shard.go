@@ -1,7 +1,7 @@
 // Package shard scales CoSKQ serving horizontally: a Partitioner splits a
-// dataset into spatial shards, each served by its own engine (in-process
-// or a remote coskq-server), and a Router answers queries by distance-
-// bounded scatter-gather.
+// dataset into spatial shards, each served from its own dataset and
+// posting lists (in-process, or by a remote coskq-server), and a Router
+// answers queries by distance-bounded scatter-gather.
 //
 // The correctness core is the gather bound. For every cost function the
 // engine supports, each member o of an optimal set S* satisfies
@@ -25,10 +25,12 @@
 // EngineBackend computes the masks by scanning the posting lists of the
 // query words it knows (a probe or a gather is textually selective and
 // spatially wide, the opposite of what a disk walk of the IR-tree is good
-// at). Keyword strings are materialized only where they leave the
-// process: on the /shard/* wire, which carries full keyword lists
-// (HTTPBackend derives each mask from them), and for the at most |q.ψ|
-// members of an Answer (Hydrator).
+// at), so a shard holds no IR-tree at all: the only tree of a routed
+// query is the one the router builds over the gathered pool, which in
+// turn needs no postings. Keyword strings are materialized only where
+// they leave the process: on the /shard/* wire, which carries full keyword
+// lists (HTTPBackend derives each mask from them), and for the at most
+// |q.ψ| members of an Answer (Hydrator).
 package shard
 
 import (
@@ -41,6 +43,7 @@ import (
 	"coskq/internal/core"
 	"coskq/internal/dataset"
 	"coskq/internal/geo"
+	"coskq/internal/invindex"
 	"coskq/internal/kwds"
 	"coskq/internal/trace"
 )
@@ -250,40 +253,37 @@ type Backend interface {
 	Collect(ctx context.Context, q ShardQuery, radius float64) (CollectResult, error)
 }
 
-// EngineBackend serves one in-process shard from a core.Engine built
-// over the shard's dataset. The zero-object shard is represented with a
-// nil engine and answers every call with empty results.
+// EngineBackend serves one in-process shard from the two things the data
+// plane reads: the shard's dataset and its posting lists. It holds no
+// IR-tree — NN and Collect never walk one. An empty shard needs no special
+// case: its posting lists are empty, so every call answers with no hits.
 type EngineBackend struct {
-	Eng *core.Engine
 	// GIDs maps the shard dataset's dense local object ids to global ids
 	// in the original dataset; nil means the identity mapping.
 	GIDs []dataset.ObjectID
 
+	ds   *dataset.Dataset
+	inv  *invindex.Index
 	name string
 	meta Meta
 }
 
-// NewEngineBackend indexes sh (with the given IR-tree fanout, 0 for
-// default) and returns its backend. Empty shards get no engine.
-func NewEngineBackend(name string, sh Shard, fanout int) *EngineBackend {
-	b := &EngineBackend{GIDs: sh.GlobalIDs, name: name}
-	b.meta = Meta{Name: name, Objects: sh.DS.Len(), MBR: sh.DS.MBR(), Summary: SummaryOf(sh.DS)}
-	if sh.DS.Len() > 0 {
-		b.Eng = core.NewEngine(sh.DS, fanout)
-	}
+// NewEngineBackend builds the posting lists of sh and returns its backend.
+func NewEngineBackend(name string, sh Shard) *EngineBackend {
+	b := WrapEngine(name, sh.DS, invindex.Build(sh.DS))
+	b.GIDs = sh.GlobalIDs
 	return b
 }
 
-// WrapEngine wraps an already-built engine as a shard backend with the
-// identity id mapping — how a coskq-server exposes its own dataset as
-// one shard of a fleet.
-func WrapEngine(name string, eng *core.Engine) *EngineBackend {
-	b := &EngineBackend{Eng: eng, name: name}
-	b.meta = Meta{Name: name, Objects: eng.DS.Len(), MBR: eng.DS.MBR(), Summary: SummaryOf(eng.DS)}
-	if eng.DS.Len() == 0 {
-		b.Eng = nil
+// WrapEngine exposes an already-indexed dataset — an engine's DS and Inv —
+// as a shard backend with the identity id mapping: how a coskq-server
+// serves its own dataset as one shard of a fleet. inv must be built over
+// ds.
+func WrapEngine(name string, ds *dataset.Dataset, inv *invindex.Index) *EngineBackend {
+	return &EngineBackend{
+		ds: ds, inv: inv, name: name,
+		meta: Meta{Name: name, Objects: ds.Len(), MBR: ds.MBR(), Summary: SummaryOf(ds)},
 	}
-	return b
 }
 
 // Name implements Backend.
@@ -301,16 +301,16 @@ func (b *EngineBackend) global(id dataset.ObjectID) dataset.ObjectID {
 
 // candidate surfaces the shard object id with the given coverage mask.
 func (b *EngineBackend) candidate(id dataset.ObjectID, mask kwds.Mask) Candidate {
-	return Candidate{GID: b.global(id), local: id, Loc: b.Eng.DS.Objects[id].Loc, Mask: mask}
+	return Candidate{GID: b.global(id), local: id, Loc: b.ds.Objects[id].Loc, Mask: mask}
 }
 
 // Hydrate implements Hydrator: it materializes the keyword strings of a
 // candidate this backend returned.
 func (b *EngineBackend) Hydrate(c *Candidate) {
-	o := b.Eng.DS.Object(c.local)
+	o := b.ds.Object(c.local)
 	c.Words = make([]string, o.Keywords.Len())
 	for i, kid := range o.Keywords {
-		c.Words[i] = b.Eng.DS.Vocab.Word(kid)
+		c.Words[i] = b.ds.Vocab.Word(kid)
 	}
 }
 
@@ -327,7 +327,7 @@ func checkWords(q ShardQuery) error {
 // NN implements Backend with one scan of each known word's posting list:
 // a probe is textually selective and spatially unbounded, which is the
 // shape an inverted list serves with less work than a best-first IR-tree
-// descent. A static engine backend is always generation 0.
+// descent. A static backend is always generation 0.
 func (b *EngineBackend) NN(ctx context.Context, q ShardQuery) (NNResult, error) {
 	if err := checkWords(q); err != nil {
 		return NNResult{}, err
@@ -336,10 +336,7 @@ func (b *EngineBackend) NN(ctx context.Context, q ShardQuery) (NNResult, error) 
 	sp := tr.Begin("nn_probes")
 	defer sp.End()
 	hits := make([]NNHit, len(q.Words))
-	if b.Eng == nil {
-		return NNResult{Hits: hits}, nil
-	}
-	ds := b.Eng.DS
+	ds := b.ds
 	// ids[i] is the shard's id of q.Words[i] where known has bit i set.
 	var ids [kwds.MaxQueryKeywords]kwds.ID
 	var known kwds.Mask
@@ -354,7 +351,7 @@ func (b *EngineBackend) NN(ctx context.Context, q ShardQuery) (NNResult, error) 
 		ps.Attr("kw", float64(i))
 		var post []dataset.ObjectID
 		if known&(1<<uint(i)) != 0 {
-			post = b.Eng.Inv.Postings(ids[i])
+			post = b.inv.Postings(ids[i])
 		}
 		if len(post) == 0 {
 			ps.Drop()
@@ -394,8 +391,7 @@ type maskedID struct {
 // survivors are sorted by object id, and equal ids merge by OR-ing their
 // bits — so candidates come out in ascending id with complete masks, and
 // the work is proportional to the words' frequencies, not to the number
-// of objects the disk holds. A static engine backend is always
-// generation 0.
+// of objects the disk holds. A static backend is always generation 0.
 func (b *EngineBackend) Collect(ctx context.Context, q ShardQuery, radius float64) (CollectResult, error) {
 	if err := checkWords(q); err != nil {
 		return CollectResult{}, err
@@ -404,10 +400,7 @@ func (b *EngineBackend) Collect(ctx context.Context, q ShardQuery, radius float6
 	sp := tr.Begin("collect_scan")
 	defer sp.End()
 	sp.Attr("radius", radius)
-	if b.Eng == nil {
-		return CollectResult{}, nil
-	}
-	ds := b.Eng.DS
+	ds := b.ds
 	disk := geo.Circle{C: q.Loc, R: radius}
 	in := make([]maskedID, 0, 64) // stays on the stack for the common small gather
 	for i, w := range q.Words {
@@ -415,7 +408,7 @@ func (b *EngineBackend) Collect(ctx context.Context, q ShardQuery, radius float6
 		if !ok {
 			continue
 		}
-		for _, id := range b.Eng.Inv.Postings(kw) {
+		for _, id := range b.inv.Postings(kw) {
 			if disk.ContainsPoint(ds.Objects[id].Loc) {
 				in = append(in, maskedID{id: id, bit: 1 << uint(i)})
 			}

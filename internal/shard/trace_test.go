@@ -20,7 +20,7 @@ func pinBackend() *EngineBackend {
 	for i := 0; i < 32; i++ {
 		b.Add(geo.Point{X: float64(i % 8), Y: float64(i / 8)}, words[i%3])
 	}
-	return WrapEngine("pin", core.NewEngine(b.Build(), 0))
+	return NewEngineBackend("pin", Shard{DS: b.Build()})
 }
 
 // TestShardServeTraceOffAllocs pins the allocation count of the shard
@@ -100,7 +100,7 @@ func stitchFixture(t *testing.T, fanout int) (*Router, *metrics.Registry) {
 			w := []string{"cafe", "museum", "park"}[i%3]
 			b.Add(geo.Point{X: float64(s*100 + i), Y: float64(i)}, w)
 		}
-		backends = append(backends, WrapEngine(fmt.Sprintf("shard-%d", s), core.NewEngine(b.Build(), 0)))
+		backends = append(backends, NewEngineBackend(fmt.Sprintf("shard-%d", s), Shard{DS: b.Build()}))
 	}
 	return &Router{Backends: backends, Fanout: fanout, Metrics: NewMetrics(reg)}, reg
 }
