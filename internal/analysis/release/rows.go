@@ -94,8 +94,8 @@ function — normally by a deferred Unpin so panic-unwind is covered —
 or transferred to a new owner by returning it (or its Unpin method
 value), storing it into a struct, or sending it on a channel.
 Discarding the handle is reported: an unreachable pin is never
-released, so the generation it holds is immortal and tombstone
-compaction stops reclaiming anything. Test files are exempt; a
+released, so the gauge that shows operators long-lived pins counts it
+for ever. Test files are exempt; a
 deliberately long-lived pin takes a //coskq:nolint(epochpin) with a
 reason.`,
 	// Matched structurally — a callee named Pin whose single result has

@@ -86,8 +86,8 @@ func goodFieldStore(s *Store, h *holder) {
 	h.g = g
 }
 
-// A pin with no holder can never be unpinned: the generation is
-// immortal and compaction never reclaims it.
+// A pin with no holder can never be unpinned: the pinned-readers gauge
+// counts it for ever.
 func badDiscard(s *Store) {
 	s.Pin() // want "pinned generation is discarded"
 }

@@ -356,24 +356,23 @@ func NewEngine(ds *dataset.Dataset, fanout int) *Engine {
 	}
 }
 
-// NewEngineLike builds a fresh engine over ds with the same serving
-// knobs (budget, parallelism, ablation, degrade policy, metrics sink)
-// as proto. The epoch layer uses it to rebuild generations: every
-// generation of a live store must answer queries under the policies the
-// operator configured once on the seed engine. The NN cache is NOT
-// carried over — its entries hold distance-validity radii proved
-// against the old dataset, so each generation starts with a fresh one
-// of the same capacity.
-func NewEngineLike(proto *Engine, ds *dataset.Dataset, fanout int) *Engine {
-	e := NewEngine(ds, fanout)
-	if proto == nil {
-		return e
+// NewEngineLike returns an engine over ds and its prebuilt indexes with
+// the same serving knobs (budget, parallelism, ablation, degrade policy,
+// metrics sink) as proto. The epoch layer uses it for every generation it
+// derives: each must answer queries under the policies the operator
+// configured once on the seed engine. The NN cache is NOT carried over —
+// its entries hold distance-validity radii proved against the old
+// dataset, so each generation starts with a fresh one of the same
+// capacity.
+func NewEngineLike(proto *Engine, ds *dataset.Dataset, tree *irtree.Tree, inv *invindex.Index) *Engine {
+	e := &Engine{
+		DS: ds, Tree: tree, Inv: inv,
+		NodeBudget:  proto.NodeBudget,
+		Parallelism: proto.Parallelism,
+		Ablation:    proto.Ablation,
+		Degrade:     proto.Degrade,
+		Metrics:     proto.Metrics,
 	}
-	e.NodeBudget = proto.NodeBudget
-	e.Parallelism = proto.Parallelism
-	e.Ablation = proto.Ablation
-	e.Degrade = proto.Degrade
-	e.Metrics = proto.Metrics
 	if proto.NNCache != nil {
 		e.EnableNNCache(proto.NNCache.Capacity())
 	}

@@ -114,19 +114,22 @@ func BenchmarkPinUnpin(b *testing.B) {
 	}
 }
 
-// BenchmarkApplyRebuild measures one applier pass (merge + build) per
-// 32-op delta — the write amplification a mutation batch pays.
-func BenchmarkApplyRebuild(b *testing.B) {
-	st := benchStore(b, 2000)
+// benchApply measures one applier pass per 32-op delta, from enqueue to
+// visible — the write amplification a mutation batch pays.
+func benchApply(b *testing.B, st *Store, vocab int) {
+	g := st.Pin()
+	n := g.Eng.DS.Len()
+	g.Unpin()
 	stream := datagen.NewChurnStream(datagen.ChurnConfig{
-		Seed: 3, Ops: 1 << 30, SeedKeys: 2000, Vocab: 128,
+		Seed: 3, Ops: 1 << 30, SeedKeys: n, Vocab: vocab,
 	})
+	batch := make([]Op, 32)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var batch []Op
-		for j := 0; j < 32; j++ {
+		for j := range batch {
 			op, _ := stream.Next()
-			batch = append(batch, toEpochOp(op))
+			batch[j] = toEpochOp(op)
 		}
 		if _, err := st.ApplyBatch(batch); err != nil {
 			b.Fatal(err)
@@ -135,4 +138,15 @@ func BenchmarkApplyRebuild(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+func BenchmarkApply(b *testing.B) { benchApply(b, benchStore(b, 2000), 128) }
+
+// BenchmarkApplyHotel is the same pass at the size of the hotel-churn
+// workload: 20,790 objects over 602 words.
+func BenchmarkApplyHotel(b *testing.B) {
+	cfg := datagen.ProfileHotel(99)
+	st := New(core.NewEngine(datagen.Generate(cfg), 0), Options{})
+	b.Cleanup(st.Close)
+	benchApply(b, st, cfg.VocabSize)
 }

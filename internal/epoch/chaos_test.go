@@ -1,15 +1,20 @@
 package epoch
 
 // Churn chaos proofs. Deterministic faults are injected at the three
-// applier points — EpochApply (per-delta merge), CompactRun (tombstone
-// compaction), EpochSwap (just before the atomic publish) — across
-// every fault kind and hit position, and the invariants checked are:
+// applier points — EpochApply (before every op a pass stages, so a pass
+// dies with its tree, postings and tables part-edited), CompactRun (the
+// re-pack), EpochSwap (just before the atomic publish) — across every
+// fault kind and hit position, and the invariants checked are:
 //
 //  1. A crashed apply leaves the old generation intact: readers pinned
-//     before the crash answer bit-identically after it.
-//  2. The applier's retry converges once the fault stops firing, and
-//     the converged state is bit-identical to a from-scratch rebuild —
-//     a failed attempt leaves no residue the retry could double-apply.
+//     before the crash answer bit-identically after it, and the
+//     generation compares deep-equal to a snapshot taken before it.
+//  2. The applier's retry converges once the fault stops firing, every
+//     generation it publishes on the way is sound on its own
+//     (checkGeneration), and the converged state answers as the
+//     replayer's from-scratch rebuild does (differential_test.go says
+//     what that identity rests on) — a failed attempt leaves no residue
+//     the retry could double-apply.
 //  3. A reader pinned across N generation swaps keeps answering from
 //     its pinned generation, bit-identically, for all five costs.
 //
@@ -17,13 +22,18 @@ package epoch
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"coskq/internal/core"
 	"coskq/internal/datagen"
+	"coskq/internal/dataset"
 	"coskq/internal/fault"
 	"coskq/internal/geo"
+	"coskq/internal/kwds"
+	"coskq/internal/rtree"
 	"coskq/internal/testutil"
 )
 
@@ -32,9 +42,11 @@ var chaosPoints = []fault.Point{fault.EpochApply, fault.CompactRun, fault.EpochS
 var chaosKinds = []fault.Kind{fault.KindLatency, fault.KindCancel, fault.KindBudget, fault.KindPanic}
 
 // runChaosSchedule drives a fixed churn schedule through a store while
-// one fault rule is armed, waits for convergence, then cross-checks the
-// final state against the independent replayer. CompactFrac is set
-// aggressively so CompactRun is actually reached every pass.
+// one fault rule is armed, waiting for each batch to converge and
+// checking the generation it lands in, then cross-checks the final state
+// against the independent replayer. CompactFrac is set aggressively so
+// CompactRun is actually reached every pass — after the same pass's path
+// copying, which every EpochApply hit interrupts.
 func runChaosSchedule(t *testing.T, rule fault.Rule) {
 	t.Helper()
 	testutil.CheckGoroutineLeaks(t)
@@ -61,17 +73,16 @@ func runChaosSchedule(t *testing.T, rule fault.Rule) {
 		model.apply(op)
 		batch = append(batch, toEpochOp(op))
 		if len(batch) >= 8 {
-			flushChurn(t, st, batch)
+			// Count-limited rules stop firing, so the retry loop converges.
+			flushAndCheck(t, st, batch)
 			batch = batch[:0]
 		}
 	}
-	flushChurn(t, st, batch)
-	// Count-limited rules stop firing, so the retry loop converges.
-	waitIdle(t, st)
+	flushAndCheck(t, st, batch)
 
-	ref, refKeys := model.rebuild("chaos", st.opts.Fanout)
 	g := st.Pin()
 	defer g.Unpin()
+	ref, refKeys := model.rebuild("chaos", g)
 	if g.Eng.DS.Len() != ref.DS.Len() {
 		t.Fatalf("converged store has %d objects, rebuild has %d", g.Eng.DS.Len(), ref.DS.Len())
 	}
@@ -108,7 +119,9 @@ func TestChaosMatrix(t *testing.T) {
 // TestCrashLeavesOldGenerationIntact pins generation 0, crashes the
 // applier mid-apply repeatedly, and asserts the pinned generation's
 // answer never changes while the store is failing — then converges
-// correctly once the fault is exhausted.
+// correctly once the fault is exhausted, and keeps answering
+// bit-identically, deep-equal to its first snapshot, across 200 later
+// applies that each derive their tree from nodes generation 0 shares.
 func TestCrashLeavesOldGenerationIntact(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	ds := datagen.Generate(datagen.Config{
@@ -121,12 +134,13 @@ func TestCrashLeavesOldGenerationIntact(t *testing.T) {
 
 	g0 := st.Pin()
 	defer g0.Unpin()
+	snap0 := snapshotGen(g0)
 	loc := geo.Point{X: 500, Y: 500}
 	words := []string{"w000000", "w000001"}
 	before, berr := query(g0, loc, words, core.MaxSum, core.OwnerExact)
 
-	// The first 3 apply attempts die at the swap point — after the full
-	// merge and build, the worst place to crash.
+	// The first 3 apply attempts die at the swap point — with the next
+	// generation fully staged, the worst place to crash.
 	disarm := fault.Arm(3, fault.Rule{Point: fault.EpochSwap, Kind: fault.KindPanic, Every: 1, Count: 3})
 	defer disarm()
 
@@ -154,6 +168,125 @@ func TestCrashLeavesOldGenerationIntact(t *testing.T) {
 	if g.Gen == 0 || g.Eng.DS.Len() != 41 {
 		t.Fatalf("retry did not converge: gen %d, %d objects (want 41 — exactly-once apply)", g.Gen, g.Eng.DS.Len())
 	}
+
+	stream := datagen.NewChurnStream(datagen.ChurnConfig{Seed: 21, Ops: 200, SeedKeys: 41, Vocab: 24})
+	for {
+		op, ok := stream.Next()
+		if !ok {
+			break
+		}
+		flushChurn(t, st, []Op{toEpochOp(op)})
+		waitIdle(t, st)
+	}
+	if st.Current() < 150 {
+		t.Fatalf("only %d generations published, want a real history", st.Current())
+	}
+	after, aerr = query(g0, loc, words, core.MaxSum, core.OwnerExact)
+	if (berr == nil) != (aerr == nil) || before.Cost != after.Cost || !slices.Equal(before.Set, after.Set) {
+		t.Fatalf("pinned generation answer changed across %d applies: %v/%v vs %v/%v", st.Current(), before, berr, after, aerr)
+	}
+	if !reflect.DeepEqual(snapshotGen(g0), snap0) {
+		t.Fatal("generation 0 no longer equals the snapshot taken when it was pinned")
+	}
+}
+
+// TestFaultMidBatchLeavesPublishedGenerationIntact kills one apply pass
+// after k of its 32 ops are staged — tree paths cloned and edited,
+// posting lists copied, tables swapped about — and demands that the
+// generation the pass was deriving from still compares deep-equal to its
+// snapshot once the retry has published its successor, which must be
+// sound and hold every op exactly once.
+func TestFaultMidBatchLeavesPublishedGenerationIntact(t *testing.T) {
+	testutil.CheckGoroutineLeaks(t)
+	ds := datagen.Generate(datagen.Config{
+		Name: "midbatch", NumObjects: 120, VocabSize: 24, AvgKeywords: 3, Seed: 23,
+	})
+	// Never re-pack: every generation here shares nodes with its parent.
+	st := New(core.NewEngine(ds, 4), Options{CompactFrac: -1, RetryDelay: 100 * time.Microsecond})
+	defer st.Close()
+	model := newReplayer(ds)
+	stream := datagen.NewChurnStream(datagen.ChurnConfig{Seed: 23, Ops: 1 << 20, SeedKeys: 120, Vocab: 24})
+
+	for _, k := range []uint64{0, 1, 7, 16, 31} {
+		g := st.Pin()
+		snap := snapshotGen(g)
+		failures := st.m.applyFailures.Value()
+		disarm := fault.Arm(k, fault.Rule{Point: fault.EpochApply, Kind: fault.KindPanic, After: k, Every: 1, Count: 1})
+		batch := make([]Op, 32)
+		for i := range batch {
+			op, _ := stream.Next()
+			model.apply(op)
+			batch[i] = toEpochOp(op)
+		}
+		flushAndCheck(t, st, batch)
+		disarm()
+		if got := st.m.applyFailures.Value() - failures; got != 1 {
+			t.Fatalf("k=%d: %d failed passes, want the one injected", k, got)
+		}
+		if st.Current() != g.Gen+1 {
+			t.Fatalf("k=%d: generation %d -> %d, want one swap", k, g.Gen, st.Current())
+		}
+		if !reflect.DeepEqual(snapshotGen(g), snap) {
+			t.Fatalf("k=%d: generation %d changed under a pass that faulted after %d ops", k, g.Gen, k)
+		}
+		checkGeneration(t, g)
+		g.Unpin()
+	}
+	g := st.Pin()
+	defer g.Unpin()
+	if g.Eng.DS.Len() != len(model.live) {
+		t.Fatalf("store holds %d objects, the replayer %d", g.Eng.DS.Len(), len(model.live))
+	}
+	for id, want := range model.live {
+		if g.Keys[id] != want.key || g.Eng.DS.Objects[id].Loc != want.loc {
+			t.Fatalf("slot %d holds key %d at %v, the replayer key %d at %v", id, g.Keys[id], g.Eng.DS.Objects[id].Loc, want.key, want.loc)
+		}
+	}
+}
+
+// treeSnap is a deep copy of one R-tree node.
+type treeSnap struct {
+	ID       int
+	Rect     geo.Rect
+	Entries  []rtree.Entry
+	Children []treeSnap
+}
+
+func snapshotTree(n *rtree.Node) treeSnap {
+	s := treeSnap{ID: n.NodeID, Rect: n.Rect, Entries: slices.Clone(n.Entries)}
+	for _, c := range n.Children {
+		s.Children = append(s.Children, snapshotTree(c))
+	}
+	return s
+}
+
+// genSnap is a deep copy of everything a generation holds that an
+// applier deriving a later one could reach: objects with their keyword
+// sets, keys, every tree node, every posting list, and the vocabulary
+// with which of its words are known. (Keyword unions are not exported;
+// generationErr ties them to the objects, which are.)
+type genSnap struct {
+	Objects  []dataset.Object
+	Keys     []uint64
+	Tree     treeSnap
+	Postings [][]dataset.ObjectID
+	Words    []string
+	Known    []bool
+}
+
+func snapshotGen(g *Generation) genSnap {
+	ds := g.Eng.DS
+	s := genSnap{Keys: slices.Clone(g.Keys), Tree: snapshotTree(g.Eng.Tree.Root()), Words: slices.Clone(ds.Vocab.Words())}
+	for _, o := range ds.Objects {
+		o.Keywords = slices.Clone(o.Keywords)
+		s.Objects = append(s.Objects, o)
+	}
+	for kw, w := range s.Words {
+		s.Postings = append(s.Postings, slices.Clone(g.Eng.Inv.Postings(kwds.ID(kw))))
+		_, known := ds.Vocab.Lookup(w)
+		s.Known = append(s.Known, known)
+	}
+	return s
 }
 
 // TestReaderPinnedAcrossSwaps pins one generation, then churns through

@@ -1,24 +1,27 @@
 // Package epoch makes the bulk-loaded CoSKQ index live: an RCU-style
-// snapshot layer where writers batch mutations (insert, tombstone
-// delete, keyword edit) into immutable deltas, a background applier
-// merges the deltas — and compacts tombstones — into a fresh
-// IR-tree/inverted-index generation, and readers pin a snapshot pointer
-// so every search runs against one internally consistent generation
-// from keyword resolution through answer rendering.
+// snapshot layer where writers batch mutations (insert, delete, keyword
+// edit) into immutable deltas, a background applier derives the next
+// IR-tree / inverted-index / object-table generation from the current one
+// — copying only what the deltas touch — and readers pin a snapshot
+// pointer so every search runs against one internally consistent
+// generation from keyword resolution through answer rendering.
 //
 // The torn-index impossibility argument (DESIGN.md §16) rests on three
 // properties enforced here:
 //
-//  1. Generations are immutable. A *Generation's engine, dataset and
-//     key table are never mutated after the atomic pointer swap that
-//     publishes them; readers that obtained a generation (pinned or
-//     not) can never observe a partially applied delta.
-//  2. The applier is crash-safe by copy-on-write. It merges deltas into
-//     a private clone of the object table and builds the next engine
-//     entirely off to the side; any failure before the final commit —
-//     including injected panics at the EpochApply/EpochSwap/CompactRun
-//     fault points — leaves the published generation, the table, and
-//     the pending delta queue untouched, so a retry is idempotent.
+//  1. Generations are immutable. Nothing reachable from a *Generation is
+//     written after the atomic pointer swap that publishes it — the
+//     applier's editors clone every tree node and posting list before
+//     writing it, and what they do not clone they share read-only — so
+//     readers that obtained a generation (pinned or not) can never
+//     observe a partially applied delta.
+//  2. The applier is crash-safe by copy-on-write. The next generation is
+//     staged entirely off to the side and is unreachable until the swap;
+//     any failure before the final commit — including injected panics at
+//     the EpochApply/EpochSwap/CompactRun fault points — leaves the
+//     published generation, the key map, and the pending delta queue
+//     untouched, so a retry is idempotent and the faulted stage is
+//     garbage.
 //  3. Writers never block readers. Mutations enqueue under a store
 //     mutex the read path never takes; when the applier falls behind,
 //     the bounded backlog rejects writes (ErrBacklogFull → HTTP 429),
@@ -42,6 +45,10 @@ import (
 	"coskq/internal/dataset"
 	"coskq/internal/fault"
 	"coskq/internal/geo"
+	"coskq/internal/invindex"
+	"coskq/internal/irtree"
+	"coskq/internal/kwds"
+	"coskq/internal/rtree"
 	"coskq/internal/trace"
 )
 
@@ -55,11 +62,11 @@ const (
 	OpEdit   OpKind = "edit"
 )
 
-// Op is one mutation. Keys are stable object identities that survive
-// generation rebuilds (dataset.ObjectIDs are dense per-generation
-// indexes and are reassigned on every rebuild). Inserts may carry a
-// caller-chosen key (HasKey) or have one assigned from the store's
-// high-watermark; deletes and edits address an existing live key.
+// Op is one mutation. Keys are stable object identities; a
+// dataset.ObjectID is an object's dense slot in one generation and moves
+// when a delete fills the slot it frees with the last object. Inserts may
+// carry a caller-chosen key (HasKey) or have one assigned from the
+// store's high-watermark; deletes and edits address an existing live key.
 // Edits are keyword-only — Loc is ignored on OpEdit (an object that
 // moves is a delete + insert, which also makes the move visible to
 // spatial pruning as the two events it really is).
@@ -97,27 +104,16 @@ var ErrBacklogFull = errors.New("epoch: delta backlog full")
 // ErrClosed is returned by ApplyBatch after Close.
 var ErrClosed = errors.New("epoch: store closed")
 
-// entry is one slot of the logical object table. A tombstoned slot
-// (dead) keeps its position so the relative order of live entries — and
-// therefore the dense ObjectID assignment of every rebuilt generation —
-// is a pure function of the mutation history; compaction drops dead
-// slots without reordering the live ones.
-type entry struct {
-	key   uint64
-	loc   geo.Point
-	words []string
-	dead  bool
-}
-
 // delta is one immutable batch of validated ops awaiting application.
 type delta struct {
 	ops []Op
 }
 
 // Generation is one published snapshot: an engine (IR-tree + inverted
-// index + vocabulary) over the dataset at generation Gen, plus the
-// ObjectID→key table that maps its dense ids back to stable keys.
-// Everything reachable from a Generation is immutable.
+// index + vocabulary) over the dataset at generation Gen — Eng.DS.Objects
+// is exactly the live set — plus the ObjectID→key table that maps its
+// dense ids back to stable keys. Everything reachable from a Generation
+// is immutable, and much of it is shared with its neighbours.
 type Generation struct {
 	Gen  uint64
 	Eng  *core.Engine
@@ -146,18 +142,19 @@ func (g *Generation) Unpin() {
 
 // Options configures a Store.
 type Options struct {
-	// Fanout is the IR-tree fanout used for rebuilt generations.
-	// Zero defaults to 16 (the repo-wide default fanout).
-	Fanout int
-
 	// MaxBacklog bounds the number of pending ops across all queued
 	// deltas; ApplyBatch returns ErrBacklogFull beyond it. Zero
 	// defaults to 4096.
 	MaxBacklog int
 
-	// CompactFrac is the tombstone fraction of the table at which the
-	// applier compacts (drops dead slots). Zero defaults to 0.25;
-	// negative disables compaction.
+	// CompactFrac is the re-pack threshold: once the ops applied since
+	// the last STR bulk load reach this fraction of the object count,
+	// the applier bulk-loads a fresh tree (object ids do not move),
+	// which bounds both the edited tree's drift from a packed one and
+	// its NodeID range. Zero defaults to 0.05: STR packs every leaf
+	// full, so the first insert into each splits it and a few percent of
+	// churn already shows in reads (TestTreeHealthUnderChurn), while the
+	// bulk load is cheap (DESIGN.md §16.3). Negative never re-packs.
 	CompactFrac float64
 
 	// SeqCap bounds the idempotency-token LRU (ApplyBatchSeq). Zero
@@ -170,14 +167,11 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Fanout <= 0 {
-		o.Fanout = 16
-	}
 	if o.MaxBacklog <= 0 {
 		o.MaxBacklog = 4096
 	}
 	if o.CompactFrac == 0 {
-		o.CompactFrac = 0.25
+		o.CompactFrac = 0.05
 	}
 	if o.SeqCap <= 0 {
 		o.SeqCap = 1024
@@ -193,18 +187,17 @@ func (o Options) withDefaults() Options {
 // idempotent retries); a single background applier goroutine turns
 // pending deltas into fresh generations. Safe for concurrent use.
 type Store struct {
-	opts  Options
-	proto *core.Engine // knob donor for NewEngineLike rebuilds
+	opts Options
 
 	mu         sync.Mutex
-	table      []entry
-	byKey      map[uint64]int // key → table slot (live or tombstoned)
-	deadSlots  int
+	byKey      map[uint64]dataset.ObjectID // live key → id in the published generation
+	edits      int                         // ops applied since the last bulk load
 	pending    []delta
 	pendingOps int
 	nextKey    uint64
 	seq        *seqLRU
 	closed     bool
+	commit     chan struct{} // closed and replaced at every commit and on Close
 
 	cur atomic.Pointer[Generation]
 
@@ -218,39 +211,31 @@ type Store struct {
 }
 
 // New builds a Store seeded from an existing engine: the seed dataset's
-// objects become table entries with stable keys 0..n-1 and the engine
-// itself is published as generation 0 (no rebuild), so wrapping a
-// static deployment costs nothing until the first mutation. The
-// engine's serving knobs (budget, parallelism, degrade policy, metrics,
-// NN-cache capacity) are inherited by every rebuilt generation.
+// objects get stable keys 0..n-1 and the engine itself is published as
+// generation 0, so wrapping a static deployment costs a key map until
+// the first mutation. The engine's serving knobs (budget, parallelism,
+// degrade policy, metrics, NN-cache capacity) and its tree's fanout are
+// inherited by every later generation, each of which is derived from the
+// engine's DS, Tree and Inv — eng must carry all three (core.NewEngine).
 func New(eng *core.Engine, opts Options) *Store {
-	opts = opts.withDefaults()
+	n := eng.DS.Len()
 	s := &Store{
-		opts:  opts,
-		proto: eng,
-		byKey: make(map[uint64]int, eng.DS.Len()),
-		kick:  make(chan struct{}, 1),
-		stop:  make(chan struct{}),
+		opts:    opts.withDefaults(),
+		byKey:   make(map[uint64]dataset.ObjectID, n),
+		nextKey: uint64(n),
+		commit:  make(chan struct{}),
+		kick:    make(chan struct{}, 1),
+		stop:    make(chan struct{}),
 	}
 	s.m.init(eng)
-	n := eng.DS.Len()
-	s.table = make([]entry, n)
 	keys := make([]uint64, n)
-	for i := range eng.DS.Objects {
-		o := &eng.DS.Objects[i]
-		words := make([]string, 0, o.Keywords.Len())
-		for _, id := range o.Keywords {
-			words = append(words, eng.DS.Vocab.Word(id))
-		}
-		s.table[i] = entry{key: uint64(i), loc: o.Loc, words: words}
-		s.byKey[uint64(i)] = i
+	for i := range keys {
 		keys[i] = uint64(i)
+		s.byKey[uint64(i)] = dataset.ObjectID(i)
 	}
-	s.nextKey = uint64(n)
-	s.seq = newSeqLRU(opts.SeqCap)
-	gen := &Generation{Gen: 0, Eng: eng, Keys: keys, gauge: s.m.pinGauge()}
-	s.cur.Store(gen)
-	s.m.generation.Set(0)
+	s.seq = newSeqLRU(s.opts.SeqCap)
+	s.cur.Store(&Generation{Gen: 0, Eng: eng, Keys: keys, gauge: s.m.pinGauge()})
+	s.m.published(0, eng.Tree, 0)
 	s.wg.Add(1)
 	go s.run()
 	return s
@@ -267,6 +252,7 @@ func (s *Store) Close() {
 		return
 	}
 	s.closed = true
+	s.signalLocked()
 	s.mu.Unlock()
 	close(s.stop)
 	s.wg.Wait()
@@ -302,19 +288,51 @@ func (s *Store) Backlog() int {
 }
 
 // LastApply returns the trace export of the most recent successful
-// apply pass (nil before the first), with epoch.apply / epoch.compact /
-// epoch.build phase spans.
+// apply pass (nil before the first): an epoch.apply span over its
+// epoch.edit and, when the pass re-packed, epoch.repack phases.
 func (s *Store) LastApply() *trace.Export { return s.lastApply.Load() }
 
-// ApplyBatch validates ops against the logical state (table plus every
-// pending delta, plus earlier ops of this same batch), enqueues the
-// accepted ones as one immutable delta and kicks the applier. The
-// returned statuses are per-op in batch order; a non-nil error means
-// the whole batch was rejected (backlog full, store closed) and
-// nothing was enqueued.
+// ApplyBatch validates ops against the logical state (the published key
+// map plus every pending delta, plus earlier ops of this same batch),
+// enqueues the accepted ones as one immutable delta and kicks the
+// applier. The returned statuses are per-op in batch order; a non-nil
+// error means the whole batch was rejected (backlog full, store closed)
+// and nothing was enqueued.
 func (s *Store) ApplyBatch(ops []Op) ([]ItemStatus, error) {
+	statuses, _, err := s.ApplyBatchSeq("", ops)
+	return statuses, err
+}
+
+// ApplyBatchSeq is ApplyBatch with an idempotency token: a batch
+// retried with the same non-empty seq (after a lost response) is
+// applied at most once — the recorded statuses of the first acceptance
+// are replayed verbatim, including assigned keys. Token lookup,
+// validation, enqueue and recording happen under one hold of the store
+// lock, so concurrent retries of one token cannot both miss. Tokens live
+// in a bounded LRU (Options.SeqCap).
+func (s *Store) ApplyBatchSeq(seq string, ops []Op) (statuses []ItemStatus, replayed bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if seq != "" {
+		if st, ok := s.seq.get(seq); ok {
+			s.m.seqReplays.Add(1)
+			return st, true, nil
+		}
+	}
+	statuses, err = s.enqueueLocked(ops)
+	if err != nil {
+		// Rejected batches record nothing: a retry after 429 should
+		// re-attempt, not replay the rejection.
+		return nil, false, err
+	}
+	if seq != "" {
+		s.seq.put(seq, statuses)
+	}
+	return statuses, false, nil
+}
+
+// enqueueLocked is the body of ApplyBatch. Callers hold s.mu.
+func (s *Store) enqueueLocked(ops []Op) ([]ItemStatus, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
@@ -336,7 +354,7 @@ func (s *Store) ApplyBatch(ops []Op) ([]ItemStatus, error) {
 				continue
 			}
 			if op.HasKey {
-				if live, decided := overlay[op.Key]; decided && live || !decided && s.liveLocked(op.Key) {
+				if s.liveOverlay(op.Key, overlay) {
 					st.Err = errKeyExists
 					continue
 				}
@@ -384,38 +402,9 @@ func (s *Store) ApplyBatch(ops []Op) ([]ItemStatus, error) {
 	return statuses, nil
 }
 
-// ApplyBatchSeq is ApplyBatch with an idempotency token: a batch
-// retried with the same non-empty seq (after a lost response) is
-// applied at most once — the recorded statuses of the first acceptance
-// are replayed verbatim, including assigned keys. Tokens live in a
-// bounded LRU (Options.SeqCap).
-func (s *Store) ApplyBatchSeq(seq string, ops []Op) (statuses []ItemStatus, replayed bool, err error) {
-	if seq == "" {
-		st, err := s.ApplyBatch(ops)
-		return st, false, err
-	}
-	s.mu.Lock()
-	if st, ok := s.seq.get(seq); ok {
-		s.mu.Unlock()
-		s.m.seqReplays.Add(1)
-		return st, true, nil
-	}
-	s.mu.Unlock()
-	st, err := s.ApplyBatch(ops)
-	if err != nil {
-		// Rejected batches record nothing: a retry after 429 should
-		// re-attempt, not replay the rejection.
-		return nil, false, err
-	}
-	s.mu.Lock()
-	s.seq.put(seq, st)
-	s.mu.Unlock()
-	return st, false, nil
-}
-
 // liveLocked reports whether key is live in the logical state: the
-// newest pending op touching it wins; otherwise the table decides.
-// Callers hold s.mu.
+// newest pending op touching it wins; otherwise the published key map
+// decides. Callers hold s.mu.
 func (s *Store) liveLocked(key uint64) bool {
 	for i := len(s.pending) - 1; i >= 0; i-- {
 		ops := s.pending[i].ops
@@ -431,10 +420,8 @@ func (s *Store) liveLocked(key uint64) bool {
 			}
 		}
 	}
-	if slot, ok := s.byKey[key]; ok {
-		return !s.table[slot].dead
-	}
-	return false
+	_, ok := s.byKey[key]
+	return ok
 }
 
 func (s *Store) liveOverlay(key uint64, overlay map[uint64]bool) bool {
@@ -473,8 +460,8 @@ func (s *Store) run() {
 	}
 }
 
-// applyOnce builds and publishes one generation from the currently
-// pending deltas. Everything up to the commit happens on private
+// applyOnce derives and publishes one generation from the currently
+// pending deltas. Everything up to the commit is staged on private
 // copies; a panic injected at any fault point unwinds through the
 // shield below, leaving the store exactly as it was — which is what
 // makes the retry in run idempotent. Returns (false, nil) when there
@@ -485,12 +472,12 @@ func (s *Store) applyOnce() (applied bool, err error) {
 		s.mu.Unlock()
 		return false, nil
 	}
-	// Snapshot. The table and the delta slices are immutable between
-	// commits, so sharing them outside the lock is safe.
+	// Snapshot. The delta slices are immutable, and only this goroutine
+	// ever writes cur, byKey and edits — at the commit below, under the
+	// lock — so reading them outside it is safe.
 	deltas := s.pending[:len(s.pending):len(s.pending)]
-	baseTable := s.table
-	baseDead := s.deadSlots
 	s.mu.Unlock()
+	base := s.cur.Load()
 
 	defer func() {
 		if r := recover(); r != nil {
@@ -507,102 +494,64 @@ func (s *Store) applyOnce() (applied bool, err error) {
 
 	tr := trace.New("epoch.applier")
 	root := tr.Begin("epoch.apply")
-
-	// Copy-on-write merge.
-	newTable := make([]entry, len(baseTable), len(baseTable)+opCount(deltas))
-	copy(newTable, baseTable)
-	newByKey := make(map[uint64]int, len(baseTable))
-	for i := range newTable {
-		newByKey[newTable[i].key] = i
-	}
-	dead := baseDead
-	var nOps int
-	for _, d := range deltas {
-		fault.Hit(fault.EpochApply)
-		for _, op := range d.ops {
-			nOps++
-			switch op.Kind {
-			case OpInsert:
-				if slot, ok := newByKey[op.Key]; ok && newTable[slot].dead {
-					// Re-insert of a tombstoned key: the old slot stays
-					// dead (compaction reaps it); the key points at the
-					// fresh entry appended below.
-					delete(newByKey, op.Key)
-				}
-				newByKey[op.Key] = len(newTable)
-				newTable = append(newTable, entry{key: op.Key, loc: op.Loc, words: op.Words})
-			case OpDelete:
-				slot := newByKey[op.Key]
-				e := newTable[slot] // copy, then tombstone: slots are never mutated in place twice
-				e.dead = true
-				newTable[slot] = e
-				dead++
-			case OpEdit:
-				slot := newByKey[op.Key]
-				e := newTable[slot]
-				e.words = op.Words
-				newTable[slot] = e
-			}
-		}
-	}
+	nOps := opCount(deltas)
 	root.Attr("ops", float64(nOps))
 	root.Attr("deltas", float64(len(deltas)))
-	root.End()
 
-	// Tombstone compaction: drop dead slots once they exceed the
-	// configured fraction of the table. Live order is preserved, so
-	// compaction never changes any generation's answers — only memory.
-	if s.opts.CompactFrac >= 0 && dead > 0 &&
-		float64(dead) >= s.opts.CompactFrac*float64(len(newTable)) {
-		sp := tr.Begin("epoch.compact")
-		fault.Hit(fault.CompactRun)
-		compacted := make([]entry, 0, len(newTable)-dead)
-		for _, e := range newTable {
-			if !e.dead {
-				compacted = append(compacted, e)
-			}
+	sp := tr.Begin("epoch.edit")
+	st := newStage(base, s.byKey, nOps)
+	for _, d := range deltas {
+		for _, op := range d.ops {
+			fault.Hit(fault.EpochApply)
+			st.apply(op)
 		}
-		newTable = compacted
-		newByKey = make(map[uint64]int, len(newTable))
-		for i := range newTable {
-			newByKey[newTable[i].key] = i
-		}
-		sp.Attr("reaped", float64(dead))
-		dead = 0
-		sp.End()
-		s.m.compactions.Add(1)
 	}
-
-	// Build the next generation off to the side.
-	sp := tr.Begin("epoch.build")
-	b := dataset.NewBuilder(s.proto.DS.Name)
-	keys := make([]uint64, 0, len(newTable)-dead)
-	for _, e := range newTable {
-		if e.dead {
-			continue
-		}
-		b.Add(e.loc, e.words...)
-		keys = append(keys, e.key)
-	}
-	ds := b.Build()
-	eng := core.NewEngineLike(s.proto, ds, s.opts.Fanout)
-	sp.Attr("objects", float64(len(keys)))
+	ds, inv, touched := st.finish()
+	tree := base.Eng.Tree.Derive(st.tree.Tree(), ds)
+	sp.Attr("cloned_nodes", float64(st.tree.Cloned()))
+	sp.Attr("touched_postings", float64(touched))
 	sp.End()
+
+	// Re-pack: path copying leaves the tree valid but no longer packed,
+	// and every clone takes a fresh NodeID. Once enough ops have
+	// accumulated, bulk-load a fresh tree over the same objects — ids do
+	// not move, so the postings and the key map stand.
+	edits := s.edits + nOps
+	repack := s.opts.CompactFrac >= 0 && float64(edits) >= s.opts.CompactFrac*float64(ds.Len())
+	if repack {
+		sp := tr.Begin("epoch.repack")
+		fault.Hit(fault.CompactRun)
+		tree = irtree.Build(ds, tree.Fanout())
+		sp.Attr("objects", float64(ds.Len()))
+		sp.Attr("edits", float64(edits))
+		sp.End()
+		edits = 0
+	}
+	eng := core.NewEngineLike(base.Eng, ds, tree, inv)
+	root.End()
 
 	// Commit: one last fault window, then swap under the lock.
 	fault.Hit(fault.EpochSwap)
 	s.mu.Lock()
-	old := s.cur.Load()
-	gen := &Generation{Gen: old.Gen + 1, Eng: eng, Keys: keys, gauge: s.m.pinGauge()}
-	s.table = newTable
-	s.byKey = newByKey
-	s.deadSlots = dead
+	gen := &Generation{Gen: base.Gen + 1, Eng: eng, Keys: st.keys, gauge: s.m.pinGauge()}
+	for key, id := range st.moved {
+		if id == noObject {
+			delete(s.byKey, key)
+		} else {
+			s.byKey[key] = id
+		}
+	}
+	s.edits = edits
 	s.pending = s.pending[len(deltas):]
 	s.pendingOps -= nOps
 	s.cur.Store(gen)
-	s.m.generation.Set(float64(gen.Gen))
+	s.m.published(gen.Gen, tree, edits)
 	s.m.backlog.Set(float64(s.pendingOps))
 	s.m.applies.Add(1)
+	if repack {
+		s.m.repacks.Add(1)
+	}
+	s.signalLocked()
 	s.mu.Unlock()
 
 	tr.Finish()
@@ -618,20 +567,176 @@ func opCount(deltas []delta) int {
 	return n
 }
 
+// noObject marks a key a stage has deleted.
+const noObject = ^dataset.ObjectID(0)
+
+// stage is one apply pass's private next generation: flat copies of the
+// base generation's object and key tables, and copy-on-write editors over
+// its tree, postings and vocabulary. Nothing reachable from the base is
+// written, and nothing here is reachable by a reader until the commit, so
+// a pass that faults simply drops its stage.
+type stage struct {
+	name  string
+	objs  []dataset.Object // the live set: objs[i].ID == i
+	keys  []uint64         // ObjectID → key
+	tree  *rtree.Editor
+	inv   *invindex.Editor
+	vocab *kwds.Vocabulary // the base's until a word is introduced or retired, then a clone
+	owned bool             // vocab is this stage's clone
+
+	byKey map[uint64]dataset.ObjectID // the published key map, read-only here
+	moved map[uint64]dataset.ObjectID // keys this pass (re)placed, or deleted: noObject
+}
+
+func newStage(base *Generation, byKey map[uint64]dataset.ObjectID, ops int) *stage {
+	ds := base.Eng.DS
+	n := ds.Len()
+	st := &stage{
+		name:  ds.Name,
+		objs:  append(make([]dataset.Object, 0, n+ops), ds.Objects...),
+		keys:  append(make([]uint64, 0, n+ops), base.Keys...),
+		tree:  base.Eng.Tree.Edit(),
+		inv:   base.Eng.Inv.Edit(),
+		vocab: ds.Vocab,
+		byKey: byKey,
+		moved: make(map[uint64]dataset.ObjectID, ops),
+	}
+	return st
+}
+
+// apply stages one validated op. A delete swap-removes: the last object
+// moves into the freed slot, so objs stays exactly the live set.
+func (st *stage) apply(op Op) {
+	switch op.Kind {
+	case OpInsert:
+		id := dataset.ObjectID(len(st.objs))
+		o := dataset.Object{ID: id, Loc: op.Loc, Keywords: st.intern(op.Words)}
+		st.objs = append(st.objs, o)
+		st.keys = append(st.keys, op.Key)
+		st.moved[op.Key] = id
+		st.tree.Insert(rtree.Entry{P: o.Loc, ID: uint32(id)})
+		for _, kw := range o.Keywords {
+			st.inv.Add(kw, id)
+		}
+	case OpDelete:
+		id, last := st.lookup(op.Key), dataset.ObjectID(len(st.objs)-1)
+		gone := st.objs[id]
+		st.found(st.tree.Delete(gone.Loc, uint32(id)), op)
+		for _, kw := range gone.Keywords {
+			st.inv.Remove(kw, id)
+		}
+		if id != last {
+			o := st.objs[last]
+			st.found(st.tree.ReID(o.Loc, uint32(last), uint32(id)), op)
+			for _, kw := range o.Keywords {
+				st.inv.Remove(kw, last)
+				st.inv.Add(kw, id)
+			}
+			o.ID = id
+			st.objs[id], st.keys[id] = o, st.keys[last]
+			st.moved[st.keys[id]] = id
+		}
+		st.objs, st.keys = st.objs[:last], st.keys[:last]
+		st.moved[op.Key] = noObject
+	case OpEdit:
+		id := st.lookup(op.Key)
+		o := &st.objs[id]
+		kws := st.intern(op.Words)
+		for _, kw := range o.Keywords.Subtract(kws) {
+			st.inv.Remove(kw, id)
+		}
+		for _, kw := range kws.Subtract(o.Keywords) {
+			st.inv.Add(kw, id)
+		}
+		o.Keywords = kws
+		// The entry stays put; its path is cloned so the unions above it
+		// are recomputed.
+		st.found(st.tree.ReID(o.Loc, uint32(id), uint32(id)), op)
+	}
+}
+
+// lookup resolves a live key: ApplyBatch validated every op against the
+// same logical state this pass replays.
+func (st *stage) lookup(key uint64) dataset.ObjectID {
+	if id, ok := st.moved[key]; ok {
+		return id
+	}
+	return st.byKey[key]
+}
+
+// found panics when the tree lost an object the tables hold — a state only
+// a bug in the editors can produce.
+func (st *stage) found(ok bool, op Op) {
+	if !ok {
+		panic(fmt.Sprintf("epoch: %s of key %d: object missing from the tree", op.Kind, op.Key))
+	}
+}
+
+// intern resolves words in the stage's vocabulary, cloning it first when
+// a word is new (or retired) — ids are stable, so shared tree unions and
+// posting lists keep their meaning.
+func (st *stage) intern(words []string) kwds.Set {
+	var buf [8]kwds.ID
+	ids := buf[:0]
+	for _, w := range words {
+		id, ok := st.vocab.Lookup(w)
+		if !ok {
+			id = st.ownVocab().Intern(w)
+		}
+		ids = append(ids, id)
+	}
+	return kwds.NewSet(ids...)
+}
+
+func (st *stage) ownVocab() *kwds.Vocabulary {
+	if !st.owned {
+		st.vocab, st.owned = st.vocab.Clone(), true
+	}
+	return st.vocab
+}
+
+// finish retires every word whose last carrier this pass removed — it is
+// unknown again, as it would be to an index built from the live set — and
+// returns the staged dataset and postings with the count of posting lists
+// the pass copied.
+func (st *stage) finish() (*dataset.Dataset, *invindex.Index, int) {
+	touched := st.inv.Touched()
+	for _, kw := range touched {
+		if st.inv.Frequency(kw) > 0 {
+			continue
+		}
+		if _, known := st.vocab.Lookup(st.vocab.Word(kw)); known {
+			st.ownVocab().Retire(kw)
+		}
+	}
+	ds := &dataset.Dataset{Name: st.name, Objects: st.objs, Vocab: st.vocab}
+	return ds, st.inv.Done(), len(touched)
+}
+
+// signalLocked wakes every WaitIdle. Callers hold s.mu.
+func (s *Store) signalLocked() {
+	close(s.commit)
+	s.commit = make(chan struct{})
+}
+
 // WaitIdle blocks until every accepted op has been applied (the
-// pending queue is empty) or ctx expires. Test and benchmark helper.
+// pending queue is empty), the store is closed with ops still pending
+// (ErrClosed), or ctx expires. Test and benchmark helper.
 func (s *Store) WaitIdle(ctx context.Context) error {
 	for {
 		s.mu.Lock()
-		idle := s.pendingOps == 0
+		idle, closed, commit := s.pendingOps == 0, s.closed, s.commit
 		s.mu.Unlock()
-		if idle {
+		switch {
+		case idle:
 			return nil
+		case closed:
+			return ErrClosed
 		}
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-time.After(time.Millisecond):
+		case <-commit:
 		}
 	}
 }

@@ -36,9 +36,9 @@ const (
 	ServerHandle Point = "server.handle" // HTTP handler entry (query/topk)
 	ShardFanout  Point = "shard.fanout"  // scatter-gather per-shard call body (shard.Router)
 	NNCacheProbe Point = "core.nncache"  // cross-query keyword-NN cache consult (core.lookupNN)
-	EpochApply   Point = "epoch.apply"   // per-delta merge inside the epoch applier (epoch.Store)
+	EpochApply   Point = "epoch.apply"   // before each op the epoch applier stages (epoch.Store)
 	EpochSwap    Point = "epoch.swap"    // just before the atomic generation swap (epoch.Store)
-	CompactRun   Point = "epoch.compact" // tombstone compaction pass inside the applier
+	CompactRun   Point = "epoch.compact" // re-pack (bulk load of a fresh tree) inside the applier
 )
 
 // Kind is the effect a rule injects when it fires.

@@ -2,6 +2,8 @@ package invindex
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -124,5 +126,58 @@ func TestRandomizedAgainstScan(t *testing.T) {
 	}
 	if len(rel) != len(wantRel) {
 		t.Fatalf("relevant count %d, want %d", len(rel), len(wantRel))
+	}
+}
+
+// TestEditorCopiesOnlyTouchedLists: an editor's index equals a Build over
+// the edited objects list for list, the base index is left as it was, and
+// every list the edits did not touch is shared, not copied.
+func TestEditorCopiesOnlyTouchedLists(t *testing.T) {
+	ds, ids := buildSample()
+	base := Build(ds)
+	before := Build(ds)
+
+	e := base.Edit()
+	e.Remove(ids["a"], 1) // object 1 drops a, its only word …
+	e.Add(ids["d"], 1)    // … for d, which nothing carried
+	e.Add(ids["b"], 2)    // a middle insert: b is [0 3]
+	e.Add(kwds.ID(9), 4)  // a word past the base's keyword range
+	e.Remove(ids["c"], 7) // absent: a no-op that still copies the list
+	if got := e.Touched(); !reflect.DeepEqual(got, []kwds.ID{ids["a"], ids["b"], ids["c"], ids["d"], 9}) {
+		t.Fatalf("Touched() = %v", got)
+	}
+	if e.Frequency(ids["a"]) != 2 || e.Frequency(kwds.ID(50)) != 0 {
+		t.Fatalf("Frequency while editing: a=%d, unseen=%d", e.Frequency(ids["a"]), e.Frequency(kwds.ID(50)))
+	}
+	got := e.Done()
+	for _, tc := range []struct {
+		kw   kwds.ID
+		want []dataset.ObjectID
+	}{
+		{ids["a"], []dataset.ObjectID{0, 2}}, {ids["b"], []dataset.ObjectID{0, 2, 3}}, {ids["c"], []dataset.ObjectID{2, 3}},
+		{ids["d"], []dataset.ObjectID{1}}, {9, []dataset.ObjectID{4}}, {5, nil},
+	} {
+		if l := got.Postings(tc.kw); !slices.Equal(l, tc.want) {
+			t.Fatalf("edited postings(%d) = %v, want %v", tc.kw, l, tc.want)
+		}
+	}
+	for kw := kwds.ID(0); kw < 12; kw++ {
+		if !reflect.DeepEqual(base.Postings(kw), before.Postings(kw)) {
+			t.Fatalf("the edit changed the base's postings(%d): %v, was %v", kw, base.Postings(kw), before.Postings(kw))
+		}
+	}
+
+	// Untouched lists are shared with the base.
+	e2 := got.Edit()
+	e2.Add(ids["a"], 5)
+	next := e2.Done()
+	if &next.Postings(ids["b"])[0] != &got.Postings(ids["b"])[0] {
+		t.Fatal("an untouched posting list was copied")
+	}
+	if &next.Postings(ids["a"])[0] == &got.Postings(ids["a"])[0] {
+		t.Fatal("a touched posting list was written in place")
+	}
+	if ranked := next.ByFrequency(); len(ranked) != 5 || ranked[0] != ids["a"] && ranked[0] != ids["b"] {
+		t.Fatalf("ByFrequency over an edited index = %v", ranked)
 	}
 }

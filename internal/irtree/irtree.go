@@ -10,12 +10,18 @@
 //   - an incremental iterator over relevant objects in ascending distance,
 //     used to enumerate candidate distance owners.
 //
-// The tree is built once over a dataset (STR bulk load) and then queried;
-// this matches the paper's memory-resident, build-once usage.
+// The tree is built over a dataset by STR bulk load, which matches the
+// paper's memory-resident, build-once usage, and is immutable afterwards.
+// The live index (internal/epoch) gets its next tree from Derive, which
+// shares every untouched subtree — and its keyword union — with the tree
+// it came from.
 package irtree
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"coskq/internal/dataset"
 	"coskq/internal/fault"
@@ -41,45 +47,131 @@ func Build(ds *dataset.Dataset, fanout int) *Tree {
 	}
 	rt := rtree.BulkLoad(entries, fanout)
 	t := &Tree{rt: rt, ds: ds, nodeKw: make([]kwds.Set, rt.NumNodes())}
-	t.annotate(rt.Root())
+	t.annotate(rt.Root(), 0, new(unioner))
 	return t
 }
 
-// annotate computes the keyword union of every subtree bottom-up.
-func (t *Tree) annotate(n *rtree.Node) kwds.Set {
-	var parts []kwds.Set
-	if n.Leaf {
-		for _, e := range n.Entries {
-			parts = append(parts, t.ds.Object(dataset.ObjectID(e.ID)).Keywords)
-		}
-	} else {
-		for _, c := range n.Children {
-			parts = append(parts, t.annotate(c))
-		}
-	}
-	u := unionAll(parts)
-	t.nodeKw[n.NodeID] = u
-	return u
+// Edit starts a batch editor over the tree's R-tree. The tree itself is
+// never written: hand the editor's result to Derive.
+func (t *Tree) Edit() *rtree.Editor { return t.rt.Edit() }
+
+// Derive returns the IR-tree of the next generation: rt is the result of
+// an Edit of t and ds the dataset its entry ids refer to. Only the nodes
+// the editor created are annotated, bottom-up; every node rt shares with
+// t keeps the union t computed — so ds must agree with t's dataset on
+// every object whose root-to-leaf path the editor did not clone, and
+// keyword ids must mean the same in both.
+func (t *Tree) Derive(rt *rtree.Tree, ds *dataset.Dataset) *Tree {
+	d := &Tree{rt: rt, ds: ds, nodeKw: make([]kwds.Set, rt.NumNodes())}
+	first := copy(d.nodeKw, t.nodeKw)
+	d.annotate(rt.Root(), first, new(unioner))
+	return d
 }
 
-// unionAll merges sorted keyword sets with a flatten-sort-dedup pass,
-// which beats repeated pairwise merging for wide nodes.
-func unionAll(parts []kwds.Set) kwds.Set {
-	switch len(parts) {
-	case 0:
+// annotate computes, bottom-up, the keyword union of every node of n's
+// subtree whose NodeID is at least first; nodes below first are taken as
+// annotated, subtree and all.
+func (t *Tree) annotate(n *rtree.Node, first int, u *unioner) {
+	if n.NodeID < first {
+		return
+	}
+	for _, c := range n.Children {
+		t.annotate(c, first, u)
+	}
+	parts := u.parts[:0]
+	for _, e := range n.Entries {
+		parts = append(parts, t.ds.Object(dataset.ObjectID(e.ID)).Keywords)
+	}
+	for _, c := range n.Children {
+		parts = append(parts, t.nodeKw[c.NodeID])
+	}
+	u.parts = parts
+	t.nodeKw[n.NodeID] = u.unionAll(parts)
+}
+
+// unioner merges sorted keyword sets through a reusable mark bitmap: set a
+// bit per id, then emit the set bits in ascending order, clearing as it
+// goes. That is linear in the input where flatten-sort-dedup paid a sort
+// per node — the price that dominated every build.
+type unioner struct {
+	marks []uint64
+	parts []kwds.Set // the caller's part list, kept for its capacity
+}
+
+// unionAll returns the union of parts as a fresh set (nil when empty).
+func (u *unioner) unionAll(parts []kwds.Set) kwds.Set {
+	words := 0
+	for _, p := range parts {
+		if len(p) > 0 {
+			words = max(words, int(p[len(p)-1])>>6+1) // sets are ascending: the last id is the largest
+		}
+	}
+	if words > len(u.marks) {
+		u.marks = slices.Grow(u.marks, words-len(u.marks))[:words]
+	}
+	marks := u.marks[:words]
+	for _, p := range parts {
+		for _, id := range p {
+			marks[id>>6] |= 1 << (id & 63)
+		}
+	}
+	n := 0
+	for _, w := range marks {
+		n += bits.OnesCount64(w)
+	}
+	if n == 0 {
 		return nil
-	case 1:
-		return append(kwds.Set(nil), parts[0]...)
 	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
+	out := make(kwds.Set, 0, n)
+	for i, w := range marks {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, kwds.ID(i<<6+bits.TrailingZeros64(w)))
+		}
+		marks[i] = 0
 	}
-	flat := make([]kwds.ID, 0, total)
-	for _, p := range parts {
-		flat = append(flat, p...)
+	return out
+}
+
+// CheckInvariants validates the tree against its dataset: the R-tree's
+// structural invariants, every object indexed exactly once at its own
+// location, and every node's keyword union equal to the union recomputed
+// from below. It is intended for tests.
+func (t *Tree) CheckInvariants() error {
+	if err := t.rt.CheckInvariants(); err != nil {
+		return err
 	}
-	return kwds.NewSet(flat...)
+	if t.rt.Len() != t.ds.Len() {
+		return fmt.Errorf("irtree: %d entries index %d objects", t.rt.Len(), t.ds.Len())
+	}
+	seen := make([]bool, t.ds.Len())
+	var rec func(n *rtree.Node) (kwds.Set, error)
+	rec = func(n *rtree.Node) (kwds.Set, error) {
+		var want kwds.Set
+		for _, e := range n.Entries {
+			if int(e.ID) >= len(seen) || seen[e.ID] {
+				return nil, fmt.Errorf("irtree: leaf %d: object id %d out of range or indexed twice", n.NodeID, e.ID)
+			}
+			seen[e.ID] = true
+			o := t.ds.Object(dataset.ObjectID(e.ID))
+			if o.ID != dataset.ObjectID(e.ID) || o.Loc != e.P {
+				return nil, fmt.Errorf("irtree: leaf %d: entry %v disagrees with object %d at %v", n.NodeID, e, o.ID, o.Loc)
+			}
+			want = want.Union(o.Keywords)
+		}
+		for _, c := range n.Children {
+			sub, err := rec(c)
+			if err != nil {
+				return nil, err
+			}
+			want = want.Union(sub)
+		}
+		if got := t.nodeKw[n.NodeID]; !slices.Equal(got, want) {
+			return nil, fmt.Errorf("irtree: node %d carries union %v, its subtree holds %v", n.NodeID, got, want)
+		}
+		return want, nil
+	}
+	_, err := rec(t.rt.Root())
+	return err
 }
 
 // Dataset returns the dataset the tree indexes.
@@ -90,6 +182,12 @@ func (t *Tree) Len() int { return t.rt.Len() }
 
 // Height returns the tree height.
 func (t *Tree) Height() int { return t.rt.Height() }
+
+// Fanout returns the node capacity the tree was built with.
+func (t *Tree) Fanout() int { return t.rt.Fanout() }
+
+// Nodes returns the number of nodes in the tree.
+func (t *Tree) Nodes() int { return t.rt.LiveNodes() }
 
 // Root exposes the underlying root node, for tests.
 func (t *Tree) Root() *rtree.Node { return t.rt.Root() }

@@ -7,6 +7,7 @@ package kwds
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 )
@@ -17,9 +18,17 @@ type ID uint32
 // Vocabulary interns keyword strings to dense IDs. The zero value is ready
 // to use. A Vocabulary is not safe for concurrent mutation; concurrent
 // read-only use (Word, Lookup, Len) after construction is safe.
+//
+// IDs are append-only: a word keeps its ID for the vocabulary's life. A
+// live index (internal/epoch) additionally retires a word when its last
+// carrier is deleted — the word is then unknown to Lookup and uncounted by
+// Len, exactly as if it had never been interned, yet Word still resolves
+// its ID and a later Intern revives that same ID, so keyword sets built
+// against an earlier state stay valid.
 type Vocabulary struct {
-	ids   map[string]ID
-	words []string
+	ids     map[string]ID // known words
+	words   []string      // ID → word, retired words included
+	retired map[string]ID // retired words, for revival under their old ID
 }
 
 // NewVocabulary returns an empty vocabulary.
@@ -27,7 +36,8 @@ func NewVocabulary() *Vocabulary {
 	return &Vocabulary{ids: make(map[string]ID)}
 }
 
-// Intern returns the ID for word, assigning a fresh one on first sight.
+// Intern returns the ID for word, assigning a fresh one on first sight
+// and reviving the old one when the word was retired.
 func (v *Vocabulary) Intern(word string) ID {
 	if v.ids == nil {
 		v.ids = make(map[string]ID)
@@ -35,10 +45,35 @@ func (v *Vocabulary) Intern(word string) ID {
 	if id, ok := v.ids[word]; ok {
 		return id
 	}
-	id := ID(len(v.words))
+	id, wasRetired := v.retired[word]
+	if wasRetired {
+		delete(v.retired, word)
+	} else {
+		id = ID(len(v.words))
+		v.words = append(v.words, word)
+	}
 	v.ids[word] = id
-	v.words = append(v.words, word)
 	return id
+}
+
+// Retire makes the word of id unknown: Lookup fails for it and Len no
+// longer counts it until an Intern revives it.
+func (v *Vocabulary) Retire(id ID) {
+	word := v.words[id]
+	if _, ok := v.ids[word]; !ok {
+		return
+	}
+	delete(v.ids, word)
+	if v.retired == nil {
+		v.retired = make(map[string]ID)
+	}
+	v.retired[word] = id
+}
+
+// Clone returns an independent copy: mutating either vocabulary leaves
+// the other untouched.
+func (v *Vocabulary) Clone() *Vocabulary {
+	return &Vocabulary{ids: maps.Clone(v.ids), words: slices.Clone(v.words), retired: maps.Clone(v.retired)}
 }
 
 // Lookup returns the ID for word and whether it is known.
@@ -52,13 +87,15 @@ func (v *Vocabulary) Word(id ID) string {
 	return v.words[id]
 }
 
-// Len returns the number of distinct interned words.
+// Len returns the number of distinct known words. Without retired words
+// (every vocabulary outside a live index) that is also the ID bound.
 func (v *Vocabulary) Len() int {
-	return len(v.words)
+	return len(v.ids)
 }
 
-// Words returns the interned words in ID order. The returned slice is the
-// vocabulary's backing store and must not be modified.
+// Words returns the interned words in ID order, retired ones included, so
+// its length is the ID bound. The returned slice is the vocabulary's
+// backing store and must not be modified.
 func (v *Vocabulary) Words() []string {
 	return v.words
 }

@@ -293,3 +293,39 @@ func TestFormat(t *testing.T) {
 		t.Fatalf("empty Format = %q", got)
 	}
 }
+
+// TestVocabularyRetireReviveClone: a retired word is unknown and
+// uncounted yet keeps its id, which a later Intern revives; a clone
+// shares nothing mutable with its source.
+func TestVocabularyRetireReviveClone(t *testing.T) {
+	v := NewVocabulary()
+	a := v.Intern("a")
+	v.Intern("b")
+	c := v.Clone()
+
+	v.Retire(a)
+	v.Retire(a) // idempotent
+	if _, ok := v.Lookup("a"); ok || v.Len() != 1 {
+		t.Fatalf("after Retire: a known=%v, Len=%d", ok, v.Len())
+	}
+	if v.Word(a) != "a" || len(v.Words()) != 2 {
+		t.Fatalf("a retired id must still resolve: Word=%q, Words=%v", v.Word(a), v.Words())
+	}
+	if id, ok := c.Lookup("a"); !ok || id != a || c.Len() != 2 {
+		t.Fatalf("the clone saw the retire: a=%d known=%v Len=%d", id, ok, c.Len())
+	}
+
+	fresh := v.Intern("c")
+	if got := v.Intern("a"); got != a {
+		t.Fatalf("revived a under id %d, want its old id %d", got, a)
+	}
+	if id, ok := v.Lookup("a"); !ok || id != a || v.Len() != 3 || fresh != 2 {
+		t.Fatalf("after revival: a=%d known=%v Len=%d, c=%d", id, ok, v.Len(), fresh)
+	}
+	if _, ok := c.Lookup("c"); ok || len(c.Words()) != 2 {
+		t.Fatalf("the clone saw an Intern on its source: Words=%v", c.Words())
+	}
+	if got := c.Intern("z"); got != 2 || v.Word(2) != "c" {
+		t.Fatalf("clone and source share word storage: clone z=%d, source word 2 = %q", got, v.Word(2))
+	}
+}

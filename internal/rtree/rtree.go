@@ -1,7 +1,10 @@
-// Package rtree implements a build-once in-memory R-tree over planar
-// points: STR (Sort-Tile-Recursive) bulk loading and the node layout. It
-// carries no search of its own and no dynamic maintenance — the indexes
-// of this system are rebuilt, never edited (internal/epoch).
+// Package rtree implements an in-memory R-tree over planar points: STR
+// (Sort-Tile-Recursive) bulk loading, the node layout, and a persistent
+// batch Editor (edit.go) that derives the next tree from a published one
+// by copying only the root-to-leaf paths it changes — a Tree is never
+// written once built, which is what lets the live index (internal/epoch)
+// hand generations to readers without locks. It carries no search of its
+// own.
 //
 // The IR-tree (package irtree) builds on this structure by annotating every
 // node with the keyword union of its subtree and runs every traversal; the
@@ -39,13 +42,15 @@ type Node struct {
 	Entries  []Entry
 }
 
-// Tree is an R-tree, constructed with BulkLoad (STR packing) and immutable
-// afterwards, so concurrent use is safe.
+// Tree is an R-tree, constructed with BulkLoad (STR packing) or derived
+// from another Tree by an Editor, and immutable afterwards, so concurrent
+// use is safe.
 type Tree struct {
 	root       *Node
 	size       int
 	maxEntries int
-	nextID     int
+	nextID     int // NodeID bound: ids ever allocated on this tree's lineage
+	live       int // nodes reachable from root
 }
 
 // DefaultFanout is the node capacity used when 0 is passed for maxEntries.
@@ -73,6 +78,7 @@ func BulkLoad(entries []Entry, maxEntries int) *Tree {
 	t := &Tree{maxEntries: maxE, size: len(entries)}
 	if len(entries) == 0 {
 		t.root = t.newNode(true)
+		t.live = t.nextID
 		return t
 	}
 
@@ -135,6 +141,7 @@ func BulkLoad(entries []Entry, maxEntries int) *Tree {
 		level = next
 	}
 	t.root = level[0]
+	t.live = t.nextID // a bulk load keeps every node it allocates
 	return t
 }
 
@@ -145,8 +152,16 @@ func (t *Tree) Root() *Node { return t.root }
 // Len returns the number of indexed entries.
 func (t *Tree) Len() int { return t.size }
 
-// NumNodes returns the number of nodes ever allocated (dense NodeID bound).
+// NumNodes returns the dense NodeID bound: the number of nodes ever
+// allocated by the bulk load and the editors since. It exceeds LiveNodes
+// by the nodes edits have replaced.
 func (t *Tree) NumNodes() int { return t.nextID }
+
+// LiveNodes returns the number of nodes reachable from the root.
+func (t *Tree) LiveNodes() int { return t.live }
+
+// Fanout returns the node capacity the tree was built with.
+func (t *Tree) Fanout() int { return t.maxEntries }
 
 // Height returns the number of levels (a single leaf root has height 1).
 func (t *Tree) Height() int {
@@ -158,76 +173,61 @@ func (t *Tree) Height() int {
 	return h
 }
 
-// CheckInvariants validates the structural invariants of the tree. It is
-// O(n log n) and intended for tests.
+// CheckInvariants validates the structural invariants of the tree: tight
+// rectangles, no overfull node, no empty node but an empty root, all
+// leaves at one depth, and exact entry and node counts. It is intended for
+// tests.
 func (t *Tree) CheckInvariants() error {
-	count, err := t.check(t.root, true, -1)
+	entries, nodes, _, err := t.check(t.root, true)
 	if err != nil {
 		return err
 	}
-	if count != t.size {
-		return fmt.Errorf("rtree: size %d but %d reachable entries", t.size, count)
+	if entries != t.size {
+		return fmt.Errorf("rtree: size %d but %d reachable entries", t.size, entries)
+	}
+	if nodes != t.live {
+		return fmt.Errorf("rtree: %d live nodes recorded but %d reachable", t.live, nodes)
 	}
 	return nil
 }
 
-func (t *Tree) check(n *Node, isRoot bool, depthOfLeaves int) (int, error) {
+// check validates the subtree of n and returns its entry count, node
+// count and height.
+func (t *Tree) check(n *Node, isRoot bool) (entries, nodes, height int, err error) {
+	if n.NodeID < 0 || n.NodeID >= t.nextID {
+		return 0, 0, 0, fmt.Errorf("rtree: node id %d outside [0, %d)", n.NodeID, t.nextID)
+	}
 	if n.Leaf {
 		if !isRoot && len(n.Entries) == 0 {
-			return 0, fmt.Errorf("rtree: empty non-root leaf %d", n.NodeID)
+			return 0, 0, 0, fmt.Errorf("rtree: empty non-root leaf %d", n.NodeID)
 		}
 		if len(n.Entries) > t.maxEntries {
-			return 0, fmt.Errorf("rtree: leaf %d overfull (%d > %d)", n.NodeID, len(n.Entries), t.maxEntries)
+			return 0, 0, 0, fmt.Errorf("rtree: leaf %d overfull (%d > %d)", n.NodeID, len(n.Entries), t.maxEntries)
 		}
-		r := geo.EmptyRect()
-		for _, e := range n.Entries {
-			if !n.Rect.ContainsPoint(e.P) {
-				return 0, fmt.Errorf("rtree: leaf %d rect %v misses entry %v", n.NodeID, n.Rect, e.P)
-			}
-			r = r.ExtendPoint(e.P)
+		if r := tightRect(n); r != n.Rect {
+			return 0, 0, 0, fmt.Errorf("rtree: leaf %d rect %v not tight (want %v)", n.NodeID, n.Rect, r)
 		}
-		if len(n.Entries) > 0 && r != n.Rect {
-			return 0, fmt.Errorf("rtree: leaf %d rect %v not tight (want %v)", n.NodeID, n.Rect, r)
-		}
-		return len(n.Entries), nil
+		return len(n.Entries), 1, 1, nil
 	}
 	if len(n.Children) == 0 {
-		return 0, fmt.Errorf("rtree: internal node %d has no children", n.NodeID)
+		return 0, 0, 0, fmt.Errorf("rtree: internal node %d has no children", n.NodeID)
 	}
 	if len(n.Children) > t.maxEntries {
-		return 0, fmt.Errorf("rtree: internal node %d overfull (%d > %d)", n.NodeID, len(n.Children), t.maxEntries)
+		return 0, 0, 0, fmt.Errorf("rtree: internal node %d overfull (%d > %d)", n.NodeID, len(n.Children), t.maxEntries)
 	}
-	total := 0
-	r := geo.EmptyRect()
-	for _, c := range n.Children {
-		if !n.Rect.ContainsRect(c.Rect) {
-			return 0, fmt.Errorf("rtree: node %d rect %v misses child rect %v", n.NodeID, n.Rect, c.Rect)
-		}
-		r = r.Union(c.Rect)
-		cnt, err := t.check(c, false, depthOfLeaves)
+	if r := tightRect(n); r != n.Rect {
+		return 0, 0, 0, fmt.Errorf("rtree: node %d rect %v not tight (want %v)", n.NodeID, n.Rect, r)
+	}
+	nodes = 1
+	for i, c := range n.Children {
+		ce, cn, ch, err := t.check(c, false)
 		if err != nil {
-			return 0, err
+			return 0, 0, 0, err
 		}
-		total += cnt
-	}
-	if r != n.Rect {
-		return 0, fmt.Errorf("rtree: node %d rect %v not tight (want %v)", n.NodeID, n.Rect, r)
-	}
-	// All leaves must be at the same depth.
-	depths := map[int]bool{}
-	var walk func(m *Node, d int)
-	walk = func(m *Node, d int) {
-		if m.Leaf {
-			depths[d] = true
-			return
+		if i > 0 && ch != height {
+			return 0, 0, 0, fmt.Errorf("rtree: node %d has leaves at multiple depths", n.NodeID)
 		}
-		for _, c := range m.Children {
-			walk(c, d+1)
-		}
+		entries, nodes, height = entries+ce, nodes+cn, ch
 	}
-	walk(n, 0)
-	if len(depths) > 1 {
-		return 0, fmt.Errorf("rtree: node %d has leaves at multiple depths", n.NodeID)
-	}
-	return total, nil
+	return entries, nodes, height + 1, nil
 }

@@ -2,6 +2,8 @@ package rtree
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"coskq/internal/geo"
@@ -121,5 +123,123 @@ func BenchmarkBulkLoad10k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cp := append([]Entry(nil), es...)
 		BulkLoad(cp, DefaultFanout)
+	}
+}
+
+// nodeSnap is a deep copy of one node: everything an edit could disturb.
+type nodeSnap struct {
+	id       int
+	rect     geo.Rect
+	leaf     bool
+	entries  []Entry
+	children []nodeSnap
+}
+
+func snapshot(n *Node) nodeSnap {
+	s := nodeSnap{id: n.NodeID, rect: n.Rect, leaf: n.Leaf, entries: append([]Entry(nil), n.Entries...)}
+	for _, c := range n.Children {
+		s.children = append(s.children, snapshot(c))
+	}
+	return s
+}
+
+// TestEditorAgainstModel drives seeded random insert / delete / re-id
+// batches through the editor and checks, after every batch, (1) the
+// structural invariants, (2) that the derived tree holds exactly the
+// model's entries, and (3) persistence: the tree the batch started from
+// compares deep-equal to the snapshot taken before the edit — the editor
+// wrote no node a published root can reach.
+func TestEditorAgainstModel(t *testing.T) {
+	for _, tc := range []struct {
+		seed          int64
+		fanout, start int
+		pInsert       float64
+	}{
+		{seed: 1, fanout: 4, start: 0, pInsert: 0.6},    // grows from empty, many splits
+		{seed: 2, fanout: 8, start: 300, pInsert: 0.35}, // shrinks: dropped nodes, root collapse
+		{seed: 3, fanout: 32, start: 2000, pInsert: 0.45},
+		{seed: 4, fanout: 4, start: 40, pInsert: 0.1}, // drains to the empty tree
+	} {
+		rng := rand.New(rand.NewSource(tc.seed))
+		model := randEntries(rng, tc.start)
+		nextID := uint32(len(model))
+		tr := BulkLoad(append([]Entry(nil), model...), tc.fanout)
+		for batch := 0; batch < 60; batch++ {
+			before, beforeTree := snapshot(tr.Root()), *tr
+			ed := tr.Edit()
+			for op := 0; op < 16; op++ {
+				switch r := rng.Float64(); {
+				case r < tc.pInsert || len(model) == 0:
+					e := Entry{P: geo.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}, ID: nextID}
+					if rng.Intn(8) == 0 && len(model) > 0 {
+						e.P = model[rng.Intn(len(model))].P // a duplicate point under a new id
+					}
+					nextID++
+					ed.Insert(e)
+					model = append(model, e)
+				case r < tc.pInsert+0.15:
+					i := rng.Intn(len(model))
+					if !ed.ReID(model[i].P, model[i].ID, nextID) {
+						t.Fatalf("seed %d: ReID missed %v", tc.seed, model[i])
+					}
+					model[i].ID = nextID
+					nextID++
+				default:
+					i := rng.Intn(len(model))
+					if !ed.Delete(model[i].P, model[i].ID) {
+						t.Fatalf("seed %d: Delete missed %v", tc.seed, model[i])
+					}
+					model[i] = model[len(model)-1]
+					model = model[:len(model)-1]
+				}
+			}
+			if ed.Delete(geo.Point{X: -1, Y: -1}, 0) || ed.ReID(geo.Point{X: -1, Y: -1}, 0, 1) {
+				t.Fatalf("seed %d: edit of an absent entry reported success", tc.seed)
+			}
+			next := ed.Tree()
+			checkLoaded(t, next, model)
+			if got := snapshot(tr.Root()); !reflect.DeepEqual(got, before) || *tr != beforeTree {
+				t.Fatalf("seed %d batch %d: the edit wrote into the tree it started from", tc.seed, batch)
+			}
+			if next.NumNodes()-tr.NumNodes() != ed.Cloned() {
+				t.Fatalf("seed %d: Cloned() = %d, NodeID bound moved by %d", tc.seed, ed.Cloned(), next.NumNodes()-tr.NumNodes())
+			}
+			tr = next
+		}
+		if tc.seed == 4 && tr.Len() != 0 {
+			// Finish the drain so the empty-tree path is certainly taken.
+			ed := tr.Edit()
+			for _, e := range model {
+				ed.Delete(e.P, e.ID)
+			}
+			tr, model = ed.Tree(), nil
+			checkLoaded(t, tr, nil)
+			if !tr.Root().Leaf || tr.Height() != 1 {
+				t.Fatalf("drained tree root = %+v", tr.Root())
+			}
+		}
+	}
+}
+
+// TestEditorSharesUntouchedSubtrees: one insert clones one root-to-leaf
+// path — plus at most one split sibling per level and a new root, since
+// STR packs every node full — and nothing else.
+func TestEditorSharesUntouchedSubtrees(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tr := BulkLoad(randEntries(rng, 5000), 16)
+	ed := tr.Edit()
+	ed.Insert(Entry{P: geo.Point{X: 500, Y: 500}, ID: 5000})
+	if got, h := ed.Cloned(), tr.Height(); got < h || got > 2*h+1 {
+		t.Fatalf("one insert cloned %d nodes, want the %d-node path and at most %d split nodes", got, h, h+1)
+	}
+	next := ed.Tree()
+	shared := 0
+	for _, c := range next.Root().Children {
+		if slices.Contains(tr.Root().Children, c) {
+			shared++
+		}
+	}
+	if shared < len(tr.Root().Children)-1 {
+		t.Fatalf("only %d of %d root children shared after one insert", shared, len(tr.Root().Children))
 	}
 }

@@ -256,3 +256,48 @@ func TestRequestPinAllocs(t *testing.T) {
 		t.Errorf("generation holds %d pins after every request released, want only this test's 1", g.Pins())
 	}
 }
+
+// TestObjectsLastCarrierMakesWordUnknown: over HTTP, a word is part of
+// the served vocabulary exactly while a live object carries it. Deleting
+// "park"'s only carrier turns a query for it from an answer into the 400
+// an unknown keyword gets and drops it from /stats; re-inserting it
+// brings both back.
+func TestObjectsLastCarrierMakesWordUnknown(t *testing.T) {
+	testutil.CheckGoroutineLeaks(t)
+	srv, st := liveServer(t, epoch.Options{})
+	words := func() int {
+		var s statsResponse
+		getJSON(t, srv.URL+"/stats", http.StatusOK, &s)
+		return s.UniqueWords
+	}
+	seed := words()
+	getJSON(t, srv.URL+"/query?x=50&y=50&kw=park", http.StatusOK, nil)
+
+	postJSON(t, srv.URL+"/objects", map[string]any{
+		"ops": []map[string]any{{"op": "delete", "key": 3}},
+	}, http.StatusOK, nil)
+	waitStoreIdle(t, st)
+	var e struct {
+		Error string `json:"error"`
+	}
+	getJSON(t, srv.URL+"/query?x=50&y=50&kw=park", http.StatusBadRequest, &e)
+	if !strings.Contains(e.Error, "unknown keywords: park") {
+		t.Fatalf("query for a word with no carrier left: %q", e.Error)
+	}
+	if got := words(); got != seed-1 {
+		t.Fatalf("uniqueWords = %d after park's last carrier went, want %d", got, seed-1)
+	}
+
+	postJSON(t, srv.URL+"/objects", map[string]any{
+		"ops": []map[string]any{{"op": "insert", "x": 40.0, "y": 40.0, "kw": []string{"park"}}},
+	}, http.StatusOK, nil)
+	waitStoreIdle(t, st)
+	var q queryResponse
+	getJSON(t, srv.URL+"/query?x=50&y=50&kw=park", http.StatusOK, &q)
+	if len(q.Objects) != 1 || q.Objects[0].X != 40 {
+		t.Fatalf("query after the re-insert: %+v", q)
+	}
+	if got := words(); got != seed {
+		t.Fatalf("uniqueWords = %d after the re-insert, want %d", got, seed)
+	}
+}
