@@ -13,7 +13,7 @@
 //
 // Live-index mode (see DESIGN.md §16):
 //
-//	coskq-server -data hotel.gob -live [-ingest-backlog 4096] [-compact-frac 0.05]
+//	coskq-server -data hotel.gob -live [-ingest-backlog 4096] [-compact-frac 0.25]
 //	    serves the same read surface over an epoch store, plus the
 //	    mutation surface: POST /objects applies a JSON batch of
 //	    insert/delete/edit ops (idempotent under a client "seq" token)
@@ -98,7 +98,7 @@ func main() {
 		nnCache   = flag.Int("nn-cache", 0, "engine keyword-NN cache capacity in entries, shared across queries (single-engine mode; 0 = disabled)")
 		live      = flag.Bool("live", false, "serve a mutable live index: mount POST /objects and /objects/stream over an epoch store (single-engine mode)")
 		backlog   = flag.Int("ingest-backlog", 0, "live mode: max pending mutation ops before writes shed with 429 (0 = 4096)")
-		compact   = flag.Float64("compact-frac", 0, "live mode: re-pack (bulk-load a fresh tree) once the ops applied since the last one reach this fraction of the object count (0 = 0.05, negative never)")
+		compact   = flag.Float64("compact-frac", 0, "live mode: re-pack (bulk-load a fresh tree) once the ops applied since the last one reach this fraction of the object count (0 = 0.25; negative never re-packs: measurements only, the tree's union table then grows with every batch)")
 	)
 	flag.Parse()
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))

@@ -11,7 +11,9 @@ package core
 // (bestWithOwner, owner.go).
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -298,7 +300,12 @@ func (s *search) minMaxExact(q Query) (Result, error) {
 		s.pollCancel(stats.OwnersTried)
 
 		// Candidates: relevant objects within C(o, curCost − d(o,q)) whose
-		// query distance is at least d(o,q) (o must stay the nearest).
+		// query distance is at least d(o,q) (o must stay the nearest). The
+		// disk query yields them in tree order; MinMax optima tie (a member
+		// neither nearest nor on the diameter is free), so the pool is put
+		// in ascending query distance, ids breaking ties, before the cover
+		// search reads it — the answer then depends on the objects, not on
+		// how their tree was packed or edited.
 		ownerMask := qi.MaskOf(o.Keywords)
 		pool, bits := scratch.pool[:0], scratch.ensureBits(qi.Size())
 		s.Tree.RelevantInDisk(geo.Circle{C: o.Loc, R: curCost - do}, qi, func(x *dataset.Object, m kwds.Mask) bool {
@@ -308,15 +315,19 @@ func (s *search) minMaxExact(q Query) (Result, error) {
 			if m&^ownerMask == 0 {
 				return true
 			}
-			idx := int32(len(pool))
 			pool = append(pool, cand{o: x, d: q.Loc.Dist(x.Loc), mask: m})
-			for b := 0; b < qi.Size(); b++ {
-				if m&(1<<uint(b)) != 0 {
-					bits[b] = append(bits[b], idx)
-				}
-			}
 			return true
 		})
+		slices.SortFunc(pool, func(a, b cand) int {
+			return cmp.Or(cmp.Compare(a.d, b.d), cmp.Compare(a.o.ID, b.o.ID))
+		})
+		for idx, c := range pool {
+			for b := 0; b < qi.Size(); b++ {
+				if c.mask&(1<<uint(b)) != 0 {
+					bits[b] = append(bits[b], int32(idx))
+				}
+			}
+		}
 		stats.CandidatesSeen += len(pool)
 		pool = append(pool, cand{o: o, d: do, mask: ownerMask})
 		scratch.pool = pool

@@ -151,10 +151,11 @@ type Options struct {
 	// the last STR bulk load reach this fraction of the object count,
 	// the applier bulk-loads a fresh tree (object ids do not move),
 	// which bounds both the edited tree's drift from a packed one and
-	// its NodeID range. Zero defaults to 0.05: STR packs every leaf
-	// full, so the first insert into each splits it and a few percent of
-	// churn already shows in reads (TestTreeHealthUnderChurn), while the
-	// bulk load is cheap (DESIGN.md §16.3). Negative never re-packs.
+	// its NodeID range. Zero defaults to 0.25 (TestTreeHealthUnderChurn;
+	// DESIGN.md §16.3). Negative never re-packs and is for tests and
+	// measurements only: every apply then leaves a few dead NodeIDs and
+	// their keyword unions behind, so the union table, and the copy of it
+	// each apply makes, grow without bound.
 	CompactFrac float64
 
 	// SeqCap bounds the idempotency-token LRU (ApplyBatchSeq). Zero
@@ -171,7 +172,7 @@ func (o Options) withDefaults() Options {
 		o.MaxBacklog = 4096
 	}
 	if o.CompactFrac == 0 {
-		o.CompactFrac = 0.05
+		o.CompactFrac = 0.25
 	}
 	if o.SeqCap <= 0 {
 		o.SeqCap = 1024
@@ -507,21 +508,25 @@ func (s *Store) applyOnce() (applied bool, err error) {
 		}
 	}
 	ds, inv, touched := st.finish()
-	tree := base.Eng.Tree.Derive(st.tree.Tree(), ds)
+	// Re-pack: path copying leaves the tree valid but no longer packed,
+	// and every clone takes a fresh NodeID. Once enough ops have
+	// accumulated, the pass bulk-loads a fresh tree over the same objects
+	// instead of annotating the edited one — ids do not move, so the
+	// postings and the key map stand.
+	edits := s.edits + nOps
+	repack := s.opts.CompactFrac >= 0 && float64(edits) >= s.opts.CompactFrac*float64(ds.Len())
+	var tree *irtree.Tree
+	if !repack {
+		tree = base.Eng.Tree.Derive(st.tree.Tree(), ds)
+	}
 	sp.Attr("cloned_nodes", float64(st.tree.Cloned()))
 	sp.Attr("touched_postings", float64(touched))
 	sp.End()
 
-	// Re-pack: path copying leaves the tree valid but no longer packed,
-	// and every clone takes a fresh NodeID. Once enough ops have
-	// accumulated, bulk-load a fresh tree over the same objects — ids do
-	// not move, so the postings and the key map stand.
-	edits := s.edits + nOps
-	repack := s.opts.CompactFrac >= 0 && float64(edits) >= s.opts.CompactFrac*float64(ds.Len())
 	if repack {
 		sp := tr.Begin("epoch.repack")
 		fault.Hit(fault.CompactRun)
-		tree = irtree.Build(ds, tree.Fanout())
+		tree = irtree.Build(ds, base.Eng.Tree.Fanout())
 		sp.Attr("objects", float64(ds.Len()))
 		sp.Attr("edits", float64(edits))
 		sp.End()

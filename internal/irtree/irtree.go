@@ -60,7 +60,9 @@ func (t *Tree) Edit() *rtree.Editor { return t.rt.Edit() }
 // the editor created are annotated, bottom-up; every node rt shares with
 // t keeps the union t computed — so ds must agree with t's dataset on
 // every object whose root-to-leaf path the editor did not clone, and
-// keyword ids must mean the same in both.
+// keyword ids must mean the same in both. The union table is copied whole,
+// the unions of nodes rt no longer reaches included; what bounds it is the
+// caller's periodic Build (epoch's re-pack).
 func (t *Tree) Derive(rt *rtree.Tree, ds *dataset.Dataset) *Tree {
 	d := &Tree{rt: rt, ds: ds, nodeKw: make([]kwds.Set, rt.NumNodes())}
 	first := copy(d.nodeKw, t.nodeKw)
