@@ -17,44 +17,11 @@ import (
 	"strings"
 
 	"coskq"
+	"coskq/internal/core"
 	"coskq/internal/stats"
 	"coskq/internal/trace"
 	"coskq/internal/viz"
 )
-
-func parseCost(s string) (coskq.CostKind, error) {
-	switch strings.ToLower(s) {
-	case "maxsum":
-		return coskq.MaxSum, nil
-	case "dia":
-		return coskq.Dia, nil
-	case "sum":
-		return coskq.Sum, nil
-	case "minmax":
-		return coskq.MinMax, nil
-	}
-	return 0, fmt.Errorf("unknown cost %q (want maxsum, dia, sum or minmax)", s)
-}
-
-func parseMethod(s string) (coskq.Method, error) {
-	switch strings.ToLower(s) {
-	case "exact", "owner-exact":
-		return coskq.OwnerExact, nil
-	case "appro", "owner-appro":
-		return coskq.OwnerAppro, nil
-	case "cao-exact":
-		return coskq.CaoExact, nil
-	case "cao-appro1":
-		return coskq.CaoAppro1, nil
-	case "cao-appro2":
-		return coskq.CaoAppro2, nil
-	case "brute":
-		return coskq.Brute, nil
-	case "greedy-sum":
-		return coskq.GreedySum, nil
-	}
-	return 0, fmt.Errorf("unknown method %q", s)
-}
 
 func main() {
 	var (
@@ -64,7 +31,7 @@ func main() {
 		kwList  = flag.String("kw", "", "comma-separated query keywords")
 		k       = flag.Int("k", 0, "draw this many random query keywords instead of -kw")
 		seed    = flag.Int64("seed", 1, "seed for -k random keywords")
-		costStr = flag.String("cost", "maxsum", "cost function: maxsum, dia, sum, minmax")
+		costStr = flag.String("cost", "maxsum", "cost function: maxsum, dia, sum, minmax, summax")
 		method  = flag.String("method", "exact", "algorithm: exact, appro, cao-exact, cao-appro1, cao-appro2, brute, greedy-sum")
 		fanout  = flag.Int("fanout", 0, "IR-tree fanout (0 = default)")
 		svgOut  = flag.String("svg", "", "also render the answer to this SVG file")
@@ -86,11 +53,11 @@ func main() {
 		os.Exit(1)
 	}
 
-	cost, errC := parseCost(*costStr)
+	cost, errC := core.ParseCost(*costStr)
 	if errC != nil {
 		die(errC)
 	}
-	m, errM := parseMethod(*method)
+	m, errM := core.ParseMethod(*method)
 	if errM != nil {
 		die(errM)
 	}

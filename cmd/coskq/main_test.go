@@ -1,45 +1,51 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
-	"coskq"
+	"coskq/internal/core"
 )
 
+// The -cost and -method flags accept exactly core.ParseCost's and
+// core.ParseMethod's names, in any case.
+
 func TestParseCost(t *testing.T) {
-	cases := map[string]coskq.CostKind{
-		"maxsum": coskq.MaxSum, "MaxSum": coskq.MaxSum, "MAXSUM": coskq.MaxSum,
-		"dia": coskq.Dia, "sum": coskq.Sum, "minmax": coskq.MinMax,
-	}
-	for in, want := range cases {
-		got, err := parseCost(in)
-		if err != nil || got != want {
-			t.Errorf("parseCost(%q) = %v, %v; want %v", in, got, err, want)
+	for in, want := range map[string]core.CostKind{
+		"maxsum": core.MaxSum, "MaxSum": core.MaxSum, "MAXSUM": core.MaxSum,
+		"dia": core.Dia, "sum": core.Sum, "minmax": core.MinMax, "MinMax": core.MinMax,
+		"summax": core.SumMax, "SumMax": core.SumMax,
+	} {
+		if got, err := core.ParseCost(in); err != nil || got != want {
+			t.Errorf("ParseCost(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := parseCost("bogus"); err == nil {
-		t.Error("parseCost should reject unknown costs")
+	for _, in := range []string{"", "bogus", "max-sum"} {
+		_, err := core.ParseCost(in)
+		if err == nil || !strings.Contains(err.Error(), "unknown cost") || !strings.Contains(err.Error(), "summax") {
+			t.Errorf("ParseCost(%q) error = %v; want an unknown-cost error listing the names", in, err)
+		}
 	}
 }
 
 func TestParseMethod(t *testing.T) {
-	cases := map[string]coskq.Method{
-		"exact":       coskq.OwnerExact,
-		"owner-exact": coskq.OwnerExact,
-		"appro":       coskq.OwnerAppro,
-		"cao-exact":   coskq.CaoExact,
-		"cao-appro1":  coskq.CaoAppro1,
-		"cao-appro2":  coskq.CaoAppro2,
-		"brute":       coskq.Brute,
-		"greedy-sum":  coskq.GreedySum,
-	}
-	for in, want := range cases {
-		got, err := parseMethod(in)
-		if err != nil || got != want {
-			t.Errorf("parseMethod(%q) = %v, %v; want %v", in, got, err, want)
+	for in, want := range map[string]core.Method{
+		"exact": core.OwnerExact, "owner-exact": core.OwnerExact, "Exact": core.OwnerExact,
+		"appro": core.OwnerAppro, "owner-appro": core.OwnerAppro,
+		"cao-exact": core.CaoExact, "Cao-Exact": core.CaoExact,
+		"cao-appro1": core.CaoAppro1,
+		"cao-appro2": core.CaoAppro2,
+		"brute":      core.Brute,
+		"greedy-sum": core.GreedySum,
+	} {
+		if got, err := core.ParseMethod(in); err != nil || got != want {
+			t.Errorf("ParseMethod(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := parseMethod("bogus"); err == nil {
-		t.Error("parseMethod should reject unknown methods")
+	for _, in := range []string{"", "bogus", "pairs"} {
+		_, err := core.ParseMethod(in)
+		if err == nil || !strings.Contains(err.Error(), "unknown method") || !strings.Contains(err.Error(), "greedy-sum") {
+			t.Errorf("ParseMethod(%q) error = %v; want an unknown-method error listing the names", in, err)
+		}
 	}
 }

@@ -7,9 +7,10 @@ package core
 // for α ∈ (0, 1]; the paper (like its predecessors) evaluates α = 0.5 and
 // rescales by 2, which is this package's MaxSum. The owner-driven exact and
 // approximate searches run for arbitrary α as they are: SolveAlpha hands
-// ownerExact / ownerAppro a costFn carrying α, which plugs in the combiner
-// and, through it, the ring break — cost_α ≥ α·d(owner,q), so the
-// enumeration stops at d(o,q) ≥ curCost/α instead of curCost (owner.go).
+// ownerExact / ownerAppro the cost value with weights (α, 1−α), which
+// plugs in the combiner and, through it, the ring break — cost_α ≥
+// α·d(owner,q), so the enumeration stops at d(o,q) ≥ curCost/α instead of
+// curCost (owner.go).
 // Every pruning argument carries over verbatim (the cost stays monotone in
 // both distance components and under supersets) — and so does the oracle:
 // bruteForce takes the same costFn. What this file owns is the entry
@@ -34,7 +35,7 @@ func checkAlpha(alpha float64) error {
 // an error via SolveAlpha's validation for out-of-range α, so here α is
 // assumed valid.
 func (e *Engine) EvalCostAlpha(alpha float64, q geo.Point, set []dataset.ObjectID) float64 {
-	return e.evalSet(costFn{alpha: alpha}, q, set)
+	return e.evalSet(costAlpha(alpha), q, set)
 }
 
 // SolveAlpha answers q under cost_α with the distance owner-driven
@@ -47,11 +48,11 @@ func (e *Engine) SolveAlpha(q Query, alpha float64, method Method) (res Result, 
 	err = e.enter(context.Background(), q, func(s *search) (err error) {
 		switch method {
 		case OwnerExact:
-			res, err = s.ownerExact(q, costFn{alpha: alpha})
+			res, err = s.ownerExact(q, costAlpha(alpha))
 		case OwnerAppro:
-			res, err = s.ownerAppro(q, costFn{alpha: alpha})
+			res, err = s.ownerAppro(q, costAlpha(alpha))
 		case Brute:
-			res, err = s.bruteForce(q, costFn{alpha: alpha})
+			res, err = s.bruteForce(q, costAlpha(alpha))
 		default:
 			err = fmt.Errorf("%w: cost_α with %v", ErrUnsupported, method)
 		}

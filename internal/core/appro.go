@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"time"
 
 	"coskq/internal/dataset"
@@ -8,23 +9,24 @@ import (
 	"coskq/internal/trace"
 )
 
-// ownerAppro is the distance owner-driven approximation algorithm of the
-// paper (MaxSum-Appro for cost == MaxSum with ratio 1.375, Dia-Appro for
-// cost == Dia with ratio √3).
+// ownerAppro is the distance owner-driven approximation: MaxSum-Appro
+// (ratio 1.375), Dia-Appro (ratio √3) and cost_α for the farthest-member
+// rows, the H_{|q.ψ|} greedy for the sum rows.
 //
-// It enumerates candidate query distance owners o in ascending distance
-// within the ring [d_f, curCost) and constructs one feasible set per
-// owner: starting from {o}, it repeatedly adds the object nearest to o —
-// among objects inside the owner's disk C(q, d(o,q)) — that covers at
-// least one still-uncovered keyword. Keeping every added member close to
-// the owner bounds the pairwise distance owner component; the iteration
-// over owners guarantees the optimal solution's owner is tried, which is
-// where the approximation ratio proof bites.
+// It enumerates candidate owners o in ascending distance within the ring
+// [d_f, curCost) and constructs one feasible set per owner from the
+// owner's disk C(q, d(o,q)), keeping the cheapest. The iteration over
+// owners guarantees the optimal solution's owner is tried, which is where
+// the approximation ratio proofs bite; what is constructed there depends
+// on the key member: the members nearest to the owner when the owner
+// fixes the query component (nearestCover), the members cheapest per
+// keyword when every member adds to it (ratioCover).
 //
 // Implementation note (the paper's "information re-use"): because owners
 // are popped in ascending distance, the owner's disk content is exactly
 // the prefix of relevant objects the iterator has already produced, so the
-// greedy runs over an in-memory pool instead of repeated index searches.
+// construction runs over an in-memory pool instead of repeated index
+// searches.
 func (s *search) ownerAppro(q Query, cost costFn) (Result, error) {
 	start := time.Now()
 	qi := kwds.NewQueryIndex(q.Keywords)
@@ -46,74 +48,31 @@ func (s *search) ownerAppro(q Query, cost costFn) (Result, error) {
 	en := s.owners(q, qi, cost, df, false, &stats)
 	defer en.release()
 	for en.next(curCost, curCost) {
-		// Construction around this owner (the 2013 paper's recipe): for
-		// each keyword the owner lacks, take the owner's nearest pool
-		// object covering it. Every chosen member is at most
-		// maxPair(S_opt) from the optimal owner when o is that owner,
-		// which is what the 1.375 / √3 ratio proofs use.
-		//
-		// Keywords are processed in ascending candidate-count order and
-		// each per-keyword minimum lower-bounds the final pairwise
-		// component, so hopeless owners are abandoned after scanning only
-		// the rarest keyword's short list.
 		owner := en.owner()
-		o, dof := owner.o, owner.d
-		need := qi.Full() &^ owner.mask
-		if need == 0 {
+		if qi.Full()&^owner.mask == 0 {
 			stats.SetsEvaluated++
-			curSet, curCost = []dataset.ObjectID{o.ID}, cost.combine(dof, 0)
+			curSet, curCost = []dataset.ObjectID{owner.o.ID}, cost.combine(owner.d, 0)
 			s.noteIncumbent(curSet, curCost, cost.kind)
 			continue
 		}
-		bitOrder = bitOrder[:0]
-		for b := 0; b < qi.Size(); b++ {
-			if need&(1<<uint(b)) != 0 {
-				bitOrder = append(bitOrder, b)
-			}
-		}
-		for i := 1; i < len(bitOrder); i++ {
-			for j := i; j > 0 && len(en.bits[bitOrder[j]]) < len(en.bits[bitOrder[j-1]]); j-- {
-				bitOrder[j], bitOrder[j-1] = bitOrder[j-1], bitOrder[j]
-			}
-		}
 		osp := s.tr.Begin("greedy_construct")
-		set = set[:0]
-		feasible := true
-		maxToOwner := 0.0
-		for _, b := range bitOrder {
-			bestIdx, bestDist := int32(-1), 0.0
-			for _, ci := range en.bits[b] {
-				d := en.pool[ci].o.Loc.Dist(o.Loc)
-				if bestIdx < 0 || d < bestDist {
-					bestIdx, bestDist = ci, d
-				}
-			}
-			if bestIdx < 0 {
-				feasible = false // this keyword is not coverable in the disk
-				break
-			}
-			if bestDist > maxToOwner {
-				maxToOwner = bestDist
-			}
-			// maxToOwner lower-bounds the final pairwise component.
-			if cost.combine(dof, maxToOwner) >= curCost {
-				stats.Prunes[trace.PruneGreedyBound]++
-				feasible = false
-				break
-			}
-			set = append(set, en.pool[bestIdx].o.ID)
+		var ok bool
+		set = append(set[:0], owner.o.ID)
+		if cost.key == total {
+			set, ok = ratioCover(qi, cost, en.pool, curCost, set, &stats)
+		} else {
+			set, ok = nearestCover(qi, cost, en.pool, en.bits, curCost, set, bitOrder, &stats)
 		}
-		if !feasible {
+		if !ok {
 			osp.Drop()
 			continue
 		}
-		set = append(set, o.ID)
 		stats.SetsEvaluated++
 		if c := s.evalSet(cost, q.Loc, set); c < curCost {
 			if osp != nil {
 				// Keep construction spans only for improving owners.
-				osp.Attr("owner_id", float64(o.ID))
-				osp.Attr("d_owner", dof)
+				osp.Attr("owner_id", float64(owner.o.ID))
+				osp.Attr("d_owner", owner.d)
 				osp.Attr("cost", c)
 				osp.End()
 			}
@@ -128,4 +87,92 @@ func (s *search) ownerAppro(q Query, cost costFn) (Result, error) {
 
 	stats.Elapsed = time.Since(start)
 	return Result{Set: curSet, Cost: curCost, Cost2: cost.kind, Stats: stats}, nil
+}
+
+// nearestCover is the 2013 paper's construction around the owner, pool's
+// last entry: for each keyword the owner lacks, append to set the owner's
+// nearest pool object covering it. Every chosen member is at most
+// maxPair(S_opt) from the optimal owner when the owner is that owner,
+// which is what the 1.375 / √3 ratio proofs (farthest owner) and the
+// ratio-2 proof (nearest owner, nearestOwner) use. It reports false when
+// some keyword is not coverable from the pool or the construction cannot
+// beat curCost. bitOrder is scratch.
+//
+// Keywords are processed in ascending candidate-count order and each
+// per-keyword minimum lower-bounds the final pairwise component, so
+// hopeless owners are abandoned after scanning only the rarest keyword's
+// short list.
+func nearestCover(qi *kwds.QueryIndex, cost costFn, pool []cand, bits [][]int32, curCost float64, set []dataset.ObjectID, bitOrder []int, stats *Stats) ([]dataset.ObjectID, bool) {
+	owner := pool[len(pool)-1]
+	need := qi.Full() &^ owner.mask
+	bitOrder = bitOrder[:0]
+	for b := 0; b < qi.Size(); b++ {
+		if need&(1<<uint(b)) != 0 {
+			bitOrder = append(bitOrder, b)
+		}
+	}
+	for i := 1; i < len(bitOrder); i++ {
+		for j := i; j > 0 && len(bits[bitOrder[j]]) < len(bits[bitOrder[j-1]]); j-- {
+			bitOrder[j], bitOrder[j-1] = bitOrder[j-1], bitOrder[j]
+		}
+	}
+	maxToOwner := 0.0
+	for _, b := range bitOrder {
+		bestIdx, bestDist := int32(-1), 0.0
+		for _, ci := range bits[b] {
+			d := pool[ci].o.Loc.Dist(owner.o.Loc)
+			if bestIdx < 0 || d < bestDist {
+				bestIdx, bestDist = ci, d
+			}
+		}
+		if bestIdx < 0 {
+			return set, false // this keyword is not coverable in the pool
+		}
+		if bestDist > maxToOwner {
+			maxToOwner = bestDist
+		}
+		// maxToOwner lower-bounds the final pairwise component.
+		if cost.combine(owner.d, maxToOwner) >= curCost {
+			stats.Prunes[trace.PruneGreedyBound]++
+			return set, false
+		}
+		set = append(set, pool[bestIdx].o.ID)
+	}
+	return set, true
+}
+
+// ratioCover is the weighted-set-cover greedy around the owner, pool's
+// last entry: repeatedly append to set the pool object minimizing
+// d(c,q) / |newly covered keywords|. Run at the optimal solution's owner
+// it stays within H_{|q.ψ|} of the optimum's query component, and the
+// pool lies in the owner's disk, which bounds the pairwise one. It reports
+// false when the pool cannot cover the query or the partial query
+// component already reaches curCost.
+func ratioCover(qi *kwds.QueryIndex, cost costFn, pool []cand, curCost float64, set []dataset.ObjectID, stats *Stats) ([]dataset.ObjectID, bool) {
+	owner := pool[len(pool)-1]
+	covered, D := owner.mask, owner.d
+	for covered != qi.Full() {
+		bestIdx, bestRatio := -1, math.Inf(1)
+		for i := range pool {
+			c := &pool[i]
+			n := (c.mask &^ covered).Count()
+			if n == 0 {
+				continue
+			}
+			if r := c.d / float64(n); r < bestRatio {
+				bestIdx, bestRatio = i, r
+			}
+		}
+		if bestIdx < 0 {
+			return set, false
+		}
+		covered |= pool[bestIdx].mask
+		set = append(set, pool[bestIdx].o.ID)
+		D = cost.extend(D, pool[bestIdx].d)
+		if cost.combine(D, 0) >= curCost {
+			stats.Prunes[trace.PruneSumBound]++
+			return set, false
+		}
+	}
+	return set, true
 }

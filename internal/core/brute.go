@@ -13,11 +13,11 @@ import (
 // dataset — so it shares nothing with the algorithms it is the oracle
 // for, and it is exponential in |q.ψ|. The cost may carry an α (alpha.go).
 //
-// MaxSum, Dia, Sum and cost_α are monotone under supersets, so some
-// optimal solution is a minimal cover. MinMax is not: adding one extra
-// relevant object near q (an "anchor") can lower the min-distance
-// component by more than it raises the pairwise component, so for MinMax
-// the oracle also tries every cover ∪ {anchor} combination. With the
+// The farthest-member and sum rows are monotone under supersets, so some
+// optimal solution is a minimal cover. A nearest-member row (MinMax) is
+// not: adding one extra relevant object near q (an "anchor") can lower the
+// min-distance component by more than it raises the pairwise component, so
+// for it the oracle also tries every cover ∪ {anchor} combination. With the
 // anchor fixed as the nearest member, removing any redundant other member
 // never increases the cost, so one anchor per minimal cover suffices.
 func (s *search) bruteForce(q Query, cost costFn) (Result, error) {
@@ -64,7 +64,7 @@ func (s *search) bruteForce(q Query, cost costFn) (Result, error) {
 		s.chargeNode(&stats)
 		if covered == qi.Full() {
 			consider(chosen)
-			if cost.kind == MinMax {
+			if cost.key == nearest {
 				for _, a := range cands {
 					already := false
 					for _, id := range chosen {

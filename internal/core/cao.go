@@ -17,7 +17,7 @@ func (s *search) caoAppro1(q Query, cost CostKind) (Result, error) {
 	start := time.Now()
 	algo := s.tr.Begin("cao_appro1")
 	var stats Stats
-	seed, c, _, err := s.nnSeed(q, costFn{kind: cost}, &stats)
+	seed, c, _, err := s.nnSeed(q, costOf(cost), &stats)
 	algo.End()
 	if err != nil {
 		return Result{}, err
@@ -44,7 +44,7 @@ func (s *search) caoAppro2(q Query, cost CostKind) (Result, error) {
 	algo := s.tr.Begin("cao_appro2")
 	var stats Stats
 	s.trackStats(&stats)
-	seed, curCost, _, err := s.nnSeed(q, costFn{kind: cost}, &stats)
+	seed, curCost, _, err := s.nnSeed(q, costOf(cost), &stats)
 	if err != nil {
 		algo.End()
 		return Result{}, err
@@ -302,7 +302,7 @@ func (s *search) caoExact(q Query, cost CostKind) (Result, error) {
 		curSet, curCost = s.caoSearchPar(qi, cost, cands, branch, curSet, curCost, &stats)
 	} else {
 		cs := &caoSearch{
-			run: s, qi: qi, cost: costFn{kind: cost}, cands: cands, stats: &stats,
+			run: s, qi: qi, cost: costOf(cost), cands: cands, stats: &stats,
 			chosen:    scratch.chosen[:0],
 			chosenIDs: scratch.chosenIDs[:0],
 			bestCost:  curCost,

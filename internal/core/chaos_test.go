@@ -5,10 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
+	"coskq/internal/dataset"
 	"coskq/internal/fault"
 	"coskq/internal/geo"
+	"coskq/internal/kwds"
 	"coskq/internal/testutil"
 )
 
@@ -194,13 +197,12 @@ func TestChaosCrashNotSwallowed(t *testing.T) {
 // pair the call produced — one per batch item or ranked set.
 type chaosEntry struct {
 	name string
-	run  func(e *Engine, q Query) ([]Result, []error)
+	run  func(ctx context.Context, e *Engine, q Query) ([]Result, []error)
 }
 
 // chaosEntries lists every exported entry point × every (cost, method) it
 // accepts on e, found by asking the unfaulted engine.
 func chaosEntries(e *Engine, q Query) []chaosEntry {
-	ctx := context.Background()
 	var out []chaosEntry
 	for _, c := range []CostKind{MaxSum, Dia, Sum, MinMax, SumMax} {
 		for _, m := range []Method{OwnerExact, OwnerAppro, CaoExact, CaoAppro1, CaoAppro2, Brute, GreedySum, PairsExact} {
@@ -208,10 +210,10 @@ func chaosEntries(e *Engine, q Query) []chaosEntry {
 				continue
 			}
 			c, m := c, m
-			out = append(out, chaosEntry{fmt.Sprintf("SolveCtx/%v/%v", c, m), func(e *Engine, q Query) ([]Result, []error) {
+			out = append(out, chaosEntry{fmt.Sprintf("SolveCtx/%v/%v", c, m), func(ctx context.Context, e *Engine, q Query) ([]Result, []error) {
 				res, err := e.SolveCtx(ctx, q, c, m)
 				return []Result{res}, []error{err}
-			}}, chaosEntry{fmt.Sprintf("SolveBatchCtx/%v/%v", c, m), func(e *Engine, q Query) ([]Result, []error) {
+			}}, chaosEntry{fmt.Sprintf("SolveBatchCtx/%v/%v", c, m), func(ctx context.Context, e *Engine, q Query) ([]Result, []error) {
 				// Two members of one cluster and a far-away singleton: both
 				// branches of solveCluster.
 				far := Query{Loc: geo.Point{X: 100 - q.Loc.X, Y: 100 - q.Loc.Y}, Keywords: q.Keywords}
@@ -226,7 +228,7 @@ func chaosEntries(e *Engine, q Query) []chaosEntry {
 	}
 	for _, c := range []CostKind{MaxSum, Dia} {
 		c := c
-		out = append(out, chaosEntry{fmt.Sprintf("TopKCtx/%v", c), func(e *Engine, q Query) ([]Result, []error) {
+		out = append(out, chaosEntry{fmt.Sprintf("TopKCtx/%v", c), func(ctx context.Context, e *Engine, q Query) ([]Result, []error) {
 			rs, err := e.TopKCtx(ctx, q, c, 3)
 			if err != nil {
 				return nil, []error{err}
@@ -236,7 +238,7 @@ func chaosEntries(e *Engine, q Query) []chaosEntry {
 	}
 	for _, m := range []Method{OwnerExact, OwnerAppro, Brute} {
 		m := m
-		out = append(out, chaosEntry{fmt.Sprintf("SolveAlpha/%v", m), func(e *Engine, q Query) ([]Result, []error) {
+		out = append(out, chaosEntry{fmt.Sprintf("SolveAlpha/%v", m), func(_ context.Context, e *Engine, q Query) ([]Result, []error) {
 			res, err := e.SolveAlpha(q, 0.3, m)
 			return []Result{res}, []error{err}
 		}})
@@ -272,7 +274,7 @@ func TestChaosEveryEntryPointIsShielded(t *testing.T) {
 					t.Errorf("%s: escaped as panic %v", what, r)
 				}
 			}()
-			rs, errs = en.run(e, q)
+			rs, errs = en.run(context.Background(), e, q)
 		}()
 		for i, err := range errs {
 			if err != nil {
@@ -329,6 +331,75 @@ func TestChaosEveryEntryPointIsShielded(t *testing.T) {
 			t.Errorf("no execution was cut short by %s at workers=%d; tighten the rule", w.point, w.workers)
 		}
 	}
+
+	// The fault no injection point simulates: a cancellation that lands
+	// while the candidate stream is still being materialized. Every search
+	// reads its candidates through the enumerator, whose every pop polls
+	// the context, so the third Err call — the entry check, then the polls
+	// at pops 256 and 512 — cuts the approximations too, which expand no
+	// search nodes and so never reach chargeNode's poll.
+	wide, wq := wideDrainFixture()
+	rows := map[string]bool{"SolveCtx/MaxSum/PairsExact": true}
+	for _, c := range []CostKind{Sum, SumMax, MinMax} {
+		for _, m := range []Method{OwnerExact, OwnerAppro} {
+			rows[fmt.Sprintf("SolveCtx/%v/%v", c, m)] = true
+		}
+	}
+	for _, en := range entries {
+		if !rows[en.name] {
+			continue
+		}
+		delete(rows, en.name)
+		for _, workers := range []int{1, 2} {
+			e := *wide
+			e.Parallelism = workers
+			ctx, stop := cancelAfter(2)
+			_, errs := en.run(ctx, &e, wq)
+			stop()
+			if !errors.Is(errs[0], context.Canceled) {
+				t.Errorf("%s workers=%d: cancelled during the drain, got error %v", en.name, workers, errs[0])
+			}
+		}
+	}
+	for name := range rows {
+		t.Errorf("%s is not an entry point any more", name)
+	}
+}
+
+// countdownCtx is a cancellable context whose Err turns Canceled after
+// its k-th call.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int32
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+func cancelAfter(k int32) (context.Context, context.CancelFunc) {
+	inner, stop := context.WithCancel(context.Background())
+	c := &countdownCtx{Context: inner}
+	c.left.Store(k)
+	return c, stop
+}
+
+// wideDrainFixture is a query whose seed disk is wide: two keywords on
+// 2,000 objects spread over the plane and a third on a single object in
+// the far corner, so N(q) costs more than any object's query distance and
+// every search's drain pops all of them.
+func wideDrainFixture() (*Engine, Query) {
+	rng := rand.New(rand.NewSource(58))
+	b := dataset.NewBuilder("wide")
+	a, bb, c := b.Vocab().Intern("a"), b.Vocab().Intern("b"), b.Vocab().Intern("c")
+	for i := 0; i < 2000; i++ {
+		b.AddIDs(geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}, kwds.NewSet([]kwds.ID{a, bb}[i%2]))
+	}
+	b.AddIDs(geo.Point{X: 100, Y: 100}, kwds.NewSet(c))
+	return NewEngine(b.Build(), 8), Query{Keywords: kwds.NewSet(a, bb, c)}
 }
 
 // TestChaosMetricsConsistency: under injected budget trips the metrics

@@ -16,8 +16,9 @@
 //     adaptations,
 //   - a brute-force oracle for testing,
 //
-// and, as extensions, the Sum cost of Cao et al. with a greedy weighted
-// set cover approximation and an exact search.
+// and, as extensions, Cao et al.'s Sum, MinMax and SumMax costs, each an
+// exact search and an approximation on the same owner-driven machinery
+// under its row of the cost table (owner.go).
 //
 // Following the CoSKQ literature, answer sets consist of relevant objects
 // only — objects sharing at least one keyword with the query. (For the
@@ -30,6 +31,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"coskq/internal/dataset"
@@ -142,6 +144,46 @@ func (m Method) String() string {
 	default:
 		return fmt.Sprintf("Method(%d)", int(m))
 	}
+}
+
+// ParseCost maps the CLI / HTTP spelling of a cost function (any case) to
+// its CostKind.
+func ParseCost(s string) (CostKind, error) {
+	switch strings.ToLower(s) {
+	case "maxsum":
+		return MaxSum, nil
+	case "dia":
+		return Dia, nil
+	case "sum":
+		return Sum, nil
+	case "minmax":
+		return MinMax, nil
+	case "summax":
+		return SumMax, nil
+	}
+	return 0, fmt.Errorf("unknown cost %q (want maxsum, dia, sum, minmax or summax)", s)
+}
+
+// ParseMethod maps the CLI / HTTP spelling of an algorithm (any case) to
+// its Method.
+func ParseMethod(s string) (Method, error) {
+	switch strings.ToLower(s) {
+	case "exact", "owner-exact":
+		return OwnerExact, nil
+	case "appro", "owner-appro":
+		return OwnerAppro, nil
+	case "cao-exact":
+		return CaoExact, nil
+	case "cao-appro1":
+		return CaoAppro1, nil
+	case "cao-appro2":
+		return CaoAppro2, nil
+	case "brute":
+		return Brute, nil
+	case "greedy-sum":
+		return GreedySum, nil
+	}
+	return 0, fmt.Errorf("unknown method %q (want exact, appro, cao-exact, cao-appro1, cao-appro2, brute or greedy-sum)", s)
 }
 
 // ErrInfeasible is returned when some query keyword appears in no object,
@@ -288,8 +330,8 @@ type Engine struct {
 	NodeBudget int
 
 	// Parallelism bounds the worker goroutines one exact search
-	// (OwnerExact and CaoExact under MaxSum/Dia) may use within a single
-	// query: 0 (the default) resolves to GOMAXPROCS, 1 forces the serial
+	// (OwnerExact under every cost but MinMax, CaoExact under MaxSum/Dia)
+	// may use within a single query: 0 (the default) resolves to GOMAXPROCS, 1 forces the serial
 	// path. Parallel and serial runs return identical costs and identical
 	// canonical answer sets (DESIGN.md §10); only the Stats detail (which
 	// prune fired where) may differ. Set it before issuing queries (it is
@@ -337,13 +379,13 @@ type Ablation struct {
 	// NoIncumbentBreak drops the d(o,q) ≥ curCost early termination of
 	// the owner enumeration (owners are still skipped one by one).
 	NoIncumbentBreak bool
-	// NoPairPrune drops the combine(d(o,q), maxPair) ≥ best partial-set
-	// bound inside the cover search (bestWithOwner — so MinMax-Exact and
-	// top-k, which run the same search, widen with it).
+	// NoPairPrune drops the combine(D, maxPair) ≥ best partial-set bound
+	// inside the cover search (bestWithOwner), so every exact search that
+	// runs it widens.
 	NoPairPrune bool
-	// NoSumDominance drops the dominated-candidate filter of the Sum-cost
-	// exact search (an object is dominated when a distinct object is at
-	// most as far and covers at least its query keywords).
+	// NoSumDominance keeps dominated candidates in the enumerator's pool
+	// under the Sum cost (an object is dominated when an earlier one of
+	// the stream — at most as far — covers at least its query keywords).
 	NoSumDominance bool
 }
 
@@ -406,14 +448,14 @@ func (e *Engine) Feasible(q Query, set []dataset.ObjectID) bool {
 // EvalCost computes cost(S) for the given cost function. It panics on an
 // empty set (a CoSKQ answer is never empty for a non-empty query).
 func (e *Engine) EvalCost(cost CostKind, q geo.Point, set []dataset.ObjectID) float64 {
-	return e.evalSet(costFn{kind: cost}, q, set)
+	return e.evalSet(costOf(cost), q, set)
 }
 
 // EvalPoints is EvalCost for a set given by its members' locations, for
 // callers whose candidates are not objects of an engine's dataset (the
 // shard router's merged NN seeds).
 func EvalPoints(cost CostKind, q geo.Point, pts []geo.Point) float64 {
-	return costFn{kind: cost}.eval(q, pts)
+	return costOf(cost).eval(q, pts)
 }
 
 // evalSet resolves set to its locations and evaluates c over them. Answer

@@ -41,10 +41,10 @@ const (
 	DegradeIncumbent
 	// DegradeFallbackAppro is DegradeIncumbent plus a safety net: with no
 	// incumbent, the engine runs the cost function's cheap approximation
-	// (Cao-Appro2 for MaxSum/Dia, the greedy for Sum/SumMax, the ring
-	// approximation for MinMax) detached from the budget and context, so
-	// a feasible query always yields a feasible — if approximate —
-	// answer. The fallback is near-linear work, bounding how far past a
+	// (Cao-Appro2 for MaxSum/Dia, the per-owner greedy for Sum/SumMax,
+	// the nearest-owner construction for MinMax) detached from the budget
+	// and context, so a feasible query always yields a feasible — if
+	// approximate — answer. The fallback is near-linear work, bounding how far past a
 	// deadline it can run.
 	DegradeFallbackAppro
 )
@@ -207,12 +207,10 @@ func (s *search) fallbackAppro(q Query, cost CostKind) (res Result, err error) {
 	switch cost {
 	case MaxSum, Dia:
 		return fb.caoAppro2(q, cost)
-	case Sum:
-		return fb.greedySum(q)
+	case Sum, SumMax:
+		return fb.ownerAppro(q, costOf(cost))
 	case MinMax:
-		return fb.minMaxAppro(q)
-	case SumMax:
-		return fb.sumMaxAppro(q)
+		return fb.nearestOwner(q, costOf(cost), false)
 	}
 	return Result{}, ErrUnsupported
 }

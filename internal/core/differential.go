@@ -16,8 +16,9 @@ import (
 // ApproRatioBound returns the proven approximation ratio of method under
 // cost: 1 for the exact algorithms, the paper's ratio for the
 // approximations (MaxSum-Appro 1.375, Dia-Appro √3, Cao-Appro1 3,
-// Cao-Appro2 2 under MaxSum), and 0 when no bound is established for the
-// combination.
+// Cao-Appro2 2 under MaxSum, MinMax-Appro 2), and 0 when no bound is
+// established for the combination or it is not a constant (the sum rows'
+// H_{|q.ψ|}).
 func ApproRatioBound(cost CostKind, method Method) float64 {
 	switch cost {
 	case MaxSum:
@@ -43,7 +44,14 @@ func ApproRatioBound(cost CostKind, method Method) float64 {
 		case OwnerExact, CaoExact, Brute:
 			return 1
 		}
-	case MinMax, SumMax:
+	case MinMax:
+		switch method {
+		case OwnerExact, Brute:
+			return 1
+		case OwnerAppro:
+			return 2
+		}
+	case SumMax:
 		switch method {
 		case OwnerExact, Brute:
 			return 1

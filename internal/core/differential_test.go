@@ -10,7 +10,8 @@ import (
 // suite: over seeded datagen workloads, the owner-driven exact algorithm
 // (and the two independent exact implementations) must match the
 // brute-force oracle exactly, and every approximation must stay within
-// its proven ratio, for both of the paper's cost functions.
+// its proven ratio, for both of the paper's cost functions and the three
+// extension costs.
 func TestDifferentialDatagenWorkloads(t *testing.T) {
 	workloads := []struct {
 		name    string
@@ -57,8 +58,18 @@ func TestDifferentialDatagenWorkloads(t *testing.T) {
 			t.Parallel()
 			ds := datagen.Generate(w.cfg)
 			e := NewEngine(ds, 8)
-			for _, cost := range []CostKind{MaxSum, Dia} {
+			for _, cost := range []CostKind{MaxSum, Dia, Sum, MinMax, SumMax} {
+				cfg := cfg
+				if cost != MaxSum && cost != Dia {
+					// The extension rows have the owner-driven pair only;
+					// MinMax-Appro's ratio 2 is enforced through
+					// ApproRatioBound.
+					cfg.Exact, cfg.Approx = []Method{OwnerExact}, []Method{OwnerAppro}
+				}
 				for _, k := range w.qkws {
+					if cost == MinMax && k > 2 {
+						continue // the oracle tries every cover with every anchor
+					}
 					g := datagen.NewQueryGen(ds, e.Inv, 0, 40, w.cfg.Seed+int64(100*k))
 					for i := 0; i < w.queries; i++ {
 						loc, kws := g.Next(k)
@@ -115,8 +126,10 @@ func TestApproRatioBound(t *testing.T) {
 		{MaxSum, CaoAppro1, 3},
 		{MaxSum, CaoAppro2, 2},
 		{Dia, Brute, 1},
-		{Dia, CaoAppro1, 0}, // no proven bound for the Dia adaptation
-		{Sum, OwnerAppro, 0},
+		{Dia, CaoAppro1, 0},  // no proven bound for the Dia adaptation
+		{Sum, OwnerAppro, 0}, // H_{|q.ψ|} is not a constant
+		{MinMax, OwnerAppro, 2},
+		{MinMax, OwnerExact, 1},
 	}
 	for _, c := range cases {
 		if got := ApproRatioBound(c.cost, c.method); got != c.want {

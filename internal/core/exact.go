@@ -8,8 +8,10 @@ import (
 )
 
 // ownerExact is the distance owner-driven exact algorithm of the paper
-// (MaxSum-Exact for cost == MaxSum, Dia-Exact for cost == Dia, and the
-// cost_α exact search of alpha.go).
+// (MaxSum-Exact, Dia-Exact, the cost_α exact search of alpha.go) and,
+// under the sum rows of the cost table, the exact Sum and SumMax search:
+// their owner is the farthest member too, and the cover search carries
+// the growing sum (bestWithOwner).
 //
 // It enumerates candidate query distance owners o_f — relevant objects in
 // the ring d(o_f, q) ∈ [d_f, curCost) in ascending distance (ownerEnum) —

@@ -1,38 +1,62 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"coskq/internal/dataset"
 	"coskq/internal/geo"
 	"coskq/internal/kwds"
+	"coskq/internal/trace"
 )
 
-// TestSumExactMatchesBruteForce: the pruned Sum search equals the oracle.
-func TestSumExactMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
+// exactMatchesBruteForce: cost's exact search equals the oracle for
+// |q.ψ| ≤ 6 — serial and on the worker pool (identical cost bits and set:
+// the Sum rows reach ownerExactPar, MinMax stays serial), and under every
+// ablation switch, which may change effort but never the optimum.
+func exactMatchesBruteForce(t *testing.T, cost CostKind, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	ablations := []Ablation{{}, {NoOwnerRing: true}, {NoIncumbentBreak: true}, {NoPairPrune: true}, {NoSumDominance: true}}
 	for trial := 0; trial < 80; trial++ {
 		e := genEngine(rng, 20+rng.Intn(40), 6+rng.Intn(4), 3)
-		q := randQuery(rng, 9, 1+rng.Intn(4))
-		want, err := e.Solve(q, Sum, Brute)
+		q := randQuery(rng, 9, 1+rng.Intn(6))
+		want, err := e.Solve(q, cost, Brute)
 		if err == ErrInfeasible {
 			continue
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.Solve(q, Sum, OwnerExact)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got.Cost-want.Cost) > 1e-9 {
-			t.Fatalf("trial %d: Sum exact %v, optimal %v (sets %v vs %v)",
-				trial, got.Cost, want.Cost, got.Set, want.Set)
+		var serial Result
+		for _, workers := range []int{1, 4} {
+			for _, ab := range ablations {
+				e.Parallelism, e.Ablation = workers, ab
+				got, err := e.Solve(q, cost, OwnerExact)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Abs(got.Cost-want.Cost) > 1e-9 {
+					t.Fatalf("trial %d workers %d %+v: %v exact %v, optimal %v (sets %v vs %v, query %v at %v)",
+						trial, workers, ab, cost, got.Cost, want.Cost, got.Set, want.Set, q.Keywords, q.Loc)
+				}
+				if ab != (Ablation{}) {
+					continue
+				}
+				if workers == 1 {
+					serial = got
+				} else if got.Cost != serial.Cost || !slices.Equal(got.Set, serial.Set) {
+					t.Fatalf("trial %d: %v pool answer (%v, %v) != serial (%v, %v)",
+						trial, cost, got.Cost, got.Set, serial.Cost, serial.Set)
+				}
+			}
 		}
 	}
 }
+
+func TestSumExactMatchesBruteForce(t *testing.T) { exactMatchesBruteForce(t, Sum, 20) }
 
 // TestGreedySumRatio: the greedy is within H_{|q.ψ|} of optimal and never
 // below it.
@@ -70,29 +94,7 @@ func TestGreedySumRatio(t *testing.T) {
 	}
 }
 
-// TestMinMaxExactMatchesBruteForce.
-func TestMinMaxExactMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	for trial := 0; trial < 80; trial++ {
-		e := genEngine(rng, 20+rng.Intn(40), 6+rng.Intn(4), 3)
-		q := randQuery(rng, 9, 1+rng.Intn(4))
-		want, err := e.Solve(q, MinMax, Brute)
-		if err == ErrInfeasible {
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := e.Solve(q, MinMax, OwnerExact)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got.Cost-want.Cost) > 1e-9 {
-			t.Fatalf("trial %d: MinMax exact %v, optimal %v (sets %v vs %v, query %v at %v)",
-				trial, got.Cost, want.Cost, got.Set, want.Set, q.Keywords, q.Loc)
-		}
-	}
-}
+func TestMinMaxExactMatchesBruteForce(t *testing.T) { exactMatchesBruteForce(t, MinMax, 22) }
 
 // TestMinMaxApproRatio: ratio 2 bound and feasibility.
 func TestMinMaxApproRatio(t *testing.T) {
@@ -154,29 +156,7 @@ func TestExtensionFeasibility(t *testing.T) {
 	}
 }
 
-// TestSumMaxExactMatchesBruteForce.
-func TestSumMaxExactMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	for trial := 0; trial < 80; trial++ {
-		e := genEngine(rng, 20+rng.Intn(40), 6+rng.Intn(4), 3)
-		q := randQuery(rng, 9, 1+rng.Intn(4))
-		want, err := e.Solve(q, SumMax, Brute)
-		if err == ErrInfeasible {
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := e.Solve(q, SumMax, OwnerExact)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got.Cost-want.Cost) > 1e-9 {
-			t.Fatalf("trial %d: SumMax exact %v, optimal %v (sets %v vs %v)",
-				trial, got.Cost, want.Cost, got.Set, want.Set)
-		}
-	}
-}
+func TestSumMaxExactMatchesBruteForce(t *testing.T) { exactMatchesBruteForce(t, SumMax, 25) }
 
 // TestSumMaxApproRatio: the owner-driven greedy stays within H_{|q.ψ|}.
 func TestSumMaxApproRatio(t *testing.T) {
@@ -230,9 +210,8 @@ func TestSumMaxMonotone(t *testing.T) {
 	}
 }
 
-// TestDominanceFilter: survivors are pairwise non-dominated, dominated
-// candidates have a surviving dominator, and Sum exactness is preserved
-// with the filter on and off.
+// TestDominanceFilter: the Sum optimum is the oracle's whether or not the
+// enumerator drops dominated candidates.
 func TestDominanceFilter(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	for trial := 0; trial < 50; trial++ {
@@ -259,52 +238,79 @@ func TestDominanceFilter(t *testing.T) {
 	}
 }
 
+// TestDominanceFilterStructure: under a position-blind cost no entry of
+// the enumerator's pool is dominated by an earlier one, every relevant
+// object it left out has a dominator in the pool, and the drops are
+// counted; with NoSumDominance nothing is dropped.
 func TestDominanceFilterStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	e := genEngine(rng, 300, 8, 3)
 	q := randQuery(rng, 8, 4)
 	qi := kwds.NewQueryIndex(q.Keywords)
-	all := e.sumCandidates(q, qi, 1e18)
-	if len(all) == 0 {
+	relevant := 0
+	for i := range e.DS.Objects {
+		if qi.MaskOf(e.DS.Objects[i].Keywords) != 0 {
+			relevant++
+		}
+	}
+	if relevant == 0 {
 		t.Skip("no relevant objects under this seed")
 	}
-	kept := dominanceFilter(all)
-	if len(kept) == 0 || len(kept) > len(all) {
-		t.Fatalf("filter kept %d of %d", len(kept), len(all))
+	drain := func(ab Ablation, check func(pool []cand, stats *Stats)) {
+		t.Helper()
+		eng := *e
+		eng.Ablation = ab
+		if err := eng.enter(context.Background(), q, func(s *search) error {
+			var stats Stats
+			en := s.owners(q, qi, costOf(Sum), 0, true, &stats)
+			defer en.release()
+			en.drain(math.Inf(1))
+			check(en.pool, &stats)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Survivors are pairwise non-dominated.
-	for i := range kept {
-		for j := range kept {
-			if i == j {
+	drain(Ablation{NoSumDominance: true}, func(pool []cand, stats *Stats) {
+		if len(pool) != relevant || stats.Prunes[trace.PruneDominated] != 0 {
+			t.Fatalf("ablated: pool %d of %d relevant, %d drops", len(pool), relevant, stats.Prunes[trace.PruneDominated])
+		}
+	})
+	drain(Ablation{}, func(pool []cand, stats *Stats) {
+		if len(pool) == 0 || len(pool) > relevant {
+			t.Fatalf("pool holds %d of %d relevant", len(pool), relevant)
+		}
+		if dropped := int(stats.Prunes[trace.PruneDominated]); len(pool)+dropped != relevant || stats.CandidatesSeen != relevant {
+			t.Fatalf("pool %d + dropped %d, seen %d, relevant %d", len(pool), dropped, stats.CandidatesSeen, relevant)
+		}
+		kept := map[dataset.ObjectID]bool{}
+		for i, c := range pool {
+			kept[c.o.ID] = true
+			for _, k := range pool[:i] {
+				if k.d > c.d {
+					t.Fatalf("pool not ascending at %d", i)
+				}
+				if c.mask&^k.mask == 0 {
+					t.Fatalf("pool entry %d dominated by an earlier entry", i)
+				}
+			}
+		}
+		for i := range e.DS.Objects {
+			o := &e.DS.Objects[i]
+			m := qi.MaskOf(o.Keywords)
+			if m == 0 || kept[o.ID] {
 				continue
 			}
-			if kept[j].d <= kept[i].d && kept[i].mask&^kept[j].mask == 0 {
-				// Allowed only via the id tie-break (equal d and mask).
-				if kept[j].d == kept[i].d && kept[j].mask == kept[i].mask {
-					continue
+			found := false
+			for _, k := range pool {
+				if k.d <= q.Loc.Dist(o.Loc) && m&^k.mask == 0 {
+					found = true
+					break
 				}
-				t.Fatalf("survivor %d dominated by survivor %d", i, j)
+			}
+			if !found {
+				t.Fatalf("dropped object %d has no dominator in the pool", o.ID)
 			}
 		}
-	}
-	// Every dropped candidate has a surviving dominator.
-	keptSet := map[dataset.ObjectID]bool{}
-	for _, c := range kept {
-		keptSet[c.o.ID] = true
-	}
-	for _, c := range all {
-		if keptSet[c.o.ID] {
-			continue
-		}
-		found := false
-		for _, k := range kept {
-			if k.d <= c.d && c.mask&^k.mask == 0 {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("dropped candidate %d has no surviving dominator", c.o.ID)
-		}
-	}
+	})
 }

@@ -1,10 +1,11 @@
 package core
 
 // The machinery every distance owner-driven search shares (DESIGN.md
-// §4.1): the cost value, the owner enumerator and the per-owner cover
-// search. The algorithms — MaxSum/Dia exact (serial and pool), Appro,
-// cost_α, top-k, SumMax-Appro, MinMax-Exact — are loops over the
-// enumerator that plug in a combiner and a per-owner step.
+// §4.1): the cost value, the owner enumerator and the cover search. Every
+// algorithm of the family — exact (serial and pool), approximate, cost_α,
+// top-k, pairs-first and the nearest-owner loop — is a loop over the
+// enumerator's candidate stream that plugs in a cost row and a per-owner
+// step; none walks the index on its own.
 
 import (
 	"fmt"
@@ -19,40 +20,93 @@ import (
 	"coskq/internal/trace"
 )
 
-// costFn is the cost one search minimizes: a CostKind, or — when alpha is
-// non-zero — the general member of MaxSum's family,
-// cost_α(S) = α·max d(o,q) + (1−α)·max d(o1,o2) (alpha.go). MaxSum proper
-// is cost_0.5 rescaled by 2 and keeps its own case, so its values stay
-// the plain sum of the two distances.
+// keyMember names the aggregate of the members' query distances a cost
+// reads as its query component D. The member attaining it is the search's
+// owner: the farthest or the nearest member, or — for the sum, which every
+// member feeds — the farthest again, with D growing as members join.
+type keyMember uint8
+
+const (
+	farthest keyMember = iota // D = max d(o,q)
+	nearest                   // D = min d(o,q)
+	total                     // D = Σ d(o,q)
+)
+
+// costFn is the cost one search minimizes, as a value: with D the key
+// member's aggregate and P = max d(o1,o2) the pairwise component,
+//
+//	cost(S) = join(wq·D, wp·P),  join ∈ {+, max}.
+//
+// Every behaviour a search derives from its cost — combine, the iterator
+// limit, the ring break, extend, eval — reads these fields; costRows and
+// costAlpha are the only places that say which cost is which. ×1 and +0
+// are exact, so the unit-weight rows evaluate to the plain d+p / max(d,p).
 type costFn struct {
-	kind  CostKind
-	alpha float64
+	kind    CostKind // what Result.Cost2 reports
+	key     keyMember
+	joinMax bool
+	wq, wp  float64
 }
 
-// combine composes the two distance components — the query distance owner
-// distance and the pairwise distance owner distance — into the cost value.
-// Every case is monotone in each component, which is what makes the
-// partial-set lower bounds of the owner-driven search valid, and
-// combine(d, 0) is exactly d (α·d under cost_α): no set containing an
-// object that far from q costs less.
-func (c costFn) combine(ownerDist, maxPair float64) float64 {
-	switch {
-	case c.alpha != 0:
-		return c.alpha*ownerDist + (1-c.alpha)*maxPair
-	case c.kind == Dia:
-		return math.Max(ownerDist, maxPair)
+// costRows is the cost family, one row per CostKind. MaxSum is cost_0.5
+// rescaled by 2, so its values stay the plain sum of the two distances.
+var costRows = [...]costFn{
+	MaxSum: {kind: MaxSum, key: farthest, wq: 1, wp: 1},
+	Dia:    {kind: Dia, key: farthest, joinMax: true, wq: 1, wp: 1},
+	Sum:    {kind: Sum, key: total, wq: 1, wp: 0},
+	MinMax: {kind: MinMax, key: nearest, wq: 1, wp: 1},
+	SumMax: {kind: SumMax, key: total, wq: 1, wp: 1},
+}
+
+// costOf returns kind's row.
+func costOf(kind CostKind) costFn {
+	if kind < 0 || int(kind) >= len(costRows) {
+		panic(fmt.Sprintf("coskq: unknown cost kind %d", int(kind)))
 	}
-	return ownerDist + maxPair
+	return costRows[kind]
+}
+
+// costAlpha is the general member of MaxSum's family,
+// cost_α(S) = α·max d(o,q) + (1−α)·max d(o1,o2) (alpha.go).
+func costAlpha(alpha float64) costFn {
+	return costFn{kind: MaxSum, key: farthest, wq: alpha, wp: 1 - alpha}
+}
+
+// combine composes the query component D and the pairwise component P
+// into the cost value. It is monotone in each, which is what makes the
+// partial-set lower bounds of the owner-driven search valid, and
+// combine(d, 0) = wq·d bounds every set containing an object that far
+// from q from below — under every row: the farthest member is at least
+// that far, the sum at least that large, and the nearest member plus the
+// pairwise distance (unit weights) reach it by the triangle inequality.
+// That is the ring break (ownerEnum.pop).
+func (c costFn) combine(D, P float64) float64 {
+	if c.joinMax {
+		return math.Max(c.wq*D, c.wp*P)
+	}
+	return c.wq*D + c.wp*P
 }
 
 // ownerLimit is the query distance from which on no object can belong to
 // a set cheaper than bound: the inverse of combine(·, 0).
-func (c costFn) ownerLimit(bound float64) float64 {
-	if c.alpha != 0 {
-		return bound / c.alpha
+func (c costFn) ownerLimit(bound float64) float64 { return bound / c.wq }
+
+// extend is the query component after a member at query distance d joins
+// a partial set whose component is D: the owner fixes it, except under
+// the sum, which every member feeds.
+func (c costFn) extend(D, d float64) float64 {
+	if c.key == total {
+		return D + d
 	}
-	return bound
+	return D
 }
+
+// positionBlind reports whether the cost reads its members through their
+// query distances alone, which is when a candidate is dominated by any
+// other at most as far that covers at least its query keywords: swapping
+// it for its dominator keeps coverage and never raises the cost, so some
+// optimum uses undominated candidates only (ownerEnum.pop drops the rest).
+func (c costFn) positionBlind() bool { return c.wp == 0 }
 
 // eval computes the cost of the set whose members sit at pts, for a query
 // at q: the one walk over the member and pairwise distances behind
@@ -80,20 +134,7 @@ func (c costFn) eval(q geo.Point, pts []geo.Point) float64 {
 			}
 		}
 	}
-	if c.alpha == 0 {
-		switch c.kind {
-		case MaxSum, Dia:
-		case Sum:
-			return sumD
-		case MinMax:
-			return minD + maxPair
-		case SumMax:
-			return sumD + maxPair
-		default:
-			panic(fmt.Sprintf("coskq: unknown cost kind %d", int(c.kind)))
-		}
-	}
-	return c.combine(maxD, maxPair)
+	return c.combine([...]float64{farthest: maxD, nearest: minD, total: sumD}[c.key], maxPair)
 }
 
 // cand is one relevant object materialized by the ascending-distance
@@ -104,13 +145,14 @@ type cand struct {
 	mask kwds.Mask // query keywords covered by o
 }
 
-// ownerEnum enumerates candidate query distance owners: relevant objects
-// in ascending d(o,q) inside the ring [d_f, bound). Every relevant object
-// it pops on the way — ring or not — joins pool, so when next returns, the
-// owner is pool's last entry and pool is exactly the relevant content of
-// the owner's disk C(q, d(owner,q)): all the per-owner step needs.
-// bits[b] indexes the pool entries covering query keyword bit b. Both
-// recycle through the scratch pool across queries.
+// ownerEnum is the one candidate stream: relevant objects popped in
+// ascending d(o,q) up to the ring break, each joining pool, with bits[b]
+// indexing the pool entries that cover query keyword bit b. On top of the
+// stream it enumerates candidate owners — the pops inside the ring
+// [d_f, bound) — so when next returns, the owner is pool's last entry and
+// pool is exactly the relevant content of the owner's disk
+// C(q, d(owner,q)): all the per-owner step needs. Pool and bits recycle
+// through the scratch pool across queries.
 type ownerEnum struct {
 	s     *search
 	qi    *kwds.QueryIndex
@@ -118,8 +160,10 @@ type ownerEnum struct {
 	df    float64
 	stats *Stats
 	// exact marks the exact searches' enumeration: it alone honours the
-	// ablation switches and carries the core.owner fault point.
+	// ablation switches (abl stays zero otherwise) and carries the
+	// core.owner fault point.
 	exact bool
+	abl   Ablation
 
 	it      *irtree.RelevantNNIterator
 	loop    *trace.Span
@@ -127,13 +171,16 @@ type ownerEnum struct {
 	scratch *ownerScratch
 	pool    []cand
 	bits    [][]int32
+	// maximal is the antichain of coverage masks popped so far, kept for
+	// position-blind costs only (dominated).
+	maximal []kwds.Mask
 }
 
 // owners opens the enumeration for q (and the "owner_loop" span). The
 // caller defers release and calls finish once the loop is done.
 func (s *search) owners(q Query, qi *kwds.QueryIndex, cost costFn, df float64, exact bool, stats *Stats) ownerEnum {
 	scratch := getOwnerScratch()
-	return ownerEnum{
+	en := ownerEnum{
 		s: s, qi: qi, cost: cost, df: df, stats: stats, exact: exact,
 		loop:    s.tr.Begin("owner_loop"),
 		start:   time.Now(),
@@ -142,26 +189,26 @@ func (s *search) owners(q Query, qi *kwds.QueryIndex, cost costFn, df float64, e
 		pool:    scratch.pool[:0],
 		bits:    scratch.ensureBits(qi.Size()),
 	}
+	if exact {
+		en.abl = s.Ablation
+	}
+	return en
 }
 
-// next advances to the next candidate owner and reports whether there is
-// one. incumbent is the cost of a feasible set the caller holds: it limits
-// the IR-tree walk. bound (≤ incumbent) cuts the enumeration: any set
+// pop advances the stream to the next pool entry and reports whether there
+// is one. incumbent is the cost of a feasible set the caller holds: it
+// limits the IR-tree walk. bound (≤ incumbent) is the ring break: any set
 // containing an object with combine(d, 0) ≥ bound costs at least bound.
 // The two differ only under a grouped batch's warm bound, which may sit
 // within one ulp of a needed owner's distance — closer than Rect.MinDist
 // and Point.Dist agree — and so must never reach the iterator
-// (irtree.RelevantNNIterator.Limit).
-func (e *ownerEnum) next(incumbent, bound float64) bool {
-	var abl Ablation
-	if e.exact {
-		abl = e.s.Ablation
-	}
+// (irtree.RelevantNNIterator.Limit). Every pop polls the call's context.
+func (e *ownerEnum) pop(incumbent, bound float64) bool {
 	for {
 		if e.exact {
 			fault.Hit(fault.OwnerEnum)
 		}
-		if !abl.NoIncumbentBreak {
+		if !e.abl.NoIncumbentBreak {
 			e.it.Limit(e.cost.ownerLimit(incumbent))
 		}
 		o, d, ok := e.it.Next()
@@ -172,31 +219,75 @@ func (e *ownerEnum) next(incumbent, bound float64) bool {
 			// Ablation A1 measures what this break is worth by degrading
 			// it to a per-object skip.
 			e.stats.Prunes[trace.PruneIncumbentBreak]++
-			if !abl.NoIncumbentBreak {
+			if !e.abl.NoIncumbentBreak {
 				return false
 			}
 			e.stats.CandidatesSeen++
 			continue
 		}
-		mask := e.qi.MaskOf(o.Keywords)
-		idx := int32(len(e.pool))
-		e.pool = append(e.pool, cand{o: o, d: d, mask: mask})
-		for b := 0; b < e.qi.Size(); b++ {
-			if mask&(1<<uint(b)) != 0 {
-				e.bits[b] = append(e.bits[b], idx)
-			}
-		}
 		e.stats.CandidatesSeen++
 		e.s.pollCancel(e.stats.CandidatesSeen)
-		if d < e.df && !abl.NoOwnerRing {
+		mask := e.qi.MaskOf(o.Keywords)
+		if e.cost.positionBlind() && !e.abl.NoSumDominance && e.dominated(mask) {
+			e.stats.Prunes[trace.PruneDominated]++
+			continue
+		}
+		e.pool = append(e.pool, cand{o: o, d: d, mask: mask})
+		indexBits(e.bits, len(e.pool)-1, mask)
+		return true
+	}
+}
+
+// dominated reports whether an earlier pop — at most as far, the stream
+// being ascending — covers all of mask, and admits mask to the antichain
+// otherwise (of identical twins the first popped survives).
+func (e *ownerEnum) dominated(mask kwds.Mask) bool {
+	for _, m := range e.maximal {
+		if mask&^m == 0 {
+			return true
+		}
+	}
+	kept := e.maximal[:0]
+	for _, m := range e.maximal {
+		if m&^mask != 0 {
+			kept = append(kept, m)
+		}
+	}
+	e.maximal = append(kept, mask)
+	return false
+}
+
+// indexBits records pool index idx under every query keyword bit of mask.
+func indexBits(bits [][]int32, idx int, mask kwds.Mask) {
+	for b := range bits {
+		if mask&(1<<uint(b)) != 0 {
+			bits[b] = append(bits[b], int32(idx))
+		}
+	}
+}
+
+// next advances to the next candidate owner and reports whether there is
+// one; incumbent and bound are pop's.
+func (e *ownerEnum) next(incumbent, bound float64) bool {
+	for e.pop(incumbent, bound) {
+		if e.owner().d < e.df && !e.abl.NoOwnerRing {
 			// No feasible set has its query distance owner closer than the
-			// farthest keyword NN; o still enters the pool as a potential
+			// farthest keyword NN; the pop stays in the pool as a potential
 			// non-owner member.
 			e.stats.Prunes[trace.PruneOwnerRing]++
 			continue
 		}
 		e.stats.OwnersTried++
 		return true
+	}
+	return false
+}
+
+// drain pops the rest of the stream into the pool without trying owners:
+// the relevant content of C(q, bound) in ascending distance, for the
+// searches whose owners are not the stream's prefixes.
+func (e *ownerEnum) drain(bound float64) {
+	for e.pop(bound, bound) {
 	}
 }
 
@@ -226,15 +317,18 @@ func (e *ownerEnum) release() {
 	putOwnerScratch(e.scratch)
 }
 
-// bestWithOwner is the cover search: the cheapest feasible set whose
-// query distance owner is pool's last entry, restricted to cost < bound,
-// or (nil, 0) when none exists. Every candidate member is a pool entry
-// (d ≤ owner distance), and every non-owner member of a minimal set must
-// cover a keyword the owner lacks, so the search runs over bits of the
-// owner's uncovered keywords, branching on the rarest, with partial sets
-// cut by the owner lower bound combine(d(owner,q), maxPair(partial)) ≥
-// bound — the same geometric facts the paper's pairwise distance owner /
-// lens pruning exploits.
+// bestWithOwner is the cover search: the cheapest feasible set owned by
+// pool's last entry with its other members drawn from pool, restricted to
+// cost < bound, or (nil, 0) when none exists. Every non-owner member of a
+// minimal set must cover a keyword the owner lacks, so the search runs
+// over bits of the owner's uncovered keywords, branching on the rarest,
+// and carries the partial set's two components: D, which the owner fixes
+// or members add to (costFn.extend), and maxPair. Partial sets are cut by
+// the lower bound combine(D, maxPair) ≥ bound — the same geometric facts
+// the paper's pairwise distance owner / lens pruning exploits — and, under
+// the sum, by the completion bound: each uncovered keyword still costs at
+// least its nearest candidate, the first entry of its bit list since the
+// pool is ascending, so D grows by at least the largest of those.
 //
 // With top non-nil the leaf action changes from keep-the-cheapest to
 // rank-them-all: every cover reached is offered to the top-k heap, whose
@@ -273,10 +367,11 @@ func (s *search) bestWithOwner(qi *kwds.QueryIndex, cost costFn, pool []cand, bi
 		bestCost  = bound // the pruning bound; may dip below foundCost
 		chosen    = scratch.chosen[:0]
 		sh        = s.shared
+		sums      = cost.key == total
 	)
 
-	var dfs func(covered kwds.Mask, maxPair float64)
-	dfs = func(covered kwds.Mask, maxPair float64) {
+	var dfs func(covered kwds.Mask, D, maxPair float64)
+	dfs = func(covered kwds.Mask, D, maxPair float64) {
 		s.chargeNode(stats)
 		if sh != nil {
 			// Another worker may have improved the incumbent; tightening
@@ -287,7 +382,7 @@ func (s *search) bestWithOwner(qi *kwds.QueryIndex, cost costFn, pool []cand, bi
 			}
 		}
 		if covered == qi.Full() {
-			c := cost.combine(dof, maxPair)
+			c := cost.combine(D, maxPair)
 			stats.SetsEvaluated++
 			if top == nil && c >= bestCost {
 				return
@@ -306,14 +401,22 @@ func (s *search) bestWithOwner(qi *kwds.QueryIndex, cost costFn, pool []cand, bi
 			return
 		}
 		// Branch on the uncovered keyword with the fewest candidates.
-		branchBit, branchLen := -1, math.MaxInt32
+		branchBit, branchLen, rest := -1, math.MaxInt32, 0.0
 		for b := 0; b < qi.Size(); b++ {
 			if covered&(1<<uint(b)) != 0 {
 				continue
 			}
-			if n := len(bits[b]); n < branchLen {
+			n := len(bits[b])
+			if n < branchLen {
 				branchBit, branchLen = b, n
 			}
+			if sums && n > 0 && pool[bits[b][0]].d > rest {
+				rest = pool[bits[b][0]].d
+			}
+		}
+		if sums && cost.combine(D+rest, maxPair) >= bestCost {
+			stats.Prunes[trace.PruneCompletionBound]++
+			return
 		}
 		for _, ci := range bits[branchBit] {
 			c := pool[ci]
@@ -331,16 +434,17 @@ func (s *search) bestWithOwner(qi *kwds.QueryIndex, cost costFn, pool []cand, bi
 					np = d
 				}
 			}
-			if cost.combine(dof, np) >= bestCost && !s.Ablation.NoPairPrune {
+			nd := cost.extend(D, c.d)
+			if cost.combine(nd, np) >= bestCost && !s.Ablation.NoPairPrune {
 				stats.Prunes[trace.PrunePairBound]++
 				continue
 			}
 			chosen = append(chosen, ci)
-			dfs(covered|c.mask, np)
+			dfs(covered|c.mask, nd, np)
 			chosen = chosen[:len(chosen)-1]
 		}
 	}
-	dfs(owner.mask, 0)
+	dfs(owner.mask, dof, 0)
 	scratch.bestSet, scratch.chosen = bestSet, chosen[:0]
 
 	if !found {

@@ -13,8 +13,9 @@ package core
 // is a strong correctness check — and to mirror the paper's structure.
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"coskq/internal/dataset"
@@ -30,7 +31,8 @@ func (s *search) pairsExact(q Query, cost CostKind) (Result, error) {
 	algo := s.tr.Begin("pairs_exact")
 	var stats Stats
 	s.trackStats(&stats)
-	seed, curCost, df, err := s.nnSeed(q, costFn{kind: cost}, &stats)
+	fn := costOf(cost)
+	seed, curCost, df, err := s.nnSeed(q, fn, &stats)
 	if err != nil {
 		algo.End()
 		return Result{}, err
@@ -42,19 +44,15 @@ func (s *search) pairsExact(q Query, cost CostKind) (Result, error) {
 
 	// Step 0: all relevant objects in R_S = C(q, r1); r1 = curCost for
 	// both costs (any member farther than the incumbent cost disqualifies
-	// its set).
+	// its set) — the candidate stream drained to the incumbent, which is
+	// this span's whole content.
 	matSp := s.tr.Begin("materialize")
-	matStart := time.Now()
-	scratch := getOwnerScratch()
-	defer putOwnerScratch(scratch)
-	cands := scratch.pool[:0]
-	s.Tree.RelevantInDisk(geo.Circle{C: q.Loc, R: curCost}, qi, func(o *dataset.Object, m kwds.Mask) bool {
-		cands = append(cands, cand{o: o, d: q.Loc.Dist(o.Loc), mask: m})
-		return true
-	})
-	scratch.pool = cands
-	stats.CandidatesSeen = len(cands)
-	stats.Phases.Materialize = time.Since(matStart)
+	en := s.owners(q, qi, fn, df, false, &stats)
+	defer en.release()
+	en.drain(curCost)
+	en.loop.Drop()
+	cands, scratch := en.pool, en.scratch
+	stats.Phases.Materialize = time.Since(en.start)
 	if matSp != nil {
 		matSp.Attr("candidates", float64(stats.CandidatesSeen))
 	}
@@ -99,7 +97,9 @@ func (s *search) pairsExact(q Query, cost CostKind) (Result, error) {
 			pairs = append(pairs, pairCand{i: i, j: j, dij: dij, costLB: costLB})
 		}
 	}
-	sort.Slice(pairs, func(a, b int) bool { return pairs[a].costLB < pairs[b].costLB })
+	slices.SortFunc(pairs, func(a, b pairCand) int {
+		return cmp.Or(cmp.Compare(a.costLB, b.costLB), cmp.Compare(a.i, b.i), cmp.Compare(a.j, b.j))
+	})
 
 	for _, p := range pairs {
 		if p.costLB >= curCost {

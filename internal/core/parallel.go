@@ -333,7 +333,7 @@ func (s *search) caoSearchPar(qi *kwds.QueryIndex, cost CostKind, cands [][]kwCa
 func (s *search) caoWorker(qi *kwds.QueryIndex, cost CostKind, cands [][]kwCand, branch int, tasks <-chan int, grp *trace.Group, stats *Stats) {
 	scratch := getCaoScratch()
 	defer putCaoScratch(scratch)
-	cs := &caoSearch{run: s, qi: qi, cost: costFn{kind: cost}, cands: cands, stats: stats, sh: s.shared}
+	cs := &caoSearch{run: s, qi: qi, cost: costOf(cost), cands: cands, stats: stats, sh: s.shared}
 	for j := range tasks {
 		if s.shared.failed.Load() {
 			continue

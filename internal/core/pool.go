@@ -17,9 +17,9 @@ import (
 
 // ownerScratch bundles the owner-driven search's reusable slices: the
 // ascending-distance candidate pool, the per-keyword-bit candidate index
-// (bitCands), and the cover enumeration's partial-set scratch. pairsExact
-// reuses pool for its materialized candidate list and region/ichosen for
-// its per-triple enumeration.
+// (bitCands), and the cover enumeration's partial-set scratch. nearestOwner
+// takes a second one for each owner's pool; pairsExact uses region/ichosen
+// for its per-triple enumeration.
 type ownerScratch struct {
 	pool     []cand
 	bitCands [][]int32

@@ -157,11 +157,11 @@ func (s *search) solveInner(q Query, cost CostKind, method Method) (res Result, 
 	case MaxSum, Dia:
 		switch method {
 		case OwnerExact:
-			return s.ownerExact(q, costFn{kind: cost})
+			return s.ownerExact(q, costOf(cost))
 		case PairsExact:
 			return s.pairsExact(q, cost)
 		case OwnerAppro:
-			return s.ownerAppro(q, costFn{kind: cost})
+			return s.ownerAppro(q, costOf(cost))
 		case CaoExact:
 			return s.caoExact(q, cost)
 		case CaoAppro1:
@@ -169,34 +169,27 @@ func (s *search) solveInner(q Query, cost CostKind, method Method) (res Result, 
 		case CaoAppro2:
 			return s.caoAppro2(q, cost)
 		case Brute:
-			return s.bruteForce(q, costFn{kind: cost})
+			return s.bruteForce(q, costOf(cost))
 		}
-	case Sum:
+	case Sum, SumMax:
 		switch method {
-		case GreedySum, OwnerAppro:
-			return s.greedySum(q)
-		case OwnerExact, CaoExact:
-			return s.sumExact(q)
+		case OwnerExact:
+			return s.ownerExact(q, costOf(cost))
+		case CaoExact:
+			if cost == Sum { // accepted as a name for the exact Sum search
+				return s.ownerExact(q, costOf(cost))
+			}
+		case OwnerAppro, GreedySum:
+			return s.ownerAppro(q, costOf(cost))
 		case Brute:
-			return s.bruteForce(q, costFn{kind: cost})
+			return s.bruteForce(q, costOf(cost))
 		}
 	case MinMax:
 		switch method {
-		case OwnerExact:
-			return s.minMaxExact(q)
-		case OwnerAppro:
-			return s.minMaxAppro(q)
+		case OwnerExact, OwnerAppro:
+			return s.nearestOwner(q, costOf(cost), method == OwnerExact)
 		case Brute:
-			return s.bruteForce(q, costFn{kind: cost})
-		}
-	case SumMax:
-		switch method {
-		case OwnerExact:
-			return s.sumMaxExact(q)
-		case OwnerAppro, GreedySum:
-			return s.sumMaxAppro(q)
-		case Brute:
-			return s.bruteForce(q, costFn{kind: cost})
+			return s.bruteForce(q, costOf(cost))
 		}
 	}
 	return Result{}, fmt.Errorf("%w: %v with %v", ErrUnsupported, cost, method)

@@ -17,14 +17,43 @@ import (
 // order, the ring or a bound re-records them and says why.
 //
 // Row format: cost bits, set, CandidatesSeen, OwnersTried, NodesExpanded,
-// SetsEvaluated, then the prune counters. MinMax and cost_α rows carry no
-// prune counters: their private cover searches never kept any, so those
-// counters changed (from zero) when the searches were unified. The
-// MinMax/OwnerExact rows were re-recorded once since (n 13 → 12 and
-// 20 → 19, s 3 → 2; cost and set as before): each owner's pool is now put
-// in ascending query distance instead of being read in tree order, so that
-// which of MinMax's tied optima comes back no longer depends on how the
-// tree was packed or edited (internal/epoch's differential demands it).
+// SetsEvaluated, then the prune counters. The MinMax/OwnerExact and cost_α
+// rows carry no prune counters: their private cover searches never kept
+// any, so those counters changed (from zero) when the searches were
+// unified.
+//
+// The Sum, SumMax and MinMax rows were recorded on their private loops and
+// re-recorded when those loops were deleted for the enumerator (costs and
+// sets as before unless said; exact costs still equal EvalCost of the set
+// and the oracle to 1e-9, which solve checks and the differentials enforce):
+//
+//   - MinMax/OwnerExact: c 12 → 15 and 28 → 19 only. c is now the one drain
+//     of the stream to the seed cost, not the sum of per-owner disk queries.
+//     (Once before: n 13 → 12 and 20 → 19, s 3 → 2, when each owner's pool
+//     was first put in ascending query distance so that which of MinMax's
+//     tied optima comes back does not depend on how the tree was packed.)
+//   - MinMax/OwnerAppro: c 0 → 15/19 (the drain; the old loop counted no
+//     candidates), o 15 → 16 on q1, s 16 → 3/4 (an owner whose pool — later entries close
+//     enough to beat the incumbent — cannot cover the query builds no set;
+//     the old construction searched the whole tree per owner). q1's set is
+//     a different 2-approximation, cost ratio 1.04 to the old one.
+//   - Sum/OwnerExact: c 4/7 → 17/39 (every pop is seen, the 13/32 dominated
+//     ones included; the old count was taken after the filter), o 0 → 2/3
+//     and owner_ring 0 → 2/4 (owners are now tried, inside the ring), s
+//     2 → 1 (the seed is N(q), no longer N(q) and a greedy set), n 7 → 8 on
+//     q1; sum_bound 1 → 0 (the per-member cut counts as pair_bound) and
+//     completion_bound 1 → 2 on q0.
+//   - SumMax/OwnerExact: q1's cost moves one ulp (…302 → …303): the sum is
+//     accumulated in cover-search order from the owner, and summation order
+//     may move the last ulp. c 51 → 49 (the stream stops at the incumbent
+//     the search has by then, the old fetch at the seed's), o 0 → 42/59, n
+//     15/44 → 46/78 and s 19/12 → 2 (N(q) seeds the search where a whole
+//     approximation run, 17/11 sets, used to), sum_bound 152/320 →
+//     pair_bound 50/104, completion_bound 5/23 → 26/40.
+//   - Sum/OwnerAppro: the greedy now runs per owner over the pool instead
+//     of once over the seed disk: o 0 → 2/3, owner_ring 2/4, dominated
+//     13/32, sum_bound 2/3 (every owner's greedy was abandoned at the
+//     seed's cost, so s 2 → 1 and the answer is N(q), as before).
 func TestOwnerSkeletonPinned(t *testing.T) {
 	rng := rand.New(rand.NewSource(2013))
 	e := genEngine(rng, 1500, 40, 3)
@@ -42,6 +71,9 @@ func TestOwnerSkeletonPinned(t *testing.T) {
 	solve := func(cost CostKind, m Method, prunes bool) func(Query) (string, error) {
 		return func(q Query) (string, error) {
 			r, err := e.Solve(q, cost, m)
+			if err == nil && math.Abs(e.EvalCost(cost, q.Loc, r.Set)-r.Cost) > 1e-9 {
+				t.Errorf("%v/%v: cost %v, set %v evaluates to %v", cost, m, r.Cost, r.Set, e.EvalCost(cost, q.Loc, r.Set))
+			}
 			return row(r, prunes), err
 		}
 	}
@@ -98,9 +130,25 @@ func TestOwnerSkeletonPinned(t *testing.T) {
 			"40391ea194eef750 [145 315 1231] c=51 o=44 n=0 s=17 p=[7 0 0 0 0 0 0 28 0 0]",
 			"40403ac355a32303 [299 518 672 1298 1360] c=71 o=59 n=0 s=11 p=[12 0 0 0 0 0 0 49 0 0]",
 		}},
+		{"Sum/OwnerExact", solve(Sum, OwnerExact, true), [2]string{
+			"402b86f826c4adda [145 315 1231] c=17 o=2 n=3 s=1 p=[2 0 0 0 0 0 0 0 2 13]",
+			"4037a13456228f2e [299 518 672 715 1360] c=39 o=3 n=8 s=1 p=[4 0 0 0 0 0 0 0 3 32]",
+		}},
+		{"SumMax/OwnerExact", solve(SumMax, OwnerExact, true), [2]string{
+			"4037a22afb7b3a9f [145 668 1231] c=49 o=42 n=46 s=2 p=[7 0 0 50 0 0 0 0 26 0]",
+			"40403ac355a32303 [299 518 672 1298 1360] c=71 o=59 n=78 s=2 p=[12 0 0 104 0 0 0 0 40 0]",
+		}},
+		{"Sum/OwnerAppro", solve(Sum, OwnerAppro, true), [2]string{
+			"402b86f826c4adda [145 315 1231] c=17 o=2 n=0 s=1 p=[2 0 0 0 0 0 0 2 0 13]",
+			"4037a13456228f2e [299 518 672 715 1360] c=39 o=3 n=0 s=1 p=[4 0 0 0 0 0 0 3 0 32]",
+		}},
+		{"MinMax/OwnerAppro", solve(MinMax, OwnerAppro, true), [2]string{
+			"40285324e475dc6c [145 315 1231] c=15 o=15 n=0 s=3 p=[0 0 0 0 0 0 0 0 0 0]",
+			"4024c11697c83dd1 [76 299 518 1298 1360] c=19 o=16 n=0 s=4 p=[0 1 0 0 0 0 0 0 0 0]",
+		}},
 		{"MinMax/OwnerExact", solve(MinMax, OwnerExact, false), [2]string{
-			"40230390ae56c9b8 [145 668 1231] c=12 o=10 n=12 s=2",
-			"4023fbf509547385 [299 518 672 1298 1360] c=28 o=15 n=19 s=2",
+			"40230390ae56c9b8 [145 668 1231] c=15 o=10 n=12 s=2",
+			"4023fbf509547385 [299 518 672 1298 1360] c=19 o=15 n=19 s=2",
 		}},
 		{"Alpha0.2/OwnerExact", alpha(0.2, OwnerExact), [2]string{
 			"4018234b61aac31d [56 94 699] c=74 o=67 n=77 s=5",

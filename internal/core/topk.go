@@ -146,7 +146,7 @@ func (s *search) topKInner(q Query, cost CostKind, k int) (res []Result, err err
 		return nil, nil
 	}
 	start := time.Now()
-	qi, fn := kwds.NewQueryIndex(q.Keywords), costFn{kind: cost}
+	qi, fn := kwds.NewQueryIndex(q.Keywords), costOf(cost)
 	algo := s.tr.Begin("topk")
 	var stats Stats
 	s.trackStats(&stats)

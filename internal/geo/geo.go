@@ -169,7 +169,7 @@ func (c Circle) ContainsPoint(p Point) bool {
 }
 
 // IntersectsRect reports whether the disk c and the rectangle r share at
-// least one point. Used by index descents restricted to a disk.
+// least one point.
 func (c Circle) IntersectsRect(r Rect) bool {
 	return r.MinDist2(c.C) <= c.R*c.R
 }

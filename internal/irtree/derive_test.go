@@ -1,7 +1,6 @@
 package irtree
 
 import (
-	"cmp"
 	"math"
 	"math/rand"
 	"reflect"
@@ -200,28 +199,6 @@ func TestEditedTreeAnswersLikeABuild(t *testing.T) {
 				}
 				if l, r := drain(live), drain(ref); !slices.Equal(l, r) {
 					t.Fatalf("seed %d: relevant stream (limit %v) diverges: %v vs %v", tc.seed, limit, l, r)
-				}
-			}
-
-			disk := geo.Circle{C: p, R: 30 + rng.Float64()*200}
-			inDisk := func(tr *Tree) (out []hit) {
-				tr.RelevantInDisk(disk, qi, func(o *dataset.Object, m kwds.Mask) bool {
-					out = append(out, hit{o.ID, float64(m)})
-					return true
-				})
-				slices.SortFunc(out, func(a, b hit) int { return cmp.Compare(a.id, b.id) })
-				return out
-			}
-			if l, r := inDisk(live), inDisk(ref); !slices.Equal(l, r) {
-				t.Fatalf("seed %d: RelevantInDisk%v as a set: %v vs %v", tc.seed, disk, l, r)
-			}
-
-			need := kwds.Mask(1 + rng.Intn(int(qi.Full())))
-			for _, d := range []geo.Circle{{R: -1}, disk} {
-				lo, ld, lok := live.NNCoveringInDisk(p, qi, need, d)
-				ro, rd, rok := ref.NNCoveringInDisk(p, qi, need, d)
-				if lok != rok || ld != rd || lok && lo.ID != ro.ID {
-					t.Fatalf("seed %d: NNCoveringInDisk(need %b, %v) = %v/%v, a build gives %v/%v", tc.seed, need, d, lo, ld, ro, rd)
 				}
 			}
 

@@ -5,10 +5,9 @@
 //
 //   - keyword nearest neighbor NN(p, t): the object nearest to p whose
 //     keyword set contains t;
-//   - relevant-object retrieval inside a disk (objects sharing at least
-//     one keyword with the query);
-//   - an incremental iterator over relevant objects in ascending distance,
-//     used to enumerate candidate distance owners.
+//   - an incremental iterator over relevant objects (those sharing at
+//     least one keyword with the query) in ascending distance: the one
+//     candidate stream of the owner-driven searches.
 //
 // The tree is built over a dataset by STR bulk load, which matches the
 // paper's memory-resident, build-once usage, and is immutable afterwards.
@@ -295,41 +294,6 @@ func (t *Tree) NN2(p geo.Point, kw kwds.ID) (id dataset.ObjectID, d1, d2 float64
 	return 0, 0, 0, false
 }
 
-// RelevantInDisk invokes fn for each relevant object (one sharing at least
-// one query keyword) located inside the disk, passing its coverage mask.
-// Returning false from fn stops the search. Order is unspecified.
-func (t *Tree) RelevantInDisk(disk geo.Circle, qi *kwds.QueryIndex, fn func(*dataset.Object, kwds.Mask) bool) {
-	t.relevantInDisk(t.rt.Root(), disk, qi, fn)
-}
-
-func (t *Tree) relevantInDisk(n *rtree.Node, disk geo.Circle, qi *kwds.QueryIndex, fn func(*dataset.Object, kwds.Mask) bool) bool {
-	if !disk.IntersectsRect(n.Rect) || !containsAny(t.nodeKw[n.NodeID], qi.Keywords()) {
-		return true
-	}
-	if n.Leaf {
-		for _, e := range n.Entries {
-			o := t.ds.Object(dataset.ObjectID(e.ID))
-			if !disk.ContainsPoint(o.Loc) {
-				continue
-			}
-			m := qi.MaskOf(o.Keywords)
-			if m == 0 {
-				continue
-			}
-			if !fn(o, m) {
-				return false
-			}
-		}
-		return true
-	}
-	for _, c := range n.Children {
-		if !t.relevantInDisk(c, disk, qi, fn) {
-			return false
-		}
-	}
-	return true
-}
-
 // RelevantNNIterator yields relevant objects in ascending distance from a
 // fixed point: the enumeration order of candidate query distance owners in
 // the distance owner-driven algorithms.
@@ -407,63 +371,6 @@ func (it *RelevantNNIterator) Next() (*dataset.Object, float64, bool) {
 				continue
 			}
 			it.h.Push(nnHeapItem{node: c}, d)
-		}
-	}
-	return nil, 0, false
-}
-
-// containsAnyNeeded reports whether the node's subtree contains at least
-// one query keyword whose bit is set in need.
-func containsAnyNeeded(nodeKw kwds.Set, qi *kwds.QueryIndex, need kwds.Mask) bool {
-	for i, id := range qi.Keywords() {
-		if need&(1<<uint(i)) != 0 && nodeKw.Contains(id) {
-			return true
-		}
-	}
-	return false
-}
-
-// NNCoveringInDisk returns the object nearest to p that covers at least one
-// query keyword in the need mask and lies inside disk (a negative radius
-// disables the spatial constraint). This is the greedy pick of the
-// approximation algorithms: cover the next uncovered keyword with the
-// object closest to the current distance owner.
-func (t *Tree) NNCoveringInDisk(p geo.Point, qi *kwds.QueryIndex, need kwds.Mask, disk geo.Circle) (*dataset.Object, float64, bool) {
-	if need == 0 {
-		return nil, 0, false
-	}
-	h := pqueue.New[nnHeapItem](64)
-	root := t.rt.Root()
-	if containsAnyNeeded(t.nodeKw[root.NodeID], qi, need) {
-		h.Push(nnHeapItem{node: root}, root.Rect.MinDist(p))
-	}
-	for !h.Empty() {
-		item, pri := h.Pop()
-		if item.node == nil {
-			return t.ds.Object(item.obj), pri, true
-		}
-		n := item.node
-		if n.Leaf {
-			for _, e := range n.Entries {
-				o := t.ds.Object(dataset.ObjectID(e.ID))
-				if qi.MaskOf(o.Keywords)&need == 0 {
-					continue
-				}
-				if disk.R >= 0 && !disk.ContainsPoint(o.Loc) {
-					continue
-				}
-				h.Push(nnHeapItem{obj: o.ID}, p.Dist(o.Loc))
-			}
-			continue
-		}
-		for _, c := range n.Children {
-			if !containsAnyNeeded(t.nodeKw[c.NodeID], qi, need) {
-				continue
-			}
-			if disk.R >= 0 && !disk.IntersectsRect(c.Rect) {
-				continue
-			}
-			h.Push(nnHeapItem{node: c}, c.Rect.MinDist(p))
 		}
 	}
 	return nil, 0, false

@@ -114,55 +114,6 @@ func TestNNMissingKeyword(t *testing.T) {
 	}
 }
 
-func TestRelevantInDiskMatchesScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	ds := genDataset(rng, 3000, 50, 5)
-	tr := Build(ds, 16)
-	for trial := 0; trial < 50; trial++ {
-		query := kwds.NewSet(kwds.ID(rng.Intn(50)), kwds.ID(rng.Intn(50)), kwds.ID(rng.Intn(50)))
-		qi := kwds.NewQueryIndex(query)
-		disk := geo.Circle{C: geo.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}, R: rng.Float64() * 250}
-
-		want := map[dataset.ObjectID]kwds.Mask{}
-		for i := range ds.Objects {
-			o := &ds.Objects[i]
-			if disk.ContainsPoint(o.Loc) {
-				if m := qi.MaskOf(o.Keywords); m != 0 {
-					want[o.ID] = m
-				}
-			}
-		}
-		got := map[dataset.ObjectID]kwds.Mask{}
-		tr.RelevantInDisk(disk, qi, func(o *dataset.Object, m kwds.Mask) bool {
-			got[o.ID] = m
-			return true
-		})
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: got %d relevant, want %d", trial, len(got), len(want))
-		}
-		for id, m := range want {
-			if got[id] != m {
-				t.Fatalf("trial %d: object %d mask %b, want %b", trial, id, got[id], m)
-			}
-		}
-	}
-}
-
-func TestRelevantEarlyStop(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	ds := genDataset(rng, 1000, 10, 3)
-	tr := Build(ds, 8)
-	qi := kwds.NewQueryIndex(kwds.NewSet(0, 1, 2))
-	n := 0
-	tr.RelevantInDisk(geo.Circle{C: geo.Point{X: 500, Y: 500}, R: 1e9}, qi, func(*dataset.Object, kwds.Mask) bool {
-		n++
-		return n < 5
-	})
-	if n != 5 {
-		t.Fatalf("early stop visited %d", n)
-	}
-}
-
 func TestRelevantNNIteratorOrderAndCompleteness(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	ds := genDataset(rng, 1500, 40, 4)

@@ -11,73 +11,6 @@ import (
 	"coskq/internal/kwds"
 )
 
-// bruteNNCovering is the oracle for NNCoveringInDisk.
-func bruteNNCovering(ds *dataset.Dataset, p geo.Point, qi *kwds.QueryIndex, need kwds.Mask, disk *geo.Circle) (dataset.ObjectID, float64, bool) {
-	best, bestD, found := dataset.ObjectID(0), math.Inf(1), false
-	for i := range ds.Objects {
-		o := &ds.Objects[i]
-		if qi.MaskOf(o.Keywords)&need == 0 {
-			continue
-		}
-		if disk != nil && !disk.ContainsPoint(o.Loc) {
-			continue
-		}
-		if d := p.Dist(o.Loc); d < bestD {
-			best, bestD, found = o.ID, d, true
-		}
-	}
-	return best, bestD, found
-}
-
-func TestNNCoveringInDiskMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	ds := genDataset(rng, 2500, 40, 5)
-	tr := Build(ds, 16)
-	for trial := 0; trial < 150; trial++ {
-		query := kwds.NewSet(
-			kwds.ID(rng.Intn(40)), kwds.ID(rng.Intn(40)),
-			kwds.ID(rng.Intn(40)), kwds.ID(rng.Intn(40)),
-		)
-		qi := kwds.NewQueryIndex(query)
-		// Random non-empty subset of the query bits.
-		need := kwds.Mask(rng.Intn(1<<uint(qi.Size())-1) + 1)
-		p := geo.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
-		var diskPtr *geo.Circle
-		disk := geo.Circle{R: -1}
-		if rng.Intn(2) == 0 {
-			disk = geo.Circle{
-				C: geo.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000},
-				R: rng.Float64() * 400,
-			}
-			diskPtr = &disk
-		}
-		wantID, wantD, wantOK := bruteNNCovering(ds, p, qi, need, diskPtr)
-		got, gotD, gotOK := tr.NNCoveringInDisk(p, qi, need, disk)
-		if gotOK != wantOK {
-			t.Fatalf("trial %d: ok = %v, want %v (need %b)", trial, gotOK, wantOK, need)
-		}
-		if !wantOK {
-			continue
-		}
-		if math.Abs(gotD-wantD) > 1e-9 {
-			t.Fatalf("trial %d: dist %v, want %v (ids %d vs %d)", trial, gotD, wantD, got.ID, wantID)
-		}
-		if qi.MaskOf(got.Keywords)&need == 0 {
-			t.Fatalf("trial %d: returned object does not cover any needed bit", trial)
-		}
-	}
-}
-
-func TestNNCoveringInDiskEmptyNeed(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	ds := genDataset(rng, 100, 10, 3)
-	tr := Build(ds, 8)
-	qi := kwds.NewQueryIndex(kwds.NewSet(0, 1))
-	if _, _, ok := tr.NNCoveringInDisk(geo.Point{}, qi, 0, geo.Circle{R: -1}); ok {
-		t.Fatal("empty need mask should report !ok")
-	}
-}
-
 func TestKeywordNNIteratorOrderAndCompleteness(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	ds := genDataset(rng, 2000, 30, 4)

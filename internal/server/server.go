@@ -789,38 +789,23 @@ func splitKeywords(kw string) []string {
 
 // costByName resolves a cost parameter; empty means MaxSum.
 func costByName(s string) (core.CostKind, error) {
-	switch strings.ToLower(s) {
-	case "", "maxsum":
+	if s == "" {
 		return core.MaxSum, nil
-	case "dia":
-		return core.Dia, nil
-	case "sum":
-		return core.Sum, nil
-	case "minmax":
-		return core.MinMax, nil
-	case "summax":
-		return core.SumMax, nil
 	}
-	return 0, fmt.Errorf("unknown cost %q", s)
+	return core.ParseCost(s)
 }
 
-// methodByName resolves a method parameter; empty means exact.
+// methodByName resolves a method parameter; empty means exact. The
+// exhaustive oracle is deliberately not served.
 func methodByName(s string) (core.Method, error) {
-	switch strings.ToLower(s) {
-	case "", "exact":
+	if s == "" {
 		return core.OwnerExact, nil
-	case "appro":
-		return core.OwnerAppro, nil
-	case "cao-exact":
-		return core.CaoExact, nil
-	case "cao-appro1":
-		return core.CaoAppro1, nil
-	case "cao-appro2":
-		return core.CaoAppro2, nil
-	case "greedy-sum":
-		return core.GreedySum, nil
 	}
-	return 0, fmt.Errorf("unknown method %q", s)
+	m, err := core.ParseMethod(s)
+	if err == nil && m == core.Brute {
+		return 0, fmt.Errorf("unknown method %q", s)
+	}
+	return m, err
 }
 
 func (s *server) objectsJSON(eng *core.Engine, q core.Query, ids []dataset.ObjectID) []objectJSON {

@@ -93,6 +93,11 @@ func TestQueryEndpointVariants(t *testing.T) {
 	if got.CostKind != "Dia" || got.Method != "OwnerAppro" {
 		t.Fatalf("variant response: %+v", got)
 	}
+	// The names are core.ParseCost's and core.ParseMethod's, in any case.
+	getJSON(t, srv.URL+"/query?x=0&y=0&kw=cafe&cost=SumMax&method=owner-appro", http.StatusOK, &got)
+	if got.CostKind != "SumMax" || got.Method != "OwnerAppro" {
+		t.Fatalf("variant response: %+v", got)
+	}
 	// Random-keyword mode.
 	getJSON(t, srv.URL+"/query?x=0&y=0&k=2&seed=5", http.StatusOK, &got)
 	if len(got.Objects) == 0 {
@@ -111,6 +116,7 @@ func TestQueryEndpointErrors(t *testing.T) {
 		{"/query?x=0&y=0&kw=zeppelin", http.StatusBadRequest},
 		{"/query?x=0&y=0&kw=cafe&cost=bogus", http.StatusBadRequest},
 		{"/query?x=0&y=0&kw=cafe&method=bogus", http.StatusBadRequest},
+		{"/query?x=0&y=0&kw=cafe&method=brute", http.StatusBadRequest}, // core.ParseMethod knows it; the server does not serve it
 		{"/query?x=0&y=0&k=-2", http.StatusBadRequest},
 		{"/stats2", http.StatusNotFound},
 	}

@@ -245,11 +245,7 @@ type Backend interface {
 	// least one keyword with q.Words, each with its Mask, in ascending
 	// id, under the same generation-header contract as NN. "Within" is
 	// geo.Circle.ContainsPoint, which tolerates one ulp of rounding on the
-	// boundary. The IR-tree's disk walk tests nodes with the strict
-	// Circle.IntersectsRect first and can drop an object sitting exactly
-	// on the radius, so Collect is a superset of that walk, equal
-	// everywhere but on the boundary. More candidates never hurt the
-	// gather bound.
+	// boundary; more candidates never hurt the gather bound.
 	Collect(ctx context.Context, q ShardQuery, radius float64) (CollectResult, error)
 }
 
