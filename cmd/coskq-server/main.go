@@ -21,7 +21,8 @@
 //	    Reads pin one index generation end-to-end and never block on
 //	    writes; writes shed with 429 when the apply backlog is full.
 //
-// Scatter-gather modes (see DESIGN.md §12):
+// Scatter-gather modes (see DESIGN.md §12), which reject the
+// single-engine flags -live, -nn-cache, -ingest-backlog and -compact-frac:
 //
 //	coskq-server -data hotel.gob -shards 4 [-partition grid|subtree]
 //	    partitions the dataset into in-process shards (a dataset and its
@@ -110,6 +111,11 @@ func main() {
 	if *data == "" && *peers == "" {
 		fmt.Fprintln(os.Stderr, "coskq-server: -data is required (or -peers for coordinator mode)")
 		flag.Usage()
+		os.Exit(2)
+	}
+	mf := modeFlags{shards: *shards, peers: *peers, live: *live, nnCache: *nnCache, backlog: *backlog, compact: *compact}
+	if err := mf.check(); err != nil {
+		fmt.Fprintf(os.Stderr, "coskq-server: %v\n", err)
 		os.Exit(2)
 	}
 	reg := metrics.NewRegistry()
@@ -209,6 +215,46 @@ func main() {
 		logger.Error("server exited", "err", err)
 		os.Exit(1)
 	}
+}
+
+// modeFlags are the flags that pick a serving mode, and the ones only the
+// single-engine mode reads.
+type modeFlags struct {
+	shards  int
+	peers   string
+	live    bool
+	nnCache int
+	backlog int
+	compact float64
+}
+
+// check rejects a single-engine flag combined with a scatter-gather mode,
+// which would otherwise be silently ignored: a router has no engine to
+// cache keyword NNs on and no epoch store to apply writes to.
+func (m modeFlags) check() error {
+	var mode string
+	switch {
+	case m.peers != "":
+		mode = "-peers"
+	case m.shards > 1:
+		mode = fmt.Sprintf("-shards %d", m.shards)
+	default:
+		return nil
+	}
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"-live", m.live},
+		{"-nn-cache", m.nnCache != 0},
+		{"-ingest-backlog", m.backlog != 0},
+		{"-compact-frac", m.compact != 0},
+	} {
+		if f.set {
+			return fmt.Errorf("%s is single-engine only and cannot be combined with %s", f.name, mode)
+		}
+	}
+	return nil
 }
 
 // loadData loads the dataset or exits.

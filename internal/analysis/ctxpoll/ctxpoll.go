@@ -25,10 +25,9 @@ const Doc = `check that search and scatter loops poll the budget or the context
 
 Inside the engine package (import path base "core"), any for/range loop
 that advances an IR-tree iterator (a Next method on a type from the
-irtree package), pops the search priority queue (a Pop method on a type
-from the pqueue package), or solves a batch-cluster member
-(solveOne, a full search per call) must, somewhere in its
-body, call chargeNode or pollCancel, check ctx.Err()/ctx.Done(), or
+irtree package) or pops the search priority queue (a Pop method on a
+type from the pqueue package) must, somewhere in its body, call
+chargeNode or pollCancel, check ctx.Err()/ctx.Done(), or
 call a same-package helper that directly does one of those. Otherwise
 the engine's bounded-cancellation-latency contract is broken.
 
@@ -105,7 +104,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			if expands {
 				return false
 			}
-			if call, ok := m.(*ast.CallExpr); ok && isExpansion(pass, call, coreMode, shardMode) {
+			if call, ok := m.(*ast.CallExpr); ok && isExpansion(pass, call, shardMode) {
 				expands, expandCall = true, call
 			}
 			return true
@@ -139,10 +138,9 @@ func run(pass *analysis.Pass) (interface{}, error) {
 }
 
 // isExpansion reports whether call advances a search frontier: Next on an
-// irtree iterator, Pop on a pqueue queue, a batch-cluster member solve (a
-// full search per call), or, in the shard package, a Backend data-plane
-// call issued from a fan-out loop.
-func isExpansion(pass *analysis.Pass, call *ast.CallExpr, coreMode, shardMode bool) bool {
+// irtree iterator, Pop on a pqueue queue, or, in the shard package, a
+// Backend data-plane call issued from a fan-out loop.
+func isExpansion(pass *analysis.Pass, call *ast.CallExpr, shardMode bool) bool {
 	fn := lintutil.CalleeFunc(pass.TypesInfo, call)
 	if fn == nil {
 		return false
@@ -152,8 +150,6 @@ func isExpansion(pass *analysis.Pass, call *ast.CallExpr, coreMode, shardMode bo
 		return lintutil.PkgIs(fn.Pkg(), "irtree")
 	case "Pop":
 		return lintutil.PkgIs(fn.Pkg(), "pqueue")
-	case "solveOne":
-		return coreMode && fn.Pkg() == pass.Pkg
 	case "Meta", "NN", "Collect":
 		return shardMode && lintutil.IsMethodOn(fn, "shard", "Backend", fn.Name())
 	}

@@ -178,33 +178,6 @@ func (e *Engine) okFaultHitPlusPoll(it *irtree.RelevantNNIterator) {
 	}
 }
 
-type Result struct{ Cost float64 }
-
-func (e *Engine) solveOne(q int) (Result, error) { return Result{}, nil }
-
-// okClusterLoop: the batch cluster-solve loop checks the context before
-// each member solve.
-func (e *Engine) okClusterLoop(members []int) []Result {
-	out := make([]Result, len(members))
-	for i, q := range members {
-		if e.ctx != nil && e.ctx.Err() != nil {
-			break
-		}
-		out[i], _ = e.solveOne(q)
-	}
-	return out
-}
-
-// badClusterLoop: each member solve is a full search; running the whole
-// cluster without polling leaves cancellation latency unbounded.
-func (e *Engine) badClusterLoop(members []int) []Result {
-	out := make([]Result, len(members))
-	for i, q := range members {
-		out[i], _ = e.solveOne(q) // want `search loop expands nodes but never polls`
-	}
-	return out
-}
-
 // badWorkerNoPoll: fanning work out to a channel does not poll — the
 // producer loop itself must charge or poll.
 func (e *Engine) badWorkerNoPoll(it *irtree.RelevantNNIterator, tasks chan<- int) {

@@ -68,8 +68,8 @@ func goodFieldTransfer() *holder {
 	return h
 }
 
-// nnShare mirrors the batch tier's pooled per-cluster scratch: a
-// reslice-able observation list recycled across clusters.
+// nnShare is a pooled per-group scratch: a reslice-able observation list
+// recycled across groups of work.
 type nnShare struct {
 	obs []int
 }
@@ -88,8 +88,8 @@ func putNNShare(s *nnShare) {
 	nnSharePool.Put(s)
 }
 
-// goodClusterSolve: the batch cluster-solve shape — acquire once per
-// cluster, deferred release covers member-loop panics (budget unwind).
+// goodClusterSolve: acquire once per group, and the deferred release
+// covers member-loop panics (budget unwind).
 func goodClusterSolve(members []int) {
 	share := getNNShare()
 	defer putNNShare(share)
@@ -98,7 +98,7 @@ func goodClusterSolve(members []int) {
 	}
 }
 
-// badClusterSolveEarlyReturn: bailing out of the cluster mid-loop
+// badClusterSolveEarlyReturn: bailing out of the group mid-loop
 // without the deferred release leaks the share on the error path.
 func badClusterSolveEarlyReturn(members []int) {
 	share := getNNShare() // want "not returned to the pool on all paths"

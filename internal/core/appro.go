@@ -47,7 +47,7 @@ func (s *search) ownerAppro(q Query, cost costFn) (Result, error) {
 
 	en := s.owners(q, qi, cost, df, false, &stats)
 	defer en.release()
-	for en.next(curCost, curCost) {
+	for en.next(curCost) {
 		owner := en.owner()
 		if qi.Full()&^owner.mask == 0 {
 			stats.SetsEvaluated++

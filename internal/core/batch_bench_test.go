@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// benchBatchFixture builds the grouped-batch benchmark workload: a
-// mid-size engine and a zipfian-skewed batch (hot locations, hot keyword
-// combinations — the traffic shape grouping and the NN cache exist for).
+// benchBatchFixture builds the batch benchmark workload: a mid-size
+// engine and a zipfian-skewed batch (hot locations, hot keyword
+// combinations — the traffic shape the NN cache exists for).
 func benchBatchFixture(n, batch int) (*Engine, []Query) {
 	rng := rand.New(rand.NewSource(77))
 	e := genEngine(rng, n, 24, 4)
@@ -15,17 +15,18 @@ func benchBatchFixture(n, batch int) (*Engine, []Query) {
 	return e, skewedBatch(rng, batch, 24)
 }
 
-// BenchmarkSolveBatchGrouped compares one grouped batch execution
-// (cluster sharing + engine NN cache) against the ungrouped baseline —
-// the same queries solved independently one by one. Single worker and
-// Parallelism=1 on both sides, so the delta is purely the shared work,
-// not concurrency. nncache-hit-rate reports the cache's share of NN
-// resolutions in the grouped run.
-func BenchmarkSolveBatchGrouped(b *testing.B) {
+// BenchmarkSolveBatch times one 64-query skewed batch three ways: over an
+// engine NN cache (engine-cache), over the cache an uncached engine's batch
+// builds for itself (no-cache), and as the same queries solved one Solve at
+// a time on the uncached engine (independent). Single worker and
+// Parallelism=1 throughout, so the deltas are the cache's work, not
+// concurrency. nncache-hit-rate is the engine cache's share of NN
+// resolutions.
+func BenchmarkSolveBatch(b *testing.B) {
 	const batchSize = 64
 	e, queries := benchBatchFixture(12000, batchSize)
 
-	b.Run("grouped+cache", func(b *testing.B) {
+	b.Run("engine-cache", func(b *testing.B) {
 		ec := *e
 		cache := ec.EnableNNCache(4096)
 		b.ReportAllocs()
@@ -38,9 +39,14 @@ func BenchmarkSolveBatchGrouped(b *testing.B) {
 			b.ReportMetric(float64(h)/float64(h+m), "nncache-hit-rate")
 		}
 	})
-	b.Run("ungrouped", func(b *testing.B) {
+	b.Run("no-cache", func(b *testing.B) {
 		b.ReportAllocs()
-		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.SolveBatch(queries, MaxSum, OwnerExact, 1)
+		}
+	})
+	b.Run("independent", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, q := range queries {
 				if _, err := e.Solve(q, MaxSum, OwnerExact); err != nil {
@@ -70,23 +76,27 @@ func TestBatchSkewedCacheHitRate(t *testing.T) {
 	t.Logf("nncache hit rate: %.2f (%d hits / %d lookups)", float64(h)/float64(h+m), h, h+m)
 }
 
-// TestBatchGroupedAllocsFlat pins the grouped path's allocation
-// behavior: re-running the same grouped batch on a warmed engine stays
-// allocation-flat per member (pooled cluster shares, pooled scratch, and
-// allocation-free cache hits keep the steady state bounded).
+// TestBatchGroupedAllocsFlat pins the batch path's allocation behavior:
+// re-running the same batch on a warmed engine cache stays allocation-flat
+// per query (pooled scratch and allocation-free cache hits keep the steady
+// state bounded).
 func TestBatchGroupedAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
 	e, queries := benchBatchFixture(500, 16)
 	e.EnableNNCache(4096)
 	e.SolveBatch(queries, MaxSum, OwnerExact, 1) // warm pools and cache
 	got := testing.AllocsPerRun(10, func() {
 		e.SolveBatch(queries, MaxSum, OwnerExact, 1)
 	})
-	// Budget: a loose per-query bound (TestOwnerExactAllocs pins the exact
-	// serial-path ceilings) plus the batch's own bookkeeping (result
-	// slice, grouping, per-cluster iterators) amortized across members.
-	maxAllocs := float64(len(queries)) * 70
+	// Budget: measured 162 per 16-query run, about 10 per query, plus a
+	// quarter of headroom. The grouped path this replaced measured 206 on
+	// the same fixture, so the old 70-per-query bound no longer says
+	// anything about this path.
+	maxAllocs := float64(len(queries)) * 12.5
 	if got > maxAllocs {
-		t.Fatalf("grouped batch allocates %.0f/run for %d queries, want <= %.0f",
+		t.Fatalf("batch allocates %.0f/run for %d queries, want <= %.0f",
 			got, len(queries), maxAllocs)
 	}
 }

@@ -10,13 +10,13 @@ import (
 	"coskq/internal/testutil"
 )
 
-// Chaos coverage for the batch tier's new fault surface: the NN-cache
-// probe point (fault.NNCacheProbe) fires inside lookupNN whenever a
-// cluster share or the engine cache is attached — exactly the code the
-// grouped path adds. These tests arm seeded schedules there and assert
-// the batch keeps the engine's robustness invariants per item: typed
-// errors only, feasible sets, recomputable costs never beating the
-// optimum, and deterministic replay of a fixed schedule.
+// Chaos coverage for the batch tier's fault surface: the NN-cache probe
+// point (fault.NNCacheProbe) fires inside lookupNN whenever an NN cache is
+// attached — the engine's, or the one every uncached batch builds for
+// itself. These tests arm seeded schedules there and assert the batch
+// keeps the engine's robustness invariants per item: typed errors only,
+// feasible sets, recomputable costs never beating the optimum, and
+// deterministic replay of a fixed schedule.
 
 // batchChaosInvariants checks one faulted batch against the unfaulted
 // per-query reference costs.
@@ -49,15 +49,14 @@ func batchChaosInvariants(t *testing.T, e *Engine, queries []Query, out []BatchI
 }
 
 // TestChaosBatchCachePoint sweeps seeded budget/cancel schedules armed at
-// the NN-cache probe point against grouped, cached batches across degrade
-// policies and worker counts.
+// the NN-cache probe point against batches over the batch's own cache and
+// an engine cache, across degrade policies and worker counts.
 func TestChaosBatchCachePoint(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	rng := rand.New(rand.NewSource(41))
 	base := genEngine(rng, 500, 10, 3)
 	base.Parallelism = 1
 	queries := skewedBatch(rng, 16, 10)
-	requireGrouping(t, base, queries)
 
 	exact := make([]float64, len(queries))
 	for i, q := range queries {
@@ -72,13 +71,15 @@ func TestChaosBatchCachePoint(t *testing.T) {
 		for _, kind := range []fault.Kind{fault.KindBudget, fault.KindCancel} {
 			for _, workers := range []int{1, 3} {
 				for _, policy := range []DegradePolicy{DegradeFail, DegradeIncumbent, DegradeFallbackAppro} {
-					disarm := fault.Arm(seed, fault.Rule{Point: fault.NNCacheProbe, Kind: kind, After: 2, Prob: 0.05})
-					e := *base
-					e.Degrade = policy
-					e.EnableNNCache(256)
-					out := e.SolveBatch(queries, MaxSum, OwnerExact, workers)
-					disarm()
-					batchChaosInvariants(t, &e, queries, out, MaxSum, exact)
+					for _, cache := range []int{0, 256} {
+						disarm := fault.Arm(seed, fault.Rule{Point: fault.NNCacheProbe, Kind: kind, After: 2, Prob: 0.05})
+						e := *base
+						e.Degrade = policy
+						e.EnableNNCache(cache)
+						out := e.SolveBatch(queries, MaxSum, OwnerExact, workers)
+						disarm()
+						batchChaosInvariants(t, &e, queries, out, MaxSum, exact)
+					}
 				}
 			}
 		}

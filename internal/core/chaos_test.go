@@ -214,8 +214,8 @@ func chaosEntries(e *Engine, q Query) []chaosEntry {
 				res, err := e.SolveCtx(ctx, q, c, m)
 				return []Result{res}, []error{err}
 			}}, chaosEntry{fmt.Sprintf("SolveBatchCtx/%v/%v", c, m), func(ctx context.Context, e *Engine, q Query) ([]Result, []error) {
-				// Two members of one cluster and a far-away singleton: both
-				// branches of solveCluster.
+				// A repeated query, which the batch's own NN cache answers,
+				// and a far-away one, which it cannot.
 				far := Query{Loc: geo.Point{X: 100 - q.Loc.X, Y: 100 - q.Loc.Y}, Keywords: q.Keywords}
 				var rs []Result
 				var errs []error

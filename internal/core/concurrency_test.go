@@ -106,10 +106,13 @@ func TestSolveCtxCancelMidSearch(t *testing.T) {
 }
 
 // TestSolveBatchCtxPreCancelled: a batch handed an already-cancelled
-// context runs nothing and marks every item.
+// context runs nothing — the feeder stops, and a worker marks any query it
+// dequeued without solving it — so it returns promptly, every item
+// carries the context error, and the metrics sink records no solve.
 func TestSolveBatchCtxPreCancelled(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	e := genEngine(rng, 200, 8, 3)
+	e.Metrics = NewEngineMetrics(nil)
 	queries := make([]Query, 50)
 	for i := range queries {
 		queries[i] = slowQuery(8)
@@ -125,6 +128,12 @@ func TestSolveBatchCtxPreCancelled(t *testing.T) {
 		if !errors.Is(item.Err, context.Canceled) {
 			t.Fatalf("item %d err = %v, want Canceled", i, item.Err)
 		}
+		if item.Result.Set != nil {
+			t.Fatalf("item %d ran anyway", i)
+		}
+	}
+	if n := e.Metrics.QueriesTotal(); n != 0 {
+		t.Fatalf("pre-cancelled batch recorded %d solves, want 0", n)
 	}
 }
 

@@ -431,9 +431,21 @@ func (e *Engine) Solve(q Query, cost CostKind, method Method) (Result, error) {
 // deep inside its DFS — unwinds promptly (within a few hundred node
 // expansions, the same mechanism that enforces NodeBudget) and the
 // context's error is returned. A nil or never-cancellable ctx adds no
-// per-node overhead.
-func (e *Engine) SolveCtx(ctx context.Context, q Query, cost CostKind, method Method) (Result, error) {
-	return e.solveOne(ctx, q, cost, method, nil, 0)
+// per-node overhead. Every item of a batch runs SolveCtx.
+func (e *Engine) SolveCtx(ctx context.Context, q Query, cost CostKind, method Method) (res Result, err error) {
+	start := time.Now()
+	err = e.enter(ctx, q, func(s *search) (err error) {
+		res, err = s.solve(q, cost, method)
+		return err
+	})
+	// Every algorithm stamps its own Elapsed, but error unwinds (budget,
+	// cancellation) and future algorithms may not; stamp the wall time of
+	// the whole call here so the field is populated uniformly.
+	res.Stats.Elapsed = time.Since(start)
+	if e.Metrics != nil {
+		e.Metrics.recordSolve(cost, method, res, err, res.Stats.Elapsed)
+	}
+	return res, err
 }
 
 // Feasible reports whether set covers q's keywords.

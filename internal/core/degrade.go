@@ -203,7 +203,7 @@ func (s *search) degradeSolve(q Query, cost CostKind, method Method, res Result,
 // none) into an error instead of escaping.
 func (s *search) fallbackAppro(q Query, cost CostKind) (res Result, err error) {
 	defer recoverBudget(&err)
-	fb := search{Engine: s.Engine, tr: s.tr, nnmemo: s.nnmemo, clusterNN: s.clusterNN}
+	fb := search{Engine: s.Engine, tr: s.tr, nnmemo: s.nnmemo}
 	switch cost {
 	case MaxSum, Dia:
 		return fb.caoAppro2(q, cost)

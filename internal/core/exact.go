@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"time"
 
 	"coskq/internal/kwds"
@@ -39,28 +38,12 @@ func (s *search) ownerExact(q Query, cost costFn) (Result, error) {
 	s.noteIncumbent(curSet, curCost, cost.kind)
 	stats.SetsEvaluated = 1
 
-	// bound prunes owners (the enumerator's break) and partial sets
-	// (bestWithOwner). It starts at the incumbent cost, except that a
-	// grouped batch may pre-tighten it one ulp above a warm-start upper
-	// bound (a finished neighbor's answer cost, feasible for this query
-	// too — batchgroup.go). The warm bound is used ONLY for pruning, never
-	// as an answer: any owner achieving the true optimum C has
-	// d(o,q) ≤ C ≤ warm < bound, so it is neither skipped nor cut from the
-	// pool, and bestWithOwner's strict acceptance (c < bound) still finds
-	// its DFS-first C-cost leaf — the same answer the cold run keeps
-	// (DESIGN.md §15). The IR-tree walk is limited by curCost, a real
-	// incumbent's cost, never by bound (ownerEnum.next).
-	bound := curCost
-	if wb := s.warmBound; wb > 0 && wb < bound {
-		bound = math.Nextafter(wb, math.Inf(1))
-	}
-
 	en := s.owners(q, qi, cost, df, true, &stats)
 	defer en.release()
-	for en.next(curCost, bound) {
+	for en.next(curCost) {
 		osp := s.tr.Begin("best_with_owner")
 		nodes0 := stats.NodesExpanded
-		set, c := s.bestWithOwner(qi, cost, en.pool, en.bits, bound, en.scratch, &stats, nil)
+		set, c := s.bestWithOwner(qi, cost, en.pool, en.bits, curCost, en.scratch, &stats, nil)
 		if set == nil {
 			// Keep sub-search spans only for owners that improved the
 			// incumbent — the iterations that explain the answer — and
@@ -77,7 +60,6 @@ func (s *search) ownerExact(q Query, cost costFn) (Result, error) {
 		}
 		osp.End()
 		curSet, curCost = canonical(set), c
-		bound = c
 		s.noteIncumbent(curSet, curCost, cost.kind)
 	}
 	en.finish(curCost)

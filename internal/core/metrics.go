@@ -45,10 +45,7 @@ type EngineMetrics struct {
 	cands    *metrics.Histogram
 	sets     *metrics.Histogram
 
-	batchQueries  *metrics.Counter
-	batchClusters *metrics.Counter
-	batchGrouped  *metrics.Counter
-	batchWarm     *metrics.Counter
+	batchQueries *metrics.Counter
 }
 
 // NewEngineMetrics returns a sink recording into reg (nil for a fresh
@@ -71,10 +68,7 @@ func NewEngineMetrics(reg *metrics.Registry) *EngineMetrics {
 		cands:    reg.Histogram("coskq_query_candidates_seen", effortBuckets),
 		sets:     reg.Histogram("coskq_query_sets_evaluated", effortBuckets),
 
-		batchQueries:  reg.Counter("coskq_batch_queries_total"),
-		batchClusters: reg.Counter("coskq_batch_clusters_total"),
-		batchGrouped:  reg.Counter("coskq_batch_grouped_queries_total"),
-		batchWarm:     reg.Counter("coskq_batch_warm_starts_total"),
+		batchQueries: reg.Counter("coskq_batch_queries_total"),
 	}
 }
 
@@ -93,25 +87,10 @@ func (m *EngineMetrics) QueriesTotal() uint64 { return m.queries.Value() }
 // answers recorded.
 func (m *EngineMetrics) DegradedTotal() uint64 { return m.degraded.Value() }
 
-// recordBatch accumulates one grouped batch's shape: how many queries it
-// carried, how many clusters they collapsed into, and how many queries
-// rode in a multi-member cluster (the ones that shared work). Warm starts
-// count separately as they are applied (coskq_batch_warm_starts_total).
-func (m *EngineMetrics) recordBatch(queries int, clusters []batchCluster) {
-	m.batchQueries.Add(uint64(queries))
-	m.batchClusters.Add(uint64(len(clusters)))
-	grouped := 0
-	for _, cl := range clusters {
-		if len(cl.idxs) > 1 {
-			grouped += len(cl.idxs)
-		}
-	}
-	m.batchGrouped.Add(uint64(grouped))
-}
-
-// BatchWarmStarts returns the cumulative number of warm-started member
-// executions (for tests and the bench harness).
-func (m *EngineMetrics) BatchWarmStarts() uint64 { return m.batchWarm.Value() }
+// BatchWarmStarts always returns 0: batches no longer warm-start their
+// members (DESIGN.md §15). It remains only because the benchmark harness
+// still reads it.
+func (m *EngineMetrics) BatchWarmStarts() uint64 { return 0 }
 
 // errorReason maps an execution error to a bounded label vocabulary.
 func errorReason(err error) string {

@@ -1,10 +1,11 @@
 package core
 
 // Cross-query keyword-NN cache (DESIGN.md §15). The per-query nnMemo
-// (pool.go) dies with its query; under production traffic most queries
+// (search.go) dies with its query; under production traffic most queries
 // repeat hot locations and keyword combinations, so the same IR-tree NN
 // walks run over and over. NNCache promotes the memo into a bounded,
-// sharded LRU on the Engine keyed by (grid cell, keyword ID), with a
+// sharded LRU keyed by (grid cell, keyword ID) — on the Engine, or private
+// to one batch when the engine has none (batch.go) — with a
 // distance-validity radius making every reuse provably exact:
 //
 // An entry records the observation point p0, the NN o1 of p0 for keyword
@@ -89,8 +90,10 @@ type NNCache struct {
 // total entry capacity (minimum one entry per shard). The cell side is
 // the larger MBR extent divided by 256 — fine enough that hot locations
 // in different neighborhoods do not evict each other, coarse enough that
-// jittered repeats of one hot location share a cell.
-func newNNCache(mbr geo.Rect, capacity int) *NNCache {
+// jittered repeats of one hot location share a cell. The hit/miss/eviction
+// counters register in reg (coskq_nncache_*) or, with reg nil, count
+// privately.
+func newNNCache(mbr geo.Rect, capacity int, reg *metrics.Registry) *NNCache {
 	side := math.Max(mbr.Width(), mbr.Height()) / 256
 	if side <= 0 {
 		side = 1
@@ -108,6 +111,15 @@ func newNNCache(mbr geo.Rect, capacity int) *NNCache {
 	for i := range c.shards {
 		c.shards[i].m = make(map[nnCacheKey]*nnCacheEntry, per)
 	}
+	if reg != nil {
+		c.hits = reg.Counter("coskq_nncache_hits_total")
+		c.misses = reg.Counter("coskq_nncache_misses_total")
+		c.evictions = reg.Counter("coskq_nncache_evictions_total")
+	} else {
+		c.hits = new(metrics.Counter)
+		c.misses = new(metrics.Counter)
+		c.evictions = new(metrics.Counter)
+	}
 	return c
 }
 
@@ -122,19 +134,12 @@ func (e *Engine) EnableNNCache(capacity int) *NNCache {
 		e.NNCache = nil
 		return nil
 	}
-	c := newNNCache(e.DS.MBR(), capacity)
+	var reg *metrics.Registry
 	if e.Metrics != nil {
-		reg := e.Metrics.Registry()
-		c.hits = reg.Counter("coskq_nncache_hits_total")
-		c.misses = reg.Counter("coskq_nncache_misses_total")
-		c.evictions = reg.Counter("coskq_nncache_evictions_total")
-	} else {
-		c.hits = new(metrics.Counter)
-		c.misses = new(metrics.Counter)
-		c.evictions = new(metrics.Counter)
+		reg = e.Metrics.Registry()
 	}
-	e.NNCache = c
-	return c
+	e.NNCache = newNNCache(e.DS.MBR(), capacity, reg)
+	return e.NNCache
 }
 
 // Capacity returns the total entry capacity the cache was built with

@@ -196,20 +196,17 @@ func (s *search) owners(q Query, qi *kwds.QueryIndex, cost costFn, df float64, e
 }
 
 // pop advances the stream to the next pool entry and reports whether there
-// is one. incumbent is the cost of a feasible set the caller holds: it
-// limits the IR-tree walk. bound (≤ incumbent) is the ring break: any set
-// containing an object with combine(d, 0) ≥ bound costs at least bound.
-// The two differ only under a grouped batch's warm bound, which may sit
-// within one ulp of a needed owner's distance — closer than Rect.MinDist
-// and Point.Dist agree — and so must never reach the iterator
-// (irtree.RelevantNNIterator.Limit). Every pop polls the call's context.
-func (e *ownerEnum) pop(incumbent, bound float64) bool {
+// is one. bound is the cost of a feasible set the caller holds: it limits
+// the IR-tree walk (irtree.RelevantNNIterator.Limit), and it is the ring
+// break, since any set containing an object with combine(d, 0) ≥ bound
+// costs at least bound. Every pop polls the call's context.
+func (e *ownerEnum) pop(bound float64) bool {
 	for {
 		if e.exact {
 			fault.Hit(fault.OwnerEnum)
 		}
 		if !e.abl.NoIncumbentBreak {
-			e.it.Limit(e.cost.ownerLimit(incumbent))
+			e.it.Limit(e.cost.ownerLimit(bound))
 		}
 		o, d, ok := e.it.Next()
 		if !ok {
@@ -267,9 +264,9 @@ func indexBits(bits [][]int32, idx int, mask kwds.Mask) {
 }
 
 // next advances to the next candidate owner and reports whether there is
-// one; incumbent and bound are pop's.
-func (e *ownerEnum) next(incumbent, bound float64) bool {
-	for e.pop(incumbent, bound) {
+// one; bound is pop's.
+func (e *ownerEnum) next(bound float64) bool {
+	for e.pop(bound) {
 		if e.owner().d < e.df && !e.abl.NoOwnerRing {
 			// No feasible set has its query distance owner closer than the
 			// farthest keyword NN; the pop stays in the pool as a potential
@@ -287,7 +284,7 @@ func (e *ownerEnum) next(incumbent, bound float64) bool {
 // the relevant content of C(q, bound) in ascending distance, for the
 // searches whose owners are not the stream's prefixes.
 func (e *ownerEnum) drain(bound float64) {
-	for e.pop(bound, bound) {
+	for e.pop(bound) {
 	}
 }
 

@@ -61,12 +61,6 @@ type parShared struct {
 	// producer stops enumerating, and the coordinator re-raises the
 	// recorded panic after the join so recoverBudget converts it.
 	failed atomic.Bool
-	// warm is one ulp above a grouped batch member's warm-start upper
-	// bound (+Inf when there is none), fixed before the workers start. It
-	// caps what owners and sub-searches prune against (pruneBound) but
-	// never enters bound: the producer limits the IR-tree iterator by the
-	// incumbent's cost alone, as an independent solve does (exact.go).
-	warm float64
 
 	mu     sync.Mutex
 	cost   float64
@@ -76,7 +70,7 @@ type parShared struct {
 }
 
 func newParShared(seedSet []dataset.ObjectID, seedCost float64) *parShared {
-	sh := &parShared{warm: math.Inf(1), cost: seedCost, ord: -1, set: seedSet}
+	sh := &parShared{cost: seedCost, ord: -1, set: seedSet}
 	sh.bound.Store(math.Float64bits(seedCost))
 	return sh
 }
@@ -86,13 +80,9 @@ func (sh *parShared) costLoad() float64 { return math.Float64frombits(sh.bound.L
 
 // pruneBound returns the bound a sub-search prunes against: one ulp above
 // the incumbent, so an equal-cost set from an earlier-enumerated owner
-// stays findable (see the determinism notes atop this file), capped by
-// the warm bound.
+// stays findable (see the determinism notes atop this file).
 func (sh *parShared) pruneBound() float64 {
-	if b := math.Nextafter(sh.costLoad(), math.Inf(1)); b < sh.warm {
-		return b
-	}
-	return sh.warm
+	return math.Nextafter(sh.costLoad(), math.Inf(1))
 }
 
 // offer installs (set, c), found for the owner with enumeration index
@@ -128,8 +118,8 @@ func (sh *parShared) firstPanic() any {
 
 // worker derives the search one pool goroutine runs on: it shares the
 // engine, the call's context and budget, and the coordination state —
-// nothing else, so the memo, the holder and the batch share stay with
-// the coordinator and workers publish only through sh.
+// nothing else, so the memo and the holder stay with the coordinator and
+// workers publish only through sh.
 func (s *search) worker(sh *parShared) *search {
 	return &search{Engine: s.Engine, ctx: s.ctx, budget: s.budget, shared: sh}
 }
@@ -173,15 +163,6 @@ func (s *search) ownerExactPar(q Query, cost costFn) (Result, error) {
 
 	sh := newParShared(canonical(seed), seedCost)
 	s.noteIncumbent(sh.set, sh.cost, cost.kind)
-	// A grouped batch's warm-start upper bound caps the pruning bound one
-	// ulp above it — the same tie-aware mechanism the workers use — while
-	// sh.cost/sh.set keep the seed as the answer fallback. It only ever
-	// prunes work whose cost exceeds the warm bound, which exceeds the
-	// optimum, so the (cost, ord) merge still lands on the serial cold
-	// run's answer (exact.go, §15).
-	if wb := s.warmBound; wb > 0 && wb < seedCost {
-		sh.warm = math.Nextafter(wb, math.Inf(1))
-	}
 	// The workers' snapshots die at the join below, before the deferred
 	// release lets the backing arrays recirculate.
 	en := s.owners(q, qi, cost, df, true, &stats)
@@ -209,13 +190,7 @@ func (s *search) ownerExactPar(q Query, cost costFn) (Result, error) {
 				sh.fail(r)
 			}
 		}()
-		for ord := 0; !sh.failed.Load(); ord++ {
-			// The walk is limited by the incumbent's cost alone; owners
-			// are additionally cut by the warm bound (ownerEnum.next).
-			incumbent := sh.costLoad()
-			if !en.next(incumbent, math.Min(incumbent, sh.warm)) {
-				break
-			}
+		for ord := 0; !sh.failed.Load() && en.next(sh.costLoad()); ord++ {
 			bits := make([][]int32, len(en.bits))
 			copy(bits, en.bits)
 			tasks <- ownerTask{ord: ord, pool: en.pool, bits: bits}

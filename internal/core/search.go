@@ -51,19 +51,11 @@ type search struct {
 	// the degrade path falls back on when the search is cut short
 	// (degrade.go).
 	any *anytime
-	// clusterNN and warmBound are a grouped batch member's share of its
-	// cluster (batchgroup.go): the cluster-local keyword-NN observations,
-	// and the cost of a finished neighbor's answer at this query's
-	// location. The warm bound only ever pre-tightens the bound that prunes
-	// owners and partial sets (one ulp above, exact.go) — never the IR-tree
-	// iterator's limit — so warm and cold runs return identical results.
-	clusterNN *nnShare
-	warmBound float64
 }
 
 // searchPool recycles searches together with their memo and holder
 // buffers. It is the only pool of per-call state; the pools in pool.go
-// and batchgroup.go recycle algorithm scratch.
+// recycle algorithm scratch.
 var searchPool = sync.Pool{New: func() any {
 	return &search{nnmemo: new(nnMemo), any: new(anytime)}
 }}
@@ -110,29 +102,6 @@ func (e *Engine) enter(ctx context.Context, q Query, fn func(*search) error) (er
 		s.tr = trace.FromContext(ctx)
 	}
 	return fn(s)
-}
-
-// solveOne is one accounted Solve execution. SolveCtx runs it bare; a
-// grouped batch runs it per cluster member with the cluster's NN share
-// and warm bound attached.
-func (e *Engine) solveOne(ctx context.Context, q Query, cost CostKind, method Method, share *nnShare, wb float64) (res Result, err error) {
-	start := time.Now()
-	err = e.enter(ctx, q, func(s *search) (err error) {
-		s.clusterNN, s.warmBound = share, wb
-		if wb > 0 && e.Metrics != nil {
-			e.Metrics.batchWarm.Inc()
-		}
-		res, err = s.solve(q, cost, method)
-		return err
-	})
-	// Every algorithm stamps its own Elapsed, but error unwinds (budget,
-	// cancellation) and future algorithms may not; stamp the wall time of
-	// the whole call here so the field is populated uniformly.
-	res.Stats.Elapsed = time.Since(start)
-	if e.Metrics != nil {
-		e.Metrics.recordSolve(cost, method, res, err, res.Stats.Elapsed)
-	}
-	return res, err
 }
 
 // solve runs the dispatch and, when the search was cut short, applies
@@ -283,40 +252,27 @@ func (s *search) keywordNN(p geo.Point, kw kwds.ID) (dataset.ObjectID, float64, 
 	return id, d, ok
 }
 
-// lookupNN resolves one keyword NN below the memo: the cluster-local
-// share of a grouped batch first, then the engine-level NNCache, then the
-// IR-tree. Every cache hit is validity-checked (nncache.go), so the chain
-// returns bit-identical results to a bare Tree.NN regardless of which
-// layer answers. Misses with a cache attached walk NN2 — the same
-// best-first search, continued one object further — so the validity
-// radius can be recorded.
+// lookupNN resolves one keyword NN below the memo: the NNCache first (the
+// engine's, or a batch's own), then the IR-tree. Every cache hit is
+// validity-checked (nncache.go), so the chain returns bit-identical results
+// to a bare Tree.NN whichever layer answers. Misses with a cache attached
+// walk NN2 — the same best-first search, continued one object further — so
+// the validity radius can be recorded.
 func (s *search) lookupNN(p geo.Point, kw kwds.ID) (dataset.ObjectID, float64, bool) {
-	share, cache := s.clusterNN, s.NNCache
-	if share == nil && cache == nil {
+	cache := s.NNCache
+	if cache == nil {
 		return s.Tree.NN(p, kw)
 	}
 	fault.Hit(fault.NNCacheProbe)
-	if share != nil {
-		if id, d, ok, hit := share.lookup(p, kw); hit {
-			return id, d, ok
-		}
-	}
-	if cache != nil {
-		if id, d, ok, hit := cache.Lookup(p, kw); hit {
-			return id, d, ok
-		}
+	if id, d, ok, hit := cache.Lookup(p, kw); hit {
+		return id, d, ok
 	}
 	id, d1, d2, ok := s.Tree.NN2(p, kw)
 	var loc geo.Point
 	if ok {
 		loc = s.DS.Object(id).Loc
 	}
-	if cache != nil {
-		cache.Store(p, kw, id, loc, d1, d2, ok)
-	}
-	if share != nil {
-		share.store(p, kw, id, loc, d1, d2, ok)
-	}
+	cache.Store(p, kw, id, loc, d1, d2, ok)
 	return id, d1, ok
 }
 

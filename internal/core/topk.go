@@ -169,7 +169,7 @@ func (s *search) topKInner(q Query, cost CostKind, k int) (res []Result, err err
 	// per-owner step is the cover search with the heap as its leaf action.
 	en := s.owners(q, qi, fn, df, false, &stats)
 	defer en.release()
-	for en.next(top.bound(), top.bound()) {
+	for en.next(top.bound()) {
 		s.bestWithOwner(qi, fn, en.pool, en.bits, top.bound(), en.scratch, &stats, top)
 	}
 	en.finish(top.sets[0].Cost)

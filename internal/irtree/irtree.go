@@ -322,12 +322,9 @@ func (t *Tree) NewRelevantNNIterator(p geo.Point, qi *kwds.QueryIndex) *Relevant
 // incumbent cost shrinks; a limit may only decrease (larger values are
 // ignored).
 //
-// Contract: d must leave real slack above every object the caller still
-// needs — pass the cost of an incumbent the caller holds, never a bound
-// derived to sit one ulp above a needed object's distance. Subtrees are
-// cut by Rect.MinDist (sqrt(dx²+dy²)) and objects by Point.Dist
-// (math.Hypot), which can disagree by one ulp on the same offsets, so a
-// limit of Nextafter(d(o, p), +Inf) may prune the leaf holding o.
+// Contract: pass the cost of a set the caller holds, never a bound
+// derived from a needed object's distance: subtrees are cut by
+// Rect.MinDist and objects by Point.Dist, which can disagree by one ulp.
 func (it *RelevantNNIterator) Limit(d float64) {
 	if d < it.limit {
 		it.limit = d

@@ -1,11 +1,11 @@
 package server
 
-// POST /batch: the grouped batch-solving surface. One request carries up
-// to maxBatchQueries queries sharing a cost function and method; the
-// engine clusters them by location and keyword similarity and solves each
-// cluster with shared NN observations and incumbent warm starts
-// (core/batchgroup.go) — answers stay bit-identical to per-query /query
-// calls. Per-item failures (unknown keywords, infeasible queries) are
+// POST /batch: the batch-solving surface. One request carries up to
+// maxBatchQueries queries sharing a cost function and method; the engine
+// solves each one independently over one keyword-NN cache — the engine's
+// -nn-cache, or one private to the batch (core/batch.go) — so answers stay
+// bit-identical to per-query /query calls. Per-item failures (unknown
+// keywords, infeasible queries) are
 // reported in place; the batch itself only fails on malformed requests or
 // server-level faults. The route sits behind the same admission
 // middleware as /query: one batch holds one admission slot, so
@@ -116,15 +116,15 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeSolveError(w, err)
 		return
 	}
-	// One pin covers the whole batch: keyword resolution, the grouped
-	// solve and answer rendering all see the same generation.
+	// One pin covers the whole batch: keyword resolution, the solve and
+	// answer rendering all see the same generation.
 	p := s.Pin()
 	defer p.Unpin()
 	eng := p.eng
 
 	// Per-item keyword resolution: an unresolvable query fails in place
 	// without poisoning the batch. Valid queries keep their request
-	// positions through idx so the engine's grouped batch sees only them.
+	// positions through idx so the engine's batch sees only them.
 	items := make([]batchItemJSON, len(req.Queries))
 	queries := make([]core.Query, 0, len(req.Queries))
 	idx := make([]int, 0, len(req.Queries))
