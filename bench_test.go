@@ -83,23 +83,16 @@ var paperAlgos = []struct {
 	{"CaoAppro2", coskq.CaoAppro2},
 }
 
-// BenchmarkOwnerExact measures the intra-query parallel speedup of the
-// owner-driven exact search across |q.ψ| and worker counts (DESIGN.md
-// §10; workers=1 is the serial path). Whether the pool pays depends on
-// how much search one query holds, so the sweep covers both sides.
-// Meaningful speedups need GOMAXPROCS ≥ the worker count — on a
-// single-core runner all counts time alike.
+// BenchmarkOwnerExact times the owner-driven exact search at the large
+// |q.ψ| where one query holds the most search (DESIGN.md §10): the serial
+// baseline any future intra-query parallelism is measured against.
 func BenchmarkOwnerExact(b *testing.B) {
 	e := hotelEngine()
 	for _, k := range []int{9, 12, 15} {
 		queries := benchQueries(e, 32, k, 900)
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("qkw=%d/workers=%d", k, workers), func(b *testing.B) {
-				e.Parallelism = workers
-				defer func() { e.Parallelism = 0 }()
-				runAlgo(b, e, queries, coskq.MaxSum, coskq.OwnerExact)
-			})
-		}
+		b.Run(fmt.Sprintf("qkw=%d", k), func(b *testing.B) {
+			runAlgo(b, e, queries, coskq.MaxSum, coskq.OwnerExact)
+		})
 	}
 }
 

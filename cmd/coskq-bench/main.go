@@ -33,7 +33,6 @@ func main() {
 		budget      = flag.Int("budget", 20_000_000, "exact-search node budget per query (DNF beyond)")
 		showMetrics = flag.Bool("metrics", false, "print the cumulative query/latency/effort metrics (the same exposition coskq-server serves on /metrics) after the run")
 		showTrace   = flag.Bool("trace", false, "trace every query and print the slowest executions' trace trees after the run (adds a few percent of overhead)")
-		workers     = flag.Int("workers", 0, "worker goroutines per exact search (0 = GOMAXPROCS, 1 = serial)")
 		nnCache     = flag.Int("nn-cache", 0, "engine keyword-NN cache capacity in entries, shared across queries (0 = disabled)")
 	)
 	flag.Parse()
@@ -44,7 +43,6 @@ func main() {
 		Scale:      *scale,
 		Full:       *full,
 		NodeBudget: *budget,
-		Workers:    *workers,
 		NNCache:    *nnCache,
 		Out:        os.Stdout,
 	}

@@ -37,8 +37,8 @@
 // its request id and a W3C-style traceparent on every shard call, so
 // /query?explain=1 returns one stitched trace covering coordinator and
 // shards, and GET /metrics?federate=1 on the coordinator merges every
-// peer's /metrics into one page with per-shard labels
-// ([-federate-timeout 2s] bounds the peer fan-out).
+// peer's /metrics into one page with per-shard labels (the peer fan-out
+// is bounded at 2s).
 //
 // Endpoints:
 //
@@ -85,7 +85,6 @@ func main() {
 		budget    = flag.Int("budget", 0, "exact-search node budget per query, over-budget queries get 503 (0 = unlimited)")
 		slowlog   = flag.Int("slowlog", 0, "slow-query log capacity for /debug/slowlog (0 = default, negative disables)")
 		pprofFlag = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-		workers   = flag.Int("workers", 0, "worker goroutines per exact search (0 = GOMAXPROCS, 1 = serial)")
 		degrade   = flag.String("degrade", "fail", "anytime-answer policy when budget/deadline trips a search: fail, incumbent, or fallback")
 		inflight  = flag.Int("max-inflight", 0, "max concurrently solving /query+/topk requests, excess queues then sheds with 429 (0 = unlimited)")
 		maxQueue  = flag.Int("max-queue", 0, "admission wait-queue depth beyond -max-inflight (0 = shed immediately when saturated)")
@@ -95,7 +94,6 @@ func main() {
 		partition = flag.String("partition", "grid", "shard partitioning strategy: grid or subtree")
 		peers     = flag.String("peers", "", "comma-separated peer shard server URLs; serve as a scatter-gather coordinator (no -data needed)")
 		shardTO   = flag.Duration("shard-timeout", 0, "per-shard call deadline in scatter-gather modes (0 = bounded by -timeout)")
-		fedTO     = flag.Duration("federate-timeout", 0, "peer fan-out deadline for coordinator /metrics?federate=1 scrapes (0 = 2s default)")
 		nnCache   = flag.Int("nn-cache", 0, "engine keyword-NN cache capacity in entries, shared across queries (single-engine mode; 0 = disabled)")
 		live      = flag.Bool("live", false, "serve a mutable live index: mount POST /objects and /objects/stream over an epoch store (single-engine mode)")
 		backlog   = flag.Int("ingest-backlog", 0, "live mode: max pending mutation ops before writes shed with 429 (0 = 4096)")
@@ -129,7 +127,6 @@ func main() {
 		QueueTimeout:        *queueWait,
 		Degrade:             policy,
 		NodeBudgetPerSecond: *budgetPS,
-		FederateTimeout:     *fedTO,
 	}
 
 	var handler http.Handler
@@ -148,7 +145,6 @@ func main() {
 		}
 		rt := &shard.Router{
 			Backends:     backends,
-			Workers:      *workers,
 			NodeBudget:   *budget,
 			ShardTimeout: *shardTO,
 		}
@@ -167,7 +163,6 @@ func main() {
 			logger.Error("partitioning dataset", "err", err)
 			os.Exit(1)
 		}
-		rt.Workers = *workers
 		rt.NodeBudget = *budget
 		rt.ShardTimeout = *shardTO
 		handler = server.NewScatterGather(rt, opts)
@@ -177,7 +172,6 @@ func main() {
 		ds := loadData(logger, *data)
 		eng := coskq.NewEngine(ds, 0)
 		eng.NodeBudget = *budget
-		eng.Parallelism = *workers
 		eng.Metrics = core.NewEngineMetrics(reg)
 		eng.EnableNNCache(*nnCache) // after Metrics: hit/miss counters register on reg
 		if *live {

@@ -227,9 +227,8 @@ func SubtreePartitioner() ShardPartitioner { return shard.Subtree() }
 // NewShardedEngine partitions ds into n shards with the given strategy
 // and returns a router over them; each shard is its slice of the dataset
 // plus posting lists. The router answers Solve/SolveCtx like an Engine.
-// fanout is ignored (shards build no IR-tree) and kept for compatibility.
-func NewShardedEngine(ds *Dataset, n int, part ShardPartitioner, fanout int) (*ShardRouter, error) {
-	return shard.NewLocalRouter(ds, n, part, fanout)
+func NewShardedEngine(ds *Dataset, n int, part ShardPartitioner) (*ShardRouter, error) {
+	return shard.NewLocalRouter(ds, n, part, 0)
 }
 
 // LoadCSVDataset reads a dataset from a CSV file with records

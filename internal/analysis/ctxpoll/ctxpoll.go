@@ -112,10 +112,9 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		if !expands {
 			return
 		}
-		// Satisfaction descends into function literals: a worker-pool
-		// producer that polls inside a deferred or spawned closure (the
-		// ownerExactPar pattern) keeps the loop's latency bounded because
-		// the pool shares one global node counter.
+		// Satisfaction descends into function literals: a loop that
+		// polls inside a deferred or spawned closure still keeps its
+		// latency bounded.
 		satisfied := false
 		ast.Inspect(body, func(m ast.Node) bool {
 			if satisfied {

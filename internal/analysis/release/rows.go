@@ -45,8 +45,8 @@ statically nil (guarded by sp == nil / sp != nil) carry no obligation:
 all span methods are nil-safe and a disabled span needs no close. Test
 files are exempt.`,
 	// Matched by import-path base "trace" so the fixture package
-	// qualifies: Trace.Begin, the race-safe Group.Begin of worker pools
-	// and the Router's scatter, and BeginGroup (a Group is End-ed too).
+	// qualifies: Trace.Begin, the race-safe Group.Begin of the Router's
+	// scatter, and BeginGroup (a Group is End-ed too).
 	acquire: func(fn *types.Func) bool {
 		return lintutil.IsMethodOn(fn, "trace", "Trace", "Begin") ||
 			lintutil.IsMethodOn(fn, "trace", "Trace", "BeginGroup") ||

@@ -104,7 +104,7 @@ func okScatterShape(tr *trace.Trace, traced bool) {
 }
 
 func okGroupDeferred(tr *trace.Trace) {
-	grp := tr.BeginGroup("owner_workers")
+	grp := tr.BeginGroup("scatter")
 	defer grp.End()
 }
 

@@ -11,17 +11,15 @@ import (
 func benchBatchFixture(n, batch int) (*Engine, []Query) {
 	rng := rand.New(rand.NewSource(77))
 	e := genEngine(rng, n, 24, 4)
-	e.Parallelism = 1
 	return e, skewedBatch(rng, batch, 24)
 }
 
 // BenchmarkSolveBatch times one 64-query skewed batch three ways: over an
 // engine NN cache (engine-cache), over the cache an uncached engine's batch
 // builds for itself (no-cache), and as the same queries solved one Solve at
-// a time on the uncached engine (independent). Single worker and
-// Parallelism=1 throughout, so the deltas are the cache's work, not
-// concurrency. nncache-hit-rate is the engine cache's share of NN
-// resolutions.
+// a time on the uncached engine (independent). Single worker throughout,
+// so the deltas are the cache's work, not concurrency. nncache-hit-rate
+// is the engine cache's share of NN resolutions.
 func BenchmarkSolveBatch(b *testing.B) {
 	const batchSize = 64
 	e, queries := benchBatchFixture(12000, batchSize)

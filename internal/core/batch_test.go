@@ -157,10 +157,10 @@ func identicalLocationFixture(t *testing.T) (*Engine, []Query) {
 }
 
 // TestSolveBatchMatchesSequential is the batch differential: every row,
-// under every column — cost × method × batch workers × Parallelism × NN
-// cache (the batch's own, or an engine cache of 16 entries, evicting
-// constantly, or of 4096) — returns bit-identical costs and canonical sets
-// to one Solve per query on an uncached serial engine. The rows carry an
+// under every column — cost × method × batch workers × NN cache (the
+// batch's own, or an engine cache of 16 entries, evicting constantly, or
+// of 4096) — returns bit-identical costs and canonical sets to one Solve
+// per query on an uncached engine. The rows carry an
 // infeasible member, exact distance ties and repeats of one location.
 func TestSolveBatchMatchesSequential(t *testing.T) {
 	type fixture struct {
@@ -205,7 +205,6 @@ func TestSolveBatchMatchesSequential(t *testing.T) {
 		r := r
 		t.Run(r.name, func(t *testing.T) {
 			for fi, f := range r.fixtures {
-				f.e.Parallelism = 1
 				refs := make(map[[2]int][]BatchItem)
 				for _, cost := range costs {
 					for _, method := range methods {
@@ -213,30 +212,27 @@ func TestSolveBatchMatchesSequential(t *testing.T) {
 					}
 				}
 				for _, cache := range []int{0, 16, 4096} {
-					for _, par := range []int{1, 2} {
-						// One engine per (cache, Parallelism), so a cache carries
-						// entries from every earlier batch into the next.
-						eng := *f.e
-						eng.Parallelism = par
-						eng.Metrics = NewEngineMetrics(nil)
-						eng.EnableNNCache(cache)
-						for _, cost := range costs {
-							for _, method := range methods {
-								for _, workers := range []int{-3, 0, 1, 3, 16} {
-									label := fmt.Sprintf("fixture %d %v/%v/cache%d/par%d/w%d", fi, cost, method, cache, par, workers)
-									compareBatchItems(t, label, eng.SolveBatch(f.queries, cost, method, workers),
-										refs[[2]int{int(cost), int(method)}])
-								}
+					// One engine per cache, so a cache carries entries from
+					// every earlier batch into the next.
+					eng := *f.e
+					eng.Metrics = NewEngineMetrics(nil)
+					eng.EnableNNCache(cache)
+					for _, cost := range costs {
+						for _, method := range methods {
+							for _, workers := range []int{-3, 0, 1, 3, 16} {
+								label := fmt.Sprintf("fixture %d %v/%v/cache%d/w%d", fi, cost, method, cache, workers)
+								compareBatchItems(t, label, eng.SolveBatch(f.queries, cost, method, workers),
+									refs[[2]int{int(cost), int(method)}])
 							}
 						}
-						if cache == 0 {
-							var sb strings.Builder
-							if err := eng.Metrics.WriteText(&sb); err != nil {
-								t.Fatal(err)
-							}
-							if strings.Contains(sb.String(), "coskq_nncache") {
-								t.Fatal("a batch's own NN cache reported into the engine's metrics")
-							}
+					}
+					if cache == 0 {
+						var sb strings.Builder
+						if err := eng.Metrics.WriteText(&sb); err != nil {
+							t.Fatal(err)
+						}
+						if strings.Contains(sb.String(), "coskq_nncache") {
+							t.Fatal("a batch's own NN cache reported into the engine's metrics")
 						}
 					}
 				}
@@ -251,7 +247,6 @@ func TestSolveBatchMatchesSequential(t *testing.T) {
 func TestSolveBatchNNCacheOnOffIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	e := genEngine(rng, 400, 10, 3)
-	e.Parallelism = 1
 	queries := skewedBatch(rng, 32, 10)
 
 	cached := *e
@@ -270,44 +265,6 @@ func TestSolveBatchNNCacheOnOffIdentical(t *testing.T) {
 	}
 	if cached.NNCache.Evictions() == 0 {
 		t.Fatal("tiny cache never evicted (capacity too generous to stress validity)")
-	}
-}
-
-// TestSolveBatchGroupedMatchesIndependent: on a skewed batch — hot
-// locations and keyword sets repeated with jitter — every cost function and
-// both owner-driven methods, across worker counts, return bit-identical
-// (cost, canonical set) results to an independent per-query run.
-func TestSolveBatchGroupedMatchesIndependent(t *testing.T) {
-	rng := rand.New(rand.NewSource(90))
-	e := genEngine(rng, 400, 10, 3)
-	e.Parallelism = 1
-	queries := skewedBatch(rng, 32, 10)
-
-	for _, cost := range []CostKind{MaxSum, Dia, Sum, MinMax, SumMax} {
-		for _, method := range []Method{OwnerExact, OwnerAppro} {
-			ref := solveEach(e, queries, cost, method)
-			for _, workers := range []int{1, 3, 8} {
-				label := fmt.Sprintf("%v/%v/w%d", cost, method, workers)
-				compareBatchItems(t, label, e.SolveBatch(queries, cost, method, workers), ref)
-			}
-		}
-	}
-}
-
-// TestSolveBatchGroupedMatchesParallel: a skewed batch composes with
-// intra-query parallelism without changing answers.
-func TestSolveBatchGroupedMatchesParallel(t *testing.T) {
-	rng := rand.New(rand.NewSource(91))
-	e := genEngine(rng, 400, 10, 3)
-	e.Parallelism = 1
-	queries := skewedBatch(rng, 24, 10)
-
-	for _, cost := range []CostKind{MaxSum, Dia} {
-		ref := solveEach(e, queries, cost, OwnerExact)
-		par := *e
-		par.Parallelism = 2
-		compareBatchItems(t, cost.String()+"/par2",
-			par.SolveBatch(queries, cost, OwnerExact, 2), ref)
 	}
 }
 
@@ -333,24 +290,6 @@ func TestSolveBatchPreCancelled(t *testing.T) {
 	if n := e.Metrics.QueriesTotal(); n != 0 {
 		t.Fatalf("pre-cancelled batch recorded %d solves, want 0", n)
 	}
-}
-
-// TestSolveBatchGroupedInfeasibleMember: an infeasible query among
-// near-identical hot queries fails alone; the others still answer,
-// identically to an independent run.
-func TestSolveBatchGroupedInfeasibleMember(t *testing.T) {
-	rng := rand.New(rand.NewSource(96))
-	e := genEngine(rng, 300, 10, 3)
-	e.Parallelism = 1
-	queries := skewedBatch(rng, 20, 10)
-	// Widen one hot query by an uncoverable keyword.
-	queries[5].Keywords = queries[5].Keywords.Union(kwds.NewSet(999))
-
-	ref := solveEach(e, queries, MaxSum, OwnerExact)
-	if !errors.Is(ref[5].Err, ErrInfeasible) {
-		t.Fatal("fixture: poisoned query should be infeasible")
-	}
-	compareBatchItems(t, "infeasible", e.SolveBatch(queries, MaxSum, OwnerExact, 1), ref)
 }
 
 // TestSolveBatchCtxCancelBetweenItems cancels a single-worker batch
@@ -418,7 +357,6 @@ func TestSolveBatchCtxCancelBetweenItems(t *testing.T) {
 	// ceilings). The sink is detached because labeled counters format their keys.
 	al := *e
 	al.Metrics = nil
-	al.Parallelism = 1
 	q := randQuery(rng, 8, 2)
 	if _, err := al.Solve(q, MaxSum, OwnerExact); err != nil {
 		t.Fatalf("warmup: %v", err)

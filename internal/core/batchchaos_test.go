@@ -55,7 +55,6 @@ func TestChaosBatchCachePoint(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	rng := rand.New(rand.NewSource(41))
 	base := genEngine(rng, 500, 10, 3)
-	base.Parallelism = 1
 	queries := skewedBatch(rng, 16, 10)
 
 	exact := make([]float64, len(queries))
@@ -93,7 +92,6 @@ func TestChaosBatchCachePoint(t *testing.T) {
 func TestChaosBatchCacheReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	base := genEngine(rng, 400, 10, 3)
-	base.Parallelism = 1
 	base.Degrade = DegradeIncumbent
 	queries := skewedBatch(rng, 12, 10)
 

@@ -131,11 +131,8 @@ type kwCand struct {
 	mask kwds.Mask
 }
 
-// caoSearch is Cao-Exact's branch-and-bound state. The serial path runs
-// one caoSearch over the whole tree (sh nil: bestSet/bestCost hold the
-// incumbent); the parallel path runs one per worker, each rooted at a
-// top-level candidate subtree, publishing leaves through the shared
-// incumbent sh (parallel.go).
+// caoSearch is Cao-Exact's branch-and-bound state: one DFS over the
+// whole tree, with bestSet/bestCost holding the incumbent.
 type caoSearch struct {
 	run   *search
 	qi    *kwds.QueryIndex
@@ -146,25 +143,8 @@ type caoSearch struct {
 	chosen    []*dataset.Object
 	chosenIDs []dataset.ObjectID
 
-	// Serial incumbent (sh == nil).
 	bestCost float64
 	bestSet  []dataset.ObjectID
-
-	// Parallel coordination (sh != nil): leaves go through sh.offer with
-	// the subtree's top-level candidate index ord as the merge order.
-	sh  *parShared
-	ord int
-}
-
-// bound returns the current pruning bound: the serial incumbent cost, or
-// — in a parallel search — one ulp above the shared incumbent, so an
-// equal-cost set from an earlier-ordered subtree stays findable and the
-// (cost, ord) merge can resolve the tie (see parallel.go).
-func (cs *caoSearch) bound() float64 {
-	if cs.sh != nil {
-		return cs.sh.pruneBound()
-	}
-	return cs.bestCost
 }
 
 // dfs expands the partial set cs.chosen (covering covered, with maxD the
@@ -175,11 +155,7 @@ func (cs *caoSearch) dfs(covered kwds.Mask, maxD, maxPair float64) {
 	if covered == cs.qi.Full() {
 		cs.stats.SetsEvaluated++
 		c := cs.cost.combine(maxD, maxPair)
-		if cs.sh != nil {
-			if c < cs.bound() {
-				cs.sh.offer(cs.chosenIDs, c, cs.ord)
-			}
-		} else if c < cs.bestCost {
+		if c < cs.bestCost {
 			cs.bestCost = c
 			cs.bestSet = canonical(cs.chosenIDs)
 			cs.run.noteIncumbent(cs.bestSet, c, cs.cost.kind)
@@ -201,7 +177,7 @@ func (cs *caoSearch) dfs(covered kwds.Mask, maxD, maxPair float64) {
 			cs.stats.Prunes[trace.PruneNoNewKeyword]++
 			continue
 		}
-		if kc.d >= cs.bound() {
+		if kc.d >= cs.bestCost {
 			// ascending distance: every later candidate also exceeds
 			// the bound
 			cs.stats.Prunes[trace.PruneDistanceBreak]++
@@ -214,7 +190,7 @@ func (cs *caoSearch) dfs(covered kwds.Mask, maxD, maxPair float64) {
 				np = d
 			}
 		}
-		if cs.cost.combine(nd, np) >= cs.bound() {
+		if cs.cost.combine(nd, np) >= cs.bestCost {
 			cs.stats.Prunes[trace.PrunePairBound]++
 			continue
 		}
@@ -248,7 +224,6 @@ func (s *search) caoExact(q Query, cost CostKind) (Result, error) {
 	}
 	curSet, curCost := seedRes.Set, seedRes.Cost
 	stats := Stats{SetsEvaluated: seedRes.Stats.SetsEvaluated, Prunes: seedRes.Stats.Prunes}
-	stats.Workers = 1
 	stats.Phases.Seed = time.Since(start)
 	// The Appro2 seed already noted itself (same per-call holder);
 	// re-register the outer stats so an unwind recovers this run's
@@ -257,8 +232,7 @@ func (s *search) caoExact(q Query, cost CostKind) (Result, error) {
 
 	// Materialize, per query keyword, the candidate objects containing it
 	// within C(q, curCost), ascending by distance. The lists recycle
-	// through the scratch pool; workers read them only before the join,
-	// so releasing after the search (deferred) is safe.
+	// through the scratch pool, released after the search (deferred).
 	matSp := s.tr.Begin("materialize")
 	matStart := time.Now()
 	scratch := getCaoScratch()
@@ -285,33 +259,16 @@ func (s *search) caoExact(q Query, cost CostKind) (Result, error) {
 
 	searchSp := s.tr.Begin("bnb_search")
 	searchStart := time.Now()
-	if w := s.workers; w > 1 {
-		// The root branches on the keyword with the fewest candidates —
-		// the same rule dfs applies — and each of its candidates seeds an
-		// independent subtree for the worker pool.
-		branch, branchLen := -1, math.MaxInt32
-		for b := 0; b < qi.Size(); b++ {
-			if n := len(cands[b]); n < branchLen {
-				branch, branchLen = b, n
-			}
-		}
-		stats.Workers = w
-		if searchSp != nil {
-			searchSp.Attr("workers", float64(w))
-		}
-		curSet, curCost = s.caoSearchPar(qi, cost, cands, branch, curSet, curCost, &stats)
-	} else {
-		cs := &caoSearch{
-			run: s, qi: qi, cost: costOf(cost), cands: cands, stats: &stats,
-			chosen:    scratch.chosen[:0],
-			chosenIDs: scratch.chosenIDs[:0],
-			bestCost:  curCost,
-			bestSet:   curSet,
-		}
-		cs.dfs(0, 0, 0)
-		curSet, curCost = cs.bestSet, cs.bestCost
-		scratch.chosen, scratch.chosenIDs = cs.chosen[:0], cs.chosenIDs[:0]
+	cs := &caoSearch{
+		run: s, qi: qi, cost: costOf(cost), cands: cands, stats: &stats,
+		chosen:    scratch.chosen[:0],
+		chosenIDs: scratch.chosenIDs[:0],
+		bestCost:  curCost,
+		bestSet:   curSet,
 	}
+	cs.dfs(0, 0, 0)
+	curSet, curCost = cs.bestSet, cs.bestCost
+	scratch.chosen, scratch.chosenIDs = cs.chosen[:0], cs.chosenIDs[:0]
 	stats.Phases.Search = time.Since(searchStart)
 	if searchSp != nil {
 		searchSp.Attr("nodes", float64(stats.NodesExpanded))

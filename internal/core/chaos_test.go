@@ -51,7 +51,7 @@ func chaosInvariants(t *testing.T, e *Engine, q Query, cost CostKind, m Method, 
 }
 
 // TestChaosSeededSchedules sweeps seeds, fault kinds, points, methods and
-// worker counts, asserting the invariants for each combination.
+// degrade policies, asserting the invariants for each combination.
 func TestChaosSeededSchedules(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	rng := rand.New(rand.NewSource(21))
@@ -60,34 +60,29 @@ func TestChaosSeededSchedules(t *testing.T) {
 	exact := make([]float64, len(queries))
 	for i := range queries {
 		queries[i] = randQuery(rng, 18, 4)
-		ref := *base
-		ref.Parallelism = 1
-		res, err := ref.Solve(queries[i], MaxSum, OwnerExact)
+		res, err := base.Solve(queries[i], MaxSum, OwnerExact)
 		if err != nil {
 			t.Fatalf("reference %d: %v", i, err)
 		}
 		exact[i] = res.Cost
 	}
 
-	points := []fault.Point{fault.RTreeVisit, fault.OwnerEnum, fault.PoolWorker}
+	points := []fault.Point{fault.RTreeVisit, fault.OwnerEnum}
 	kinds := []fault.Kind{fault.KindBudget, fault.KindCancel}
 	methods := []Method{OwnerExact, CaoExact, OwnerAppro}
 	for _, seed := range []uint64{1, 2, 3} {
 		for _, p := range points {
 			for _, k := range kinds {
-				for _, workers := range []int{1, 4} {
-					for _, policy := range []DegradePolicy{DegradeFail, DegradeIncumbent, DegradeFallbackAppro} {
-						disarm := fault.Arm(seed, fault.Rule{Point: p, Kind: k, After: 3, Prob: 0.05})
-						e := *base
-						e.Parallelism = workers
-						e.Degrade = policy
-						for i, q := range queries {
-							for _, m := range methods {
-								chaosInvariants(t, &e, q, MaxSum, m, exact[i])
-							}
+				for _, policy := range []DegradePolicy{DegradeFail, DegradeIncumbent, DegradeFallbackAppro} {
+					disarm := fault.Arm(seed, fault.Rule{Point: p, Kind: k, After: 3, Prob: 0.05})
+					e := *base
+					e.Degrade = policy
+					for i, q := range queries {
+						for _, m := range methods {
+							chaosInvariants(t, &e, q, MaxSum, m, exact[i])
 						}
-						disarm()
 					}
+					disarm()
 				}
 			}
 		}
@@ -95,12 +90,10 @@ func TestChaosSeededSchedules(t *testing.T) {
 }
 
 // TestChaosDeterministicSchedule: the same seed and rule produce the
-// same outcome on repeated runs (serial path — parallelism can reorder
-// which owner observes the firing, not whether it fires).
+// same outcome on repeated runs.
 func TestChaosDeterministicSchedule(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	e := genEngine(rng, 500, 16, 3)
-	e.Parallelism = 1
 	e.Degrade = DegradeIncumbent
 	q := randQuery(rng, 16, 3)
 
@@ -128,7 +121,6 @@ func TestChaosDeterministicSchedule(t *testing.T) {
 func TestChaosLatencyInjection(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	e := genEngine(rng, 300, 12, 3)
-	e.Parallelism = 1
 	q := randQuery(rng, 12, 3)
 	want, err := e.Solve(q, MaxSum, OwnerExact)
 	if err != nil {
@@ -171,24 +163,21 @@ func TestChaosCrashNotSwallowed(t *testing.T) {
 		{"SolveAlpha", fault.OwnerEnum, func() { e.SolveAlpha(q, 0.3, OwnerExact) }},
 	}
 	for _, en := range entries {
-		for _, workers := range []int{1, 4} {
-			e.Parallelism = workers
-			disarm := fault.Arm(1, fault.Rule{Point: en.point, Kind: fault.KindPanic, Every: 1, After: 2})
-			func() {
-				defer disarm()
-				defer func() {
-					r := recover()
-					if r == nil {
-						t.Errorf("%s workers=%d: injected panic was swallowed", en.name, workers)
-						return
-					}
-					if _, ok := r.(fault.Crash); !ok {
-						t.Errorf("%s workers=%d: panic payload %T, want fault.Crash", en.name, workers, r)
-					}
-				}()
-				en.run()
+		disarm := fault.Arm(1, fault.Rule{Point: en.point, Kind: fault.KindPanic, Every: 1, After: 2})
+		func() {
+			defer disarm()
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Errorf("%s: injected panic was swallowed", en.name)
+					return
+				}
+				if _, ok := r.(fault.Crash); !ok {
+					t.Errorf("%s: panic payload %T, want fault.Crash", en.name, r)
+				}
 			}()
-		}
+			en.run()
+		}()
 	}
 }
 
@@ -249,8 +238,8 @@ func chaosEntries(e *Engine, q Query) []chaosEntry {
 // TestChaosEveryEntryPointIsShielded: no algorithm shields itself — a
 // budget or cancellation unwind is caught by the frame every search is
 // entered under (Engine.enter, and solveInner / topKInner beneath it so a
-// degrade can act on the error). So whatever entry point, cost, method,
-// worker count and degrade policy a fault lands in, the caller sees a typed
+// degrade can act on the error). So whatever entry point, cost, method
+// and degrade policy a fault lands in, the caller sees a typed
 // error or a flagged degraded answer, never a panic.
 func TestChaosEveryEntryPointIsShielded(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
@@ -262,7 +251,7 @@ func TestChaosEveryEntryPointIsShielded(t *testing.T) {
 	// faulted runs one entry point on one query under rule and reports how
 	// many of its executions the fault cut short.
 	faulted := func(e *Engine, en chaosEntry, q Query, rule fault.Rule) (cut int) {
-		what := fmt.Sprintf("%s workers=%d %v, %v at %s", en.name, e.Parallelism, e.Degrade, rule.Kind, rule.Point)
+		what := fmt.Sprintf("%s %v, %v at %s", en.name, e.Degrade, rule.Kind, rule.Point)
 		var (
 			rs   []Result
 			errs []error
@@ -299,36 +288,26 @@ func TestChaosEveryEntryPointIsShielded(t *testing.T) {
 		return cut
 	}
 
-	type where struct {
-		point   fault.Point
-		workers int
-	}
-	cut := map[where]int{} // executions a fault cut short, per point and worker count
-	for _, p := range []fault.Point{fault.OwnerEnum, fault.RTreeVisit, fault.PoolWorker} {
+	points := []fault.Point{fault.OwnerEnum, fault.RTreeVisit}
+	cut := map[fault.Point]int{} // executions a fault cut short, per point
+	for _, p := range points {
 		for _, k := range []fault.Kind{fault.KindBudget, fault.KindCancel} {
 			rule := fault.Rule{Point: p, Kind: k, After: 1, Every: 1}
-			for _, workers := range []int{1, 2} {
-				for _, policy := range []DegradePolicy{DegradeFail, DegradeIncumbent} {
-					e := *base
-					e.Parallelism, e.Degrade = workers, policy
-					for _, en := range entries {
-						for _, q := range queries {
-							cut[where{p, workers}] += faulted(&e, en, q, rule)
-						}
+			for _, policy := range []DegradePolicy{DegradeFail, DegradeIncumbent} {
+				e := *base
+				e.Degrade = policy
+				for _, en := range entries {
+					for _, q := range queries {
+						cut[p] += faulted(&e, en, q, rule)
 					}
 				}
 			}
 		}
 	}
-	// The table must not pass vacuously: every point fired somewhere at
-	// each worker count that reaches it (core.worker needs a pool).
-	for _, w := range []where{
-		{fault.OwnerEnum, 1}, {fault.OwnerEnum, 2},
-		{fault.RTreeVisit, 1}, {fault.RTreeVisit, 2},
-		{fault.PoolWorker, 2},
-	} {
-		if cut[w] == 0 {
-			t.Errorf("no execution was cut short by %s at workers=%d; tighten the rule", w.point, w.workers)
+	// The table must not pass vacuously: every point fired somewhere.
+	for _, p := range points {
+		if cut[p] == 0 {
+			t.Errorf("no execution was cut short by %s; tighten the rule", p)
 		}
 	}
 
@@ -350,15 +329,11 @@ func TestChaosEveryEntryPointIsShielded(t *testing.T) {
 			continue
 		}
 		delete(rows, en.name)
-		for _, workers := range []int{1, 2} {
-			e := *wide
-			e.Parallelism = workers
-			ctx, stop := cancelAfter(2)
-			_, errs := en.run(ctx, &e, wq)
-			stop()
-			if !errors.Is(errs[0], context.Canceled) {
-				t.Errorf("%s workers=%d: cancelled during the drain, got error %v", en.name, workers, errs[0])
-			}
+		ctx, stop := cancelAfter(2)
+		_, errs := en.run(ctx, wide, wq)
+		stop()
+		if !errors.Is(errs[0], context.Canceled) {
+			t.Errorf("%s: cancelled during the drain, got error %v", en.name, errs[0])
 		}
 	}
 	for name := range rows {
@@ -408,7 +383,6 @@ func wideDrainFixture() (*Engine, Query) {
 func TestChaosMetricsConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	e := genEngine(rng, 600, 16, 4)
-	e.Parallelism = 1
 	e.Degrade = DegradeIncumbent
 	e.Metrics = NewEngineMetrics(nil)
 
@@ -443,7 +417,6 @@ func TestChaosMetricsConsistency(t *testing.T) {
 func TestChaosDisarmedIsFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	e := genEngine(rng, 300, 12, 3)
-	e.Parallelism = 1
 	q := randQuery(rng, 12, 3)
 	want, err := e.Solve(q, MaxSum, OwnerExact)
 	if err != nil {

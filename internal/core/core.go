@@ -250,7 +250,6 @@ type Stats struct {
 	SetsEvaluated  int // feasible sets whose cost was computed
 	NodesExpanded  int // search-tree nodes expanded (exact searches)
 	CandidatesSeen int // relevant objects materialized
-	Workers        int // parallel workers the execution used (≤1: serial)
 
 	// DegradeReason names why a degraded execution was cut short
 	// ("budget", "deadline", "cancelled"); empty for complete answers.
@@ -267,12 +266,8 @@ type Stats struct {
 	Prunes trace.PruneCounts
 }
 
-// merge folds a worker's counters into s. A parallel execution gives
-// every worker its own Stats and merges them at the join, so the totals
-// a caller sees are exact — equal to what one serial execution of the
-// same work would report — while the hot path never contends on shared
-// counters (the node-budget counter, which must be globally exact
-// mid-flight, is the one exception; see chargeNode).
+// merge folds another execution's counters into s (a degrade fallback
+// adds the aborted search's effort to its own).
 func (s *Stats) merge(o *Stats) {
 	s.OwnersTried += o.OwnersTried
 	s.SetsEvaluated += o.SetsEvaluated
@@ -329,13 +324,8 @@ type Engine struct {
 	// unlimited. Set it before issuing queries (it is not synchronized).
 	NodeBudget int
 
-	// Parallelism bounds the worker goroutines one exact search
-	// (OwnerExact under every cost but MinMax, CaoExact under MaxSum/Dia)
-	// may use within a single query: 0 (the default) resolves to GOMAXPROCS, 1 forces the serial
-	// path. Parallel and serial runs return identical costs and identical
-	// canonical answer sets (DESIGN.md §10); only the Stats detail (which
-	// prune fired where) may differ. Set it before issuing queries (it is
-	// not synchronized).
+	// Parallelism is ignored; every search is serial, on the calling
+	// goroutine (DESIGN.md §10).
 	Parallelism int
 
 	// Ablation disables individual pruning rules of the owner-driven
@@ -399,21 +389,20 @@ func NewEngine(ds *dataset.Dataset, fanout int) *Engine {
 }
 
 // NewEngineLike returns an engine over ds and its prebuilt indexes with
-// the same serving knobs (budget, parallelism, ablation, degrade policy,
-// metrics sink) as proto. The epoch layer uses it for every generation it
-// derives: each must answer queries under the policies the operator
-// configured once on the seed engine. The NN cache is NOT carried over —
+// the same serving knobs (budget, ablation, degrade policy, metrics sink)
+// as proto. The epoch layer uses it for every generation it derives: each
+// must answer queries under the policies the operator configured once on
+// the seed engine. The NN cache is NOT carried over —
 // its entries hold distance-validity radii proved against the old
 // dataset, so each generation starts with a fresh one of the same
 // capacity.
 func NewEngineLike(proto *Engine, ds *dataset.Dataset, tree *irtree.Tree, inv *invindex.Index) *Engine {
 	e := &Engine{
 		DS: ds, Tree: tree, Inv: inv,
-		NodeBudget:  proto.NodeBudget,
-		Parallelism: proto.Parallelism,
-		Ablation:    proto.Ablation,
-		Degrade:     proto.Degrade,
-		Metrics:     proto.Metrics,
+		NodeBudget: proto.NodeBudget,
+		Ablation:   proto.Ablation,
+		Degrade:    proto.Degrade,
+		Metrics:    proto.Metrics,
 	}
 	if proto.NNCache != nil {
 		e.EnableNNCache(proto.NNCache.Capacity())

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -475,6 +476,41 @@ func TestNodeBudget(t *testing.T) {
 	e.NodeBudget = 0
 	if _, err := e.Solve(q, MaxSum, OwnerExact); err != nil {
 		t.Errorf("unlimited budget should succeed: %v", err)
+	}
+}
+
+// TestBudgetTripMidSearch: a budget that trips mid-enumeration, not on
+// entry, surfaces as ErrBudgetExceeded from OwnerExact and from SolveAlpha
+// (which has no degrade layer above it), and a budget of 1 does so from
+// OwnerExact and CaoExact.
+func TestBudgetTripMidSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	e := genEngine(rng, 900, 20, 4)
+	q := randQuery(rng, 20, 4)
+
+	// Measure the search's full effort, then set the budget to a fraction
+	// of it so the trip happens mid-enumeration.
+	res, err := e.Solve(q, MaxSum, OwnerExact)
+	if err != nil {
+		t.Fatalf("unbudgeted: %v", err)
+	}
+	if res.Stats.NodesExpanded < 8 {
+		t.Skipf("query too easy to trip a mid-search budget (%d nodes)", res.Stats.NodesExpanded)
+	}
+
+	run := *e
+	run.NodeBudget = res.Stats.NodesExpanded / 2
+	if _, err := run.Solve(q, MaxSum, OwnerExact); !errors.Is(err, ErrBudgetExceeded) {
+		t.Errorf("budget=%d: err = %v, want ErrBudgetExceeded", run.NodeBudget, err)
+	}
+	if _, err := run.SolveAlpha(q, 0.5, OwnerExact); !errors.Is(err, ErrBudgetExceeded) {
+		t.Errorf("budget=%d: SolveAlpha err = %v, want ErrBudgetExceeded", run.NodeBudget, err)
+	}
+	run.NodeBudget = 1
+	for _, m := range []Method{OwnerExact, CaoExact} {
+		if _, err := run.Solve(q, MaxSum, m); !errors.Is(err, ErrBudgetExceeded) {
+			t.Errorf("%v budget=1: err = %v, want ErrBudgetExceeded", m, err)
+		}
 	}
 }
 

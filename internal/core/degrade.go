@@ -13,10 +13,7 @@ package core
 // (noteIncumbent) and register their live Stats (trackStats); when the
 // budget/cancel panic unwinds through recoverBudget, solve consults the
 // holder — the improvements survive the unwind because the holder lives
-// on the search, not on the unwound stack frames. Worker searches have no
-// holder: they publish through the shared incumbent, which the
-// coordinator notes after the join, before re-raising the parked panic,
-// so worker discoveries are never lost to a degrade.
+// on the search, not on the unwound stack frames.
 
 import (
 	"context"
@@ -128,7 +125,7 @@ type anytime struct {
 
 // noteIncumbent publishes a feasible incumbent into the call's holder.
 // set need not be canonical and may alias caller scratch; it is copied.
-// On a search without a holder (workers, the fallback) it is a no-op.
+// On a search without a holder (the fallback) it is a no-op.
 func (s *search) noteIncumbent(set []dataset.ObjectID, cost float64, kind CostKind) {
 	h := s.any
 	if h == nil || len(set) == 0 {
@@ -198,8 +195,7 @@ func (s *search) degradeSolve(q Query, cost CostKind, method Method, res Result,
 // fallbackAppro runs the cost function's cheap approximation on a child
 // search that shares only the call's trace and read-through NN caches:
 // no node budget, no context (the original is already tripped — the
-// approximation is near-linear, so the overrun is bounded), no parallel
-// pool, no holder. The shield converts any stray unwind (there should be
+// approximation is near-linear, so the overrun is bounded), no holder. The shield converts any stray unwind (there should be
 // none) into an error instead of escaping.
 func (s *search) fallbackAppro(q Query, cost CostKind) (res Result, err error) {
 	defer recoverBudget(&err)

@@ -15,9 +15,7 @@ func hardQuery(t *testing.T, seed int64) (*Engine, Query, Result) {
 	rng := rand.New(rand.NewSource(seed))
 	e := genEngine(rng, 900, 20, 4)
 	q := randQuery(rng, 20, 4)
-	ref := *e
-	ref.Parallelism = 1
-	res, err := ref.Solve(q, MaxSum, OwnerExact)
+	res, err := e.Solve(q, MaxSum, OwnerExact)
 	if err != nil {
 		t.Fatalf("reference solve: %v", err)
 	}
@@ -33,36 +31,33 @@ func hardQuery(t *testing.T, seed int64) (*Engine, Query, Result) {
 // bounds the exact cost.
 func TestDegradeIncumbentBudget(t *testing.T) {
 	e, q, exact := hardQuery(t, 5)
-	for _, workers := range []int{1, 4} {
-		run := *e
-		run.Parallelism = workers
-		run.NodeBudget = exact.Stats.NodesExpanded / 2
+	run := *e
+	run.NodeBudget = exact.Stats.NodesExpanded / 2
 
-		// Seed behavior: DegradeFail (the zero value) returns the error.
-		if _, err := run.Solve(q, MaxSum, OwnerExact); !errors.Is(err, ErrBudgetExceeded) {
-			t.Fatalf("workers=%d DegradeFail: err = %v, want ErrBudgetExceeded", workers, err)
-		}
+	// Seed behavior: DegradeFail (the zero value) returns the error.
+	if _, err := run.Solve(q, MaxSum, OwnerExact); !errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("DegradeFail: err = %v, want ErrBudgetExceeded", err)
+	}
 
-		run.Degrade = DegradeIncumbent
-		res, err := run.Solve(q, MaxSum, OwnerExact)
-		if err != nil {
-			t.Fatalf("workers=%d DegradeIncumbent: err = %v, want anytime answer", workers, err)
-		}
-		if !res.Degraded {
-			t.Errorf("workers=%d: Degraded = false, want true", workers)
-		}
-		if res.Stats.DegradeReason != DegradeReasonBudget {
-			t.Errorf("workers=%d: DegradeReason = %q, want %q", workers, res.Stats.DegradeReason, DegradeReasonBudget)
-		}
-		if !e.Feasible(q, res.Set) {
-			t.Errorf("workers=%d: degraded set %v is not feasible", workers, res.Set)
-		}
-		if res.Cost < exact.Cost {
-			t.Errorf("workers=%d: degraded cost %v < exact cost %v", workers, res.Cost, exact.Cost)
-		}
-		if got := e.EvalCost(MaxSum, q.Loc, res.Set); got != res.Cost {
-			t.Errorf("workers=%d: reported cost %v != recomputed %v", workers, res.Cost, got)
-		}
+	run.Degrade = DegradeIncumbent
+	res, err := run.Solve(q, MaxSum, OwnerExact)
+	if err != nil {
+		t.Fatalf("DegradeIncumbent: err = %v, want anytime answer", err)
+	}
+	if !res.Degraded {
+		t.Error("Degraded = false, want true")
+	}
+	if res.Stats.DegradeReason != DegradeReasonBudget {
+		t.Errorf("DegradeReason = %q, want %q", res.Stats.DegradeReason, DegradeReasonBudget)
+	}
+	if !e.Feasible(q, res.Set) {
+		t.Errorf("degraded set %v is not feasible", res.Set)
+	}
+	if res.Cost < exact.Cost {
+		t.Errorf("degraded cost %v < exact cost %v", res.Cost, exact.Cost)
+	}
+	if got := e.EvalCost(MaxSum, q.Loc, res.Set); got != res.Cost {
+		t.Errorf("reported cost %v != recomputed %v", res.Cost, got)
 	}
 }
 
@@ -75,12 +70,9 @@ func TestDegradeFailMatchesSeed(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		q := randQuery(rng, 15, 3)
 		for _, m := range []Method{OwnerExact, OwnerAppro, CaoExact, CaoAppro2} {
-			ref := *e
-			ref.Parallelism = 1
-			want, wantErr := ref.Solve(q, MaxSum, m)
+			want, wantErr := e.Solve(q, MaxSum, m)
 
 			run := *e
-			run.Parallelism = 1
 			run.Degrade = DegradeFail
 			got, gotErr := run.Solve(q, MaxSum, m)
 			if !errors.Is(gotErr, wantErr) && !errors.Is(wantErr, gotErr) {
@@ -107,7 +99,6 @@ func TestDegradeFailMatchesSeed(t *testing.T) {
 func TestDegradeStatsFinalized(t *testing.T) {
 	e, q, exact := hardQuery(t, 5)
 	run := *e
-	run.Parallelism = 1
 	run.NodeBudget = exact.Stats.NodesExpanded / 2
 	res, err := run.Solve(q, MaxSum, OwnerExact)
 	if !errors.Is(err, ErrBudgetExceeded) {
@@ -130,7 +121,6 @@ func TestDegradeStatsFinalized(t *testing.T) {
 func TestDegradeCancellation(t *testing.T) {
 	e, q, _ := hardQuery(t, 5)
 	run := *e
-	run.Parallelism = 1
 	run.Degrade = DegradeIncumbent
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -161,15 +151,12 @@ func TestDegradeFallbackAppro(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	e := genEngine(rng, 300, 12, 3)
 	q := randQuery(rng, 12, 3)
-	ref := *e
-	ref.Parallelism = 1
-	exact, err := ref.Solve(q, MaxSum, OwnerExact)
+	exact, err := e.Solve(q, MaxSum, OwnerExact)
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}
 
 	run := *e
-	run.Parallelism = 1
 	run.NodeBudget = 1
 	run.Degrade = DegradeIncumbent
 	if _, err := run.Solve(q, MaxSum, Brute); !errors.Is(err, ErrBudgetExceeded) {
@@ -215,9 +202,7 @@ func TestTopKDegrade(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	e := genEngine(rng, 600, 18, 4)
 	q := randQuery(rng, 18, 4)
-	ref := *e
-	ref.Parallelism = 1
-	full, err := ref.TopK(q, MaxSum, 3)
+	full, err := e.TopK(q, MaxSum, 3)
 	if err != nil {
 		t.Fatalf("reference topk: %v", err)
 	}
@@ -226,7 +211,6 @@ func TestTopKDegrade(t *testing.T) {
 	}
 
 	run := *e
-	run.Parallelism = 1
 	run.NodeBudget = full[0].Stats.NodesExpanded / 2
 	if _, err := run.TopK(q, MaxSum, 3); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("DegradeFail topk: err = %v, want ErrBudgetExceeded", err)

@@ -20,14 +20,10 @@ import (
 // has already produced; the per-owner step is the cover search
 // (bestWithOwner).
 func (s *search) ownerExact(q Query, cost costFn) (Result, error) {
-	if s.workers > 1 {
-		return s.ownerExactPar(q, cost)
-	}
 	start := time.Now()
 	qi := kwds.NewQueryIndex(q.Keywords)
 	algo := s.tr.Begin("owner_exact")
 	var stats Stats
-	stats.Workers = 1
 	s.trackStats(&stats)
 	seed, curCost, df, err := s.nnSeed(q, cost, &stats)
 	if err != nil {

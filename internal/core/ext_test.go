@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"coskq/internal/dataset"
@@ -14,9 +13,8 @@ import (
 )
 
 // exactMatchesBruteForce: cost's exact search equals the oracle for
-// |q.ψ| ≤ 6 — serial and on the worker pool (identical cost bits and set:
-// the Sum rows reach ownerExactPar, MinMax stays serial), and under every
-// ablation switch, which may change effort but never the optimum.
+// |q.ψ| ≤ 6 under every ablation switch, which may change effort but never
+// the optimum.
 func exactMatchesBruteForce(t *testing.T, cost CostKind, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	ablations := []Ablation{{}, {NoOwnerRing: true}, {NoIncumbentBreak: true}, {NoPairPrune: true}, {NoSumDominance: true}}
@@ -30,27 +28,15 @@ func exactMatchesBruteForce(t *testing.T, cost CostKind, seed int64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var serial Result
-		for _, workers := range []int{1, 4} {
-			for _, ab := range ablations {
-				e.Parallelism, e.Ablation = workers, ab
-				got, err := e.Solve(q, cost, OwnerExact)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if math.Abs(got.Cost-want.Cost) > 1e-9 {
-					t.Fatalf("trial %d workers %d %+v: %v exact %v, optimal %v (sets %v vs %v, query %v at %v)",
-						trial, workers, ab, cost, got.Cost, want.Cost, got.Set, want.Set, q.Keywords, q.Loc)
-				}
-				if ab != (Ablation{}) {
-					continue
-				}
-				if workers == 1 {
-					serial = got
-				} else if got.Cost != serial.Cost || !slices.Equal(got.Set, serial.Set) {
-					t.Fatalf("trial %d: %v pool answer (%v, %v) != serial (%v, %v)",
-						trial, cost, got.Cost, got.Set, serial.Cost, serial.Set)
-				}
+		for _, ab := range ablations {
+			e.Ablation = ab
+			got, err := e.Solve(q, cost, OwnerExact)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(got.Cost-want.Cost) > 1e-9 {
+				t.Fatalf("trial %d %+v: %v exact %v, optimal %v (sets %v vs %v, query %v at %v)",
+					trial, ab, cost, got.Cost, want.Cost, got.Set, want.Set, q.Keywords, q.Loc)
 			}
 		}
 	}

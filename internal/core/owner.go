@@ -2,8 +2,8 @@ package core
 
 // The machinery every distance owner-driven search shares (DESIGN.md
 // §4.1): the cost value, the owner enumerator and the cover search. Every
-// algorithm of the family — exact (serial and pool), approximate, cost_α,
-// top-k, pairs-first and the nearest-owner loop — is a loop over the
+// algorithm of the family — exact, approximate, cost_α, top-k,
+// pairs-first and the nearest-owner loop — is a loop over the
 // enumerator's candidate stream that plugs in a cost row and a per-owner
 // step; none walks the index on its own.
 
@@ -292,8 +292,7 @@ func (e *ownerEnum) drain(bound float64) {
 func (e *ownerEnum) owner() cand { return e.pool[len(e.pool)-1] }
 
 // finish closes the loop: the search phase time and the span's effort
-// attributes, read off stats as they stand (a parallel search merges its
-// workers' counters first).
+// attributes, read off stats as they stand.
 func (e *ownerEnum) finish(cost float64) {
 	e.stats.Phases.Search = time.Since(e.start)
 	if e.loop != nil {
@@ -308,7 +307,7 @@ func (e *ownerEnum) finish(cost float64) {
 
 // release recycles the pool and bit index. Deferred, so a budget or
 // cancellation unwind recycles them too; nothing handed out of the
-// enumerator — worker snapshots included — may be in use any more.
+// enumerator may be in use any more.
 func (e *ownerEnum) release() {
 	e.scratch.pool = e.pool
 	putOwnerScratch(e.scratch)
@@ -332,9 +331,7 @@ func (e *ownerEnum) release() {
 // k-th best cost is the bound from then on, and nothing is returned.
 //
 // The returned set aliases scratch.bestSet: callers copy (canonical) what
-// they keep. Inside a parallel search (s.shared non-nil) the enumeration
-// additionally tightens its bound from the shared incumbent, one ulp
-// above it so equal-cost earlier-owner answers survive (parallel.go).
+// they keep.
 func (s *search) bestWithOwner(qi *kwds.QueryIndex, cost costFn, pool []cand, bits [][]int32, bound float64, scratch *ownerScratch, stats *Stats, top *topKHeap) ([]dataset.ObjectID, float64) {
 	owner := pool[len(pool)-1]
 	dof := owner.d
@@ -358,26 +355,16 @@ func (s *search) bestWithOwner(qi *kwds.QueryIndex, cost costFn, pool []cand, bi
 	}
 
 	var (
-		bestSet   = scratch.bestSet[:0]
-		found     = false
-		foundCost = 0.0   // cost of bestSet once found
-		bestCost  = bound // the pruning bound; may dip below foundCost
-		chosen    = scratch.chosen[:0]
-		sh        = s.shared
-		sums      = cost.key == total
+		bestSet  = scratch.bestSet[:0]
+		found    = false
+		bestCost = bound // the pruning bound; bestSet's cost once found
+		chosen   = scratch.chosen[:0]
+		sums     = cost.key == total
 	)
 
 	var dfs func(covered kwds.Mask, D, maxPair float64)
 	dfs = func(covered kwds.Mask, D, maxPair float64) {
 		s.chargeNode(stats)
-		if sh != nil {
-			// Another worker may have improved the incumbent; tightening
-			// from it here never prunes the first minimum-cost leaf (one
-			// ulp above), so the sub-search minimum stays deterministic.
-			if b := sh.pruneBound(); b < bestCost {
-				bestCost = b
-			}
-		}
 		if covered == qi.Full() {
 			c := cost.combine(D, maxPair)
 			stats.SetsEvaluated++
@@ -392,8 +379,7 @@ func (s *search) bestWithOwner(qi *kwds.QueryIndex, cost costFn, pool []cand, bi
 				top.offerCover(bestSet)
 				bestCost = top.bound()
 			} else {
-				bestCost = c
-				found, foundCost = true, c
+				bestCost, found = c, true
 			}
 			return
 		}
@@ -447,5 +433,5 @@ func (s *search) bestWithOwner(qi *kwds.QueryIndex, cost costFn, pool []cand, bi
 	if !found {
 		return nil, 0
 	}
-	return bestSet, foundCost
+	return bestSet, bestCost
 }

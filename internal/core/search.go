@@ -4,15 +4,14 @@ package core
 // config, shared by every query; everything one execution mutates lives
 // on a search. Every exported query entry point reaches the algorithms
 // through Engine.enter, which takes a search from searchPool and puts it
-// back; helper executions inside a call (parallel workers, the degrade
-// fallback) build a child search literal that names exactly what it
-// shares with its parent, so anything not named is zero: no budget, no
-// context, no trace, no memo, no holder.
+// back; a helper execution inside a call (the degrade fallback) builds a
+// child search literal that names exactly what it shares with its
+// parent, so anything not named is zero: no budget, no context, no
+// trace, no memo, no holder.
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -35,13 +34,9 @@ type search struct {
 	// internal/trace). Every trace call is nil-safe, so a nil tr — the
 	// common case — costs one branch and never allocates.
 	tr *trace.Trace
-	// budget and workers are the engine's NodeBudget and Parallelism as
-	// resolved for this call; zero means unlimited and serial.
-	budget, workers int
-	// shared is set on the workers of a parallel exact search: the atomic
-	// incumbent bound, the global node counter and the failure slot
-	// (parallel.go).
-	shared *parShared
+	// budget is the engine's NodeBudget for this call; zero means
+	// unlimited.
+	budget int
 	// nnmemo caches the query's per-keyword NN seeds so bound seeding and
 	// d_f refinement stop re-walking the IR-tree for keywords already
 	// answered (Cao-Exact seeds via Appro2, which otherwise walks every
@@ -72,7 +67,7 @@ func (s *search) release() {
 
 // enter is the one way into the algorithms: it rejects a query the
 // keyword masks cannot represent, takes a search from the pool, binds the
-// call's context, trace, node budget and worker count, runs fn on it and
+// call's context, trace and node budget, runs fn on it and
 // releases it. A budget or cancellation unwind that no frame below
 // converted (solveInner, topKInner and fallbackAppro do, so that their
 // callers can degrade) surfaces as fn's error, never as a panic. A search
@@ -91,10 +86,7 @@ func (e *Engine) enter(ctx context.Context, q Query, fn func(*search) error) (er
 	s := searchPool.Get().(*search)
 	defer s.release()
 	defer recoverBudget(&err)
-	s.Engine, s.budget, s.workers = e, e.NodeBudget, e.Parallelism
-	if s.workers <= 0 {
-		s.workers = runtime.GOMAXPROCS(0)
-	}
+	s.Engine, s.budget = e, e.NodeBudget
 	if cancellable {
 		s.ctx = ctx
 	}
@@ -171,18 +163,11 @@ func (s *search) solveInner(q Query, cost CostKind, method Method) (res Result, 
 const cancelPollMask = 255
 
 // chargeNode counts one expanded search node against the budget and,
-// on a cancellable call, periodically polls the context. Inside a
-// parallel search (s.shared non-nil) the budget is enforced against the
-// shared atomic counter, so it stays global across workers: the sum of
-// worker expansions trips the budget exactly where one serial execution
-// of the same effort would.
+// on a cancellable call, periodically polls the context.
 func (s *search) chargeNode(stats *Stats) {
 	stats.NodesExpanded++
-	n := int64(stats.NodesExpanded)
-	if sh := s.shared; sh != nil {
-		n = sh.nodes.Add(1)
-	}
-	if s.budget > 0 && n > int64(s.budget) {
+	n := stats.NodesExpanded
+	if s.budget > 0 && n > s.budget {
 		panic(budgetExceeded{})
 	}
 	if s.ctx != nil && n&cancelPollMask == 0 {

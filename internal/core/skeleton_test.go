@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -14,7 +16,9 @@ import (
 // loop were folded into one: the cost's float bits, the canonical set and
 // the effort counters of a serial run. A refactor of the shared machinery
 // must leave every row as it is; a deliberate change to the enumeration
-// order, the ring or a bound re-records them and says why.
+// order, the ring or a bound re-records them and says why. Every row is
+// run at Parallelism 0, 1 and 8 and must read the same at each: the field
+// is ignored, so no value may reach the search.
 //
 // Row format: cost bits, set, CandidatesSeen, OwnersTried, NodesExpanded,
 // SetsEvaluated, then the prune counters. The MinMax/OwnerExact and cost_α
@@ -57,7 +61,6 @@ import (
 func TestOwnerSkeletonPinned(t *testing.T) {
 	rng := rand.New(rand.NewSource(2013))
 	e := genEngine(rng, 1500, 40, 3)
-	e.Parallelism = 1
 	queries := []Query{randQuery(rng, 40, 4), randQuery(rng, 40, 6)}
 
 	row := func(r Result, prunes bool) string {
@@ -167,14 +170,116 @@ func TestOwnerSkeletonPinned(t *testing.T) {
 			"4021f5020bca8c74 [299 518 672 715 1360] c=19 o=7 n=0 s=1",
 		}},
 	} {
-		for qi, q := range queries {
-			got, err := tc.run(q)
-			if err != nil {
-				t.Fatalf("%s q%d: %v", tc.name, qi, err)
+		for _, par := range []int{0, 1, 8} {
+			e.Parallelism = par
+			for qi, q := range queries {
+				got, err := tc.run(q)
+				if err != nil {
+					t.Fatalf("%s q%d Parallelism=%d: %v", tc.name, qi, par, err)
+				}
+				if got != tc.want[qi] {
+					t.Errorf("%s q%d Parallelism=%d:\n got  %q\n want %q", tc.name, qi, par, got, tc.want[qi])
+				}
 			}
-			if got != tc.want[qi] {
-				t.Errorf("%s q%d:\n got  %q\n want %q", tc.name, qi, got, tc.want[qi])
+		}
+	}
+}
+
+// TestParallelMatchesSerial: Engine.Parallelism is ignored, so every value
+// returns exactly what Parallelism 1 returns — the cost bits, the canonical
+// set and the effort counters, prune vector included — on every exact
+// search that once had a worker pool: OwnerExact and CaoExact under MaxSum
+// and Dia, and the cost_α search.
+func TestParallelMatchesSerial(t *testing.T) {
+	for _, seed := range []int64{3, 17, 99} {
+		rng := rand.New(rand.NewSource(seed))
+		e := genEngine(rng, 900, 25, 4)
+		queries := make([]Query, 12)
+		for i := range queries {
+			queries[i] = randQuery(rng, 25, 2+i%3)
+		}
+		type row struct {
+			name  string
+			solve func(*Engine, Query) (Result, error)
+		}
+		var rows []row
+		for _, cost := range []CostKind{MaxSum, Dia} {
+			for _, m := range []Method{OwnerExact, CaoExact} {
+				rows = append(rows, row{fmt.Sprintf("%v/%v", cost, m), func(e *Engine, q Query) (Result, error) {
+					return e.Solve(q, cost, m)
+				}})
 			}
+		}
+		for _, alpha := range []float64{0.2, 0.8} {
+			rows = append(rows, row{fmt.Sprintf("alpha%v/%v", alpha, OwnerExact), func(e *Engine, q Query) (Result, error) {
+				return e.SolveAlpha(q, alpha, OwnerExact)
+			}})
+		}
+		// effort is a result with its timings zeroed: what must not move.
+		effort := func(r Result) Result {
+			r.Stats.Elapsed, r.Stats.Phases = 0, PhaseBreakdown{}
+			return r
+		}
+		for _, r := range rows {
+			t.Run(fmt.Sprintf("seed%d/%s", seed, r.name), func(t *testing.T) {
+				for qi, q := range queries {
+					serial := *e
+					serial.Parallelism = 1
+					want, errS := r.solve(&serial, q)
+					for _, par := range []int{0, 2, 8} {
+						other := *e
+						other.Parallelism = par
+						got, err := r.solve(&other, q)
+						if !errors.Is(err, errS) {
+							t.Fatalf("q%d Parallelism=%d: err = %v, want %v", qi, par, err, errS)
+						}
+						if !reflect.DeepEqual(effort(got), effort(want)) {
+							t.Fatalf("q%d Parallelism=%d:\n got  %+v\n want %+v", qi, par, effort(got), effort(want))
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestOwnerExactAllocs pins the zero-alloc hot path: after warmup, the
+// pooled search must run within a small fixed allocation count per query
+// (result set, canonical copies, iterator state — not the candidate pool,
+// bit indexes, or partial-set scratch, which all recycle).
+func TestOwnerExactAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	rng := rand.New(rand.NewSource(21))
+	e := genEngine(rng, 700, 20, 4)
+	queries := make([]Query, 4)
+	for i := range queries {
+		queries[i] = randQuery(rng, 20, 3)
+	}
+	// Ceilings are the values measured on this fixture with the per-call
+	// engine clone the pooled search replaced (one heap copy per solve):
+	// the search must not cost more than the clone did, and reverting any
+	// one scratch pool (candidates, bitCands, partial sets) blows them.
+	for _, tc := range []struct {
+		m         Method
+		maxAllocs float64
+	}{{OwnerExact, 15}, {PairsExact, 43}, {CaoExact, 47}} {
+		// Warm the scratch pools.
+		for _, q := range queries {
+			if _, err := e.Solve(q, MaxSum, tc.m); err != nil {
+				t.Fatalf("%v warmup: %v", tc.m, err)
+			}
+		}
+		q := queries[0]
+		got := testing.AllocsPerRun(30, func() {
+			if _, err := e.Solve(q, MaxSum, tc.m); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%v: %.1f allocs/op", tc.m, got)
+		if got > tc.maxAllocs {
+			t.Errorf("%v: %.1f allocs/op, want ≤ %.0f", tc.m, got, tc.maxAllocs)
 		}
 	}
 }

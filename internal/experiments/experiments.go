@@ -55,9 +55,6 @@ type Options struct {
 	// prints them after the run). Tracing every execution costs a few
 	// percent; leave nil for timing-faithful runs.
 	SlowLog *trace.SlowLog
-	// Workers sets every engine's intra-query parallelism
-	// (0 = GOMAXPROCS, 1 = serial; coskq-bench -workers).
-	Workers int
 	// NNCache, when positive, enables each engine's cross-query
 	// keyword-NN cache with this capacity (coskq-bench -nn-cache).
 	// Answers are unaffected; only repeated NN work is.
@@ -69,7 +66,6 @@ type Options struct {
 func (o Options) newEngine(ds *dataset.Dataset) *core.Engine {
 	eng := core.NewEngine(ds, 0)
 	eng.Metrics = o.Metrics
-	eng.Parallelism = o.Workers
 	eng.EnableNNCache(o.NNCache)
 	return eng
 }

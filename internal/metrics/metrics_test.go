@@ -330,8 +330,8 @@ func TestGaugeConcurrentAddExact(t *testing.T) {
 func TestWriteTextGaugeExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c_total").Inc()
-	r.Gauge("coskq_query_workers").Set(4)
-	r.Gauge(`coskq_query_workers{method="OwnerExact"}`).Set(8)
+	r.Gauge("coskq_inflight").Set(4)
+	r.Gauge(`coskq_inflight{method="OwnerExact"}`).Set(8)
 	var sb strings.Builder
 	if err := r.WriteText(&sb); err != nil {
 		t.Fatal(err)
@@ -339,14 +339,14 @@ func TestWriteTextGaugeExposition(t *testing.T) {
 	got := sb.String()
 	want := "# TYPE c_total counter\n" +
 		"c_total 1\n" +
-		"# TYPE coskq_query_workers gauge\n" +
-		"coskq_query_workers 4\n" +
-		"coskq_query_workers{method=\"OwnerExact\"} 8\n"
+		"# TYPE coskq_inflight gauge\n" +
+		"coskq_inflight 4\n" +
+		"coskq_inflight{method=\"OwnerExact\"} 8\n"
 	if got != want {
 		t.Fatalf("exposition mismatch:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 	// Same instance on repeated lookup.
-	if r.Gauge("coskq_query_workers").Value() != 4 {
+	if r.Gauge("coskq_inflight").Value() != 4 {
 		t.Fatal("gauge lookup did not return the registered instance")
 	}
 }

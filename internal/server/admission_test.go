@@ -205,7 +205,6 @@ func TestAdmissionClientGone(t *testing.T) {
 func TestServerDegradedQuery(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	eng := cityEngine()
-	eng.Parallelism = 1
 	srv := httptest.NewServer(NewWith(eng, Options{Degrade: core.DegradeIncumbent}))
 	defer srv.Close()
 
@@ -237,7 +236,6 @@ func TestServerDegradedQuery(t *testing.T) {
 	// Same schedule, default policy: the trip surfaces as 503.
 	fault.Arm(1, fault.Rule{Point: fault.OwnerEnum, Kind: fault.KindBudget, After: 1, Every: 1})
 	eng2 := cityEngine()
-	eng2.Parallelism = 1
 	srv2 := httptest.NewServer(NewWith(eng2, Options{}))
 	defer srv2.Close()
 	resp2, err := http.Get(srv2.URL + "/query?x=0&y=0&kw=cafe,museum")
@@ -293,7 +291,6 @@ func TestServerHandleFaultPoint(t *testing.T) {
 func TestServerNodeBudgetFromDeadline(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	eng := cityEngine()
-	eng.Parallelism = 1
 	srv := httptest.NewServer(NewWith(eng, Options{
 		Timeout:             5 * time.Second,
 		Degrade:             core.DegradeIncumbent,

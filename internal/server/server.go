@@ -97,11 +97,6 @@ type Options struct {
 	// its best-so-far feasible set — marked by the X-Coskq-Degraded
 	// header and the response's degraded fields — instead of an error.
 	Degrade core.DegradePolicy
-	// FederateTimeout bounds the whole peer fan-out of a federated
-	// metrics scrape (GET /metrics?federate=1 on a scatter-gather
-	// coordinator). Zero means DefaultFederateTimeout. Irrelevant for
-	// the single-engine server, whose /metrics is always local.
-	FederateTimeout time.Duration
 	// NodeBudgetPerSecond derives a per-request node budget from the
 	// request deadline: budget = rate × seconds remaining at solve
 	// start. It converts the wall-clock deadline into a deterministic

@@ -25,8 +25,9 @@ import (
 	"coskq/internal/trace"
 )
 
-// DefaultFederateTimeout bounds a federated metrics scrape's peer
-// fan-out when Options.FederateTimeout is zero.
+// DefaultFederateTimeout bounds the whole peer fan-out of a federated
+// metrics scrape (GET /metrics?federate=1 on a scatter-gather
+// coordinator).
 const DefaultFederateTimeout = 2 * time.Second
 
 // shardBackendAt resolves the backend one shard data-plane call runs
@@ -255,7 +256,7 @@ func NewScatterGather(rt *shard.Router, opts Options) http.Handler {
 			"shards": len(rt.Backends),
 		})
 	})
-	mux.HandleFunc("GET /metrics", s.federatedMetricsHandler(rt, opts.FederateTimeout))
+	mux.HandleFunc("GET /metrics", s.federatedMetricsHandler(rt))
 	mux.HandleFunc("GET /debug/slowlog", s.handleSlowLog)
 	return s.wrap(mux, opts.Timeout)
 }
@@ -264,19 +265,16 @@ func NewScatterGather(rt *shard.Router, opts Options) http.Handler {
 // plain scrape is the local registry; ?federate=1 additionally fans out
 // to every backend implementing shard.MetricsFetcher and merges the
 // peer pages into one exposition, each peer's samples labeled with its
-// shard name. Peer fetches run concurrently under one timeout; a failed
-// peer contributes a comment line and a coordinator-side error counter,
-// never a scrape failure.
-func (s *server) federatedMetricsHandler(rt *shard.Router, timeout time.Duration) http.HandlerFunc {
-	if timeout <= 0 {
-		timeout = DefaultFederateTimeout
-	}
+// shard name. Peer fetches run concurrently under DefaultFederateTimeout;
+// a failed peer contributes a comment line and a coordinator-side error
+// counter, never a scrape failure.
+func (s *server) federatedMetricsHandler(rt *shard.Router) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Query().Get("federate") != "1" {
 			s.handleMetrics(w, r)
 			return
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), timeout)
+		ctx, cancel := context.WithTimeout(r.Context(), DefaultFederateTimeout)
 		defer cancel()
 		pages := make([]metrics.MergePage, 1, len(rt.Backends)+1)
 		var (

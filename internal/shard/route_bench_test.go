@@ -88,7 +88,6 @@ const (
 // per pooled object — overruns the budget at once.
 func TestRouteAllocs(t *testing.T) {
 	rt, qs := routeFixture(t, datagen.Generate(datagen.ProfileGN(1, 0.01)), 48)
-	rt.Workers = 1
 	ctx := context.Background()
 	i := 0
 	got := testing.AllocsPerRun(2*len(qs)-1, func() {

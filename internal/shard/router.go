@@ -217,9 +217,6 @@ type Router struct {
 	// Fanout bounds concurrent shard calls per query; 0 means all shards
 	// at once, 1 forces the deterministic serial schedule (shard order).
 	Fanout int
-	// Workers is the pool-solve parallelism, passed through to the
-	// per-query engine (core.Engine.Parallelism semantics).
-	Workers int
 	// NodeBudget caps the pool solve's search effort (core semantics).
 	NodeBudget int
 	// Degrade selects failure semantics. DegradeFail (default): any
@@ -736,11 +733,10 @@ func (r *Router) routeOnce(ctx context.Context, loc geo.Point, words []string, c
 	// The pool engine has a tree and no postings: no solver reads Inv.
 	ds := b.Build()
 	eng := core.Engine{
-		DS:          ds,
-		Tree:        irtree.Build(ds, 0), // default fanout
-		Parallelism: r.Workers,
-		NodeBudget:  r.NodeBudget,
-		Degrade:     r.Degrade,
+		DS:         ds,
+		Tree:       irtree.Build(ds, 0), // default fanout
+		NodeBudget: r.NodeBudget,
+		Degrade:    r.Degrade,
 	}
 	res, err := eng.SolveCtx(ctx, core.Query{Loc: loc, Keywords: qids}, cost, method)
 	if err != nil {

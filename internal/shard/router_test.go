@@ -115,7 +115,6 @@ func TestRouterConcurrentFanout(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Fanout = 0 // all shards at once
-	r.Workers = 2
 	done := make(chan error, 4)
 	for w := 0; w < 4; w++ {
 		go func(seed int) {

@@ -235,8 +235,8 @@ func TestSlowLogConcurrent(t *testing.T) {
 
 func TestGroupConcurrentSpans(t *testing.T) {
 	tr := New("query")
-	algo := tr.Begin("owner_exact")
-	grp := tr.BeginGroup("owner_workers")
+	algo := tr.Begin("route")
+	grp := tr.BeginGroup("scatter")
 	const workers, perWorker = 8, 10
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -244,7 +244,7 @@ func TestGroupConcurrentSpans(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				sp := grp.Begin("best_with_owner")
+				sp := grp.Begin("shard_nn")
 				sp.Attr("worker", float64(w))
 				if i%2 == 0 {
 					sp.End() // kept
@@ -261,23 +261,23 @@ func TestGroupConcurrentSpans(t *testing.T) {
 	tr.Finish()
 
 	x := tr.Export()
-	if len(x.Spans) != 1 || x.Spans[0].Name != "owner_exact" {
+	if len(x.Spans) != 1 || x.Spans[0].Name != "route" {
 		t.Fatalf("top spans = %+v", x.Spans)
 	}
 	var group *SpanExport
 	for _, s := range x.Spans[0].Children {
-		if s.Name == "owner_workers" {
+		if s.Name == "scatter" {
 			group = s
 		}
 	}
 	if group == nil {
-		t.Fatalf("no owner_workers span: %+v", x.Spans[0].Children)
+		t.Fatalf("no scatter span: %+v", x.Spans[0].Children)
 	}
 	if got, want := len(group.Children), workers*perWorker/2; got != want {
 		t.Fatalf("group children = %d, want %d (Dropped spans must vanish)", got, want)
 	}
 	for _, s := range group.Children {
-		if s.Name != "best_with_owner" {
+		if s.Name != "shard_nn" {
 			t.Fatalf("unexpected child %q", s.Name)
 		}
 	}
