@@ -224,7 +224,7 @@ func (e *ownerEnum) pop(bound float64) bool {
 		}
 		e.stats.CandidatesSeen++
 		e.s.pollCancel(e.stats.CandidatesSeen)
-		mask := e.qi.MaskOf(o.Keywords)
+		mask := e.it.Mask()
 		if e.cost.positionBlind() && !e.abl.NoSumDominance && e.dominated(mask) {
 			e.stats.Prunes[trace.PruneDominated]++
 			continue

@@ -22,8 +22,8 @@ package epoch
 // — a member neither nearest nor on the diameter is free), now sorts each
 // owner's disk by query distance first. On top of the answers, every
 // generation the schedule publishes is checked on its own
-// (checkGeneration): keyword unions equal the union recomputed from
-// below, and postings equal invindex.Build of the generation's dataset.
+// (checkGeneration): the IR-tree's inverted files equal those recomputed
+// from below, and postings equal invindex.Build of the generation's dataset.
 
 import (
 	"errors"

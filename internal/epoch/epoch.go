@@ -154,8 +154,8 @@ type Options struct {
 	// its NodeID range. Zero defaults to 0.25 (TestTreeHealthUnderChurn;
 	// DESIGN.md §16.3). Negative never re-packs and is for tests and
 	// measurements only: every apply then leaves a few dead NodeIDs and
-	// their keyword unions behind, so the union table, and the copy of it
-	// each apply makes, grow without bound.
+	// their inverted files behind, so the IR-tree's tables, and the copy
+	// of them each apply makes, grow without bound.
 	CompactFrac float64
 
 	// SeqCap bounds the idempotency-token LRU (ApplyBatchSeq). Zero

@@ -387,7 +387,7 @@ func TestLastApplyTrace(t *testing.T) {
 // generationErr reports how g breaks what every published generation
 // must satisfy on its own: Objects is the live set under dense ids with
 // one key each, the IR-tree indexes exactly those objects with every
-// keyword union equal to the union recomputed from below, and the
+// node's inverted file equal to the one recomputed from below, and the
 // postings equal invindex.Build of the generation's own dataset, list
 // for list.
 func generationErr(g *Generation) error {

@@ -60,9 +60,23 @@ func TestUnionAllMatchesSortDedup(t *testing.T) {
 	}
 	var u unioner // one scratch across every case: marks must come back clear
 	for i, parts := range cases {
-		got, want := u.unionAll(parts), unionAllRef(parts)
-		if !reflect.DeepEqual(got, want) {
+		got, slots := u.unionAll(parts)
+		if want := unionAllRef(parts); !reflect.DeepEqual(got, want) {
 			t.Fatalf("case %d: unionAll(%v) = %#v, sort-dedup gives %#v", i, parts, got, want)
+		}
+		if len(slots) != len(got) {
+			t.Fatalf("case %d: %d slot masks for %d keywords", i, len(slots), len(got))
+		}
+		for k, kw := range got {
+			var want uint64
+			for j, p := range parts {
+				if p.Contains(kw) {
+					want |= 1 << j
+				}
+			}
+			if slots[k] != want {
+				t.Fatalf("case %d: keyword %d in slots %#x, its parts hold it in %#x", i, kw, slots[k], want)
+			}
 		}
 	}
 }
@@ -124,7 +138,8 @@ func edited(t *testing.T, rng *rand.Rand, n, vocab, fanout, batches int) (*Tree,
 }
 
 // TestDeriveSharesAnnotations: only the nodes an edit created carry fresh
-// unions; every shared node's union is the very slice the base computed.
+// inverted files; every shared node's union and slot column are the very
+// slices the base computed.
 func TestDeriveSharesAnnotations(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ds := genDataset(rng, 4000, 60, 4)
@@ -140,8 +155,8 @@ func TestDeriveSharesAnnotations(t *testing.T) {
 		t.Fatalf("a keyword edit annotated %d nodes, want the %d of one root-to-leaf path", got, want)
 	}
 	for id := range tr.nodeKw {
-		if len(tr.nodeKw[id]) > 0 && &tr.nodeKw[id][0] != &next.nodeKw[id][0] {
-			t.Fatalf("node %d's union was recomputed, not shared", id)
+		if len(tr.nodeKw[id]) > 0 && (&tr.nodeKw[id][0] != &next.nodeKw[id][0] || &tr.slots[id][0] != &next.slots[id][0]) {
+			t.Fatalf("node %d's inverted file was recomputed, not shared", id)
 		}
 	}
 	if err := next.CheckInvariants(); err != nil {

@@ -1,7 +1,10 @@
 // Package irtree implements the IR-tree: an R-tree over geo-textual
-// objects in which every node carries the keyword union of its subtree
-// (the node's inverted pseudo-document). It supports the textual-spatial
-// primitives the CoSKQ algorithms are built from:
+// objects in which every node carries an inverted file: the keyword union
+// of its subtree and, per keyword, the bitmask of its slots — children of
+// an inner node, entries of a leaf — that hold it. A walk therefore pays
+// one lookup per (node, query keyword) and reads an object only when it
+// yields it. It supports the textual-spatial primitives the CoSKQ
+// algorithms are built from:
 //
 //   - keyword nearest neighbor NN(p, t): the object nearest to p whose
 //     keyword set contains t;
@@ -12,7 +15,7 @@
 // The tree is built over a dataset by STR bulk load, which matches the
 // paper's memory-resident, build-once usage, and is immutable afterwards.
 // The live index (internal/epoch) gets its next tree from Derive, which
-// shares every untouched subtree — and its keyword union — with the tree
+// shares every untouched subtree — and its inverted file — with the tree
 // it came from.
 package irtree
 
@@ -35,6 +38,7 @@ type Tree struct {
 	rt     *rtree.Tree
 	ds     *dataset.Dataset
 	nodeKw []kwds.Set // NodeID -> keyword union of the subtree
+	slots  [][]uint64 // NodeID -> per nodeKw[i], the node's slots holding it
 }
 
 // Build constructs the IR-tree over ds with the given node fanout
@@ -45,7 +49,7 @@ func Build(ds *dataset.Dataset, fanout int) *Tree {
 		entries[i] = rtree.Entry{P: ds.Objects[i].Loc, ID: uint32(ds.Objects[i].ID)}
 	}
 	rt := rtree.BulkLoad(entries, fanout)
-	t := &Tree{rt: rt, ds: ds, nodeKw: make([]kwds.Set, rt.NumNodes())}
+	t := &Tree{rt: rt, ds: ds, nodeKw: make([]kwds.Set, rt.NumNodes()), slots: make([][]uint64, rt.NumNodes())}
 	t.annotate(rt.Root(), 0, new(unioner))
 	return t
 }
@@ -57,21 +61,24 @@ func (t *Tree) Edit() *rtree.Editor { return t.rt.Edit() }
 // Derive returns the IR-tree of the next generation: rt is the result of
 // an Edit of t and ds the dataset its entry ids refer to. Only the nodes
 // the editor created are annotated, bottom-up; every node rt shares with
-// t keeps the union t computed — so ds must agree with t's dataset on
-// every object whose root-to-leaf path the editor did not clone, and
-// keyword ids must mean the same in both. The union table is copied whole,
-// the unions of nodes rt no longer reaches included; what bounds it is the
-// caller's periodic Build (epoch's re-pack).
+// t keeps the inverted file t computed — so ds must agree with t's dataset
+// on every object whose root-to-leaf path the editor did not clone, and
+// keyword ids must mean the same in both. Both tables are copied whole,
+// the entries of nodes rt no longer reaches included; what bounds them is
+// the caller's periodic Build (epoch's re-pack).
 func (t *Tree) Derive(rt *rtree.Tree, ds *dataset.Dataset) *Tree {
-	d := &Tree{rt: rt, ds: ds, nodeKw: make([]kwds.Set, rt.NumNodes())}
+	d := &Tree{rt: rt, ds: ds, nodeKw: make([]kwds.Set, rt.NumNodes()), slots: make([][]uint64, rt.NumNodes())}
 	first := copy(d.nodeKw, t.nodeKw)
+	copy(d.slots, t.slots)
 	d.annotate(rt.Root(), first, new(unioner))
 	return d
 }
 
-// annotate computes, bottom-up, the keyword union of every node of n's
+// annotate computes, bottom-up, the inverted file of every node of n's
 // subtree whose NodeID is at least first; nodes below first are taken as
-// annotated, subtree and all.
+// annotated, subtree and all. Part i of a node — entry i of a leaf, child
+// i of an inner node — is bit i of its slot masks, so a node may hold at
+// most rtree.MaxFanout of them.
 func (t *Tree) annotate(n *rtree.Node, first int, u *unioner) {
 	if n.NodeID < first {
 		return
@@ -87,20 +94,28 @@ func (t *Tree) annotate(n *rtree.Node, first int, u *unioner) {
 		parts = append(parts, t.nodeKw[c.NodeID])
 	}
 	u.parts = parts
-	t.nodeKw[n.NodeID] = u.unionAll(parts)
+	if len(parts) > rtree.MaxFanout {
+		panic(fmt.Sprintf("irtree: node %d has %d slots, more than %d", n.NodeID, len(parts), rtree.MaxFanout))
+	}
+	t.nodeKw[n.NodeID], t.slots[n.NodeID] = u.unionAll(parts)
 }
 
 // unioner merges sorted keyword sets through a reusable mark bitmap: set a
 // bit per id, then emit the set bits in ascending order, clearing as it
 // goes. That is linear in the input where flatten-sort-dedup paid a sort
-// per node — the price that dominated every build.
+// per node — the price that dominated every build. The bitmap doubles as
+// the rank table that places each part's ids in the union: an id's index
+// is the set bits before it, rank[word] plus a popcount within its word.
 type unioner struct {
 	marks []uint64
+	rank  []int32    // per marks word, the number of set bits before it
 	parts []kwds.Set // the caller's part list, kept for its capacity
 }
 
-// unionAll returns the union of parts as a fresh set (nil when empty).
-func (u *unioner) unionAll(parts []kwds.Set) kwds.Set {
+// unionAll returns the union of at most 64 parts as a fresh set (nil when
+// empty) with its slot column: slots[i] has bit j set when parts[j] holds
+// union[i].
+func (u *unioner) unionAll(parts []kwds.Set) (kwds.Set, []uint64) {
 	words := 0
 	for _, p := range parts {
 		if len(p) > 0 {
@@ -109,19 +124,28 @@ func (u *unioner) unionAll(parts []kwds.Set) kwds.Set {
 	}
 	if words > len(u.marks) {
 		u.marks = slices.Grow(u.marks, words-len(u.marks))[:words]
+		u.rank = slices.Grow(u.rank, words-len(u.rank))[:words]
 	}
-	marks := u.marks[:words]
+	marks, rank := u.marks[:words], u.rank[:words]
 	for _, p := range parts {
 		for _, id := range p {
 			marks[id>>6] |= 1 << (id & 63)
 		}
 	}
 	n := 0
-	for _, w := range marks {
+	for i, w := range marks {
+		rank[i] = int32(n)
 		n += bits.OnesCount64(w)
 	}
 	if n == 0 {
-		return nil
+		return nil, nil
+	}
+	slots := make([]uint64, n)
+	for j, p := range parts {
+		for _, id := range p {
+			w := id >> 6
+			slots[int(rank[w])+bits.OnesCount64(marks[w]&(1<<(id&63)-1))] |= 1 << j
+		}
 	}
 	out := make(kwds.Set, 0, n)
 	for i, w := range marks {
@@ -130,13 +154,22 @@ func (u *unioner) unionAll(parts []kwds.Set) kwds.Set {
 		}
 		marks[i] = 0
 	}
-	return out
+	return out, slots
+}
+
+// slotsOf returns the slots of n that hold kw: one binary search of the
+// node's union.
+func (t *Tree) slotsOf(n *rtree.Node, kw kwds.ID) uint64 {
+	if i, ok := slices.BinarySearch(t.nodeKw[n.NodeID], kw); ok {
+		return t.slots[n.NodeID][i]
+	}
+	return 0
 }
 
 // CheckInvariants validates the tree against its dataset: the R-tree's
 // structural invariants, every object indexed exactly once at its own
-// location, and every node's keyword union equal to the union recomputed
-// from below. It is intended for tests.
+// location, and every node's inverted file — keyword union and slot column
+// — equal to the one recomputed from below. It is intended for tests.
 func (t *Tree) CheckInvariants() error {
 	if err := t.rt.CheckInvariants(); err != nil {
 		return err
@@ -147,7 +180,7 @@ func (t *Tree) CheckInvariants() error {
 	seen := make([]bool, t.ds.Len())
 	var rec func(n *rtree.Node) (kwds.Set, error)
 	rec = func(n *rtree.Node) (kwds.Set, error) {
-		var want kwds.Set
+		var parts []kwds.Set
 		for _, e := range n.Entries {
 			if int(e.ID) >= len(seen) || seen[e.ID] {
 				return nil, fmt.Errorf("irtree: leaf %d: object id %d out of range or indexed twice", n.NodeID, e.ID)
@@ -157,17 +190,35 @@ func (t *Tree) CheckInvariants() error {
 			if o.ID != dataset.ObjectID(e.ID) || o.Loc != e.P {
 				return nil, fmt.Errorf("irtree: leaf %d: entry %v disagrees with object %d at %v", n.NodeID, e, o.ID, o.Loc)
 			}
-			want = want.Union(o.Keywords)
+			parts = append(parts, o.Keywords)
 		}
 		for _, c := range n.Children {
 			sub, err := rec(c)
 			if err != nil {
 				return nil, err
 			}
-			want = want.Union(sub)
+			parts = append(parts, sub)
+		}
+		var want kwds.Set
+		for _, p := range parts {
+			want = want.Union(p)
 		}
 		if got := t.nodeKw[n.NodeID]; !slices.Equal(got, want) {
 			return nil, fmt.Errorf("irtree: node %d carries union %v, its subtree holds %v", n.NodeID, got, want)
+		}
+		if got := t.slots[n.NodeID]; len(got) != len(want) {
+			return nil, fmt.Errorf("irtree: node %d has %d slot masks for %d keywords", n.NodeID, len(got), len(want))
+		}
+		for i, kw := range want {
+			var s uint64
+			for j, p := range parts {
+				if p.Contains(kw) {
+					s |= 1 << j
+				}
+			}
+			if got := t.slots[n.NodeID][i]; got != s {
+				return nil, fmt.Errorf("irtree: node %d holds keyword %d in slots %#x, its parts in %#x", n.NodeID, kw, got, s)
+			}
 		}
 		return want, nil
 	}
@@ -193,57 +244,65 @@ func (t *Tree) Nodes() int { return t.rt.LiveNodes() }
 // Root exposes the underlying root node, for tests.
 func (t *Tree) Root() *rtree.Node { return t.rt.Root() }
 
-// containsAny reports whether the node's subtree contains at least one of
-// the query keywords. Query sets are tiny, so per-keyword binary search in
-// the node union is the cheap direction.
-func containsAny(nodeKw kwds.Set, query kwds.Set) bool {
-	for _, id := range query {
-		if nodeKw.Contains(id) {
-			return true
-		}
-	}
-	return false
-}
-
-// nnHeapItem is either an unexpanded node or a resolved object.
+// nnHeapItem is either an unexpanded node or a resolved object; mask is
+// the object's query mask in the relevant walk.
 type nnHeapItem struct {
 	node *rtree.Node
 	obj  dataset.ObjectID
+	mask kwds.Mask
+}
+
+// keywordWalk is the best-first search over the objects containing one
+// keyword behind NN, NN2 and KeywordNNIterator: every node expansion
+// pushes exactly the slots that hold kw.
+type keywordWalk struct {
+	t  *Tree
+	p  geo.Point
+	kw kwds.ID
+	h  pqueue.Queue[nnHeapItem] // by value, so a walk on the stack keeps it there
+}
+
+func (t *Tree) keywordWalk(p geo.Point, kw kwds.ID) keywordWalk {
+	w := keywordWalk{t: t, p: p, kw: kw, h: *pqueue.New[nnHeapItem](64)}
+	root := t.rt.Root()
+	w.h.Push(nnHeapItem{node: root}, root.Rect.MinDist(p))
+	return w
+}
+
+// next returns the next object containing the keyword and its distance,
+// or ok=false when there is none.
+func (w *keywordWalk) next() (dataset.ObjectID, float64, bool) {
+	for !w.h.Empty() {
+		item, pri := w.h.Pop()
+		if item.node == nil {
+			return item.obj, pri, true
+		}
+		pushSlots(&w.h, item.node, w.t.slotsOf(item.node, w.kw), w.p)
+	}
+	return 0, 0, false
+}
+
+// pushSlots queues the slots s of n: entries at their distance from p,
+// children at their rectangle's.
+func pushSlots(h *pqueue.Queue[nnHeapItem], n *rtree.Node, s uint64, p geo.Point) {
+	for ; s != 0; s &= s - 1 {
+		i := bits.TrailingZeros64(s)
+		if n.Leaf {
+			e := n.Entries[i]
+			h.Push(nnHeapItem{obj: dataset.ObjectID(e.ID)}, p.Dist(e.P))
+		} else {
+			c := n.Children[i]
+			h.Push(nnHeapItem{node: c}, c.Rect.MinDist(p))
+		}
+	}
 }
 
 // NN returns the object nearest to p containing keyword kw, with its
 // distance from p; ok is false when no object contains kw. It is a
 // best-first search over the nodes whose keyword union contains kw.
 func (t *Tree) NN(p geo.Point, kw kwds.ID) (dataset.ObjectID, float64, bool) {
-	h := pqueue.New[nnHeapItem](64)
-	root := t.rt.Root()
-	if t.nodeKw[root.NodeID].Contains(kw) {
-		h.Push(nnHeapItem{node: root}, root.Rect.MinDist(p))
-	}
-	for !h.Empty() {
-		item, pri := h.Pop()
-		if item.node == nil {
-			return item.obj, pri, true
-		}
-		n := item.node
-		if n.Leaf {
-			for _, e := range n.Entries {
-				o := t.ds.Object(dataset.ObjectID(e.ID))
-				if !o.Keywords.Contains(kw) {
-					continue
-				}
-				h.Push(nnHeapItem{obj: o.ID}, p.Dist(o.Loc))
-			}
-			continue
-		}
-		for _, c := range n.Children {
-			if !t.nodeKw[c.NodeID].Contains(kw) {
-				continue
-			}
-			h.Push(nnHeapItem{node: c}, c.Rect.MinDist(p))
-		}
-	}
-	return 0, 0, false
+	w := t.keywordWalk(p, kw)
+	return w.next()
 }
 
 // NN2 returns the object nearest to p containing keyword kw together with
@@ -255,43 +314,14 @@ func (t *Tree) NN(p geo.Point, kw kwds.ID) (dataset.ObjectID, float64, bool) {
 // the first object popped is bit-identical to NN's answer — continued
 // until a second object surfaces.
 func (t *Tree) NN2(p geo.Point, kw kwds.ID) (id dataset.ObjectID, d1, d2 float64, ok bool) {
-	h := pqueue.New[nnHeapItem](64)
-	root := t.rt.Root()
-	if t.nodeKw[root.NodeID].Contains(kw) {
-		h.Push(nnHeapItem{node: root}, root.Rect.MinDist(p))
+	w := t.keywordWalk(p, kw)
+	if id, d1, ok = w.next(); !ok {
+		return 0, 0, 0, false
 	}
-	found := false
-	for !h.Empty() {
-		item, pri := h.Pop()
-		if item.node == nil {
-			if !found {
-				id, d1, found = item.obj, pri, true
-				continue
-			}
-			return id, d1, pri, true
-		}
-		n := item.node
-		if n.Leaf {
-			for _, e := range n.Entries {
-				o := t.ds.Object(dataset.ObjectID(e.ID))
-				if !o.Keywords.Contains(kw) {
-					continue
-				}
-				h.Push(nnHeapItem{obj: o.ID}, p.Dist(o.Loc))
-			}
-			continue
-		}
-		for _, c := range n.Children {
-			if !t.nodeKw[c.NodeID].Contains(kw) {
-				continue
-			}
-			h.Push(nnHeapItem{node: c}, c.Rect.MinDist(p))
-		}
+	if _, d2, ok = w.next(); !ok {
+		d2 = math.Inf(1)
 	}
-	if found {
-		return id, d1, math.Inf(1), true
-	}
-	return 0, 0, 0, false
+	return id, d1, d2, true
 }
 
 // RelevantNNIterator yields relevant objects in ascending distance from a
@@ -301,18 +331,17 @@ type RelevantNNIterator struct {
 	t     *Tree
 	p     geo.Point
 	qi    *kwds.QueryIndex
-	h     *pqueue.Queue[nnHeapItem]
+	h     pqueue.Queue[nnHeapItem]
 	limit float64
+	mask  kwds.Mask // of the object Next returned last
 }
 
 // NewRelevantNNIterator returns an iterator over relevant objects (those
 // sharing a keyword with qi's query) ascending by distance from p.
 func (t *Tree) NewRelevantNNIterator(p geo.Point, qi *kwds.QueryIndex) *RelevantNNIterator {
-	it := &RelevantNNIterator{t: t, p: p, qi: qi, h: pqueue.New[nnHeapItem](64), limit: math.Inf(1)}
+	it := &RelevantNNIterator{t: t, p: p, qi: qi, h: *pqueue.New[nnHeapItem](64), limit: math.Inf(1)}
 	root := t.rt.Root()
-	if containsAny(t.nodeKw[root.NodeID], qi.Keywords()) {
-		it.h.Push(nnHeapItem{node: root}, root.Rect.MinDist(p))
-	}
+	it.h.Push(nnHeapItem{node: root}, root.Rect.MinDist(p))
 	return it
 }
 
@@ -333,7 +362,7 @@ func (it *RelevantNNIterator) Limit(d float64) {
 
 // Next returns the next relevant object and its distance from the query
 // point, or ok=false when exhausted (or when everything left lies beyond
-// the limit).
+// the limit). Mask then reports the object's query mask.
 func (it *RelevantNNIterator) Next() (*dataset.Object, float64, bool) {
 	fault.Hit(fault.RTreeVisit)
 	for !it.h.Empty() {
@@ -342,86 +371,65 @@ func (it *RelevantNNIterator) Next() (*dataset.Object, float64, bool) {
 			return nil, 0, false // everything still queued is even farther
 		}
 		if item.node == nil {
+			it.mask = item.mask
 			return it.t.ds.Object(item.obj), pri, true
 		}
+		// A leaf's entry i carries its query mask: bit b for each query
+		// keyword b whose slots include i.
 		n := item.node
-		if n.Leaf {
-			for _, e := range n.Entries {
-				o := it.t.ds.Object(dataset.ObjectID(e.ID))
-				d := it.p.Dist(o.Loc)
-				if d >= it.limit {
-					continue
-				}
-				if it.qi.MaskOf(o.Keywords) == 0 {
-					continue
-				}
-				it.h.Push(nnHeapItem{obj: o.ID}, d)
+		var masks [rtree.MaxFanout]kwds.Mask
+		var relevant uint64
+		for b, kw := range it.qi.Keywords() {
+			s := it.t.slotsOf(n, kw)
+			relevant |= s
+			for ; n.Leaf && s != 0; s &= s - 1 {
+				masks[bits.TrailingZeros64(s)] |= 1 << b
 			}
-			continue
 		}
-		for _, c := range n.Children {
-			d := c.Rect.MinDist(it.p)
-			if d >= it.limit {
+		for ; relevant != 0; relevant &= relevant - 1 {
+			i := bits.TrailingZeros64(relevant)
+			if n.Leaf {
+				e := n.Entries[i]
+				if d := it.p.Dist(e.P); d < it.limit {
+					it.h.Push(nnHeapItem{obj: dataset.ObjectID(e.ID), mask: masks[i]}, d)
+				}
 				continue
 			}
-			if !containsAny(it.t.nodeKw[c.NodeID], it.qi.Keywords()) {
-				continue
+			c := n.Children[i]
+			if d := c.Rect.MinDist(it.p); d < it.limit {
+				it.h.Push(nnHeapItem{node: c}, d)
 			}
-			it.h.Push(nnHeapItem{node: c}, d)
 		}
 	}
 	return nil, 0, false
 }
 
+// Mask returns the query mask of the object Next returned last: the bits
+// of the query keywords it holds, never zero.
+func (it *RelevantNNIterator) Mask() kwds.Mask { return it.mask }
+
 // KeywordNNIterator yields the objects containing one fixed keyword in
 // ascending distance from a fixed point. The Cao baselines iterate the
 // objects of the farthest-NN keyword this way.
 type KeywordNNIterator struct {
-	t  *Tree
-	p  geo.Point
-	kw kwds.ID
-	h  *pqueue.Queue[nnHeapItem]
+	w keywordWalk
 }
 
 // NewKeywordNNIterator returns an iterator over objects containing kw,
 // ascending by distance from p.
 func (t *Tree) NewKeywordNNIterator(p geo.Point, kw kwds.ID) *KeywordNNIterator {
-	it := &KeywordNNIterator{t: t, p: p, kw: kw, h: pqueue.New[nnHeapItem](64)}
-	root := t.rt.Root()
-	if t.nodeKw[root.NodeID].Contains(kw) {
-		it.h.Push(nnHeapItem{node: root}, root.Rect.MinDist(p))
-	}
-	return it
+	return &KeywordNNIterator{w: t.keywordWalk(p, kw)}
 }
 
 // Next returns the next object containing the keyword and its distance
 // from the iterator's point, or ok=false when exhausted.
 func (it *KeywordNNIterator) Next() (*dataset.Object, float64, bool) {
 	fault.Hit(fault.RTreeVisit)
-	for !it.h.Empty() {
-		item, pri := it.h.Pop()
-		if item.node == nil {
-			return it.t.ds.Object(item.obj), pri, true
-		}
-		n := item.node
-		if n.Leaf {
-			for _, e := range n.Entries {
-				o := it.t.ds.Object(dataset.ObjectID(e.ID))
-				if !o.Keywords.Contains(it.kw) {
-					continue
-				}
-				it.h.Push(nnHeapItem{obj: o.ID}, it.p.Dist(o.Loc))
-			}
-			continue
-		}
-		for _, c := range n.Children {
-			if !it.t.nodeKw[c.NodeID].Contains(it.kw) {
-				continue
-			}
-			it.h.Push(nnHeapItem{node: c}, c.Rect.MinDist(it.p))
-		}
+	id, d, ok := it.w.next()
+	if !ok {
+		return nil, 0, false
 	}
-	return nil, 0, false
+	return it.w.t.ds.Object(id), d, true
 }
 
 // TreeStats summarizes the index structure: node counts, height, and the
@@ -450,30 +458,17 @@ func (t *Tree) Stats() TreeStats {
 	return s
 }
 
-// containsAll reports whether the node's subtree contains every query
-// keyword (necessary condition for any single object below to cover all).
-func containsAll(nodeKw kwds.Set, query kwds.Set) bool {
-	for _, id := range query {
-		if !nodeKw.Contains(id) {
-			return false
-		}
-	}
-	return true
-}
-
 // BooleanKNN answers the classic boolean kNN spatial keyword query of the
 // related literature: the k objects nearest to p whose keyword sets cover
-// ALL of query, ascending by distance (fewer when fewer exist). Node
-// descent requires the subtree union to contain every query keyword.
+// ALL of query, ascending by distance (fewer when fewer exist). A node
+// expansion pushes the slots that hold every query keyword.
 func (t *Tree) BooleanKNN(p geo.Point, query kwds.Set, k int) []dataset.ObjectID {
 	if k <= 0 {
 		return nil
 	}
 	h := pqueue.New[nnHeapItem](64)
 	root := t.rt.Root()
-	if containsAll(t.nodeKw[root.NodeID], query) {
-		h.Push(nnHeapItem{node: root}, root.Rect.MinDist(p))
-	}
+	h.Push(nnHeapItem{node: root}, root.Rect.MinDist(p))
 	out := make([]dataset.ObjectID, 0, k)
 	for !h.Empty() && len(out) < k {
 		item, _ := h.Pop()
@@ -482,22 +477,11 @@ func (t *Tree) BooleanKNN(p geo.Point, query kwds.Set, k int) []dataset.ObjectID
 			continue
 		}
 		n := item.node
-		if n.Leaf {
-			for _, e := range n.Entries {
-				o := t.ds.Object(dataset.ObjectID(e.ID))
-				if !o.Keywords.Covers(query) {
-					continue
-				}
-				h.Push(nnHeapItem{obj: o.ID}, p.Dist(o.Loc))
-			}
-			continue
+		s := ^uint64(0) >> (64 - len(n.Entries) - len(n.Children))
+		for _, kw := range query {
+			s &= t.slotsOf(n, kw)
 		}
-		for _, c := range n.Children {
-			if !containsAll(t.nodeKw[c.NodeID], query) {
-				continue
-			}
-			h.Push(nnHeapItem{node: c}, c.Rect.MinDist(p))
-		}
+		pushSlots(h, n, s, p)
 	}
 	return out
 }

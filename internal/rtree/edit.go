@@ -16,7 +16,7 @@ import (
 // leaves nothing behind in the base.
 //
 // NodeIDs of the derived tree continue the base's numbering, so data
-// attached by NodeID (the IR-tree's keyword unions) stays valid for shared
+// attached by NodeID (the IR-tree's inverted files) stays valid for shared
 // nodes and only the clones — IDs at or above the base's NumNodes — need
 // fresh data.
 type Editor struct {

@@ -7,7 +7,7 @@
 // own.
 //
 // The IR-tree (package irtree) builds on this structure by annotating every
-// node with the keyword union of its subtree and runs every traversal; the
+// node with an inverted file over its slots and runs every traversal; the
 // shard partitioner cuts the tree along subtrees. The node layout is
 // therefore exported within the module.
 package rtree
@@ -58,6 +58,10 @@ type Tree struct {
 // standard in-memory choice.
 const DefaultFanout = 32
 
+// MaxFanout is the largest node capacity: the IR-tree addresses a node's
+// children or entries as the bits of one uint64.
+const MaxFanout = 64
+
 func (t *Tree) newNode(leaf bool) *Node {
 	n := &Node{NodeID: t.nextID, Leaf: leaf, Rect: geo.EmptyRect()}
 	t.nextID++
@@ -65,16 +69,14 @@ func (t *Tree) newNode(leaf bool) *Node {
 }
 
 // BulkLoad builds a tree over entries using Sort-Tile-Recursive packing
-// with the given node capacity (0 for DefaultFanout). The entries slice is
-// reordered in place.
+// with the given node capacity (0 for DefaultFanout), clamped to
+// [4, MaxFanout]. The entries slice is reordered in place.
 func BulkLoad(entries []Entry, maxEntries int) *Tree {
 	maxE := maxEntries
 	if maxE <= 0 {
 		maxE = DefaultFanout
 	}
-	if maxE < 4 {
-		maxE = 4
-	}
+	maxE = min(max(maxE, 4), MaxFanout)
 	t := &Tree{maxEntries: maxE, size: len(entries)}
 	if len(entries) == 0 {
 		t.root = t.newNode(true)

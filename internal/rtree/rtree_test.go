@@ -72,6 +72,20 @@ func TestBulkLoadInvariants(t *testing.T) {
 	}
 }
 
+// TestBulkLoadClampsFanout: a capacity outside [4, MaxFanout] is clamped
+// to the nearer end, so no node outgrows the IR-tree's 64 slot bits.
+func TestBulkLoadClampsFanout(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, tc := range []struct{ in, want int }{{0, DefaultFanout}, {1, 4}, {64, 64}, {65, 64}, {100, 64}} {
+		es := randEntries(rng, 5000)
+		tr := BulkLoad(append([]Entry(nil), es...), tc.in)
+		if tr.Fanout() != tc.want {
+			t.Fatalf("BulkLoad(_, %d).Fanout() = %d, want %d", tc.in, tr.Fanout(), tc.want)
+		}
+		checkLoaded(t, tr, es)
+	}
+}
+
 // TestInsertDuplicatePoints: fifty entries at one point pack into
 // degenerate (zero-area) leaves without losing any.
 func TestInsertDuplicatePoints(t *testing.T) {
