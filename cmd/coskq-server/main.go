@@ -97,7 +97,7 @@ func main() {
 		nnCache   = flag.Int("nn-cache", 0, "engine keyword-NN cache capacity in entries, shared across queries (single-engine mode; 0 = disabled)")
 		live      = flag.Bool("live", false, "serve a mutable live index: mount POST /objects and /objects/stream over an epoch store (single-engine mode)")
 		backlog   = flag.Int("ingest-backlog", 0, "live mode: max pending mutation ops before writes shed with 429 (0 = 4096)")
-		compact   = flag.Float64("compact-frac", 0, "live mode: re-pack (bulk-load a fresh tree) once the ops applied since the last one reach this fraction of the object count (0 = 0.25; negative never re-packs: measurements only, the tree's union table then grows with every batch)")
+		compact   = flag.Float64("compact-frac", 0, "live mode: re-pack (bulk-load a fresh tree) once the ops applied since the last one reach this fraction of the object count (0 = 0.25; negative never re-packs: measurements only)")
 	)
 	flag.Parse()
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))

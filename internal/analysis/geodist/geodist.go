@@ -1,6 +1,5 @@
 // Package geodist defines an analyzer keeping all Euclidean distance
-// math inside internal/geo (and internal/rtree, whose bulk-loading and
-// MBR pruning legitimately work on raw coordinates).
+// math inside internal/geo.
 //
 // The MaxSum and Dia costs the engine optimizes are defined in terms of
 // one distance function; the paper's pruning bounds (owner rings, the
@@ -27,13 +26,13 @@ import (
 	"coskq/internal/analysis/lintutil"
 )
 
-const Doc = `forbid inline Euclidean distance math outside internal/geo and internal/rtree
+const Doc = `forbid inline Euclidean distance math outside internal/geo
 
 All geometry must flow through internal/geo so the MaxSum/Dia costs and
 the pruning bounds derived from them stay mutually consistent. The
 analyzer reports calls to math.Hypot and inline math.Sqrt(a*a + b*b)
-expressions in any package other than those with import path base "geo"
-or "rtree". Test files are exempt (they may spell out expected values).`
+expressions in any package other than the one with import path base
+"geo". Test files are exempt (they may spell out expected values).`
 
 var Analyzer = &analysis.Analyzer{
 	Name:     "geodist",
@@ -44,7 +43,7 @@ var Analyzer = &analysis.Analyzer{
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	rep := lintutil.NewReporter(pass)
-	if lintutil.PkgIs(pass.Pkg, "geo") || lintutil.PkgIs(pass.Pkg, "rtree") {
+	if lintutil.PkgIs(pass.Pkg, "geo") {
 		return nil, nil
 	}
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)

@@ -8,5 +8,5 @@ import (
 )
 
 func TestAnalyzer(t *testing.T) {
-	analyzertest.Run(t, "testdata", geodist.Analyzer, "a", "geo")
+	analyzertest.Run(t, "testdata", geodist.Analyzer, "a", "geo", "rtree")
 }

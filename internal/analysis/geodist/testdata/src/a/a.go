@@ -1,5 +1,5 @@
 // Fixture for the geodist analyzer: ad-hoc Euclidean distance math in a
-// package that is neither geo nor rtree.
+// package other than geo.
 package a
 
 import "math"

@@ -32,8 +32,8 @@ import (
 	"coskq/internal/dataset"
 	"coskq/internal/fault"
 	"coskq/internal/geo"
+	"coskq/internal/irtree"
 	"coskq/internal/kwds"
-	"coskq/internal/rtree"
 	"coskq/internal/testutil"
 )
 
@@ -244,16 +244,17 @@ func TestFaultMidBatchLeavesPublishedGenerationIntact(t *testing.T) {
 	}
 }
 
-// treeSnap is a deep copy of one R-tree node.
+// treeSnap is a deep copy of one tree node, keyed by its identity: an
+// applier that replaced a node instead of sharing it changes Addr.
 type treeSnap struct {
-	ID       int
+	Addr     uintptr
 	Rect     geo.Rect
-	Entries  []rtree.Entry
+	Entries  []irtree.Entry
 	Children []treeSnap
 }
 
-func snapshotTree(n *rtree.Node) treeSnap {
-	s := treeSnap{ID: n.NodeID, Rect: n.Rect, Entries: slices.Clone(n.Entries)}
+func snapshotTree(n *irtree.Node) treeSnap {
+	s := treeSnap{Addr: reflect.ValueOf(n).Pointer(), Rect: n.Rect, Entries: slices.Clone(n.Entries)}
 	for _, c := range n.Children {
 		s.Children = append(s.Children, snapshotTree(c))
 	}

@@ -48,7 +48,6 @@ import (
 	"coskq/internal/invindex"
 	"coskq/internal/irtree"
 	"coskq/internal/kwds"
-	"coskq/internal/rtree"
 	"coskq/internal/trace"
 )
 
@@ -150,12 +149,9 @@ type Options struct {
 	// CompactFrac is the re-pack threshold: once the ops applied since
 	// the last STR bulk load reach this fraction of the object count,
 	// the applier bulk-loads a fresh tree (object ids do not move),
-	// which bounds both the edited tree's drift from a packed one and
-	// its NodeID range. Zero defaults to 0.25 (TestTreeHealthUnderChurn;
-	// DESIGN.md §16.3). Negative never re-packs and is for tests and
-	// measurements only: every apply then leaves a few dead NodeIDs and
-	// their inverted files behind, so the IR-tree's tables, and the copy
-	// of them each apply makes, grow without bound.
+	// which bounds the edited tree's drift from a packed one. Zero
+	// defaults to 0.25 (TestTreeHealthUnderChurn; DESIGN.md §16.3).
+	// Negative never re-packs and is for tests and measurements only.
 	CompactFrac float64
 
 	// SeqCap bounds the idempotency-token LRU (ApplyBatchSeq). Zero
@@ -508,16 +504,15 @@ func (s *Store) applyOnce() (applied bool, err error) {
 		}
 	}
 	ds, inv, touched := st.finish()
-	// Re-pack: path copying leaves the tree valid but no longer packed,
-	// and every clone takes a fresh NodeID. Once enough ops have
-	// accumulated, the pass bulk-loads a fresh tree over the same objects
-	// instead of annotating the edited one — ids do not move, so the
-	// postings and the key map stand.
+	// Re-pack: path copying leaves the tree valid but no longer packed.
+	// Once enough ops have accumulated, the pass bulk-loads a fresh tree
+	// over the same objects instead of annotating the edited one — ids do
+	// not move, so the postings and the key map stand.
 	edits := s.edits + nOps
 	repack := s.opts.CompactFrac >= 0 && float64(edits) >= s.opts.CompactFrac*float64(ds.Len())
 	var tree *irtree.Tree
 	if !repack {
-		tree = base.Eng.Tree.Derive(st.tree.Tree(), ds)
+		tree = st.tree.Tree(ds)
 	}
 	sp.Attr("cloned_nodes", float64(st.tree.Cloned()))
 	sp.Attr("touched_postings", float64(touched))
@@ -584,7 +579,7 @@ type stage struct {
 	name  string
 	objs  []dataset.Object // the live set: objs[i].ID == i
 	keys  []uint64         // ObjectID → key
-	tree  *rtree.Editor
+	tree  *irtree.Editor
 	inv   *invindex.Editor
 	vocab *kwds.Vocabulary // the base's until a word is introduced or retired, then a clone
 	owned bool             // vocab is this stage's clone
@@ -619,7 +614,7 @@ func (st *stage) apply(op Op) {
 		st.objs = append(st.objs, o)
 		st.keys = append(st.keys, op.Key)
 		st.moved[op.Key] = id
-		st.tree.Insert(rtree.Entry{P: o.Loc, ID: uint32(id)})
+		st.tree.Insert(irtree.Entry{P: o.Loc, ID: uint32(id)})
 		for _, kw := range o.Keywords {
 			st.inv.Add(kw, id)
 		}

@@ -10,13 +10,12 @@ import (
 	"coskq/internal/geo"
 	"coskq/internal/irtree"
 	"coskq/internal/kwds"
-	"coskq/internal/rtree"
 )
 
 // diskVisits counts the nodes of n's subtree a range query over disk
 // descends into: the classic measure of how well an R-tree's rectangles
 // separate space.
-func diskVisits(n *rtree.Node, disk geo.Circle) int {
+func diskVisits(n *irtree.Node, disk geo.Circle) int {
 	if !disk.IntersectsRect(n.Rect) {
 		return 0
 	}

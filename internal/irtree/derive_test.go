@@ -10,7 +10,6 @@ import (
 	"coskq/internal/dataset"
 	"coskq/internal/geo"
 	"coskq/internal/kwds"
-	"coskq/internal/rtree"
 )
 
 // unionAllRef is the flatten-sort-dedup unionAll the mark bitmap replaced,
@@ -88,45 +87,12 @@ func edited(t *testing.T, rng *rand.Rand, n, vocab, fanout, batches int) (*Tree,
 	t.Helper()
 	ds := genDataset(rng, n, vocab, 4)
 	tr := Build(ds, fanout)
-	randKw := func() kwds.Set {
-		ids := make([]kwds.ID, 1+rng.Intn(4))
-		for i := range ids {
-			ids[i] = kwds.ID(rng.Intn(vocab))
-		}
-		return kwds.NewSet(ids...)
-	}
 	for b := 0; b < batches; b++ {
-		objs := slices.Clone(ds.Objects)
 		ed := tr.Edit()
-		for op := 0; op < 16; op++ {
-			switch r := rng.Intn(10); {
-			case r < 4 || len(objs) == 0:
-				o := dataset.Object{ID: dataset.ObjectID(len(objs)), Loc: geo.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}, Keywords: randKw()}
-				objs = append(objs, o)
-				ed.Insert(rtree.Entry{P: o.Loc, ID: uint32(o.ID)})
-			case r < 7:
-				id, last := rng.Intn(len(objs)), len(objs)-1
-				ok := ed.Delete(objs[id].Loc, uint32(id))
-				if id != last {
-					ok = ok && ed.ReID(objs[last].Loc, uint32(last), uint32(id))
-					objs[id] = objs[last]
-					objs[id].ID = dataset.ObjectID(id)
-				}
-				if !ok {
-					t.Fatalf("batch %d: the tree lost object %d", b, id)
-				}
-				objs = objs[:last]
-			default:
-				id := rng.Intn(len(objs))
-				objs[id].Keywords = randKw()
-				if !ed.ReID(objs[id].Loc, uint32(id), uint32(id)) {
-					t.Fatalf("batch %d: the tree lost object %d", b, id)
-				}
-			}
-		}
-		next := &dataset.Dataset{Name: ds.Name, Objects: objs, Vocab: ds.Vocab}
+		objs := editBatch(t, rng, ed, ds.Objects, 16, vocab, 0.4, false) // no duplicate points: ties would order by tree shape
+		ds = &dataset.Dataset{Name: ds.Name, Objects: objs, Vocab: ds.Vocab}
 		old := tr
-		tr, ds = tr.Derive(ed.Tree(), next), next
+		tr = ed.Tree(ds)
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatalf("batch %d: %v", b, err)
 		}
@@ -137,9 +103,10 @@ func edited(t *testing.T, rng *rand.Rand, n, vocab, fanout, batches int) (*Tree,
 	return tr, ds
 }
 
-// TestDeriveSharesAnnotations: only the nodes an edit created carry fresh
-// inverted files; every shared node's union and slot column are the very
-// slices the base computed.
+// TestDeriveSharesAnnotations: a one-object keyword edit creates exactly
+// the nodes of one root-to-leaf path, and those are the only nodes of the
+// derived tree the base does not share — every other node, inverted file
+// and all, is the base's own.
 func TestDeriveSharesAnnotations(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ds := genDataset(rng, 4000, 60, 4)
@@ -150,14 +117,16 @@ func TestDeriveSharesAnnotations(t *testing.T) {
 	if !ed.ReID(objs[7].Loc, 7, 7) {
 		t.Fatal("object 7 not found")
 	}
-	next := tr.Derive(ed.Tree(), &dataset.Dataset{Name: ds.Name, Objects: objs, Vocab: ds.Vocab})
-	if got, want := len(next.nodeKw)-len(tr.nodeKw), tr.Height(); got != want {
-		t.Fatalf("a keyword edit annotated %d nodes, want the %d of one root-to-leaf path", got, want)
-	}
-	for id := range tr.nodeKw {
-		if len(tr.nodeKw[id]) > 0 && (&tr.nodeKw[id][0] != &next.nodeKw[id][0] || &tr.slots[id][0] != &next.slots[id][0]) {
-			t.Fatalf("node %d's inverted file was recomputed, not shared", id)
+	next := ed.Tree(&dataset.Dataset{Name: ds.Name, Objects: objs, Vocab: ds.Vocab})
+	base := reachable(tr.Root(), map[*Node]bool{})
+	fresh := 0
+	for n := range reachable(next.Root(), map[*Node]bool{}) {
+		if !base[n] {
+			fresh++
 		}
+	}
+	if h := tr.Height(); fresh != h || ed.Cloned() != h {
+		t.Fatalf("a keyword edit created %d nodes (%d not in the base), want the %d of one root-to-leaf path", ed.Cloned(), fresh, h)
 	}
 	if err := next.CheckInvariants(); err != nil {
 		t.Fatal(err)

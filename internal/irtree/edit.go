@@ -1,42 +1,57 @@
-package rtree
+package irtree
 
 import (
 	"cmp"
 	"slices"
 
+	"coskq/internal/dataset"
 	"coskq/internal/geo"
 )
 
-// Editor derives a new Tree from a base tree by path copying. Every node
-// it writes is a clone it made itself under a fresh NodeID; nodes of the
-// base tree are only ever read, so the base — and every tree that shares
-// subtrees with it — stays valid and unchanged, and may be read
-// concurrently while the editor runs. The derived tree shares all
-// untouched subtrees with its base. An abandoned editor is garbage: it
-// leaves nothing behind in the base.
-//
-// NodeIDs of the derived tree continue the base's numbering, so data
-// attached by NodeID (the IR-tree's inverted files) stays valid for shared
-// nodes and only the clones — IDs at or above the base's NumNodes — need
-// fresh data.
+// Editor derives a new Tree from an annotated base tree by path copying.
+// Every node it writes is one it created itself — a clone, a split
+// sibling, a new root — and those are exactly the nodes not yet
+// annotated. Nodes of the base tree are only ever read, so the base, and
+// every tree that shares subtrees with it, stays valid and unchanged and
+// may be read concurrently while the editor runs. The derived tree shares
+// all untouched subtrees, inverted files included, with its base. An
+// abandoned editor is garbage: it leaves nothing behind in the base.
 type Editor struct {
-	t     *Tree   // the tree under construction
-	first int     // NodeIDs >= first are this editor's own and may be written
-	path  []int   // scratch: child indexes from the root to a leaf
-	nodes []*Node // scratch: the owned nodes along path
+	t       *Tree   // the tree under construction
+	created int     // nodes this editor has made
+	path    []int   // scratch: child indexes from the root to a leaf
+	nodes   []*Node // scratch: the owned nodes along path
 }
 
-// Edit starts an editor over t.
+// Edit starts an editor over t, which must be annotated: made by Build or
+// an Editor, not by Pack.
 func (t *Tree) Edit() *Editor {
+	if !t.root.annotated {
+		panic("irtree: Edit of a tree without an inverted file")
+	}
 	nt := *t
-	return &Editor{t: &nt, first: t.nextID}
+	return &Editor{t: &nt}
 }
 
-// Tree returns the derived tree. The editor must not be used afterwards.
-func (e *Editor) Tree() *Tree { return e.t }
+// Tree returns the derived tree over ds, the dataset its entry ids refer
+// to, annotating bottom-up exactly the nodes the editor created. A node
+// shared with the base keeps the inverted file it already has, so ds must
+// agree with the base's dataset on every object whose root-to-leaf path
+// the editor did not clone, and keyword ids must mean the same in both.
+// The editor must not be used afterwards.
+func (e *Editor) Tree(ds *dataset.Dataset) *Tree {
+	e.t.ds = ds
+	e.t.annotate(e.t.root, new(unioner))
+	return e.t
+}
 
 // Cloned returns the number of nodes the editor has created so far.
-func (e *Editor) Cloned() int { return e.t.nextID - e.first }
+func (e *Editor) Cloned() int { return e.created }
+
+func (e *Editor) newNode(leaf bool) *Node {
+	e.created++
+	return newNode(leaf)
+}
 
 // Insert adds ent: least-enlargement descent, and a split of every node
 // the insertion overfills.
@@ -44,7 +59,7 @@ func (e *Editor) Insert(ent Entry) {
 	t := e.t
 	root := e.ownRoot()
 	if sib := e.insert(root, ent); sib != nil {
-		nr := t.newNode(false)
+		nr := e.newNode(false)
 		nr.Children = append(make([]*Node, 0, t.maxEntries+1), root, sib)
 		nr.Rect = root.Rect.Union(sib.Rect)
 		t.root = nr
@@ -82,7 +97,7 @@ func (e *Editor) Delete(p geo.Point, id uint32) bool {
 		t.live--
 	}
 	if !t.root.Leaf && len(t.root.Children) == 0 {
-		t.root = t.newNode(true)
+		t.root = e.newNode(true)
 	}
 	return true
 }
@@ -99,12 +114,10 @@ func (e *Editor) ReID(p geo.Point, id, newID uint32) bool {
 	return true
 }
 
-func (e *Editor) owned(n *Node) bool { return n.NodeID >= e.first }
-
-// clone returns a writable copy of n under a fresh NodeID, with room for
-// the one entry over capacity that precedes a split.
+// clone returns a writable copy of n, without its inverted file, with
+// room for the one entry over capacity that precedes a split.
 func (e *Editor) clone(n *Node) *Node {
-	c := e.t.newNode(n.Leaf)
+	c := e.newNode(n.Leaf)
 	c.Rect = n.Rect
 	if n.Leaf {
 		c.Entries = append(make([]Entry, 0, e.t.maxEntries+1), n.Entries...)
@@ -114,8 +127,10 @@ func (e *Editor) clone(n *Node) *Node {
 	return c
 }
 
+// ownRoot makes the root writable. A node is the editor's own, and
+// writable, exactly when it is not yet annotated.
 func (e *Editor) ownRoot() *Node {
-	if !e.owned(e.t.root) {
+	if e.t.root.annotated {
 		e.t.root = e.clone(e.t.root)
 	}
 	return e.t.root
@@ -124,7 +139,7 @@ func (e *Editor) ownRoot() *Node {
 // ownChild makes child i of the owned node n writable.
 func (e *Editor) ownChild(n *Node, i int) *Node {
 	c := n.Children[i]
-	if !e.owned(c) {
+	if c.annotated {
 		c = e.clone(c)
 		n.Children[i] = c
 	}
@@ -170,7 +185,7 @@ func chooseSubtree(n *Node, p geo.Point) int {
 func (e *Editor) split(n *Node) *Node {
 	t := e.t
 	byX := n.Rect.Width() >= n.Rect.Height()
-	sib := t.newNode(n.Leaf)
+	sib := e.newNode(n.Leaf)
 	t.live++
 	if n.Leaf {
 		slices.SortFunc(n.Entries, func(a, b Entry) int {

@@ -12,11 +12,15 @@
 //     least one keyword with the query) in ascending distance: the one
 //     candidate stream of the owner-driven searches.
 //
-// The tree is built over a dataset by STR bulk load, which matches the
-// paper's memory-resident, build-once usage, and is immutable afterwards.
-// The live index (internal/epoch) gets its next tree from Derive, which
-// shares every untouched subtree — and its inverted file — with the tree
-// it came from.
+// Build packs the tree over a dataset by STR (Sort-Tile-Recursive) bulk
+// load, which matches the paper's memory-resident, build-once usage, and
+// annotates every node. An annotated node is never written again, which
+// is what lets the live index (internal/epoch) hand generations to readers
+// without locks: an Editor (edit.go) derives the next tree by copying only
+// the root-to-leaf paths a batch changes and annotates exactly the nodes
+// it created, so every untouched subtree — inverted file included — is
+// shared with the tree it came from. Pack (pack.go) is the bare STR
+// packing, unannotated, that the shard partitioner cuts along subtrees.
 package irtree
 
 import (
@@ -30,74 +34,86 @@ import (
 	"coskq/internal/geo"
 	"coskq/internal/kwds"
 	"coskq/internal/pqueue"
-	"coskq/internal/rtree"
 )
 
-// Tree is an IR-tree over one dataset.
-type Tree struct {
-	rt     *rtree.Tree
-	ds     *dataset.Dataset
-	nodeKw []kwds.Set // NodeID -> keyword union of the subtree
-	slots  [][]uint64 // NodeID -> per nodeKw[i], the node's slots holding it
+// Entry is a leaf payload: an indexed point and its object id.
+type Entry struct {
+	P  geo.Point
+	ID uint32
 }
+
+// Node is an IR-tree node. Leaf nodes carry Entries; internal nodes carry
+// Children. Rect is the minimum bounding rectangle of the subtree. Part i
+// of a node — entry i of a leaf, child i of an inner node — is bit i of
+// its inverted file's slot masks: slots[j] holds the parts whose keywords
+// contain kw[j], and kw is the subtree's sorted keyword union. annotate
+// fills both once; an annotated node is never written again.
+type Node struct {
+	Rect     geo.Rect
+	Leaf     bool
+	Children []*Node
+	Entries  []Entry
+
+	kw        kwds.Set
+	slots     []uint64
+	annotated bool
+}
+
+// Tree is an IR-tree over one dataset, made by Build or an Editor and
+// immutable afterwards, so concurrent use is safe.
+type Tree struct {
+	root       *Node
+	ds         *dataset.Dataset
+	size       int // entries
+	maxEntries int
+	live       int // nodes reachable from root
+}
+
+// DefaultFanout is the node capacity used when 0 is passed. The paper's
+// IR-tree experiments use page-sized nodes; 32 entries is a standard
+// in-memory choice.
+const DefaultFanout = 32
+
+// MaxFanout is the largest node capacity: a node addresses its parts as
+// the bits of one uint64.
+const MaxFanout = 64
 
 // Build constructs the IR-tree over ds with the given node fanout
 // (0 for the default).
 func Build(ds *dataset.Dataset, fanout int) *Tree {
-	entries := make([]rtree.Entry, ds.Len())
+	entries := make([]Entry, ds.Len())
 	for i := range ds.Objects {
-		entries[i] = rtree.Entry{P: ds.Objects[i].Loc, ID: uint32(ds.Objects[i].ID)}
+		entries[i] = Entry{P: ds.Objects[i].Loc, ID: uint32(ds.Objects[i].ID)}
 	}
-	rt := rtree.BulkLoad(entries, fanout)
-	t := &Tree{rt: rt, ds: ds, nodeKw: make([]kwds.Set, rt.NumNodes()), slots: make([][]uint64, rt.NumNodes())}
-	t.annotate(rt.Root(), 0, new(unioner))
+	t := Pack(entries, fanout)
+	t.ds = ds
+	t.annotate(t.root, new(unioner))
 	return t
 }
 
-// Edit starts a batch editor over the tree's R-tree. The tree itself is
-// never written: hand the editor's result to Derive.
-func (t *Tree) Edit() *rtree.Editor { return t.rt.Edit() }
-
-// Derive returns the IR-tree of the next generation: rt is the result of
-// an Edit of t and ds the dataset its entry ids refer to. Only the nodes
-// the editor created are annotated, bottom-up; every node rt shares with
-// t keeps the inverted file t computed — so ds must agree with t's dataset
-// on every object whose root-to-leaf path the editor did not clone, and
-// keyword ids must mean the same in both. Both tables are copied whole,
-// the entries of nodes rt no longer reaches included; what bounds them is
-// the caller's periodic Build (epoch's re-pack).
-func (t *Tree) Derive(rt *rtree.Tree, ds *dataset.Dataset) *Tree {
-	d := &Tree{rt: rt, ds: ds, nodeKw: make([]kwds.Set, rt.NumNodes()), slots: make([][]uint64, rt.NumNodes())}
-	first := copy(d.nodeKw, t.nodeKw)
-	copy(d.slots, t.slots)
-	d.annotate(rt.Root(), first, new(unioner))
-	return d
-}
-
 // annotate computes, bottom-up, the inverted file of every node of n's
-// subtree whose NodeID is at least first; nodes below first are taken as
-// annotated, subtree and all. Part i of a node — entry i of a leaf, child
-// i of an inner node — is bit i of its slot masks, so a node may hold at
-// most rtree.MaxFanout of them.
-func (t *Tree) annotate(n *rtree.Node, first int, u *unioner) {
-	if n.NodeID < first {
+// subtree that has none yet; an annotated node is taken as annotated
+// subtree and all.
+func (t *Tree) annotate(n *Node, u *unioner) {
+	if n.annotated {
 		return
 	}
 	for _, c := range n.Children {
-		t.annotate(c, first, u)
+		t.annotate(c, u)
 	}
 	parts := u.parts[:0]
 	for _, e := range n.Entries {
 		parts = append(parts, t.ds.Object(dataset.ObjectID(e.ID)).Keywords)
 	}
 	for _, c := range n.Children {
-		parts = append(parts, t.nodeKw[c.NodeID])
+		parts = append(parts, c.kw)
 	}
 	u.parts = parts
-	if len(parts) > rtree.MaxFanout {
-		panic(fmt.Sprintf("irtree: node %d has %d slots, more than %d", n.NodeID, len(parts), rtree.MaxFanout))
+	if len(parts) > MaxFanout {
+		panic(fmt.Sprintf("irtree: node at %v has %d slots, more than %d", n.Rect, len(parts), MaxFanout))
 	}
-	t.nodeKw[n.NodeID], t.slots[n.NodeID] = u.unionAll(parts)
+	n.kw, n.slots = u.unionAll(parts)
+	n.annotated = true
 }
 
 // unioner merges sorted keyword sets through a reusable mark bitmap: set a
@@ -159,55 +175,73 @@ func (u *unioner) unionAll(parts []kwds.Set) (kwds.Set, []uint64) {
 
 // slotsOf returns the slots of n that hold kw: one binary search of the
 // node's union.
-func (t *Tree) slotsOf(n *rtree.Node, kw kwds.ID) uint64 {
-	if i, ok := slices.BinarySearch(t.nodeKw[n.NodeID], kw); ok {
-		return t.slots[n.NodeID][i]
+func (n *Node) slotsOf(kw kwds.ID) uint64 {
+	if i, ok := slices.BinarySearch(n.kw, kw); ok {
+		return n.slots[i]
 	}
 	return 0
 }
 
-// CheckInvariants validates the tree against its dataset: the R-tree's
-// structural invariants, every object indexed exactly once at its own
-// location, and every node's inverted file — keyword union and slot column
-// — equal to the one recomputed from below. It is intended for tests.
+// CheckInvariants validates the tree against its dataset in one pass over
+// its nodes: tight rectangles, no overfull node, no empty node but an
+// empty root leaf, all leaves at one depth, exact entry and node counts,
+// every object indexed exactly once at its own location, and every node's
+// inverted file — keyword union and slot column — equal to the one
+// recomputed from below. It is intended for tests.
 func (t *Tree) CheckInvariants() error {
-	if err := t.rt.CheckInvariants(); err != nil {
-		return err
-	}
-	if t.rt.Len() != t.ds.Len() {
-		return fmt.Errorf("irtree: %d entries index %d objects", t.rt.Len(), t.ds.Len())
+	if t.size != t.ds.Len() {
+		return fmt.Errorf("irtree: %d entries index %d objects", t.size, t.ds.Len())
 	}
 	seen := make([]bool, t.ds.Len())
-	var rec func(n *rtree.Node) (kwds.Set, error)
-	rec = func(n *rtree.Node) (kwds.Set, error) {
-		var parts []kwds.Set
+	entries, nodes := 0, 0
+	// rec checks the subtree of n and returns its height and keyword union.
+	var rec func(n *Node, isRoot bool) (int, kwds.Set, error)
+	rec = func(n *Node, isRoot bool) (int, kwds.Set, error) {
+		nodes++
+		switch {
+		case !n.annotated:
+			return 0, nil, fmt.Errorf("irtree: node at %v carries no inverted file", n.Rect)
+		case len(n.Entries)+len(n.Children) == 0 && !(isRoot && n.Leaf):
+			return 0, nil, fmt.Errorf("irtree: empty node (leaf %v) below the root", n.Leaf)
+		case len(n.Entries) > t.maxEntries || len(n.Children) > t.maxEntries:
+			return 0, nil, fmt.Errorf("irtree: node at %v overfull (%d entries, %d children > %d)", n.Rect, len(n.Entries), len(n.Children), t.maxEntries)
+		case tightRect(n) != n.Rect:
+			return 0, nil, fmt.Errorf("irtree: node rect %v not tight (want %v)", n.Rect, tightRect(n))
+		}
+		parts := make([]kwds.Set, 0, len(n.Entries)+len(n.Children))
 		for _, e := range n.Entries {
 			if int(e.ID) >= len(seen) || seen[e.ID] {
-				return nil, fmt.Errorf("irtree: leaf %d: object id %d out of range or indexed twice", n.NodeID, e.ID)
+				return 0, nil, fmt.Errorf("irtree: leaf at %v: object id %d out of range or indexed twice", n.Rect, e.ID)
 			}
 			seen[e.ID] = true
 			o := t.ds.Object(dataset.ObjectID(e.ID))
 			if o.ID != dataset.ObjectID(e.ID) || o.Loc != e.P {
-				return nil, fmt.Errorf("irtree: leaf %d: entry %v disagrees with object %d at %v", n.NodeID, e, o.ID, o.Loc)
+				return 0, nil, fmt.Errorf("irtree: entry %v disagrees with object %d at %v", e, o.ID, o.Loc)
 			}
 			parts = append(parts, o.Keywords)
 		}
-		for _, c := range n.Children {
-			sub, err := rec(c)
+		entries += len(n.Entries)
+		height := 0
+		for i, c := range n.Children {
+			h, sub, err := rec(c, false)
 			if err != nil {
-				return nil, err
+				return 0, nil, err
 			}
+			if i > 0 && h != height {
+				return 0, nil, fmt.Errorf("irtree: node at %v has leaves at multiple depths", n.Rect)
+			}
+			height = h
 			parts = append(parts, sub)
 		}
 		var want kwds.Set
 		for _, p := range parts {
 			want = want.Union(p)
 		}
-		if got := t.nodeKw[n.NodeID]; !slices.Equal(got, want) {
-			return nil, fmt.Errorf("irtree: node %d carries union %v, its subtree holds %v", n.NodeID, got, want)
+		if !slices.Equal(n.kw, want) {
+			return 0, nil, fmt.Errorf("irtree: node at %v carries union %v, its subtree holds %v", n.Rect, n.kw, want)
 		}
-		if got := t.slots[n.NodeID]; len(got) != len(want) {
-			return nil, fmt.Errorf("irtree: node %d has %d slot masks for %d keywords", n.NodeID, len(got), len(want))
+		if len(n.slots) != len(want) {
+			return 0, nil, fmt.Errorf("irtree: node at %v has %d slot masks for %d keywords", n.Rect, len(n.slots), len(want))
 		}
 		for i, kw := range want {
 			var s uint64
@@ -216,38 +250,54 @@ func (t *Tree) CheckInvariants() error {
 					s |= 1 << j
 				}
 			}
-			if got := t.slots[n.NodeID][i]; got != s {
-				return nil, fmt.Errorf("irtree: node %d holds keyword %d in slots %#x, its parts in %#x", n.NodeID, kw, got, s)
+			if n.slots[i] != s {
+				return 0, nil, fmt.Errorf("irtree: node at %v holds keyword %d in slots %#x, its parts in %#x", n.Rect, kw, n.slots[i], s)
 			}
 		}
-		return want, nil
+		return height + 1, want, nil
 	}
-	_, err := rec(t.rt.Root())
-	return err
+	if _, _, err := rec(t.root, true); err != nil {
+		return err
+	}
+	if entries != t.size {
+		return fmt.Errorf("irtree: size %d but %d reachable entries", t.size, entries)
+	}
+	if nodes != t.live {
+		return fmt.Errorf("irtree: %d live nodes recorded but %d reachable", t.live, nodes)
+	}
+	return nil
 }
 
 // Dataset returns the dataset the tree indexes.
 func (t *Tree) Dataset() *dataset.Dataset { return t.ds }
 
-// Len returns the number of indexed objects.
-func (t *Tree) Len() int { return t.rt.Len() }
+// Root returns the root node. Callers must treat the structure as
+// read-only.
+func (t *Tree) Root() *Node { return t.root }
 
-// Height returns the tree height.
-func (t *Tree) Height() int { return t.rt.Height() }
+// Len returns the number of indexed objects.
+func (t *Tree) Len() int { return t.size }
+
+// Nodes returns the number of nodes reachable from the root.
+func (t *Tree) Nodes() int { return t.live }
 
 // Fanout returns the node capacity the tree was built with.
-func (t *Tree) Fanout() int { return t.rt.Fanout() }
+func (t *Tree) Fanout() int { return t.maxEntries }
 
-// Nodes returns the number of nodes in the tree.
-func (t *Tree) Nodes() int { return t.rt.LiveNodes() }
-
-// Root exposes the underlying root node, for tests.
-func (t *Tree) Root() *rtree.Node { return t.rt.Root() }
+// Height returns the number of levels (a single leaf root has height 1).
+func (t *Tree) Height() int {
+	h, n := 1, t.root
+	for !n.Leaf {
+		h++
+		n = n.Children[0]
+	}
+	return h
+}
 
 // nnHeapItem is either an unexpanded node or a resolved object; mask is
 // the object's query mask in the relevant walk.
 type nnHeapItem struct {
-	node *rtree.Node
+	node *Node
 	obj  dataset.ObjectID
 	mask kwds.Mask
 }
@@ -264,7 +314,7 @@ type keywordWalk struct {
 
 func (t *Tree) keywordWalk(p geo.Point, kw kwds.ID) keywordWalk {
 	w := keywordWalk{t: t, p: p, kw: kw, h: *pqueue.New[nnHeapItem](64)}
-	root := t.rt.Root()
+	root := t.root
 	w.h.Push(nnHeapItem{node: root}, root.Rect.MinDist(p))
 	return w
 }
@@ -277,14 +327,14 @@ func (w *keywordWalk) next() (dataset.ObjectID, float64, bool) {
 		if item.node == nil {
 			return item.obj, pri, true
 		}
-		pushSlots(&w.h, item.node, w.t.slotsOf(item.node, w.kw), w.p)
+		pushSlots(&w.h, item.node, item.node.slotsOf(w.kw), w.p)
 	}
 	return 0, 0, false
 }
 
 // pushSlots queues the slots s of n: entries at their distance from p,
 // children at their rectangle's.
-func pushSlots(h *pqueue.Queue[nnHeapItem], n *rtree.Node, s uint64, p geo.Point) {
+func pushSlots(h *pqueue.Queue[nnHeapItem], n *Node, s uint64, p geo.Point) {
 	for ; s != 0; s &= s - 1 {
 		i := bits.TrailingZeros64(s)
 		if n.Leaf {
@@ -340,7 +390,7 @@ type RelevantNNIterator struct {
 // sharing a keyword with qi's query) ascending by distance from p.
 func (t *Tree) NewRelevantNNIterator(p geo.Point, qi *kwds.QueryIndex) *RelevantNNIterator {
 	it := &RelevantNNIterator{t: t, p: p, qi: qi, h: *pqueue.New[nnHeapItem](64), limit: math.Inf(1)}
-	root := t.rt.Root()
+	root := t.root
 	it.h.Push(nnHeapItem{node: root}, root.Rect.MinDist(p))
 	return it
 }
@@ -377,10 +427,10 @@ func (it *RelevantNNIterator) Next() (*dataset.Object, float64, bool) {
 		// A leaf's entry i carries its query mask: bit b for each query
 		// keyword b whose slots include i.
 		n := item.node
-		var masks [rtree.MaxFanout]kwds.Mask
+		var masks [MaxFanout]kwds.Mask
 		var relevant uint64
 		for b, kw := range it.qi.Keywords() {
-			s := it.t.slotsOf(n, kw)
+			s := n.slotsOf(kw)
 			relevant |= s
 			for ; n.Leaf && s != 0; s &= s - 1 {
 				masks[bits.TrailingZeros64(s)] |= 1 << b
@@ -445,16 +495,16 @@ type TreeStats struct {
 
 // Stats walks the tree once and reports structural statistics.
 func (t *Tree) Stats() TreeStats {
-	s := TreeStats{Objects: t.rt.Len(), Height: t.rt.Height()}
-	var rec func(n *rtree.Node)
-	rec = func(n *rtree.Node) {
+	s := TreeStats{Objects: t.size, Height: t.Height()}
+	var rec func(n *Node)
+	rec = func(n *Node) {
 		s.Nodes++
-		s.KeywordUnions += len(t.nodeKw[n.NodeID])
+		s.KeywordUnions += len(n.kw)
 		for _, c := range n.Children {
 			rec(c)
 		}
 	}
-	rec(t.rt.Root())
+	rec(t.root)
 	return s
 }
 
@@ -467,7 +517,7 @@ func (t *Tree) BooleanKNN(p geo.Point, query kwds.Set, k int) []dataset.ObjectID
 		return nil
 	}
 	h := pqueue.New[nnHeapItem](64)
-	root := t.rt.Root()
+	root := t.root
 	h.Push(nnHeapItem{node: root}, root.Rect.MinDist(p))
 	out := make([]dataset.ObjectID, 0, k)
 	for !h.Empty() && len(out) < k {
@@ -479,7 +529,7 @@ func (t *Tree) BooleanKNN(p geo.Point, query kwds.Set, k int) []dataset.ObjectID
 		n := item.node
 		s := ^uint64(0) >> (64 - len(n.Entries) - len(n.Children))
 		for _, kw := range query {
-			s &= t.slotsOf(n, kw)
+			s &= n.slotsOf(kw)
 		}
 		pushSlots(h, n, s, p)
 	}

@@ -8,7 +8,6 @@ import (
 	"coskq/internal/dataset"
 	"coskq/internal/geo"
 	"coskq/internal/kwds"
-	"coskq/internal/rtree"
 )
 
 // genDataset builds a random dataset with vocab words w0..w{vocab-1}.
@@ -56,7 +55,7 @@ func TestBuildAnnotations(t *testing.T) {
 		t.Fatalf("Len = %d", tr.Len())
 	}
 	// Root keyword union must cover every object's keywords.
-	rootKw := tr.nodeKw[tr.Root().NodeID]
+	rootKw := tr.Root().kw
 	for i := range ds.Objects {
 		if !rootKw.Covers(ds.Objects[i].Keywords) {
 			t.Fatalf("root union misses keywords of object %d", i)
@@ -64,8 +63,8 @@ func TestBuildAnnotations(t *testing.T) {
 	}
 	// Every node's union must exactly equal the union of its children
 	// (or of its objects, at leaves).
-	var rec func(n *rtree.Node)
-	rec = func(n *rtree.Node) {
+	var rec func(n *Node)
+	rec = func(n *Node) {
 		var parts kwds.Set
 		if n.Leaf {
 			for _, e := range n.Entries {
@@ -73,12 +72,12 @@ func TestBuildAnnotations(t *testing.T) {
 			}
 		} else {
 			for _, c := range n.Children {
-				parts = parts.Union(tr.nodeKw[c.NodeID])
+				parts = parts.Union(c.kw)
 				rec(c)
 			}
 		}
-		if !tr.nodeKw[n.NodeID].Equal(parts) {
-			t.Fatalf("node %d union %v != recomputed %v", n.NodeID, tr.nodeKw[n.NodeID], parts)
+		if !n.kw.Equal(parts) {
+			t.Fatalf("node at %v: union %v != recomputed %v", n.Rect, n.kw, parts)
 		}
 	}
 	rec(tr.Root())
@@ -202,7 +201,7 @@ func TestTreeStats(t *testing.T) {
 	}
 	// Root union alone contributes its length; totals must be at least
 	// the root's and at most nodes × vocab.
-	root := len(tr.nodeKw[tr.Root().NodeID])
+	root := len(tr.Root().kw)
 	if s.KeywordUnions < root || s.KeywordUnions > s.Nodes*30 {
 		t.Fatalf("KeywordUnions = %d (root %d, nodes %d)", s.KeywordUnions, root, s.Nodes)
 	}

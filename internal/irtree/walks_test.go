@@ -9,7 +9,6 @@ import (
 	"coskq/internal/dataset"
 	"coskq/internal/geo"
 	"coskq/internal/kwds"
-	"coskq/internal/rtree"
 )
 
 // scanDists returns the distances from p of the objects accepted by keep,
@@ -133,8 +132,8 @@ func genClustered(rng *rand.Rand, n, vocab int) *dataset.Dataset {
 
 // fullNode reports whether some node of the tree holds 64 slots, so slot
 // bit 63 is in use.
-func fullNode(n *rtree.Node) bool {
-	if len(n.Entries) == rtree.MaxFanout || len(n.Children) == rtree.MaxFanout {
+func fullNode(n *Node) bool {
+	if len(n.Entries) == MaxFanout || len(n.Children) == MaxFanout {
 		return true
 	}
 	return slices.ContainsFunc(n.Children, fullNode)
@@ -158,7 +157,7 @@ func TestWalksMatchScan(t *testing.T) {
 			if err := tr.CheckInvariants(); err != nil {
 				t.Fatalf("fanout %d, %s: %v", fanout, data.name, err)
 			}
-			if fanout == rtree.MaxFanout && !fullNode(tr.Root()) {
+			if fanout == MaxFanout && !fullNode(tr.Root()) {
 				t.Fatalf("%s: no node of a fanout-64 tree uses slot 63", data.name)
 			}
 			for q := 0; q < 40; q++ {
@@ -229,7 +228,7 @@ func FuzzIRTreeWalks(f *testing.F) {
 				p, kw := obj()
 				o := dataset.Object{ID: dataset.ObjectID(len(objs)), Loc: p, Keywords: kw}
 				objs = append(objs, o)
-				ed.Insert(rtree.Entry{P: o.Loc, ID: uint32(o.ID)})
+				ed.Insert(Entry{P: o.Loc, ID: uint32(o.ID)})
 			} else {
 				id, last := int(op>>1)%len(objs), len(objs)-1
 				ok := ed.Delete(objs[id].Loc, uint32(id))
@@ -244,7 +243,7 @@ func FuzzIRTreeWalks(f *testing.F) {
 				objs = objs[:last]
 			}
 		}
-		derived := tr.Derive(ed.Tree(), &dataset.Dataset{Name: ds.Name, Objects: objs, Vocab: ds.Vocab})
+		derived := ed.Tree(&dataset.Dataset{Name: ds.Name, Objects: objs, Vocab: ds.Vocab})
 
 		for _, tr := range []*Tree{tr, derived} {
 			if err := tr.CheckInvariants(); err != nil {

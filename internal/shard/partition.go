@@ -7,7 +7,7 @@ import (
 
 	"coskq/internal/dataset"
 	"coskq/internal/geo"
-	"coskq/internal/rtree"
+	"coskq/internal/irtree"
 )
 
 // Shard is one partition of a dataset: a standalone dataset with dense
@@ -102,25 +102,20 @@ func (GridPartitioner) Partition(ds *dataset.Dataset, n int) ([]Shard, error) {
 	return assemble(ds, n, shardOf), nil
 }
 
-// SubtreePartitioner bulk-loads an R-tree over the dataset, walks down
-// from the root until at least n subtrees are exposed, and bin-packs the
-// subtrees (largest first) onto the least-loaded shard. Shards inherit
-// the tree's spatial clustering, so their MBRs overlap far less than
-// grid cells on skewed data.
-type SubtreePartitioner struct {
-	// Fanout is the R-tree node capacity used for the partitioning tree
-	// (0 for the rtree default).
-	Fanout int
-}
+// SubtreePartitioner packs an R-tree over the dataset (irtree.Pack at
+// irtree.DefaultFanout), walks down from the root until at least n
+// subtrees are exposed, and bin-packs the subtrees (largest first) onto
+// the least-loaded shard. Shards inherit the tree's spatial clustering,
+// so their MBRs overlap far less than grid cells on skewed data.
+type SubtreePartitioner struct{}
 
-// Subtree returns the R-tree-top-subtree partitioner with the default
-// fanout.
+// Subtree returns the R-tree-top-subtree partitioner.
 func Subtree() Partitioner { return SubtreePartitioner{} }
 
 // Name implements Partitioner.
 func (SubtreePartitioner) Name() string { return "subtree" }
 
-func subtreeSize(n *rtree.Node) int {
+func subtreeSize(n *irtree.Node) int {
 	if n.Leaf {
 		return len(n.Entries)
 	}
@@ -131,7 +126,7 @@ func subtreeSize(n *rtree.Node) int {
 	return total
 }
 
-func subtreeEntries(n *rtree.Node, out *[]rtree.Entry) {
+func subtreeEntries(n *irtree.Node, out *[]irtree.Entry) {
 	if n.Leaf {
 		*out = append(*out, n.Entries...)
 		return
@@ -142,20 +137,20 @@ func subtreeEntries(n *rtree.Node, out *[]rtree.Entry) {
 }
 
 // Partition implements Partitioner.
-func (p SubtreePartitioner) Partition(ds *dataset.Dataset, n int) ([]Shard, error) {
+func (SubtreePartitioner) Partition(ds *dataset.Dataset, n int) ([]Shard, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: subtree: need at least 1 shard, got %d", n)
 	}
-	entries := make([]rtree.Entry, ds.Len())
+	entries := make([]irtree.Entry, ds.Len())
 	for i := range ds.Objects {
-		entries[i] = rtree.Entry{P: ds.Objects[i].Loc, ID: uint32(ds.Objects[i].ID)}
+		entries[i] = irtree.Entry{P: ds.Objects[i].Loc, ID: uint32(ds.Objects[i].ID)}
 	}
-	rt := rtree.BulkLoad(entries, p.Fanout)
+	rt := irtree.Pack(entries, 0)
 
 	// Expand the frontier from the root: repeatedly replace the largest
 	// internal node by its children until at least n subtrees are exposed
 	// (or only leaves remain).
-	frontier := []*rtree.Node{rt.Root()}
+	frontier := []*irtree.Node{rt.Root()}
 	for len(frontier) < n {
 		best, bestSize := -1, -1
 		for i, nd := range frontier {
@@ -175,14 +170,10 @@ func (p SubtreePartitioner) Partition(ds *dataset.Dataset, n int) ([]Shard, erro
 	}
 
 	// Bin-pack subtrees onto shards: largest first onto the least-loaded
-	// shard, ties by shard ordinal. Sorting is stabilized by NodeID so
-	// the assignment is deterministic.
+	// shard, ties by shard ordinal. The stable sort keeps equal-size
+	// subtrees in frontier order, so the assignment is deterministic.
 	sort.SliceStable(frontier, func(i, j int) bool {
-		si, sj := subtreeSize(frontier[i]), subtreeSize(frontier[j])
-		if si != sj {
-			return si > sj
-		}
-		return frontier[i].NodeID < frontier[j].NodeID
+		return subtreeSize(frontier[i]) > subtreeSize(frontier[j])
 	})
 	load := make([]int, n)
 	shardOf := make([]int, ds.Len())
@@ -193,7 +184,7 @@ func (p SubtreePartitioner) Partition(ds *dataset.Dataset, n int) ([]Shard, erro
 				target = s
 			}
 		}
-		var sub []rtree.Entry
+		var sub []irtree.Entry
 		subtreeEntries(nd, &sub)
 		for _, e := range sub {
 			shardOf[e.ID] = target
