@@ -195,11 +195,7 @@ func main() {
 		logger.Info("pprof enabled", "path", "/debug/pprof/")
 	}
 
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           mux,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
+	srv := newHTTPServer(*addr, mux, logger)
 	logger.Info("listening", "addr", *addr, "timeout", *timeout, "budget", *budget,
 		"degrade", *degrade, "max_inflight", *inflight, "max_queue", *maxQueue)
 	err := srv.ListenAndServe()
@@ -208,6 +204,18 @@ func main() {
 	if err != nil {
 		logger.Error("server exited", "err", err)
 		os.Exit(1)
+	}
+}
+
+// newHTTPServer builds the listener's server. net/http's own messages —
+// a recovered handler panic, a superfluous WriteHeader, an accept error —
+// reach logger as error records instead of going through the log package.
+func newHTTPServer(addr string, h http.Handler, logger *slog.Logger) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		ErrorLog:          slog.NewLogLogger(logger.Handler(), slog.LevelError),
 	}
 }
 

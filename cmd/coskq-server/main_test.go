@@ -1,9 +1,55 @@
 package main
 
 import (
+	"bytes"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// lockedBuffer is a log sink the server's goroutines and the test share.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestHTTPServerErrorsAreSlog: a message net/http itself logs — here a
+// superfluous WriteHeader — arrives as a structured error record.
+func TestHTTPServerErrorsAreSlog(t *testing.T) {
+	var out lockedBuffer
+	logger := slog.New(slog.NewJSONHandler(&out, nil))
+	ts := httptest.NewUnstartedServer(nil)
+	ts.Config = newHTTPServer("", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+		w.WriteHeader(http.StatusTeapot)
+	}), logger)
+	ts.Start()
+	defer ts.Close()
+	resp, err := ts.Client().Get(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	got := out.String()
+	if !strings.Contains(got, `"level":"ERROR"`) || !strings.Contains(got, "superfluous response.WriteHeader") {
+		t.Fatalf("net/http error not logged as a slog error record; log:\n%s", got)
+	}
+}
 
 // TestModeFlagsCheck: every single-engine flag is rejected beside -shards
 // N > 1 and beside -peers, naming both flags; single-engine and default

@@ -40,8 +40,7 @@ const (
 
 // defaultHTTPClient replaces the http.DefaultClient fallback: identical
 // transport, but with an explicit per-attempt timeout so a stuck peer
-// cannot pin a coordinator goroutine indefinitely (rpcdeadline
-// invariant).
+// cannot pin a coordinator goroutine indefinitely.
 var defaultHTTPClient = &http.Client{Timeout: DefaultHTTPTimeout}
 
 // Client calls a coskq-server. The zero value is not usable: set Base.

@@ -74,8 +74,8 @@ func ParseDegradePolicy(s string) (DegradePolicy, bool) {
 
 // DegradeReason names why a degraded execution was cut short. It is a
 // named type (not a bare string) so that every value flowing into
-// metrics labels and response headers provably comes from the
-// compile-time vocabulary below (metriclabel invariant).
+// metrics labels and response headers comes from the compile-time
+// vocabulary below.
 type DegradeReason string
 
 // Degrade reasons reported in Stats.DegradeReason.

@@ -28,9 +28,8 @@
 //     never reads.
 //
 // Pin/Unpin refcounts do not gate the swap (RCU: writers never wait for
-// readers); they exist so operators can see long-lived pins
-// (coskq_epoch_pinned_readers) and so the coskq-lint epochpin analyzer
-// can machine-check that every pin is released on all paths.
+// readers); they exist only so operators can see long-lived pins
+// (coskq_epoch_pinned_readers).
 package epoch
 
 import (
@@ -129,8 +128,8 @@ func (g *Generation) Key(id dataset.ObjectID) uint64 { return g.Keys[id] }
 func (g *Generation) Pins() int64 { return g.pins.Load() }
 
 // Unpin releases a pin taken by Store.Pin. Every Pin must be matched by
-// exactly one Unpin on all paths (machine-checked by the epochpin
-// analyzer); the generation itself stays valid afterwards — unpinned
+// exactly one Unpin on all paths, or the gauge reads a reader that is
+// gone; the generation itself stays valid afterwards — unpinned
 // generations are reclaimed by the garbage collector once unreachable.
 func (g *Generation) Unpin() {
 	g.pins.Add(-1)
@@ -258,7 +257,7 @@ func (s *Store) Close() {
 // Pin returns the current generation with its refcount held. The loop
 // re-checks the pointer after incrementing so a pin can never land on a
 // generation that was already superseded before the count was visible.
-// Callers must Unpin on every path (epochpin-checked).
+// Callers must Unpin on every path.
 func (s *Store) Pin() *Generation {
 	for {
 		g := s.cur.Load()

@@ -278,7 +278,7 @@ func TestStringers(t *testing.T) {
 }
 
 // TestDistFormulationsAgree pins Point.Dist (math.Hypot) against the
-// naive sqrt(dx²+dy²) formulation that the geodist analyzer forbids
+// naive sqrt(dx²+dy²) formulation that TestSourceRules forbids
 // elsewhere in the repo: routing all distance math through this package
 // is only sound if the centralized formula agrees with what ad-hoc call
 // sites would have computed.

@@ -80,7 +80,7 @@ func solveErrorString(err error) string {
 	}
 }
 
-func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleBatch(w http.ResponseWriter, r *http.Request, p pin) {
 	var req batchRequest
 	body := http.MaxBytesReader(w, r.Body, maxBatchBody)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
@@ -118,8 +118,6 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// One pin covers the whole batch: keyword resolution, the solve and
 	// answer rendering all see the same generation.
-	p := s.Pin()
-	defer p.Unpin()
 	eng := p.eng
 
 	// Per-item keyword resolution: an unresolvable query fails in place

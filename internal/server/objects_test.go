@@ -224,10 +224,10 @@ func TestLiveShardDataPlaneGenHeader(t *testing.T) {
 	}
 }
 
-// TestRequestPinAllocs pins the per-request handle's cost: taking and
-// releasing it allocates nothing, on a static server and on a live one
-// (where it used to cost a g.Unpin method value per request), and a live
-// pin is gone from the generation once released.
+// TestRequestPinAllocs pins the per-request handle's cost: serving a
+// handler through pinned allocates nothing, on a static server and on a
+// live one, and a live pin is gone from the generation once the handler
+// returns.
 func TestRequestPinAllocs(t *testing.T) {
 	st := epoch.New(cityEngine(), epoch.Options{})
 	t.Cleanup(st.Close)
@@ -238,16 +238,13 @@ func TestRequestPinAllocs(t *testing.T) {
 		{"static", &server{eng: cityEngine()}},
 		{"live", &server{store: st}},
 	} {
-		s := tc.s
-		allocs := testing.AllocsPerRun(100, func() {
-			p := s.Pin()
-			defer p.Unpin()
+		h := tc.s.pinned(func(_ http.ResponseWriter, _ *http.Request, p pin) {
 			if p.eng == nil {
 				t.Error("pin carries no engine")
 			}
 		})
-		if allocs != 0 {
-			t.Errorf("%s server: Pin/Unpin allocates %v per request, want 0", tc.name, allocs)
+		if allocs := testing.AllocsPerRun(100, func() { h(nil, nil) }); allocs != 0 {
+			t.Errorf("%s server: pinned allocates %v per request, want 0", tc.name, allocs)
 		}
 	}
 	g := st.Pin()

@@ -143,18 +143,18 @@ func newEngineServer(eng *core.Engine, st *epoch.Store, opts Options) http.Handl
 	s.eng = eng
 	s.store = st
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /stats", s.handleStats)
-	mux.Handle("GET /query", s.adm.middleware(http.HandlerFunc(s.handleQuery)))
-	mux.Handle("GET /topk", s.adm.middleware(http.HandlerFunc(s.handleTopK)))
-	mux.Handle("POST /batch", s.adm.middleware(http.HandlerFunc(s.handleBatch)))
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
+	mux.HandleFunc("GET /stats", s.pinned(s.handleStats))
+	mux.Handle("GET /query", s.adm.middleware(s.pinned(s.handleQuery)))
+	mux.Handle("GET /topk", s.adm.middleware(s.pinned(s.handleTopK)))
+	mux.Handle("POST /batch", s.adm.middleware(s.pinned(s.handleBatch)))
+	mux.HandleFunc("GET /healthz", s.pinned(s.handleHealthz))
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /debug/slowlog", s.handleSlowLog)
 	// Every server is also a shard: the scatter-gather data plane is
 	// always mounted so any dataset server can join a fleet (shard.go).
-	mux.HandleFunc("GET /shard/meta", s.handleShardMeta)
-	mux.Handle("GET /shard/nn", s.adm.middleware(http.HandlerFunc(s.handleShardNN)))
-	mux.Handle("GET /shard/collect", s.adm.middleware(http.HandlerFunc(s.handleShardCollect)))
+	mux.HandleFunc("GET /shard/meta", s.pinned(s.handleShardMeta))
+	mux.Handle("GET /shard/nn", s.adm.middleware(s.pinned(s.handleShardNN)))
+	mux.Handle("GET /shard/collect", s.adm.middleware(s.pinned(s.handleShardCollect)))
 	if st != nil {
 		// The write path is not behind the admission controller: a
 		// mutation batch only validates and enqueues, and its own
@@ -238,34 +238,29 @@ type server struct {
 	shardLiveGen uint64
 }
 
-// pin is one request's hold on the index it serves from: the engine, its
-// generation (0 on a static server) and, on a live server, the pinned
-// generation behind them. It is a value — taking one allocates nothing.
+// pin is one request's view of the index it serves from: the engine and
+// its generation (0 on a static server). It is a value — taking one
+// allocates nothing.
 type pin struct {
 	eng *core.Engine
 	gen uint64
-	g   *epoch.Generation // nil on a static server
 }
 
-// Unpin releases the hold; a no-op on a static server.
-func (p pin) Unpin() {
-	if p.g != nil {
-		p.g.Unpin()
+// pinned adapts a handler that serves from one index. A live server pins
+// the store's current generation for the whole call, so keyword
+// resolution, solve and answer rendering see one consistent snapshot,
+// and unpins it when h returns; a static server hands out its fixed
+// engine. Handlers never pin for themselves, so none can leak a pin.
+func (s *server) pinned(h func(http.ResponseWriter, *http.Request, pin)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if s.store == nil {
+			h(w, r, pin{eng: s.eng})
+			return
+		}
+		g := s.store.Pin()
+		defer g.Unpin()
+		h(w, r, pin{eng: g.Eng, gen: g.Gen})
 	}
-}
-
-// Pin returns the engine this request serves from. A live server pins
-// the store's current generation so the whole request — keyword
-// resolution, solve, answer rendering — sees one consistent snapshot; a
-// static server hands out its fixed engine. The method has the Pin/Unpin
-// shape the epochpin analyzer matches, so every handler's
-// "p := s.Pin(); defer p.Unpin()" is checked on all paths.
-func (s *server) Pin() pin {
-	if s.store == nil {
-		return pin{eng: s.eng}
-	}
-	g := s.store.Pin()
-	return pin{eng: g.Eng, gen: g.Gen, g: g}
 }
 
 // requestEngine returns the engine one request solves on: the pinned
@@ -323,40 +318,15 @@ func (s *server) requestIDMiddleware(next http.Handler) http.Handler {
 }
 
 // routeLabel maps a request path onto the bounded label vocabulary used
-// by the per-route request counter (unknown paths share one label so a
-// path-scanning client cannot grow the metric set).
+// by the per-route request counter: unknown paths share one label, so a
+// path-scanning client cannot grow the metric set.
 func routeLabel(path string) string {
-	// Each case returns its own literal (rather than echoing the
-	// parameter) so the label is provably drawn from this compile-time
-	// set — the metriclabel analyzer checks exactly that.
 	switch path {
-	case "/stats":
-		return "/stats"
-	case "/query":
-		return "/query"
-	case "/topk":
-		return "/topk"
-	case "/batch":
-		return "/batch"
-	case "/healthz":
-		return "/healthz"
-	case "/metrics":
-		return "/metrics"
-	case "/debug/slowlog":
-		return "/debug/slowlog"
-	case "/shard/meta":
-		return "/shard/meta"
-	case "/shard/nn":
-		return "/shard/nn"
-	case "/shard/collect":
-		return "/shard/collect"
-	case "/objects":
-		return "/objects"
-	case "/objects/stream":
-		return "/objects/stream"
-	default:
-		return "other"
+	case "/stats", "/query", "/topk", "/batch", "/healthz", "/metrics", "/debug/slowlog",
+		"/shard/meta", "/shard/nn", "/shard/collect", "/objects", "/objects/stream":
+		return path
 	}
+	return "other"
 }
 
 // observeMiddleware records the per-request counter/latency metrics and,
@@ -554,9 +524,7 @@ type statsResponse struct {
 // handleHealthz is the liveness/readiness probe: the engine is built
 // before the listener starts, so reaching this handler means the server
 // can answer queries.
-func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	p := s.Pin()
-	defer p.Unpin()
+func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request, p pin) {
 	body := map[string]any{
 		"status":  "ok",
 		"dataset": p.eng.DS.Name,
@@ -576,9 +544,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.reg.WriteText(w)
 }
 
-func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	p := s.Pin()
-	defer p.Unpin()
+func (s *server) handleStats(w http.ResponseWriter, r *http.Request, p pin) {
 	st := p.eng.DS.Stats()
 	writeJSON(w, statsResponse{
 		Name:        p.eng.DS.Name,
@@ -820,9 +786,7 @@ func (s *server) objectsJSON(eng *core.Engine, q core.Query, ids []dataset.Objec
 	return out
 }
 
-func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	p := s.Pin()
-	defer p.Unpin()
+func (s *server) handleQuery(w http.ResponseWriter, r *http.Request, p pin) {
 	eng := p.eng
 	q, cost, err := s.parseQuery(eng, r)
 	if err != nil {
@@ -873,9 +837,7 @@ type topKResponse struct {
 	Trace   *trace.Export   `json:"trace,omitempty"`
 }
 
-func (s *server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	p := s.Pin()
-	defer p.Unpin()
+func (s *server) handleTopK(w http.ResponseWriter, r *http.Request, p pin) {
 	eng := p.eng
 	q, cost, err := s.parseQuery(eng, r)
 	if err != nil {

@@ -37,7 +37,7 @@ const DefaultFederateTimeout = 2 * time.Second
 // engine's once per generation — WrapEngine scans the dataset for the
 // keyword summary, so the wrap is cached until the store swaps.
 func (s *server) shardBackendAt(p pin) *shard.EngineBackend {
-	if p.g == nil {
+	if s.store == nil {
 		s.shardOnce.Do(func() {
 			s.shardB = shard.WrapEngine(s.eng.DS.Name, s.eng.DS, s.eng.Inv)
 		})
@@ -114,9 +114,7 @@ func beginShardTrace(r *http.Request) (context.Context, *trace.Trace) {
 	return trace.NewContext(r.Context(), tr), tr
 }
 
-func (s *server) handleShardMeta(w http.ResponseWriter, r *http.Request) {
-	p := s.Pin()
-	defer p.Unpin()
+func (s *server) handleShardMeta(w http.ResponseWriter, r *http.Request, p pin) {
 	b := s.shardBackendAt(p)
 	m, _ := b.Meta(r.Context())
 	resp := shardMetaJSON{Name: m.Name, Objects: m.Objects, Summary: m.Summary.Encode(), Gen: p.gen}
@@ -151,7 +149,7 @@ func parseShardParams(r *http.Request) (shard.ShardQuery, error) {
 	return shard.ShardQuery{Loc: loc, Words: words}, nil
 }
 
-func (s *server) handleShardNN(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleShardNN(w http.ResponseWriter, r *http.Request, p pin) {
 	sq, err := parseShardParams(r)
 	if err != nil {
 		jsonError(w, http.StatusBadRequest, "%v", err)
@@ -162,8 +160,6 @@ func (s *server) handleShardNN(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx, tr := beginShardTrace(r)
-	p := s.Pin()
-	defer p.Unpin()
 	b := s.shardBackendAt(p)
 	res, err := b.NN(ctx, sq)
 	if err != nil {
@@ -189,7 +185,7 @@ func (s *server) handleShardNN(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-func (s *server) handleShardCollect(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleShardCollect(w http.ResponseWriter, r *http.Request, p pin) {
 	sq, err := parseShardParams(r)
 	if err != nil {
 		jsonError(w, http.StatusBadRequest, "%v", err)
@@ -205,8 +201,6 @@ func (s *server) handleShardCollect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx, tr := beginShardTrace(r)
-	p := s.Pin()
-	defer p.Unpin()
 	b := s.shardBackendAt(p)
 	res, err := b.Collect(ctx, sq, radius)
 	if err != nil {

@@ -253,7 +253,7 @@ func (r *Router) Init(ctx context.Context) error {
 	metas := make([]Meta, len(r.Backends))
 	for i, b := range r.Backends {
 		// Poll between backends so a cancelled startup stops instead of
-		// paying one timeout per remaining shard (ctxpoll invariant).
+		// paying one timeout per remaining shard.
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -579,13 +579,13 @@ func (r *Router) routeOnce(ctx context.Context, loc geo.Point, words []string, c
 			if len(info.Failed) > 0 {
 				// A failed shard may hold the missing keyword; claiming
 				// infeasibility would be a lie.
-				return Answer{Info: info}, torn, r.failError(info)
+				return Answer{Info: info}, torn, failError(info)
 			}
 			return Answer{Info: info}, torn, core.ErrInfeasible
 		}
 	}
 	if len(info.Failed) > 0 && r.Degrade == core.DegradeFail {
-		return Answer{Info: info}, torn, r.failError(info)
+		return Answer{Info: info}, torn, failError(info)
 	}
 
 	// Phase 3: the gather radius. U = cost(N(q)) upper-bounds the
@@ -662,7 +662,7 @@ func (r *Router) routeOnce(ctx context.Context, loc geo.Point, words []string, c
 		return Answer{Info: info}, true, nil
 	}
 	if len(info.Failed) > 0 && r.Degrade == core.DegradeFail {
-		return Answer{Info: info}, torn, r.failError(info)
+		return Answer{Info: info}, torn, failError(info)
 	}
 
 	// Phase 6: deterministic merge. The NN seeds (kept even when their
@@ -770,18 +770,16 @@ func (r *Router) routeOnce(ctx context.Context, loc geo.Point, words []string, c
 	return Answer{Result: res, Members: members, Info: info}, torn, nil
 }
 
-// failError returns the ShardError a failed routing surfaces: the first
-// failure in shard-ordinal order, so the error is deterministic for a
-// given failure set.
-func (r *Router) failError(info RouteInfo) error {
+// failError returns the error a failed routing surfaces: the failure of
+// the lowest shard ordinal, so the error is deterministic for a given
+// failure set. Every failure comes from callShard, so its Err is already
+// the *ShardError.
+func failError(info RouteInfo) error {
 	f := info.Failed[0]
 	for _, g := range info.Failed[1:] {
 		if g.Shard < f.Shard {
 			f = g
 		}
 	}
-	if se, ok := f.Err.(*ShardError); ok {
-		return se
-	}
-	return &ShardError{Name: r.Backends[f.Shard].Name(), Shard: f.Shard, Phase: f.Phase, Err: f.Err}
+	return f.Err
 }

@@ -72,6 +72,9 @@ func TestEngineBackendTracedSpans(t *testing.T) {
 	}
 	tr.Finish()
 	x := tr.Export()
+	if x.UnclosedSpans != 0 {
+		t.Fatalf("NN and Collect left %d spans open", x.UnclosedSpans)
+	}
 	if len(x.Spans) != 2 || x.Spans[0].Name != "nn_probes" || x.Spans[1].Name != "collect_scan" {
 		t.Fatalf("serve spans = %+v", x.Spans)
 	}
@@ -122,6 +125,9 @@ func TestRouterStitchedTrace(t *testing.T) {
 			}
 			tr.Finish()
 			x := tr.Export()
+			if x.UnclosedSpans != 0 {
+				t.Fatalf("stitched trace has %d spans left open", x.UnclosedSpans)
+			}
 
 			byName := map[string]*trace.SpanExport{}
 			for _, s := range x.Spans {

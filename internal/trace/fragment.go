@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -73,7 +72,7 @@ func validateFragment(x *Export) error {
 			return fmt.Errorf("%w: negative prune counter %q", ErrFragmentInvalid, k)
 		}
 	}
-	if x.DroppedSpans < 0 || x.DroppedFragments < 0 {
+	if x.DroppedSpans < 0 || x.UnclosedSpans < 0 || x.DroppedFragments < 0 {
 		return fmt.Errorf("%w: negative drop counter", ErrFragmentInvalid)
 	}
 	n := 0
@@ -139,8 +138,8 @@ func (t *Trace) DroppedFragments() int {
 // AttachFragment grafts a decoded fragment as one child span of the
 // innermost open span: the fragment's root becomes the child (carrying
 // the remote handler's duration and name) with the remote span tree
-// beneath it, re-based onto the current trace time. Prune counters
-// merge into the trace. Returns false — counting a dropped fragment —
+// beneath it, re-based onto the current trace time. Prune counters and
+// span counts merge into the trace. Returns false — counting a dropped fragment —
 // when the retained-span budget cannot hold the fragment's root.
 //
 // Like Begin, AttachFragment is owner-goroutine-only; concurrent
@@ -165,13 +164,14 @@ func (t *Trace) AttachFragment(x *Export) bool {
 	t.graftChildren(root, nil, x.Spans, base)
 	t.prunes.mergeMap(x.Prunes)
 	t.dropped += x.DroppedSpans
+	t.unclosed += x.UnclosedSpans
 	t.droppedFrags += x.DroppedFragments
 	return true
 }
 
 // Graft attaches a fragment's spans directly under s — the coordinator's
 // per-shard RPC span — re-based onto s's start, merging the fragment's
-// prune counters and drop counts into s's trace. Safe for concurrent use
+// prune counters and span counts into s's trace. Safe for concurrent use
 // by scatter workers when s was created via Group.Begin (the group lock
 // serializes budget and counter updates); nil-safe on both receivers.
 func (s *Span) Graft(x *Export) {
@@ -186,6 +186,7 @@ func (s *Span) Graft(x *Export) {
 	t.graftChildren(s, s.grp, x.Spans, s.start)
 	t.prunes.mergeMap(x.Prunes)
 	t.dropped += x.DroppedSpans
+	t.unclosed += x.UnclosedSpans
 	t.droppedFrags += x.DroppedFragments
 }
 
@@ -228,20 +229,16 @@ func countSpans(spans []*SpanExport) int {
 	return n
 }
 
-// attrsOf converts an exported attr map into the deterministic slice
-// form (sorted by key — map order would make stitched exports flap).
+// attrsOf converts an exported attr map into a span's slice form. The
+// slice order is never observable: Export turns it back into a map, and
+// JSON and WriteTree both sort its keys.
 func attrsOf(m map[string]float64) []Attr {
 	if len(m) == 0 {
 		return nil
 	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]Attr, len(keys))
-	for i, k := range keys {
-		out[i] = Attr{Key: k, Value: m[k]}
+	out := make([]Attr, 0, len(m))
+	for k, v := range m {
+		out = append(out, Attr{Key: k, Value: v})
 	}
 	return out
 }

@@ -170,6 +170,7 @@ type Trace struct {
 	nspans       int // retained spans, root excluded
 	max          int
 	dropped      int
+	unclosed     int // spans Finish had to close
 	droppedFrags int // remote fragments discarded (fragment.go)
 	prunes       PruneCounts
 }
@@ -326,13 +327,15 @@ func (t *Trace) AddPrunes(p PruneCounts) {
 	t.prunes.Merge(p)
 }
 
-// Finish closes every span still open (innermost first) and stamps the
-// root duration. Call once, when the query execution is over. Nil-safe.
+// Finish closes every span still open (innermost first), counting them
+// as unclosed, and stamps the root duration. Call once, when the query
+// execution is over. Nil-safe.
 func (t *Trace) Finish() {
 	if t == nil {
 		return
 	}
 	for t.cur != nil && t.cur != &t.root {
+		t.unclosed++
 		t.cur.End()
 	}
 	if t.root.open {
@@ -353,6 +356,7 @@ func (t *Trace) Export() *Export {
 		DurUs:            us(t.root.dur),
 		Prunes:           t.prunes.Map(),
 		DroppedSpans:     t.dropped,
+		UnclosedSpans:    t.unclosed,
 		DroppedFragments: t.droppedFrags,
 		Spans:            exportSpans(t.root.children),
 	}
@@ -366,13 +370,17 @@ func (t *Trace) Export() *Export {
 // shard's trace fragment (fragment.go) — Start stays local to the
 // exporting process and is ignored at stitch time.
 type Export struct {
-	Name             string           `json:"name"`
-	Start            time.Time        `json:"start"`
-	DurUs            float64          `json:"durUs"`
-	Prunes           map[string]int64 `json:"prunes,omitempty"`
-	DroppedSpans     int              `json:"droppedSpans,omitempty"`
-	DroppedFragments int              `json:"droppedFragments,omitempty"`
-	Spans            []*SpanExport    `json:"spans"`
+	Name         string           `json:"name"`
+	Start        time.Time        `json:"start"`
+	DurUs        float64          `json:"durUs"`
+	Prunes       map[string]int64 `json:"prunes,omitempty"`
+	DroppedSpans int              `json:"droppedSpans,omitempty"`
+	// UnclosedSpans counts the spans Finish closed because their code
+	// path never ended them. A budget or cancellation unwind leaves
+	// spans open by design; every other path ends each span it begins.
+	UnclosedSpans    int           `json:"unclosedSpans,omitempty"`
+	DroppedFragments int           `json:"droppedFragments,omitempty"`
+	Spans            []*SpanExport `json:"spans"`
 }
 
 // SpanExport is the JSON form of one span. Attrs marshal deterministically

@@ -136,6 +136,63 @@ func TestFinishClosesOpenSpans(t *testing.T) {
 	if x.DurUs < 0 || x.Spans[0].DurUs < 0 {
 		t.Fatal("negative durations")
 	}
+	if x.UnclosedSpans != 2 {
+		t.Fatalf("UnclosedSpans = %d, want 2", x.UnclosedSpans)
+	}
+	// A grafted fragment carries its count into the stitched trace.
+	st := New("rpc")
+	st.AttachFragment(x)
+	st.Finish()
+	if got := st.Export().UnclosedSpans; got != 2 {
+		t.Fatalf("stitched UnclosedSpans = %d, want the fragment's 2", got)
+	}
+}
+
+// TestRenderDeterministic: every rendering of one trace — the JSON a
+// shard sends as its fragment, the same JSON after stitching, and the
+// explain text — is byte-identical across renders, so map iteration
+// order never reaches an output.
+func TestRenderDeterministic(t *testing.T) {
+	tr := New("serve")
+	sp := tr.Begin("owner_loop")
+	for _, k := range []string{"owners_tried", "sets_evaluated", "cost", "d_f", "seed_size", "candidates"} {
+		sp.Attr(k, float64(len(k)))
+	}
+	sp.End()
+	var p PruneCounts
+	for r := PruneReason(0); r < NumPruneReasons; r++ {
+		p[r] = int64(r) + 1
+	}
+	tr.AddPrunes(p)
+	tr.Finish()
+	raw, err := json.Marshal(tr.Export())
+	if err != nil {
+		t.Fatal(err)
+	}
+	frag, err := DecodeFragment(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stitched := New("rpc")
+	stitched.AttachFragment(frag)
+	stitched.Finish()
+
+	render := func(tr *Trace) string {
+		x := tr.Export()
+		b, err := json.Marshal(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		x.WriteTree(&sb)
+		return string(b) + "\n" + sb.String()
+	}
+	want := render(tr) + render(stitched)
+	for i := 0; i < 50; i++ {
+		if got := render(tr) + render(stitched); got != want {
+			t.Fatalf("render %d differs:\n%s\nwant:\n%s", i, got, want)
+		}
+	}
 }
 
 func TestPruneCounts(t *testing.T) {
