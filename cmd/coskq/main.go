@@ -32,7 +32,7 @@ func main() {
 		k       = flag.Int("k", 0, "draw this many random query keywords instead of -kw")
 		seed    = flag.Int64("seed", 1, "seed for -k random keywords")
 		costStr = flag.String("cost", "maxsum", "cost function: maxsum, dia, sum, minmax, summax")
-		method  = flag.String("method", "exact", "algorithm: exact, appro, cao-exact, cao-appro1, cao-appro2, brute, greedy-sum")
+		method  = flag.String("method", "exact", "algorithm: exact, appro, cao-exact, cao-appro1, cao-appro2, brute")
 		fanout  = flag.Int("fanout", 0, "IR-tree fanout, 4-64 (0 = default)")
 		svgOut  = flag.String("svg", "", "also render the answer to this SVG file")
 		explain = flag.Bool("explain", false, "print the per-phase execution trace after the answer")

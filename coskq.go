@@ -104,8 +104,10 @@ const (
 type Method = core.Method
 
 // Algorithms. OwnerExact/OwnerAppro are the paper's distance owner-driven
-// algorithms; CaoExact/CaoAppro1/CaoAppro2 are the SIGMOD 2011 baselines;
-// Brute is the exhaustive testing oracle; GreedySum serves the Sum cost.
+// algorithms (under Sum, SumMax and MinMax, OwnerAppro is the exact search
+// run with a fixed slack); CaoExact/CaoAppro1/CaoAppro2 are the SIGMOD
+// 2011 baselines; Brute is the exhaustive testing oracle; PairsExact is
+// the published pseudocode form of the exact search.
 const (
 	OwnerExact = core.OwnerExact
 	OwnerAppro = core.OwnerAppro
@@ -113,7 +115,6 @@ const (
 	CaoAppro1  = core.CaoAppro1
 	CaoAppro2  = core.CaoAppro2
 	Brute      = core.Brute
-	GreedySum  = core.GreedySum
 	PairsExact = core.PairsExact
 )
 

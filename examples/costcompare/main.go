@@ -1,6 +1,6 @@
 // Costcompare runs the same query batch under every cost function the
-// library supports (the paper's MaxSum and Dia plus the Sum and MinMax
-// extensions) and prints how the answers differ — set size, achieved cost
+// library supports (the paper's MaxSum and Dia plus the Sum, MinMax and
+// SumMax extensions) and prints how the answers differ — set size, achieved cost
 // per cost function, and the exact-vs-approximate gap. It is a compact
 // tour of the whole public solving surface.
 package main
@@ -28,8 +28,9 @@ func main() {
 	combos := []combo{
 		{coskq.MaxSum, coskq.OwnerExact, coskq.OwnerAppro},
 		{coskq.Dia, coskq.OwnerExact, coskq.OwnerAppro},
-		{coskq.Sum, coskq.OwnerExact, coskq.GreedySum},
+		{coskq.Sum, coskq.OwnerExact, coskq.OwnerAppro},
 		{coskq.MinMax, coskq.OwnerExact, coskq.OwnerAppro},
+		{coskq.SumMax, coskq.OwnerExact, coskq.OwnerAppro},
 	}
 
 	const batch = 25
@@ -69,5 +70,6 @@ func main() {
 	}
 
 	fmt.Println("\nMaxSum charges distance-to-query + group diameter; Dia takes their max;")
-	fmt.Println("Sum charges every member's travel; MinMax charges first-stop + diameter.")
+	fmt.Println("Sum charges every member's travel; MinMax charges first-stop + diameter;")
+	fmt.Println("SumMax charges every member's travel + diameter.")
 }

@@ -48,7 +48,7 @@ func (e *Engine) SolveAlpha(q Query, alpha float64, method Method) (res Result, 
 	err = e.enter(context.Background(), q, func(s *search) (err error) {
 		switch method {
 		case OwnerExact:
-			res, err = s.ownerExact(q, costAlpha(alpha))
+			res, err = s.ownerExact(q, costAlpha(alpha), 1)
 		case OwnerAppro:
 			res, err = s.ownerAppro(q, costAlpha(alpha))
 		case Brute:

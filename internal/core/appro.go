@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"time"
 
 	"coskq/internal/dataset"
@@ -9,18 +8,17 @@ import (
 	"coskq/internal/trace"
 )
 
-// ownerAppro is the distance owner-driven approximation: MaxSum-Appro
-// (ratio 1.375), Dia-Appro (ratio √3) and cost_α for the farthest-member
-// rows, the H_{|q.ψ|} greedy for the sum rows.
+// ownerAppro is the distance owner-driven approximation of the
+// farthest-member rows: MaxSum-Appro (ratio 1.375), Dia-Appro (ratio √3)
+// and cost_α. (The other rows approximate by running their exact search
+// with slack; see costFn.approSlack.)
 //
 // It enumerates candidate owners o in ascending distance within the ring
 // [d_f, curCost) and constructs one feasible set per owner from the
-// owner's disk C(q, d(o,q)), keeping the cheapest. The iteration over
-// owners guarantees the optimal solution's owner is tried, which is where
-// the approximation ratio proofs bite; what is constructed there depends
-// on the key member: the members nearest to the owner when the owner
-// fixes the query component (nearestCover), the members cheapest per
-// keyword when every member adds to it (ratioCover).
+// owner's disk C(q, d(o,q)), keeping the cheapest: the members nearest to
+// the owner (nearestCover). The iteration over owners guarantees the
+// optimal solution's owner is tried, which is where the approximation
+// ratio proofs bite.
 //
 // Implementation note (the paper's "information re-use"): because owners
 // are popped in ascending distance, the owner's disk content is exactly
@@ -57,12 +55,7 @@ func (s *search) ownerAppro(q Query, cost costFn) (Result, error) {
 		}
 		osp := s.tr.Begin("greedy_construct")
 		var ok bool
-		set = append(set[:0], owner.o.ID)
-		if cost.key == total {
-			set, ok = ratioCover(qi, cost, en.pool, curCost, set, &stats)
-		} else {
-			set, ok = nearestCover(qi, cost, en.pool, en.bits, curCost, set, bitOrder, &stats)
-		}
+		set, ok = nearestCover(qi, cost, en.pool, en.bits, curCost, append(set[:0], owner.o.ID), bitOrder, &stats)
 		if !ok {
 			osp.Drop()
 			continue
@@ -93,8 +86,7 @@ func (s *search) ownerAppro(q Query, cost costFn) (Result, error) {
 // last entry: for each keyword the owner lacks, append to set the owner's
 // nearest pool object covering it. Every chosen member is at most
 // maxPair(S_opt) from the optimal owner when the owner is that owner,
-// which is what the 1.375 / √3 ratio proofs (farthest owner) and the
-// ratio-2 proof (nearest owner, nearestOwner) use. It reports false when
+// which is what the 1.375 / √3 ratio proofs use. It reports false when
 // some keyword is not coverable from the pool or the construction cannot
 // beat curCost. bitOrder is scratch.
 //
@@ -137,42 +129,6 @@ func nearestCover(qi *kwds.QueryIndex, cost costFn, pool []cand, bits [][]int32,
 			return set, false
 		}
 		set = append(set, pool[bestIdx].o.ID)
-	}
-	return set, true
-}
-
-// ratioCover is the weighted-set-cover greedy around the owner, pool's
-// last entry: repeatedly append to set the pool object minimizing
-// d(c,q) / |newly covered keywords|. Run at the optimal solution's owner
-// it stays within H_{|q.ψ|} of the optimum's query component, and the
-// pool lies in the owner's disk, which bounds the pairwise one. It reports
-// false when the pool cannot cover the query or the partial query
-// component already reaches curCost.
-func ratioCover(qi *kwds.QueryIndex, cost costFn, pool []cand, curCost float64, set []dataset.ObjectID, stats *Stats) ([]dataset.ObjectID, bool) {
-	owner := pool[len(pool)-1]
-	covered, D := owner.mask, owner.d
-	for covered != qi.Full() {
-		bestIdx, bestRatio := -1, math.Inf(1)
-		for i := range pool {
-			c := &pool[i]
-			n := (c.mask &^ covered).Count()
-			if n == 0 {
-				continue
-			}
-			if r := c.d / float64(n); r < bestRatio {
-				bestIdx, bestRatio = i, r
-			}
-		}
-		if bestIdx < 0 {
-			return set, false
-		}
-		covered |= pool[bestIdx].mask
-		set = append(set, pool[bestIdx].o.ID)
-		D = cost.extend(D, pool[bestIdx].d)
-		if cost.combine(D, 0) >= curCost {
-			stats.Prunes[trace.PruneSumBound]++
-			return set, false
-		}
 	}
 	return set, true
 }

@@ -81,7 +81,7 @@ func TestCancelledSearchUnwinds(t *testing.T) {
 		method Method
 	}{
 		{MaxSum, OwnerExact}, {MaxSum, OwnerAppro}, {MaxSum, CaoExact}, {MaxSum, CaoAppro2},
-		{MaxSum, PairsExact}, {MaxSum, Brute}, {Dia, OwnerExact}, {Sum, GreedySum},
+		{MaxSum, PairsExact}, {MaxSum, Brute}, {Dia, OwnerExact}, {Sum, OwnerAppro},
 		{SumMax, OwnerExact}, {MinMax, OwnerExact}, {MinMax, OwnerAppro},
 	} {
 		name := tc.cost.String() + "/" + tc.method.String()

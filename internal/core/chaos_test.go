@@ -194,7 +194,7 @@ type chaosEntry struct {
 func chaosEntries(e *Engine, q Query) []chaosEntry {
 	var out []chaosEntry
 	for _, c := range []CostKind{MaxSum, Dia, Sum, MinMax, SumMax} {
-		for _, m := range []Method{OwnerExact, OwnerAppro, CaoExact, CaoAppro1, CaoAppro2, Brute, GreedySum, PairsExact} {
+		for _, m := range []Method{OwnerExact, OwnerAppro, CaoExact, CaoAppro1, CaoAppro2, Brute, PairsExact} {
 			if _, err := e.Solve(q, c, m); errors.Is(err, ErrUnsupported) {
 				continue
 			}

@@ -17,8 +17,9 @@
 //   - a brute-force oracle for testing,
 //
 // and, as extensions, Cao et al.'s Sum, MinMax and SumMax costs, each an
-// exact search and an approximation on the same owner-driven machinery
-// under its row of the cost table (owner.go).
+// exact search on the same owner-driven machinery under its row of the
+// cost table (owner.go), and an approximation that is the same search run
+// with a fixed slack (approSlack).
 //
 // Following the CoSKQ literature, answer sets consist of relevant objects
 // only — objects sharing at least one keyword with the query. (For the
@@ -100,7 +101,9 @@ const (
 	// (MaxSum-Exact / Dia-Exact depending on the cost).
 	OwnerExact Method = iota
 	// OwnerAppro is the paper's distance owner-driven approximation
-	// (MaxSum-Appro, ratio 1.375 / Dia-Appro, ratio √3).
+	// (MaxSum-Appro, ratio 1.375 / Dia-Appro, ratio √3). Under the
+	// extension costs it is the exact search run with a fixed slack:
+	// ratio H_{|q.ψ|} for Sum and SumMax, 2 for MinMax.
 	OwnerAppro
 	// CaoExact is the Cao et al. branch-and-bound exact baseline
 	// (adapted to Dia when combined with that cost).
@@ -112,9 +115,6 @@ const (
 	// Brute is the exhaustive oracle; exponential, for tests and tiny
 	// inputs only.
 	Brute
-	// GreedySum is the weighted-set-cover greedy approximation for the Sum
-	// cost (ratio H_{|q.ψ|}). Extension scope.
-	GreedySum
 	// PairsExact is the published pseudocode form of the owner-driven
 	// exact search (pairwise distance owners enumerated first). Kept as an
 	// independently-derived exact implementation; OwnerExact is usually
@@ -137,8 +137,6 @@ func (m Method) String() string {
 		return "Cao-Appro2"
 	case Brute:
 		return "Brute"
-	case GreedySum:
-		return "GreedySum"
 	case PairsExact:
 		return "PairsExact"
 	default:
@@ -180,10 +178,8 @@ func ParseMethod(s string) (Method, error) {
 		return CaoAppro2, nil
 	case "brute":
 		return Brute, nil
-	case "greedy-sum":
-		return GreedySum, nil
 	}
-	return 0, fmt.Errorf("unknown method %q (want exact, appro, cao-exact, cao-appro1, cao-appro2, brute or greedy-sum)", s)
+	return 0, fmt.Errorf("unknown method %q (want exact, appro, cao-exact, cao-appro1, cao-appro2 or brute)", s)
 }
 
 // ErrInfeasible is returned when some query keyword appears in no object,

@@ -94,7 +94,7 @@ func TestUnsupportedCombination(t *testing.T) {
 	if _, err := e.Solve(q, Sum, CaoAppro1); err == nil {
 		t.Fatal("expected ErrUnsupported")
 	}
-	if _, err := e.Solve(q, MaxSum, GreedySum); err == nil {
+	if _, err := e.Solve(q, MinMax, CaoExact); err == nil {
 		t.Fatal("expected ErrUnsupported")
 	}
 }

@@ -38,11 +38,11 @@ const (
 	DegradeIncumbent
 	// DegradeFallbackAppro is DegradeIncumbent plus a safety net: with no
 	// incumbent, the engine runs the cost function's cheap approximation
-	// (Cao-Appro2 for MaxSum/Dia, the per-owner greedy for Sum/SumMax,
-	// the nearest-owner construction for MinMax) detached from the budget
-	// and context, so a feasible query always yields a feasible — if
-	// approximate — answer. The fallback is near-linear work, bounding how far past a
-	// deadline it can run.
+	// (Cao-Appro2 for MaxSum/Dia, Cao-Appro1 — the NN set N(q) — for Sum,
+	// SumMax and MinMax) detached from the budget and context, so a
+	// feasible query always yields a feasible — if approximate — answer.
+	// The fallback is near-linear work, bounding how far past a deadline
+	// it can run.
 	DegradeFallbackAppro
 )
 
@@ -195,18 +195,15 @@ func (s *search) degradeSolve(q Query, cost CostKind, method Method, res Result,
 // fallbackAppro runs the cost function's cheap approximation on a child
 // search that shares only the call's trace and read-through NN caches:
 // no node budget, no context (the original is already tripped — the
-// approximation is near-linear, so the overrun is bounded), no holder. The shield converts any stray unwind (there should be
-// none) into an error instead of escaping.
+// approximation is near-linear, so the overrun is bounded), no holder.
+// The shield converts any stray unwind (there should be none) into an
+// error instead of escaping.
 func (s *search) fallbackAppro(q Query, cost CostKind) (res Result, err error) {
 	defer recoverBudget(&err)
 	fb := search{Engine: s.Engine, tr: s.tr, nnmemo: s.nnmemo}
 	switch cost {
 	case MaxSum, Dia:
 		return fb.caoAppro2(q, cost)
-	case Sum, SumMax:
-		return fb.ownerAppro(q, costOf(cost))
-	case MinMax:
-		return fb.nearestOwner(q, costOf(cost), false)
 	}
-	return Result{}, ErrUnsupported
+	return fb.caoAppro1(q, cost)
 }

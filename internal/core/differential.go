@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+
+	"coskq/internal/kwds"
 )
 
 // Differential testing harness: run several algorithms on the same query
@@ -16,9 +18,10 @@ import (
 // ApproRatioBound returns the proven approximation ratio of method under
 // cost: 1 for the exact algorithms, the paper's ratio for the
 // approximations (MaxSum-Appro 1.375, Dia-Appro √3, Cao-Appro1 3,
-// Cao-Appro2 2 under MaxSum, MinMax-Appro 2), and 0 when no bound is
-// established for the combination or it is not a constant (the sum rows'
-// H_{|q.ψ|}).
+// Cao-Appro2 2 under MaxSum), the slack the extension rows run their
+// exact search with (MinMax 2; Sum and SumMax H_{|q.ψ|}, reported at its
+// largest, H_64, since |q.ψ| ≤ kwds.MaxQueryKeywords), and 0 when no bound
+// is established for the combination.
 func ApproRatioBound(cost CostKind, method Method) float64 {
 	switch cost {
 	case MaxSum:
@@ -43,6 +46,8 @@ func ApproRatioBound(cost CostKind, method Method) float64 {
 		switch method {
 		case OwnerExact, CaoExact, Brute:
 			return 1
+		case OwnerAppro:
+			return harmonic(kwds.MaxQueryKeywords)
 		}
 	case MinMax:
 		switch method {
@@ -55,6 +60,8 @@ func ApproRatioBound(cost CostKind, method Method) float64 {
 		switch method {
 		case OwnerExact, Brute:
 			return 1
+		case OwnerAppro:
+			return harmonic(kwds.MaxQueryKeywords)
 		}
 	}
 	return 0

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"coskq/internal/datagen"
@@ -126,13 +127,14 @@ func TestApproRatioBound(t *testing.T) {
 		{MaxSum, CaoAppro1, 3},
 		{MaxSum, CaoAppro2, 2},
 		{Dia, Brute, 1},
-		{Dia, CaoAppro1, 0},  // no proven bound for the Dia adaptation
-		{Sum, OwnerAppro, 0}, // H_{|q.ψ|} is not a constant
+		{Dia, CaoAppro1, 0},                  // no proven bound for the Dia adaptation
+		{Sum, OwnerAppro, 4.743890903705768}, // H_64: |q.ψ| ≤ 64
+		{SumMax, OwnerAppro, 4.743890903705768},
 		{MinMax, OwnerAppro, 2},
 		{MinMax, OwnerExact, 1},
 	}
 	for _, c := range cases {
-		if got := ApproRatioBound(c.cost, c.method); got != c.want {
+		if got := ApproRatioBound(c.cost, c.method); math.Abs(got-c.want) > 1e-12 {
 			t.Errorf("ApproRatioBound(%v, %v) = %v, want %v", c.cost, c.method, got, c.want)
 		}
 	}

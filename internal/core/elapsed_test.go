@@ -10,7 +10,7 @@ import (
 var supportedMethods = map[CostKind][]Method{
 	MaxSum: {OwnerExact, PairsExact, OwnerAppro, CaoExact, CaoAppro1, CaoAppro2, Brute},
 	Dia:    {OwnerExact, PairsExact, OwnerAppro, CaoExact, CaoAppro1, CaoAppro2, Brute},
-	Sum:    {GreedySum, OwnerExact, Brute},
+	Sum:    {OwnerExact, OwnerAppro, CaoExact, Brute},
 	MinMax: {OwnerExact, OwnerAppro, Brute},
 	SumMax: {OwnerExact, OwnerAppro, Brute},
 }

@@ -19,10 +19,19 @@ import (
 // C(q, d(o_f, q)), which is exactly the pool of objects the enumerator
 // has already produced; the per-owner step is the cover search
 // (bestWithOwner).
-func (s *search) ownerExact(q Query, cost costFn) (Result, error) {
+//
+// slack is 1+ε: the ring break and the cover search's bound are
+// curCost/slack, so every set pruned or rejected costs at least the final
+// cost over slack, and the answer is within slack of the optimum. At 1
+// the division is exact and so is the search; OwnerAppro under the sum
+// rows runs it at costFn.approSlack.
+func (s *search) ownerExact(q Query, cost costFn, slack float64) (Result, error) {
 	start := time.Now()
 	qi := kwds.NewQueryIndex(q.Keywords)
 	algo := s.tr.Begin("owner_exact")
+	if slack != 1 {
+		algo.Attr("epsilon", slack-1)
+	}
 	var stats Stats
 	s.trackStats(&stats)
 	seed, curCost, df, err := s.nnSeed(q, cost, &stats)
@@ -36,10 +45,10 @@ func (s *search) ownerExact(q Query, cost costFn) (Result, error) {
 
 	en := s.owners(q, qi, cost, df, true, &stats)
 	defer en.release()
-	for en.next(curCost) {
+	for en.next(curCost / slack) {
 		osp := s.tr.Begin("best_with_owner")
 		nodes0 := stats.NodesExpanded
-		set, c := s.bestWithOwner(qi, cost, en.pool, en.bits, curCost, en.scratch, &stats, nil)
+		set, c := s.bestWithOwner(qi, cost, en.pool, en.bits, curCost/slack, en.scratch, &stats, nil)
 		if set == nil {
 			// Keep sub-search spans only for owners that improved the
 			// incumbent — the iterations that explain the answer — and

@@ -5,22 +5,20 @@ package core
 // query, so an owner's other members are not the prefix of the ascending
 // stream but a slice of its suffix; the loop below reads them off the
 // same enumerator, drained once, and hands each owner's pool to the
-// shared per-owner steps (bestWithOwner, nearestCover). The sum rows need
-// no file: they are ownerExact / ownerAppro under their cost value.
+// shared cover search (bestWithOwner). The sum rows need no file: they
+// are ownerExact under their cost value.
 
 import (
 	"time"
 
-	"coskq/internal/dataset"
 	"coskq/internal/kwds"
 	"coskq/internal/trace"
 )
 
-// nearestOwner solves a nearest-member cost, exactly or — with the
-// nearest-per-keyword construction in place of the cover search — within
-// ratio 2: at the optimum's nearest member every constructed member is at
-// most maxPair(S_opt) from the owner, so the set's pairwise component is
-// at most twice the optimum's and its query component no larger.
+// nearestOwner solves a nearest-member cost, exactly at slack 1 and
+// within ratio slack otherwise: as in ownerExact, the drain, the owner
+// break, the pool filter and the cover search's bound all read
+// curCost/slack (OwnerAppro runs it at costFn.approSlack, 2).
 //
 // Every member x of a set cheaper than the incumbent lies in
 // C(q, curCost), since d(x,q) ≤ d(o,q) + d(x,o) for its owner o, so one
@@ -28,10 +26,13 @@ import (
 // other members are then later entries (they are at least as far from q)
 // that add a keyword and sit close enough to the owner for the pair of
 // them to beat the incumbent.
-func (s *search) nearestOwner(q Query, cost costFn, exact bool) (Result, error) {
+func (s *search) nearestOwner(q Query, cost costFn, slack float64) (Result, error) {
 	start := time.Now()
 	qi := kwds.NewQueryIndex(q.Keywords)
 	algo := s.tr.Begin("nearest_owner")
+	if slack != 1 {
+		algo.Attr("epsilon", slack-1)
+	}
 	var stats Stats
 	s.trackStats(&stats)
 	seed, curCost, _, err := s.nnSeed(q, cost, &stats)
@@ -43,18 +44,17 @@ func (s *search) nearestOwner(q Query, cost costFn, exact bool) (Result, error) 
 	s.noteIncumbent(curSet, curCost, cost.kind)
 	stats.SetsEvaluated = 1
 
-	en := s.owners(q, qi, cost, 0, exact, &stats)
+	en := s.owners(q, qi, cost, 0, true, &stats)
 	defer en.release()
-	en.drain(curCost)
+	en.drain(curCost / slack)
 	// The owner's pool: a second scratch, the owner appended as its last
-	// entry (where the per-owner steps look for it) and left out of the
+	// entry (where bestWithOwner looks for it) and left out of the
 	// bit index.
 	sub := getOwnerScratch()
 	defer putOwnerScratch(sub)
-	set := make([]dataset.ObjectID, 0, qi.Size()+1)
-	bitOrder := make([]int, 0, qi.Size())
 	for i, owner := range en.pool {
-		if cost.combine(owner.d, 0) >= curCost {
+		bound := curCost / slack
+		if cost.combine(owner.d, 0) >= bound {
 			stats.Prunes[trace.PruneIncumbentBreak]++
 			break // every later owner is at least as far
 		}
@@ -62,7 +62,7 @@ func (s *search) nearestOwner(q Query, cost costFn, exact bool) (Result, error) 
 		s.pollCancel(stats.OwnersTried)
 		pool, bits := sub.pool[:0], sub.ensureBits(qi.Size())
 		for _, c := range en.pool[i+1:] {
-			if c.mask&^owner.mask == 0 || cost.combine(owner.d, c.o.Loc.Dist(owner.o.Loc)) >= curCost {
+			if c.mask&^owner.mask == 0 || cost.combine(owner.d, c.o.Loc.Dist(owner.o.Loc)) >= bound {
 				continue
 			}
 			pool = append(pool, c)
@@ -71,17 +71,7 @@ func (s *search) nearestOwner(q Query, cost costFn, exact bool) (Result, error) 
 		pool = append(pool, owner)
 		sub.pool = pool
 
-		var (
-			found []dataset.ObjectID
-			c     float64
-		)
-		if exact {
-			found, c = s.bestWithOwner(qi, cost, pool, bits, curCost, sub, &stats, nil)
-		} else if cover, ok := nearestCover(qi, cost, pool, bits, curCost, append(set[:0], owner.o.ID), bitOrder, &stats); ok {
-			stats.SetsEvaluated++
-			found, c = cover, s.evalSet(cost, q.Loc, cover)
-		}
-		if found != nil && c < curCost {
+		if found, c := s.bestWithOwner(qi, cost, pool, bits, bound, sub, &stats, nil); found != nil {
 			curSet, curCost = canonical(found), c
 			s.noteIncumbent(curSet, curCost, cost.kind)
 		}

@@ -118,7 +118,7 @@ func (s *search) solveInner(q Query, cost CostKind, method Method) (res Result, 
 	case MaxSum, Dia:
 		switch method {
 		case OwnerExact:
-			return s.ownerExact(q, costOf(cost))
+			return s.ownerExact(q, costOf(cost), 1)
 		case PairsExact:
 			return s.pairsExact(q, cost)
 		case OwnerAppro:
@@ -135,20 +135,22 @@ func (s *search) solveInner(q Query, cost CostKind, method Method) (res Result, 
 	case Sum, SumMax:
 		switch method {
 		case OwnerExact:
-			return s.ownerExact(q, costOf(cost))
+			return s.ownerExact(q, costOf(cost), 1)
 		case CaoExact:
 			if cost == Sum { // accepted as a name for the exact Sum search
-				return s.ownerExact(q, costOf(cost))
+				return s.ownerExact(q, costOf(cost), 1)
 			}
-		case OwnerAppro, GreedySum:
-			return s.ownerAppro(q, costOf(cost))
+		case OwnerAppro:
+			return s.ownerExact(q, costOf(cost), costOf(cost).approSlack(q.Keywords.Len()))
 		case Brute:
 			return s.bruteForce(q, costOf(cost))
 		}
 	case MinMax:
 		switch method {
-		case OwnerExact, OwnerAppro:
-			return s.nearestOwner(q, costOf(cost), method == OwnerExact)
+		case OwnerExact:
+			return s.nearestOwner(q, costOf(cost), 1)
+		case OwnerAppro:
+			return s.nearestOwner(q, costOf(cost), costOf(cost).approSlack(q.Keywords.Len()))
 		case Brute:
 			return s.bruteForce(q, costOf(cost))
 		}

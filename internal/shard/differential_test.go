@@ -38,7 +38,7 @@ func TestShardedDifferential(t *testing.T) {
 		}},
 		{core.Sum, DiffConfig{
 			Exact:  []core.Method{core.OwnerExact, core.CaoExact},
-			Approx: []core.Method{core.OwnerAppro, core.GreedySum},
+			Approx: []core.Method{core.OwnerAppro},
 		}},
 		{core.MinMax, DiffConfig{
 			Exact:  []core.Method{core.OwnerExact},
@@ -46,7 +46,7 @@ func TestShardedDifferential(t *testing.T) {
 		}},
 		{core.SumMax, DiffConfig{
 			Exact:  []core.Method{core.OwnerExact},
-			Approx: []core.Method{core.OwnerAppro, core.GreedySum},
+			Approx: []core.Method{core.OwnerAppro},
 		}},
 	}
 	for _, w := range workloads {

@@ -59,9 +59,6 @@ const (
 	// PruneGreedyBound: an approximation construction was abandoned
 	// because its partial cost lower bound reached the incumbent.
 	PruneGreedyBound
-	// PruneSumBound: a partial set was cut by a running-sum bound
-	// (Sum / SumMax searches).
-	PruneSumBound
 	// PruneCompletionBound: a partial set was cut by the cheapest-
 	// completion lower bound (Sum / SumMax exact searches).
 	PruneCompletionBound
@@ -92,8 +89,6 @@ func (r PruneReason) String() string {
 		return "distance_break"
 	case PruneGreedyBound:
 		return "greedy_bound"
-	case PruneSumBound:
-		return "sum_bound"
 	case PruneCompletionBound:
 		return "completion_bound"
 	case PruneDominated:
