@@ -1,12 +1,12 @@
-// Package client is a small HTTP client for coskq-server with
-// overload-aware retries: transient failures (network errors and the
-// server's 429/502/503/504 refusals) are retried with jittered
-// exponential backoff, a 429's Retry-After hint overrides the computed
-// backoff, and degraded (anytime) answers are surfaced on the decoded
-// response rather than hidden. It pairs with the server's admission
-// controller — a shed request is explicitly cheap for the server, so
-// the polite client behaviour is to back off and come back, not to
-// hammer or to give up.
+// Package client is the coordinator's HTTP client for peer
+// coskq-servers: the /shard/* data-plane calls and the /metrics page the
+// federated exposition merges. Every call retries transient failures
+// (network errors and the server's 429/502/503/504 refusals) with
+// jittered exponential backoff, and a 429's Retry-After hint overrides
+// the computed backoff. It pairs with the server's admission controller
+// — a shed request is explicitly cheap for the server, so the polite
+// client behaviour is to back off and come back, not to hammer or to
+// give up.
 package client
 
 import (
@@ -68,57 +68,6 @@ type Client struct {
 	sleep func(ctx context.Context, d time.Duration) error
 }
 
-// Object mirrors the server's per-object JSON.
-type Object struct {
-	ID          uint32   `json:"id"`
-	X           float64  `json:"x"`
-	Y           float64  `json:"y"`
-	DistToQuery float64  `json:"distToQuery"`
-	Keywords    []string `json:"keywords"`
-}
-
-// QueryResponse mirrors the server's /query body. Degraded answers —
-// anytime results returned under the server's degrade policy instead of
-// an overload error — carry Degraded=true and the reason ("budget",
-// "deadline", "cancelled").
-type QueryResponse struct {
-	Cost          float64  `json:"cost"`
-	CostKind      string   `json:"costKind"`
-	Method        string   `json:"method"`
-	ElapsedMs     float64  `json:"elapsedMs"`
-	Objects       []Object `json:"objects"`
-	Degraded      bool     `json:"degraded"`
-	DegradeReason string   `json:"degradeReason"`
-}
-
-// TopKResponse mirrors the server's /topk body.
-type TopKResponse struct {
-	Results []QueryResponse `json:"results"`
-}
-
-// QueryParams selects the query. Keywords must be non-empty; Cost and
-// Method default server-side (maxsum, exact).
-type QueryParams struct {
-	X, Y     float64
-	Keywords []string
-	Cost     string
-	Method   string
-}
-
-func (p QueryParams) values() url.Values {
-	v := url.Values{}
-	v.Set("x", strconv.FormatFloat(p.X, 'g', -1, 64))
-	v.Set("y", strconv.FormatFloat(p.Y, 'g', -1, 64))
-	v.Set("kw", strings.Join(p.Keywords, ","))
-	if p.Cost != "" {
-		v.Set("cost", p.Cost)
-	}
-	if p.Method != "" {
-		v.Set("method", p.Method)
-	}
-	return v
-}
-
 // APIError is a non-2xx reply from the server, carrying the decoded
 // JSON error envelope and, for shed (429) replies, the Retry-After
 // hint. Exhausted retries return the final attempt's APIError.
@@ -132,26 +81,6 @@ type APIError struct {
 func (e *APIError) Error() string {
 	return fmt.Sprintf("coskq-server: %d %s (after %d attempts): %s",
 		e.Status, http.StatusText(e.Status), e.Attempts, e.Message)
-}
-
-// Query answers one CoSKQ query, retrying transient failures.
-func (c *Client) Query(ctx context.Context, p QueryParams) (*QueryResponse, error) {
-	var out QueryResponse
-	if err := c.getJSON(ctx, "/query", p.values(), &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// TopK returns the n cheapest result sets, retrying transient failures.
-func (c *Client) TopK(ctx context.Context, p QueryParams, n int) (*TopKResponse, error) {
-	v := p.values()
-	v.Set("n", strconv.Itoa(n))
-	var out TopKResponse
-	if err := c.getJSON(ctx, "/topk", v, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
 }
 
 // retryableStatus reports whether the server's reply invites another
@@ -184,8 +113,39 @@ func injectContextHeaders(ctx context.Context, req *http.Request) {
 	}
 }
 
-// getJSON runs the retry loop for one logical request.
+// getJSON runs one logical request and decodes its JSON reply into out.
 func (c *Client) getJSON(ctx context.Context, path string, v url.Values, out any) error {
+	return c.get(ctx, path+"?"+v.Encode(), func(body io.Reader) error {
+		return json.NewDecoder(body).Decode(out)
+	})
+}
+
+// MaxMetricsPage bounds how much of a peer's /metrics exposition the
+// federation fan-out will read; a runaway or hostile peer cannot feed
+// the coordinator an unbounded page.
+const MaxMetricsPage = 4 << 20
+
+// MetricsText fetches the server's /metrics text exposition — the
+// per-peer leg of the coordinator's federated /metrics?federate=1 page.
+// It applies the same retry policy as the data-plane calls and caps the
+// body at MaxMetricsPage.
+func (c *Client) MetricsText(ctx context.Context) ([]byte, error) {
+	var page []byte
+	err := c.get(ctx, "/metrics", func(body io.Reader) (err error) {
+		if page, err = io.ReadAll(io.LimitReader(body, MaxMetricsPage+1)); err == nil && len(page) > MaxMetricsPage {
+			err = fmt.Errorf("coskq-server: /metrics page exceeds %d bytes", MaxMetricsPage)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return page, nil
+}
+
+// get runs the retry loop for one logical GET of pathQuery and hands a
+// 200 reply's body to read.
+func (c *Client) get(ctx context.Context, pathQuery string, read func(io.Reader) error) error {
 	httpc := c.HTTP
 	if httpc == nil {
 		httpc = defaultHTTPClient
@@ -196,7 +156,7 @@ func (c *Client) getJSON(ctx context.Context, path string, v url.Values, out any
 	} else if retries < 0 {
 		retries = 0
 	}
-	u := strings.TrimSuffix(c.Base, "/") + path + "?" + v.Encode()
+	u := strings.TrimSuffix(c.Base, "/") + pathQuery
 
 	var lastErr error
 	for attempt := 0; ; attempt++ {
@@ -215,7 +175,7 @@ func (c *Client) getJSON(ctx context.Context, path string, v url.Values, out any
 			}
 			lastErr = err
 		case resp.StatusCode == http.StatusOK:
-			err := json.NewDecoder(resp.Body).Decode(out)
+			err := read(resp.Body)
 			resp.Body.Close()
 			return err
 		default:
@@ -240,72 +200,6 @@ func (c *Client) getJSON(ctx context.Context, path string, v url.Values, out any
 		}
 		if err := c.wait(ctx, c.backoff(attempt, lastErr)); err != nil {
 			return err
-		}
-	}
-}
-
-// MaxMetricsPage bounds how much of a peer's /metrics exposition the
-// federation fan-out will read; a runaway or hostile peer cannot feed
-// the coordinator an unbounded page.
-const MaxMetricsPage = 4 << 20
-
-// MetricsText fetches the server's /metrics text exposition — the
-// per-peer leg of the coordinator's federated /metrics?federate=1 page.
-// It applies the same retry policy as the query endpoints and caps the
-// body at MaxMetricsPage.
-func (c *Client) MetricsText(ctx context.Context) ([]byte, error) {
-	httpc := c.HTTP
-	if httpc == nil {
-		httpc = defaultHTTPClient
-	}
-	retries := c.MaxRetries
-	if retries == 0 {
-		retries = DefaultMaxRetries
-	} else if retries < 0 {
-		retries = 0
-	}
-	u := strings.TrimSuffix(c.Base, "/") + "/metrics"
-
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-		if err != nil {
-			return nil, err
-		}
-		injectContextHeaders(ctx, req)
-		resp, err := httpc.Do(req)
-		switch {
-		case err != nil:
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			lastErr = err
-		case resp.StatusCode == http.StatusOK:
-			body, err := io.ReadAll(io.LimitReader(resp.Body, MaxMetricsPage+1))
-			resp.Body.Close()
-			if err != nil {
-				return nil, err
-			}
-			if len(body) > MaxMetricsPage {
-				return nil, fmt.Errorf("coskq-server: /metrics page exceeds %d bytes", MaxMetricsPage)
-			}
-			return body, nil
-		default:
-			apiErr := &APIError{Status: resp.StatusCode, Attempts: attempt + 1}
-			if ra, ok := parseRetryAfter(resp.Header.Get("Retry-After"), time.Now()); ok {
-				apiErr.RetryAfter = ra
-			}
-			resp.Body.Close()
-			if !retryableStatus(resp.StatusCode) {
-				return nil, apiErr
-			}
-			lastErr = apiErr
-		}
-		if attempt >= retries {
-			return nil, lastErr
-		}
-		if err := c.wait(ctx, c.backoff(attempt, lastErr)); err != nil {
-			return nil, err
 		}
 	}
 }

@@ -47,7 +47,7 @@ func status(code int, msg string) func(http.ResponseWriter) {
 	}
 }
 
-func ok(resp QueryResponse) func(http.ResponseWriter) {
+func ok(resp ShardMetaResponse) func(http.ResponseWriter) {
 	return func(w http.ResponseWriter) {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(resp)
@@ -70,19 +70,19 @@ func TestRetriesUntilSuccess(t *testing.T) {
 	s := &scriptedServer{t: t, replies: []func(http.ResponseWriter){
 		shed(""),
 		status(http.StatusServiceUnavailable, "budget"),
-		ok(QueryResponse{Cost: 42, CostKind: "MaxSum"}),
+		ok(ShardMetaResponse{Objects: 42, Name: "s1"}),
 	}}
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 	var waits []time.Duration
 	c := instantClient(srv, &waits)
 
-	res, err := c.Query(context.Background(), QueryParams{X: 1, Y: 2, Keywords: []string{"cafe"}})
+	res, err := c.ShardMeta(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cost != 42 {
-		t.Errorf("cost = %v, want 42", res.Cost)
+	if res.Objects != 42 {
+		t.Errorf("objects = %d, want 42", res.Objects)
 	}
 	if got := s.calls.Load(); got != 3 {
 		t.Errorf("attempts = %d, want 3", got)
@@ -103,13 +103,13 @@ func TestRetriesUntilSuccess(t *testing.T) {
 func TestHonorsRetryAfter(t *testing.T) {
 	s := &scriptedServer{t: t, replies: []func(http.ResponseWriter){
 		shed("3"),
-		ok(QueryResponse{}),
+		ok(ShardMetaResponse{}),
 	}}
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 	var waits []time.Duration
 	c := instantClient(srv, &waits)
-	if _, err := c.Query(context.Background(), QueryParams{Keywords: []string{"cafe"}}); err != nil {
+	if _, err := c.ShardMeta(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if len(waits) != 1 || waits[0] != 3*time.Second {
@@ -123,7 +123,7 @@ func TestNonRetryableFailsFast(t *testing.T) {
 		srv := httptest.NewServer(s)
 		var waits []time.Duration
 		c := instantClient(srv, &waits)
-		_, err := c.Query(context.Background(), QueryParams{Keywords: []string{"x"}})
+		_, err := c.ShardMeta(context.Background())
 		srv.Close()
 		var apiErr *APIError
 		if !errors.As(err, &apiErr) || apiErr.Status != code || apiErr.Message != "nope" {
@@ -142,7 +142,7 @@ func TestRetriesExhausted(t *testing.T) {
 	var waits []time.Duration
 	c := instantClient(srv, &waits)
 	c.MaxRetries = 2
-	_, err := c.Query(context.Background(), QueryParams{Keywords: []string{"x"}})
+	_, err := c.ShardMeta(context.Background())
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusTooManyRequests {
 		t.Fatalf("err = %v, want the final 429", err)
@@ -164,7 +164,7 @@ func TestContextCancelDuringBackoff(t *testing.T) {
 		cancel() // the caller gives up while the client is waiting
 		return ctx.Err()
 	}}
-	if _, err := c.Query(ctx, QueryParams{Keywords: []string{"x"}}); !errors.Is(err, context.Canceled) {
+	if _, err := c.ShardMeta(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if got := s.calls.Load(); got != 1 {
@@ -173,7 +173,7 @@ func TestContextCancelDuringBackoff(t *testing.T) {
 }
 
 func TestNetworkErrorRetried(t *testing.T) {
-	s := &scriptedServer{t: t, replies: []func(http.ResponseWriter){ok(QueryResponse{Cost: 7})}}
+	s := &scriptedServer{t: t, replies: []func(http.ResponseWriter){ok(ShardMetaResponse{Objects: 7})}}
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
@@ -190,12 +190,12 @@ func TestNetworkErrorRetried(t *testing.T) {
 			return http.DefaultTransport.RoundTrip(r)
 		})},
 	}
-	res, err := c.Query(context.Background(), QueryParams{Keywords: []string{"x"}})
+	res, err := c.ShardMeta(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cost != 7 || attempts.Load() != 2 {
-		t.Fatalf("cost = %v after %d attempts, want 7 after 2", res.Cost, attempts.Load())
+	if res.Objects != 7 || attempts.Load() != 2 {
+		t.Fatalf("objects = %d after %d attempts, want 7 after 2", res.Objects, attempts.Load())
 	}
 }
 
@@ -203,36 +203,25 @@ type roundTripFunc func(*http.Request) (*http.Response, error)
 
 func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
-func TestDegradedSurfaced(t *testing.T) {
-	s := &scriptedServer{t: t, replies: []func(http.ResponseWriter){
-		ok(QueryResponse{Cost: 9, Degraded: true, DegradeReason: "budget"}),
-	}}
-	srv := httptest.NewServer(s)
-	defer srv.Close()
-	c := &Client{Base: srv.URL}
-	res, err := c.Query(context.Background(), QueryParams{Keywords: []string{"x"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Degraded || res.DegradeReason != "budget" {
-		t.Fatalf("degraded answer not surfaced: %+v", res)
-	}
-}
-
+// TestQueryParamsEncoding: a shard call encodes its location, radius
+// and keywords as query parameters, and a trailing slash on Base does not
+// double up.
 func TestQueryParamsEncoding(t *testing.T) {
 	var gotURL string
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		gotURL = r.URL.String()
-		json.NewEncoder(w).Encode(QueryResponse{})
+		json.NewEncoder(w).Encode(ShardCollectResponse{})
 	})
 	srv := httptest.NewServer(h)
 	defer srv.Close()
-	c := &Client{Base: srv.URL + "/"} // trailing slash must not double up
-	_, err := c.TopK(context.Background(), QueryParams{X: 1.5, Y: -2, Keywords: []string{"cafe", "museum"}, Cost: "dia"}, 5)
-	if err != nil {
+	c := &Client{Base: srv.URL + "/"}
+	if _, err := c.ShardCollect(context.Background(), 1.5, -2, 7.25, []string{"cafe", "museum"}); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"/topk?", "x=1.5", "y=-2", "kw=cafe%2Cmuseum", "cost=dia", "n=5"} {
+	if !strings.HasPrefix(gotURL, "/shard/collect?") {
+		t.Errorf("request URL %q, want path /shard/collect", gotURL)
+	}
+	for _, want := range []string{"x=1.5", "y=-2", "r=7.25", "kw=cafe%2Cmuseum"} {
 		if !strings.Contains(gotURL, want) {
 			t.Errorf("request URL %q missing %q", gotURL, want)
 		}

@@ -56,18 +56,18 @@ func TestHonorsRetryAfterDate(t *testing.T) {
 	when := time.Now().Add(30 * time.Second).UTC().Format(http.TimeFormat)
 	s := &scriptedServer{t: t, replies: []func(http.ResponseWriter){
 		shed(when),
-		ok(QueryResponse{Cost: 5}),
+		ok(ShardMetaResponse{Objects: 5}),
 	}}
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 	var waits []time.Duration
 	c := instantClient(srv, &waits)
-	res, err := c.Query(context.Background(), QueryParams{Keywords: []string{"cafe"}})
+	res, err := c.ShardMeta(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cost != 5 {
-		t.Fatalf("cost = %v, want 5", res.Cost)
+	if res.Objects != 5 {
+		t.Fatalf("objects = %d, want 5", res.Objects)
 	}
 	if len(waits) != 1 || waits[0] < 25*time.Second || waits[0] > 30*time.Second {
 		t.Fatalf("waits = %v, want one wait near the 30s date hint", waits)
@@ -80,13 +80,13 @@ func TestPastDateFallsBackToBackoff(t *testing.T) {
 	when := time.Now().Add(-time.Hour).UTC().Format(http.TimeFormat)
 	s := &scriptedServer{t: t, replies: []func(http.ResponseWriter){
 		shed(when),
-		ok(QueryResponse{}),
+		ok(ShardMetaResponse{}),
 	}}
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 	var waits []time.Duration
 	c := instantClient(srv, &waits)
-	if _, err := c.Query(context.Background(), QueryParams{Keywords: []string{"x"}}); err != nil {
+	if _, err := c.ShardMeta(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if len(waits) != 1 || waits[0] > DefaultBaseBackoff {
@@ -99,13 +99,13 @@ func TestPastDateFallsBackToBackoff(t *testing.T) {
 func TestNegativeSecondsFallsBackToBackoff(t *testing.T) {
 	s := &scriptedServer{t: t, replies: []func(http.ResponseWriter){
 		shed("-1"),
-		ok(QueryResponse{}),
+		ok(ShardMetaResponse{}),
 	}}
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 	var waits []time.Duration
 	c := instantClient(srv, &waits)
-	if _, err := c.Query(context.Background(), QueryParams{Keywords: []string{"x"}}); err != nil {
+	if _, err := c.ShardMeta(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if len(waits) != 1 || waits[0] <= 0 || waits[0] > DefaultBaseBackoff {

@@ -10,8 +10,8 @@ import (
 
 // Shard data-plane calls: the read-only endpoints a scatter-gather
 // coordinator fans out to on peer shard servers (internal/server
-// mounts them on every server). They share the query endpoints' retry
-// and backoff behaviour, so a shard shedding load (429 + Retry-After)
+// mounts them on every server). They share the client's retry and
+// backoff behaviour, so a shard shedding load (429 + Retry-After)
 // is retried politely rather than reported as failed immediately.
 
 // ShardMetaResponse mirrors the server's /shard/meta body.

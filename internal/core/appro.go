@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"time"
 
 	"coskq/internal/dataset"
@@ -131,4 +132,56 @@ func nearestCover(qi *kwds.QueryIndex, cost costFn, pool []cand, bits [][]int32,
 		set = append(set, pool[bestIdx].o.ID)
 	}
 	return set, true
+}
+
+// ApproRatioBound returns the proven approximation ratio of method under
+// cost: 1 for the exact algorithms, the paper's ratio for the
+// approximations (MaxSum-Appro 1.375, Dia-Appro √3, Cao-Appro1 3,
+// Cao-Appro2 2 under MaxSum), the slack the extension rows run their
+// exact search with (MinMax 2; Sum and SumMax H_{|q.ψ|}, reported at its
+// largest, H_64, since |q.ψ| ≤ kwds.MaxQueryKeywords), and 0 when no bound
+// is established for the combination.
+func ApproRatioBound(cost CostKind, method Method) float64 {
+	switch cost {
+	case MaxSum:
+		switch method {
+		case OwnerExact, PairsExact, CaoExact, Brute:
+			return 1
+		case OwnerAppro:
+			return 1.375
+		case CaoAppro1:
+			return 3
+		case CaoAppro2:
+			return 2
+		}
+	case Dia:
+		switch method {
+		case OwnerExact, PairsExact, CaoExact, Brute:
+			return 1
+		case OwnerAppro:
+			return math.Sqrt(3)
+		}
+	case Sum:
+		switch method {
+		case OwnerExact, CaoExact, Brute:
+			return 1
+		case OwnerAppro:
+			return harmonic(kwds.MaxQueryKeywords)
+		}
+	case MinMax:
+		switch method {
+		case OwnerExact, Brute:
+			return 1
+		case OwnerAppro:
+			return 2
+		}
+	case SumMax:
+		switch method {
+		case OwnerExact, Brute:
+			return 1
+		case OwnerAppro:
+			return harmonic(kwds.MaxQueryKeywords)
+		}
+	}
+	return 0
 }

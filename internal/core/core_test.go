@@ -598,3 +598,30 @@ func TestPairsExactAgreesWithOwnerExact(t *testing.T) {
 		}
 	}
 }
+
+func TestApproRatioBound(t *testing.T) {
+	cases := []struct {
+		cost   CostKind
+		method Method
+		want   float64
+	}{
+		{MaxSum, OwnerExact, 1},
+		{MaxSum, OwnerAppro, 1.375},
+		{MaxSum, CaoAppro1, 3},
+		{MaxSum, CaoAppro2, 2},
+		{Dia, Brute, 1},
+		{Dia, CaoAppro1, 0},                  // no proven bound for the Dia adaptation
+		{Sum, OwnerAppro, 4.743890903705768}, // H_64: |q.ψ| ≤ 64
+		{SumMax, OwnerAppro, 4.743890903705768},
+		{MinMax, OwnerAppro, 2},
+		{MinMax, OwnerExact, 1},
+	}
+	for _, c := range cases {
+		if got := ApproRatioBound(c.cost, c.method); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("ApproRatioBound(%v, %v) = %v, want %v", c.cost, c.method, got, c.want)
+		}
+	}
+	if got := ApproRatioBound(Dia, OwnerAppro); got < 1.73 || got > 1.74 {
+		t.Errorf("ApproRatioBound(Dia, OwnerAppro) = %v, want √3", got)
+	}
+}

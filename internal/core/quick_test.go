@@ -111,93 +111,3 @@ func TestQuickAnswerInvariants(t *testing.T) {
 		}
 	}
 }
-
-// TestQuickScaleInvariance: uniformly scaling all coordinates scales every
-// cost optimum by the same factor (the algorithms are unit-free).
-func TestQuickScaleInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(72))
-	for trial := 0; trial < 20; trial++ {
-		n := 30 + rng.Intn(50)
-		scale := 1 + rng.Float64()*99
-		b1 := dataset.NewBuilder("a")
-		b2 := dataset.NewBuilder("b")
-		for i := 0; i < 8; i++ {
-			b1.Vocab().Intern(kwName(i))
-			b2.Vocab().Intern(kwName(i))
-		}
-		type obj struct {
-			p  geo.Point
-			kw []string
-		}
-		for i := 0; i < n; i++ {
-			p := geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
-			k := 1 + rng.Intn(3)
-			words := make([]string, k)
-			for j := range words {
-				words[j] = kwName(rng.Intn(8))
-			}
-			b1.Add(p, words...)
-			b2.Add(geo.Point{X: p.X * scale, Y: p.Y * scale}, words...)
-		}
-		e1 := NewEngine(b1.Build(), 8)
-		e2 := NewEngine(b2.Build(), 8)
-		q := randQuery(rng, 8, 1+rng.Intn(4))
-		q2 := Query{Loc: geo.Point{X: q.Loc.X * scale, Y: q.Loc.Y * scale}, Keywords: q.Keywords}
-		for _, cost := range []CostKind{MaxSum, Dia, Sum, MinMax, SumMax} {
-			r1, err1 := e1.Solve(q, cost, OwnerExact)
-			r2, err2 := e2.Solve(q2, cost, OwnerExact)
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("%v: feasibility changed under scaling", cost)
-			}
-			if err1 != nil {
-				continue
-			}
-			if math.Abs(r2.Cost-r1.Cost*scale) > 1e-6*(1+r2.Cost) {
-				t.Fatalf("%v: cost %v at scale %v, want %v", cost, r2.Cost, scale, r1.Cost*scale)
-			}
-		}
-	}
-}
-
-// TestQuickTranslationInvariance: translating the whole plane leaves every
-// optimum unchanged.
-func TestQuickTranslationInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	for trial := 0; trial < 15; trial++ {
-		n := 30 + rng.Intn(50)
-		dx, dy := rng.Float64()*1e4-5e3, rng.Float64()*1e4-5e3
-		b1 := dataset.NewBuilder("a")
-		b2 := dataset.NewBuilder("b")
-		for i := 0; i < 8; i++ {
-			b1.Vocab().Intern(kwName(i))
-			b2.Vocab().Intern(kwName(i))
-		}
-		for i := 0; i < n; i++ {
-			p := geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
-			k := 1 + rng.Intn(3)
-			words := make([]string, k)
-			for j := range words {
-				words[j] = kwName(rng.Intn(8))
-			}
-			b1.Add(p, words...)
-			b2.Add(geo.Point{X: p.X + dx, Y: p.Y + dy}, words...)
-		}
-		e1 := NewEngine(b1.Build(), 8)
-		e2 := NewEngine(b2.Build(), 8)
-		q := randQuery(rng, 8, 1+rng.Intn(4))
-		q2 := Query{Loc: geo.Point{X: q.Loc.X + dx, Y: q.Loc.Y + dy}, Keywords: q.Keywords}
-		for _, cost := range []CostKind{MaxSum, Dia} {
-			r1, err1 := e1.Solve(q, cost, OwnerExact)
-			r2, err2 := e2.Solve(q2, cost, OwnerExact)
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("%v: feasibility changed under translation", cost)
-			}
-			if err1 != nil {
-				continue
-			}
-			if math.Abs(r2.Cost-r1.Cost) > 1e-6*(1+r1.Cost) {
-				t.Fatalf("%v: cost changed under translation: %v vs %v", cost, r1.Cost, r2.Cost)
-			}
-		}
-	}
-}

@@ -15,14 +15,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"coskq/internal/core"
 	"coskq/internal/geo"
-	"coskq/internal/kwds"
 )
 
 const (
@@ -127,18 +124,9 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request, p pin) {
 	queries := make([]core.Query, 0, len(req.Queries))
 	idx := make([]int, 0, len(req.Queries))
 	for i, bq := range req.Queries {
-		var keywords kwds.Set
-		var missing []string
-		for _, wrd := range bq.Kw {
-			wrd = strings.TrimSpace(wrd)
-			if id, ok := eng.DS.Vocab.Lookup(wrd); ok {
-				keywords = keywords.Union(kwds.NewSet(id))
-			} else {
-				missing = append(missing, wrd)
-			}
-		}
-		if len(missing) > 0 {
-			items[i] = batchItemJSON{Error: fmt.Sprintf("unknown keywords: %s", strings.Join(missing, ", "))}
+		keywords, err := resolveKeywords(eng.DS.Vocab, keywordList(bq.Kw))
+		if err != nil {
+			items[i] = batchItemJSON{Error: err.Error()}
 			continue
 		}
 		if keywords.IsEmpty() {

@@ -101,6 +101,27 @@ func TestBatchEndpointPerItemErrors(t *testing.T) {
 	}
 }
 
+// TestBatchEndpointBlankKeywords: a batch item reads its keyword list
+// the way /query reads kw=: trimmed, with blank entries dropped.
+func TestBatchEndpointBlankKeywords(t *testing.T) {
+	testutil.CheckGoroutineLeaks(t)
+	srv, _ := testServer(t)
+	req := batchRequest{
+		Queries: []batchQueryJSON{
+			{X: 0, Y: 0, Kw: []string{"cafe", "museum"}},
+			{X: 0, Y: 0, Kw: []string{"cafe", " ", "", " museum "}},
+			{X: 0, Y: 0, Kw: []string{" ", ""}},
+		},
+	}
+	got, _ := postBatch(t, srv.URL, req, http.StatusOK)
+	if got.Results[1].Error != "" || got.Results[1].Cost != got.Results[0].Cost {
+		t.Fatalf("blank entries changed the answer: %+v vs %+v", got.Results[1], got.Results[0])
+	}
+	if got.Results[2].Error != "query carries no keywords" {
+		t.Fatalf("all-blank item: %+v", got.Results[2])
+	}
+}
+
 // TestBatchEndpointVariants: cost/method/workers selections apply.
 func TestBatchEndpointVariants(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)

@@ -79,29 +79,6 @@ func oracleQuery(t *testing.T, eng *core.Engine, loc geo.Point, words []string) 
 	return res
 }
 
-// TestScatterGatherMatchesSingleEngine: the coordinator's /query over
-// three HTTP shard servers returns the same optimal cost as one engine
-// over the combined dataset.
-func TestScatterGatherMatchesSingleEngine(t *testing.T) {
-	coord, _, eng := scatterFleet(t, Options{})
-	words := []string{"cafe", "museum", "park"}
-	for _, loc := range []geo.Point{{X: 50, Y: 30}, {X: 0, Y: 0}, {X: 120, Y: -5}} {
-		want := oracleQuery(t, eng, loc, words)
-		var got queryResponse
-		getJSON(t, fmt.Sprintf("%s/query?x=%v&y=%v&kw=cafe,museum,park", coord.URL, loc.X, loc.Y),
-			http.StatusOK, &got)
-		if got.Cost != want.Cost {
-			t.Fatalf("loc %v: scatter cost %v, engine cost %v", loc, got.Cost, want.Cost)
-		}
-		if got.Degraded || len(got.Objects) != len(want.Set) {
-			t.Fatalf("loc %v: response %+v vs oracle set %v", loc, got, want.Set)
-		}
-		if got.CostKind != "MaxSum" || got.Method != "OwnerExact" {
-			t.Fatalf("loc %v: labels %q/%q", loc, got.CostKind, got.Method)
-		}
-	}
-}
-
 // TestScatterGatherDegradesOnDeadShard: with a lenient policy, killing
 // one shard server mid-fleet yields a 200 marked Degraded (header and
 // body) whose answer is still feasible — not a 502 and not a wrong

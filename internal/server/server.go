@@ -88,9 +88,6 @@ type Options struct {
 	// before being shed. Zero means the wait is bounded only by the
 	// request's own deadline.
 	QueueTimeout time.Duration
-	// RetryAfter is the hint sent in the Retry-After header of shed
-	// (429) responses. Zero means one second.
-	RetryAfter time.Duration
 	// Degrade is the anytime-answer policy applied to request solves
 	// (see core.DegradePolicy). With DegradeIncumbent or
 	// DegradeFallbackAppro, a budget- or deadline-tripped search returns
@@ -177,7 +174,7 @@ func newBase(opts Options, reg *metrics.Registry) *server {
 		budgetRate:  opts.NodeBudgetPerSecond,
 	}
 	if opts.MaxInFlight > 0 {
-		s.adm = newAdmission(reg, opts.MaxInFlight, opts.MaxQueue, opts.QueueTimeout, opts.RetryAfter)
+		s.adm = newAdmission(reg, opts.MaxInFlight, opts.MaxQueue, opts.QueueTimeout, time.Second)
 	}
 	if opts.SlowLog >= 0 {
 		size := opts.SlowLog
@@ -699,16 +696,8 @@ func (s *server) parseQuery(eng *core.Engine, r *http.Request) (core.Query, core
 	var keywords kwds.Set
 	switch words := splitKeywords(q.Get("kw")); {
 	case len(words) > 0:
-		var missing []string
-		for _, wrd := range words {
-			if id, ok := eng.DS.Vocab.Lookup(wrd); ok {
-				keywords = keywords.Union(kwds.NewSet(id))
-			} else {
-				missing = append(missing, wrd)
-			}
-		}
-		if len(missing) > 0 {
-			return core.Query{}, 0, fmt.Errorf("unknown keywords: %s", strings.Join(missing, ", "))
+		if keywords, err = resolveKeywords(eng.DS.Vocab, words); err != nil {
+			return core.Query{}, 0, err
 		}
 	case q.Get("k") != "":
 		k, err := strconv.Atoi(q.Get("k"))
@@ -734,18 +723,42 @@ func (s *server) parseQuery(eng *core.Engine, r *http.Request) (core.Query, core
 	return core.Query{Loc: loc, Keywords: keywords}, cost, nil
 }
 
-// splitKeywords splits a kw=a,b,c parameter into its trimmed, non-empty
-// entries — the one reading of the parameter that /query, /topk, the
-// coordinator's /query and the shard data plane share.
+// splitKeywords splits a kw=a,b,c parameter into its keyword list
+// (keywordList) — the reading that /query, /topk, the coordinator's
+// /query and the shard data plane share.
 func splitKeywords(kw string) []string {
-	parts := strings.Split(kw, ",")
-	words := parts[:0] // filtered in place: one allocation per request
+	return keywordList(strings.Split(kw, ","))
+}
+
+// keywordList is the one reading of a query's keyword list, whether it
+// came as a kw=a,b,c parameter or as a /batch item's JSON array: entries
+// are trimmed and blank ones dropped. It filters parts in place.
+func keywordList(parts []string) []string {
+	words := parts[:0]
 	for _, wrd := range parts {
 		if wrd = strings.TrimSpace(wrd); wrd != "" {
 			words = append(words, wrd)
 		}
 	}
 	return words
+}
+
+// resolveKeywords maps words to their keyword set under vocab, failing
+// with every word the vocabulary does not know.
+func resolveKeywords(vocab *kwds.Vocabulary, words []string) (kwds.Set, error) {
+	var keywords kwds.Set
+	var missing []string
+	for _, wrd := range words {
+		if id, ok := vocab.Lookup(wrd); ok {
+			keywords = keywords.Union(kwds.NewSet(id))
+		} else {
+			missing = append(missing, wrd)
+		}
+	}
+	if len(missing) > 0 {
+		return nil, fmt.Errorf("unknown keywords: %s", strings.Join(missing, ", "))
+	}
+	return keywords, nil
 }
 
 // costByName resolves a cost parameter; empty means MaxSum.

@@ -45,43 +45,6 @@ func TestSummaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRouterSingleShardMatchesEngine: with one shard the router is a
-// pure pass-through pipeline (NN seed, gather, pool solve) and must
-// reproduce the engine's answers exactly.
-func TestRouterSingleShardMatchesEngine(t *testing.T) {
-	testutil.CheckGoroutineLeaks(t)
-	ds := testDataset(21, 200)
-	eng := core.NewEngine(ds, 0)
-	r, err := NewLocalRouter(ds, 1, Grid(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := datagen.NewQueryGen(ds, eng.Inv, 0, 40, 7)
-	for i := 0; i < 5; i++ {
-		loc, kws := g.Next(3)
-		q := core.Query{Loc: loc, Keywords: kws}
-		want, werr := eng.Solve(q, core.MaxSum, core.OwnerExact)
-		got, gerr := r.Solve(q, core.MaxSum, core.OwnerExact)
-		if (werr == nil) != (gerr == nil) {
-			t.Fatalf("query %d: engine err %v, router err %v", i, werr, gerr)
-		}
-		if werr != nil {
-			continue
-		}
-		if got.Cost != want.Cost {
-			t.Fatalf("query %d: router cost %v, engine cost %v", i, got.Cost, want.Cost)
-		}
-		if len(got.Set) != len(want.Set) {
-			t.Fatalf("query %d: router set %v, engine set %v", i, got.Set, want.Set)
-		}
-		for j := range got.Set {
-			if got.Set[j] != want.Set[j] {
-				t.Fatalf("query %d: router set %v, engine set %v", i, got.Set, want.Set)
-			}
-		}
-	}
-}
-
 func TestRouterValidation(t *testing.T) {
 	ds := testDataset(22, 80)
 	r, err := NewLocalRouter(ds, 2, Grid(), 0)

@@ -1,5 +1,6 @@
 // Package testutil holds small helpers shared across the repository's
-// test suites. Production code must not import it.
+// test suites. Production code must not import it (TestSourceRules'
+// no_testutil rule).
 package testutil
 
 import (

@@ -87,6 +87,16 @@ var sourceRules = []sourceRule{
 		bad:    "package p\nimport _ \"coskq/internal/rtree\"\n",
 		badDir: "internal/core",
 	},
+	{
+		// internal/testutil holds test helpers; no production build
+		// graph links it.
+		name: "no_testutil",
+		check: func(_ string, f *ast.File) []ast.Node {
+			return importsOf(f, "coskq/internal/testutil")
+		},
+		bad:    "package p\nimport \"coskq/internal/testutil\"\nvar _ = testutil.CheckGoroutineLeaks\n",
+		badDir: "internal/server",
+	},
 }
 
 // TestSourceRules checks every rule against its violating snippet, then
