@@ -21,17 +21,22 @@
 //	    Reads pin one index generation end-to-end and never block on
 //	    writes; writes shed with 429 when the apply backlog is full.
 //
-// Scatter-gather modes (see DESIGN.md §12), which reject the
-// single-engine flags -live, -nn-cache, -ingest-backlog and -compact-frac:
+// Scatter-gather modes (see DESIGN.md §12):
 //
-//	coskq-server -data hotel.gob -shards 4 [-partition grid|subtree]
+//	coskq-server -data hotel.gob -shards 4 [-partition grid|subtree] [-shard-timeout 5s]
 //	    partitions the dataset into in-process shards (a dataset and its
 //	    posting lists each) and answers /query by scatter-gather across
 //	    them.
 //	coskq-server -peers http://h1:8080,http://h2:8080 [-shard-timeout 5s]
 //	    serves as a coordinator fanning /query out to peer shard servers
-//	    (every coskq-server exposes the /shard/* data plane); -data is
-//	    not needed.
+//	    (every coskq-server exposes the /shard/* data plane).
+//
+// A flag the chosen mode would ignore exits 2, naming both flags:
+// -partition needs -shards > 1; -shard-timeout needs -shards > 1 or
+// -peers; -data and -shards cannot join -peers; and the single-engine
+// flags -live, -nn-cache, -ingest-backlog, -compact-frac and
+// -budget-per-second cannot join -shards > 1 or -peers. -degrade and
+// -budget apply in every mode, to the engine or the router served.
 //
 // Distributed observability (DESIGN.md §13): the coordinator propagates
 // its request id and a W3C-style traceparent on every shard call, so
@@ -59,6 +64,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -89,10 +95,10 @@ func main() {
 		inflight  = flag.Int("max-inflight", 0, "max concurrently solving /query+/topk requests, excess queues then sheds with 429 (0 = unlimited)")
 		maxQueue  = flag.Int("max-queue", 0, "admission wait-queue depth beyond -max-inflight (0 = shed immediately when saturated)")
 		queueWait = flag.Duration("queue-timeout", 0, "max time a request waits in the admission queue before a 429 (0 = bounded only by -timeout)")
-		budgetPS  = flag.Float64("budget-per-second", 0, "derive each request's node budget as rate x seconds left to its deadline (0 = disabled)")
+		budgetPS  = flag.Float64("budget-per-second", 0, "derive each solve's node budget as rate x seconds left to its deadline (single-engine mode; 0 = disabled)")
 		shards    = flag.Int("shards", 1, "partition -data into N in-process shards and answer /query by scatter-gather (1 = single engine)")
-		partition = flag.String("partition", "grid", "shard partitioning strategy: grid or subtree")
-		peers     = flag.String("peers", "", "comma-separated peer shard server URLs; serve as a scatter-gather coordinator (no -data needed)")
+		partition = flag.String("partition", "", "shard partitioning strategy with -shards > 1: grid (the default) or subtree")
+		peers     = flag.String("peers", "", "comma-separated peer shard server URLs; serve as a scatter-gather coordinator (takes no -data)")
 		shardTO   = flag.Duration("shard-timeout", 0, "per-shard call deadline in scatter-gather modes (0 = bounded by -timeout)")
 		nnCache   = flag.Int("nn-cache", 0, "engine keyword-NN cache capacity in entries, shared across queries (single-engine mode; 0 = disabled)")
 		live      = flag.Bool("live", false, "serve a mutable live index: mount POST /objects and /objects/stream over an epoch store (single-engine mode)")
@@ -111,22 +117,21 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	mf := modeFlags{shards: *shards, peers: *peers, live: *live, nnCache: *nnCache, backlog: *backlog, compact: *compact}
+	mf := modeFlags{shards: *shards, peers: *peers, data: *data, partition: *partition, shardTO: *shardTO,
+		budgetPS: *budgetPS, live: *live, nnCache: *nnCache, backlog: *backlog, compact: *compact}
 	if err := mf.check(); err != nil {
 		fmt.Fprintf(os.Stderr, "coskq-server: %v\n", err)
 		os.Exit(2)
 	}
 	reg := metrics.NewRegistry()
 	opts := server.Options{
-		Timeout:             *timeout,
-		Logger:              logger,
-		Registry:            reg,
-		SlowLog:             *slowlog,
-		MaxInFlight:         *inflight,
-		MaxQueue:            *maxQueue,
-		QueueTimeout:        *queueWait,
-		Degrade:             policy,
-		NodeBudgetPerSecond: *budgetPS,
+		Timeout:      *timeout,
+		Logger:       logger,
+		Registry:     reg,
+		SlowLog:      *slowlog,
+		MaxInFlight:  *inflight,
+		MaxQueue:     *maxQueue,
+		QueueTimeout: *queueWait,
 	}
 
 	var handler http.Handler
@@ -146,6 +151,7 @@ func main() {
 		rt := &shard.Router{
 			Backends:     backends,
 			NodeBudget:   *budget,
+			Degrade:      policy,
 			ShardTimeout: *shardTO,
 		}
 		handler = server.NewScatterGather(rt, opts)
@@ -164,6 +170,7 @@ func main() {
 			os.Exit(1)
 		}
 		rt.NodeBudget = *budget
+		rt.Degrade = policy
 		rt.ShardTimeout = *shardTO
 		handler = server.NewScatterGather(rt, opts)
 		logger.Info("in-process scatter-gather", "shards", *shards, "partition", part.Name())
@@ -172,6 +179,8 @@ func main() {
 		ds := loadData(logger, *data)
 		eng := coskq.NewEngine(ds, 0)
 		eng.NodeBudget = *budget
+		eng.NodeBudgetPerSecond = *budgetPS
+		eng.Degrade = policy
 		eng.Metrics = core.NewEngineMetrics(reg)
 		eng.EnableNNCache(*nnCache) // after Metrics: hit/miss counters register on reg
 		if *live {
@@ -219,26 +228,43 @@ func newHTTPServer(addr string, h http.Handler, logger *slog.Logger) *http.Serve
 	}
 }
 
-// modeFlags are the flags that pick a serving mode, and the ones only the
-// single-engine mode reads.
+// modeFlags are the flags that pick a serving mode, and the ones only
+// some modes read.
 type modeFlags struct {
-	shards  int
-	peers   string
-	live    bool
-	nnCache int
-	backlog int
-	compact float64
+	shards    int
+	peers     string
+	data      string
+	partition string
+	shardTO   time.Duration
+	budgetPS  float64
+	live      bool
+	nnCache   int
+	backlog   int
+	compact   float64
 }
 
-// check rejects a single-engine flag combined with a scatter-gather mode,
-// which would otherwise be silently ignored: a router has no engine to
-// cache keyword NNs on and no epoch store to apply writes to.
+// check rejects a flag the chosen mode would otherwise silently ignore,
+// naming both flags: only a partitioned dataset has a partition
+// strategy, only a fleet makes shard calls, a coordinator serves its
+// peers' data rather than its own, and a router has no engine to cache
+// keyword NNs on, derive node budgets for or apply writes to.
 func (m modeFlags) check() error {
+	sharded := m.shards > 1
+	switch {
+	case sharded && m.peers != "":
+		return fmt.Errorf("-shards %d cannot be combined with -peers: a coordinator's shards are its peers", m.shards)
+	case m.data != "" && m.peers != "":
+		return errors.New("-data cannot be combined with -peers: a coordinator serves its peers' data")
+	case m.partition != "" && !sharded:
+		return errors.New("-partition only applies with -shards > 1")
+	case m.shardTO != 0 && !sharded && m.peers == "":
+		return errors.New("-shard-timeout only applies with -shards > 1 or -peers")
+	}
 	var mode string
 	switch {
 	case m.peers != "":
 		mode = "-peers"
-	case m.shards > 1:
+	case sharded:
 		mode = fmt.Sprintf("-shards %d", m.shards)
 	default:
 		return nil
@@ -251,6 +277,7 @@ func (m modeFlags) check() error {
 		{"-nn-cache", m.nnCache != 0},
 		{"-ingest-backlog", m.backlog != 0},
 		{"-compact-frac", m.compact != 0},
+		{"-budget-per-second", m.budgetPS != 0},
 	} {
 		if f.set {
 			return fmt.Errorf("%s is single-engine only and cannot be combined with %s", f.name, mode)

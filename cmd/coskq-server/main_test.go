@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // lockedBuffer is a log sink the server's goroutines and the test share.
@@ -51,18 +52,27 @@ func TestHTTPServerErrorsAreSlog(t *testing.T) {
 	}
 }
 
-// TestModeFlagsCheck: every single-engine flag is rejected beside -shards
-// N > 1 and beside -peers, naming both flags; single-engine and default
-// combinations pass.
+// TestModeFlagsCheck: every flag the chosen mode would ignore is
+// rejected, naming both flags — the single-engine flags beside -shards
+// N > 1 and beside -peers, -partition without -shards N > 1,
+// -shard-timeout without a fleet, -data and -shards beside -peers — and
+// the combinations each mode reads pass.
 func TestModeFlagsCheck(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		m    modeFlags
 		want string // substring of the error; "" means accepted
 	}{
-		{"single engine, every flag", modeFlags{shards: 1, live: true, nnCache: 4096, backlog: 64, compact: 0.5}, ""},
-		{"shards alone", modeFlags{shards: 4}, ""},
-		{"peers alone", modeFlags{peers: "http://a"}, ""},
+		{"single engine, every flag", modeFlags{shards: 1, data: "d.gob", budgetPS: 1e6, live: true, nnCache: 4096, backlog: 64, compact: 0.5}, ""},
+		{"shards, every flag", modeFlags{shards: 4, data: "d.gob", partition: "subtree", shardTO: time.Second}, ""},
+		{"peers, every flag", modeFlags{peers: "http://a", shardTO: time.Second}, ""},
+		{"partition without shards", modeFlags{shards: 1, data: "d.gob", partition: "subtree"}, "-partition only applies with -shards > 1"},
+		{"partition with peers", modeFlags{peers: "http://a", partition: "grid"}, "-partition only applies with -shards > 1"},
+		{"shard-timeout without a fleet", modeFlags{shards: 1, data: "d.gob", shardTO: time.Second}, "-shard-timeout only applies with -shards > 1 or -peers"},
+		{"budget-per-second with shards", modeFlags{shards: 4, budgetPS: 1e6}, "-budget-per-second is single-engine only and cannot be combined with -shards 4"},
+		{"budget-per-second with peers", modeFlags{peers: "http://a", budgetPS: 1e6}, "-budget-per-second is single-engine only and cannot be combined with -peers"},
+		{"data with peers", modeFlags{peers: "http://a", data: "d.gob"}, "-data cannot be combined with -peers"},
+		{"shards with peers", modeFlags{peers: "http://a", shards: 4}, "-shards 4 cannot be combined with -peers"},
 		{"live with shards", modeFlags{shards: 4, live: true}, "-live is single-engine only and cannot be combined with -shards 4"},
 		{"nn-cache with shards", modeFlags{shards: 2, nnCache: 4096}, "-nn-cache is single-engine only and cannot be combined with -shards 2"},
 		{"ingest-backlog with shards", modeFlags{shards: 4, backlog: 64}, "-ingest-backlog"},

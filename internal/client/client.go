@@ -1,12 +1,13 @@
-// Package client is the coordinator's HTTP client for peer
-// coskq-servers: the /shard/* data-plane calls and the /metrics page the
-// federated exposition merges. Every call retries transient failures
-// (network errors and the server's 429/502/503/504 refusals) with
-// jittered exponential backoff, and a 429's Retry-After hint overrides
-// the computed backoff. It pairs with the server's admission controller
-// — a shed request is explicitly cheap for the server, so the polite
-// client behaviour is to back off and come back, not to hammer or to
-// give up.
+// Package client is the retry/backoff transport a coordinator calls peer
+// coskq-servers through: one generic JSON GET (GetJSON), which
+// internal/shard's HTTPBackend decodes the /shard/* wire with, and the
+// /metrics page the federated exposition merges. Every call retries
+// transient failures (network errors and the server's 429/502/503/504
+// refusals) with jittered exponential backoff, and a 429's Retry-After
+// hint overrides the computed backoff. It pairs with the server's
+// admission controller — a shed request is explicitly cheap for the
+// server, so the polite client behaviour is to back off and come back,
+// not to hammer or to give up.
 package client
 
 import (
@@ -113,8 +114,9 @@ func injectContextHeaders(ctx context.Context, req *http.Request) {
 	}
 }
 
-// getJSON runs one logical request and decodes its JSON reply into out.
-func (c *Client) getJSON(ctx context.Context, path string, v url.Values, out any) error {
+// GetJSON runs one logical GET of path with query values v and decodes
+// the JSON reply into out.
+func (c *Client) GetJSON(ctx context.Context, path string, v url.Values, out any) error {
 	return c.get(ctx, path+"?"+v.Encode(), func(body io.Reader) error {
 		return json.NewDecoder(body).Decode(out)
 	})
@@ -127,7 +129,7 @@ const MaxMetricsPage = 4 << 20
 
 // MetricsText fetches the server's /metrics text exposition — the
 // per-peer leg of the coordinator's federated /metrics?federate=1 page.
-// It applies the same retry policy as the data-plane calls and caps the
+// It applies the same retry policy as GetJSON and caps the
 // body at MaxMetricsPage.
 func (c *Client) MetricsText(ctx context.Context) ([]byte, error) {
 	var page []byte

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -47,11 +48,25 @@ func status(code int, msg string) func(http.ResponseWriter) {
 	}
 }
 
-func ok(resp ShardMetaResponse) func(http.ResponseWriter) {
+// page is the body the scripted 200 replies carry.
+type page struct {
+	Objects int `json:"objects"`
+}
+
+func ok(resp page) func(http.ResponseWriter) {
 	return func(w http.ResponseWriter) {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(resp)
 	}
+}
+
+// fetch is one logical GET of a page through c.
+func fetch(ctx context.Context, c *Client) (*page, error) {
+	var p page
+	if err := c.GetJSON(ctx, "/page", nil, &p); err != nil {
+		return nil, err
+	}
+	return &p, nil
 }
 
 // instantClient returns a client against srv whose backoff waits are
@@ -70,14 +85,14 @@ func TestRetriesUntilSuccess(t *testing.T) {
 	s := &scriptedServer{t: t, replies: []func(http.ResponseWriter){
 		shed(""),
 		status(http.StatusServiceUnavailable, "budget"),
-		ok(ShardMetaResponse{Objects: 42, Name: "s1"}),
+		ok(page{Objects: 42}),
 	}}
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 	var waits []time.Duration
 	c := instantClient(srv, &waits)
 
-	res, err := c.ShardMeta(context.Background())
+	res, err := fetch(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,13 +118,13 @@ func TestRetriesUntilSuccess(t *testing.T) {
 func TestHonorsRetryAfter(t *testing.T) {
 	s := &scriptedServer{t: t, replies: []func(http.ResponseWriter){
 		shed("3"),
-		ok(ShardMetaResponse{}),
+		ok(page{}),
 	}}
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 	var waits []time.Duration
 	c := instantClient(srv, &waits)
-	if _, err := c.ShardMeta(context.Background()); err != nil {
+	if _, err := fetch(context.Background(), c); err != nil {
 		t.Fatal(err)
 	}
 	if len(waits) != 1 || waits[0] != 3*time.Second {
@@ -123,7 +138,7 @@ func TestNonRetryableFailsFast(t *testing.T) {
 		srv := httptest.NewServer(s)
 		var waits []time.Duration
 		c := instantClient(srv, &waits)
-		_, err := c.ShardMeta(context.Background())
+		_, err := fetch(context.Background(), c)
 		srv.Close()
 		var apiErr *APIError
 		if !errors.As(err, &apiErr) || apiErr.Status != code || apiErr.Message != "nope" {
@@ -142,7 +157,7 @@ func TestRetriesExhausted(t *testing.T) {
 	var waits []time.Duration
 	c := instantClient(srv, &waits)
 	c.MaxRetries = 2
-	_, err := c.ShardMeta(context.Background())
+	_, err := fetch(context.Background(), c)
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusTooManyRequests {
 		t.Fatalf("err = %v, want the final 429", err)
@@ -164,7 +179,7 @@ func TestContextCancelDuringBackoff(t *testing.T) {
 		cancel() // the caller gives up while the client is waiting
 		return ctx.Err()
 	}}
-	if _, err := c.ShardMeta(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := fetch(ctx, c); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if got := s.calls.Load(); got != 1 {
@@ -173,7 +188,7 @@ func TestContextCancelDuringBackoff(t *testing.T) {
 }
 
 func TestNetworkErrorRetried(t *testing.T) {
-	s := &scriptedServer{t: t, replies: []func(http.ResponseWriter){ok(ShardMetaResponse{Objects: 7})}}
+	s := &scriptedServer{t: t, replies: []func(http.ResponseWriter){ok(page{Objects: 7})}}
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
@@ -190,7 +205,7 @@ func TestNetworkErrorRetried(t *testing.T) {
 			return http.DefaultTransport.RoundTrip(r)
 		})},
 	}
-	res, err := c.ShardMeta(context.Background())
+	res, err := fetch(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,19 +218,19 @@ type roundTripFunc func(*http.Request) (*http.Response, error)
 
 func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
-// TestQueryParamsEncoding: a shard call encodes its location, radius
-// and keywords as query parameters, and a trailing slash on Base does not
-// double up.
+// TestQueryParamsEncoding: GetJSON encodes its query values onto path,
+// and a trailing slash on Base does not double up.
 func TestQueryParamsEncoding(t *testing.T) {
 	var gotURL string
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		gotURL = r.URL.String()
-		json.NewEncoder(w).Encode(ShardCollectResponse{})
+		json.NewEncoder(w).Encode(page{})
 	})
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 	c := &Client{Base: srv.URL + "/"}
-	if _, err := c.ShardCollect(context.Background(), 1.5, -2, 7.25, []string{"cafe", "museum"}); err != nil {
+	v := url.Values{"x": {"1.5"}, "y": {"-2"}, "r": {"7.25"}, "kw": {"cafe,museum"}}
+	if err := c.GetJSON(context.Background(), "/shard/collect", v, &page{}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(gotURL, "/shard/collect?") {

@@ -25,7 +25,7 @@ func TestClientInjectsObservabilityHeaders(t *testing.T) {
 	c := &Client{Base: srv.URL, MaxRetries: -1}
 
 	// Bare context: no observability headers invented.
-	if _, err := c.ShardNN(context.Background(), 0, 0, []string{"cafe"}); err != nil {
+	if _, err := fetch(context.Background(), c); err != nil {
 		t.Fatal(err)
 	}
 	if gotID != "" || gotTP != "" {
@@ -35,7 +35,7 @@ func TestClientInjectsObservabilityHeaders(t *testing.T) {
 	sc := trace.NewSpanContext()
 	ctx := trace.ContextWithRequestID(context.Background(), "req-42")
 	ctx = trace.ContextWithSpanContext(ctx, sc)
-	if _, err := c.ShardNN(ctx, 0, 0, []string{"cafe"}); err != nil {
+	if _, err := fetch(ctx, c); err != nil {
 		t.Fatal(err)
 	}
 	if gotID != "req-42" {

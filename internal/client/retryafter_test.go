@@ -56,13 +56,13 @@ func TestHonorsRetryAfterDate(t *testing.T) {
 	when := time.Now().Add(30 * time.Second).UTC().Format(http.TimeFormat)
 	s := &scriptedServer{t: t, replies: []func(http.ResponseWriter){
 		shed(when),
-		ok(ShardMetaResponse{Objects: 5}),
+		ok(page{Objects: 5}),
 	}}
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 	var waits []time.Duration
 	c := instantClient(srv, &waits)
-	res, err := c.ShardMeta(context.Background())
+	res, err := fetch(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,13 +80,13 @@ func TestPastDateFallsBackToBackoff(t *testing.T) {
 	when := time.Now().Add(-time.Hour).UTC().Format(http.TimeFormat)
 	s := &scriptedServer{t: t, replies: []func(http.ResponseWriter){
 		shed(when),
-		ok(ShardMetaResponse{}),
+		ok(page{}),
 	}}
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 	var waits []time.Duration
 	c := instantClient(srv, &waits)
-	if _, err := c.ShardMeta(context.Background()); err != nil {
+	if _, err := fetch(context.Background(), c); err != nil {
 		t.Fatal(err)
 	}
 	if len(waits) != 1 || waits[0] > DefaultBaseBackoff {
@@ -99,13 +99,13 @@ func TestPastDateFallsBackToBackoff(t *testing.T) {
 func TestNegativeSecondsFallsBackToBackoff(t *testing.T) {
 	s := &scriptedServer{t: t, replies: []func(http.ResponseWriter){
 		shed("-1"),
-		ok(ShardMetaResponse{}),
+		ok(page{}),
 	}}
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 	var waits []time.Duration
 	c := instantClient(srv, &waits)
-	if _, err := c.ShardMeta(context.Background()); err != nil {
+	if _, err := fetch(context.Background(), c); err != nil {
 		t.Fatal(err)
 	}
 	if len(waits) != 1 || waits[0] <= 0 || waits[0] > DefaultBaseBackoff {

@@ -239,6 +239,16 @@ func recoverBudget(err *error) {
 	}
 }
 
+// HitFault passes through injection point p under the engine's unwind
+// mapping (recoverBudget): an injected Unwind returns as the typed error
+// it simulates, and an injected Crash propagates like any programming
+// error. Callers outside the engine run their own points through it.
+func HitFault(p fault.Point) (err error) {
+	defer recoverBudget(&err)
+	fault.Hit(p)
+	return nil
+}
+
 // Stats records search-effort counters for one query execution.
 type Stats struct {
 	Elapsed        time.Duration
@@ -320,6 +330,17 @@ type Engine struct {
 	// unlimited. Set it before issuing queries (it is not synchronized).
 	NodeBudget int
 
+	// NodeBudgetPerSecond derives each call's node budget from its
+	// deadline: with a positive rate and a deadline on the call's
+	// context, the budget is max(1, rate × seconds left when the call
+	// starts) and replaces NodeBudget. It converts the wall-clock
+	// deadline into a deterministic effort bound that trips before the
+	// deadline does, so Degrade can return an anytime answer instead of
+	// the deadline's error. Every call derives its own budget: each item
+	// of a batch reads the time left when it starts. Zero disables
+	// derivation.
+	NodeBudgetPerSecond float64
+
 	// Parallelism is ignored; every search is serial, on the calling
 	// goroutine (DESIGN.md §10).
 	Parallelism int
@@ -384,26 +405,19 @@ func NewEngine(ds *dataset.Dataset, fanout int) *Engine {
 	}
 }
 
-// NewEngineLike returns an engine over ds and its prebuilt indexes with
-// the same serving knobs (budget, ablation, degrade policy, metrics sink)
-// as proto. The epoch layer uses it for every generation it derives: each
-// must answer queries under the policies the operator configured once on
-// the seed engine. The NN cache is NOT carried over —
-// its entries hold distance-validity radii proved against the old
-// dataset, so each generation starts with a fresh one of the same
-// capacity.
+// NewEngineLike returns a copy of proto over ds and its prebuilt
+// indexes. The epoch layer uses it for every generation it derives, so
+// each answers queries under every knob the operator configured once on
+// the seed engine. The NN cache is the one thing not shared: its entries
+// hold distance-validity radii proved against the old dataset, so the
+// copy starts with a fresh one of the same capacity.
 func NewEngineLike(proto *Engine, ds *dataset.Dataset, tree *irtree.Tree, inv *invindex.Index) *Engine {
-	e := &Engine{
-		DS: ds, Tree: tree, Inv: inv,
-		NodeBudget: proto.NodeBudget,
-		Ablation:   proto.Ablation,
-		Degrade:    proto.Degrade,
-		Metrics:    proto.Metrics,
-	}
+	e := *proto
+	e.DS, e.Tree, e.Inv, e.NNCache = ds, tree, inv, nil
 	if proto.NNCache != nil {
 		e.EnableNNCache(proto.NNCache.Capacity())
 	}
-	return e
+	return &e
 }
 
 // Solve answers q with the chosen cost function and algorithm.

@@ -34,8 +34,8 @@ type search struct {
 	// internal/trace). Every trace call is nil-safe, so a nil tr — the
 	// common case — costs one branch and never allocates.
 	tr *trace.Trace
-	// budget is the engine's NodeBudget for this call; zero means
-	// unlimited.
+	// budget is this call's node budget (Engine.callBudget); zero
+	// means unlimited.
 	budget int
 	// nnmemo caches the query's per-keyword NN seeds so bound seeding and
 	// d_f refinement stop re-walking the IR-tree for keywords already
@@ -86,7 +86,7 @@ func (e *Engine) enter(ctx context.Context, q Query, fn func(*search) error) (er
 	s := searchPool.Get().(*search)
 	defer s.release()
 	defer recoverBudget(&err)
-	s.Engine, s.budget = e, e.NodeBudget
+	s.Engine, s.budget = e, e.callBudget(ctx)
 	if cancellable {
 		s.ctx = ctx
 	}
@@ -94,6 +94,17 @@ func (e *Engine) enter(ctx context.Context, q Query, fn func(*search) error) (er
 		s.tr = trace.FromContext(ctx)
 	}
 	return fn(s)
+}
+
+// callBudget is one call's node budget: NodeBudget, unless a rate and a
+// deadline on ctx derive one from the time left.
+func (e *Engine) callBudget(ctx context.Context) int {
+	if e.NodeBudgetPerSecond > 0 && ctx != nil {
+		if dl, ok := ctx.Deadline(); ok {
+			return max(1, int(time.Until(dl).Seconds()*e.NodeBudgetPerSecond))
+		}
+	}
+	return e.NodeBudget
 }
 
 // solve runs the dispatch and, when the search was cut short, applies

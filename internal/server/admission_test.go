@@ -11,7 +11,10 @@ import (
 	"time"
 
 	"coskq/internal/core"
+	"coskq/internal/dataset"
+	"coskq/internal/epoch"
 	"coskq/internal/fault"
+	"coskq/internal/geo"
 	"coskq/internal/metrics"
 	"coskq/internal/testutil"
 )
@@ -205,7 +208,8 @@ func TestAdmissionClientGone(t *testing.T) {
 func TestServerDegradedQuery(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	eng := cityEngine()
-	srv := httptest.NewServer(NewWith(eng, Options{Degrade: core.DegradeIncumbent}))
+	eng.Degrade = core.DegradeIncumbent
+	srv := httptest.NewServer(NewWith(eng, Options{}))
 	defer srv.Close()
 
 	defer fault.Arm(1, fault.Rule{Point: fault.OwnerEnum, Kind: fault.KindBudget, After: 1, Every: 1})()
@@ -285,29 +289,94 @@ func TestServerHandleFaultPoint(t *testing.T) {
 	}
 }
 
-// TestServerNodeBudgetFromDeadline: with NodeBudgetPerSecond configured
-// and a server timeout, each request solves under a derived NodeBudget
-// (visible here as a budget-degraded answer at an absurdly low rate).
+// gridEngine is a 64-object fixture on which a four-keyword query
+// expands several search nodes.
+func gridEngine() *core.Engine {
+	b := dataset.NewBuilder("grid")
+	words := []string{"cafe", "museum", "park", "inn"}
+	for i := 0; i < 64; i++ {
+		b.Add(geo.Point{X: float64(i%8*3 + i/8%2), Y: float64(i / 8 * 3)}, words[i%4], words[i*7/3%4])
+	}
+	return core.NewEngine(b.Build(), 0)
+}
+
+// TestServerNodeBudgetFromDeadline: with Engine.NodeBudgetPerSecond set
+// and a server timeout, every solve derives its own node budget from the
+// time left — here max(1, 0.001/s × 5 s) = 1 node — on each path that
+// solves on the engine, including a live generation NewEngineLike
+// derived. The query expands more than one node unbudgeted, so a derived
+// budget must show as a budget-degraded answer under the engine's own
+// policy (or a 503 under DegradeFail).
 func TestServerNodeBudgetFromDeadline(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
-	eng := cityEngine()
-	srv := httptest.NewServer(NewWith(eng, Options{
-		Timeout:             5 * time.Second,
-		Degrade:             core.DegradeIncumbent,
-		NodeBudgetPerSecond: 0.001, // derives budget=1 for any sane deadline
-	}))
-	defer srv.Close()
+	words := []string{"cafe", "museum", "park", "inn"}
+	query := "/query?x=10&y=10&kw=" + strings.Join(words, ",")
+	base := gridEngine()
+	kws, err := resolveKeywords(base.DS.Vocab, words)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := core.Query{Loc: geo.Point{X: 10, Y: 10}, Keywords: kws}
+	if res, err := base.Solve(q, core.MaxSum, core.OwnerExact); err != nil || res.Stats.NodesExpanded < 2 {
+		t.Fatalf("unbudgeted solve expands %d nodes (err %v); a budget of 1 needs at least 2 to trip", res.Stats.NodesExpanded, err)
+	}
+	rated := func(policy core.DegradePolicy) *core.Engine {
+		eng := gridEngine()
+		eng.Degrade = policy
+		eng.NodeBudgetPerSecond = 0.001
+		return eng
+	}
+	opts := Options{Timeout: 5 * time.Second}
+	wantBudget := func(t *testing.T, degraded bool, reason string, members int) {
+		t.Helper()
+		if !degraded || reason != string(core.DegradeReasonBudget) || members == 0 {
+			t.Fatalf("degraded=%v reason=%q members=%d, want a budget-degraded answer", degraded, reason, members)
+		}
+	}
+	query1 := func(t *testing.T, h http.Handler, status int) queryResponse {
+		t.Helper()
+		srv := httptest.NewServer(h)
+		defer srv.Close()
+		var got queryResponse
+		getJSON(t, srv.URL+query, status, &got)
+		return got
+	}
 
-	var q queryResponse
-	getJSON(t, srv.URL+"/query?x=0&y=0&kw=cafe,museum", http.StatusOK, &q)
-	if len(q.Objects) == 0 {
-		t.Fatal("no objects in response")
-	}
-	// The tiny city dataset may finish within even a one-node budget; the
-	// invariant is the request succeeded and, if it tripped, said so.
-	if q.Degraded && q.Reason == "" {
-		t.Error("degraded answer without a reason")
-	}
+	t.Run("query", func(t *testing.T) {
+		got := query1(t, NewWith(rated(core.DegradeIncumbent), opts), http.StatusOK)
+		wantBudget(t, got.Degraded, got.Reason, len(got.Objects))
+	})
+	t.Run("fail policy", func(t *testing.T) {
+		query1(t, NewWith(rated(core.DegradeFail), opts), http.StatusServiceUnavailable)
+	})
+	t.Run("no deadline", func(t *testing.T) {
+		if got := query1(t, NewWith(rated(core.DegradeIncumbent), Options{}), http.StatusOK); got.Degraded {
+			t.Fatalf("no deadline, yet a budget was derived: %+v", got)
+		}
+	})
+	t.Run("live after a write", func(t *testing.T) {
+		st := epoch.New(rated(core.DegradeIncumbent), epoch.Options{})
+		defer st.Close()
+		srv := httptest.NewServer(NewLive(st, opts))
+		defer srv.Close()
+		postJSON(t, srv.URL+"/objects", map[string]any{
+			"ops": []map[string]any{{"op": "insert", "x": 50.0, "y": 50.0, "kw": []string{"bar"}}},
+		}, http.StatusOK, nil)
+		waitStoreIdle(t, st)
+		testutil.WaitFor(t, 5*time.Second, "generation swap", func() bool { return st.Current() >= 1 })
+		var got queryResponse
+		getJSON(t, srv.URL+query, http.StatusOK, &got)
+		wantBudget(t, got.Degraded, got.Reason, len(got.Objects))
+	})
+	t.Run("batch", func(t *testing.T) {
+		srv := httptest.NewServer(NewWith(rated(core.DegradeIncumbent), opts))
+		defer srv.Close()
+		got, _ := postBatch(t, srv.URL, batchRequest{
+			Queries: []batchQueryJSON{{X: 10, Y: 10, Kw: words}},
+		}, http.StatusOK)
+		it := got.Results[0]
+		wantBudget(t, it.Degraded, it.Reason, len(it.Objects))
+	})
 }
 
 // TestTimeoutMiddlewareClientDisconnect: a dropped connection is

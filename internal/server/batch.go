@@ -2,10 +2,10 @@ package server
 
 // POST /batch: the batch-solving surface. One request carries up to
 // maxBatchQueries queries sharing a cost function and method; the engine
-// solves each one independently over one keyword-NN cache — the engine's
-// -nn-cache, or one private to the batch (core/batch.go) — so answers stay
-// bit-identical to per-query /query calls. Per-item failures (unknown
-// keywords, infeasible queries) are
+// solves each one independently, on GOMAXPROCS goroutines, over one
+// keyword-NN cache — the engine's -nn-cache, or one private to the batch
+// (core/batch.go) — so answers stay bit-identical to per-query /query
+// calls. Per-item failures (unknown keywords, infeasible queries) are
 // reported in place; the batch itself only fails on malformed requests or
 // server-level faults. The route sits behind the same admission
 // middleware as /query: one batch holds one admission slot, so
@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"coskq/internal/core"
+	"coskq/internal/fault"
 	"coskq/internal/geo"
 )
 
@@ -28,8 +29,6 @@ const (
 	// maxBatchBody bounds the request body (1 MiB holds maxBatchQueries
 	// queries with room to spare).
 	maxBatchBody = 1 << 20
-	// maxBatchWorkers caps the per-request worker override.
-	maxBatchWorkers = 32
 )
 
 type batchQueryJSON struct {
@@ -41,7 +40,6 @@ type batchQueryJSON struct {
 type batchRequest struct {
 	Cost    string           `json:"cost"`
 	Method  string           `json:"method"`
-	Workers int              `json:"workers"`
 	Queries []batchQueryJSON `json:"queries"`
 }
 
@@ -102,14 +100,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request, p pin) {
 		jsonError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	workers := req.Workers
-	if workers < 0 {
-		workers = 0
-	}
-	if workers > maxBatchWorkers {
-		workers = maxBatchWorkers
-	}
-	if err := serveFault(); err != nil {
+	if err := core.HitFault(fault.ServerHandle); err != nil {
 		writeSolveError(w, err)
 		return
 	}
@@ -139,7 +130,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request, p pin) {
 
 	ctx := r.Context()
 	start := time.Now()
-	out := s.requestEngine(ctx, eng).SolveBatchCtx(ctx, queries, cost, method, workers)
+	out := eng.SolveBatchCtx(ctx, queries, cost, method, 0)
 	degraded := false
 	for j, item := range out {
 		i := idx[j]

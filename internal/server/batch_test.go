@@ -122,19 +122,30 @@ func TestBatchEndpointBlankKeywords(t *testing.T) {
 	}
 }
 
-// TestBatchEndpointVariants: cost/method/workers selections apply.
+// TestBatchEndpointVariants: cost/method selections apply, and a body
+// still carrying the retired "workers" knob is answered, not refused.
 func TestBatchEndpointVariants(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	srv, _ := testServer(t)
 	req := batchRequest{
 		Cost:    "dia",
 		Method:  "appro",
-		Workers: 4,
 		Queries: []batchQueryJSON{{X: 0, Y: 0, Kw: []string{"cafe"}}},
 	}
 	got, _ := postBatch(t, srv.URL, req, http.StatusOK)
 	if got.CostKind != "Dia" || got.Method != "OwnerAppro" {
 		t.Fatalf("variants: %+v", got)
+	}
+	body := `{"cost":"dia","method":"appro","workers":4,"queries":[{"x":0,"y":0,"kw":["cafe"]}]}`
+	resp, err := http.Post(srv.URL+"/batch", "application/json", bytes.NewReader([]byte(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old batchResponse
+	err = json.NewDecoder(resp.Body).Decode(&old)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || err != nil || len(old.Results) != 1 || old.Results[0].Cost != got.Results[0].Cost {
+		t.Fatalf(`body with "workers": status %d, %+v (decode err %v), want %+v`, resp.StatusCode, old, err, got)
 	}
 }
 

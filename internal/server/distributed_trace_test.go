@@ -60,7 +60,7 @@ func findSpan(spans []*trace.SpanExport, name string) *trace.SpanExport {
 // scatter-gather anatomy, stitched across process boundaries. The
 // answer itself still matches the single-engine oracle.
 func TestScatterExplainStitchedTrace(t *testing.T) {
-	coord, shards, eng := scatterFleet(t, Options{})
+	coord, shards, eng := scatterFleet(t, core.DegradeFail)
 	want := oracleQuery(t, eng, geo.Point{X: 50, Y: 30}, []string{"cafe", "museum", "park"})
 
 	var got queryResponse
@@ -197,7 +197,7 @@ func TestScatterByzantineFragment(t *testing.T) {
 // coordinator slowlog with a per-shard call breakdown — shard, phase,
 // elapsed, and the stitched span count per call.
 func TestScatterSlowLogShardBreakdown(t *testing.T) {
-	coord, shards, _ := scatterFleet(t, Options{})
+	coord, shards, _ := scatterFleet(t, core.DegradeFail)
 	var qr queryResponse
 	getJSON(t, coord.URL+"/query?x=50&y=30&kw=cafe,museum,park", http.StatusOK, &qr)
 
@@ -310,7 +310,7 @@ func TestScatterHeaderPropagation(t *testing.T) {
 // must all drain.
 func TestFederatedMetrics(t *testing.T) {
 	defer testutil.CheckGoroutineLeaks(t)
-	coord, shards, _ := scatterFleet(t, Options{})
+	coord, shards, _ := scatterFleet(t, core.DegradeFail)
 	var qr queryResponse
 	getJSON(t, coord.URL+"/query?x=50&y=30&kw=cafe,museum,park", http.StatusOK, &qr)
 
@@ -352,7 +352,7 @@ func TestFederatedMetrics(t *testing.T) {
 // request (explain=1), the scatter answer still matches the oracle at
 // several locations — observability must not perturb the data plane.
 func TestScatterDifferentialWithTracing(t *testing.T) {
-	coord, _, eng := scatterFleet(t, Options{})
+	coord, _, eng := scatterFleet(t, core.DegradeFail)
 	words := []string{"cafe", "museum", "park"}
 	for _, loc := range []geo.Point{{X: 50, Y: 30}, {X: 0, Y: 0}, {X: 120, Y: -5}, {X: 50, Y: 80}} {
 		want := oracleQuery(t, eng, loc, words)

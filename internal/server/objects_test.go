@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"coskq/internal/epoch"
+	"coskq/internal/shard"
 	"coskq/internal/testutil"
 )
 
@@ -197,7 +198,7 @@ func TestObjectsStream(t *testing.T) {
 func TestLiveShardDataPlaneGenHeader(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	srv, st := liveServer(t, epoch.Options{})
-	var nn shardNNJSON
+	var nn shard.WireNN
 	getJSON(t, srv.URL+"/shard/nn?x=0&y=0&kw=cafe", http.StatusOK, &nn)
 	if nn.Gen != 0 {
 		t.Fatalf("pre-churn nn gen = %d", nn.Gen)
@@ -212,12 +213,12 @@ func TestLiveShardDataPlaneGenHeader(t *testing.T) {
 	if nn.Gen < 1 {
 		t.Fatalf("post-churn nn gen = %d, want >= 1", nn.Gen)
 	}
-	var col shardCollectJSON
+	var col shard.WireCollect
 	getJSON(t, srv.URL+"/shard/collect?x=0&y=0&r=100&kw=cafe", http.StatusOK, &col)
 	if col.Gen != nn.Gen {
 		t.Fatalf("collect gen %d != nn gen %d on a quiescent store", col.Gen, nn.Gen)
 	}
-	var meta shardMetaJSON
+	var meta shard.WireMeta
 	getJSON(t, srv.URL+"/shard/meta", http.StatusOK, &meta)
 	if meta.Gen != nn.Gen || meta.Objects != 5 {
 		t.Fatalf("meta = %+v, want gen %d and 5 objects", meta, nn.Gen)

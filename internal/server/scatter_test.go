@@ -17,6 +17,7 @@ import (
 	"coskq/internal/geo"
 	"coskq/internal/kwds"
 	"coskq/internal/shard"
+	"coskq/internal/trace"
 )
 
 // districts builds three small shard datasets — each covering the full
@@ -45,9 +46,10 @@ func districts() (parts []*dataset.Dataset, all *dataset.Dataset) {
 }
 
 // scatterFleet serves each district from its own engine server and
-// fronts them with a scatter-gather coordinator. The shard clients are
-// fail-fast (no retries) so a killed shard surfaces immediately.
-func scatterFleet(t *testing.T, opts Options) (coord *httptest.Server, shards []*httptest.Server, oracle *core.Engine) {
+// fronts them with a scatter-gather coordinator whose router degrades
+// under policy. The shard clients are fail-fast (no retries) so a killed
+// shard surfaces immediately.
+func scatterFleet(t *testing.T, policy core.DegradePolicy) (coord *httptest.Server, shards []*httptest.Server, oracle *core.Engine) {
 	t.Helper()
 	parts, all := districts()
 	backends := make([]shard.Backend, len(parts))
@@ -57,7 +59,7 @@ func scatterFleet(t *testing.T, opts Options) (coord *httptest.Server, shards []
 		shards = append(shards, srv)
 		backends[i] = shard.NewHTTPBackend(&client.Client{Base: srv.URL, MaxRetries: -1})
 	}
-	coord = httptest.NewServer(NewScatterGather(&shard.Router{Backends: backends}, opts))
+	coord = httptest.NewServer(NewScatterGather(&shard.Router{Backends: backends, Degrade: policy}, Options{}))
 	t.Cleanup(coord.Close)
 	return coord, shards, core.NewEngine(all, 0)
 }
@@ -84,7 +86,7 @@ func oracleQuery(t *testing.T, eng *core.Engine, loc geo.Point, words []string) 
 // body) whose answer is still feasible — not a 502 and not a wrong
 // answer presented as complete.
 func TestScatterGatherDegradesOnDeadShard(t *testing.T) {
-	coord, shards, eng := scatterFleet(t, Options{Degrade: core.DegradeIncumbent})
+	coord, shards, eng := scatterFleet(t, core.DegradeIncumbent)
 	url := coord.URL + "/query?x=50&y=30&kw=cafe,museum,park"
 
 	// Warm the router's meta cache while the whole fleet is alive.
@@ -128,7 +130,7 @@ func TestScatterGatherDegradesOnDeadShard(t *testing.T) {
 // policy a dead shard is an upstream failure, reported as 502 so the
 // client's retry loop treats it as transient.
 func TestScatterGatherStrictPolicyReturns502(t *testing.T) {
-	coord, shards, _ := scatterFleet(t, Options{})
+	coord, shards, _ := scatterFleet(t, core.DegradeFail)
 	url := coord.URL + "/query?x=50&y=30&kw=cafe,museum,park"
 	var warm queryResponse
 	getJSON(t, url, http.StatusOK, &warm)
@@ -147,7 +149,7 @@ func TestScatterGatherStrictPolicyReturns502(t *testing.T) {
 // TestScatterGatherSurface covers the coordinator's non-query routes
 // and parameter validation.
 func TestScatterGatherSurface(t *testing.T) {
-	coord, _, _ := scatterFleet(t, Options{})
+	coord, _, _ := scatterFleet(t, core.DegradeFail)
 
 	var health struct {
 		Status string `json:"status"`
@@ -187,7 +189,7 @@ func TestScatterGatherSurface(t *testing.T) {
 func TestShardDataPlane(t *testing.T) {
 	srv, _ := testServer(t)
 
-	var meta shardMetaJSON
+	var meta shard.WireMeta
 	getJSON(t, srv.URL+"/shard/meta", http.StatusOK, &meta)
 	if meta.Name != "city" || meta.Objects != 4 || meta.Empty {
 		t.Fatalf("meta = %+v", meta)
@@ -200,13 +202,13 @@ func TestShardDataPlane(t *testing.T) {
 		t.Fatal("summary lost a present keyword")
 	}
 
-	var nn shardNNJSON
+	var nn shard.WireNN
 	getJSON(t, srv.URL+"/shard/nn?x=0&y=0&kw=cafe,definitely-absent", http.StatusOK, &nn)
 	if len(nn.Hits) != 2 || !nn.Hits[0].Found || nn.Hits[1].Found {
 		t.Fatalf("nn hits = %+v", nn.Hits)
 	}
 
-	var coll shardCollectJSON
+	var coll shard.WireCollect
 	getJSON(t, srv.URL+"/shard/collect?x=0&y=0&r=10&kw=cafe", http.StatusOK, &coll)
 	if len(coll.Objects) == 0 {
 		t.Fatal("collect returned no objects inside a covering radius")
@@ -269,10 +271,81 @@ func TestShardDataPlane(t *testing.T) {
 	}
 }
 
+// TestShardWireKeys pins the /shard/* JSON keys, so coordinators and
+// shards built before and after a change to the wire types still
+// interoperate: each body, and each hit and object in it, carries
+// exactly these keys, plus "trace" when the request carried a
+// traceparent header.
+func TestShardWireKeys(t *testing.T) {
+	srv, _ := testServer(t)
+	get := func(path string, traced bool) map[string]any {
+		t.Helper()
+		req, err := http.NewRequestWithContext(context.Background(), http.MethodGet, srv.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if traced {
+			req.Header.Set("Traceparent", trace.NewSpanContext().Traceparent())
+		}
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body map[string]any
+		if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&body) != nil {
+			t.Fatalf("GET %s: status %d or an undecodable body", path, resp.StatusCode)
+		}
+		return body
+	}
+	wantKeys := func(what string, v any, want ...string) {
+		t.Helper()
+		m, ok := v.(map[string]any)
+		if !ok {
+			t.Fatalf("%s: %T, want a JSON object", what, v)
+		}
+		got := make([]string, 0, len(m))
+		for k := range m {
+			got = append(got, k)
+		}
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s keys %v, want %v", what, got, want)
+		}
+	}
+	wantKeys("/shard/meta", get("/shard/meta", false),
+		"name", "objects", "minX", "minY", "maxX", "maxY", "empty", "summary", "gen")
+	hit := []string{"found", "id", "x", "y", "dist", "keywords"}
+	object := []string{"id", "x", "y", "keywords"}
+	for _, traced := range []bool{false, true} {
+		body := []string{"gen", "hits"}
+		if traced {
+			body = append(body, "trace")
+		}
+		nn := get("/shard/nn?x=0&y=0&kw=cafe,definitely-absent", traced)
+		wantKeys(fmt.Sprintf("/shard/nn (traced %v)", traced), nn, body...)
+		for i, h := range nn["hits"].([]any) {
+			wantKeys(fmt.Sprintf("/shard/nn hit %d", i), h, hit...)
+		}
+		body[1] = "objects"
+		coll := get("/shard/collect?x=0&y=0&r=10&kw=cafe", traced)
+		wantKeys(fmt.Sprintf("/shard/collect (traced %v)", traced), coll, body...)
+		objs := coll["objects"].([]any)
+		if len(objs) == 0 {
+			t.Fatal("/shard/collect: no objects to check")
+		}
+		for i, o := range objs {
+			wantKeys(fmt.Sprintf("/shard/collect object %d", i), o, object...)
+		}
+	}
+}
+
 // TestShardDataPlaneParity: a shard reached in-process and the same shard
 // reached over /shard/* surface the same candidates — ids, locations,
 // distances, coverage masks (computed shard-side in-process, derived from
 // the wire keywords over HTTP) and, once the in-process side is hydrated,
+
 // the same keyword strings.
 func TestShardDataPlaneParity(t *testing.T) {
 	parts, _ := districts()
@@ -340,7 +413,7 @@ func TestScatterQueryReturnsFullKeywordLists(t *testing.T) {
 	}
 	local := httptest.NewServer(NewScatterGather(rt, Options{}))
 	t.Cleanup(local.Close)
-	remote, _, _ := scatterFleet(t, Options{})
+	remote, _, _ := scatterFleet(t, core.DegradeFail)
 	for _, coord := range []*httptest.Server{local, remote} {
 		var got queryResponse
 		getJSON(t, coord.URL+"/query?x=50&y=78&kw=museum,park", http.StatusOK, &got)

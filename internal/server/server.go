@@ -88,19 +88,6 @@ type Options struct {
 	// before being shed. Zero means the wait is bounded only by the
 	// request's own deadline.
 	QueueTimeout time.Duration
-	// Degrade is the anytime-answer policy applied to request solves
-	// (see core.DegradePolicy). With DegradeIncumbent or
-	// DegradeFallbackAppro, a budget- or deadline-tripped search returns
-	// its best-so-far feasible set — marked by the X-Coskq-Degraded
-	// header and the response's degraded fields — instead of an error.
-	Degrade core.DegradePolicy
-	// NodeBudgetPerSecond derives a per-request node budget from the
-	// request deadline: budget = rate × seconds remaining at solve
-	// start. It converts the wall-clock deadline into a deterministic
-	// effort bound that trips before the deadline does, so Degrade can
-	// return an anytime answer instead of the timeout's 504. Zero
-	// disables derivation (any engine-level NodeBudget still applies).
-	NodeBudgetPerSecond float64
 }
 
 // New returns the handler stack over eng with default options.
@@ -170,8 +157,6 @@ func newBase(opts Options, reg *metrics.Registry) *server {
 		reg:         reg,
 		log:         opts.Logger,
 		httpLatency: reg.Histogram("coskq_http_request_seconds", httpLatencyBuckets),
-		degrade:     opts.Degrade,
-		budgetRate:  opts.NodeBudgetPerSecond,
 	}
 	if opts.MaxInFlight > 0 {
 		s.adm = newAdmission(reg, opts.MaxInFlight, opts.MaxQueue, opts.QueueTimeout, time.Second)
@@ -219,8 +204,6 @@ type server struct {
 	slow        *trace.SlowLog
 	httpLatency *metrics.Histogram
 	adm         *admission
-	degrade     core.DegradePolicy
-	budgetRate  float64
 	idToken     string
 	idCounter   atomic.Uint64
 
@@ -258,30 +241,6 @@ func (s *server) pinned(h func(http.ResponseWriter, *http.Request, pin)) http.Ha
 		defer g.Unpin()
 		h(w, r, pin{eng: g.Eng, gen: g.Gen})
 	}
-}
-
-// requestEngine returns the engine one request solves on: the pinned
-// base engine when no per-request knobs apply, else a shallow clone
-// carrying the server's degrade policy and — when the request has a
-// deadline and a budget rate is configured — a node budget proportional
-// to the time remaining. The clone shares every index and the metrics
-// sink; only the scalar knobs differ.
-func (s *server) requestEngine(ctx context.Context, base *core.Engine) *core.Engine {
-	if s.degrade == core.DegradeFail && s.budgetRate <= 0 {
-		return base
-	}
-	run := *base
-	run.Degrade = s.degrade
-	if s.budgetRate > 0 {
-		if dl, ok := ctx.Deadline(); ok {
-			b := int(time.Until(dl).Seconds() * s.budgetRate)
-			if b < 1 {
-				b = 1
-			}
-			run.NodeBudget = b
-		}
-	}
-	return &run
 }
 
 // requestIDKey keys the request id in the request context.
@@ -572,33 +531,6 @@ type queryResponse struct {
 	Trace     *trace.Export `json:"trace,omitempty"`
 }
 
-// serveFault passes through the server.handle injection point,
-// converting an injected Unwind into the matching typed engine error so
-// an armed chaos schedule exercises the real error path. An injected
-// Crash propagates to recoverMiddleware like any programming error.
-func serveFault() error {
-	var err error
-	func() {
-		defer func() {
-			p := recover()
-			if p == nil {
-				return
-			}
-			u, ok := p.(fault.Unwind)
-			if !ok {
-				panic(p)
-			}
-			if u.Kind == fault.KindBudget {
-				err = core.ErrBudgetExceeded
-			} else {
-				err = context.Canceled
-			}
-		}()
-		fault.Hit(fault.ServerHandle)
-	}()
-	return err
-}
-
 // beginTrace decides whether this request is traced — explicitly via
 // ?explain=1, or implicitly to feed the slow-query log — and returns the
 // (possibly unchanged) context plus the trace.
@@ -811,13 +743,13 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request, p pin) {
 		jsonError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if err := serveFault(); err != nil {
+	if err := core.HitFault(fault.ServerHandle); err != nil {
 		writeSolveError(w, err)
 		return
 	}
 	ctx, tr, explain := s.beginTrace(r, "query")
 	start := time.Now()
-	res, err := s.requestEngine(ctx, eng).SolveCtx(ctx, q, cost, method)
+	res, err := eng.SolveCtx(ctx, q, cost, method)
 	x := s.finishTrace(r, tr, explain, time.Since(start), err, nil)
 	if err != nil {
 		writeSolveError(w, err)
@@ -869,13 +801,13 @@ func (s *server) handleTopK(w http.ResponseWriter, r *http.Request, p pin) {
 			return
 		}
 	}
-	if err := serveFault(); err != nil {
+	if err := core.HitFault(fault.ServerHandle); err != nil {
 		writeSolveError(w, err)
 		return
 	}
 	ctx, tr, explain := s.beginTrace(r, "topk")
 	start := time.Now()
-	results, err := s.requestEngine(ctx, eng).TopKCtx(ctx, q, cost, n)
+	results, err := eng.TopKCtx(ctx, q, cost, n)
 	x := s.finishTrace(r, tr, explain, time.Since(start), err, nil)
 	if err != nil {
 		writeSolveError(w, err)

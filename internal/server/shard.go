@@ -2,14 +2,14 @@
 // plane (/shard/meta, /shard/nn, /shard/collect) so it can serve as one
 // shard of a fleet, and NewScatterGather builds the coordinator: the
 // same /query surface, answered by fanning out to peer shard servers
-// through a shard.Router instead of a local engine. The JSON shapes
-// mirror internal/client's Shard* types — that client is the transport
-// of shard.HTTPBackend.
+// through a shard.Router instead of a local engine. The bodies are
+// internal/shard's Wire* types, which shard.HTTPBackend decodes.
 package server
 
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"coskq/internal/core"
+	"coskq/internal/fault"
 	"coskq/internal/kwds"
 	"coskq/internal/metrics"
 	"coskq/internal/shard"
@@ -52,55 +53,6 @@ func (s *server) shardBackendAt(p pin) *shard.EngineBackend {
 	return s.shardLive
 }
 
-// shardMetaJSON is the /shard/meta body (client.ShardMetaResponse).
-type shardMetaJSON struct {
-	Name    string  `json:"name"`
-	Objects int     `json:"objects"`
-	MinX    float64 `json:"minX"`
-	MinY    float64 `json:"minY"`
-	MaxX    float64 `json:"maxX"`
-	MaxY    float64 `json:"maxY"`
-	Empty   bool    `json:"empty"`
-	Summary string  `json:"summary"`
-	Gen     uint64  `json:"gen"`
-}
-
-// shardNNHitJSON is one /shard/nn entry (client.ShardNNHit).
-type shardNNHitJSON struct {
-	Found    bool     `json:"found"`
-	ID       uint32   `json:"id"`
-	X        float64  `json:"x"`
-	Y        float64  `json:"y"`
-	Dist     float64  `json:"dist"`
-	Keywords []string `json:"keywords"`
-}
-
-type shardNNJSON struct {
-	// Gen is the generation header: the epoch generation the answer was
-	// computed against (0 on a static server). The router cross-checks
-	// it between a scatter's NN and Collect phases.
-	Gen  uint64           `json:"gen"`
-	Hits []shardNNHitJSON `json:"hits"`
-	// Trace is the handler's trace fragment, present only when the
-	// request carried a valid traceparent header (client.ShardNNResponse
-	// keeps it raw; the coordinator validates before stitching).
-	Trace *trace.Export `json:"trace,omitempty"`
-}
-
-// shardObjectJSON is one /shard/collect entry (client.ShardObject).
-type shardObjectJSON struct {
-	ID       uint32   `json:"id"`
-	X        float64  `json:"x"`
-	Y        float64  `json:"y"`
-	Keywords []string `json:"keywords"`
-}
-
-type shardCollectJSON struct {
-	Gen     uint64            `json:"gen"`
-	Objects []shardObjectJSON `json:"objects"`
-	Trace   *trace.Export     `json:"trace,omitempty"`
-}
-
 // beginShardTrace starts a local trace for a shard data-plane call when
 // — and only when — the caller propagated a valid traceparent: the
 // shard then records its search anatomy and returns the export as a
@@ -114,10 +66,23 @@ func beginShardTrace(r *http.Request) (context.Context, *trace.Trace) {
 	return trace.NewContext(r.Context(), tr), tr
 }
 
+// fragment finishes a shard call's trace and renders it as the body's
+// trace fragment; nil (no key) when the call was untraced. An export
+// that fails to encode is left out the same way: telemetry never fails
+// the data-plane call that carries it.
+func fragment(tr *trace.Trace) json.RawMessage {
+	if tr == nil {
+		return nil
+	}
+	tr.Finish()
+	raw, _ := json.Marshal(tr.Export())
+	return raw
+}
+
 func (s *server) handleShardMeta(w http.ResponseWriter, r *http.Request, p pin) {
 	b := s.shardBackendAt(p)
 	m, _ := b.Meta(r.Context())
-	resp := shardMetaJSON{Name: m.Name, Objects: m.Objects, Summary: m.Summary.Encode(), Gen: p.gen}
+	resp := shard.WireMeta{Name: m.Name, Objects: m.Objects, Summary: m.Summary.Encode(), Gen: p.gen}
 	if m.Objects == 0 {
 		resp.Empty = true
 	} else {
@@ -155,7 +120,7 @@ func (s *server) handleShardNN(w http.ResponseWriter, r *http.Request, p pin) {
 		jsonError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if err := serveFault(); err != nil {
+	if err := core.HitFault(fault.ServerHandle); err != nil {
 		writeSolveError(w, err)
 		return
 	}
@@ -166,22 +131,13 @@ func (s *server) handleShardNN(w http.ResponseWriter, r *http.Request, p pin) {
 		writeSolveError(w, err)
 		return
 	}
-	resp := shardNNJSON{Gen: p.gen, Hits: make([]shardNNHitJSON, len(res.Hits))}
+	resp := shard.WireNN{Gen: p.gen, Hits: make([]shard.WireHit, len(res.Hits))}
 	for i, h := range res.Hits {
-		if !h.Found {
-			continue
-		}
-		// The wire carries full keyword lists; this is where an
-		// in-process candidate's strings are first needed.
-		b.Hydrate(&h.Cand)
-		resp.Hits[i] = shardNNHitJSON{
-			Found: true, ID: uint32(h.Cand.GID),
-			X: h.Cand.Loc.X, Y: h.Cand.Loc.Y,
-			Dist: h.Dist, Keywords: h.Cand.Words,
+		if h.Found {
+			resp.Hits[i] = shard.WireHit{Found: true, WireObject: wireObject(b, h.Cand), Dist: h.Dist}
 		}
 	}
-	tr.Finish()
-	resp.Trace = tr.Export()
+	resp.Trace = fragment(tr)
 	writeJSON(w, resp)
 }
 
@@ -196,7 +152,7 @@ func (s *server) handleShardCollect(w http.ResponseWriter, r *http.Request, p pi
 		jsonError(w, http.StatusBadRequest, "r must be a non-negative finite number")
 		return
 	}
-	if err := serveFault(); err != nil {
+	if err := core.HitFault(fault.ServerHandle); err != nil {
 		writeSolveError(w, err)
 		return
 	}
@@ -207,16 +163,20 @@ func (s *server) handleShardCollect(w http.ResponseWriter, r *http.Request, p pi
 		writeSolveError(w, err)
 		return
 	}
-	resp := shardCollectJSON{Gen: p.gen, Objects: make([]shardObjectJSON, len(res.Objects))}
+	resp := shard.WireCollect{Gen: p.gen, Objects: make([]shard.WireObject, len(res.Objects))}
 	for i, c := range res.Objects {
-		b.Hydrate(&c)
-		resp.Objects[i] = shardObjectJSON{
-			ID: uint32(c.GID), X: c.Loc.X, Y: c.Loc.Y, Keywords: c.Words,
-		}
+		resp.Objects[i] = wireObject(b, c)
 	}
-	tr.Finish()
-	resp.Trace = tr.Export()
+	resp.Trace = fragment(tr)
 	writeJSON(w, resp)
+}
+
+// wireObject renders a candidate for the wire. The wire carries full
+// keyword lists; this is where an in-process candidate's strings are
+// first needed.
+func wireObject(b *shard.EngineBackend, c shard.Candidate) shard.WireObject {
+	b.Hydrate(&c)
+	return shard.WireObject{ID: uint32(c.GID), X: c.Loc.X, Y: c.Loc.Y, Keywords: c.Words}
 }
 
 // NewScatterGather returns the coordinator handler stack over a shard
@@ -233,9 +193,6 @@ func NewScatterGather(rt *shard.Router, opts Options) http.Handler {
 	}
 	if rt.Metrics == nil {
 		rt.Metrics = shard.NewMetrics(reg)
-	}
-	if opts.Degrade != core.DegradeFail {
-		rt.Degrade = opts.Degrade
 	}
 	s := newBase(opts, reg)
 	mux := http.NewServeMux()
@@ -350,7 +307,7 @@ func (s *server) scatterQueryHandler(rt *shard.Router) http.Handler {
 			jsonError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		if err := serveFault(); err != nil {
+		if err := core.HitFault(fault.ServerHandle); err != nil {
 			writeSolveError(w, err)
 			return
 		}

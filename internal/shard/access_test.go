@@ -84,7 +84,7 @@ func checkCollect(t *testing.T, b *EngineBackend, sh Shard, q ShardQuery, radius
 			t.Fatalf("Collect[%d] carries keyword strings before Hydrate", i)
 		}
 		b.Hydrate(&c)
-		if wire := masker.candidate(uint32(c.GID), c.Loc.X, c.Loc.Y, c.Words); wire.Mask != c.Mask {
+		if wire := masker.candidate(WireObject{ID: uint32(c.GID), X: c.Loc.X, Y: c.Loc.Y, Keywords: c.Words}); wire.Mask != c.Mask {
 			t.Fatalf("object %d: shard-side mask %b, mask of its hydrated words %b", c.GID, c.Mask, wire.Mask)
 		}
 	}

@@ -62,4 +62,23 @@ fi
 # coordinator routed on.
 curl -fsS "http://127.0.0.1:${ports[0]}/shard/meta" | grep -q '"objects":400'
 
+# The NN leg of the wire a coordinator decodes (internal/shard's Wire*
+# types) answers from the real binary with its generation and one hit
+# slot per keyword.
+nn="$(curl -fsS "http://127.0.0.1:${ports[0]}/shard/nn?x=500&y=500&kw=w000000")"
+echo "shard/nn: $nn"
+grep -q '"hits":\[{"found":true' <<<"$nn"
+grep -q '"gen":' <<<"$nn"
+
+# A flag the chosen mode would ignore is refused at start-up: exit 2,
+# naming both flags.
+set +e
+refusal="$(timeout 10 "$work/coskq-server" -peers "http://127.0.0.1:${ports[0]}" -addr 127.0.0.1:9479 -budget-per-second 1e6 2>&1)"
+code=$?
+set -e
+echo "refusal (exit $code): $refusal"
+[ "$code" -eq 2 ]
+grep -q -- '-budget-per-second' <<<"$refusal"
+grep -q -- '-peers' <<<"$refusal"
+
 echo "scatter-gather smoke OK"
