@@ -35,7 +35,7 @@ func checkAlpha(alpha float64) error {
 // an error via SolveAlpha's validation for out-of-range α, so here α is
 // assumed valid.
 func (e *Engine) EvalCostAlpha(alpha float64, q geo.Point, set []dataset.ObjectID) float64 {
-	return e.evalSet(costAlpha(alpha), q, set)
+	return e.treeSource().evalSet(costAlpha(alpha), q, set)
 }
 
 // SolveAlpha answers q under cost_α with the distance owner-driven
@@ -45,7 +45,7 @@ func (e *Engine) SolveAlpha(q Query, alpha float64, method Method) (res Result, 
 	if err := checkAlpha(alpha); err != nil {
 		return Result{}, err
 	}
-	err = e.enter(context.Background(), q, func(s *search) (err error) {
+	err = e.enter(context.Background(), e.treeSource(), q, func(s *search) (err error) {
 		switch method {
 		case OwnerExact:
 			res, err = s.ownerExact(q, costAlpha(alpha), 1)

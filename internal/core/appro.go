@@ -62,7 +62,7 @@ func (s *search) ownerAppro(q Query, cost costFn) (Result, error) {
 			continue
 		}
 		stats.SetsEvaluated++
-		if c := s.evalSet(cost, q.Loc, set); c < curCost {
+		if c := s.src.evalSet(cost, q.Loc, set); c < curCost {
 			if osp != nil {
 				// Keep construction spans only for improving owners.
 				osp.Attr("owner_id", float64(owner.o.ID))

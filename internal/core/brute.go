@@ -10,8 +10,9 @@ import (
 // bruteForce exhaustively enumerates minimal covers of the query keywords
 // over all relevant objects and returns the cheapest one. It uses no index
 // and no geometric pruning — the relevant objects come from a scan of the
-// dataset — so it shares nothing with the algorithms it is the oracle
-// for, and it is exponential in |q.ψ|. The cost may carry an α (alpha.go).
+// source in identity order (source.scan) — so it shares nothing with the
+// algorithms it is the oracle for, and it is exponential in |q.ψ|. The
+// cost may carry an α (alpha.go).
 //
 // The farthest-member and sum rows are monotone under supersets, so some
 // optimal solution is a minimal cover. A nearest-member row (MinMax) is
@@ -32,13 +33,10 @@ func (s *search) bruteForce(q Query, cost costFn) (Result, error) {
 		cands []rc
 		union kwds.Mask
 	)
-	for i := range s.DS.Objects {
-		o := &s.DS.Objects[i]
-		if m := qi.MaskOf(o.Keywords); m != 0 {
-			cands = append(cands, rc{id: o.ID, mask: m})
-			union |= m
-		}
-	}
+	s.src.scan(qi, func(id dataset.ObjectID, m kwds.Mask) {
+		cands = append(cands, rc{id: id, mask: m})
+		union |= m
+	})
 	if union != qi.Full() {
 		return Result{}, ErrInfeasible
 	}
@@ -52,7 +50,7 @@ func (s *search) bruteForce(q Query, cost costFn) (Result, error) {
 	)
 	consider := func(set []dataset.ObjectID) {
 		stats.SetsEvaluated++
-		c := s.evalSet(cost, q.Loc, set)
+		c := s.src.evalSet(cost, q.Loc, set)
 		if !found || c < bestCost {
 			found = true
 			bestCost = c

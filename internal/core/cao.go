@@ -56,7 +56,7 @@ func (s *search) caoAppro2(q Query, cost CostKind) (Result, error) {
 	loop := s.tr.Begin("owner_loop")
 	searchStart := time.Now()
 	tf := s.farthestNNKeyword(q)
-	it := s.Tree.NewKeywordNNIterator(q.Loc, tf)
+	it := s.src.keyword(q.Loc, tf)
 	for {
 		o, d, ok := it.Next()
 		if !ok {
@@ -73,7 +73,7 @@ func (s *search) caoAppro2(q Query, cost CostKind) (Result, error) {
 			continue
 		}
 		stats.SetsEvaluated++
-		if c := s.EvalCost(cost, q.Loc, set); c < curCost {
+		if c := s.src.evalSet(costOf(cost), q.Loc, set); c < curCost {
 			curSet, curCost = canonical(set), c
 			s.noteIncumbent(curSet, curCost, cost)
 		}
@@ -107,14 +107,14 @@ func (s *search) farthestNNKeyword(q Query) kwds.ID {
 
 // nnAroundObject builds {o} ∪ { NN(o, t) : t uncovered by o }; ok is false
 // when some keyword has no object at all.
-func (e *Engine) nnAroundObject(qi *kwds.QueryIndex, o *dataset.Object) ([]dataset.ObjectID, bool) {
+func (s *search) nnAroundObject(qi *kwds.QueryIndex, o *dataset.Object) ([]dataset.ObjectID, bool) {
 	set := []dataset.ObjectID{o.ID}
-	covered := qi.MaskOf(o.Keywords)
+	covered := s.src.maskOf(qi, o)
 	for i, kw := range qi.Keywords() {
 		if covered&(1<<uint(i)) != 0 {
 			continue
 		}
-		id, _, ok := e.Tree.NN(o.Loc, kw)
+		id, _, ok := s.src.nn(o.Loc, kw)
 		if !ok {
 			return nil, false
 		}
@@ -239,13 +239,13 @@ func (s *search) caoExact(q Query, cost CostKind) (Result, error) {
 	defer putCaoScratch(scratch)
 	cands := scratch.ensureCands(qi.Size())
 	for b, kw := range qi.Keywords() {
-		it := s.Tree.NewKeywordNNIterator(q.Loc, kw)
+		it := s.src.keyword(q.Loc, kw)
 		for {
 			o, d, ok := it.Next()
 			if !ok || d >= curCost {
 				break
 			}
-			cands[b] = append(cands[b], kwCand{o: o, d: d, mask: qi.MaskOf(o.Keywords)})
+			cands[b] = append(cands[b], kwCand{o: o, d: d, mask: s.src.maskOf(qi, o)})
 			stats.CandidatesSeen++
 			s.pollCancel(stats.CandidatesSeen)
 		}

@@ -431,9 +431,14 @@ func (e *Engine) Solve(q Query, cost CostKind, method Method) (Result, error) {
 // expansions, the same mechanism that enforces NodeBudget) and the
 // context's error is returned. A nil or never-cancellable ctx adds no
 // per-node overhead. Every item of a batch runs SolveCtx.
-func (e *Engine) SolveCtx(ctx context.Context, q Query, cost CostKind, method Method) (res Result, err error) {
+func (e *Engine) SolveCtx(ctx context.Context, q Query, cost CostKind, method Method) (Result, error) {
+	return e.solveOn(ctx, e.treeSource(), q, cost, method)
+}
+
+// solveOn is SolveCtx over the given source.
+func (e *Engine) solveOn(ctx context.Context, src source, q Query, cost CostKind, method Method) (res Result, err error) {
 	start := time.Now()
-	err = e.enter(ctx, q, func(s *search) (err error) {
+	err = e.enter(ctx, src, q, func(s *search) (err error) {
 		res, err = s.solve(q, cost, method)
 		return err
 	})
@@ -459,7 +464,7 @@ func (e *Engine) Feasible(q Query, set []dataset.ObjectID) bool {
 // EvalCost computes cost(S) for the given cost function. It panics on an
 // empty set (a CoSKQ answer is never empty for a non-empty query).
 func (e *Engine) EvalCost(cost CostKind, q geo.Point, set []dataset.ObjectID) float64 {
-	return e.evalSet(costOf(cost), q, set)
+	return e.treeSource().evalSet(costOf(cost), q, set)
 }
 
 // EvalPoints is EvalCost for a set given by its members' locations, for
@@ -467,18 +472,6 @@ func (e *Engine) EvalCost(cost CostKind, q geo.Point, set []dataset.ObjectID) fl
 // shard router's merged NN seeds).
 func EvalPoints(cost CostKind, q geo.Point, pts []geo.Point) float64 {
 	return costOf(cost).eval(q, pts)
-}
-
-// evalSet resolves set to its locations and evaluates c over them. Answer
-// sets have at most |q.ψ| + 1 members, so the locations normally fit the
-// stack buffer.
-func (e *Engine) evalSet(c costFn, q geo.Point, set []dataset.ObjectID) float64 {
-	var buf [16]geo.Point
-	pts := buf[:0]
-	for _, id := range set {
-		pts = append(pts, e.DS.Object(id).Loc)
-	}
-	return c.eval(q, pts)
 }
 
 // canonical returns set sorted ascending with duplicates removed, the form

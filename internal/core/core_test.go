@@ -160,10 +160,9 @@ func TestExactMatchesBruteForce(t *testing.T) {
 }
 
 // TestOracleReadsNoPostings: on the oracle seeds above (and alpha_test's),
-// an engine that is only a dataset and a tree — the shape of the shard
-// router's pool engine — answers Brute under every cost and under cost_α,
-// and the oracle's dataset scan finds exactly the relevant objects the
-// posting lists name.
+// an engine that is only a dataset and a tree answers Brute under every
+// cost and under cost_α, and the oracle's dataset scan finds exactly the
+// relevant objects the posting lists name.
 func TestOracleReadsNoPostings(t *testing.T) {
 	for _, seed := range []int64{5, 60} {
 		rng := rand.New(rand.NewSource(seed))

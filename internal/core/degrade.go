@@ -193,14 +193,15 @@ func (s *search) degradeSolve(q Query, cost CostKind, method Method, res Result,
 }
 
 // fallbackAppro runs the cost function's cheap approximation on a child
-// search that shares only the call's trace and read-through NN caches:
+// search that shares only the call's source, trace and read-through NN
+// caches:
 // no node budget, no context (the original is already tripped — the
 // approximation is near-linear, so the overrun is bounded), no holder.
 // The shield converts any stray unwind (there should be none) into an
 // error instead of escaping.
 func (s *search) fallbackAppro(q Query, cost CostKind) (res Result, err error) {
 	defer recoverBudget(&err)
-	fb := search{Engine: s.Engine, tr: s.tr, nnmemo: s.nnmemo}
+	fb := search{Engine: s.Engine, src: s.src, tr: s.tr, nnmemo: s.nnmemo}
 	switch cost {
 	case MaxSum, Dia:
 		return fb.caoAppro2(q, cost)

@@ -238,7 +238,7 @@ func TestDominanceFilterStructure(t *testing.T) {
 		t.Helper()
 		eng := *e
 		eng.Ablation = ab
-		if err := eng.enter(context.Background(), q, func(s *search) error {
+		if err := eng.enter(context.Background(), eng.treeSource(), q, func(s *search) error {
 			var stats Stats
 			en := s.owners(q, qi, costOf(Sum), 0, true, &stats)
 			defer en.release()

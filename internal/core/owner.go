@@ -15,7 +15,6 @@ import (
 	"coskq/internal/dataset"
 	"coskq/internal/fault"
 	"coskq/internal/geo"
-	"coskq/internal/irtree"
 	"coskq/internal/kwds"
 	"coskq/internal/trace"
 )
@@ -188,7 +187,7 @@ type ownerEnum struct {
 	exact bool
 	abl   Ablation
 
-	it      *irtree.RelevantNNIterator
+	it      relevantStream
 	loop    *trace.Span
 	start   time.Time
 	scratch *ownerScratch
@@ -207,7 +206,7 @@ func (s *search) owners(q Query, qi *kwds.QueryIndex, cost costFn, df float64, e
 		s: s, qi: qi, cost: cost, df: df, stats: stats, exact: exact,
 		loop:    s.tr.Begin("owner_loop"),
 		start:   time.Now(),
-		it:      s.Tree.NewRelevantNNIterator(q.Loc, qi),
+		it:      s.src.relevant(q.Loc, qi),
 		scratch: scratch,
 		pool:    scratch.pool[:0],
 		bits:    scratch.ensureBits(qi.Size()),
@@ -220,9 +219,9 @@ func (s *search) owners(q Query, qi *kwds.QueryIndex, cost costFn, df float64, e
 
 // pop advances the stream to the next pool entry and reports whether there
 // is one. bound is the cost of a feasible set the caller holds: it limits
-// the IR-tree walk (irtree.RelevantNNIterator.Limit), and it is the ring
-// break, since any set containing an object with combine(d, 0) ≥ bound
-// costs at least bound. Every pop polls the call's context.
+// the stream (relevantStream.Limit), and it is the ring break, since any
+// set containing an object with combine(d, 0) ≥ bound costs at least
+// bound. Every pop polls the call's context.
 func (e *ownerEnum) pop(bound float64) bool {
 	for {
 		if e.exact {

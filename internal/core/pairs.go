@@ -162,7 +162,7 @@ func (s *search) bestFeasibleForTriple(q Query, qi *kwds.QueryIndex, cost CostKi
 	covered := oi.mask | oj.mask | om.mask
 	if covered == qi.Full() {
 		stats.SetsEvaluated++
-		c := s.EvalCost(cost, q.Loc, base)
+		c := s.src.evalSet(costOf(cost), q.Loc, base)
 		if c < bound {
 			return base, c
 		}
@@ -199,7 +199,7 @@ func (s *search) bestFeasibleForTriple(q Query, qi *kwds.QueryIndex, cost CostKi
 				set = append(set, cands[r].o.ID)
 			}
 			stats.SetsEvaluated++
-			if c := s.EvalCost(cost, q.Loc, canonical(set)); c < bestCost {
+			if c := s.src.evalSet(costOf(cost), q.Loc, canonical(set)); c < bestCost {
 				bestCost = c
 				bestSet = canonical(set)
 			}

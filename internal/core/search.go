@@ -24,7 +24,8 @@ import (
 
 // search is one execution's state. It is confined to one goroutine.
 type search struct {
-	*Engine // index and config; a search only ever reads through it
+	*Engine // config; a search reads its objects through src alone
+	src     source
 
 	// ctx is the call's cancellation context, attached only when it can
 	// actually be cancelled: chargeNode's poll stays a single nil check
@@ -67,13 +68,13 @@ func (s *search) release() {
 
 // enter is the one way into the algorithms: it rejects a query the
 // keyword masks cannot represent, takes a search from the pool, binds the
-// call's context, trace and node budget, runs fn on it and
+// call's source, context, trace and node budget, runs fn on it and
 // releases it. A budget or cancellation unwind that no frame below
 // converted (solveInner, topKInner and fallbackAppro do, so that their
 // callers can degrade) surfaces as fn's error, never as a panic. A search
 // only ever comes from here, or from a child literal built beneath this
 // frame, so the shield is structural.
-func (e *Engine) enter(ctx context.Context, q Query, fn func(*search) error) (err error) {
+func (e *Engine) enter(ctx context.Context, src source, q Query, fn func(*search) error) (err error) {
 	if len(q.Keywords) > kwds.MaxQueryKeywords {
 		return fmt.Errorf("%w (%d given)", ErrTooManyKeywords, len(q.Keywords))
 	}
@@ -86,7 +87,7 @@ func (e *Engine) enter(ctx context.Context, q Query, fn func(*search) error) (er
 	s := searchPool.Get().(*search)
 	defer s.release()
 	defer recoverBudget(&err)
-	s.Engine, s.budget = e, e.callBudget(ctx)
+	s.Engine, s.src, s.budget = e, src, e.callBudget(ctx)
 	if cancellable {
 		s.ctx = ctx
 	}
@@ -251,24 +252,25 @@ func (s *search) keywordNN(p geo.Point, kw kwds.ID) (dataset.ObjectID, float64, 
 }
 
 // lookupNN resolves one keyword NN below the memo: the NNCache first (the
-// engine's, or a batch's own), then the IR-tree. Every cache hit is
+// engine's, or a batch's own), then the source. Every cache hit is
 // validity-checked (nncache.go), so the chain returns bit-identical results
 // to a bare Tree.NN whichever layer answers. Misses with a cache attached
 // walk NN2 — the same best-first search, continued one object further — so
-// the validity radius can be recorded.
+// the validity radius can be recorded. The cache indexes the engine's
+// tree, so a pool solve never consults it.
 func (s *search) lookupNN(p geo.Point, kw kwds.ID) (dataset.ObjectID, float64, bool) {
 	cache := s.NNCache
-	if cache == nil {
-		return s.Tree.NN(p, kw)
+	if cache == nil || s.src.pool != nil {
+		return s.src.nn(p, kw)
 	}
 	fault.Hit(fault.NNCacheProbe)
 	if id, d, ok, hit := cache.Lookup(p, kw); hit {
 		return id, d, ok
 	}
-	id, d1, d2, ok := s.Tree.NN2(p, kw)
+	id, d1, d2, ok := s.src.nn2(p, kw)
 	var loc geo.Point
 	if ok {
-		loc = s.DS.Object(id).Loc
+		loc = s.src.object(id).Loc
 	}
 	cache.Store(p, kw, id, loc, d1, d2, ok)
 	return id, d1, ok
@@ -303,7 +305,7 @@ func (s *search) nnSeed(q Query, cost costFn, stats *Stats) (set []dataset.Objec
 			ids = append(ids, id)
 		}
 	}
-	c = s.evalSet(cost, q.Loc, ids)
+	c = s.src.evalSet(cost, q.Loc, ids)
 	stats.Phases.Seed += time.Since(t0)
 	if sp != nil {
 		sp.Attr("seed_size", float64(len(ids)))

@@ -31,7 +31,7 @@ type topKHeap struct {
 	sets []Result
 	seen map[string]bool
 
-	e    *Engine
+	src  source
 	q    Query
 	qi   *kwds.QueryIndex
 	cost CostKind
@@ -57,8 +57,8 @@ func setKey(ids []dataset.ObjectID) string {
 // offerCover ranks one feasible cover: its irredundant form, at that
 // form's cost, if it makes the top k and was not seen before.
 func (h *topKHeap) offerCover(cover []dataset.ObjectID) {
-	set := irredundant(h.e, h.qi, cover)
-	cost := h.e.EvalCost(h.cost, h.q.Loc, set)
+	set := irredundant(h.src, h.qi, cover)
+	cost := h.src.evalSet(costOf(h.cost), h.q.Loc, set)
 	key := setKey(set)
 	if h.seen[key] {
 		return
@@ -88,7 +88,7 @@ func (e *Engine) TopK(q Query, cost CostKind, k int) ([]Result, error) {
 // SolveCtx: when ctx is cancelled, the enumeration unwinds promptly and
 // the context's error is returned.
 func (e *Engine) TopKCtx(ctx context.Context, q Query, cost CostKind, k int) (res []Result, err error) {
-	err = e.enter(ctx, q, func(s *search) (err error) {
+	err = e.enter(ctx, e.treeSource(), q, func(s *search) (err error) {
 		res, err = s.topK(q, cost, k)
 		return err
 	})
@@ -159,7 +159,7 @@ func (s *search) topKInner(q Query, cost CostKind, k int) (res []Result, err err
 
 	// The seed enters in its irredundant form, which may be cheaper than
 	// N(q) itself.
-	top := &topKHeap{k: k, seen: make(map[string]bool), e: s.Engine, q: q, qi: qi, cost: cost}
+	top := &topKHeap{k: k, seen: make(map[string]bool), src: s.src, q: q, qi: qi, cost: cost}
 	s.trackTopK(top)
 	verifySp := s.tr.Begin("verify")
 	top.offerCover(seed)
@@ -186,7 +186,7 @@ func (s *search) topKInner(q Query, cost CostKind, k int) (res []Result, err err
 // irredundant drops members whose removal keeps the set feasible
 // (greedily, farthest-from-query first), yielding the canonical
 // irredundant form used by the top-k ranking.
-func irredundant(e *Engine, qi *kwds.QueryIndex, set []dataset.ObjectID) []dataset.ObjectID {
+func irredundant(src source, qi *kwds.QueryIndex, set []dataset.ObjectID) []dataset.ObjectID {
 	out := append([]dataset.ObjectID(nil), set...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	for i := 0; i < len(out); {
@@ -195,7 +195,7 @@ func irredundant(e *Engine, qi *kwds.QueryIndex, set []dataset.ObjectID) []datas
 			if j == i {
 				continue
 			}
-			m |= qi.MaskOf(e.DS.Object(id).Keywords)
+			m |= src.maskOf(qi, src.object(id))
 		}
 		if m == qi.Full() {
 			out = append(out[:i], out[i+1:]...)

@@ -14,6 +14,7 @@ import (
 // costs — the oracle for TopK.
 func bruteTopK(e *Engine, q Query, cost CostKind, k int) []float64 {
 	qi := kwds.NewQueryIndex(q.Keywords)
+	src := e.treeSource()
 	relevant := e.Inv.Relevant(q.Keywords)
 	type rc struct {
 		id   dataset.ObjectID
@@ -29,7 +30,7 @@ func bruteTopK(e *Engine, q Query, cost CostKind, k int) []float64 {
 	var dfs func(covered kwds.Mask)
 	dfs = func(covered kwds.Mask) {
 		if covered == qi.Full() {
-			set := irredundant(e, qi, canonical(chosen))
+			set := irredundant(src, qi, canonical(chosen))
 			key := setKey(set)
 			if !seen[key] {
 				seen[key] = true
@@ -150,6 +151,7 @@ func TestTopKEdgeCases(t *testing.T) {
 func TestIrredundant(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	e := genEngine(rng, 200, 8, 3)
+	src := e.treeSource()
 	for trial := 0; trial < 50; trial++ {
 		q := randQuery(rng, 8, 1+rng.Intn(4))
 		qi := kwds.NewQueryIndex(q.Keywords)
@@ -163,7 +165,7 @@ func TestIrredundant(t *testing.T) {
 		// Pad with random extra objects, then reduce.
 		padded := append(append([]dataset.ObjectID(nil), res.Set...),
 			dataset.ObjectID(rng.Intn(e.DS.Len())), dataset.ObjectID(rng.Intn(e.DS.Len())))
-		red := irredundant(e, qi, canonical(padded))
+		red := irredundant(src, qi, canonical(padded))
 		if !e.Feasible(q, red) {
 			t.Fatal("irredundant result infeasible")
 		}

@@ -241,3 +241,78 @@ func TestChaosAllShardsDead(t *testing.T) {
 		t.Fatalf("first failure should name shard 0, got %d", se.Shard)
 	}
 }
+
+// TestChaosPoolSolveFaults arms fault.RTreeVisit, which every advance of
+// the pool solve's candidate streams passes, during routed queries: each
+// unwind at each of the first hits, for a relevant-stream method and two
+// keyword-stream ones, under the strict and the incumbent policy. An
+// unwind is a typed error under DegradeFail and a degraded answer no
+// cheaper than the full one under DegradeIncumbent (the NN seed is an
+// incumbent before any stream moves); a hit past the stream's end leaves
+// the full answer. An injected crash is the fault package's Crash: like
+// every programming error it propagates (nothing in the engine recovers
+// it), and the router answers the next query in full.
+func TestChaosPoolSolveFaults(t *testing.T) {
+	kinds := []fault.Kind{fault.KindBudget, fault.KindCancel, fault.KindPanic}
+	methods := []core.Method{core.OwnerExact, core.CaoExact, core.CaoAppro2}
+	for _, policy := range []core.DegradePolicy{core.DegradeFail, core.DegradeIncumbent} {
+		for _, m := range methods {
+			r, eng, q := chaosRouter(t, policy)
+			full, err := r.Solve(q, core.MaxSum, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, kind := range kinds {
+				for hit := uint64(1); hit <= 3; hit++ {
+					name := fmt.Sprintf("%v/%v/%v/hit%d", policy, m, kind, hit)
+					var (
+						res   core.Result
+						err   error
+						crash any
+					)
+					disarm := fault.Arm(5, fault.Rule{Point: fault.RTreeVisit, Kind: kind, After: hit - 1, Every: 1, Count: 1})
+					func() {
+						defer func() { crash = recover() }()
+						res, err = r.Solve(q, core.MaxSum, m)
+					}()
+					hits := fault.Hits(fault.RTreeVisit)
+					disarm()
+					if hits == 0 {
+						t.Fatalf("%s: the pool solve never passed fault.RTreeVisit", name)
+					}
+					fired := hits >= hit
+					switch {
+					case crash != nil:
+						if _, ok := crash.(fault.Crash); !ok || kind != fault.KindPanic {
+							t.Fatalf("%s: panic %v", name, crash)
+						}
+						if again, err := r.Solve(q, core.MaxSum, m); err != nil || again.Cost != full.Cost {
+							t.Fatalf("%s: after the crash the router answers %v, %v; want cost %v", name, again.Cost, err, full.Cost)
+						}
+					case !fired:
+						if err != nil || res.Degraded || res.Cost != full.Cost {
+							t.Fatalf("%s: no fault fired, yet %v degraded=%v cost %v (full %v)", name, err, res.Degraded, res.Cost, full.Cost)
+						}
+					case kind == fault.KindPanic:
+						t.Fatalf("%s: the injected crash was swallowed: %v, %v", name, res, err)
+					case policy == core.DegradeFail:
+						want := core.ErrBudgetExceeded
+						if kind == fault.KindCancel {
+							want = context.Canceled
+						}
+						if !errors.Is(err, want) {
+							t.Fatalf("%s: want %v, got %v", name, want, err)
+						}
+					default:
+						if err != nil || !res.Degraded || res.Stats.DegradeReason == core.DegradeReasonShard {
+							t.Fatalf("%s: want a search-degraded answer, got %v (degraded=%v, %q)", name, err, res.Degraded, res.Stats.DegradeReason)
+						}
+						if !eng.Feasible(q, res.Set) || eng.EvalCost(core.MaxSum, q.Loc, res.Set) != res.Cost || res.Cost < full.Cost {
+							t.Fatalf("%s: degraded set %v at %v is infeasible, misreported or beats the full cost %v", name, res.Set, res.Cost, full.Cost)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"testing"
+	"time"
 
 	"coskq/internal/core"
 	"coskq/internal/datagen"
@@ -74,12 +75,14 @@ func BenchmarkRouteHotel(b *testing.B) {
 // before the data plane moved to coverage masks and posting lists
 // (measured at commit 180827a with this same test body: a []string per
 // candidate, a fresh vocabulary interned per query, full keyword sets
-// sorted into the pool IR-tree) and allocates 195 times now. The budget
-// is the measured value plus headroom for toolchain drift (-race reads
-// 214); it sits well inside the third of the parent the change promised.
+// sorted into the pool IR-tree). It allocated 150 times (Go 1.24) while
+// the router still built a dataset and an IR-tree over every pool, and
+// allocates 100 times now that the pool is solved in place (-race reads
+// 117). The budget is the measured value plus about a quarter for toolchain
+// drift; it sits well inside the third of 1,324 the mask change promised.
 const (
 	parentRouteAllocs = 1324
-	routeAllocBudget  = 250
+	routeAllocBudget  = 125
 )
 
 // TestRouteAllocs keeps that gain from rotting. The fixture pools ~100
@@ -101,5 +104,55 @@ func TestRouteAllocs(t *testing.T) {
 	if got > routeAllocBudget || routeAllocBudget > parentRouteAllocs/3 {
 		t.Errorf("RouteWords allocates %.0f/op, budget %d (a third of the parent's %d is %d)",
 			got, routeAllocBudget, parentRouteAllocs, parentRouteAllocs/3)
+	}
+}
+
+// TestRoutePhasesWithinElapsed: a routed answer's Elapsed is the wall time
+// of the route from the start of the gather, and its phases — the gather
+// and the pool's preparation charged to Materialize, then the solve's own
+// — add up to no more than it.
+func TestRoutePhasesWithinElapsed(t *testing.T) {
+	rt, qs := routeFixture(t, datagen.Generate(datagen.ProfileGN(1, 0.01)), 48)
+	for i, q := range qs {
+		start := time.Now()
+		ans, err := rt.RouteWords(context.Background(), q.loc, q.words, q.cost, core.OwnerExact)
+		wall := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := ans.Result.Stats
+		sum := st.Phases.Seed + st.Phases.Materialize + st.Phases.Search
+		if sum > st.Elapsed || st.Elapsed > wall || st.Phases.Materialize <= 0 {
+			t.Errorf("query %d: phases %+v sum to %v; Elapsed %v, wall %v", i, st.Phases, sum, st.Elapsed, wall)
+		}
+	}
+}
+
+// TestRouteMembersInIDOrder: the pool is solved in distance order, but a
+// routed answer lists its members, and Result.Set its ids, in (GID,
+// shard) order.
+func TestRouteMembersInIDOrder(t *testing.T) {
+	rt, qs := routeFixture(t, datagen.Generate(datagen.ProfileGN(1, 0.01)), 48)
+	multi := 0
+	for i, q := range qs {
+		ans, err := rt.RouteWords(context.Background(), q.loc, q.words, q.cost, core.OwnerExact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms := ans.Members
+		if len(ms) != len(ans.Result.Set) {
+			t.Fatalf("query %d: %d members for a set of %d", i, len(ms), len(ans.Result.Set))
+		}
+		for j, m := range ms {
+			if m.GID != ans.Result.Set[j] || (j > 0 && (m.GID < ms[j-1].GID || m.GID == ms[j-1].GID && m.Shard <= ms[j-1].Shard)) {
+				t.Fatalf("query %d: members %v, set %v: not in (GID, shard) order", i, ms, ans.Result.Set)
+			}
+		}
+		if len(ms) > 1 {
+			multi++
+		}
+	}
+	if multi == 0 {
+		t.Fatal("no answer has two members; the order is untested")
 	}
 }

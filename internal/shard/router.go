@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/bits"
 	"slices"
 	"sync"
 	"time"
@@ -14,7 +13,6 @@ import (
 	"coskq/internal/dataset"
 	"coskq/internal/fault"
 	"coskq/internal/geo"
-	"coskq/internal/irtree"
 	"coskq/internal/kwds"
 	"coskq/internal/metrics"
 	"coskq/internal/trace"
@@ -66,7 +64,7 @@ type RouteInfo struct {
 	Failed        []ShardFailure
 	SeedCost      float64 // cost U of the merged nearest-neighbor set N(q)
 	Radius        float64 // gather radius (= SeedCost for every cost kind)
-	PoolSize      int     // objects the pool engine solved over
+	PoolSize      int     // objects the pool solve ran over
 	// GenRetries counts full-route retries forced by a torn scatter (a
 	// shard whose NN and Collect generations differed).
 	GenRetries int
@@ -665,97 +663,88 @@ func (r *Router) routeOnce(ctx context.Context, loc geo.Point, words []string, c
 		return Answer{Info: info}, torn, failError(info)
 	}
 
-	// Phase 6: deterministic merge. The NN seeds (kept even when their
-	// shard later failed collect — they are fetched data and preserve
-	// coverage) and the collect results are sorted by (GID, shard ordinal),
-	// so the pool — and therefore the pool engine's canonical answer — is
-	// independent of arrival order. A seed its own shard collected again
-	// lands beside its copy; a backend reports one mask per object, so the
-	// copies are identical and either one stays.
+	// Phase 6: the pool. The NN seeds (kept even when their shard later
+	// failed collect — they are fetched data and preserve coverage) and
+	// the collect results are handed to core.NewPool, which sorts them
+	// once by (d(q), GID, shard ordinal), so the pool — and therefore the
+	// canonical answer — is independent of arrival order. A seed its own
+	// shard collected again has its copy's location, so its distance, and
+	// lands beside it; a backend reports one mask per object, so the
+	// copies are identical and either one stays. A candidate's Ref is its
+	// position in parts, read in order.
+	type part struct {
+		shard int // stamped on every candidate; -1 keeps each one's own
+		cands []Candidate
+	}
+	parts := append(make([]part, 0, len(keep)+1), part{-1, seeds})
 	n := len(seeds)
 	for _, ord := range keep {
 		if !failed[ord] {
+			parts = append(parts, part{ord, collected[ord]})
 			n += len(collected[ord])
 		}
 	}
-	pool := append(make([]Candidate, 0, n), seeds...)
-	for _, ord := range keep {
-		if failed[ord] {
-			continue
-		}
-		for _, c := range collected[ord] {
-			c.Shard = ord
-			pool = append(pool, c)
-		}
-	}
-	slices.SortFunc(pool, func(a, b Candidate) int {
-		if c := cmp.Compare(a.GID, b.GID); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Shard, b.Shard)
-	})
-	pool = slices.CompactFunc(pool, sameObject)
-	info.PoolSize = len(pool)
-	r.Metrics.pool(len(pool))
-	gatherElapsed := time.Since(gatherStart)
-
-	// Phase 7: solve over the pool with a per-query engine. The pool
-	// contains an optimal set, so exact methods return the global
-	// optimum; approximation methods keep their ratio (the pool is a
-	// feasible dataset containing N(q)). The search only ever asks an
-	// object which query keywords it covers, so the pool dataset is built
-	// over the query's own words — keyword id i is words[i], an object's
-	// keyword set is the set bits of its Mask — with no string in sight.
+	objs := make([]core.PoolObject, 0, n)
 	var covered kwds.Mask
-	occurrences := 0
-	for _, c := range pool {
-		covered |= c.Mask
-		occurrences += c.Mask.Count()
+	for _, pt := range parts {
+		for _, c := range pt.cands {
+			if pt.shard >= 0 {
+				c.Shard = pt.shard
+			}
+			covered |= c.Mask
+			objs = append(objs, core.PoolObject{Loc: c.Loc, Mask: c.Mask, Key: uint64(c.GID)<<32 | uint64(c.Shard), Ref: int32(len(objs))})
+		}
 	}
 	if full := ^kwds.Mask(0) >> uint(kwds.MaxQueryKeywords-len(words)); covered != full {
 		// Unreachable with honest backends: every word is covered by a
 		// pooled NN seed.
 		return Answer{Info: info}, torn, fmt.Errorf("shard: keywords %b of %b lost during gather", full&^covered, full)
 	}
-	b := dataset.NewBuilder("scatter-pool")
-	qids := make(kwds.Set, len(words))
-	for i, w := range words {
-		qids[i] = b.Vocab().Intern(w)
-	}
-	ids := make([]kwds.ID, 0, occurrences) // one backing array for every object's set
-	for _, c := range pool {
-		from := len(ids)
-		for m := c.Mask; m != 0; m &= m - 1 {
-			ids = append(ids, kwds.ID(bits.TrailingZeros64(uint64(m))))
+	pool := core.NewPool(loc, len(words), objs)
+	info.PoolSize = pool.Len()
+	r.Metrics.pool(pool.Len())
+	// member resolves a Ref back to its candidate.
+	member := func(ref int32) Candidate {
+		for _, pt := range parts {
+			if int(ref) < len(pt.cands) {
+				c := pt.cands[ref]
+				if pt.shard >= 0 {
+					c.Shard = pt.shard
+				}
+				return c
+			}
+			ref -= int32(len(pt.cands))
 		}
-		b.AddIDs(c.Loc, kwds.Set(ids[from:len(ids):len(ids)]))
+		panic("shard: pool ref out of range")
 	}
-	// The pool engine has a tree and no postings: no solver reads Inv.
-	ds := b.Build()
-	eng := core.Engine{
-		DS:         ds,
-		Tree:       irtree.Build(ds, 0), // default fanout
-		NodeBudget: r.NodeBudget,
-		Degrade:    r.Degrade,
-	}
-	res, err := eng.SolveCtx(ctx, core.Query{Loc: loc, Keywords: qids}, cost, method)
+	prepared := time.Since(gatherStart)
+
+	// Phase 7: solve the pool in place. It contains an optimal set, so
+	// exact methods return the global optimum; approximation methods keep
+	// their ratio (the pool is a feasible dataset containing N(q)). The
+	// gather and the pool's preparation are the solve's Materialize phase.
+	eng := core.Engine{NodeBudget: r.NodeBudget, Degrade: r.Degrade}
+	res, err := eng.SolvePool(ctx, pool, cost, method)
 	if err != nil {
 		return Answer{Info: info}, torn, err
 	}
-	res.Stats.Phases.Materialize += gatherElapsed
+	res.Stats.Phases.Materialize += prepared
 
-	// Map pool-local ids back: AddIDs assigned local id i to pool[i], and
-	// pool is (GID, shard)-sorted, so the ascending local ids of the
-	// canonical answer map to sorted members directly. Only these ≤ |q.ψ|
-	// members get their keyword strings materialized.
+	// Map the pool's local ids back to members, in (GID, shard) order.
+	// Only these ≤ |q.ψ| members get their keyword strings materialized.
 	members := make([]Candidate, len(res.Set))
-	gids := make([]dataset.ObjectID, len(res.Set))
 	for i, lid := range res.Set {
-		members[i] = pool[lid]
-		gids[i] = pool[lid].GID
+		members[i] = member(pool.Ref(lid))
 		if h, ok := r.Backends[members[i].Shard].(Hydrator); ok && members[i].Words == nil {
 			h.Hydrate(&members[i])
 		}
+	}
+	slices.SortFunc(members, func(a, b Candidate) int {
+		return cmp.Or(cmp.Compare(a.GID, b.GID), cmp.Compare(a.Shard, b.Shard))
+	})
+	gids := make([]dataset.ObjectID, len(members))
+	for i, m := range members {
+		gids[i] = m.GID
 	}
 	res.Set = gids
 	if len(info.Failed) > 0 {
@@ -767,6 +756,7 @@ func (r *Router) routeOnce(ctx context.Context, loc geo.Point, words []string, c
 	if res.Degraded {
 		r.Metrics.degrade()
 	}
+	res.Stats.Elapsed = time.Since(gatherStart)
 	return Answer{Result: res, Members: members, Info: info}, torn, nil
 }
 

@@ -20,14 +20,13 @@
 // path is the inverted index. The search only ever asks an object which
 // of the query's keywords it covers, so a shard answers with
 // Candidate.Mask — bit i ⇔ the object contains ShardQuery.Words[i] — and
-// the router merges masks, checks coverage by OR-ing them, and builds the
-// pool dataset over a |q.ψ|-word vocabulary straight from the bits.
-// EngineBackend computes the masks by scanning the posting lists of the
-// query words it knows (a probe or a gather is textually selective and
-// spatially wide, the opposite of what a disk walk of the IR-tree is good
-// at), so a shard holds no IR-tree at all: the only tree of a routed
-// query is the one the router builds over the gathered pool, which in
-// turn needs no postings. Keyword strings are materialized only where
+// the router merges masks, checks coverage by OR-ing them, and solves the
+// candidates in place as a core.Pool: sorted once by distance, with the
+// masks as its only text. EngineBackend computes the masks by scanning
+// the posting lists of the query words it knows (a probe or a gather is
+// textually selective and spatially wide, the opposite of what a disk
+// walk of the IR-tree is good at), so no routed query walks or builds an
+// IR-tree at all. Keyword strings are materialized only where
 // they leave the process: on the /shard/* wire, which carries full keyword
 // lists (HTTPBackend derives each mask from them), and for the at most
 // |q.ψ| members of an Answer (Hydrator).
