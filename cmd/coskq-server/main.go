@@ -49,12 +49,15 @@
 //
 //	GET /stats
 //	    → {"name":..., "objects":..., "uniqueWords":..., "avgKeywords":...}
-//	GET /query?x=500&y=500&kw=w000001,w000004[&cost=maxsum][&method=exact][&k=3]
+//	GET /query?x=500&y=500&kw=w000001,w000004[&cost=maxsum][&method=exact]
 //	    → {"cost":..., "elapsedMs":..., "objects":[{"id":..., "x":..., "y":..., "keywords":[...]}]}
-//	    kw is a comma-separated keyword list; k instead of kw asks the
-//	    server to draw k random query keywords (for demos).
+//	    kw is a comma-separated keyword list (the coskq CLI's -k draws
+//	    random query keywords for demos).
 //	GET /topk?x=500&y=500&kw=...&n=5[&cost=maxsum]
-//	    → {"results":[{...}, ...]} — the n cheapest irredundant sets.
+//	    → {"results":[{...}, ...]} — the n cheapest irredundant sets
+//	    (501 on a coordinator).
+//	POST /batch, GET /shard/*, POST /objects (with -live)
+//	    → see README.md; a coordinator mounts none of them.
 //	GET /healthz
 //	    → {"status":"ok", ...} liveness probe.
 //	GET /metrics
@@ -134,7 +137,7 @@ func main() {
 		QueueTimeout: *queueWait,
 	}
 
-	var handler http.Handler
+	var solver server.Solver
 	closeStore := func() {}
 	switch {
 	case *peers != "":
@@ -154,7 +157,7 @@ func main() {
 			Degrade:      policy,
 			ShardTimeout: *shardTO,
 		}
-		handler = server.NewScatterGather(rt, opts)
+		solver = rt
 		logger.Info("scatter-gather coordinator", "peers", len(backends), "shard_timeout", *shardTO)
 
 	case *shards > 1:
@@ -172,7 +175,7 @@ func main() {
 		rt.NodeBudget = *budget
 		rt.Degrade = policy
 		rt.ShardTimeout = *shardTO
-		handler = server.NewScatterGather(rt, opts)
+		solver = rt
 		logger.Info("in-process scatter-gather", "shards", *shards, "partition", part.Name())
 
 	default:
@@ -186,15 +189,15 @@ func main() {
 		if *live {
 			st := epoch.New(eng, epoch.Options{MaxBacklog: *backlog, CompactFrac: *compact})
 			closeStore = st.Close
-			handler = server.NewLive(st, opts)
+			solver = st
 			logger.Info("live index enabled", "backlog", *backlog, "compact_frac", *compact)
 		} else {
-			handler = server.NewWith(eng, opts)
+			solver = eng
 		}
 	}
 
 	mux := http.NewServeMux()
-	mux.Handle("/", handler)
+	mux.Handle("/", server.New(solver, opts))
 	if *pprofFlag {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -165,6 +165,7 @@ type world struct {
 	churn   []datagen.ChurnOp
 	objs    *dataset.Dataset
 	ref     *core.Engine
+	store   *epoch.Store
 	live    *epoch.Generation
 	queries []query
 	// oracle holds the base world's outcome per (base query, cost),
@@ -212,11 +213,11 @@ func words(ds *dataset.Dataset, id dataset.ObjectID) []string {
 	return out
 }
 
-// membersOf renders an in-process answer set of ds.
-func membersOf(ds *dataset.Dataset, set []dataset.ObjectID) []member {
-	out := make([]member, len(set))
-	for i, id := range set {
-		out[i] = member{id: id, loc: ds.Object(id).Loc, words: words(ds, id)}
+// membersOf converts a solver's answer members.
+func membersOf(ms []core.Member) []member {
+	out := make([]member, len(ms))
+	for i, m := range ms {
+		out[i] = member{m.ID, m.Loc, m.Words}
 	}
 	return out
 }
@@ -258,6 +259,7 @@ func newWorld(t *testing.T, wl workload, v variant, base *world) *world {
 	if err := st.WaitIdle(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	w.store = st
 	w.live = st.Pin()
 	t.Cleanup(w.live.Unpin)
 	w.objs = w.live.Eng.DS

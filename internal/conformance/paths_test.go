@@ -54,7 +54,7 @@ var httpMethods = map[core.Method]string{
 var paths = func() []*path {
 	ps := []*path{
 		{name: "engine", globalIDs: true, build: func(t *testing.T, w *world) serveFunc {
-			return solveEach(w, core.NewEngine(w.objs, 8))
+			return solve(core.NewEngine(w.objs, 8))
 		}},
 		{name: "batch", globalIDs: true, build: func(t *testing.T, w *world) serveFunc {
 			return solveBatch(w, core.NewEngine(w.objs, 8))
@@ -68,33 +68,35 @@ var paths = func() []*path {
 	for _, part := range []shard.Partitioner{shard.Grid(), shard.Subtree()} {
 		for _, n := range []int{1, 2, 4, 7} {
 			ps = append(ps, &path{name: fmt.Sprintf("router-%s-%d", part.Name(), n), globalIDs: true,
-				build: func(t *testing.T, w *world) serveFunc { return route(newRouter(t, w.objs, part, n)) }})
+				build: func(t *testing.T, w *world) serveFunc { return solve(newRouter(t, w.objs, part, n)) }})
 		}
 	}
 	return append(ps,
 		&path{name: "store", globalIDs: true, build: func(t *testing.T, w *world) serveFunc {
-			return solveEach(w, w.live.Eng)
+			return solve(w.store)
 		}},
 		&path{name: "http-query", http: true, globalIDs: true, build: func(t *testing.T, w *world) serveFunc {
-			return httpQuery(serve(t, server.NewWith(core.NewEngine(w.objs, 0), server.Options{})))
+			return httpQuery(serve(t, core.NewEngine(w.objs, 0)))
 		}},
 		&path{name: "http-batch", http: true, globalIDs: true, build: func(t *testing.T, w *world) serveFunc {
-			return httpBatch(serve(t, server.NewWith(core.NewEngine(w.objs, 0), server.Options{})))
+			return httpBatch(serve(t, core.NewEngine(w.objs, 0)))
 		}},
 		&path{name: "http-live", http: true, globalIDs: true, build: buildLive},
 		&path{name: "http-scatter", http: true, coord: true, globalIDs: true, build: func(t *testing.T, w *world) serveFunc {
-			return httpQuery(serve(t, server.NewScatterGather(newRouter(t, w.objs, shard.Subtree(), 4), server.Options{})))
+			return httpQuery(serve(t, newRouter(t, w.objs, shard.Subtree(), 4)))
 		}},
 		&path{name: "http-peers", http: true, coord: true, build: buildPeers},
 	)
 }()
 
-func solveEach(w *world, eng *core.Engine) serveFunc {
+// solve answers through a solver's own entry point, which takes the
+// query's words as sent, duplicates included.
+func solve(sv server.Solver) serveFunc {
 	return func(t *testing.T, qs []query, cost core.CostKind, m core.Method) []answer {
 		out := make([]answer, len(qs))
 		for i, q := range qs {
-			res, err := eng.SolveCtx(context.Background(), w.resolve(t, q), cost, m)
-			out[i] = answer{classOf(err), res.Cost, membersOf(eng.DS, res.Set), res.Degraded}
+			ans, err := sv.SolveWords(context.Background(), q.loc, q.words, cost, m)
+			out[i] = answer{classOf(err), ans.Cost, membersOf(ans.Members), ans.Degraded}
 		}
 		return out
 	}
@@ -109,7 +111,7 @@ func solveBatch(w *world, eng *core.Engine) serveFunc {
 		out := make([]answer, len(qs))
 		for i, item := range eng.SolveBatchCtx(context.Background(), batch, cost, m, 2) {
 			res := item.Result
-			out[i] = answer{classOf(item.Err), res.Cost, membersOf(eng.DS, res.Set), res.Degraded}
+			out[i] = answer{classOf(item.Err), res.Cost, membersOf(eng.Members(res.Set)), res.Degraded}
 		}
 		return out
 	}
@@ -124,24 +126,9 @@ func newRouter(t *testing.T, ds *dataset.Dataset, part shard.Partitioner, n int)
 	return r
 }
 
-// route answers through the router's own entry point, which takes the
-// query's words as sent, duplicates included.
-func route(r *shard.Router) serveFunc {
-	return func(t *testing.T, qs []query, cost core.CostKind, m core.Method) []answer {
-		out := make([]answer, len(qs))
-		for i, q := range qs {
-			ans, err := r.RouteWords(context.Background(), q.loc, q.words, cost, m)
-			out[i] = answer{class: classOf(err), cost: ans.Result.Cost, degraded: ans.Result.Degraded}
-			for _, c := range ans.Members {
-				out[i].members = append(out[i].members, member{c.GID, c.Loc, c.Words})
-			}
-		}
-		return out
-	}
-}
-
-func serve(t *testing.T, h http.Handler) string {
-	srv := httptest.NewServer(h)
+// serve starts server.New over sv and returns its URL.
+func serve(t *testing.T, sv server.Solver) string {
+	srv := httptest.NewServer(server.New(sv, server.Options{}))
 	t.Cleanup(srv.Close)
 	return srv.URL
 }
@@ -152,7 +139,7 @@ func serve(t *testing.T, h http.Handler) string {
 func buildLive(t *testing.T, w *world) serveFunc {
 	st := epoch.New(core.NewEngine(w.seed, 0), epoch.Options{})
 	t.Cleanup(st.Close)
-	base := serve(t, server.NewLive(st, server.Options{}))
+	base := serve(t, st)
 	type opJSON struct {
 		Op  string   `json:"op"`
 		Key uint64   `json:"key"`
@@ -196,9 +183,9 @@ func buildLive(t *testing.T, w *world) serveFunc {
 	return httpQuery(base)
 }
 
-// buildPeers is the -peers coordinator: shard servers built with NewWith
-// over a grid partition of the world, fronted by NewScatterGather over
-// HTTP backends. Its members carry shard-local ids.
+// buildPeers is the -peers coordinator: engine servers over a grid
+// partition of the world, fronted by a server over a router of HTTP
+// backends. Its members carry shard-local ids.
 func buildPeers(t *testing.T, w *world) serveFunc {
 	shards, err := shard.Grid().Partition(w.objs, 3)
 	if err != nil {
@@ -206,10 +193,10 @@ func buildPeers(t *testing.T, w *world) serveFunc {
 	}
 	var backends []shard.Backend
 	for _, sh := range shards {
-		peer := serve(t, server.NewWith(core.NewEngine(sh.DS, 0), server.Options{}))
+		peer := serve(t, core.NewEngine(sh.DS, 0))
 		backends = append(backends, shard.NewHTTPBackend(&client.Client{Base: peer, MaxRetries: -1}))
 	}
-	return httpQuery(serve(t, server.NewScatterGather(&shard.Router{Backends: backends}, server.Options{})))
+	return httpQuery(serve(t, &shard.Router{Backends: backends}))
 }
 
 // wireAnswer is the /query body and a /batch item, as far as the checker
@@ -346,9 +333,9 @@ func post(t *testing.T, u string, body any, out any) int {
 }
 
 // adversarialRows are malformed queries, each with the class an engine
-// server (/query and /batch on NewWith, /query on NewLive) and a
-// coordinator (NewScatterGather over the in-process router or HTTP
-// peers) must answer it with. invalid is a 400, or on /batch an item
+// server (/query and /batch over an engine, /query over a store) and a
+// coordinator (a server over the in-process router or HTTP peers) must
+// answer it with. invalid is a 400, or on /batch an item
 // error when the batch itself parses; a non-finite coordinate has no
 // JSON spelling, so there the whole batch is a 400. A row with class ok
 // is checked as the base query it rewrites.

@@ -435,6 +435,71 @@ func (e *Engine) SolveCtx(ctx context.Context, q Query, cost CostKind, method Me
 	return e.solveOn(ctx, e.treeSource(), q, cost, method)
 }
 
+// Member is one object of an answer as a client sees it: its id, its
+// location and its keyword strings.
+type Member struct {
+	ID    dataset.ObjectID
+	Loc   geo.Point
+	Words []string
+}
+
+// Answer is one query's outcome in the form every serving path returns:
+// the Result, its members rendered, and — for a routed query — the
+// per-shard calls it made, which the slow-query log records.
+type Answer struct {
+	Result
+	Members []Member
+	Calls   []trace.ShardCall
+}
+
+// SolveWords answers a query given as keyword strings, the way the wire
+// carries it: the words are resolved against e's vocabulary (an unknown
+// word is an error naming every such word), the query is solved with
+// SolveCtx, and the answer's members are rendered.
+func (e *Engine) SolveWords(ctx context.Context, loc geo.Point, words []string, cost CostKind, method Method) (Answer, error) {
+	keywords, err := e.ResolveWords(words)
+	if err != nil {
+		return Answer{}, err
+	}
+	res, err := e.SolveCtx(ctx, Query{Loc: loc, Keywords: keywords}, cost, method)
+	if err != nil {
+		return Answer{Result: res}, err
+	}
+	return Answer{Result: res, Members: e.Members(res.Set)}, nil
+}
+
+// ResolveWords maps words to their keyword set under e's vocabulary,
+// failing with every word the vocabulary does not know.
+func (e *Engine) ResolveWords(words []string) (kwds.Set, error) {
+	var keywords kwds.Set
+	var missing []string
+	for _, w := range words {
+		if id, ok := e.DS.Vocab.Lookup(w); ok {
+			keywords = keywords.Union(kwds.NewSet(id))
+		} else {
+			missing = append(missing, w)
+		}
+	}
+	if len(missing) > 0 {
+		return nil, fmt.Errorf("unknown keywords: %s", strings.Join(missing, ", "))
+	}
+	return keywords, nil
+}
+
+// Members renders the objects of set.
+func (e *Engine) Members(set []dataset.ObjectID) []Member {
+	out := make([]Member, len(set))
+	for i, id := range set {
+		o := e.DS.Object(id)
+		words := make([]string, o.Keywords.Len())
+		for j, kid := range o.Keywords {
+			words[j] = e.DS.Vocab.Word(kid)
+		}
+		out[i] = Member{ID: id, Loc: o.Loc, Words: words}
+	}
+	return out
+}
+
 // solveOn is SolveCtx over the given source.
 func (e *Engine) solveOn(ctx context.Context, src source, q Query, cost CostKind, method Method) (res Result, err error) {
 	start := time.Now()

@@ -54,7 +54,7 @@ func runChaosSchedule(t *testing.T, rule fault.Rule) {
 	ds := datagen.Generate(datagen.Config{
 		Name: "chaos", NumObjects: seedObjects, VocabSize: 32, AvgKeywords: 3, Seed: 13,
 	})
-	st := New(core.NewEngine(ds, 0), Options{CompactFrac: 0.01, RetryDelay: 100 * time.Microsecond})
+	st := New(core.NewEngine(ds, 0), Options{CompactFrac: 0.01, retryDelay: 100 * time.Microsecond})
 	defer st.Close()
 	model := newReplayer(ds)
 
@@ -129,7 +129,7 @@ func TestCrashLeavesOldGenerationIntact(t *testing.T) {
 	})
 	// A long retry delay keeps the store in its failing window while the
 	// test inspects it; convergence still only needs three backoffs.
-	st := New(core.NewEngine(ds, 0), Options{RetryDelay: 150 * time.Millisecond})
+	st := New(core.NewEngine(ds, 0), Options{retryDelay: 150 * time.Millisecond})
 	defer st.Close()
 
 	g0 := st.Pin()
@@ -202,7 +202,7 @@ func TestFaultMidBatchLeavesPublishedGenerationIntact(t *testing.T) {
 		Name: "midbatch", NumObjects: 120, VocabSize: 24, AvgKeywords: 3, Seed: 23,
 	})
 	// Never re-pack: every generation here shares nodes with its parent.
-	st := New(core.NewEngine(ds, 4), Options{CompactFrac: -1, RetryDelay: 100 * time.Microsecond})
+	st := New(core.NewEngine(ds, 4), Options{CompactFrac: -1, retryDelay: 100 * time.Microsecond})
 	defer st.Close()
 	model := newReplayer(ds)
 	stream := datagen.NewChurnStream(datagen.ChurnConfig{Seed: 23, Ops: 1 << 20, SeedKeys: 120, Vocab: 24})

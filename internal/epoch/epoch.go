@@ -153,13 +153,13 @@ type Options struct {
 	// Negative never re-packs and is for tests and measurements only.
 	CompactFrac float64
 
-	// SeqCap bounds the idempotency-token LRU (ApplyBatchSeq). Zero
-	// defaults to 1024.
-	SeqCap int
+	// seqCap bounds the idempotency-token LRU (ApplyBatchSeq). Zero
+	// defaults to 1024; only tests set it.
+	seqCap int
 
-	// RetryDelay is the applier's backoff after a failed (faulted)
-	// apply attempt. Zero defaults to 2ms.
-	RetryDelay time.Duration
+	// retryDelay is the applier's backoff after a failed (faulted)
+	// apply attempt. Zero defaults to 2ms; only tests set it.
+	retryDelay time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -169,11 +169,11 @@ func (o Options) withDefaults() Options {
 	if o.CompactFrac == 0 {
 		o.CompactFrac = 0.25
 	}
-	if o.SeqCap <= 0 {
-		o.SeqCap = 1024
+	if o.seqCap <= 0 {
+		o.seqCap = 1024
 	}
-	if o.RetryDelay <= 0 {
-		o.RetryDelay = 2 * time.Millisecond
+	if o.retryDelay <= 0 {
+		o.retryDelay = 2 * time.Millisecond
 	}
 	return o
 }
@@ -229,7 +229,7 @@ func New(eng *core.Engine, opts Options) *Store {
 		keys[i] = uint64(i)
 		s.byKey[uint64(i)] = dataset.ObjectID(i)
 	}
-	s.seq = newSeqLRU(s.opts.SeqCap)
+	s.seq = newSeqLRU(s.opts.seqCap)
 	s.cur.Store(&Generation{Gen: 0, Eng: eng, Keys: keys, gauge: s.m.pinGauge()})
 	s.m.published(0, eng.Tree, 0)
 	s.wg.Add(1)
@@ -272,6 +272,15 @@ func (s *Store) Pin() *Generation {
 	}
 }
 
+// SolveWords answers one query on the current generation, pinned for
+// the whole call, so keyword resolution, the solve and member rendering
+// see one snapshot.
+func (s *Store) SolveWords(ctx context.Context, loc geo.Point, words []string, cost core.CostKind, method core.Method) (core.Answer, error) {
+	g := s.Pin()
+	defer g.Unpin()
+	return g.Eng.SolveWords(ctx, loc, words, cost, method)
+}
+
 // Current returns the published generation number without pinning.
 func (s *Store) Current() uint64 { return s.cur.Load().Gen }
 
@@ -305,7 +314,7 @@ func (s *Store) ApplyBatch(ops []Op) ([]ItemStatus, error) {
 // are replayed verbatim, including assigned keys. Token lookup,
 // validation, enqueue and recording happen under one hold of the store
 // lock, so concurrent retries of one token cannot both miss. Tokens live
-// in a bounded LRU (Options.SeqCap).
+// in a bounded LRU (1024 tokens).
 func (s *Store) ApplyBatchSeq(seq string, ops []Op) (statuses []ItemStatus, replayed bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -445,7 +454,7 @@ func (s *Store) run() {
 				select {
 				case <-s.stop:
 					return
-				case <-time.After(s.opts.RetryDelay):
+				case <-time.After(s.opts.retryDelay):
 				}
 				continue
 			}

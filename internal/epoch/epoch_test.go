@@ -243,7 +243,7 @@ func TestSeqRejectedBatchNotRecorded(t *testing.T) {
 
 func TestSeqLRUBounded(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
-	st := seedStore(t, 10, Options{SeqCap: 2})
+	st := seedStore(t, 10, Options{seqCap: 2})
 	for _, tok := range []string{"a", "b", "c"} {
 		if _, _, err := st.ApplyBatchSeq(tok, []Op{{Kind: OpInsert, Words: []string{"w"}}}); err != nil {
 			t.Fatal(err)
@@ -563,7 +563,7 @@ func TestSeqConcurrentRetriesApplyOnce(t *testing.T) {
 // reports a store closed over pending ops instead of waiting for ever.
 func TestWaitIdleBlocksOnCommit(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
-	st := seedStore(t, 10, Options{RetryDelay: time.Millisecond})
+	st := seedStore(t, 10, Options{retryDelay: time.Millisecond})
 	if err := st.WaitIdle(context.Background()); err != nil {
 		t.Fatalf("idle store: %v", err)
 	}

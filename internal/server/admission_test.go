@@ -259,7 +259,7 @@ func TestServerDegradedQuery(t *testing.T) {
 func TestServerHandleFaultPoint(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	eng := cityEngine()
-	srv := httptest.NewServer(New(eng))
+	srv := httptest.NewServer(New(eng, Options{}))
 	defer srv.Close()
 
 	fault.Arm(1, fault.Rule{Point: fault.ServerHandle, Kind: fault.KindBudget, Every: 1})
@@ -312,7 +312,7 @@ func TestServerNodeBudgetFromDeadline(t *testing.T) {
 	words := []string{"cafe", "museum", "park", "inn"}
 	query := "/query?x=10&y=10&kw=" + strings.Join(words, ",")
 	base := gridEngine()
-	kws, err := resolveKeywords(base.DS.Vocab, words)
+	kws, err := base.ResolveWords(words)
 	if err != nil {
 		t.Fatal(err)
 	}

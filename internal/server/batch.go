@@ -12,9 +12,7 @@ package server
 // MaxInFlight bounds solving requests, not solving queries.
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"time"
 
@@ -58,23 +56,6 @@ type batchResponse struct {
 	Results   []batchItemJSON `json:"results"`
 }
 
-// solveErrorString is the per-item form of writeSolveError: the same
-// bounded message vocabulary, carried in the item instead of the status.
-func solveErrorString(err error) string {
-	switch {
-	case errors.Is(err, core.ErrInfeasible):
-		return "query keywords cannot be covered"
-	case errors.Is(err, core.ErrBudgetExceeded):
-		return "query exceeded the server's search budget"
-	case errors.Is(err, context.DeadlineExceeded):
-		return "query exceeded the server timeout"
-	case errors.Is(err, context.Canceled):
-		return "query cancelled"
-	default:
-		return err.Error()
-	}
-}
-
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request, p pin) {
 	var req batchRequest
 	body := http.MaxBytesReader(w, r.Body, maxBatchBody)
@@ -115,7 +96,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request, p pin) {
 	queries := make([]core.Query, 0, len(req.Queries))
 	idx := make([]int, 0, len(req.Queries))
 	for i, bq := range req.Queries {
-		keywords, err := resolveKeywords(eng.DS.Vocab, keywordList(bq.Kw))
+		keywords, err := eng.ResolveWords(keywordList(bq.Kw))
 		if err != nil {
 			items[i] = batchItemJSON{Error: err.Error()}
 			continue
@@ -135,7 +116,8 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request, p pin) {
 	for j, item := range out {
 		i := idx[j]
 		if item.Err != nil {
-			items[i] = batchItemJSON{Error: solveErrorString(item.Err)}
+			_, msg := solveError(item.Err)
+			items[i] = batchItemJSON{Error: msg}
 			continue
 		}
 		res := item.Result
@@ -144,7 +126,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request, p pin) {
 		}
 		items[i] = batchItemJSON{
 			Cost:     res.Cost,
-			Objects:  s.objectsJSON(eng, queries[j], res.Set),
+			Objects:  objectsJSON(queries[j].Loc, eng.Members(res.Set)),
 			Degraded: res.Degraded,
 			Reason:   string(res.Stats.DegradeReason),
 		}

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"coskq/internal/client"
@@ -68,8 +69,8 @@ func TestScatterExplainStitchedTrace(t *testing.T) {
 	if got.Cost != want.Cost {
 		t.Fatalf("scatter cost %v, oracle %v", got.Cost, want.Cost)
 	}
-	if got.Trace == nil || got.Trace.Name != "scatter" {
-		t.Fatalf("trace = %+v, want root scatter", got.Trace)
+	if got.Trace == nil || got.Trace.Name != "query" {
+		t.Fatalf("trace = %+v, want root query", got.Trace)
 	}
 	for _, phase := range []string{"keyword_prune", "shard_nn", "mbr_prune", "shard_collect"} {
 		if findSpan(got.Trace.Spans, phase) == nil {
@@ -96,7 +97,7 @@ func TestScatterExplainStitchedTrace(t *testing.T) {
 			t.Fatalf("remote serve span for %s lost its nn_probes child: %+v", srv.URL, serve.Children)
 		}
 	}
-	// Depth: scatter → shard_nn → nn:<url> → serve → nn_probes ≥ 5.
+	// Depth: query → shard_nn → nn:<url> → serve → nn_probes ≥ 5.
 	if d := maxDepth(got.Trace); d < 5 {
 		t.Fatalf("stitched trace depth %d, want >= 5", d)
 	}
@@ -238,22 +239,26 @@ func TestScatterHeaderPropagation(t *testing.T) {
 		id string
 		sc trace.SpanContext
 	}
-	var calls []seen
+	var (
+		mu    sync.Mutex
+		calls []seen
+	)
 	backends := make([]shard.Backend, len(parts))
 	for i, ds := range parts {
 		inner := NewWith(core.NewEngine(ds, 0), Options{})
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if strings.HasPrefix(r.URL.Path, "/shard/") && r.URL.Path != "/shard/meta" {
 				sc, _ := trace.ParseTraceparent(r.Header.Get("Traceparent"))
+				mu.Lock()
 				calls = append(calls, seen{id: r.Header.Get("X-Request-Id"), sc: sc})
+				mu.Unlock()
 			}
 			inner.ServeHTTP(w, r)
 		}))
 		t.Cleanup(srv.Close)
 		backends[i] = shard.NewHTTPBackend(&client.Client{Base: srv.URL, MaxRetries: -1})
 	}
-	coord := httptest.NewServer(NewScatterGather(&shard.Router{Backends: backends,
-		Fanout: 1 /* serial: the recording slice is unsynchronized */}, Options{}))
+	coord := httptest.NewServer(NewScatterGather(&shard.Router{Backends: backends}, Options{}))
 	t.Cleanup(coord.Close)
 
 	req, _ := http.NewRequest(http.MethodGet, coord.URL+"/query?x=50&y=30&kw=cafe,museum,park", nil)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -161,24 +162,39 @@ func TestScatterGatherSurface(t *testing.T) {
 		t.Fatalf("healthz = %+v", health)
 	}
 
+	// The coordinator mounts no engine route: each is a 404, not a
+	// handler reaching for an engine the router does not have.
 	cases := []struct {
-		url    string
-		status int
+		method, url string
+		status      int
 	}{
-		{"/topk?x=0&y=0&kw=cafe&n=2", http.StatusNotImplemented},
-		{"/query?x=oops&y=0&kw=cafe", http.StatusBadRequest},
-		{"/query?x=0&y=0", http.StatusBadRequest},
-		{"/query?x=0&y=0&kw=cafe&cost=", http.StatusOK},
-		{"/query?x=0&y=0&kw=nosuchword", http.StatusUnprocessableEntity},
+		{"GET", "/topk?x=0&y=0&kw=cafe&n=2", http.StatusNotImplemented},
+		{"GET", "/query?x=oops&y=0&kw=cafe", http.StatusBadRequest},
+		{"GET", "/query?x=0&y=0", http.StatusBadRequest},
+		{"GET", "/query?x=0&y=0&kw=cafe&cost=", http.StatusOK},
+		{"GET", "/query?x=0&y=0&kw=nosuchword", http.StatusUnprocessableEntity},
+		{"POST", "/batch", http.StatusNotFound},
+		{"GET", "/stats", http.StatusNotFound},
+		{"GET", "/shard/meta", http.StatusNotFound},
+		{"GET", "/shard/nn?x=0&y=0&kw=cafe", http.StatusNotFound},
+		{"POST", "/objects", http.StatusNotFound},
 	}
 	for _, tc := range cases {
-		resp, err := http.Get(coord.URL + tc.url)
+		var body io.Reader
+		if tc.method == "POST" {
+			body = strings.NewReader(`{"queries":[{"x":0,"y":0,"kw":["cafe"]}]}`)
+		}
+		req, err := http.NewRequest(tc.method, coord.URL+tc.url, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != tc.status {
-			t.Fatalf("GET %s: status %d, want %d", tc.url, resp.StatusCode, tc.status)
+			t.Fatalf("%s %s: status %d, want %d", tc.method, tc.url, resp.StatusCode, tc.status)
 		}
 	}
 }

@@ -1,19 +1,29 @@
 // Package server implements the HTTP/JSON query surface of coskq-server:
-// a thin, stateless handler over one prebuilt Engine. Queries are
-// read-only, so the handler serves concurrent requests safely.
+// one handler stack, built by New, over one Solver — an engine, a live
+// epoch store, or a shard router. Queries are read-only, so the handler
+// serves concurrent requests safely.
 //
 // The handler stack (outermost first) is request id → panic recovery →
 // request logging + HTTP metrics → per-request timeout → route mux,
 // with the query-serving routes additionally behind the admission
 // controller (bounded in-flight + bounded queue, overload shed with
-// 429), serving:
+// 429). Every solver is served:
 //
-//	GET /stats          dataset statistics
 //	GET /query          one CoSKQ answer (?explain=1 inlines the trace)
-//	GET /topk           the n cheapest irredundant sets (?explain=1 too)
 //	GET /healthz        liveness probe
 //	GET /metrics        text exposition of the query/effort/latency metrics
 //	GET /debug/slowlog  the retained slowest query traces
+//
+// An engine or a store is also served (each read pins one generation):
+//
+//	GET /stats          dataset statistics
+//	GET /topk           the n cheapest irredundant sets (?explain=1 too)
+//	POST /batch         many queries in one request (batch.go)
+//	GET /shard/*        the scatter-gather data plane (shard.go)
+//
+// A store adds POST /objects and POST /objects/stream (objects.go). A
+// router — the scatter-gather coordinator — answers /topk with 501 and
+// /metrics?federate=1 with its peers' pages merged in.
 package server
 
 import (
@@ -36,12 +46,9 @@ import (
 	"time"
 
 	"coskq/internal/core"
-	"coskq/internal/datagen"
-	"coskq/internal/dataset"
 	"coskq/internal/epoch"
 	"coskq/internal/fault"
 	"coskq/internal/geo"
-	"coskq/internal/kwds"
 	"coskq/internal/metrics"
 	"coskq/internal/shard"
 	"coskq/internal/trace"
@@ -67,9 +74,9 @@ type Options struct {
 	Logger *slog.Logger
 	// Registry collects HTTP-layer metrics and backs GET /metrics. Nil
 	// means: reuse the engine sink's registry when the engine has one,
-	// else create a fresh registry. When the engine has no metrics sink,
-	// one recording into this registry is attached, so engine and HTTP
-	// metrics share a single exposition.
+	// else create a fresh registry. When the engine or router served has
+	// no metrics sink, one recording into this registry is attached, so
+	// solver and HTTP metrics share a single exposition.
 	Registry *metrics.Registry
 	// SlowLog sets the capacity of the slow-query log served at
 	// GET /debug/slowlog. Zero means DefaultSlowLogSize; negative
@@ -90,76 +97,50 @@ type Options struct {
 	QueueTimeout time.Duration
 }
 
-// New returns the handler stack over eng with default options.
-func New(eng *core.Engine) http.Handler { return NewWith(eng, Options{}) }
-
-// NewWith returns the handler stack over eng. When eng.Metrics is nil it
-// is set here (call before the engine starts serving queries elsewhere).
-func NewWith(eng *core.Engine, opts Options) http.Handler {
-	return newEngineServer(eng, nil, opts)
+// Solver answers one query given as the wire carries it: a location,
+// keyword strings, a cost and a method. *core.Engine, *epoch.Store and
+// *shard.Router implement it.
+type Solver interface {
+	SolveWords(ctx context.Context, loc geo.Point, words []string, cost core.CostKind, method core.Method) (core.Answer, error)
 }
 
-// NewLive returns the handler stack over a live epoch store: the same
-// read surface as NewWith — with every read request pinning one
-// generation end-to-end, from keyword resolution through answer
-// rendering — plus the mutation surface (POST /objects and the
-// streaming POST /objects/stream). The caller owns the store's
-// lifecycle (Close it after the listener stops).
-func NewLive(st *epoch.Store, opts Options) http.Handler {
-	g := st.Pin()
-	defer g.Unpin()
-	return newEngineServer(g.Eng, st, opts)
-}
-
-func newEngineServer(eng *core.Engine, st *epoch.Store, opts Options) http.Handler {
-	reg := opts.Registry
-	if reg == nil {
-		if eng.Metrics != nil {
-			reg = eng.Metrics.Registry()
-		} else {
-			reg = metrics.NewRegistry()
-		}
-	}
-	if eng.Metrics == nil {
-		eng.Metrics = core.NewEngineMetrics(reg)
-	}
-	s := newBase(opts, reg)
-	s.eng = eng
-	s.store = st
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /stats", s.pinned(s.handleStats))
-	mux.Handle("GET /query", s.adm.middleware(s.pinned(s.handleQuery)))
-	mux.Handle("GET /topk", s.adm.middleware(s.pinned(s.handleTopK)))
-	mux.Handle("POST /batch", s.adm.middleware(s.pinned(s.handleBatch)))
-	mux.HandleFunc("GET /healthz", s.pinned(s.handleHealthz))
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /debug/slowlog", s.handleSlowLog)
-	// Every server is also a shard: the scatter-gather data plane is
-	// always mounted so any dataset server can join a fleet (shard.go).
-	mux.HandleFunc("GET /shard/meta", s.pinned(s.handleShardMeta))
-	mux.Handle("GET /shard/nn", s.adm.middleware(s.pinned(s.handleShardNN)))
-	mux.Handle("GET /shard/collect", s.adm.middleware(s.pinned(s.handleShardCollect)))
-	if st != nil {
-		// The write path is not behind the admission controller: a
-		// mutation batch only validates and enqueues, and its own
-		// overload control is the store's bounded backlog (429).
-		mux.HandleFunc("POST /objects", s.handleObjects)
-		mux.HandleFunc("POST /objects/stream", s.handleObjectsStream)
-	}
-	return s.wrap(mux, opts.Timeout)
-}
-
-// newBase builds the shared middleware/observability state every
-// handler stack variant (engine server, scatter-gather coordinator)
-// hangs off.
-func newBase(opts Options, reg *metrics.Registry) *server {
+// New returns the handler stack over sv. The routes it mounts follow
+// from sv's type (see the package comment). When the engine or router
+// served has no metrics sink, one recording into the handler's registry
+// is attached (call before sv serves queries elsewhere).
+func New(sv Solver, opts Options) http.Handler {
 	s := &server{
-		reg:         reg,
-		log:         opts.Logger,
-		httpLatency: reg.Histogram("coskq_http_request_seconds", httpLatencyBuckets),
+		solver: sv,
+		log:    opts.Logger,
 	}
+	var eng *core.Engine
+	switch sv := sv.(type) {
+	case *core.Engine:
+		s.eng, eng = sv, sv
+	case *epoch.Store:
+		s.store = sv
+		g := sv.Pin()
+		eng = g.Eng
+		g.Unpin()
+	case *shard.Router:
+		s.router = sv
+	}
+	s.reg = opts.Registry
+	if s.reg == nil && eng != nil && eng.Metrics != nil {
+		s.reg = eng.Metrics.Registry()
+	}
+	if s.reg == nil {
+		s.reg = metrics.NewRegistry()
+	}
+	if eng != nil && eng.Metrics == nil {
+		eng.Metrics = core.NewEngineMetrics(s.reg)
+	}
+	if s.router != nil && s.router.Metrics == nil {
+		s.router.Metrics = shard.NewMetrics(s.reg)
+	}
+	s.httpLatency = s.reg.Histogram("coskq_http_request_seconds", httpLatencyBuckets)
 	if opts.MaxInFlight > 0 {
-		s.adm = newAdmission(reg, opts.MaxInFlight, opts.MaxQueue, opts.QueueTimeout, time.Second)
+		s.adm = newAdmission(s.reg, opts.MaxInFlight, opts.MaxQueue, opts.QueueTimeout, time.Second)
 	}
 	if opts.SlowLog >= 0 {
 		size := opts.SlowLog
@@ -176,29 +157,67 @@ func newBase(opts Options, reg *metrics.Registry) *server {
 	} else {
 		s.idToken = "static"
 	}
-	return s
+
+	mux := http.NewServeMux()
+	mux.Handle("GET /query", s.adm.middleware(http.HandlerFunc(s.handleQuery)))
+	mux.HandleFunc("GET /healthz", s.pinned(s.handleHealthz))
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("GET /debug/slowlog", s.handleSlowLog)
+	if s.router != nil {
+		mux.HandleFunc("GET /topk", func(w http.ResponseWriter, r *http.Request) {
+			jsonError(w, http.StatusNotImplemented, "topk is not served in scatter-gather mode; query a shard server directly")
+		})
+	}
+	if eng != nil {
+		mux.HandleFunc("GET /stats", s.pinned(s.handleStats))
+		mux.Handle("GET /topk", s.adm.middleware(s.pinned(s.handleTopK)))
+		mux.Handle("POST /batch", s.adm.middleware(s.pinned(s.handleBatch)))
+		// Every engine server is also a shard: the scatter-gather data
+		// plane is always mounted so any dataset server can join a fleet
+		// (shard.go).
+		mux.HandleFunc("GET /shard/meta", s.pinned(s.handleShardMeta))
+		mux.Handle("GET /shard/nn", s.adm.middleware(s.pinned(s.handleShardNN)))
+		mux.Handle("GET /shard/collect", s.adm.middleware(s.pinned(s.handleShardCollect)))
+	}
+	if s.store != nil {
+		// The write path is not behind the admission controller: a
+		// mutation batch only validates and enqueues, and its own
+		// overload control is the store's bounded backlog (429).
+		mux.HandleFunc("POST /objects", s.handleObjects)
+		mux.HandleFunc("POST /objects/stream", s.handleObjectsStream)
+	}
+	// The outer middleware stack: request id → recover → observe →
+	// optional timeout → mux.
+	var h http.Handler = mux
+	if opts.Timeout > 0 {
+		h = timeoutMiddleware(opts.Timeout, h)
+	}
+	return s.requestIDMiddleware(s.recoverMiddleware(s.observeMiddleware(h)))
 }
 
-// wrap applies the outer middleware stack (request id → recover →
-// observe → optional timeout) around mux.
-func (s *server) wrap(mux http.Handler, timeout time.Duration) http.Handler {
-	h := mux
-	if timeout > 0 {
-		h = timeoutMiddleware(timeout, h)
-	}
-	h = s.observeMiddleware(h)
-	h = s.recoverMiddleware(h)
-	h = s.requestIDMiddleware(h)
-	return h
-}
+// NewWith returns the handler stack over eng.
+func NewWith(eng *core.Engine, opts Options) http.Handler { return New(eng, opts) }
+
+// NewLive returns the handler stack over a live epoch store. The caller
+// owns the store's lifecycle (Close it after the listener stops).
+func NewLive(st *epoch.Store, opts Options) http.Handler { return New(st, opts) }
+
+// NewScatterGather returns the coordinator handler stack over a shard
+// router.
+func NewScatterGather(rt *shard.Router, opts Options) http.Handler { return New(rt, opts) }
 
 var httpLatencyBuckets = []float64{
 	1e-3, 2.5e-3, 10e-3, 25e-3, 100e-3, 250e-3, 1, 2.5, 10,
 }
 
 type server struct {
-	eng         *core.Engine
-	store       *epoch.Store
+	solver Solver
+	// At most one of eng, store and router is set: the solver's type,
+	// which decides the routes mounted beside /query.
+	eng    *core.Engine
+	store  *epoch.Store
+	router *shard.Router
+
 	reg         *metrics.Registry
 	log         *slog.Logger
 	slow        *trace.SlowLog
@@ -230,7 +249,8 @@ type pin struct {
 // the store's current generation for the whole call, so keyword
 // resolution, solve and answer rendering see one consistent snapshot,
 // and unpins it when h returns; a static server hands out its fixed
-// engine. Handlers never pin for themselves, so none can leak a pin.
+// engine, a coordinator none. Handlers never pin for themselves — /query
+// leaves it to Store.SolveWords — so none can leak a pin.
 func (s *server) pinned(h func(http.ResponseWriter, *http.Request, pin)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.store == nil {
@@ -449,23 +469,33 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// writeSolveError maps an engine execution error onto an HTTP status:
-// infeasible queries are a semantic 422, exhausted budgets and cancelled
-// requests are 503 (the server refused to spend more effort), a deadline
-// hit inside the engine is 504, and anything else is the client's fault.
-func writeSolveError(w http.ResponseWriter, err error) {
+// solveError maps a solve error onto its HTTP status and message, the
+// one vocabulary /query, /topk, the shard data plane and /batch items
+// share: a shard failure the router could not degrade around is an
+// upstream failure (502, retryable); infeasible queries are a semantic
+// 422; exhausted budgets and cancelled requests are 503 (the server
+// refused to spend more effort); a deadline hit inside the solve is 504;
+// anything else is the client's fault.
+func solveError(err error) (int, string) {
+	var se *shard.ShardError
 	switch {
+	case errors.As(err, &se):
+		return http.StatusBadGateway, se.Error()
 	case errors.Is(err, core.ErrInfeasible):
-		jsonError(w, http.StatusUnprocessableEntity, "query keywords cannot be covered")
+		return http.StatusUnprocessableEntity, "query keywords cannot be covered"
 	case errors.Is(err, core.ErrBudgetExceeded):
-		jsonError(w, http.StatusServiceUnavailable, "query exceeded the server's search budget")
+		return http.StatusServiceUnavailable, "query exceeded the server's search budget"
 	case errors.Is(err, context.DeadlineExceeded):
-		jsonError(w, http.StatusGatewayTimeout, "query exceeded the server timeout")
+		return http.StatusGatewayTimeout, "query exceeded the server timeout"
 	case errors.Is(err, context.Canceled):
-		jsonError(w, http.StatusServiceUnavailable, "query cancelled")
-	default:
-		jsonError(w, http.StatusBadRequest, "%v", err)
+		return http.StatusServiceUnavailable, "query cancelled"
 	}
+	return http.StatusBadRequest, err.Error()
+}
+
+func writeSolveError(w http.ResponseWriter, err error) {
+	status, msg := solveError(err)
+	jsonError(w, status, "%s", msg)
 }
 
 type statsResponse struct {
@@ -477,14 +507,17 @@ type statsResponse struct {
 	AvgKeywords float64 `json:"avgKeywords"`
 }
 
-// handleHealthz is the liveness/readiness probe: the engine is built
+// handleHealthz is the liveness/readiness probe: the solver is built
 // before the listener starts, so reaching this handler means the server
 // can answer queries.
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request, p pin) {
-	body := map[string]any{
-		"status":  "ok",
-		"dataset": p.eng.DS.Name,
-		"objects": p.eng.DS.Len(),
+	body := map[string]any{"status": "ok"}
+	if s.router != nil {
+		body["mode"] = "scatter-gather"
+		body["shards"] = len(s.router.Backends)
+	} else if p.eng != nil {
+		body["dataset"] = p.eng.DS.Name
+		body["objects"] = p.eng.DS.Len()
 	}
 	if s.store != nil {
 		body["gen"] = p.gen
@@ -494,8 +527,13 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request, p pin) {
 }
 
 // handleMetrics serves the text exposition of every counter and
-// histogram in the shared registry (engine + HTTP layer).
+// histogram in the shared registry (solver + HTTP layer); on a
+// coordinator, ?federate=1 merges in every peer's page (federate).
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	if s.router != nil && r.URL.Query().Get("federate") == "1" {
+		s.federate(w, r)
+		return
+	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.reg.WriteText(w)
 }
@@ -614,50 +652,24 @@ func parseLoc(q url.Values) (geo.Point, error) {
 	return geo.Point{X: xy[0], Y: xy[1]}, nil
 }
 
-// parseQuery extracts the common query parameters (location, keywords,
-// cost) from the request, resolving keywords against the pinned
-// engine's vocabulary so a live server's parse and solve agree on one
-// generation.
-func (s *server) parseQuery(eng *core.Engine, r *http.Request) (core.Query, core.CostKind, error) {
-	q := r.URL.Query()
+// parseQuery extracts the parameters /query and /topk share: location,
+// keyword strings and cost.
+func parseQuery(q url.Values) (geo.Point, []string, core.CostKind, error) {
 	loc, err := parseLoc(q)
 	if err != nil {
-		return core.Query{}, 0, err
+		return loc, nil, 0, err
 	}
-
-	var keywords kwds.Set
-	switch words := splitKeywords(q.Get("kw")); {
-	case len(words) > 0:
-		if keywords, err = resolveKeywords(eng.DS.Vocab, words); err != nil {
-			return core.Query{}, 0, err
-		}
-	case q.Get("k") != "":
-		k, err := strconv.Atoi(q.Get("k"))
-		if err != nil || k <= 0 {
-			return core.Query{}, 0, fmt.Errorf("k must be a positive integer")
-		}
-		seed := int64(1)
-		if sv := q.Get("seed"); sv != "" {
-			if parsed, err := strconv.ParseInt(sv, 10, 64); err == nil {
-				seed = parsed
-			}
-		}
-		g := datagen.NewQueryGen(eng.DS, eng.Inv, 0, 40, seed)
-		_, keywords = g.Next(k)
-	default:
-		return core.Query{}, 0, fmt.Errorf("provide kw=a,b,c or k=N")
+	words := splitKeywords(q.Get("kw"))
+	if len(words) == 0 {
+		return loc, nil, 0, errors.New("provide kw=a,b,c")
 	}
-
 	cost, err := costByName(q.Get("cost"))
-	if err != nil {
-		return core.Query{}, 0, err
-	}
-	return core.Query{Loc: loc, Keywords: keywords}, cost, nil
+	return loc, words, cost, err
 }
 
 // splitKeywords splits a kw=a,b,c parameter into its keyword list
-// (keywordList) — the reading that /query, /topk, the coordinator's
-// /query and the shard data plane share.
+// (keywordList) — the reading that /query, /topk and the shard data
+// plane share.
 func splitKeywords(kw string) []string {
 	return keywordList(strings.Split(kw, ","))
 }
@@ -673,24 +685,6 @@ func keywordList(parts []string) []string {
 		}
 	}
 	return words
-}
-
-// resolveKeywords maps words to their keyword set under vocab, failing
-// with every word the vocabulary does not know.
-func resolveKeywords(vocab *kwds.Vocabulary, words []string) (kwds.Set, error) {
-	var keywords kwds.Set
-	var missing []string
-	for _, wrd := range words {
-		if id, ok := vocab.Lookup(wrd); ok {
-			keywords = keywords.Union(kwds.NewSet(id))
-		} else {
-			missing = append(missing, wrd)
-		}
-	}
-	if len(missing) > 0 {
-		return nil, fmt.Errorf("unknown keywords: %s", strings.Join(missing, ", "))
-	}
-	return keywords, nil
 }
 
 // costByName resolves a cost parameter; empty means MaxSum.
@@ -714,26 +708,24 @@ func methodByName(s string) (core.Method, error) {
 	return m, err
 }
 
-func (s *server) objectsJSON(eng *core.Engine, q core.Query, ids []dataset.ObjectID) []objectJSON {
-	out := make([]objectJSON, len(ids))
-	for i, id := range ids {
-		o := eng.DS.Object(id)
-		words := make([]string, o.Keywords.Len())
-		for j, kid := range o.Keywords {
-			words[j] = eng.DS.Vocab.Word(kid)
-		}
+// objectsJSON renders an answer's members for the wire.
+func objectsJSON(loc geo.Point, members []core.Member) []objectJSON {
+	out := make([]objectJSON, len(members))
+	for i, m := range members {
 		out[i] = objectJSON{
-			ID: uint32(id), X: o.Loc.X, Y: o.Loc.Y,
-			DistQ:    q.Loc.Dist(o.Loc),
-			Keywords: words,
+			ID: uint32(m.ID), X: m.Loc.X, Y: m.Loc.Y,
+			DistQ:    loc.Dist(m.Loc),
+			Keywords: m.Words,
 		}
 	}
 	return out
 }
 
-func (s *server) handleQuery(w http.ResponseWriter, r *http.Request, p pin) {
-	eng := p.eng
-	q, cost, err := s.parseQuery(eng, r)
+// handleQuery serves /query on every solver: the same parameters, the
+// same response shape, elapsedMs on the handler's clock around the
+// solve.
+func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	loc, words, cost, err := parseQuery(r.URL.Query())
 	if err != nil {
 		jsonError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -749,30 +741,24 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request, p pin) {
 	}
 	ctx, tr, explain := s.beginTrace(r, "query")
 	start := time.Now()
-	res, err := eng.SolveCtx(ctx, q, cost, method)
-	x := s.finishTrace(r, tr, explain, time.Since(start), err, nil)
+	ans, err := s.solver.SolveWords(ctx, loc, words, cost, method)
+	elapsed := time.Since(start)
+	x := s.finishTrace(r, tr, explain, elapsed, err, ans.Calls)
 	if err != nil {
 		writeSolveError(w, err)
 		return
 	}
-	writeQueryResponse(w, res, cost, method, res.Stats.Elapsed, s.objectsJSON(eng, q, res.Set), x)
-}
-
-// writeQueryResponse writes the /query body — and the degraded header —
-// for a solved query, whichever handler stack solved it.
-func writeQueryResponse(w http.ResponseWriter, res core.Result, cost core.CostKind, method core.Method,
-	elapsed time.Duration, objs []objectJSON, x *trace.Export) {
-	if res.Degraded {
-		w.Header().Set("X-Coskq-Degraded", string(res.Stats.DegradeReason))
+	if ans.Degraded {
+		w.Header().Set("X-Coskq-Degraded", string(ans.Stats.DegradeReason))
 	}
 	writeJSON(w, queryResponse{
-		Cost:      res.Cost,
+		Cost:      ans.Cost,
 		CostKind:  cost.String(),
 		Method:    method.String(),
 		ElapsedMs: float64(elapsed.Microseconds()) / 1000,
-		Objects:   objs,
-		Degraded:  res.Degraded,
-		Reason:    string(res.Stats.DegradeReason),
+		Objects:   objectsJSON(loc, ans.Members),
+		Degraded:  ans.Degraded,
+		Reason:    string(ans.Stats.DegradeReason),
 		Trace:     x,
 	})
 }
@@ -783,8 +769,12 @@ type topKResponse struct {
 }
 
 func (s *server) handleTopK(w http.ResponseWriter, r *http.Request, p pin) {
-	eng := p.eng
-	q, cost, err := s.parseQuery(eng, r)
+	loc, words, cost, err := parseQuery(r.URL.Query())
+	if err != nil {
+		jsonError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	keywords, err := p.eng.ResolveWords(words)
 	if err != nil {
 		jsonError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -807,7 +797,7 @@ func (s *server) handleTopK(w http.ResponseWriter, r *http.Request, p pin) {
 	}
 	ctx, tr, explain := s.beginTrace(r, "topk")
 	start := time.Now()
-	results, err := eng.TopKCtx(ctx, q, cost, n)
+	results, err := p.eng.TopKCtx(ctx, core.Query{Loc: loc, Keywords: keywords}, cost, n)
 	x := s.finishTrace(r, tr, explain, time.Since(start), err, nil)
 	if err != nil {
 		writeSolveError(w, err)
@@ -821,7 +811,7 @@ func (s *server) handleTopK(w http.ResponseWriter, r *http.Request, p pin) {
 		resp.Results[i] = queryResponse{
 			Cost:     res.Cost,
 			CostKind: cost.String(),
-			Objects:  s.objectsJSON(eng, q, res.Set),
+			Objects:  objectsJSON(loc, p.eng.Members(res.Set)),
 			Degraded: res.Degraded,
 			Reason:   string(res.Stats.DegradeReason),
 		}

@@ -25,7 +25,7 @@ func cityEngine() *core.Engine {
 func testServer(t *testing.T) (*httptest.Server, *core.Engine) {
 	t.Helper()
 	eng := cityEngine()
-	srv := httptest.NewServer(New(eng))
+	srv := httptest.NewServer(New(eng, Options{}))
 	t.Cleanup(srv.Close)
 	return srv, eng
 }
@@ -98,11 +98,6 @@ func TestQueryEndpointVariants(t *testing.T) {
 	if got.CostKind != "SumMax" || got.Method != "OwnerAppro" {
 		t.Fatalf("variant response: %+v", got)
 	}
-	// Random-keyword mode.
-	getJSON(t, srv.URL+"/query?x=0&y=0&k=2&seed=5", http.StatusOK, &got)
-	if len(got.Objects) == 0 {
-		t.Fatal("k-mode returned nothing")
-	}
 }
 
 func TestQueryEndpointErrors(t *testing.T) {
@@ -117,7 +112,6 @@ func TestQueryEndpointErrors(t *testing.T) {
 		{"/query?x=0&y=0&kw=cafe&cost=bogus", http.StatusBadRequest},
 		{"/query?x=0&y=0&kw=cafe&method=bogus", http.StatusBadRequest},
 		{"/query?x=0&y=0&kw=cafe&method=brute", http.StatusBadRequest}, // core.ParseMethod knows it; the server does not serve it
-		{"/query?x=0&y=0&k=-2", http.StatusBadRequest},
 		{"/stats2", http.StatusNotFound},
 	}
 	for _, c := range cases {

@@ -1,9 +1,9 @@
 // Scatter-gather over HTTP. Every engine server mounts the shard data
 // plane (/shard/meta, /shard/nn, /shard/collect) so it can serve as one
-// shard of a fleet, and NewScatterGather builds the coordinator: the
-// same /query surface, answered by fanning out to peer shard servers
-// through a shard.Router instead of a local engine. The bodies are
-// internal/shard's Wire* types, which shard.HTTPBackend decodes.
+// shard of a fleet; a server over a shard.Router is the coordinator,
+// whose /query fans out to them and whose /metrics?federate=1 merges
+// their pages. The bodies are internal/shard's Wire* types, which
+// shard.HTTPBackend decodes.
 package server
 
 import (
@@ -93,7 +93,7 @@ func (s *server) handleShardMeta(w http.ResponseWriter, r *http.Request, p pin) 
 }
 
 // parseShardParams extracts the shard query (location + keyword
-// strings). Unlike parseQuery, unknown keywords are NOT an error here —
+// strings). Unlike on /query, unknown keywords are NOT an error here —
 // a shard is expected to lack most of the fleet's vocabulary, and the
 // Backend contract resolves unknown words to "not found".
 func parseShardParams(r *http.Request) (shard.ShardQuery, error) {
@@ -179,157 +179,56 @@ func wireObject(b *shard.EngineBackend, c shard.Candidate) shard.WireObject {
 	return shard.WireObject{ID: uint32(c.GID), X: c.Loc.X, Y: c.Loc.Y, Keywords: c.Words}
 }
 
-// NewScatterGather returns the coordinator handler stack over a shard
-// router: the engine server's /query surface (same parameters, same
-// response shape, same middleware — admission, timeout, tracing,
-// metrics) with solves fanned out across rt's backends. /topk is not
-// served in scatter-gather mode (501). When rt has no metrics sink, one
-// recording into this handler's registry is attached, so routing and
-// HTTP metrics share the /metrics exposition.
-func NewScatterGather(rt *shard.Router, opts Options) http.Handler {
-	reg := opts.Registry
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
-	if rt.Metrics == nil {
-		rt.Metrics = shard.NewMetrics(reg)
-	}
-	s := newBase(opts, reg)
-	mux := http.NewServeMux()
-	mux.Handle("GET /query", s.adm.middleware(s.scatterQueryHandler(rt)))
-	mux.HandleFunc("GET /topk", func(w http.ResponseWriter, r *http.Request) {
-		jsonError(w, http.StatusNotImplemented, "topk is not served in scatter-gather mode; query a shard server directly")
-	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, map[string]any{
-			"status": "ok",
-			"mode":   "scatter-gather",
-			"shards": len(rt.Backends),
-		})
-	})
-	mux.HandleFunc("GET /metrics", s.federatedMetricsHandler(rt))
-	mux.HandleFunc("GET /debug/slowlog", s.handleSlowLog)
-	return s.wrap(mux, opts.Timeout)
-}
-
-// federatedMetricsHandler serves GET /metrics on the coordinator. The
-// plain scrape is the local registry; ?federate=1 additionally fans out
-// to every backend implementing shard.MetricsFetcher and merges the
-// peer pages into one exposition, each peer's samples labeled with its
-// shard name. Peer fetches run concurrently under DefaultFederateTimeout;
-// a failed peer contributes a comment line and a coordinator-side error
-// counter, never a scrape failure.
-func (s *server) federatedMetricsHandler(rt *shard.Router) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("federate") != "1" {
-			s.handleMetrics(w, r)
-			return
+// federate serves GET /metrics?federate=1 on a coordinator: the local
+// registry's page merged with every backend implementing
+// shard.MetricsFetcher, each peer's samples labeled with its shard name.
+// Peer fetches run concurrently under DefaultFederateTimeout; a failed
+// peer contributes a comment line and a coordinator-side error counter,
+// never a scrape failure.
+func (s *server) federate(w http.ResponseWriter, r *http.Request) {
+	rt := s.router
+	ctx, cancel := context.WithTimeout(r.Context(), DefaultFederateTimeout)
+	defer cancel()
+	pages := make([]metrics.MergePage, 1, len(rt.Backends)+1)
+	var (
+		mu sync.Mutex
+		wg sync.WaitGroup
+	)
+	for i, b := range rt.Backends {
+		mf, ok := b.(shard.MetricsFetcher)
+		if !ok {
+			continue
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), DefaultFederateTimeout)
-		defer cancel()
-		pages := make([]metrics.MergePage, 1, len(rt.Backends)+1)
-		var (
-			mu sync.Mutex
-			wg sync.WaitGroup
-		)
-		for i, b := range rt.Backends {
-			mf, ok := b.(shard.MetricsFetcher)
-			if !ok {
-				continue
+		wg.Add(1)
+		go func(ord int, name string, mf shard.MetricsFetcher) {
+			defer wg.Done()
+			text, err := mf.FetchMetrics(ctx)
+			if err != nil {
+				s.reg.Counter(fmt.Sprintf("coskq_federate_peer_errors_total{shard=%q}", name)).Inc()
 			}
-			wg.Add(1)
-			go func(ord int, name string, mf shard.MetricsFetcher) {
-				defer wg.Done()
-				text, err := mf.FetchMetrics(ctx)
-				if err != nil {
-					s.reg.Counter(fmt.Sprintf("coskq_federate_peer_errors_total{shard=%q}", name)).Inc()
-				}
-				mu.Lock()
-				pages = append(pages, metrics.MergePage{Source: name, Text: text, Err: err})
-				mu.Unlock()
-			}(i, b.Name(), mf)
-		}
-		wg.Wait()
-		// Snapshot the local page after the fan-out so this scrape's own
-		// peer-fetch error counters are already visible in it.
-		var local bytes.Buffer
-		s.reg.WriteText(&local)
-		pages[0] = metrics.MergePage{Text: local.Bytes()}
-		// Peer pages arrive in completion order; restore backend order so
-		// the merged exposition is deterministic for a fixed fleet.
-		peers := pages[1:]
-		ordinal := make(map[string]int, len(rt.Backends))
-		for i, b := range rt.Backends {
-			ordinal[b.Name()] = i
-		}
-		for i := 1; i < len(peers); i++ {
-			for j := i; j > 0 && ordinal[peers[j].Source] < ordinal[peers[j-1].Source]; j-- {
-				peers[j], peers[j-1] = peers[j-1], peers[j]
-			}
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		metrics.MergeText(w, pages)
+			mu.Lock()
+			pages = append(pages, metrics.MergePage{Source: name, Text: text, Err: err})
+			mu.Unlock()
+		}(i, b.Name(), mf)
 	}
-}
-
-// writeScatterError extends writeSolveError with the routing failure
-// mode: a shard failure the router could not degrade around is an
-// upstream failure (502), which the client treats as retryable.
-func writeScatterError(w http.ResponseWriter, err error) {
-	var se *shard.ShardError
-	if errors.As(err, &se) {
-		jsonError(w, http.StatusBadGateway, "%v", se)
-		return
+	wg.Wait()
+	// Snapshot the local page after the fan-out so this scrape's own
+	// peer-fetch error counters are already visible in it.
+	var local bytes.Buffer
+	s.reg.WriteText(&local)
+	pages[0] = metrics.MergePage{Text: local.Bytes()}
+	// Peer pages arrive in completion order; restore backend order so
+	// the merged exposition is deterministic for a fixed fleet.
+	peers := pages[1:]
+	ordinal := make(map[string]int, len(rt.Backends))
+	for i, b := range rt.Backends {
+		ordinal[b.Name()] = i
 	}
-	writeSolveError(w, err)
-}
-
-func (s *server) scatterQueryHandler(rt *shard.Router) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		loc, err := parseLoc(q)
-		if err != nil {
-			jsonError(w, http.StatusBadRequest, "%v", err)
-			return
+	for i := 1; i < len(peers); i++ {
+		for j := i; j > 0 && ordinal[peers[j].Source] < ordinal[peers[j-1].Source]; j-- {
+			peers[j], peers[j-1] = peers[j-1], peers[j]
 		}
-		words := splitKeywords(q.Get("kw"))
-		if len(words) == 0 {
-			jsonError(w, http.StatusBadRequest, "provide kw=a,b,c")
-			return
-		}
-		cost, err := costByName(q.Get("cost"))
-		if err != nil {
-			jsonError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		method, err := methodByName(q.Get("method"))
-		if err != nil {
-			jsonError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		if err := core.HitFault(fault.ServerHandle); err != nil {
-			writeSolveError(w, err)
-			return
-		}
-		ctx, tr, explain := s.beginTrace(r, "scatter")
-		start := time.Now()
-		ans, err := rt.RouteWords(ctx, loc, words, cost, method)
-		elapsed := time.Since(start)
-		// Info.Calls is populated even on error returns, so a slow query
-		// that ultimately failed still shows which shard calls it made.
-		xp := s.finishTrace(r, tr, explain, elapsed, err, ans.Info.Calls)
-		if err != nil {
-			writeScatterError(w, err)
-			return
-		}
-		objs := make([]objectJSON, len(ans.Members))
-		for i, c := range ans.Members {
-			objs[i] = objectJSON{
-				ID: uint32(c.GID), X: c.Loc.X, Y: c.Loc.Y,
-				DistQ:    loc.Dist(c.Loc),
-				Keywords: c.Words,
-			}
-		}
-		writeQueryResponse(w, ans.Result, cost, method, elapsed, objs, xp)
-	})
+	}
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	metrics.MergeText(w, pages)
 }

@@ -25,7 +25,7 @@ func wideServer(t *testing.T) (*httptest.Server, []string) {
 		words[i] = fmt.Sprintf("w%02d", i)
 		b.Add(geo.Point{X: float64(i % 9), Y: float64(i / 9)}, words[i])
 	}
-	srv := httptest.NewServer(New(core.NewEngine(b.Build(), 0)))
+	srv := httptest.NewServer(New(core.NewEngine(b.Build(), 0), Options{}))
 	t.Cleanup(srv.Close)
 	return srv, words
 }

@@ -45,7 +45,7 @@ func quadrantDataset() *dataset.Dataset {
 }
 
 // chaosRouter builds the deterministic chaos fixture: a 4-shard grid
-// router in the serial (Fanout=1) schedule, so fault hit ordinals map
+// router in the serial (fanout=1) schedule, so fault hit ordinals map
 // 1:1 onto shard calls and a seeded schedule replays identically.
 func chaosRouter(t *testing.T, policy core.DegradePolicy) (*Router, *core.Engine, core.Query) {
 	t.Helper()
@@ -54,7 +54,7 @@ func chaosRouter(t *testing.T, policy core.DegradePolicy) (*Router, *core.Engine
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Fanout = 1
+	r.fanout = 1
 	r.Degrade = policy
 	eng := core.NewEngine(ds, 0)
 	var qset kwds.Set

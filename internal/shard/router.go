@@ -212,9 +212,6 @@ type Router struct {
 	// sets interned in it (NewLocalRouter wires the dataset vocabulary).
 	// RouteWords needs no vocabulary.
 	Vocab *kwds.Vocabulary
-	// Fanout bounds concurrent shard calls per query; 0 means all shards
-	// at once, 1 forces the deterministic serial schedule (shard order).
-	Fanout int
 	// NodeBudget caps the pool solve's search effort (core semantics).
 	NodeBudget int
 	// Degrade selects failure semantics. DegradeFail (default): any
@@ -230,6 +227,11 @@ type Router struct {
 	// resolves the per-shard series from it, so set it before the first
 	// query.
 	Metrics *Metrics
+
+	// fanout bounds concurrent shard calls per query; 0 means all shards
+	// at once, 1 forces the deterministic serial schedule (shard order)
+	// that the in-package chaos and trace tests replay.
+	fanout int
 
 	mu     sync.Mutex
 	metas  []Meta
@@ -304,6 +306,23 @@ func (r *Router) SolveCtx(ctx context.Context, q core.Query, cost core.CostKind,
 	return ans.Result, err
 }
 
+// SolveWords is RouteWords in the form every serving path answers: the
+// routed Result, its members, and the per-shard calls — which are
+// returned on errors too, so a slow query that failed still shows which
+// shard calls it made.
+func (r *Router) SolveWords(ctx context.Context, loc geo.Point, words []string, cost core.CostKind, method core.Method) (core.Answer, error) {
+	ans, err := r.RouteWords(ctx, loc, words, cost, method)
+	out := core.Answer{Result: ans.Result, Calls: ans.Info.Calls}
+	if err != nil {
+		return out, err
+	}
+	out.Members = make([]core.Member, len(ans.Members))
+	for i, c := range ans.Members {
+		out.Members[i] = core.Member{ID: c.GID, Loc: c.Loc, Words: c.Words}
+	}
+	return out, nil
+}
+
 // dedupeWords drops duplicate keywords preserving first-seen order (the
 // per-word NN merge indexes hits by position).
 func dedupeWords(words []string) []string {
@@ -374,7 +393,7 @@ func (r *Router) callShard(ctx context.Context, ord int, phase string, fn func(c
 }
 
 // scatter fans call out over the given shard ordinals, bounded by
-// Fanout. Fanout 1 runs the calls inline in shard order — the
+// fanout. fanout 1 runs the calls inline in shard order — the
 // deterministic schedule the chaos suite replays. The returned error
 // slice is indexed by shard ordinal; the call records follow the shards
 // argument's order.
@@ -430,7 +449,7 @@ func (r *Router) scatter(ctx context.Context, phase string, grp *trace.Group, sh
 		sp.End()
 		recs[ord] = rec
 	}
-	fanout := r.Fanout
+	fanout := r.fanout
 	if fanout <= 0 || fanout > len(shards) {
 		fanout = len(shards)
 	}

@@ -77,7 +77,7 @@ func TestRouterConcurrentFanout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Fanout = 0 // all shards at once
+	r.fanout = 0 // all shards at once
 	done := make(chan error, 4)
 	for w := 0; w < 4; w++ {
 		go func(seed int) {

@@ -105,7 +105,7 @@ func stitchFixture(t *testing.T, fanout int) (*Router, *metrics.Registry) {
 		}
 		backends = append(backends, NewEngineBackend(fmt.Sprintf("shard-%d", s), Shard{DS: b.Build()}))
 	}
-	return &Router{Backends: backends, Fanout: fanout, Metrics: NewMetrics(reg)}, reg
+	return &Router{Backends: backends, fanout: fanout, Metrics: NewMetrics(reg)}, reg
 }
 
 // TestRouterStitchedTrace: a traced RouteWords produces one tree with

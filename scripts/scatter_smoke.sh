@@ -58,6 +58,21 @@ if grep -q '"degraded":true' <<<"$body"; then
     exit 1
 fi
 
+# Each mode keeps its own error surface: a word no shard knows makes the
+# fleet query infeasible (422) but is malformed on one engine (400); the
+# coordinator answers /topk 501 and mounts no /batch.
+status() { curl -s -o /dev/null -w '%{http_code}' "$@"; }
+expect() {
+    if [ "$1" != "$2" ]; then
+        echo "$3: status $1, want $2" >&2
+        exit 1
+    fi
+}
+expect "$(status 'http://127.0.0.1:9470/query?x=500&y=500&kw=nosuchword')" 422 "coordinator unknown word"
+expect "$(status 'http://127.0.0.1:9470/topk?x=500&y=500&kw=w000000')" 501 "coordinator /topk"
+expect "$(status -X POST -d '{"queries":[{"x":500,"y":500,"kw":["w000000"]}]}' http://127.0.0.1:9470/batch)" 404 "coordinator /batch"
+expect "$(status "http://127.0.0.1:${ports[0]}/query?x=500&y=500&kw=nosuchword")" 400 "shard server unknown word"
+
 # The shard data plane every server mounts must agree with the meta the
 # coordinator routed on.
 curl -fsS "http://127.0.0.1:${ports[0]}/shard/meta" | grep -q '"objects":400'
