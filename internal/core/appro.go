@@ -50,30 +50,27 @@ func (s *search) ownerAppro(q Query, cost costFn) (Result, error) {
 		owner := en.owner()
 		if qi.Full()&^owner.mask == 0 {
 			stats.SetsEvaluated++
-			curSet, curCost = []dataset.ObjectID{owner.o.ID}, cost.combine(owner.d, 0)
+			curSet, curCost = []dataset.ObjectID{owner.id}, cost.combine(owner.d, 0)
 			s.noteIncumbent(curSet, curCost, cost.kind)
 			continue
 		}
-		osp := s.tr.Begin("greedy_construct")
+		stepStart := s.traceClock()
 		var ok bool
-		set, ok = nearestCover(qi, cost, en.pool, en.bits, curCost, append(set[:0], owner.o.ID), bitOrder, &stats)
+		set, ok = nearestCover(qi, cost, en.pool, en.bits, curCost, append(set[:0], owner.id), bitOrder, &stats)
 		if !ok {
-			osp.Drop()
 			continue
 		}
 		stats.SetsEvaluated++
 		if c := s.src.evalSet(cost, q.Loc, set); c < curCost {
-			if osp != nil {
-				// Keep construction spans only for improving owners.
-				osp.Attr("owner_id", float64(owner.o.ID))
+			// Construction spans exist only for improving owners.
+			if osp := s.tr.BeginAt("greedy_construct", stepStart); osp != nil {
+				osp.Attr("owner_id", float64(owner.id))
 				osp.Attr("d_owner", owner.d)
 				osp.Attr("cost", c)
 				osp.End()
 			}
 			curSet, curCost = canonical(set), c
 			s.noteIncumbent(curSet, curCost, cost.kind)
-		} else {
-			osp.Drop()
 		}
 	}
 	en.finish(curCost)
@@ -113,7 +110,7 @@ func nearestCover(qi *kwds.QueryIndex, cost costFn, pool []cand, bits [][]int32,
 	for _, b := range bitOrder {
 		bestIdx, bestDist := int32(-1), 0.0
 		for _, ci := range bits[b] {
-			d := pool[ci].o.Loc.Dist(owner.o.Loc)
+			d := pool[ci].loc.Dist(owner.loc)
 			if bestIdx < 0 || d < bestDist {
 				bestIdx, bestDist = ci, d
 			}
@@ -129,7 +126,7 @@ func nearestCover(qi *kwds.QueryIndex, cost costFn, pool []cand, bits [][]int32,
 			stats.Prunes[trace.PruneGreedyBound]++
 			return set, false
 		}
-		set = append(set, pool[bestIdx].o.ID)
+		set = append(set, pool[bestIdx].id)
 	}
 	return set, true
 }

@@ -46,24 +46,23 @@ func (s *search) ownerExact(q Query, cost costFn, slack float64) (Result, error)
 	en := s.owners(q, qi, cost, df, true, &stats)
 	defer en.release()
 	for en.next(curCost / slack) {
-		osp := s.tr.Begin("best_with_owner")
+		stepStart := s.traceClock()
 		nodes0 := stats.NodesExpanded
 		set, c := s.bestWithOwner(qi, cost, en.pool, en.bits, curCost/slack, en.scratch, &stats, nil)
 		if set == nil {
-			// Keep sub-search spans only for owners that improved the
-			// incumbent — the iterations that explain the answer — and
-			// fold the rest back into the loop span's aggregates.
-			osp.Drop()
 			continue
 		}
-		if osp != nil {
+		// Sub-search spans exist only for owners that improved the
+		// incumbent — the iterations that explain the answer; the rest
+		// fold into the loop span's aggregates.
+		if osp := s.tr.BeginAt("best_with_owner", stepStart); osp != nil {
 			o := en.owner()
-			osp.Attr("owner_id", float64(o.o.ID))
+			osp.Attr("owner_id", float64(o.id))
 			osp.Attr("d_owner", o.d)
 			osp.Attr("nodes", float64(stats.NodesExpanded-nodes0))
 			osp.Attr("cost", c)
+			osp.End()
 		}
-		osp.End()
 		curSet, curCost = canonical(set), c
 		s.noteIncumbent(curSet, curCost, cost.kind)
 	}

@@ -62,7 +62,7 @@ func (s *search) nearestOwner(q Query, cost costFn, slack float64) (Result, erro
 		s.pollCancel(stats.OwnersTried)
 		pool, bits := sub.pool[:0], sub.ensureBits(qi.Size())
 		for _, c := range en.pool[i+1:] {
-			if c.mask&^owner.mask == 0 || cost.combine(owner.d, c.o.Loc.Dist(owner.o.Loc)) >= bound {
+			if c.mask&^owner.mask == 0 || cost.combine(owner.d, c.loc.Dist(owner.loc)) >= bound {
 				continue
 			}
 			pool = append(pool, c)

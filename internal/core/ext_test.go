@@ -263,7 +263,7 @@ func TestDominanceFilterStructure(t *testing.T) {
 		}
 		kept := map[dataset.ObjectID]bool{}
 		for i, c := range pool {
-			kept[c.o.ID] = true
+			kept[c.id] = true
 			for _, k := range pool[:i] {
 				if k.d > c.d {
 					t.Fatalf("pool not ascending at %d", i)

@@ -160,9 +160,12 @@ func (c costFn) eval(q geo.Point, pts []geo.Point) float64 {
 }
 
 // cand is one relevant object materialized by the ascending-distance
-// iterator: the candidate pool of the owner-driven search.
+// iterator: the candidate pool of the owner-driven search. It holds what
+// the per-owner steps read — id and location inline, so the cover
+// search's pairwise distances do not chase an object pointer each.
 type cand struct {
-	o    *dataset.Object
+	id   dataset.ObjectID
+	loc  geo.Point
 	d    float64   // d(o, q)
 	mask kwds.Mask // query keywords covered by o
 }
@@ -251,7 +254,7 @@ func (e *ownerEnum) pop(bound float64) bool {
 			e.stats.Prunes[trace.PruneDominated]++
 			continue
 		}
-		e.pool = append(e.pool, cand{o: o, d: d, mask: mask})
+		e.pool = append(e.pool, cand{id: o.ID, loc: o.Loc, d: d, mask: mask})
 		indexBits(e.bits, len(e.pool)-1, mask)
 		return true
 	}
@@ -362,7 +365,7 @@ func (s *search) bestWithOwner(qi *kwds.QueryIndex, cost costFn, pool []cand, bi
 	if need == 0 {
 		c := cost.combine(dof, 0)
 		stats.SetsEvaluated++
-		scratch.bestSet = append(scratch.bestSet[:0], owner.o.ID)
+		scratch.bestSet = append(scratch.bestSet[:0], owner.id)
 		switch {
 		case top != nil:
 			top.offerCover(scratch.bestSet)
@@ -382,6 +385,9 @@ func (s *search) bestWithOwner(qi *kwds.QueryIndex, cost costFn, pool []cand, bi
 		bestCost = bound // the pruning bound; bestSet's cost once found
 		chosen   = scratch.chosen[:0]
 		sums     = cost.key == total
+		// pairPrune gates the pair bound: Ablation A1's NoPairPrune
+		// keeps every partial set and the full pairwise maximum.
+		pairPrune = !s.Ablation.NoPairPrune
 	)
 
 	var dfs func(covered kwds.Mask, D, maxPair float64)
@@ -393,9 +399,9 @@ func (s *search) bestWithOwner(qi *kwds.QueryIndex, cost costFn, pool []cand, bi
 			if top == nil && c >= bestCost {
 				return
 			}
-			bestSet = append(bestSet[:0], owner.o.ID)
+			bestSet = append(bestSet[:0], owner.id)
 			for _, ci := range chosen {
-				bestSet = append(bestSet, pool[ci].o.ID)
+				bestSet = append(bestSet, pool[ci].id)
 			}
 			if top != nil {
 				top.offerCover(bestSet)
@@ -429,18 +435,23 @@ func (s *search) bestWithOwner(qi *kwds.QueryIndex, cost costFn, pool []cand, bi
 				stats.Prunes[trace.PruneNoNewKeyword]++
 				continue // contributes nothing new
 			}
-			// Incremental pairwise distance owner bound.
+			// Incremental pairwise distance owner bound. combine is
+			// monotone in P, so the walk over chosen stops at the first
+			// distance that cuts the partial set: the full maximum would
+			// cut it too, and a set that survives has seen every pair.
+			nd := cost.extend(D, c.d)
 			np := maxPair
-			if d := c.o.Loc.Dist(owner.o.Loc); d > np {
+			if d := c.loc.Dist(owner.loc); d > np {
 				np = d
 			}
-			for _, pi := range chosen {
-				if d := c.o.Loc.Dist(pool[pi].o.Loc); d > np {
+			cut := pairPrune && cost.combine(nd, np) >= bestCost
+			for i := 0; i < len(chosen) && !cut; i++ {
+				if d := c.loc.Dist(pool[chosen[i]].loc); d > np {
 					np = d
+					cut = pairPrune && cost.combine(nd, np) >= bestCost
 				}
 			}
-			nd := cost.extend(D, c.d)
-			if cost.combine(nd, np) >= bestCost && !s.Ablation.NoPairPrune {
+			if cut {
 				stats.Prunes[trace.PrunePairBound]++
 				continue
 			}

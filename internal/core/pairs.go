@@ -71,7 +71,7 @@ func (s *search) pairsExact(q Query, cost CostKind) (Result, error) {
 	var pairs []pairCand
 	for i := range cands {
 		for j := i; j < len(cands); j++ {
-			dij := cands[i].o.Loc.Dist(cands[j].o.Loc)
+			dij := cands[i].loc.Dist(cands[j].loc)
 			maxDq := math.Max(cands[i].d, cands[j].d)
 			minDq := math.Min(cands[i].d, cands[j].d)
 			var dUB, costLB float64
@@ -127,7 +127,7 @@ func (s *search) pairsExact(q Query, cost CostKind) (Result, error) {
 			if om.d < rLB || om.d >= rUB {
 				continue
 			}
-			if !geo.Lens(oi.o.Loc, oj.o.Loc, p.dij, om.o.Loc) {
+			if !geo.Lens(oi.loc, oj.loc, p.dij, om.loc) {
 				continue
 			}
 			stats.OwnersTried++
@@ -158,7 +158,7 @@ func (s *search) pairsExact(q Query, cost CostKind) (Result, error) {
 // findBestFeasibleSet). Returns (nil, 0) when none beats bound.
 func (s *search) bestFeasibleForTriple(q Query, qi *kwds.QueryIndex, cost CostKind, cands []cand, i, j, m int, dij, bound float64, scratch *ownerScratch, stats *Stats) ([]dataset.ObjectID, float64) {
 	oi, oj, om := &cands[i], &cands[j], &cands[m]
-	base := []dataset.ObjectID{oi.o.ID, oj.o.ID, om.o.ID}
+	base := []dataset.ObjectID{oi.id, oj.id, om.id}
 	covered := oi.mask | oj.mask | om.mask
 	if covered == qi.Full() {
 		stats.SetsEvaluated++
@@ -179,7 +179,7 @@ func (s *search) bestFeasibleForTriple(q Query, qi *kwds.QueryIndex, cost CostKi
 		if c.d > om.d { // om must stay the query distance owner
 			continue
 		}
-		if !geo.Lens(oi.o.Loc, oj.o.Loc, dij, c.o.Loc) {
+		if !geo.Lens(oi.loc, oj.loc, dij, c.loc) {
 			continue
 		}
 		region = append(region, r)
@@ -196,7 +196,7 @@ func (s *search) bestFeasibleForTriple(q Query, qi *kwds.QueryIndex, cost CostKi
 		if cov == qi.Full() {
 			set := append(append([]dataset.ObjectID(nil), base...), make([]dataset.ObjectID, 0, len(chosen))...)
 			for _, r := range chosen {
-				set = append(set, cands[r].o.ID)
+				set = append(set, cands[r].id)
 			}
 			stats.SetsEvaluated++
 			if c := s.src.evalSet(costOf(cost), q.Loc, canonical(set)); c < bestCost {

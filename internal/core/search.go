@@ -204,6 +204,17 @@ func (s *search) pollCancel(counter int) {
 	}
 }
 
+// traceClock returns the time a step that may earn a span starts: now
+// on a traced call, the zero time — no clock read — otherwise. The step's
+// span, if it is kept, opens after the step at this start
+// (trace.Trace.BeginAt).
+func (s *search) traceClock() time.Time {
+	if s.tr == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
 // nnMemo caches one query's per-keyword NN seeds (see keywordNN). Queries
 // carry at most kwds.MaxQueryKeywords keywords, so a linear scan beats a
 // map.

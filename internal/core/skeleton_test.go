@@ -36,7 +36,12 @@ func TestOwnerSkeletonPinned(t *testing.T) {
 		}
 		return s
 	}
-	solve := func(cost CostKind, m Method, prunes bool) func(Query) (string, error) {
+	// noPair is Ablation A1's NoPairPrune: the cover search keeps every
+	// partial set and carries the full pairwise maximum, so its rows pin
+	// that no cut of the pair bound's early exit reaches the ablation.
+	noPair := *e
+	noPair.Ablation.NoPairPrune = true
+	solveOn := func(e *Engine, cost CostKind, m Method, prunes bool) func(Query) (string, error) {
 		return func(q Query) (string, error) {
 			r, err := e.Solve(q, cost, m)
 			if err == nil && math.Abs(e.EvalCost(cost, q.Loc, r.Set)-r.Cost) > 1e-9 {
@@ -44,6 +49,9 @@ func TestOwnerSkeletonPinned(t *testing.T) {
 			}
 			return row(r, prunes), err
 		}
+	}
+	solve := func(cost CostKind, m Method, prunes bool) func(Query) (string, error) {
+		return solveOn(e, cost, m, prunes)
 	}
 	alpha := func(a float64, m Method) func(Query) (string, error) {
 		return func(q Query) (string, error) {
@@ -74,6 +82,18 @@ func TestOwnerSkeletonPinned(t *testing.T) {
 			"4030d42abd23cc26 [145 668 1231] c=25 o=18 n=23 s=2 p=[7 0 0 51 0 0 0 0 0]",
 			"4030b56a702213c6 [76 299 1298 1320 1360] c=29 o=17 n=25 s=4 p=[12 0 0 44 0 0 0 0 0]",
 		}},
+		{"MaxSum/OwnerExact/NoPairPrune", solveOn(&noPair, MaxSum, OwnerExact, true), [2]string{
+			"4030d42abd23cc26 [145 668 1231] c=25 o=18 n=399 s=346 p=[7 0 0 0 0 0 0 0 0]",
+			"4030b56a702213c6 [76 299 1298 1320 1360] c=29 o=17 n=3980 s=3471 p=[12 0 0 0 0 0 0 0 0]",
+		}},
+		{"Dia/OwnerExact/NoPairPrune", solveOn(&noPair, Dia, OwnerExact, true), [2]string{
+			"402166b6ccfa2e12 [145 668 1231] c=9 o=2 n=22 s=17 p=[7 0 0 0 0 0 0 0 0]",
+			"402207891891a804 [299 518 672 715 1360] c=12 o=0 n=0 s=1 p=[12 0 0 0 0 0 0 0 0]",
+		}},
+		{"SumMax/OwnerExact/NoPairPrune", solveOn(&noPair, SumMax, OwnerExact, true), [2]string{
+			"4037a22afb7b3a9f [145 668 1231] c=49 o=42 n=96 s=17 p=[7 0 0 0 0 0 0 61 0]",
+			"40403ac355a32303 [299 518 672 1298 1360] c=71 o=59 n=182 s=7 p=[12 0 0 0 0 0 0 139 0]",
+		}},
 		{"MaxSum/OwnerAppro", solve(MaxSum, OwnerAppro, true), [2]string{
 			"4030d42abd23cc26 [145 668 1231] c=25 o=18 n=0 s=2 p=[7 0 0 0 0 0 17 0 0]",
 			"4030b56a702213c6 [76 299 1298 1320 1360] c=29 o=17 n=0 s=2 p=[12 0 0 0 0 0 16 0 0]",
@@ -88,10 +108,10 @@ func TestOwnerSkeletonPinned(t *testing.T) {
 		}},
 		{"MaxSum/TopK3", topK(MaxSum), [2]string{
 			"4030d42abd23cc26 [145 668 1231] | 4030d42abd23cc26 [145 668 994] | 40314a59ca5ce7d1 [145 337] | 4030d42abd23cc26 [145 668 1231] c=29 o=22 n=36 s=10 p=[7 0 0 67 0 0 0 0 0]",
-			"4030b56a702213c6 [76 299 1298 1320 1360] | 4030d28b944620e6 [76 299 518 1298 1360] | 4031b5b4a7a9e50b [76 299 1298 1360 1415] | 4030b56a702213c6 [76 299 1298 1320 1360] c=31 o=19 n=43 s=11 p=[12 0 0 69 0 0 0 0 0]",
+			"4030b56a702213c6 [76 299 1298 1320 1360] | 4030d28b944620e6 [76 299 518 1298 1360] | 4031b5b4a7a9e50a [76 299 1298 1360 1415] | 4030b56a702213c6 [76 299 1298 1320 1360] c=31 o=19 n=43 s=11 p=[12 0 0 69 0 0 0 0 0]",
 		}},
 		{"Dia/TopK3", topK(Dia), [2]string{
-			"402166b6ccfa2e12 [145 668 1231] | 402166b6ccfa2e12 [145 668 994] | 40231cc090de49fb [145 1231 1232] | 402166b6ccfa2e12 [145 668 1231] c=11 o=4 n=16 s=9 p=[7 0 0 10 0 0 0 0 0]",
+			"402166b6ccfa2e12 [145 668 1231] | 402166b6ccfa2e12 [145 668 994] | 40231cc090de49fa [145 1231 1232] | 402166b6ccfa2e12 [145 668 1231] c=11 o=4 n=16 s=9 p=[7 0 0 10 0 0 0 0 0]",
 			"402207891891a804 [299 518 672 715 1360] | 402207891891a804 [76 299 518 715 1360] | 40221b762d3515cc [518 660 672 715 1360] | 402207891891a804 [299 518 672 715 1360] c=13 o=1 n=12 s=7 p=[12 0 0 10 0 0 0 0 0]",
 		}},
 		{"SumMax/OwnerAppro", solve(SumMax, OwnerAppro, true), [2]string{
@@ -111,12 +131,12 @@ func TestOwnerSkeletonPinned(t *testing.T) {
 			"4037a13456228f2e [299 518 672 715 1360] c=16 o=1 n=1 s=1 p=[4 0 0 0 0 0 0 1 11]",
 		}},
 		{"MinMax/OwnerAppro", solve(MinMax, OwnerAppro, true), [2]string{
-			"40285324e475dc6c [145 315 1231] c=4 o=4 n=4 s=1 p=[0 0 0 0 0 0 0 0 0]",
+			"40285324e475dc6b [145 315 1231] c=4 o=4 n=4 s=1 p=[0 0 0 0 0 0 0 0 0]",
 			"4025ee7168d50f3b [299 518 672 715 1360] c=7 o=7 n=7 s=1 p=[0 0 0 0 0 0 0 0 0]",
 		}},
 		{"MinMax/OwnerExact", solve(MinMax, OwnerExact, false), [2]string{
 			"40230390ae56c9b8 [145 668 1231] c=15 o=10 n=12 s=2",
-			"4023fbf509547385 [299 518 672 1298 1360] c=19 o=15 n=19 s=2",
+			"4023fbf509547384 [299 518 672 1298 1360] c=19 o=15 n=19 s=2",
 		}},
 		{"Alpha0.2/OwnerExact", alpha(0.2, OwnerExact), [2]string{
 			"4018234b61aac31d [56 94 699] c=74 o=67 n=77 s=5",

@@ -18,9 +18,13 @@ type Point struct {
 	X, Y float64
 }
 
-// Dist returns the Euclidean distance between p and r.
+// Dist returns the Euclidean distance between p and r: the square root of
+// Dist2, the one formulation every distance of the module shares. Rect's
+// MinDist is the square root of a sum of squares no larger than Dist2 for
+// any point of the rectangle, so MinDist(r, p) ≤ Dist(p, o) holds exactly
+// for every o in r (Sqrt is correctly rounded, hence monotone).
 func (p Point) Dist(r Point) float64 {
-	return math.Hypot(p.X-r.X, p.Y-r.Y)
+	return math.Sqrt(p.Dist2(r))
 }
 
 // Dist2 returns the squared Euclidean distance between p and r. It avoids

@@ -277,24 +277,62 @@ func TestStringers(t *testing.T) {
 	}
 }
 
-// TestDistFormulationsAgree pins Point.Dist (math.Hypot) against the
-// naive sqrt(dx²+dy²) formulation that TestSourceRules forbids
-// elsewhere in the repo: routing all distance math through this package
-// is only sound if the centralized formula agrees with what ad-hoc call
-// sites would have computed.
+// TestDistFormulationsAgree pins Point.Dist to the one formulation the
+// module allows: the correctly rounded square root of Dist2, bit for bit,
+// which is also what the naive sqrt(dx²+dy²) of a call site would give.
+// TestSourceRules forbids every other formulation (math.Hypot rounds
+// differently), so pruning bounds and the distances they bound agree.
 func TestDistFormulationsAgree(t *testing.T) {
 	pts := []Point{
 		{0, 0}, {1, 0}, {0, 1}, {3, 4},
 		{-2.5, 7.125}, {1e-9, -1e-9}, {1e6, -1e6},
 		{0.1, 0.2}, {123.456, -654.321}, {1e-300, 1e-300},
+		{5e-324, -5e-324}, {1e154, 1e154}, {-1e300, 1e300},
+		{math.MaxFloat64, 0}, {0, -math.SmallestNonzeroFloat64},
 	}
 	for _, p := range pts {
 		for _, r := range pts {
 			got := p.Dist(r)
 			dx, dy := p.X-r.X, p.Y-r.Y
-			naive := math.Sqrt(dx*dx + dy*dy)
-			if diff := math.Abs(got - naive); diff > 1e-12*math.Max(1, naive) {
-				t.Errorf("Dist(%v, %v) = %v, naive sqrt form = %v (diff %v)", p, r, got, naive, diff)
+			for _, want := range []float64{math.Sqrt(p.Dist2(r)), math.Sqrt(dx*dx + dy*dy)} {
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("Dist(%v, %v) = %v (%016x), sqrt form = %v (%016x)", p, r, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+		}
+	}
+}
+
+// TestMinDistBoundsDistExactly is the law the index descents rely on:
+// for every point o of a rectangle r, MinDist(r, p) ≤ Dist(p, o) with no
+// tolerance — the rectangle's corners and edges included, and at
+// magnitudes where the squares underflow to subnormals or zero or
+// overflow to +Inf.
+func TestMinDistBoundsDistExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(2013))
+	for _, scale := range []float64{1e-310, 1e-300, 1e-160, 1e-10, 1, 1e3, 1e10, 1e154, 1e200, 1e300} {
+		coord := func() float64 { return scale * (2*rng.Float64() - 1) }
+		for i := 0; i < 2000; i++ {
+			x0, x1, y0, y1 := coord(), coord(), coord(), coord()
+			r := Rect{math.Min(x0, x1), math.Min(y0, y1), math.Max(x0, x1), math.Max(y0, y1)}
+			p := Point{coord(), coord()}
+			if i%4 == 0 {
+				p = Point{coord() * 3, coord() * 3} // far outside, up to overflow
+			}
+			lo := r.MinDist(p)
+			for _, o := range []Point{
+				{r.MinX, r.MinY}, {r.MinX, r.MaxY}, {r.MaxX, r.MinY}, {r.MaxX, r.MaxY},
+				{math.Max(r.MinX, math.Min(p.X, r.MaxX)), math.Max(r.MinY, math.Min(p.Y, r.MaxY))}, // nearest point
+				{r.MinX + rng.Float64()*(r.MaxX-r.MinX), r.MinY + rng.Float64()*(r.MaxY-r.MinY)},
+				{r.MinX, math.Max(r.MinY, math.Min(p.Y, r.MaxY))},
+			} {
+				if !r.ContainsPoint(o) {
+					continue // r.MaxX-r.MinX overflowed
+				}
+				if d := p.Dist(o); !(lo <= d) {
+					t.Fatalf("scale %g: %v in %v at distance %v (%016x) from %v, below MinDist %v (%016x)",
+						scale, o, r, d, math.Float64bits(d), p, lo, math.Float64bits(lo))
+				}
 			}
 		}
 	}

@@ -402,8 +402,14 @@ func (t *Tree) NewRelevantNNIterator(p geo.Point, qi *kwds.QueryIndex) *Relevant
 // ignored).
 //
 // Contract: pass the cost of a set the caller holds, never a bound
-// derived from a needed object's distance: subtrees are cut by
-// Rect.MinDist and objects by Point.Dist, which can disagree by one ulp.
+// derived from a needed object's distance: the limit is exclusive, so an
+// object at exactly d is skipped, and a derived bound can round onto or
+// below the distance it came from. Subtrees are cut by Rect.MinDist and
+// objects by Point.Dist, both the square root of a sum of squared
+// offsets, and a rectangle's offsets from the query point are never
+// larger than an inside object's; so a subtree's MinDist never exceeds
+// the distance of an object inside it, and the cut loses nothing the
+// object test would keep.
 func (it *RelevantNNIterator) Limit(d float64) {
 	if d < it.limit {
 		it.limit = d
@@ -425,12 +431,20 @@ func (it *RelevantNNIterator) Next() (*dataset.Object, float64, bool) {
 			return it.t.ds.Object(item.obj), pri, true
 		}
 		// A leaf's entry i carries its query mask: bit b for each query
-		// keyword b whose slots include i.
+		// keyword b whose slots include i. The query keywords ascend
+		// (kwds.NewQueryIndex), so each one's column lies past the
+		// previous one's and the search for it starts there.
 		n := item.node
 		var masks [MaxFanout]kwds.Mask
 		var relevant uint64
+		lo := 0
 		for b, kw := range it.qi.Keywords() {
-			s := n.slotsOf(kw)
+			i, found := slices.BinarySearch(n.kw[lo:], kw)
+			lo += i
+			if !found {
+				continue
+			}
+			s := n.slots[lo]
 			relevant |= s
 			for ; n.Leaf && s != 0; s &= s - 1 {
 				masks[bits.TrailingZeros64(s)] |= 1 << b

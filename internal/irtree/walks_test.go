@@ -257,7 +257,33 @@ func FuzzIRTreeWalks(f *testing.F) {
 					limit = 60.5 * float64(q) // off the grid's distances by far more than an ulp
 				}
 				checkWalks(t, tr, p, query, limit)
+				checkMinDistLaw(t, tr, p)
 			}
 		}
 	})
+}
+
+// checkMinDistLaw holds every leaf entry of tr to the bound the walks cut
+// by: no node on its path has a MinDist from p above the entry's own
+// distance, with no tolerance.
+func checkMinDistLaw(t *testing.T, tr *Tree, p geo.Point) {
+	t.Helper()
+	var path []geo.Rect
+	var rec func(n *Node)
+	rec = func(n *Node) {
+		path = append(path, n.Rect)
+		for _, c := range n.Children {
+			rec(c)
+		}
+		for _, e := range n.Entries {
+			d := p.Dist(e.P)
+			for _, r := range path {
+				if lo := r.MinDist(p); lo > d {
+					t.Fatalf("entry %d at %v lies in %v, whose MinDist %v from %v exceeds its distance %v", e.ID, e.P, r, lo, p, d)
+				}
+			}
+		}
+		path = path[:len(path)-1]
+	}
+	rec(tr.Root())
 }

@@ -292,10 +292,17 @@ type QueryIndex struct {
 }
 
 // NewQueryIndex builds the index for query keyword set q.
-// It panics when len(q) exceeds MaxQueryKeywords.
+// It panics when len(q) exceeds MaxQueryKeywords, or when q is not a Set
+// (ascending, duplicate-free): MaskOf's merge and the IR-tree's narrowed
+// slot lookup read the keywords in that order.
 func NewQueryIndex(q Set) *QueryIndex {
 	if len(q) > MaxQueryKeywords {
 		panic(fmt.Sprintf("kwds: query keyword set of size %d exceeds limit %d", len(q), MaxQueryKeywords))
+	}
+	for i := 1; i < len(q); i++ {
+		if q[i] <= q[i-1] {
+			panic(fmt.Sprintf("kwds: query keywords %v are not ascending and duplicate-free", q))
+		}
 	}
 	qi := &QueryIndex{
 		keywords: q,

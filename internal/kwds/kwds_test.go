@@ -281,6 +281,22 @@ func TestQueryIndexPanicsOnOversizedQuery(t *testing.T) {
 	NewQueryIndex(NewSet(big...))
 }
 
+// TestQueryIndexPanicsOnUnsortedQuery: a query that is not a Set —
+// out of order, or with a duplicate — is a caller's bug that MaskOf's
+// merge and the IR-tree's narrowed slot lookup would answer wrongly.
+func TestQueryIndexPanicsOnUnsortedQuery(t *testing.T) {
+	for _, q := range []Set{{3, 1}, {1, 2, 2}, {1, 4, 3, 5}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewQueryIndex(%v) did not panic", q)
+				}
+			}()
+			NewQueryIndex(q)
+		}()
+	}
+}
+
 func TestFormat(t *testing.T) {
 	v := NewVocabulary()
 	a := v.Intern("cafe")

@@ -187,12 +187,23 @@ func (t *Trace) Begin(name string) *Span {
 	if t == nil {
 		return nil
 	}
+	return t.BeginAt(name, time.Now())
+}
+
+// BeginAt is Begin for a span whose phase started at start, earlier than
+// now: a step that is traced only when it turns out worth keeping reads
+// the clock before it runs and opens its span after. Nil-safe, and it
+// reads no clock itself.
+func (t *Trace) BeginAt(name string, start time.Time) *Span {
+	if t == nil {
+		return nil
+	}
 	if t.nspans >= t.max {
 		t.dropped++
 		return nil
 	}
 	t.nspans++
-	s := &Span{t: t, parent: t.cur, name: name, start: time.Since(t.start), open: true}
+	s := &Span{t: t, parent: t.cur, name: name, start: start.Sub(t.start), open: true}
 	t.cur.children = append(t.cur.children, s)
 	t.cur = s
 	return s

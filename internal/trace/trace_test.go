@@ -43,6 +43,32 @@ func TestSpanNesting(t *testing.T) {
 	}
 }
 
+// TestBeginAtBackdatesSpan: a span opened after its step ran starts
+// where the step started, nests under the innermost open span like
+// Begin's, and spans from then to its End.
+func TestBeginAtBackdatesSpan(t *testing.T) {
+	tr := New("query")
+	loop := tr.Begin("owner_loop")
+	start := time.Now()
+	time.Sleep(2 * time.Millisecond) // the step
+	sp := tr.BeginAt("best_with_owner", start)
+	sp.End()
+	loop.End()
+	tr.Finish()
+
+	x := tr.Export()
+	if len(x.Spans) != 1 || len(x.Spans[0].Children) != 1 {
+		t.Fatalf("span tree %+v, want best_with_owner under owner_loop", x.Spans)
+	}
+	l, s := x.Spans[0], x.Spans[0].Children[0]
+	if s.StartUs < l.StartUs || s.StartUs+s.DurUs > l.StartUs+l.DurUs {
+		t.Fatalf("span [%v, +%v] µs outside its parent [%v, +%v] µs", s.StartUs, s.DurUs, l.StartUs, l.DurUs)
+	}
+	if s.DurUs < 2000 {
+		t.Fatalf("span lasts %v µs, want it to cover the 2 ms step before it opened", s.DurUs)
+	}
+}
+
 func TestNilTraceIsNoOpAndAllocFree(t *testing.T) {
 	var tr *Trace
 	allocs := testing.AllocsPerRun(100, func() {
@@ -50,6 +76,7 @@ func TestNilTraceIsNoOpAndAllocFree(t *testing.T) {
 		sp.Attr("k", 1)
 		sp.End()
 		sp.Drop()
+		tr.BeginAt("y", time.Time{}).End()
 		tr.AddPrunes(PruneCounts{})
 		tr.Finish()
 		if tr.Export() != nil {
