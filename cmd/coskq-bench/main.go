@@ -1,7 +1,7 @@
 // Command coskq-bench regenerates the paper's evaluation: every table and
-// figure has an experiment id (T1, E1–E8, X1, X2; see DESIGN.md §5) whose rows are
-// printed in the paper's layout (mean running time per algorithm plus
-// avg/max approximation ratios).
+// figure has an experiment id (internal/experiments.Table; see DESIGN.md
+// §5) whose rows are printed in the paper's layout (mean running time per
+// algorithm plus avg/max approximation ratios).
 //
 // Usage:
 //
@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"coskq/internal/core"
 	"coskq/internal/experiments"
@@ -24,8 +25,12 @@ import (
 )
 
 func main() {
+	ids := make([]string, len(experiments.Table))
+	for i, e := range experiments.Table {
+		ids[i] = e.ID
+	}
 	var (
-		exp         = flag.String("exp", "all", "experiment id: T1, E1..E8, X1, X2 or all")
+		exp         = flag.String("exp", "all", "experiment id: "+strings.Join(ids, ", ")+" or all")
 		queries     = flag.Int("queries", 100, "queries per parameter setting (paper: 500)")
 		seed        = flag.Int64("seed", 1, "workload seed")
 		scale       = flag.Float64("scale", 0.02, "GN/Web profile scale factor in (0,1]")
@@ -36,6 +41,10 @@ func main() {
 		nnCache     = flag.Int("nn-cache", 0, "engine keyword-NN cache capacity in entries, shared across queries (0 = disabled)")
 	)
 	flag.Parse()
+	if err := (rangeFlags{queries: *queries, scale: *scale, budget: *budget}).check(); err != nil {
+		fmt.Fprintf(os.Stderr, "coskq-bench: %v\n", err)
+		os.Exit(2)
+	}
 
 	opt := experiments.Options{
 		Queries:    *queries,
@@ -71,4 +80,26 @@ func main() {
 			e.Trace.WriteTree(os.Stdout)
 		}
 	}
+}
+
+// rangeFlags are the numeric flags with a valid range.
+type rangeFlags struct {
+	queries int
+	scale   float64
+	budget  int
+}
+
+// check rejects a value out of its flag's range, which would otherwise
+// panic mid-run (a negative -queries) or silently run another workload
+// (a -scale outside (0, 1] generates a different profile).
+func (f rangeFlags) check() error {
+	switch {
+	case f.queries < 1:
+		return fmt.Errorf("-queries %d: want at least 1", f.queries)
+	case !(f.scale > 0 && f.scale <= 1):
+		return fmt.Errorf("-scale %v: want a value in (0, 1]", f.scale)
+	case f.budget < 0:
+		return fmt.Errorf("-budget %d: want 0 or more", f.budget)
+	}
+	return nil
 }

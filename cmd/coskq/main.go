@@ -18,7 +18,6 @@ import (
 
 	"coskq"
 	"coskq/internal/core"
-	"coskq/internal/stats"
 	"coskq/internal/trace"
 	"coskq/internal/viz"
 )
@@ -122,7 +121,7 @@ func main() {
 			res.Stats.DegradeReason)
 	}
 	fmt.Printf("cost: %.6g   (elapsed %s, owners tried %d, sets evaluated %d, nodes expanded %d)\n",
-		res.Cost, stats.FmtDuration(res.Stats.Elapsed),
+		res.Cost, res.Stats.Elapsed,
 		res.Stats.OwnersTried, res.Stats.SetsEvaluated, res.Stats.NodesExpanded)
 	for _, id := range res.Set {
 		o := ds.Object(id)
