@@ -137,7 +137,7 @@ func main() {
 		QueueTimeout: *queueWait,
 	}
 
-	var solver server.Solver
+	var solver core.Solver
 	closeStore := func() {}
 	switch {
 	case *peers != "":

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -79,19 +80,35 @@ var paths = func() []*path {
 			return httpQuery(serve(t, core.NewEngine(w.objs, 0)))
 		}},
 		&path{name: "http-batch", http: true, globalIDs: true, build: func(t *testing.T, w *world) serveFunc {
-			return httpBatch(serve(t, core.NewEngine(w.objs, 0)))
+			return batchAsQuery(serve(t, core.NewEngine(w.objs, 0)))
 		}},
-		&path{name: "http-live", http: true, globalIDs: true, build: buildLive},
+		&path{name: "http-live", http: true, globalIDs: true, build: func(t *testing.T, w *world) serveFunc {
+			return httpQuery(serveLive(t, w))
+		}},
+		&path{name: "http-batch-live", http: true, globalIDs: true, build: func(t *testing.T, w *world) serveFunc {
+			return batchAsQuery(serveLive(t, w))
+		}},
 		&path{name: "http-scatter", http: true, coord: true, globalIDs: true, build: func(t *testing.T, w *world) serveFunc {
 			return httpQuery(serve(t, newRouter(t, w.objs, shard.Subtree(), 4)))
 		}},
-		&path{name: "http-peers", http: true, coord: true, build: buildPeers},
+		&path{name: "http-batch-scatter-grid", http: true, coord: true, globalIDs: true, build: func(t *testing.T, w *world) serveFunc {
+			return batchAsQuery(serve(t, newRouter(t, w.objs, shard.Grid(), 4)))
+		}},
+		&path{name: "http-batch-scatter-subtree", http: true, coord: true, globalIDs: true, build: func(t *testing.T, w *world) serveFunc {
+			return batchAsQuery(serve(t, newRouter(t, w.objs, shard.Subtree(), 4)))
+		}},
+		&path{name: "http-peers", http: true, coord: true, build: func(t *testing.T, w *world) serveFunc {
+			return httpQuery(servePeers(t, w))
+		}},
+		&path{name: "http-batch-peers", http: true, coord: true, build: func(t *testing.T, w *world) serveFunc {
+			return batchAsQuery(servePeers(t, w))
+		}},
 	)
 }()
 
 // solve answers through a solver's own entry point, which takes the
 // query's words as sent, duplicates included.
-func solve(sv server.Solver) serveFunc {
+func solve(sv core.Solver) serveFunc {
 	return func(t *testing.T, qs []query, cost core.CostKind, m core.Method) []answer {
 		out := make([]answer, len(qs))
 		for i, q := range qs {
@@ -127,16 +144,16 @@ func newRouter(t *testing.T, ds *dataset.Dataset, part shard.Partitioner, n int)
 }
 
 // serve starts server.New over sv and returns its URL.
-func serve(t *testing.T, sv server.Solver) string {
+func serve(t *testing.T, sv core.Solver) string {
 	srv := httptest.NewServer(server.New(sv, server.Options{}))
 	t.Cleanup(srv.Close)
 	return srv.URL
 }
 
-// buildLive serves the world from a live server that reaches it through
-// POST /objects, and holds the generation it ends with to the objects
-// every other path serves, slot by slot.
-func buildLive(t *testing.T, w *world) serveFunc {
+// serveLive serves the world from a live server that reaches it through
+// POST /objects, holds the generation it ends with to the objects every
+// other path serves, slot by slot, and returns the server's URL.
+func serveLive(t *testing.T, w *world) string {
 	st := epoch.New(core.NewEngine(w.seed, 0), epoch.Options{})
 	t.Cleanup(st.Close)
 	base := serve(t, st)
@@ -180,13 +197,13 @@ func buildLive(t *testing.T, w *world) serveFunc {
 			t.Fatalf("object %d: live server and store disagree", i)
 		}
 	}
-	return httpQuery(base)
+	return base
 }
 
-// buildPeers is the -peers coordinator: engine servers over a grid
+// servePeers starts the -peers coordinator — engine servers over a grid
 // partition of the world, fronted by a server over a router of HTTP
-// backends. Its members carry shard-local ids.
-func buildPeers(t *testing.T, w *world) serveFunc {
+// backends — and returns its URL. Its members carry shard-local ids.
+func servePeers(t *testing.T, w *world) string {
 	shards, err := shard.Grid().Partition(w.objs, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +213,7 @@ func buildPeers(t *testing.T, w *world) serveFunc {
 		peer := serve(t, core.NewEngine(sh.DS, 0))
 		backends = append(backends, shard.NewHTTPBackend(&client.Client{Base: peer, MaxRetries: -1}))
 	}
-	return httpQuery(serve(t, &shard.Router{Backends: backends}))
+	return serve(t, &shard.Router{Backends: backends})
 }
 
 // wireAnswer is the /query body and a /batch item, as far as the checker
@@ -305,6 +322,22 @@ func httpBatch(base string) serveFunc {
 			}
 		}
 		return out
+	}
+}
+
+// batchAsQuery answers through the /batch of the server at base and
+// holds every item to that server's /query answer: a /batch item is the
+// answer /query gives, to the cost bits and the members.
+func batchAsQuery(base string) serveFunc {
+	batch, single := httpBatch(base), httpQuery(base)
+	return func(t *testing.T, qs []query, cost core.CostKind, m core.Method) []answer {
+		got, want := batch(t, qs, cost, m), single(t, qs, cost, m)
+		for i := range got {
+			if math.Float64bits(got[i].cost) != math.Float64bits(want[i].cost) || !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("%v/%v %q: /batch item %+v, /query %+v", cost, m, qs[i].words, got[i], want[i])
+			}
+		}
+		return got
 	}
 }
 

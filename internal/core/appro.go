@@ -135,9 +135,10 @@ func nearestCover(qi *kwds.QueryIndex, cost costFn, pool []cand, bits [][]int32,
 // cost: 1 for the exact algorithms, the paper's ratio for the
 // approximations (MaxSum-Appro 1.375, Dia-Appro √3, Cao-Appro1 3,
 // Cao-Appro2 2 under MaxSum), the slack the extension rows run their
-// exact search with (MinMax 2; Sum and SumMax H_{|q.ψ|}, reported at its
-// largest, H_64, since |q.ψ| ≤ kwds.MaxQueryKeywords), and 0 when no bound
-// is established for the combination.
+// exact search with (costFn.approSlack: MinMax 2; Sum and SumMax
+// H_{|q.ψ|}, reported at its largest, H_64, since |q.ψ| ≤
+// kwds.MaxQueryKeywords), and 0 when no bound is established for the
+// combination.
 func ApproRatioBound(cost CostKind, method Method) float64 {
 	switch cost {
 	case MaxSum:
@@ -158,26 +159,12 @@ func ApproRatioBound(cost CostKind, method Method) float64 {
 		case OwnerAppro:
 			return math.Sqrt(3)
 		}
-	case Sum:
-		switch method {
-		case OwnerExact, CaoExact, Brute:
+	case Sum, MinMax, SumMax:
+		switch {
+		case method == OwnerExact, method == Brute, method == CaoExact && cost == Sum:
 			return 1
-		case OwnerAppro:
-			return harmonic(kwds.MaxQueryKeywords)
-		}
-	case MinMax:
-		switch method {
-		case OwnerExact, Brute:
-			return 1
-		case OwnerAppro:
-			return 2
-		}
-	case SumMax:
-		switch method {
-		case OwnerExact, Brute:
-			return 1
-		case OwnerAppro:
-			return harmonic(kwds.MaxQueryKeywords)
+		case method == OwnerAppro:
+			return costOf(cost).approSlack(kwds.MaxQueryKeywords)
 		}
 	}
 	return 0

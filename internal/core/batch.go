@@ -4,12 +4,27 @@ import (
 	"context"
 	"runtime"
 	"sync"
+
+	"coskq/internal/geo"
 )
 
 // BatchItem is the outcome of one query in a batch execution.
 type BatchItem struct {
 	Result Result
 	Err    error
+}
+
+// WordQuery is one query of a batch as the wire carries it: a location
+// and keyword strings.
+type WordQuery struct {
+	Loc   geo.Point
+	Words []string
+}
+
+// BatchAnswer is the outcome of one query of SolveWordsBatch.
+type BatchAnswer struct {
+	Answer
+	Err error
 }
 
 // SolveBatch answers queries concurrently with the given cost function and
@@ -37,77 +52,106 @@ func (e *Engine) SolveBatch(queries []Query, cost CostKind, method Method, worke
 // without being run, so the call returns promptly with partial results
 // rather than draining the whole batch.
 func (e *Engine) SolveBatchCtx(ctx context.Context, queries []Query, cost CostKind, method Method, workers int) []BatchItem {
+	out := make([]BatchItem, len(queries))
+	keywords := 0
+	for _, q := range queries {
+		keywords += len(q.Keywords)
+	}
+	eng := e.forBatch(len(queries), keywords)
+	runBatch(ctx, len(queries), workers, func(i int, err error) {
+		if err == nil {
+			out[i].Result, err = eng.SolveCtx(ctx, queries[i], cost, method)
+		}
+		out[i].Err = err
+	})
+	return out
+}
+
+// SolveWordsBatch answers queries on sv, each with the SolveWords call a
+// single query makes, on the batch pool SolveBatchCtx runs: the same
+// workers, the same cancellation. Each failure is SolveWords' own, in
+// place. An *Engine solves as SolveBatch does — counted in its metrics
+// and over its NNCache or a cache private to the batch — for the queries
+// whose words it knows, the ones a caller resolving first would pass
+// there.
+func SolveWordsBatch(ctx context.Context, sv Solver, queries []WordQuery, cost CostKind, method Method, workers int) []BatchAnswer {
+	out := make([]BatchAnswer, len(queries))
+	if e, ok := sv.(*Engine); ok {
+		solvable, keywords := 0, 0
+		for _, q := range queries {
+			if kw, err := e.ResolveWords(q.Words); err == nil {
+				solvable++
+				keywords += len(kw)
+			}
+		}
+		sv = e.forBatch(solvable, keywords)
+	}
+	runBatch(ctx, len(queries), workers, func(i int, err error) {
+		if err == nil {
+			out[i].Answer, err = sv.SolveWords(ctx, queries[i].Loc, queries[i].Words, cost, method)
+		}
+		out[i].Err = err
+	})
+	return out
+}
+
+// runBatch is the one batch worker pool: it calls do(i, nil) for every i
+// in [0, n) on workers goroutines (≤ 0 means GOMAXPROCS). Once ctx is
+// done, every query not yet run gets do(i, ctx.Err()) instead — a
+// worker's dequeue marks it, or the feeder, which stops enqueueing the
+// moment ctx is done — so a cancelled batch returns promptly with
+// partial results, and a marked query never reaches a solver or its
+// metrics. The feeder's indexes are disjoint from the workers', so no
+// item is written twice.
+func runBatch(ctx context.Context, n, workers int, do func(i int, err error)) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	out := make([]BatchItem, len(queries))
-	if len(queries) == 0 {
-		return out
-	}
-	if e.Metrics != nil {
-		e.Metrics.batchQueries.Add(uint64(len(queries)))
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	eng := e.withBatchCache(queries)
-
 	var wg sync.WaitGroup
 	next := make(chan int)
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				// A query dequeued after cancellation is marked, not run,
-				// so it never reaches the metrics sink as a solve.
-				if err := ctx.Err(); err != nil {
-					out[i] = BatchItem{Err: err}
-					continue
-				}
-				res, err := eng.SolveCtx(ctx, queries[i], cost, method)
-				out[i] = BatchItem{Result: res, Err: err}
+				do(i, ctx.Err())
 			}
 		}()
 	}
-	// The feeder stops enqueueing the moment the context is done: queries
-	// never handed to a worker are marked with the context error here
-	// (disjoint from the indexes workers write, so no double write), and
-	// the batch returns promptly instead of draining its queue.
 feed:
-	for i := range queries {
+	for i := 0; i < n; i++ {
 		select {
 		case next <- i:
 		case <-ctx.Done():
-			for j := i; j < len(queries); j++ {
-				out[j] = BatchItem{Err: ctx.Err()}
+			for j := i; j < n; j++ {
+				do(j, ctx.Err())
 			}
 			break feed
 		}
 	}
 	close(next)
 	wg.Wait()
-	return out
 }
 
-// withBatchCache returns the engine a batch solves on: e itself when it
-// has an NNCache, otherwise a copy carrying a cache private to the batch.
-// Its capacity is Σ|q.ψ|, the number of distinct (location, keyword) NN
-// seeds the batch can ask for, and its counters count privately. The grid
-// spans the tree's root rectangle, which is at hand, where Dataset.MBR
-// would scan every object once per batch.
-func (e *Engine) withBatchCache(queries []Query) *Engine {
-	if e.NNCache != nil {
+// forBatch counts a batch of queries into the engine's metrics and
+// returns the engine it solves on: e itself when it has an NNCache or
+// the batch nothing to solve, otherwise a copy carrying a cache private
+// to the batch. Its capacity is keywords, Σ|q.ψ| over the batch, the
+// number of distinct (location, keyword) NN seeds the batch can ask for,
+// and its counters count privately. The grid spans the tree's root
+// rectangle, which is at hand, where Dataset.MBR would scan every object
+// once per batch.
+func (e *Engine) forBatch(queries, keywords int) *Engine {
+	if e.Metrics != nil {
+		e.Metrics.batchQueries.Add(uint64(queries))
+	}
+	if queries == 0 || e.NNCache != nil {
 		return e
 	}
-	n := 0
-	for _, q := range queries {
-		n += len(q.Keywords)
-	}
 	b := *e
-	b.NNCache = newNNCache(e.Tree.Root().Rect, n, nil)
+	b.NNCache = newNNCache(e.Tree.Root().Rect, keywords, nil)
 	return &b
 }

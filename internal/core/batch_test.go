@@ -379,3 +379,50 @@ func TestSolveBatchEmpty(t *testing.T) {
 		t.Fatal("empty batch should return empty slice")
 	}
 }
+
+// TestSolveWordsBatchMatchesSolveBatch: over an engine, a batch of wire
+// queries answers every item as SolveBatch answers its resolved query —
+// the same error, cost bits, set, and the set's members — fails an
+// unknown word and an empty word list in place, and counts into
+// coskq_batch_queries_total only the items SolveBatch would be given.
+func TestSolveWordsBatchMatchesSolveBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	e := genEngine(rng, 300, 10, 3)
+	e.Metrics = NewEngineMetrics(nil)
+	queries := skewedBatch(rng, 24, 10)
+	words := make([]WordQuery, 0, len(queries)+2)
+	for _, q := range queries {
+		wq := WordQuery{Loc: q.Loc}
+		for _, id := range q.Keywords {
+			wq.Words = append(wq.Words, e.DS.Vocab.Word(id))
+		}
+		words = append(words, wq)
+	}
+	words = append(words, WordQuery{Words: []string{kwName(0), "no-such-word"}}, WordQuery{})
+
+	for _, cost := range []CostKind{MaxSum, Dia, Sum, MinMax, SumMax} {
+		for _, method := range []Method{OwnerExact, OwnerAppro} {
+			label := cost.String() + "/" + method.String()
+			want := e.SolveBatch(queries, cost, method, 3)
+			before := e.Metrics.batchQueries.Value()
+			got := SolveWordsBatch(context.Background(), e, words, cost, method, 3)
+			if n := e.Metrics.batchQueries.Value() - before; n != uint64(len(queries)) {
+				t.Fatalf("%s: counted %d batch queries, want %d", label, n, len(queries))
+			}
+			items := make([]BatchItem, len(queries))
+			for i := range queries {
+				items[i] = BatchItem{Result: got[i].Result, Err: got[i].Err}
+				if got[i].Err == nil && !reflect.DeepEqual(got[i].Members, e.Members(got[i].Set)) {
+					t.Fatalf("%s item %d: members %v of set %v", label, i, got[i].Members, got[i].Set)
+				}
+			}
+			compareBatchItems(t, label, items, want)
+			if err := got[len(queries)].Err; err == nil || err.Error() != "unknown keywords: no-such-word" {
+				t.Fatalf("%s: unknown-word item err = %v", label, err)
+			}
+			if err := got[len(queries)+1].Err; !errors.Is(err, ErrNoKeywords) {
+				t.Fatalf("%s: empty item err = %v, want ErrNoKeywords", label, err)
+			}
+		}
+	}
+}

@@ -195,6 +195,10 @@ var ErrUnsupported = errors.New("coskq: unsupported cost/method combination")
 // algorithm runs on.
 var ErrTooManyKeywords = fmt.Errorf("coskq: query has more than %d keywords", kwds.MaxQueryKeywords)
 
+// ErrNoKeywords is returned for a query given as no words. Its text is
+// what a /batch item carrying no keyword reports.
+var ErrNoKeywords = errors.New("query carries no keywords")
+
 // ErrBudgetExceeded is returned when an exact search expands more nodes
 // than the engine's NodeBudget allows. The paper's evaluation reports the
 // analogous condition for the Cao-Exact baseline as "did not finish"
@@ -452,6 +456,14 @@ type Answer struct {
 	Calls   []trace.ShardCall
 }
 
+// Solver answers one query given as the wire carries it: a location,
+// keyword strings, a cost and a method. *Engine, the live epoch store
+// and the shard router implement it; the server's /query and /batch,
+// and SolveWordsBatch, run over one.
+type Solver interface {
+	SolveWords(ctx context.Context, loc geo.Point, words []string, cost CostKind, method Method) (Answer, error)
+}
+
 // SolveWords answers a query given as keyword strings, the way the wire
 // carries it: the words are resolved against e's vocabulary (an unknown
 // word is an error naming every such word), the query is solved with
@@ -469,8 +481,12 @@ func (e *Engine) SolveWords(ctx context.Context, loc geo.Point, words []string, 
 }
 
 // ResolveWords maps words to their keyword set under e's vocabulary,
-// failing with every word the vocabulary does not know.
+// failing with every word the vocabulary does not know, or with
+// ErrNoKeywords when there is no word.
 func (e *Engine) ResolveWords(words []string) (kwds.Set, error) {
+	if len(words) == 0 {
+		return nil, ErrNoKeywords
+	}
 	var keywords kwds.Set
 	var missing []string
 	for _, w := range words {

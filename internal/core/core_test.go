@@ -624,3 +624,28 @@ func TestApproRatioBound(t *testing.T) {
 		t.Errorf("ApproRatioBound(Dia, OwnerAppro) = %v, want √3", got)
 	}
 }
+
+// TestApproRatioBoundMatchesSolve: ApproRatioBound and the solver's
+// dispatch each state which (cost, method) combinations exist, and they
+// agree. Every combination Solve refuses with ErrUnsupported has bound 0
+// and every other one a bound, except the Cao approximations under Dia,
+// which solve without a proven ratio.
+func TestApproRatioBoundMatchesSolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	e := genEngine(rng, 60, 5, 2)
+	q := Query{Loc: geo.Point{X: 50, Y: 50}, Keywords: e.DS.Object(0).Keywords}
+	unproven := map[[2]int]bool{{int(Dia), int(CaoAppro1)}: true, {int(Dia), int(CaoAppro2)}: true}
+	for cost := MaxSum; cost <= SumMax; cost++ {
+		for m := OwnerExact; m <= PairsExact; m++ {
+			_, err := e.Solve(q, cost, m)
+			unsupported := errors.Is(err, ErrUnsupported)
+			if err != nil && !unsupported {
+				t.Fatalf("Solve(%v, %v): %v", cost, m, err)
+			}
+			bound := ApproRatioBound(cost, m)
+			if want := unsupported || unproven[[2]int{int(cost), int(m)}]; (bound == 0) != want {
+				t.Errorf("%v/%v: ApproRatioBound %v, Solve err %v", cost, m, bound, err)
+			}
+		}
+	}
+}

@@ -1,18 +1,20 @@
 package server
 
-// POST /batch: the batch-solving surface. One request carries up to
-// maxBatchQueries queries sharing a cost function and method; the engine
-// solves each one independently, on GOMAXPROCS goroutines, over one
+// POST /batch: the batch-solving surface, mounted over every solver. One
+// request carries up to maxBatchQueries queries sharing a cost function
+// and method; each is the SolveWords call /query makes, run on
+// core.SolveWordsBatch's worker pool. On an engine or a live store the
+// batch solves on the one generation pinned for the request, over one
 // keyword-NN cache — the engine's -nn-cache, or one private to the batch
 // (core/batch.go) — so answers stay bit-identical to per-query /query
-// calls. Per-item failures (unknown keywords, infeasible queries) are
-// reported in place; the batch itself only fails on malformed requests or
-// server-level faults. The route sits behind the same admission
-// middleware as /query: one batch holds one admission slot, so
-// MaxInFlight bounds solving requests, not solving queries.
+// calls; on a coordinator each item is one routed query. Per-item
+// failures (unknown keywords, infeasible queries) are reported in place;
+// the batch itself only fails on malformed requests or server-level
+// faults. The route sits behind the same admission middleware as /query:
+// one batch holds one admission slot, so MaxInFlight bounds solving
+// requests, not solving queries.
 
 import (
-	"encoding/json"
 	"net/http"
 	"time"
 
@@ -58,8 +60,7 @@ type batchResponse struct {
 
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request, p pin) {
 	var req batchRequest
-	body := http.MaxBytesReader(w, r.Body, maxBatchBody)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := decodeBody(w, r, maxBatchBody, &req); err != nil {
 		jsonError(w, http.StatusBadRequest, "invalid batch body: %v", err)
 		return
 	}
@@ -85,50 +86,33 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request, p pin) {
 		writeSolveError(w, err)
 		return
 	}
-	// One pin covers the whole batch: keyword resolution, the solve and
-	// answer rendering all see the same generation.
-	eng := p.eng
-
-	// Per-item keyword resolution: an unresolvable query fails in place
-	// without poisoning the batch. Valid queries keep their request
-	// positions through idx so the engine's batch sees only them.
-	items := make([]batchItemJSON, len(req.Queries))
-	queries := make([]core.Query, 0, len(req.Queries))
-	idx := make([]int, 0, len(req.Queries))
+	// A live server solves the whole batch on the generation pinned for
+	// it, so no item sees a write an earlier one did not.
+	var sv core.Solver = s.solver
+	if p.eng != nil {
+		sv = p.eng
+	}
+	queries := make([]core.WordQuery, len(req.Queries))
 	for i, bq := range req.Queries {
-		keywords, err := eng.ResolveWords(keywordList(bq.Kw))
-		if err != nil {
-			items[i] = batchItemJSON{Error: err.Error()}
-			continue
-		}
-		if keywords.IsEmpty() {
-			items[i] = batchItemJSON{Error: "query carries no keywords"}
-			continue
-		}
-		queries = append(queries, core.Query{Loc: geo.Point{X: bq.X, Y: bq.Y}, Keywords: keywords})
-		idx = append(idx, i)
+		queries[i] = core.WordQuery{Loc: geo.Point{X: bq.X, Y: bq.Y}, Words: keywordList(bq.Kw)}
 	}
 
-	ctx := r.Context()
 	start := time.Now()
-	out := eng.SolveBatchCtx(ctx, queries, cost, method, 0)
+	out := core.SolveWordsBatch(r.Context(), sv, queries, cost, method, 0)
+	items := make([]batchItemJSON, len(out))
 	degraded := false
-	for j, item := range out {
-		i := idx[j]
-		if item.Err != nil {
-			_, msg := solveError(item.Err)
+	for i, ans := range out {
+		if ans.Err != nil {
+			_, msg := solveError(ans.Err)
 			items[i] = batchItemJSON{Error: msg}
 			continue
 		}
-		res := item.Result
-		if res.Degraded {
-			degraded = true
-		}
+		degraded = degraded || ans.Degraded
 		items[i] = batchItemJSON{
-			Cost:     res.Cost,
-			Objects:  objectsJSON(queries[j].Loc, eng.Members(res.Set)),
-			Degraded: res.Degraded,
-			Reason:   string(res.Stats.DegradeReason),
+			Cost:     ans.Cost,
+			Objects:  objectsJSON(queries[i].Loc, ans.Members),
+			Degraded: ans.Degraded,
+			Reason:   string(ans.Stats.DegradeReason),
 		}
 	}
 	if degraded {

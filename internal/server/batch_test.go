@@ -2,12 +2,17 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
 	"testing"
+	"time"
 
 	"coskq/internal/core"
+	"coskq/internal/epoch"
+	"coskq/internal/fault"
 	"coskq/internal/geo"
 	"coskq/internal/testutil"
 )
@@ -200,5 +205,85 @@ func TestBatchEndpointGet(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /batch: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestLiveBatchPinsOneGeneration: a live /batch takes one pin for the
+// whole batch. While the batch solves, the generation it started on is
+// pinned once by it, even after a write publishes the next one, and
+// items solved after the write answer as the generation they started on.
+func TestLiveBatchPinsOneGeneration(t *testing.T) {
+	if !fault.Compiled {
+		t.Skip("the latency rule that holds the batch open is compiled out")
+	}
+	testutil.CheckGoroutineLeaks(t)
+	srv, st := liveServer(t, epoch.Options{})
+	var before queryResponse
+	getJSON(t, srv.URL+"/query?x=10&y=10&kw=cafe,museum", http.StatusOK, &before)
+
+	// Every owner an item tries sleeps, and each worker has a long queue,
+	// so the batch is still solving when the write below is published.
+	req := batchRequest{Queries: make([]batchQueryJSON, min(24*runtime.GOMAXPROCS(0), maxBatchQueries))}
+	for i := range req.Queries {
+		req.Queries[i] = batchQueryJSON{X: 10, Y: 10, Kw: []string{"cafe", "museum"}}
+	}
+	old := st.Pin()
+	defer old.Unpin()
+	disarm := fault.Arm(1, fault.Rule{Point: fault.OwnerEnum, Kind: fault.KindLatency, Every: 1, Latency: 10 * time.Millisecond})
+	defer disarm()
+	type reply struct {
+		resp batchResponse
+		err  error
+	}
+	done := make(chan reply, 1)
+	go func() {
+		var r reply
+		body, _ := json.Marshal(req)
+		resp, err := http.Post(srv.URL+"/batch", "application/json", bytes.NewReader(body))
+		if r.err = err; err == nil {
+			r.err = json.NewDecoder(resp.Body).Decode(&r.resp)
+			resp.Body.Close()
+		}
+		done <- r
+	}()
+	testutil.WaitFor(t, 10*time.Second, "the batch to start solving", func() bool { return fault.Hits(fault.OwnerEnum) > 0 })
+
+	// An object at the query location with both keywords answers the
+	// query at cost 0 on every later generation.
+	postJSON(t, srv.URL+"/objects", map[string]any{"ops": []map[string]any{
+		{"op": "insert", "x": 10.0, "y": 10.0, "kw": []string{"cafe", "museum"}},
+	}}, http.StatusOK, nil)
+	if err := st.WaitIdle(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+		t.Fatal("the batch finished before the write was published")
+	default:
+	}
+	if st.Current() == old.Gen {
+		t.Fatal("the write published no generation")
+	}
+	if n := old.Pins(); n != 2 {
+		t.Fatalf("generation %d pinned %d times mid-batch, want 2 (this test's and the batch's)", old.Gen, n)
+	}
+
+	r := <-done
+	disarm()
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	for i, item := range r.resp.Results {
+		if item.Error != "" || item.Cost != before.Cost {
+			t.Fatalf("item %d: %+v, want cost %v of generation %d", i, item, before.Cost, old.Gen)
+		}
+	}
+	if n := old.Pins(); n != 1 {
+		t.Fatalf("generation %d pinned %d times after the batch, want 1", old.Gen, n)
+	}
+	var after queryResponse
+	getJSON(t, srv.URL+"/query?x=10&y=10&kw=cafe,museum", http.StatusOK, &after)
+	if after.Cost != 0 || before.Cost == 0 {
+		t.Fatalf("the write did not change the answer: cost %v before, %v after", before.Cost, after.Cost)
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -114,5 +115,54 @@ func TestMetricSeriesBounded(t *testing.T) {
 				t.Errorf("%s: series %s appeared in the second round", srv.name, s)
 			}
 		}
+	}
+}
+
+// TestJSONBodiesRejectTrailingData: POST /batch and POST /objects read
+// exactly one JSON value. Anything after it but white space is a 400,
+// so an NDJSON body or two concatenated batches sent to /objects apply
+// nothing, where a decoder reading the first value would apply its ops
+// and answer 200.
+func TestJSONBodiesRejectTrailingData(t *testing.T) {
+	srv, st := liveServer(t, epoch.Options{})
+	const (
+		batch  = `{"queries":[{"x":0,"y":0,"kw":["cafe"]}]}`
+		op     = `{"op":"insert","x":3,"y":3,"kw":["inn"]}`
+		insert = `{"ops":[` + op + `]}`
+	)
+	for _, tc := range []struct {
+		name, route, body string
+		status            int
+	}{
+		{"batch", "/batch", batch, http.StatusOK},
+		{"batch, trailing white space", "/batch", batch + "\n \t\r\n", http.StatusOK},
+		{"two batches", "/batch", batch + batch, http.StatusBadRequest},
+		{"two batch lines", "/batch", batch + "\n" + batch + "\n", http.StatusBadRequest},
+		{"batch, trailing text", "/batch", batch + " and more", http.StatusBadRequest},
+		{"batch, stray brace", "/batch", batch + "}", http.StatusBadRequest},
+		{"objects, trailing newline", "/objects", insert + "\n", http.StatusOK},
+		{"two objects batches", "/objects", insert + insert, http.StatusBadRequest},
+		{"two objects batch lines", "/objects", insert + "\n" + insert + "\n", http.StatusBadRequest},
+		{"objects, trailing number", "/objects", insert + " 7", http.StatusBadRequest},
+		{"objects NDJSON", "/objects", op + "\n" + op + "\n", http.StatusBadRequest},
+	} {
+		resp, err := http.Post(srv.URL+tc.route, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.status)
+		}
+	}
+	// Only the one accepted /objects body applied its insert.
+	if err := st.WaitIdle(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	g := st.Pin()
+	defer g.Unpin()
+	if n, want := g.Eng.DS.Len(), cityEngine().DS.Len()+1; n != want {
+		t.Fatalf("store holds %d objects, want %d: a refused body applied ops", n, want)
 	}
 }

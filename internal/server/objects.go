@@ -95,8 +95,7 @@ func writeMutateError(w http.ResponseWriter, err error) {
 
 func (s *server) handleObjects(w http.ResponseWriter, r *http.Request) {
 	var req objectsRequest
-	body := http.MaxBytesReader(w, r.Body, maxObjectsBody)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := decodeBody(w, r, maxObjectsBody, &req); err != nil {
 		jsonError(w, http.StatusBadRequest, "invalid objects body: %v", err)
 		return
 	}

@@ -162,8 +162,9 @@ func TestScatterGatherSurface(t *testing.T) {
 		t.Fatalf("healthz = %+v", health)
 	}
 
-	// The coordinator mounts no engine route: each is a 404, not a
-	// handler reaching for an engine the router does not have.
+	// The coordinator serves /query and /batch over its router and mounts
+	// no engine route: each is a 404, not a handler reaching for an
+	// engine the router does not have.
 	cases := []struct {
 		method, url string
 		status      int
@@ -173,7 +174,7 @@ func TestScatterGatherSurface(t *testing.T) {
 		{"GET", "/query?x=0&y=0", http.StatusBadRequest},
 		{"GET", "/query?x=0&y=0&kw=cafe&cost=", http.StatusOK},
 		{"GET", "/query?x=0&y=0&kw=nosuchword", http.StatusUnprocessableEntity},
-		{"POST", "/batch", http.StatusNotFound},
+		{"POST", "/batch", http.StatusOK},
 		{"GET", "/stats", http.StatusNotFound},
 		{"GET", "/shard/meta", http.StatusNotFound},
 		{"GET", "/shard/nn?x=0&y=0&kw=cafe", http.StatusNotFound},

@@ -1,5 +1,5 @@
 // Package server implements the HTTP/JSON query surface of coskq-server:
-// one handler stack, built by New, over one Solver — an engine, a live
+// one handler stack, built by New, over one core.Solver — an engine, a live
 // epoch store, or a shard router. Queries are read-only, so the handler
 // serves concurrent requests safely.
 //
@@ -10,6 +10,7 @@
 // 429). Every solver is served:
 //
 //	GET /query          one CoSKQ answer (?explain=1 inlines the trace)
+//	POST /batch         many queries in one request (batch.go)
 //	GET /healthz        liveness probe
 //	GET /metrics        text exposition of the query/effort/latency metrics
 //	GET /debug/slowlog  the retained slowest query traces
@@ -18,7 +19,6 @@
 //
 //	GET /stats          dataset statistics
 //	GET /topk           the n cheapest irredundant sets (?explain=1 too)
-//	POST /batch         many queries in one request (batch.go)
 //	GET /shard/*        the scatter-gather data plane (shard.go)
 //
 // A store adds POST /objects and POST /objects/stream (objects.go). A
@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -41,7 +42,6 @@ import (
 	"runtime/debug"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -97,18 +97,11 @@ type Options struct {
 	QueueTimeout time.Duration
 }
 
-// Solver answers one query given as the wire carries it: a location,
-// keyword strings, a cost and a method. *core.Engine, *epoch.Store and
-// *shard.Router implement it.
-type Solver interface {
-	SolveWords(ctx context.Context, loc geo.Point, words []string, cost core.CostKind, method core.Method) (core.Answer, error)
-}
-
 // New returns the handler stack over sv. The routes it mounts follow
 // from sv's type (see the package comment). When the engine or router
 // served has no metrics sink, one recording into the handler's registry
 // is attached (call before sv serves queries elsewhere).
-func New(sv Solver, opts Options) http.Handler {
+func New(sv core.Solver, opts Options) http.Handler {
 	s := &server{
 		solver: sv,
 		log:    opts.Logger,
@@ -160,6 +153,7 @@ func New(sv Solver, opts Options) http.Handler {
 
 	mux := http.NewServeMux()
 	mux.Handle("GET /query", s.adm.middleware(http.HandlerFunc(s.handleQuery)))
+	mux.Handle("POST /batch", s.adm.middleware(s.pinned(s.handleBatch)))
 	mux.HandleFunc("GET /healthz", s.pinned(s.handleHealthz))
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /debug/slowlog", s.handleSlowLog)
@@ -171,7 +165,6 @@ func New(sv Solver, opts Options) http.Handler {
 	if eng != nil {
 		mux.HandleFunc("GET /stats", s.pinned(s.handleStats))
 		mux.Handle("GET /topk", s.adm.middleware(s.pinned(s.handleTopK)))
-		mux.Handle("POST /batch", s.adm.middleware(s.pinned(s.handleBatch)))
 		// Every engine server is also a shard: the scatter-gather data
 		// plane is always mounted so any dataset server can join a fleet
 		// (shard.go).
@@ -211,9 +204,9 @@ var httpLatencyBuckets = []float64{
 }
 
 type server struct {
-	solver Solver
+	solver core.Solver
 	// At most one of eng, store and router is set: the solver's type,
-	// which decides the routes mounted beside /query.
+	// which decides the routes mounted beside /query and /batch.
 	eng    *core.Engine
 	store  *epoch.Store
 	router *shard.Router
@@ -226,15 +219,10 @@ type server struct {
 	idToken     string
 	idCounter   atomic.Uint64
 
-	shardOnce sync.Once
-	shardB    *shard.EngineBackend
-
-	// Live shard-backend cache: one wrapped backend per generation, so
-	// the data plane doesn't rescan the dataset for its keyword summary
-	// on every call (shardMu guards both fields).
-	shardMu      sync.Mutex
-	shardLive    *shard.EngineBackend
-	shardLiveGen uint64
+	// shardB is the shard data plane's backend and the generation it
+	// wraps (0 on a static server), so the data plane doesn't rescan the
+	// dataset for its keyword summary on every call (shard.go).
+	shardB atomic.Pointer[genBackend]
 }
 
 // pin is one request's view of the index it serves from: the engine and
@@ -462,6 +450,21 @@ func jsonError(w http.ResponseWriter, status int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+}
+
+// decodeBody decodes a request body of at most limit bytes that holds
+// exactly one JSON value into v: a second value, or anything else after
+// the first but white space, is an error, so a body meant for another
+// route (NDJSON on /objects) is refused rather than half applied.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the JSON value")
+	}
+	return nil
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -31,26 +31,29 @@ import (
 // coordinator).
 const DefaultFederateTimeout = 2 * time.Second
 
+// genBackend is a wrapped shard backend and the generation it wraps.
+type genBackend struct {
+	gen uint64
+	b   *shard.EngineBackend
+}
+
 // shardBackendAt resolves the backend one shard data-plane call runs
-// against, for the pin the handler holds. A static server lazily wraps
-// its engine's dataset and postings once (identity id mapping: reported
-// ids are this server's own object ids). A live server wraps the pinned
-// engine's once per generation — WrapEngine scans the dataset for the
-// keyword summary, so the wrap is cached until the store swaps.
+// against, for the pin the handler holds. WrapEngine scans the dataset
+// for the keyword summary, so the wrap is cached with its generation and
+// redone only when a newer one is pinned; a static server's engine is
+// generation 0, wrapped once. Reported ids are the pinned engine's own
+// object ids. Calls that miss together each wrap; the cache keeps the
+// newest generation's.
 func (s *server) shardBackendAt(p pin) *shard.EngineBackend {
-	if s.store == nil {
-		s.shardOnce.Do(func() {
-			s.shardB = shard.WrapEngine(s.eng.DS.Name, s.eng.DS, s.eng.Inv)
-		})
-		return s.shardB
+	c := s.shardB.Load()
+	if c != nil && c.gen == p.gen {
+		return c.b
 	}
-	s.shardMu.Lock()
-	defer s.shardMu.Unlock()
-	if s.shardLive == nil || s.shardLiveGen != p.gen {
-		s.shardLive = shard.WrapEngine(p.eng.DS.Name, p.eng.DS, p.eng.Inv)
-		s.shardLiveGen = p.gen
+	fresh := &genBackend{gen: p.gen, b: shard.WrapEngine(p.eng.DS.Name, p.eng.DS, p.eng.Inv)}
+	if c == nil || c.gen < p.gen {
+		s.shardB.CompareAndSwap(c, fresh)
 	}
-	return s.shardLive
+	return fresh.b
 }
 
 // beginShardTrace starts a local trace for a shard data-plane call when

@@ -496,10 +496,10 @@ const genRouteAttempts = 3
 func (r *Router) RouteWords(ctx context.Context, loc geo.Point, words []string, cost core.CostKind, method core.Method) (Answer, error) {
 	words = dedupeWords(words)
 	if len(words) == 0 {
-		return Answer{}, errors.New("shard: query has no keywords")
+		return Answer{}, core.ErrNoKeywords
 	}
 	if len(words) > kwds.MaxQueryKeywords {
-		return Answer{}, fmt.Errorf("shard: query keyword set of size %d exceeds limit %d", len(words), kwds.MaxQueryKeywords)
+		return Answer{}, fmt.Errorf("%w (%d given)", core.ErrTooManyKeywords, len(words))
 	}
 	if err := r.Init(ctx); err != nil {
 		return Answer{}, err

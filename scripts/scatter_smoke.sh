@@ -60,7 +60,7 @@ fi
 
 # Each mode keeps its own error surface: a word no shard knows makes the
 # fleet query infeasible (422) but is malformed on one engine (400); the
-# coordinator answers /topk 501 and mounts no /batch.
+# coordinator answers /topk 501.
 status() { curl -s -o /dev/null -w '%{http_code}' "$@"; }
 expect() {
     if [ "$1" != "$2" ]; then
@@ -70,8 +70,23 @@ expect() {
 }
 expect "$(status 'http://127.0.0.1:9470/query?x=500&y=500&kw=nosuchword')" 422 "coordinator unknown word"
 expect "$(status 'http://127.0.0.1:9470/topk?x=500&y=500&kw=w000000')" 501 "coordinator /topk"
-expect "$(status -X POST -d '{"queries":[{"x":500,"y":500,"kw":["w000000"]}]}' http://127.0.0.1:9470/batch)" 404 "coordinator /batch"
 expect "$(status "http://127.0.0.1:${ports[0]}/query?x=500&y=500&kw=nosuchword")" 400 "shard server unknown word"
+
+# The coordinator serves /batch over the router /query uses: a 200 whose
+# item costs are the /query costs of the same queries, digit for digit.
+costs() { grep -o '"cost":[^,}]*' | cut -d: -f2; }
+batch="$(curl -fsS -X POST -d '{"queries":[
+    {"x":500,"y":500,"kw":["w000000","w000001"]},
+    {"x":100,"y":900,"kw":["w000002"]},
+    {"x":800,"y":200,"kw":["w000000","w000003"]}]}' http://127.0.0.1:9470/batch)"
+echo "batch: $batch"
+want="$(for q in 'x=500&y=500&kw=w000000,w000001' 'x=100&y=900&kw=w000002' 'x=800&y=200&kw=w000000,w000003'; do
+    curl -fsS "http://127.0.0.1:9470/query?$q" | costs
+done)"
+if [ "$(costs <<<"$batch")" != "$want" ] || [ "$(wc -l <<<"$want")" -ne 3 ]; then
+    printf 'coordinator /batch costs:\n%s\n/query costs:\n%s\n' "$(costs <<<"$batch")" "$want" >&2
+    exit 1
+fi
 
 # The shard data plane every server mounts must agree with the meta the
 # coordinator routed on.
