@@ -34,9 +34,10 @@
 // A flag the chosen mode would ignore exits 2, naming both flags:
 // -partition needs -shards > 1; -shard-timeout needs -shards > 1 or
 // -peers; -data and -shards cannot join -peers; and the single-engine
-// flags -live, -nn-cache, -ingest-backlog, -compact-frac and
-// -budget-per-second cannot join -shards > 1 or -peers. -degrade and
-// -budget apply in every mode, to the engine or the router served.
+// flags -live, -nn-cache, -ingest-backlog and -compact-frac cannot join
+// -shards > 1 or -peers. -budget, -budget-per-second and -degrade make
+// one core.Config that every mode serves under: the engine's solves, or
+// the router's pool solve and its shard-failure policy.
 //
 // Distributed observability (DESIGN.md §13): the coordinator propagates
 // its request id and a W3C-style traceparent on every shard call, so
@@ -98,7 +99,7 @@ func main() {
 		inflight  = flag.Int("max-inflight", 0, "max concurrently solving /query+/topk requests, excess queues then sheds with 429 (0 = unlimited)")
 		maxQueue  = flag.Int("max-queue", 0, "admission wait-queue depth beyond -max-inflight (0 = shed immediately when saturated)")
 		queueWait = flag.Duration("queue-timeout", 0, "max time a request waits in the admission queue before a 429 (0 = bounded only by -timeout)")
-		budgetPS  = flag.Float64("budget-per-second", 0, "derive each solve's node budget as rate x seconds left to its deadline (single-engine mode; 0 = disabled)")
+		budgetPS  = flag.Float64("budget-per-second", 0, "derive each solve's node budget as rate x seconds left to its deadline (0 = disabled)")
 		shards    = flag.Int("shards", 1, "partition -data into N in-process shards and answer /query by scatter-gather (1 = single engine)")
 		partition = flag.String("partition", "", "shard partitioning strategy with -shards > 1: grid (the default) or subtree")
 		peers     = flag.String("peers", "", "comma-separated peer shard server URLs; serve as a scatter-gather coordinator (takes no -data)")
@@ -121,7 +122,7 @@ func main() {
 		os.Exit(2)
 	}
 	mf := modeFlags{shards: *shards, peers: *peers, data: *data, partition: *partition, shardTO: *shardTO,
-		budgetPS: *budgetPS, live: *live, nnCache: *nnCache, backlog: *backlog, compact: *compact}
+		live: *live, nnCache: *nnCache, backlog: *backlog, compact: *compact}
 	if err := mf.check(); err != nil {
 		fmt.Fprintf(os.Stderr, "coskq-server: %v\n", err)
 		os.Exit(2)
@@ -137,6 +138,7 @@ func main() {
 		QueueTimeout: *queueWait,
 	}
 
+	cfg := core.Config{NodeBudget: *budget, NodeBudgetPerSecond: *budgetPS, Degrade: policy}
 	var solver core.Solver
 	closeStore := func() {}
 	switch {
@@ -153,8 +155,7 @@ func main() {
 		}
 		rt := &shard.Router{
 			Backends:     backends,
-			NodeBudget:   *budget,
-			Degrade:      policy,
+			Config:       cfg,
 			ShardTimeout: *shardTO,
 		}
 		solver = rt
@@ -172,8 +173,7 @@ func main() {
 			logger.Error("partitioning dataset", "err", err)
 			os.Exit(1)
 		}
-		rt.NodeBudget = *budget
-		rt.Degrade = policy
+		rt.Config = cfg
 		rt.ShardTimeout = *shardTO
 		solver = rt
 		logger.Info("in-process scatter-gather", "shards", *shards, "partition", part.Name())
@@ -181,9 +181,7 @@ func main() {
 	default:
 		ds := loadData(logger, *data)
 		eng := coskq.NewEngine(ds, 0)
-		eng.NodeBudget = *budget
-		eng.NodeBudgetPerSecond = *budgetPS
-		eng.Degrade = policy
+		eng.Config = cfg
 		eng.Metrics = core.NewEngineMetrics(reg)
 		eng.EnableNNCache(*nnCache) // after Metrics: hit/miss counters register on reg
 		if *live {
@@ -239,7 +237,6 @@ type modeFlags struct {
 	data      string
 	partition string
 	shardTO   time.Duration
-	budgetPS  float64
 	live      bool
 	nnCache   int
 	backlog   int
@@ -250,7 +247,7 @@ type modeFlags struct {
 // naming both flags: only a partitioned dataset has a partition
 // strategy, only a fleet makes shard calls, a coordinator serves its
 // peers' data rather than its own, and a router has no engine to cache
-// keyword NNs on, derive node budgets for or apply writes to.
+// keyword NNs on or apply writes to.
 func (m modeFlags) check() error {
 	sharded := m.shards > 1
 	switch {
@@ -280,7 +277,6 @@ func (m modeFlags) check() error {
 		{"-nn-cache", m.nnCache != 0},
 		{"-ingest-backlog", m.backlog != 0},
 		{"-compact-frac", m.compact != 0},
-		{"-budget-per-second", m.budgetPS != 0},
 	} {
 		if f.set {
 			return fmt.Errorf("%s is single-engine only and cannot be combined with %s", f.name, mode)

@@ -63,14 +63,12 @@ func TestModeFlagsCheck(t *testing.T) {
 		m    modeFlags
 		want string // substring of the error; "" means accepted
 	}{
-		{"single engine, every flag", modeFlags{shards: 1, data: "d.gob", budgetPS: 1e6, live: true, nnCache: 4096, backlog: 64, compact: 0.5}, ""},
+		{"single engine, every flag", modeFlags{shards: 1, data: "d.gob", live: true, nnCache: 4096, backlog: 64, compact: 0.5}, ""},
 		{"shards, every flag", modeFlags{shards: 4, data: "d.gob", partition: "subtree", shardTO: time.Second}, ""},
 		{"peers, every flag", modeFlags{peers: "http://a", shardTO: time.Second}, ""},
 		{"partition without shards", modeFlags{shards: 1, data: "d.gob", partition: "subtree"}, "-partition only applies with -shards > 1"},
 		{"partition with peers", modeFlags{peers: "http://a", partition: "grid"}, "-partition only applies with -shards > 1"},
 		{"shard-timeout without a fleet", modeFlags{shards: 1, data: "d.gob", shardTO: time.Second}, "-shard-timeout only applies with -shards > 1 or -peers"},
-		{"budget-per-second with shards", modeFlags{shards: 4, budgetPS: 1e6}, "-budget-per-second is single-engine only and cannot be combined with -shards 4"},
-		{"budget-per-second with peers", modeFlags{peers: "http://a", budgetPS: 1e6}, "-budget-per-second is single-engine only and cannot be combined with -peers"},
 		{"data with peers", modeFlags{peers: "http://a", data: "d.gob"}, "-data cannot be combined with -peers"},
 		{"shards with peers", modeFlags{peers: "http://a", shards: 4}, "-shards 4 cannot be combined with -peers"},
 		{"live with shards", modeFlags{shards: 4, live: true}, "-live is single-engine only and cannot be combined with -shards 4"},

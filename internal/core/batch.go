@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"coskq/internal/geo"
+	"coskq/internal/kwds"
 )
 
 // BatchItem is the outcome of one query in a batch execution.
@@ -70,25 +71,35 @@ func (e *Engine) SolveBatchCtx(ctx context.Context, queries []Query, cost CostKi
 // SolveWordsBatch answers queries on sv, each with the SolveWords call a
 // single query makes, on the batch pool SolveBatchCtx runs: the same
 // workers, the same cancellation. Each failure is SolveWords' own, in
-// place. An *Engine solves as SolveBatch does — counted in its metrics
-// and over its NNCache or a cache private to the batch — for the queries
-// whose words it knows, the ones a caller resolving first would pass
-// there.
+// place. An *Engine resolves each query's words once, then solves as
+// SolveBatch does — counted in its metrics and over its NNCache or a
+// cache private to the batch — the queries whose words it knows, the
+// ones a caller resolving first would pass there.
 func SolveWordsBatch(ctx context.Context, sv Solver, queries []WordQuery, cost CostKind, method Method, workers int) []BatchAnswer {
 	out := make([]BatchAnswer, len(queries))
+	solve := func(i int) (Answer, error) {
+		return sv.SolveWords(ctx, queries[i].Loc, queries[i].Words, cost, method)
+	}
 	if e, ok := sv.(*Engine); ok {
+		kws, errs := make([]kwds.Set, len(queries)), make([]error, len(queries))
 		solvable, keywords := 0, 0
-		for _, q := range queries {
-			if kw, err := e.ResolveWords(q.Words); err == nil {
+		for i, q := range queries {
+			if kws[i], errs[i] = e.ResolveWords(q.Words); errs[i] == nil {
 				solvable++
-				keywords += len(kw)
+				keywords += len(kws[i])
 			}
 		}
-		sv = e.forBatch(solvable, keywords)
+		eng := e.forBatch(solvable, keywords)
+		solve = func(i int) (Answer, error) {
+			if errs[i] != nil {
+				return Answer{}, errs[i]
+			}
+			return eng.answer(ctx, Query{Loc: queries[i].Loc, Keywords: kws[i]}, cost, method)
+		}
 	}
 	runBatch(ctx, len(queries), workers, func(i int, err error) {
 		if err == nil {
-			out[i].Answer, err = sv.SolveWords(ctx, queries[i].Loc, queries[i].Words, cost, method)
+			out[i].Answer, err = solve(i)
 		}
 		out[i].Err = err
 	})

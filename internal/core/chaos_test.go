@@ -237,7 +237,7 @@ func chaosEntries(e *Engine, q Query) []chaosEntry {
 
 // TestChaosEveryEntryPointIsShielded: no algorithm shields itself — a
 // budget or cancellation unwind is caught by the frame every search is
-// entered under (Engine.enter, and solveInner / topKInner beneath it so a
+// entered under (Config.enter, and solveInner / topKInner beneath it so a
 // degrade can act on the error). So whatever entry point, cost, method
 // and degrade policy a fault lands in, the caller sees a typed
 // error or a flagged degraded answer, never a panic.

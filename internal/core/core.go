@@ -221,7 +221,7 @@ type searchCanceled struct{ err error }
 // else. Injected fault unwinds (internal/fault) translate the same way, so
 // an armed fault surfaces exactly like the real condition it simulates;
 // injected crashes (fault.Crash) deliberately re-panic. It is deferred
-// with the address of the frame's named error result: by Engine.enter for
+// with the address of the frame's named error result: by Config.enter for
 // every entry point, and again by solveInner, topKInner and fallbackAppro
 // because their callers act on the error (degrade.go).
 func recoverBudget(err *error) {
@@ -309,18 +309,18 @@ type Result struct {
 	// budget, deadline, cancellation) and Set is the best feasible
 	// incumbent — or an approximation fallback — rather than the
 	// method's full answer. Stats.DegradeReason names the cause. Only
-	// produced when Engine.Degrade permits it; cost is an upper bound on
+	// produced when Config.Degrade permits it; cost is an upper bound on
 	// the method's full answer for the same query.
 	Degraded bool
 	Stats    Stats
 }
 
-// Engine owns the dataset and the indexes the algorithms run against,
-// plus the deployment knobs below. Build one Engine per dataset and reuse
-// it across queries; an Engine is safe for concurrent queries once built
-// because queries never write to it: every field is exported
-// configuration, and all per-call state lives on a pooled search
-// (search.go).
+// Engine is one dataset's index — the dataset, its IR-tree, its inverted
+// file and its keyword-NN cache — plus the Config every solve on it runs
+// under. Build one Engine per dataset and reuse it across queries; an
+// Engine is safe for concurrent queries once built because queries never
+// write to it: every field is exported configuration, and all per-call
+// state lives on a pooled search (search.go).
 type Engine struct {
 	DS   *dataset.Dataset
 	Tree *irtree.Tree
@@ -329,9 +329,27 @@ type Engine struct {
 	// names only DS and Tree answers every query.
 	Inv *invindex.Index
 
+	Config
+
+	// NNCache, when non-nil, is the engine-level cross-query keyword-NN
+	// cache (nncache.go): a bounded, sharded LRU keyed by (grid cell,
+	// keyword) whose entries carry a distance-validity radius, so every
+	// reuse is provably bit-identical to the IR-tree walk it replaces.
+	// It indexes Tree, so it is part of the index rather than of Config.
+	// Attach via EnableNNCache before issuing queries (the field itself
+	// is not synchronized); the cache is safe for concurrent queries.
+	NNCache *NNCache
+}
+
+// Config is the serving policy a solve runs under, apart from the index
+// it reads: the node budget, the degrade policy, the ablation switches
+// and the metrics sink. An Engine embeds one; the shard router holds one
+// for its pool solve (SolvePool). Set it before issuing queries (it is
+// not synchronized).
+type Config struct {
 	// NodeBudget caps the number of search nodes an exact algorithm may
 	// expand per query; exceeding it returns ErrBudgetExceeded. Zero means
-	// unlimited. Set it before issuing queries (it is not synchronized).
+	// unlimited.
 	NodeBudget int
 
 	// NodeBudgetPerSecond derives each call's node budget from its
@@ -346,7 +364,8 @@ type Engine struct {
 	NodeBudgetPerSecond float64
 
 	// Parallelism is ignored; every search is serial, on the calling
-	// goroutine (DESIGN.md §10).
+	// goroutine (DESIGN.md §10). It stays only because the benchmark
+	// harness (bench/) still sets it.
 	Parallelism int
 
 	// Ablation disables individual pruning rules of the owner-driven
@@ -361,24 +380,14 @@ type Engine struct {
 	// return the best feasible incumbent as an anytime answer
 	// (DegradeIncumbent), or additionally fall back to the cost's cheap
 	// approximation when no incumbent exists yet (DegradeFallbackAppro).
-	// See degrade.go and DESIGN.md §11. Set it before issuing queries
-	// (it is not synchronized).
+	// See degrade.go and DESIGN.md §11.
 	Degrade DegradePolicy
 
-	// Metrics, when non-nil, receives one record per Solve/SolveCtx
-	// execution (including every item of a batch): cumulative query and
-	// error counters plus latency and search-effort histograms. Recording
-	// is atomic, so a shared sink is safe under concurrent queries. Set it
-	// before issuing queries (the field itself is not synchronized).
+	// Metrics, when non-nil, receives one record per solve (including
+	// every item of a batch): cumulative query and error counters plus
+	// latency and search-effort histograms. Recording is atomic, so a
+	// shared sink is safe under concurrent queries.
 	Metrics *EngineMetrics
-
-	// NNCache, when non-nil, is the engine-level cross-query keyword-NN
-	// cache (nncache.go): a bounded, sharded LRU keyed by (grid cell,
-	// keyword) whose entries carry a distance-validity radius, so every
-	// reuse is provably bit-identical to the IR-tree walk it replaces.
-	// Attach via EnableNNCache before issuing queries (the field itself
-	// is not synchronized); the cache is safe for concurrent queries.
-	NNCache *NNCache
 }
 
 // Ablation toggles the owner-driven search's pruning rules off, one by
@@ -407,21 +416,6 @@ func NewEngine(ds *dataset.Dataset, fanout int) *Engine {
 		Tree: irtree.Build(ds, fanout),
 		Inv:  invindex.Build(ds),
 	}
-}
-
-// NewEngineLike returns a copy of proto over ds and its prebuilt
-// indexes. The epoch layer uses it for every generation it derives, so
-// each answers queries under every knob the operator configured once on
-// the seed engine. The NN cache is the one thing not shared: its entries
-// hold distance-validity radii proved against the old dataset, so the
-// copy starts with a fresh one of the same capacity.
-func NewEngineLike(proto *Engine, ds *dataset.Dataset, tree *irtree.Tree, inv *invindex.Index) *Engine {
-	e := *proto
-	e.DS, e.Tree, e.Inv, e.NNCache = ds, tree, inv, nil
-	if proto.NNCache != nil {
-		e.EnableNNCache(proto.NNCache.Capacity())
-	}
-	return &e
 }
 
 // Solve answers q with the chosen cost function and algorithm.
@@ -473,7 +467,13 @@ func (e *Engine) SolveWords(ctx context.Context, loc geo.Point, words []string, 
 	if err != nil {
 		return Answer{}, err
 	}
-	res, err := e.SolveCtx(ctx, Query{Loc: loc, Keywords: keywords}, cost, method)
+	return e.answer(ctx, Query{Loc: loc, Keywords: keywords}, cost, method)
+}
+
+// answer is SolveWords after the words are resolved: SolveCtx, then the
+// members rendered.
+func (e *Engine) answer(ctx context.Context, q Query, cost CostKind, method Method) (Answer, error) {
+	res, err := e.SolveCtx(ctx, q, cost, method)
 	if err != nil {
 		return Answer{Result: res}, err
 	}
@@ -516,10 +516,10 @@ func (e *Engine) Members(set []dataset.ObjectID) []Member {
 	return out
 }
 
-// solveOn is SolveCtx over the given source.
-func (e *Engine) solveOn(ctx context.Context, src source, q Query, cost CostKind, method Method) (res Result, err error) {
+// solveOn is SolveCtx over the given source, under c.
+func (c *Config) solveOn(ctx context.Context, src source, q Query, cost CostKind, method Method) (res Result, err error) {
 	start := time.Now()
-	err = e.enter(ctx, src, q, func(s *search) (err error) {
+	err = c.enter(ctx, src, q, func(s *search) (err error) {
 		res, err = s.solve(q, cost, method)
 		return err
 	})
@@ -527,8 +527,8 @@ func (e *Engine) solveOn(ctx context.Context, src source, q Query, cost CostKind
 	// cancellation) and future algorithms may not; stamp the wall time of
 	// the whole call here so the field is populated uniformly.
 	res.Stats.Elapsed = time.Since(start)
-	if e.Metrics != nil {
-		e.Metrics.recordSolve(cost, method, res, err, res.Stats.Elapsed)
+	if c.Metrics != nil {
+		c.Metrics.recordSolve(cost, method, res, err, res.Stats.Elapsed)
 	}
 	return res, err
 }

@@ -143,8 +143,8 @@ func (e *Engine) EnableNNCache(capacity int) *NNCache {
 }
 
 // Capacity returns the total entry capacity the cache was built with
-// (rounded up to one entry per shard). NewEngineLike uses it to size a
-// fresh cache for a rebuilt generation.
+// (rounded up to one entry per shard). The live store uses it to size a
+// fresh cache for each generation it derives.
 func (c *NNCache) Capacity() int { return c.perShard * nnCacheShards }
 
 // Hits returns the cumulative number of validated cache hits.

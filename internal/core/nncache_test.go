@@ -71,7 +71,7 @@ func TestNNCacheLookupMatchesTree(t *testing.T) {
 	if e.EnableNNCache(512) == nil {
 		t.Fatal("EnableNNCache returned nil for positive capacity")
 	}
-	run := &search{Engine: e, src: e.treeSource()}
+	run := &search{Config: e.Config, src: e.treeSource()}
 
 	hots := make([]geo.Point, 5)
 	for i := range hots {
@@ -109,7 +109,7 @@ func TestNNCacheNegativeEntry(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	e := genEngine(rng, 100, 5, 2)
 	e.EnableNNCache(64)
-	run := &search{Engine: e, src: e.treeSource()}
+	run := &search{Config: e.Config, src: e.treeSource()}
 	const missing = kwds.ID(99)
 	if _, _, ok := run.lookupNN(geo.Point{X: 1, Y: 1}, missing); ok {
 		t.Fatal("missing keyword reported present")
@@ -133,7 +133,7 @@ func TestNNCacheEviction(t *testing.T) {
 	e := genEngine(rng, 300, 8, 3)
 	const capacity = 16
 	e.EnableNNCache(capacity)
-	run := &search{Engine: e, src: e.treeSource()}
+	run := &search{Config: e.Config, src: e.treeSource()}
 	for trial := 0; trial < 500; trial++ {
 		p := geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
 		run.lookupNN(p, kwds.ID(rng.Intn(8)))
@@ -152,7 +152,7 @@ func TestNNCacheHitNoAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	e := genEngine(rng, 200, 6, 2)
 	e.EnableNNCache(256)
-	run := &search{Engine: e, src: e.treeSource()}
+	run := &search{Config: e.Config, src: e.treeSource()}
 	p := geo.Point{X: 42, Y: 17}
 	run.lookupNN(p, 0) // populate
 	got := testing.AllocsPerRun(100, func() {

@@ -1,13 +1,13 @@
 package core
 
-// Per-search state. An Engine is the immutable index plus the deployment
-// config, shared by every query; everything one execution mutates lives
-// on a search. Every exported query entry point reaches the algorithms
-// through Engine.enter, which takes a search from searchPool and puts it
-// back; a helper execution inside a call (the degrade fallback) builds a
-// child search literal that names exactly what it shares with its
-// parent, so anything not named is zero: no budget, no context, no
-// trace, no memo, no holder.
+// Per-search state. An Engine is the immutable index plus the Config it
+// serves under, shared by every query; everything one execution mutates
+// lives on a search. Every exported query entry point reaches the
+// algorithms through Config.enter, which takes a search from searchPool
+// and puts it back; a helper execution inside a call (the degrade
+// fallback) builds a child search literal that names exactly what it
+// shares with its parent, so anything not named is zero: no budget, no
+// context, no trace, no memo, no holder.
 
 import (
 	"context"
@@ -24,8 +24,8 @@ import (
 
 // search is one execution's state. It is confined to one goroutine.
 type search struct {
-	*Engine // config; a search reads its objects through src alone
-	src     source
+	Config // the policy; a search reads its objects through src alone
+	src    source
 
 	// ctx is the call's cancellation context, attached only when it can
 	// actually be cancelled: chargeNode's poll stays a single nil check
@@ -35,7 +35,7 @@ type search struct {
 	// internal/trace). Every trace call is nil-safe, so a nil tr — the
 	// common case — costs one branch and never allocates.
 	tr *trace.Trace
-	// budget is this call's node budget (Engine.callBudget); zero
+	// budget is this call's node budget (Config.callBudget); zero
 	// means unlimited.
 	budget int
 	// nnmemo caches the query's per-keyword NN seeds so bound seeding and
@@ -74,7 +74,7 @@ func (s *search) release() {
 // callers can degrade) surfaces as fn's error, never as a panic. A search
 // only ever comes from here, or from a child literal built beneath this
 // frame, so the shield is structural.
-func (e *Engine) enter(ctx context.Context, src source, q Query, fn func(*search) error) (err error) {
+func (c *Config) enter(ctx context.Context, src source, q Query, fn func(*search) error) (err error) {
 	if len(q.Keywords) > kwds.MaxQueryKeywords {
 		return fmt.Errorf("%w (%d given)", ErrTooManyKeywords, len(q.Keywords))
 	}
@@ -87,7 +87,7 @@ func (e *Engine) enter(ctx context.Context, src source, q Query, fn func(*search
 	s := searchPool.Get().(*search)
 	defer s.release()
 	defer recoverBudget(&err)
-	s.Engine, s.src, s.budget = e, src, e.callBudget(ctx)
+	s.Config, s.src, s.budget = *c, src, c.callBudget(ctx)
 	if cancellable {
 		s.ctx = ctx
 	}
@@ -99,17 +99,17 @@ func (e *Engine) enter(ctx context.Context, src source, q Query, fn func(*search
 
 // callBudget is one call's node budget: NodeBudget, unless a rate and a
 // deadline on ctx derive one from the time left.
-func (e *Engine) callBudget(ctx context.Context) int {
-	if e.NodeBudgetPerSecond > 0 && ctx != nil {
+func (c *Config) callBudget(ctx context.Context) int {
+	if c.NodeBudgetPerSecond > 0 && ctx != nil {
 		if dl, ok := ctx.Deadline(); ok {
-			return max(1, int(time.Until(dl).Seconds()*e.NodeBudgetPerSecond))
+			return max(1, int(time.Until(dl).Seconds()*c.NodeBudgetPerSecond))
 		}
 	}
-	return e.NodeBudget
+	return c.NodeBudget
 }
 
 // solve runs the dispatch and, when the search was cut short, applies
-// the engine's degrade policy: recover the aborted execution's Stats
+// the call's degrade policy: recover the aborted execution's Stats
 // and — policy permitting — turn the error into an anytime answer
 // (degrade.go). Whatever the outcome, the prune counters reach the trace.
 func (s *search) solve(q Query, cost CostKind, method Method) (Result, error) {
@@ -262,16 +262,16 @@ func (s *search) keywordNN(p geo.Point, kw kwds.ID) (dataset.ObjectID, float64, 
 	return id, d, ok
 }
 
-// lookupNN resolves one keyword NN below the memo: the NNCache first (the
-// engine's, or a batch's own), then the source. Every cache hit is
-// validity-checked (nncache.go), so the chain returns bit-identical results
-// to a bare Tree.NN whichever layer answers. Misses with a cache attached
-// walk NN2 — the same best-first search, continued one object further — so
-// the validity radius can be recorded. The cache indexes the engine's
-// tree, so a pool solve never consults it.
+// lookupNN resolves one keyword NN below the memo: the source's NNCache
+// first (the engine's, or a batch's own), then the source. Every cache
+// hit is validity-checked (nncache.go), so the chain returns bit-identical
+// results to a bare Tree.NN whichever layer answers. Misses with a cache
+// attached walk NN2 — the same best-first search, continued one object
+// further — so the validity radius can be recorded. Only the tree arm
+// carries a cache.
 func (s *search) lookupNN(p geo.Point, kw kwds.ID) (dataset.ObjectID, float64, bool) {
-	cache := s.NNCache
-	if cache == nil || s.src.pool != nil {
+	cache := s.src.cache
+	if cache == nil {
 		return s.src.nn(p, kw)
 	}
 	fault.Hit(fault.NNCacheProbe)

@@ -13,13 +13,26 @@ import (
 // TestEngineFieldsExported pins the index/search split: an Engine is
 // shared by every concurrent query, so it may only hold configuration
 // its owner sets. An unexported field is per-call state trying to hide on
-// the shared engine again; it belongs on search.
+// the shared engine again; it belongs on search. The same holds for the
+// Config an Engine embeds (its one embedded field) and a router holds.
 func TestEngineFieldsExported(t *testing.T) {
-	typ := reflect.TypeOf(Engine{})
-	for i := 0; i < typ.NumField(); i++ {
-		if f := typ.Field(i); !f.IsExported() {
-			t.Errorf("Engine.%s is unexported: per-call state lives on search, not on the shared engine", f.Name)
+	embedded := 0
+	for _, typ := range []reflect.Type{reflect.TypeOf(Engine{}), reflect.TypeOf(Config{})} {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if !f.IsExported() {
+				t.Errorf("%s.%s is unexported: per-call state lives on search, not on the shared engine", typ.Name(), f.Name)
+			}
+			if f.Anonymous {
+				embedded++
+				if typ != reflect.TypeOf(Engine{}) || f.Type != reflect.TypeOf(Config{}) {
+					t.Errorf("%s embeds %s; only Engine embeds, and only Config", typ.Name(), f.Type)
+				}
+			}
 		}
+	}
+	if embedded != 1 {
+		t.Errorf("%d embedded fields; want Engine's one Config", embedded)
 	}
 }
 

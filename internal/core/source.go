@@ -5,7 +5,8 @@ package core
 // keyword stream, keyword NN and NN2, and object access for Brute and cost
 // evaluation. It has two arms:
 //
-//   - the tree arm: an engine's dataset and IR-tree;
+//   - the tree arm: an engine's dataset and IR-tree, and the keyword-NN
+//     cache over that tree, if any;
 //   - the pool arm: a Pool, one query's relevant candidates held flat in
 //     ascending distance from the query point. The shard router solves
 //     the objects it gathered this way instead of indexing them.
@@ -29,15 +30,16 @@ import (
 )
 
 // source is what one search reads. Exactly one arm is set: pool, or tree
-// and ds.
+// and ds, with the optional cache.
 type source struct {
-	tree *irtree.Tree
-	ds   *dataset.Dataset
-	pool *Pool
+	tree  *irtree.Tree
+	ds    *dataset.Dataset
+	cache *NNCache
+	pool  *Pool
 }
 
 // treeSource is the engine's own arm.
-func (e *Engine) treeSource() source { return source{tree: e.Tree, ds: e.DS} }
+func (e *Engine) treeSource() source { return source{tree: e.Tree, ds: e.DS, cache: e.NNCache} }
 
 // object returns the object with the given id.
 func (src source) object(id dataset.ObjectID) *dataset.Object {
@@ -373,11 +375,10 @@ func (p *Pool) nn2(at geo.Point, kw kwds.ID) (dataset.ObjectID, float64, float64
 }
 
 // SolvePool answers the query a pool holds — at its point, over all of
-// its words — with the chosen cost and method, under e's configuration
-// (NodeBudget, NodeBudgetPerSecond, Degrade, Ablation, Metrics) and over
-// the pool's objects instead of e's indexes; e's NNCache, which indexes
-// e's tree, is not consulted. Result.Set holds ascending local ids;
-// Pool.Ref maps them back to the caller's objects.
-func (e *Engine) SolvePool(ctx context.Context, p *Pool, cost CostKind, method Method) (Result, error) {
-	return e.solveOn(ctx, source{pool: p}, p.query(), cost, method)
+// its words — with the chosen cost and method, under c (NodeBudget,
+// NodeBudgetPerSecond, Degrade, Ablation, Metrics) and over the pool's
+// objects alone: no index and no NN cache takes part. Result.Set holds
+// ascending local ids; Pool.Ref maps them back to the caller's objects.
+func (c *Config) SolvePool(ctx context.Context, p *Pool, cost CostKind, method Method) (Result, error) {
+	return c.solveOn(ctx, source{pool: p}, p.query(), cost, method)
 }

@@ -535,7 +535,13 @@ func (s *Store) applyOnce() (applied bool, err error) {
 		sp.End()
 		edits = 0
 	}
-	eng := core.NewEngineLike(base.Eng, ds, tree, inv)
+	// The next generation serves under the seed's Config. Its NN cache
+	// starts empty at the old capacity: the old entries' validity radii
+	// were proved against the old dataset.
+	eng := &core.Engine{DS: ds, Tree: tree, Inv: inv, Config: base.Eng.Config}
+	if c := base.Eng.NNCache; c != nil {
+		eng.EnableNNCache(c.Capacity())
+	}
 	root.End()
 
 	// Commit: one last fault window, then swap under the lock.

@@ -62,7 +62,7 @@ func TestTreeHealthUnderChurn(t *testing.T) {
 	if got := st.m.repacks.Value(); got != 0 {
 		t.Fatalf("%d re-packs: the tree under test is not the edited one", got)
 	}
-	packed := core.NewEngineLike(g.Eng, g.Eng.DS, irtree.Build(g.Eng.DS, g.Eng.Tree.Fanout()), g.Eng.Inv)
+	packed := &core.Engine{DS: g.Eng.DS, Tree: irtree.Build(g.Eng.DS, g.Eng.Tree.Fanout()), Inv: g.Eng.Inv, Config: g.Eng.Config}
 
 	rng := rand.New(rand.NewSource(8))
 	var editedNodes, packedNodes, editedVisits, packedVisits float64

@@ -8,8 +8,7 @@ import (
 
 // storeMetrics are the coskq_epoch_* series. When the seed engine
 // carries a metrics sink they register in its registry and show up on
-// /metrics; otherwise they count privately (nil-safe everywhere the
-// store touches them, because every field is always allocated).
+// /metrics; otherwise they register on a private one and count there.
 type storeMetrics struct {
 	generation     *metrics.Gauge   // coskq_epoch_generation
 	editsSince     *metrics.Gauge   // coskq_epoch_edits_since_repack
@@ -26,34 +25,22 @@ type storeMetrics struct {
 }
 
 func (m *storeMetrics) init(eng *core.Engine) {
+	reg := metrics.NewRegistry()
 	if eng != nil && eng.Metrics != nil {
-		reg := eng.Metrics.Registry()
-		m.generation = reg.Gauge("coskq_epoch_generation")
-		m.editsSince = reg.Gauge("coskq_epoch_edits_since_repack")
-		m.treeNodes = reg.Gauge("coskq_epoch_tree_nodes")
-		m.treeHeight = reg.Gauge("coskq_epoch_tree_height")
-		m.pinnedReaders = reg.Gauge("coskq_epoch_pinned_readers")
-		m.backlog = reg.Gauge("coskq_epoch_backlog_ops")
-		m.mutations = reg.Counter("coskq_epoch_mutations_total")
-		m.applies = reg.Counter("coskq_epoch_applies_total")
-		m.applyFailures = reg.Counter("coskq_epoch_apply_failures_total")
-		m.repacks = reg.Counter("coskq_epoch_repacks_total")
-		m.backlogRejects = reg.Counter("coskq_epoch_backlog_rejects_total")
-		m.seqReplays = reg.Counter("coskq_epoch_seq_replays_total")
-		return
+		reg = eng.Metrics.Registry()
 	}
-	m.generation = new(metrics.Gauge)
-	m.editsSince = new(metrics.Gauge)
-	m.treeNodes = new(metrics.Gauge)
-	m.treeHeight = new(metrics.Gauge)
-	m.pinnedReaders = new(metrics.Gauge)
-	m.backlog = new(metrics.Gauge)
-	m.mutations = new(metrics.Counter)
-	m.applies = new(metrics.Counter)
-	m.applyFailures = new(metrics.Counter)
-	m.repacks = new(metrics.Counter)
-	m.backlogRejects = new(metrics.Counter)
-	m.seqReplays = new(metrics.Counter)
+	m.generation = reg.Gauge("coskq_epoch_generation")
+	m.editsSince = reg.Gauge("coskq_epoch_edits_since_repack")
+	m.treeNodes = reg.Gauge("coskq_epoch_tree_nodes")
+	m.treeHeight = reg.Gauge("coskq_epoch_tree_height")
+	m.pinnedReaders = reg.Gauge("coskq_epoch_pinned_readers")
+	m.backlog = reg.Gauge("coskq_epoch_backlog_ops")
+	m.mutations = reg.Counter("coskq_epoch_mutations_total")
+	m.applies = reg.Counter("coskq_epoch_applies_total")
+	m.applyFailures = reg.Counter("coskq_epoch_apply_failures_total")
+	m.repacks = reg.Counter("coskq_epoch_repacks_total")
+	m.backlogRejects = reg.Counter("coskq_epoch_backlog_rejects_total")
+	m.seqReplays = reg.Counter("coskq_epoch_seq_replays_total")
 }
 
 // published records the generation just made current and the health of

@@ -300,11 +300,11 @@ func gridEngine() *core.Engine {
 	return core.NewEngine(b.Build(), 0)
 }
 
-// TestServerNodeBudgetFromDeadline: with Engine.NodeBudgetPerSecond set
+// TestServerNodeBudgetFromDeadline: with Config.NodeBudgetPerSecond set
 // and a server timeout, every solve derives its own node budget from the
 // time left — here max(1, 0.001/s × 5 s) = 1 node — on each path that
-// solves on the engine, including a live generation NewEngineLike
-// derived. The query expands more than one node unbudgeted, so a derived
+// solves on the engine, including a live generation the applier derived
+// under the seed's Config. The query expands more than one node unbudgeted, so a derived
 // budget must show as a budget-degraded answer under the engine's own
 // policy (or a 503 under DegradeFail).
 func TestServerNodeBudgetFromDeadline(t *testing.T) {

@@ -60,7 +60,7 @@ func scatterFleet(t *testing.T, policy core.DegradePolicy) (coord *httptest.Serv
 		shards = append(shards, srv)
 		backends[i] = shard.NewHTTPBackend(&client.Client{Base: srv.URL, MaxRetries: -1})
 	}
-	coord = httptest.NewServer(NewScatterGather(&shard.Router{Backends: backends, Degrade: policy}, Options{}))
+	coord = httptest.NewServer(NewScatterGather(&shard.Router{Backends: backends, Config: core.Config{Degrade: policy}}, Options{}))
 	t.Cleanup(coord.Close)
 	return coord, shards, core.NewEngine(all, 0)
 }

@@ -55,7 +55,7 @@ func chaosRouter(t *testing.T, policy core.DegradePolicy) (*Router, *core.Engine
 		t.Fatal(err)
 	}
 	r.fanout = 1
-	r.Degrade = policy
+	r.Config.Degrade = policy
 	eng := core.NewEngine(ds, 0)
 	var qset kwds.Set
 	for _, w := range []string{"food", "fuel", "lodging"} {

@@ -162,7 +162,7 @@ func TestTornScatterExhaustsAttempts(t *testing.T) {
 func TestTornScatterLenientDegrade(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	r, eng, _ := genRouter(t, []uint64{1}, []uint64{2})
-	r.Degrade = core.DegradeIncumbent
+	r.Config.Degrade = core.DegradeIncumbent
 	words := genQueryWords(t, eng)
 
 	ans, err := r.RouteWords(context.Background(), pt(400, 400), words, core.MaxSum, core.OwnerExact)

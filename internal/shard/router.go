@@ -212,14 +212,14 @@ type Router struct {
 	// sets interned in it (NewLocalRouter wires the dataset vocabulary).
 	// RouteWords needs no vocabulary.
 	Vocab *kwds.Vocabulary
-	// NodeBudget caps the pool solve's search effort (core semantics).
-	NodeBudget int
-	// Degrade selects failure semantics. DegradeFail (default): any
-	// failed shard fails the query with a ShardError. The lenient
-	// policies continue with the surviving shards when they still cover
-	// the query, marking the answer Degraded with reason "shard"; the
-	// policy also applies inside the pool solve.
-	Degrade core.DegradePolicy
+	// Config is the pool solve's policy (core.Config.SolvePool): its
+	// node budget, per-second budget rate, ablation switches and degrade
+	// policy. Config.Degrade also selects the failure semantics of the
+	// scatter-gather: under DegradeFail (the default) any failed shard
+	// fails the query with a ShardError; the lenient policies continue
+	// with the surviving shards when they still cover the query, marking
+	// the answer Degraded with reason "shard".
+	Config core.Config
 	// ShardTimeout bounds each individual shard call. Zero means calls
 	// are bounded only by ctx.
 	ShardTimeout time.Duration
@@ -601,7 +601,7 @@ func (r *Router) routeOnce(ctx context.Context, loc geo.Point, words []string, c
 			return Answer{Info: info}, torn, core.ErrInfeasible
 		}
 	}
-	if len(info.Failed) > 0 && r.Degrade == core.DegradeFail {
+	if len(info.Failed) > 0 && r.Config.Degrade == core.DegradeFail {
 		return Answer{Info: info}, torn, failError(info)
 	}
 
@@ -678,7 +678,7 @@ func (r *Router) routeOnce(ctx context.Context, loc geo.Point, words []string, c
 		// discard it and let RouteWords re-scatter from the NN phase.
 		return Answer{Info: info}, true, nil
 	}
-	if len(info.Failed) > 0 && r.Degrade == core.DegradeFail {
+	if len(info.Failed) > 0 && r.Config.Degrade == core.DegradeFail {
 		return Answer{Info: info}, torn, failError(info)
 	}
 
@@ -742,8 +742,7 @@ func (r *Router) routeOnce(ctx context.Context, loc geo.Point, words []string, c
 	// exact methods return the global optimum; approximation methods keep
 	// their ratio (the pool is a feasible dataset containing N(q)). The
 	// gather and the pool's preparation are the solve's Materialize phase.
-	eng := core.Engine{NodeBudget: r.NodeBudget, Degrade: r.Degrade}
-	res, err := eng.SolvePool(ctx, pool, cost, method)
+	res, err := r.Config.SolvePool(ctx, pool, cost, method)
 	if err != nil {
 		return Answer{Info: info}, torn, err
 	}

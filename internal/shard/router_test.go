@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"coskq/internal/core"
 	"coskq/internal/datagen"
@@ -105,6 +107,53 @@ func TestRouterConcurrentFanout(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestRouterBudgetFromDeadline: the router's pool solve runs under its
+// Config as an engine's solve runs under the engine's. A rate so small
+// that every budget derived from the call's deadline is one node trips
+// the exact search on both, and both degrade to the same incumbent.
+func TestRouterBudgetFromDeadline(t *testing.T) {
+	ds := testDataset(25, 300)
+	cfg := core.Config{NodeBudgetPerSecond: 1e-9, Degrade: core.DegradeIncumbent}
+	plain := core.NewEngine(ds, 0)
+	eng := &core.Engine{DS: plain.DS, Tree: plain.Tree, Config: cfg}
+	r, err := NewLocalRouter(ds, 4, Subtree(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Config = cfg
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	g := datagen.NewQueryGen(ds, plain.Inv, 0, 40, 11)
+	tripped := 0
+	for i := 0; i < 20; i++ {
+		loc, kws := g.Next(4)
+		q := core.Query{Loc: loc, Keywords: kws}
+		full, err := plain.SolveCtx(ctx, q, core.MaxSum, core.OwnerExact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.Stats.NodesExpanded < 2 {
+			continue // one node fits the budget: nothing trips
+		}
+		want, err := eng.SolveCtx(ctx, q, core.MaxSum, core.OwnerExact)
+		if err != nil || !want.Degraded || want.Stats.DegradeReason != core.DegradeReasonBudget {
+			t.Fatalf("query %d: engine answered %v degraded=%v reason=%q; want a budget-degraded answer", i, err, want.Degraded, want.Stats.DegradeReason)
+		}
+		got, err := r.SolveCtx(ctx, q, core.MaxSum, core.OwnerExact)
+		if err != nil || !got.Degraded || got.Stats.DegradeReason != core.DegradeReasonBudget {
+			t.Fatalf("query %d: router answered %v degraded=%v reason=%q; want a budget-degraded answer", i, err, got.Degraded, got.Stats.DegradeReason)
+		}
+		if !slices.Equal(got.Set, want.Set) || got.Cost != want.Cost {
+			t.Fatalf("query %d: router degraded to %v at %v, engine to %v at %v", i, got.Set, got.Cost, want.Set, want.Cost)
+		}
+		tripped++
+	}
+	if tripped == 0 {
+		t.Fatal("no query expanded two nodes: the budget never tripped")
+	}
+	t.Logf("%d of 20 queries degraded alike", tripped)
 }
 
 // TestRouterMetrics: one routed query lands in the registered counters.

@@ -39,7 +39,7 @@ for p in "${ports[@]}"; do wait_up "$p"; done
 
 "$work/coskq-server" \
     -peers "http://127.0.0.1:${ports[0]},http://127.0.0.1:${ports[1]},http://127.0.0.1:${ports[2]}" \
-    -addr 127.0.0.1:9470 -degrade incumbent &
+    -addr 127.0.0.1:9470 -degrade incumbent -budget-per-second 1e9 &
 pids+=($!)
 wait_up 9470
 
@@ -49,7 +49,9 @@ grep -q '"mode":"scatter-gather"' <<<"$health"
 grep -q '"shards":3' <<<"$health"
 
 # w000000 is the Zipf head of every datagen vocabulary: present on all
-# three shards, so the fleet answer must be a clean (non-degraded) 200.
+# three shards, so the fleet answer must be a clean (non-degraded) 200:
+# the coordinator's pool solve derives its node budget from the request
+# deadline at -budget-per-second 1e9, which a healthy solve stays under.
 body="$(curl -fsS 'http://127.0.0.1:9470/query?x=500&y=500&kw=w000000,w000001')"
 echo "query: $body"
 grep -q '"cost":' <<<"$body"
@@ -103,12 +105,12 @@ grep -q '"gen":' <<<"$nn"
 # A flag the chosen mode would ignore is refused at start-up: exit 2,
 # naming both flags.
 set +e
-refusal="$(timeout 10 "$work/coskq-server" -peers "http://127.0.0.1:${ports[0]}" -addr 127.0.0.1:9479 -budget-per-second 1e6 2>&1)"
+refusal="$(timeout 10 "$work/coskq-server" -peers "http://127.0.0.1:${ports[0]}" -addr 127.0.0.1:9479 -nn-cache 16 2>&1)"
 code=$?
 set -e
 echo "refusal (exit $code): $refusal"
 [ "$code" -eq 2 ]
-grep -q -- '-budget-per-second' <<<"$refusal"
+grep -q -- '-nn-cache' <<<"$refusal"
 grep -q -- '-peers' <<<"$refusal"
 
 echo "scatter-gather smoke OK"
