@@ -13,13 +13,14 @@
 //
 // Live-index mode (see DESIGN.md §16):
 //
-//	coskq-server -data hotel.gob -live [-ingest-backlog 4096] [-compact-frac 0.25]
+//	coskq-server -data hotel.gob -live [-ingest-backlog 4096]
 //	    serves the same read surface over an epoch store, plus the
 //	    mutation surface: POST /objects applies a JSON batch of
 //	    insert/delete/edit ops (idempotent under a client "seq" token)
 //	    and POST /objects/stream ingests NDJSON, one op per line.
 //	    Reads pin one index generation end-to-end and never block on
-//	    writes; writes shed with 429 when the apply backlog is full.
+//	    writes; writes shed with 429 when the apply backlog is full. The
+//	    store re-packs its index after 0.25·n applied ops.
 //
 // Scatter-gather modes (see DESIGN.md §12):
 //
@@ -34,10 +35,10 @@
 // A flag the chosen mode would ignore exits 2, naming both flags:
 // -partition needs -shards > 1; -shard-timeout needs -shards > 1 or
 // -peers; -data and -shards cannot join -peers; and the single-engine
-// flags -live, -nn-cache, -ingest-backlog and -compact-frac cannot join
-// -shards > 1 or -peers. -budget, -budget-per-second and -degrade make
-// one core.Config that every mode serves under: the engine's solves, or
-// the router's pool solve and its shard-failure policy.
+// flags -live, -nn-cache and -ingest-backlog cannot join -shards > 1 or
+// -peers. -budget, -budget-per-second and -degrade make one core.Config
+// that every mode serves under: the engine's solves, or the router's
+// pool solve and its shard-failure policy.
 //
 // Distributed observability (DESIGN.md §13): the coordinator propagates
 // its request id and a W3C-style traceparent on every shard call, so
@@ -107,7 +108,6 @@ func main() {
 		nnCache   = flag.Int("nn-cache", 0, "engine keyword-NN cache capacity in entries, shared across queries (single-engine mode; 0 = disabled)")
 		live      = flag.Bool("live", false, "serve a mutable live index: mount POST /objects and /objects/stream over an epoch store (single-engine mode)")
 		backlog   = flag.Int("ingest-backlog", 0, "live mode: max pending mutation ops before writes shed with 429 (0 = 4096)")
-		compact   = flag.Float64("compact-frac", 0, "live mode: re-pack (bulk-load a fresh tree) once the ops applied since the last one reach this fraction of the object count (0 = 0.25; negative never re-packs: measurements only)")
 	)
 	flag.Parse()
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -122,7 +122,7 @@ func main() {
 		os.Exit(2)
 	}
 	mf := modeFlags{shards: *shards, peers: *peers, data: *data, partition: *partition, shardTO: *shardTO,
-		live: *live, nnCache: *nnCache, backlog: *backlog, compact: *compact}
+		live: *live, nnCache: *nnCache, backlog: *backlog}
 	if err := mf.check(); err != nil {
 		fmt.Fprintf(os.Stderr, "coskq-server: %v\n", err)
 		os.Exit(2)
@@ -185,10 +185,10 @@ func main() {
 		eng.Metrics = core.NewEngineMetrics(reg)
 		eng.EnableNNCache(*nnCache) // after Metrics: hit/miss counters register on reg
 		if *live {
-			st := epoch.New(eng, epoch.Options{MaxBacklog: *backlog, CompactFrac: *compact})
+			st := epoch.New(eng, epoch.Options{MaxBacklog: *backlog})
 			closeStore = st.Close
 			solver = st
-			logger.Info("live index enabled", "backlog", *backlog, "compact_frac", *compact)
+			logger.Info("live index enabled", "backlog", *backlog)
 		} else {
 			solver = eng
 		}
@@ -240,7 +240,6 @@ type modeFlags struct {
 	live      bool
 	nnCache   int
 	backlog   int
-	compact   float64
 }
 
 // check rejects a flag the chosen mode would otherwise silently ignore,
@@ -276,7 +275,6 @@ func (m modeFlags) check() error {
 		{"-live", m.live},
 		{"-nn-cache", m.nnCache != 0},
 		{"-ingest-backlog", m.backlog != 0},
-		{"-compact-frac", m.compact != 0},
 	} {
 		if f.set {
 			return fmt.Errorf("%s is single-engine only and cannot be combined with %s", f.name, mode)

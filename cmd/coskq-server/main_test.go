@@ -63,7 +63,7 @@ func TestModeFlagsCheck(t *testing.T) {
 		m    modeFlags
 		want string // substring of the error; "" means accepted
 	}{
-		{"single engine, every flag", modeFlags{shards: 1, data: "d.gob", live: true, nnCache: 4096, backlog: 64, compact: 0.5}, ""},
+		{"single engine, every flag", modeFlags{shards: 1, data: "d.gob", live: true, nnCache: 4096, backlog: 64}, ""},
 		{"shards, every flag", modeFlags{shards: 4, data: "d.gob", partition: "subtree", shardTO: time.Second}, ""},
 		{"peers, every flag", modeFlags{peers: "http://a", shardTO: time.Second}, ""},
 		{"partition without shards", modeFlags{shards: 1, data: "d.gob", partition: "subtree"}, "-partition only applies with -shards > 1"},
@@ -74,11 +74,9 @@ func TestModeFlagsCheck(t *testing.T) {
 		{"live with shards", modeFlags{shards: 4, live: true}, "-live is single-engine only and cannot be combined with -shards 4"},
 		{"nn-cache with shards", modeFlags{shards: 2, nnCache: 4096}, "-nn-cache is single-engine only and cannot be combined with -shards 2"},
 		{"ingest-backlog with shards", modeFlags{shards: 4, backlog: 64}, "-ingest-backlog"},
-		{"compact-frac with shards", modeFlags{shards: 4, compact: -1}, "-compact-frac"},
 		{"live with peers", modeFlags{peers: "http://a", live: true}, "-live is single-engine only and cannot be combined with -peers"},
 		{"nn-cache with peers", modeFlags{peers: "http://a", nnCache: 16}, "-nn-cache is single-engine only and cannot be combined with -peers"},
 		{"ingest-backlog with peers", modeFlags{peers: "http://a", backlog: 1}, "-ingest-backlog"},
-		{"compact-frac with peers", modeFlags{peers: "http://a", compact: 0.1}, "-compact-frac"},
 	} {
 		err := tc.m.check()
 		switch {

@@ -237,9 +237,10 @@ func newWorld(t *testing.T, wl workload, v variant, base *world) *world {
 	}
 
 	// Reach the world through the store; its last generation's objects
-	// are what every path serves. This store never re-packs, so its index
-	// is the path-copied one; the live HTTP server's re-packs as deployed.
-	st := epoch.New(core.NewEngine(w.seed, 0), epoch.Options{CompactFrac: -1})
+	// are what every path serves. The store re-packs as deployed, at
+	// 0.25·n applied ops: churnOps reach that on the uniform world only,
+	// so every other world's index is the path-copied one.
+	st := epoch.New(core.NewEngine(w.seed, 0), epoch.Options{})
 	t.Cleanup(st.Close)
 	for i := 0; i < len(w.churn); i += churnBatch {
 		ops := make([]epoch.Op, 0, churnBatch)

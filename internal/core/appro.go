@@ -32,7 +32,7 @@ func (s *search) ownerAppro(q Query, cost costFn) (Result, error) {
 	algo := s.tr.Begin("owner_appro")
 	var stats Stats
 	s.trackStats(&stats)
-	seed, curCost, df, err := s.nnSeed(q, cost, &stats)
+	seed, curCost, df, _, err := s.nnSeed(q, cost, &stats)
 	if err != nil {
 		algo.End()
 		return Result{}, err
@@ -45,7 +45,6 @@ func (s *search) ownerAppro(q Query, cost costFn) (Result, error) {
 	bitOrder := make([]int, 0, qi.Size())
 
 	en := s.owners(q, qi, cost, df, false, &stats)
-	defer en.release()
 	for en.next(curCost) {
 		owner := en.owner()
 		if qi.Full()&^owner.mask == 0 {
@@ -56,7 +55,7 @@ func (s *search) ownerAppro(q Query, cost costFn) (Result, error) {
 		}
 		stepStart := s.traceClock()
 		var ok bool
-		set, ok = nearestCover(qi, cost, en.pool, en.bits, curCost, append(set[:0], owner.id), bitOrder, &stats)
+		set, ok = nearestCover(qi, cost, s.own.pool, s.own.bits, curCost, append(set[:0], owner.id), bitOrder, &stats)
 		if !ok {
 			continue
 		}

@@ -160,8 +160,12 @@ func identicalLocationFixture(t *testing.T) (*Engine, []Query) {
 // under every column — cost × method × batch workers × NN cache (the
 // batch's own, or an engine cache of 16 entries, evicting constantly, or
 // of 4096) — returns bit-identical costs and canonical sets to one Solve
-// per query on an uncached engine. The rows carry an
-// infeasible member, exact distance ties and repeats of one location.
+// per query on an uncached engine, or the same error: a cost the method
+// does not support fails every item with the serial ErrUnsupported. The
+// methods cover every per-search scratch buffer (the owner stream's pool,
+// nearestOwner's per-owner pool, pairsExact's region, Cao-Exact's lists)
+// and Cao-Appro2's pivot keyword. The rows carry an infeasible member,
+// exact distance ties and repeats of one location.
 func TestSolveBatchMatchesSequential(t *testing.T) {
 	type fixture struct {
 		e       *Engine
@@ -200,7 +204,7 @@ func TestSolveBatchMatchesSequential(t *testing.T) {
 	rows = append(rows, row{"identical_location", []fixture{{e, queries}}})
 
 	costs := []CostKind{MaxSum, Dia, Sum, MinMax, SumMax}
-	methods := []Method{OwnerExact, OwnerAppro}
+	methods := []Method{OwnerExact, OwnerAppro, PairsExact, CaoExact, CaoAppro2}
 	for _, r := range rows {
 		r := r
 		t.Run(r.name, func(t *testing.T) {
@@ -296,8 +300,9 @@ func TestSolveBatchPreCancelled(t *testing.T) {
 // after a known prefix has completed: the completed items keep their
 // results, the in-flight item unwinds with the context error, and the
 // queued tail is marked without running. Afterwards the serial alloc
-// guard re-runs to prove the unwound items returned their pooled scratch
-// (nnmemo, anytime holders) — a leak shows up as fresh allocations.
+// guard re-runs to prove the unwound items returned their pooled searches
+// (anytime holders, scratch buffers) — a leak shows up as fresh
+// allocations.
 func TestSolveBatchCtxCancelBetweenItems(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	rng := rand.New(rand.NewSource(53))

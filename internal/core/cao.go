@@ -17,7 +17,7 @@ func (s *search) caoAppro1(q Query, cost CostKind) (Result, error) {
 	start := time.Now()
 	algo := s.tr.Begin("cao_appro1")
 	var stats Stats
-	seed, c, _, err := s.nnSeed(q, costOf(cost), &stats)
+	seed, c, _, _, err := s.nnSeed(q, costOf(cost), &stats)
 	algo.End()
 	if err != nil {
 		return Result{}, err
@@ -44,7 +44,7 @@ func (s *search) caoAppro2(q Query, cost CostKind) (Result, error) {
 	algo := s.tr.Begin("cao_appro2")
 	var stats Stats
 	s.trackStats(&stats)
-	seed, curCost, _, err := s.nnSeed(q, costOf(cost), &stats)
+	seed, curCost, _, tf, err := s.nnSeed(q, costOf(cost), &stats)
 	if err != nil {
 		algo.End()
 		return Result{}, err
@@ -55,7 +55,6 @@ func (s *search) caoAppro2(q Query, cost CostKind) (Result, error) {
 
 	loop := s.tr.Begin("owner_loop")
 	searchStart := time.Now()
-	tf := s.farthestNNKeyword(q)
 	it := s.src.keyword(q.Loc, tf)
 	for {
 		o, d, ok := it.Next()
@@ -89,20 +88,6 @@ func (s *search) caoAppro2(q Query, cost CostKind) (Result, error) {
 
 	stats.Elapsed = time.Since(start)
 	return Result{Set: curSet, Cost: curCost, Cost2: cost, Stats: stats}, nil
-}
-
-// farthestNNKeyword returns the query keyword whose nearest neighbor from
-// q is the farthest — the keyword that pins d_f. The query must be
-// feasible (checked by the callers via nnSeed). Lookups go through the
-// per-query keyword-NN memo, so after nnSeed these are cache hits.
-func (s *search) farthestNNKeyword(q Query) kwds.ID {
-	best, bestD := q.Keywords[0], math.Inf(-1)
-	for _, kw := range q.Keywords {
-		if _, d, ok := s.keywordNN(q.Loc, kw); ok && d > bestD {
-			best, bestD = kw, d
-		}
-	}
-	return best
 }
 
 // nnAroundObject builds {o} ∪ { NN(o, t) : t uncovered by o }; ok is false
@@ -231,13 +216,11 @@ func (s *search) caoExact(q Query, cost CostKind) (Result, error) {
 	s.trackStats(&stats)
 
 	// Materialize, per query keyword, the candidate objects containing it
-	// within C(q, curCost), ascending by distance. The lists recycle
-	// through the scratch pool, released after the search (deferred).
+	// within C(q, curCost), ascending by distance. The lists are the
+	// search's scratch, so they recycle with it.
 	matSp := s.tr.Begin("materialize")
 	matStart := time.Now()
-	scratch := getCaoScratch()
-	defer putCaoScratch(scratch)
-	cands := scratch.ensureCands(qi.Size())
+	cands := s.cao.ensureCands(qi.Size())
 	for b, kw := range qi.Keywords() {
 		it := s.src.keyword(q.Loc, kw)
 		for {
@@ -250,7 +233,6 @@ func (s *search) caoExact(q Query, cost CostKind) (Result, error) {
 			s.pollCancel(stats.CandidatesSeen)
 		}
 	}
-	scratch.cands = cands
 	stats.Phases.Materialize = time.Since(matStart)
 	if matSp != nil {
 		matSp.Attr("candidates", float64(stats.CandidatesSeen))
@@ -261,14 +243,14 @@ func (s *search) caoExact(q Query, cost CostKind) (Result, error) {
 	searchStart := time.Now()
 	cs := &caoSearch{
 		run: s, qi: qi, cost: costOf(cost), cands: cands, stats: &stats,
-		chosen:    scratch.chosen[:0],
-		chosenIDs: scratch.chosenIDs[:0],
+		chosen:    s.cao.chosen[:0],
+		chosenIDs: s.cao.chosenIDs[:0],
 		bestCost:  curCost,
 		bestSet:   curSet,
 	}
 	cs.dfs(0, 0, 0)
 	curSet, curCost = cs.bestSet, cs.bestCost
-	scratch.chosen, scratch.chosenIDs = cs.chosen[:0], cs.chosenIDs[:0]
+	s.cao.chosen, s.cao.chosenIDs = cs.chosen[:0], cs.chosenIDs[:0]
 	stats.Phases.Search = time.Since(searchStart)
 	if searchSp != nil {
 		searchSp.Attr("nodes", float64(stats.NodesExpanded))

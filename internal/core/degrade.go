@@ -193,15 +193,15 @@ func (s *search) degradeSolve(q Query, cost CostKind, method Method, res Result,
 }
 
 // fallbackAppro runs the cost function's cheap approximation on a child
-// search that shares only the call's Config, source (with its NN cache),
-// trace and memo: no node budget, no context (the original is already
-// tripped — the approximation is near-linear, so the overrun is bounded),
-// no holder.
+// search that shares only the call's Config, source (with its NN cache)
+// and trace: no node budget, no context (the original is already tripped
+// — the approximation is near-linear, so the overrun is bounded), no
+// holder, no scratch.
 // The shield converts any stray unwind (there should be none) into an
 // error instead of escaping.
 func (s *search) fallbackAppro(q Query, cost CostKind) (res Result, err error) {
 	defer recoverBudget(&err)
-	fb := search{Config: s.Config, src: s.src, tr: s.tr, nnmemo: s.nnmemo}
+	fb := search{Config: s.Config, src: s.src, tr: s.tr}
 	switch cost {
 	case MaxSum, Dia:
 		return fb.caoAppro2(q, cost)

@@ -34,7 +34,7 @@ func (s *search) ownerExact(q Query, cost costFn, slack float64) (Result, error)
 	}
 	var stats Stats
 	s.trackStats(&stats)
-	seed, curCost, df, err := s.nnSeed(q, cost, &stats)
+	seed, curCost, df, _, err := s.nnSeed(q, cost, &stats)
 	if err != nil {
 		algo.End()
 		return Result{}, err
@@ -44,11 +44,10 @@ func (s *search) ownerExact(q Query, cost costFn, slack float64) (Result, error)
 	stats.SetsEvaluated = 1
 
 	en := s.owners(q, qi, cost, df, true, &stats)
-	defer en.release()
 	for en.next(curCost / slack) {
 		stepStart := s.traceClock()
 		nodes0 := stats.NodesExpanded
-		set, c := s.bestWithOwner(qi, cost, en.pool, en.bits, curCost/slack, en.scratch, &stats, nil)
+		set, c := s.bestWithOwner(qi, cost, &s.own, curCost/slack, &stats, nil)
 		if set == nil {
 			continue
 		}

@@ -35,7 +35,7 @@ func (s *search) nearestOwner(q Query, cost costFn, slack float64) (Result, erro
 	}
 	var stats Stats
 	s.trackStats(&stats)
-	seed, curCost, _, err := s.nnSeed(q, cost, &stats)
+	seed, curCost, _, _, err := s.nnSeed(q, cost, &stats)
 	if err != nil {
 		algo.End()
 		return Result{}, err
@@ -45,14 +45,12 @@ func (s *search) nearestOwner(q Query, cost costFn, slack float64) (Result, erro
 	stats.SetsEvaluated = 1
 
 	en := s.owners(q, qi, cost, 0, true, &stats)
-	defer en.release()
 	en.drain(curCost / slack)
-	// The owner's pool: a second scratch, the owner appended as its last
-	// entry (where bestWithOwner looks for it) and left out of the
-	// bit index.
-	sub := getOwnerScratch()
-	defer putOwnerScratch(sub)
-	for i, owner := range en.pool {
+	// The owner's pool: the search's second scratch, the owner appended
+	// as its last entry (where bestWithOwner looks for it) and left out
+	// of the bit index.
+	sub := &s.sub
+	for i, owner := range s.own.pool {
 		bound := curCost / slack
 		if cost.combine(owner.d, 0) >= bound {
 			stats.Prunes[trace.PruneIncumbentBreak]++
@@ -61,7 +59,7 @@ func (s *search) nearestOwner(q Query, cost costFn, slack float64) (Result, erro
 		stats.OwnersTried++
 		s.pollCancel(stats.OwnersTried)
 		pool, bits := sub.pool[:0], sub.ensureBits(qi.Size())
-		for _, c := range en.pool[i+1:] {
+		for _, c := range s.own.pool[i+1:] {
 			if c.mask&^owner.mask == 0 || cost.combine(owner.d, c.loc.Dist(owner.loc)) >= bound {
 				continue
 			}
@@ -71,7 +69,7 @@ func (s *search) nearestOwner(q Query, cost costFn, slack float64) (Result, erro
 		pool = append(pool, owner)
 		sub.pool = pool
 
-		if found, c := s.bestWithOwner(qi, cost, pool, bits, bound, sub, &stats, nil); found != nil {
+		if found, c := s.bestWithOwner(qi, cost, sub, bound, &stats, nil); found != nil {
 			curSet, curCost = canonical(found), c
 			s.noteIncumbent(curSet, curCost, cost.kind)
 		}

@@ -241,9 +241,8 @@ func TestDominanceFilterStructure(t *testing.T) {
 		if err := eng.enter(context.Background(), eng.treeSource(), q, func(s *search) error {
 			var stats Stats
 			en := s.owners(q, qi, costOf(Sum), 0, true, &stats)
-			defer en.release()
 			en.drain(math.Inf(1))
-			check(en.pool, &stats)
+			check(s.own.pool, &stats)
 			return nil
 		}); err != nil {
 			t.Fatal(err)

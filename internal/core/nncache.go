@@ -1,12 +1,13 @@
 package core
 
-// Cross-query keyword-NN cache (DESIGN.md §15). The per-query nnMemo
-// (search.go) dies with its query; under production traffic most queries
-// repeat hot locations and keyword combinations, so the same IR-tree NN
-// walks run over and over. NNCache promotes the memo into a bounded,
-// sharded LRU keyed by (grid cell, keyword ID) — on the Engine, or private
-// to one batch when the engine has none (batch.go) — with a
-// distance-validity radius making every reuse provably exact:
+// Cross-query keyword-NN cache (DESIGN.md §15). No search looks one
+// keyword up twice at one point, but under production traffic most
+// queries repeat hot locations and keyword combinations, so the same
+// IR-tree NN walks run query after query. NNCache keeps their answers in
+// a bounded, sharded LRU keyed by (grid cell, keyword ID) — on the
+// Engine, or private to one batch when the engine has none (batch.go) —
+// the first stop of search.lookupNN, with a distance-validity radius
+// making every reuse provably exact:
 //
 // An entry records the observation point p0, the NN o1 of p0 for keyword
 // kw, its distance d1 = d(p0, o1), and the distance d2 of the

@@ -171,13 +171,14 @@ type cand struct {
 }
 
 // ownerEnum is the one candidate stream: relevant objects popped in
-// ascending d(o,q) up to the ring break, each joining pool, with bits[b]
-// indexing the pool entries that cover query keyword bit b. On top of the
-// stream it enumerates candidate owners — the pops inside the ring
-// [d_f, bound) — so when next returns, the owner is pool's last entry and
-// pool is exactly the relevant content of the owner's disk
-// C(q, d(owner,q)): all the per-owner step needs. Pool and bits recycle
-// through the scratch pool across queries.
+// ascending d(o,q) up to the ring break, each joining the search's
+// s.own.pool, with s.own.bits[b] indexing the pool entries that cover
+// query keyword bit b. On top of the stream it enumerates candidate
+// owners — the pops inside the ring [d_f, bound) — so when next returns,
+// the owner is the pool's last entry and the pool is exactly the
+// relevant content of the owner's disk C(q, d(owner,q)): all the
+// per-owner step needs. Pool and bits are the search's scratch, so they
+// recycle with it.
 type ownerEnum struct {
 	s     *search
 	qi    *kwds.QueryIndex
@@ -190,29 +191,25 @@ type ownerEnum struct {
 	exact bool
 	abl   Ablation
 
-	it      relevantStream
-	loop    *trace.Span
-	start   time.Time
-	scratch *ownerScratch
-	pool    []cand
-	bits    [][]int32
+	it    relevantStream
+	loop  *trace.Span
+	start time.Time
 	// maximal is the antichain of coverage masks popped so far, kept for
 	// position-blind costs only (dominated).
 	maximal []kwds.Mask
 }
 
-// owners opens the enumeration for q (and the "owner_loop" span). The
-// caller defers release and calls finish once the loop is done.
+// owners opens the enumeration for q (and the "owner_loop" span),
+// emptying s.own's pool and bits. The caller calls finish once the loop
+// is done.
 func (s *search) owners(q Query, qi *kwds.QueryIndex, cost costFn, df float64, exact bool, stats *Stats) ownerEnum {
-	scratch := getOwnerScratch()
+	s.own.pool = s.own.pool[:0]
+	s.own.ensureBits(qi.Size())
 	en := ownerEnum{
 		s: s, qi: qi, cost: cost, df: df, stats: stats, exact: exact,
-		loop:    s.tr.Begin("owner_loop"),
-		start:   time.Now(),
-		it:      s.src.relevant(q.Loc, qi),
-		scratch: scratch,
-		pool:    scratch.pool[:0],
-		bits:    scratch.ensureBits(qi.Size()),
+		loop:  s.tr.Begin("owner_loop"),
+		start: time.Now(),
+		it:    s.src.relevant(q.Loc, qi),
 	}
 	if exact {
 		en.abl = s.Ablation
@@ -254,8 +251,9 @@ func (e *ownerEnum) pop(bound float64) bool {
 			e.stats.Prunes[trace.PruneDominated]++
 			continue
 		}
-		e.pool = append(e.pool, cand{id: o.ID, loc: o.Loc, d: d, mask: mask})
-		indexBits(e.bits, len(e.pool)-1, mask)
+		own := &e.s.own
+		own.pool = append(own.pool, cand{id: o.ID, loc: o.Loc, d: d, mask: mask})
+		indexBits(own.bits, len(own.pool)-1, mask)
 		return true
 	}
 }
@@ -314,7 +312,10 @@ func (e *ownerEnum) drain(bound float64) {
 }
 
 // owner returns the current candidate owner.
-func (e *ownerEnum) owner() cand { return e.pool[len(e.pool)-1] }
+func (e *ownerEnum) owner() cand {
+	pool := e.s.own.pool
+	return pool[len(pool)-1]
+}
 
 // finish closes the loop: the search phase time and the span's effort
 // attributes, read off stats as they stand.
@@ -330,21 +331,14 @@ func (e *ownerEnum) finish(cost float64) {
 	e.loop.End()
 }
 
-// release recycles the pool and bit index. Deferred, so a budget or
-// cancellation unwind recycles them too; nothing handed out of the
-// enumerator may be in use any more.
-func (e *ownerEnum) release() {
-	e.scratch.pool = e.pool
-	putOwnerScratch(e.scratch)
-}
-
 // bestWithOwner is the cover search: the cheapest feasible set owned by
-// pool's last entry with its other members drawn from pool, restricted to
-// cost < bound, or (nil, 0) when none exists. Every non-owner member of a
-// minimal set must cover a keyword the owner lacks, so the search runs
-// over bits of the owner's uncovered keywords, branching on the rarest,
-// and carries the partial set's two components: D, which the owner fixes
-// or members add to (costFn.extend), and maxPair. Partial sets are cut by
+// sc.pool's last entry with its other members drawn from sc.pool (indexed
+// by sc.bits), restricted to cost < bound, or (nil, 0) when none exists.
+// Every non-owner member of a minimal set must cover a keyword the owner
+// lacks, so the search runs over bits of the owner's uncovered keywords,
+// branching on the rarest, and carries the partial set's two components:
+// D, which the owner fixes or members add to (costFn.extend), and
+// maxPair. Partial sets are cut by
 // the lower bound combine(D, maxPair) ≥ bound — the same geometric facts
 // the paper's pairwise distance owner / lens pruning exploits — and, under
 // the sum, by the completion bound: each uncovered keyword still costs at
@@ -355,9 +349,10 @@ func (e *ownerEnum) release() {
 // rank-them-all: every cover reached is offered to the top-k heap, whose
 // k-th best cost is the bound from then on, and nothing is returned.
 //
-// The returned set aliases scratch.bestSet: callers copy (canonical) what
+// The returned set aliases sc.bestSet: callers copy (canonical) what
 // they keep.
-func (s *search) bestWithOwner(qi *kwds.QueryIndex, cost costFn, pool []cand, bits [][]int32, bound float64, scratch *ownerScratch, stats *Stats, top *topKHeap) ([]dataset.ObjectID, float64) {
+func (s *search) bestWithOwner(qi *kwds.QueryIndex, cost costFn, sc *ownerScratch, bound float64, stats *Stats, top *topKHeap) ([]dataset.ObjectID, float64) {
+	pool, bits := sc.pool, sc.bits
 	owner := pool[len(pool)-1]
 	dof := owner.d
 	need := qi.Full() &^ owner.mask
@@ -365,12 +360,12 @@ func (s *search) bestWithOwner(qi *kwds.QueryIndex, cost costFn, pool []cand, bi
 	if need == 0 {
 		c := cost.combine(dof, 0)
 		stats.SetsEvaluated++
-		scratch.bestSet = append(scratch.bestSet[:0], owner.id)
+		sc.bestSet = append(sc.bestSet[:0], owner.id)
 		switch {
 		case top != nil:
-			top.offerCover(scratch.bestSet)
+			top.offerCover(sc.bestSet)
 		case c < bound:
-			return scratch.bestSet, c
+			return sc.bestSet, c
 		}
 		return nil, 0
 	}
@@ -380,10 +375,10 @@ func (s *search) bestWithOwner(qi *kwds.QueryIndex, cost costFn, pool []cand, bi
 	}
 
 	var (
-		bestSet  = scratch.bestSet[:0]
+		bestSet  = sc.bestSet[:0]
 		found    = false
 		bestCost = bound // the pruning bound; bestSet's cost once found
-		chosen   = scratch.chosen[:0]
+		chosen   = sc.chosen[:0]
 		sums     = cost.key == total
 		// pairPrune gates the pair bound: Ablation A1's NoPairPrune
 		// keeps every partial set and the full pairwise maximum.
@@ -461,7 +456,7 @@ func (s *search) bestWithOwner(qi *kwds.QueryIndex, cost costFn, pool []cand, bi
 		}
 	}
 	dfs(owner.mask, dof, 0)
-	scratch.bestSet, scratch.chosen = bestSet, chosen[:0]
+	sc.bestSet, sc.chosen = bestSet, chosen[:0]
 
 	if !found {
 		return nil, 0

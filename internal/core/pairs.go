@@ -32,7 +32,7 @@ func (s *search) pairsExact(q Query, cost CostKind) (Result, error) {
 	var stats Stats
 	s.trackStats(&stats)
 	fn := costOf(cost)
-	seed, curCost, df, err := s.nnSeed(q, fn, &stats)
+	seed, curCost, df, _, err := s.nnSeed(q, fn, &stats)
 	if err != nil {
 		algo.End()
 		return Result{}, err
@@ -48,10 +48,9 @@ func (s *search) pairsExact(q Query, cost CostKind) (Result, error) {
 	// this span's whole content.
 	matSp := s.tr.Begin("materialize")
 	en := s.owners(q, qi, fn, df, false, &stats)
-	defer en.release()
 	en.drain(curCost)
 	en.loop.Drop()
-	cands, scratch := en.pool, en.scratch
+	cands := s.own.pool
 	stats.Phases.Materialize = time.Since(en.start)
 	if matSp != nil {
 		matSp.Attr("candidates", float64(stats.CandidatesSeen))
@@ -131,7 +130,7 @@ func (s *search) pairsExact(q Query, cost CostKind) (Result, error) {
 				continue
 			}
 			stats.OwnersTried++
-			set, c := s.bestFeasibleForTriple(q, qi, cost, cands, p.i, p.j, m, p.dij, curCost, scratch, &stats)
+			set, c := s.bestFeasibleForTriple(q, qi, cost, cands, p.i, p.j, m, p.dij, curCost, &stats)
 			if set != nil && c < curCost {
 				curSet, curCost = canonical(set), c
 				s.noteIncumbent(curSet, curCost, cost)
@@ -156,7 +155,7 @@ func (s *search) pairsExact(q Query, cost CostKind) (Result, error) {
 // triple (oi, oj, om), with the remaining members drawn from the region
 // R = C(oi, dij) ∩ C(oj, dij) ∩ C(q, d(om, q)) (the paper's
 // findBestFeasibleSet). Returns (nil, 0) when none beats bound.
-func (s *search) bestFeasibleForTriple(q Query, qi *kwds.QueryIndex, cost CostKind, cands []cand, i, j, m int, dij, bound float64, scratch *ownerScratch, stats *Stats) ([]dataset.ObjectID, float64) {
+func (s *search) bestFeasibleForTriple(q Query, qi *kwds.QueryIndex, cost CostKind, cands []cand, i, j, m int, dij, bound float64, stats *Stats) ([]dataset.ObjectID, float64) {
 	oi, oj, om := &cands[i], &cands[j], &cands[m]
 	base := []dataset.ObjectID{oi.id, oj.id, om.id}
 	covered := oi.mask | oj.mask | om.mask
@@ -170,7 +169,7 @@ func (s *search) bestFeasibleForTriple(q Query, qi *kwds.QueryIndex, cost CostKi
 	}
 
 	// Region candidates for the uncovered keywords.
-	region := scratch.region[:0]
+	region := s.own.region[:0]
 	for r := range cands {
 		c := &cands[r]
 		if c.mask&^covered == 0 {
@@ -188,7 +187,7 @@ func (s *search) bestFeasibleForTriple(q Query, qi *kwds.QueryIndex, cost CostKi
 	var (
 		bestSet  []dataset.ObjectID
 		bestCost = bound
-		chosen   = scratch.ichosen[:0]
+		chosen   = s.own.ichosen[:0]
 	)
 	var dfs func(cov kwds.Mask)
 	dfs = func(cov kwds.Mask) {
@@ -223,7 +222,7 @@ func (s *search) bestFeasibleForTriple(q Query, qi *kwds.QueryIndex, cost CostKi
 		}
 	}
 	dfs(covered)
-	scratch.region, scratch.ichosen = region, chosen[:0]
+	s.own.region, s.own.ichosen = region, chosen[:0]
 
 	if bestSet == nil {
 		return nil, 0

@@ -1,54 +1,47 @@
 package core
 
-// Pooled scratch for the exact-search hot paths (the per-call state
-// itself is the pooled search, search.go). One CoSKQ execution
+// Scratch for the exact-search hot paths. One CoSKQ execution
 // materializes a candidate pool, per-keyword candidate index slices and
-// partial-set scratch; recycling them through sync.Pool makes
-// the steady-state per-query allocation count small and flat (pinned by
-// TestOwnerExactAllocs). Pooled objects may retain *dataset.Object
-// pointers between queries; engines own their datasets for their entire
-// lifetime, so this pins no memory that was going away.
+// partial-set scratch; they are value fields of the pooled search
+// (search.go), so they recycle with it and the steady-state per-query
+// allocation count stays small and flat (pinned by TestOwnerExactAllocs).
+//
+// Parked scratch keeps what it last held. The owner-driven slices hold
+// ids and locations only, but Cao-Exact's lists hold *dataset.Object
+// pointers: a parked search can pin objects of a dataset no engine serves
+// any more — a live store's retired generation (internal/epoch) — until
+// a later Cao-Exact run overwrites them or the pool drops the search at
+// a garbage collection.
 
-import (
-	"sync"
-
-	"coskq/internal/dataset"
-)
+import "coskq/internal/dataset"
 
 // ownerScratch bundles the owner-driven search's reusable slices: the
 // ascending-distance candidate pool, the per-keyword-bit candidate index
-// (bitCands), and the cover enumeration's partial-set scratch. nearestOwner
-// takes a second one for each owner's pool; pairsExact uses region/ichosen
-// for its per-triple enumeration.
+// (bits), and the cover enumeration's partial-set scratch. The search's
+// own is the candidate stream's (ownerEnum); nearestOwner builds each
+// owner's pool in its sub; pairsExact uses region/ichosen for its
+// per-triple enumeration.
 type ownerScratch struct {
-	pool     []cand
-	bitCands [][]int32
-	chosen   []int32
-	bestSet  []dataset.ObjectID
-	region   []int
-	ichosen  []int
+	pool    []cand
+	bits    [][]int32
+	chosen  []int32
+	bestSet []dataset.ObjectID
+	region  []int
+	ichosen []int
 }
 
-// ensureBits returns bitCands resized to n empty per-bit slices, keeping
+// ensureBits returns bits resized to n empty per-bit slices, keeping
 // grown capacity.
 func (s *ownerScratch) ensureBits(n int) [][]int32 {
-	if cap(s.bitCands) < n {
-		s.bitCands = make([][]int32, n)
+	if cap(s.bits) < n {
+		s.bits = make([][]int32, n)
 	}
-	s.bitCands = s.bitCands[:n]
-	for b := range s.bitCands {
-		s.bitCands[b] = s.bitCands[b][:0]
+	s.bits = s.bits[:n]
+	for b := range s.bits {
+		s.bits[b] = s.bits[b][:0]
 	}
-	return s.bitCands
+	return s.bits
 }
-
-var ownerScratchPool = sync.Pool{New: func() any { return new(ownerScratch) }}
-
-func getOwnerScratch() *ownerScratch { return ownerScratchPool.Get().(*ownerScratch) }
-
-// putOwnerScratch returns s to the pool. Callers must be done with every
-// slice handed out of s before releasing it.
-func putOwnerScratch(s *ownerScratch) { ownerScratchPool.Put(s) }
 
 // caoScratch bundles Cao-Exact's reusable slices: the per-keyword
 // materialized candidate lists and the branch-and-bound partial set.
@@ -70,8 +63,3 @@ func (s *caoScratch) ensureCands(n int) [][]kwCand {
 	}
 	return s.cands
 }
-
-var caoScratchPool = sync.Pool{New: func() any { return new(caoScratch) }}
-
-func getCaoScratch() *caoScratch  { return caoScratchPool.Get().(*caoScratch) }
-func putCaoScratch(s *caoScratch) { caoScratchPool.Put(s) }

@@ -2,12 +2,14 @@ package core
 
 // Per-search state. An Engine is the immutable index plus the Config it
 // serves under, shared by every query; everything one execution mutates
-// lives on a search. Every exported query entry point reaches the
-// algorithms through Config.enter, which takes a search from searchPool
-// and puts it back; a helper execution inside a call (the degrade
-// fallback) builds a child search literal that names exactly what it
-// shares with its parent, so anything not named is zero: no budget, no
-// context, no trace, no memo, no holder.
+// lives on a search: the call's bindings, its anytime holder and its
+// algorithm scratch (pool.go). Every exported query entry point reaches
+// the algorithms through Config.enter, which takes a search from
+// searchPool and releases it; searchPool is the package's only pool. A
+// helper execution inside a call (the degrade fallback) builds a child
+// search literal that names exactly what it shares with its parent, so
+// anything not named is zero: no budget, no context, no holder, no
+// scratch.
 
 import (
 	"context"
@@ -38,31 +40,29 @@ type search struct {
 	// budget is this call's node budget (Config.callBudget); zero
 	// means unlimited.
 	budget int
-	// nnmemo caches the query's per-keyword NN seeds so bound seeding and
-	// d_f refinement stop re-walking the IR-tree for keywords already
-	// answered (Cao-Exact seeds via Appro2, which otherwise walks every
-	// keyword NN twice).
-	nnmemo *nnMemo
 	// any is the anytime holder: the feasible incumbent and live Stats
 	// the degrade path falls back on when the search is cut short
 	// (degrade.go).
 	any *anytime
+
+	// own is the candidate stream's pool and bit index (ownerEnum) and
+	// the cover search's scratch; sub holds nearestOwner's per-owner
+	// pool; cao is Cao-Exact's. Only the buffers survive a release.
+	own, sub ownerScratch
+	cao      caoScratch
 }
 
-// searchPool recycles searches together with their memo and holder
-// buffers. It is the only pool of per-call state; the pools in pool.go
-// recycle algorithm scratch.
-var searchPool = sync.Pool{New: func() any {
-	return &search{nnmemo: new(nnMemo), any: new(anytime)}
-}}
+// searchPool recycles searches together with their holder and scratch
+// buffers.
+var searchPool = sync.Pool{New: func() any { return &search{any: new(anytime)} }}
 
 // release drops every reference the call attached — a parked search pins
-// no context, trace, Stats or ranking — and returns s to the pool.
+// no context, trace, Stats or ranking — and returns s to the pool with
+// its buffers, grown capacity included.
 func (s *search) release() {
-	m, h := s.nnmemo, s.any
-	m.valid = false
+	h := s.any
 	h.valid, h.stats, h.topk = false, nil, nil
-	*s = search{nnmemo: m, any: h}
+	*s = search{any: h, own: s.own, sub: s.sub, cao: s.cao}
 	searchPool.Put(s)
 }
 
@@ -215,56 +215,9 @@ func (s *search) traceClock() time.Time {
 	return time.Now()
 }
 
-// nnMemo caches one query's per-keyword NN seeds (see keywordNN). Queries
-// carry at most kwds.MaxQueryKeywords keywords, so a linear scan beats a
-// map.
-type nnMemo struct {
-	valid bool
-	p     geo.Point
-	kws   []kwds.ID
-	ids   []dataset.ObjectID
-	ds    []float64
-	oks   []bool
-}
-
-func (m *nnMemo) reset(p geo.Point) {
-	m.valid, m.p = true, p
-	m.kws, m.ids, m.ds, m.oks = m.kws[:0], m.ids[:0], m.ds[:0], m.oks[:0]
-}
-
-func (m *nnMemo) add(kw kwds.ID, id dataset.ObjectID, d float64, ok bool) {
-	m.kws = append(m.kws, kw)
-	m.ids = append(m.ids, id)
-	m.ds = append(m.ds, d)
-	m.oks = append(m.oks, ok)
-}
-
-// keywordNN returns the object nearest to p containing kw, answering
-// from the call's memo when it has one and the point matches the memo's.
-// Algorithms that walk the same per-keyword NN seeds repeatedly — nnSeed
-// followed by farthestNNKeyword, or an exact search re-seeding after
-// bound refinement — hit the memo instead of re-walking the IR-tree.
-func (s *search) keywordNN(p geo.Point, kw kwds.ID) (dataset.ObjectID, float64, bool) {
-	m := s.nnmemo
-	if m == nil {
-		return s.lookupNN(p, kw)
-	}
-	if !m.valid || m.p != p {
-		m.reset(p)
-	}
-	for i, k := range m.kws {
-		if k == kw {
-			return m.ids[i], m.ds[i], m.oks[i]
-		}
-	}
-	id, d, ok := s.lookupNN(p, kw)
-	m.add(kw, id, d, ok)
-	return id, d, ok
-}
-
-// lookupNN resolves one keyword NN below the memo: the source's NNCache
-// first (the engine's, or a batch's own), then the source. Every cache
-// hit is validity-checked (nncache.go), so the chain returns bit-identical
+// lookupNN resolves one keyword NN: the source's NNCache first (the
+// engine's, or a batch's own), then the source. Every cache hit is
+// validity-checked (nncache.go), so the chain returns bit-identical
 // results to a bare Tree.NN whichever layer answers. Misses with a cache
 // attached walk NN2 — the same best-first search, continued one object
 // further — so the validity radius can be recorded. Only the tree arm
@@ -288,22 +241,24 @@ func (s *search) lookupNN(p geo.Point, kw kwds.ID) (dataset.ObjectID, float64, b
 }
 
 // nnSeed computes the nearest neighbor set N(q), its cost under the given
-// cost function, and d_f = max_{o∈N(q)} d(o,q). It returns ErrInfeasible
-// when some query keyword has no object. The phase is charged to
-// stats.Phases.Seed and recorded as an "nn_seed" span when tracing.
-func (s *search) nnSeed(q Query, cost costFn, stats *Stats) (set []dataset.ObjectID, c, df float64, err error) {
+// cost function, d_f = max_{o∈N(q)} d(o,q) and t_f, the first query
+// keyword whose NN is that far (Cao-Appro2's pivot). It returns
+// ErrInfeasible when some query keyword has no object. The phase is
+// charged to stats.Phases.Seed and recorded as an "nn_seed" span when
+// tracing.
+func (s *search) nnSeed(q Query, cost costFn, stats *Stats) (set []dataset.ObjectID, c, df float64, tf kwds.ID, err error) {
 	sp := s.tr.Begin("nn_seed")
 	t0 := time.Now()
 	ids := make([]dataset.ObjectID, 0, len(q.Keywords))
-	for _, kw := range q.Keywords {
-		id, d, ok := s.keywordNN(q.Loc, kw)
+	for i, kw := range q.Keywords {
+		id, d, ok := s.lookupNN(q.Loc, kw)
 		if !ok {
 			stats.Phases.Seed += time.Since(t0)
 			sp.End()
-			return nil, 0, 0, ErrInfeasible
+			return nil, 0, 0, 0, ErrInfeasible
 		}
-		if d > df {
-			df = d
+		if i == 0 || d > df {
+			df, tf = d, kw
 		}
 		dup := false
 		for _, x := range ids {
@@ -324,5 +279,5 @@ func (s *search) nnSeed(q Query, cost costFn, stats *Stats) (set []dataset.Objec
 		sp.Attr("d_f", df)
 	}
 	sp.End()
-	return ids, c, df, nil
+	return ids, c, df, tf, nil
 }

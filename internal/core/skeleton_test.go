@@ -241,10 +241,10 @@ func TestOwnerExactAllocs(t *testing.T) {
 	}
 	// Ceilings are the values measured on this fixture with the per-call
 	// engine clone the pooled search replaced (one heap copy per solve):
-	// the search must not cost more than the clone did, and reverting any
-	// one scratch pool (candidates, bitCands, partial sets) blows them.
-	// The nearest-owner row (MinMax, ext.go) measured 12, and 25 without
-	// the Put of its per-owner scratch.
+	// the search must not cost more than the clone did, and allocating
+	// any one of its scratch buffers (candidates, bits, partial sets) per
+	// call instead blows them. The nearest-owner row (MinMax, ext.go)
+	// measured 12, and 24 with a fresh per-owner scratch per call.
 	for _, tc := range []struct {
 		cost      CostKind
 		m         Method

@@ -150,7 +150,7 @@ func (s *search) topKInner(q Query, cost CostKind, k int) (res []Result, err err
 	algo := s.tr.Begin("topk")
 	var stats Stats
 	s.trackStats(&stats)
-	seed, _, df, err := s.nnSeed(q, fn, &stats)
+	seed, _, df, _, err := s.nnSeed(q, fn, &stats)
 	if err != nil {
 		algo.End()
 		return nil, err
@@ -168,9 +168,8 @@ func (s *search) topKInner(q Query, cost CostKind, k int) (res []Result, err err
 	// The ring and every pruning bound are the k-th best cost; the
 	// per-owner step is the cover search with the heap as its leaf action.
 	en := s.owners(q, qi, fn, df, false, &stats)
-	defer en.release()
 	for en.next(top.bound()) {
-		s.bestWithOwner(qi, fn, en.pool, en.bits, top.bound(), en.scratch, &stats, top)
+		s.bestWithOwner(qi, fn, &s.own, top.bound(), &stats, top)
 	}
 	en.finish(top.sets[0].Cost)
 	algo.End()

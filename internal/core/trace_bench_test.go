@@ -176,14 +176,13 @@ func improvingOwners(t *testing.T, e *Engine, q Query, kind CostKind) int {
 	err := e.enter(context.Background(), e.treeSource(), q, func(s *search) error {
 		var stats Stats
 		cost, qi := costOf(kind), kwds.NewQueryIndex(q.Keywords)
-		_, cur, df, err := s.nnSeed(q, cost, &stats)
+		_, cur, df, _, err := s.nnSeed(q, cost, &stats)
 		if err != nil {
 			return err
 		}
 		en := s.owners(q, qi, cost, df, true, &stats)
-		defer en.release()
 		for en.next(cur) {
-			if set, c := s.bestWithOwner(qi, cost, en.pool, en.bits, cur, en.scratch, &stats, nil); set != nil {
+			if set, c := s.bestWithOwner(qi, cost, &s.own, cur, &stats, nil); set != nil {
 				n, cur = n+1, c
 			}
 		}

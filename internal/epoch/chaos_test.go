@@ -44,7 +44,7 @@ var chaosKinds = []fault.Kind{fault.KindLatency, fault.KindCancel, fault.KindBud
 // runChaosSchedule drives a fixed churn schedule through a store while
 // one fault rule is armed, waiting for each batch to converge and
 // checking the generation it lands in, then cross-checks the final state
-// against the independent replayer. CompactFrac is set aggressively so
+// against the independent replayer. compactFrac is set aggressively so
 // CompactRun is actually reached every pass — after the same pass's path
 // copying, which every EpochApply hit interrupts.
 func runChaosSchedule(t *testing.T, rule fault.Rule) {
@@ -54,7 +54,7 @@ func runChaosSchedule(t *testing.T, rule fault.Rule) {
 	ds := datagen.Generate(datagen.Config{
 		Name: "chaos", NumObjects: seedObjects, VocabSize: 32, AvgKeywords: 3, Seed: 13,
 	})
-	st := New(core.NewEngine(ds, 0), Options{CompactFrac: 0.01, retryDelay: 100 * time.Microsecond})
+	st := New(core.NewEngine(ds, 0), Options{compactFrac: 0.01, retryDelay: 100 * time.Microsecond})
 	defer st.Close()
 	model := newReplayer(ds)
 
@@ -202,7 +202,7 @@ func TestFaultMidBatchLeavesPublishedGenerationIntact(t *testing.T) {
 		Name: "midbatch", NumObjects: 120, VocabSize: 24, AvgKeywords: 3, Seed: 23,
 	})
 	// Never re-pack: every generation here shares nodes with its parent.
-	st := New(core.NewEngine(ds, 4), Options{CompactFrac: -1, retryDelay: 100 * time.Microsecond})
+	st := New(core.NewEngine(ds, 4), Options{compactFrac: -1, retryDelay: 100 * time.Microsecond})
 	defer st.Close()
 	model := newReplayer(ds)
 	stream := datagen.NewChurnStream(datagen.ChurnConfig{Seed: 23, Ops: 1 << 20, SeedKeys: 120, Vocab: 24})
@@ -298,7 +298,7 @@ func TestReaderPinnedAcrossSwaps(t *testing.T) {
 	ds := datagen.Generate(datagen.Config{
 		Name: "pinned", NumObjects: 50, VocabSize: 24, AvgKeywords: 3, Seed: 31,
 	})
-	st := New(core.NewEngine(ds, 0), Options{CompactFrac: 0.05})
+	st := New(core.NewEngine(ds, 0), Options{compactFrac: 0.05})
 	defer st.Close()
 
 	g0 := st.Pin()

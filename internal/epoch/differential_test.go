@@ -263,10 +263,10 @@ func TestDifferentialAfterChurn(t *testing.T) {
 		ops, batch int
 		opts       Options
 	}{
-		{seed: 1, ops: 200, batch: 16, opts: Options{CompactFrac: 0.5}},  // long edited stretches between re-packs
+		{seed: 1, ops: 200, batch: 16, opts: Options{compactFrac: 0.5}},  // long edited stretches between re-packs
 		{seed: 2, ops: 400, batch: 1, opts: Options{}},                   // one delta per op, the default policy
-		{seed: 3, ops: 300, batch: 64, opts: Options{CompactFrac: 0.01}}, // re-pack every pass
-		{seed: 4, ops: 500, batch: 32, opts: Options{CompactFrac: -1}},   // never re-pack: 500 ops of path copying on 80 objects
+		{seed: 3, ops: 300, batch: 64, opts: Options{compactFrac: 0.01}}, // re-pack every pass
+		{seed: 4, ops: 500, batch: 32, opts: Options{compactFrac: -1}},   // never re-pack: 500 ops of path copying on 80 objects
 	} {
 		tc := tc
 		t.Run(fmt.Sprintf("seed%d_batch%d", tc.seed, tc.batch), func(t *testing.T) {
@@ -286,7 +286,7 @@ func TestDifferentialConcurrentReaders(t *testing.T) {
 	ds := datagen.Generate(datagen.Config{
 		Name: "diff-rw", NumObjects: seedObjects, VocabSize: 32, AvgKeywords: 3, Seed: 9,
 	})
-	st := New(core.NewEngine(ds, 0), Options{CompactFrac: 0.05})
+	st := New(core.NewEngine(ds, 0), Options{compactFrac: 0.05})
 	defer st.Close()
 	model := newReplayer(ds)
 

@@ -145,13 +145,9 @@ type Options struct {
 	// defaults to 4096.
 	MaxBacklog int
 
-	// CompactFrac is the re-pack threshold: once the ops applied since
-	// the last STR bulk load reach this fraction of the object count,
-	// the applier bulk-loads a fresh tree (object ids do not move),
-	// which bounds the edited tree's drift from a packed one. Zero
-	// defaults to 0.25 (TestTreeHealthUnderChurn; DESIGN.md §16.3).
-	// Negative never re-packs and is for tests and measurements only.
-	CompactFrac float64
+	// compactFrac replaces repackFrac: tests set it to re-pack every
+	// pass or, negative, never. Zero keeps repackFrac.
+	compactFrac float64
 
 	// seqCap bounds the idempotency-token LRU (ApplyBatchSeq). Zero
 	// defaults to 1024; only tests set it.
@@ -162,12 +158,19 @@ type Options struct {
 	retryDelay time.Duration
 }
 
+// repackFrac is the re-pack threshold: once the ops applied since the
+// last STR bulk load reach this fraction of the object count, the applier
+// bulk-loads a fresh tree (object ids do not move), which bounds the
+// edited tree's drift from a packed one (TestTreeHealthUnderChurn logs
+// the drift; DESIGN.md §16.3).
+const repackFrac = 0.25
+
 func (o Options) withDefaults() Options {
 	if o.MaxBacklog <= 0 {
 		o.MaxBacklog = 4096
 	}
-	if o.CompactFrac == 0 {
-		o.CompactFrac = 0.25
+	if o.compactFrac == 0 {
+		o.compactFrac = repackFrac
 	}
 	if o.seqCap <= 0 {
 		o.seqCap = 1024
@@ -517,7 +520,7 @@ func (s *Store) applyOnce() (applied bool, err error) {
 	// over the same objects instead of annotating the edited one — ids do
 	// not move, so the postings and the key map stand.
 	edits := s.edits + nOps
-	repack := s.opts.CompactFrac >= 0 && float64(edits) >= s.opts.CompactFrac*float64(ds.Len())
+	repack := s.opts.compactFrac >= 0 && float64(edits) >= s.opts.compactFrac*float64(ds.Len())
 	var tree *irtree.Tree
 	if !repack {
 		tree = st.tree.Tree(ds)

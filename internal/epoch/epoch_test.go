@@ -308,7 +308,7 @@ func TestCloseRejectsWritesKeepsReads(t *testing.T) {
 func TestRepackKeepsIdsAndResetsEditCount(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	// 40 objects at 0.2: the 8th op re-packs.
-	st := seedStore(t, 40, Options{CompactFrac: 0.2})
+	st := seedStore(t, 40, Options{compactFrac: 0.2})
 	for k := uint64(0); k < 7; k++ {
 		if _, err := st.ApplyBatch([]Op{{Kind: OpEdit, Key: k, Words: []string{"w000000", "fresh"}}}); err != nil {
 			t.Fatal(err)
@@ -357,7 +357,7 @@ func TestLastApplyTrace(t *testing.T) {
 		{frac: -1, phases: []string{"epoch.edit"}},
 		{frac: 0.01, phases: []string{"epoch.edit", "epoch.repack"}},
 	} {
-		st := seedStore(t, 10, Options{CompactFrac: tc.frac})
+		st := seedStore(t, 10, Options{compactFrac: tc.frac})
 		if st.LastApply() != nil {
 			t.Fatal("trace before first apply")
 		}
@@ -375,7 +375,7 @@ func TestLastApplyTrace(t *testing.T) {
 			phases = append(phases, sp.Name)
 		}
 		if !slices.Equal(phases, tc.phases) {
-			t.Fatalf("CompactFrac %v: apply phases %v, want %v", tc.frac, phases, tc.phases)
+			t.Fatalf("compactFrac %v: apply phases %v, want %v", tc.frac, phases, tc.phases)
 		}
 		// One insert: the seed tree's root-to-leaf path, and one posting list.
 		if a := xp.Spans[0].Children[0].Attrs; a["cloned_nodes"] < 1 || a["touched_postings"] != 1 {

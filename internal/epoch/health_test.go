@@ -27,11 +27,12 @@ func diskVisits(n *irtree.Node, disk geo.Circle) int {
 }
 
 // TestTreeHealthUnderChurn bounds what path copying costs reads between
-// re-packs. After 0.2·n ops through the editor — most of the way to the
-// 0.25 re-pack default — the edited tree is compared with a freshly
-// packed one over the same objects on a seeded exact query set: mean
-// NodesExpanded, the search effort the engine budgets, must stay ≤ 1.15×.
-// If it does not, lower the re-pack default rather than add a knob. The
+// re-packs. After 0.2·n ops through the editor — most of the way to
+// repackFrac's 0.25·n, which the store therefore never reaches — the
+// edited tree is compared with a freshly packed one over the same
+// objects on a seeded exact query set: mean NodesExpanded, the search
+// effort the engine budgets, must stay ≤ 1.15×. If it does not, lower
+// repackFrac rather than add a knob. The
 // node visits of seeded range queries are logged beside it, unbounded:
 // that is where a tree that has drifted from packed shows first (STR
 // leaves are full, so nearly every early insert splits one), and the
@@ -39,7 +40,7 @@ func diskVisits(n *irtree.Node, disk geo.Circle) int {
 func TestTreeHealthUnderChurn(t *testing.T) {
 	const n, churn = 5000, 1000 // 0.2·n
 	ds := datagen.Generate(datagen.Config{Name: "health", NumObjects: n, VocabSize: 128, AvgKeywords: 4, Seed: 7})
-	st := New(core.NewEngine(ds, 0), Options{CompactFrac: -1})
+	st := New(core.NewEngine(ds, 0), Options{})
 	defer st.Close()
 	stream := datagen.NewChurnStream(datagen.ChurnConfig{Seed: 7, Ops: churn, SeedKeys: n, Vocab: 128})
 	batch := make([]Op, 0, 32)
