@@ -194,18 +194,22 @@ func main() {
 		}
 	}
 
-	mux := http.NewServeMux()
-	mux.Handle("/", server.New(solver, opts))
+	// The server's own stack is the listener's handler; only -pprof puts
+	// a mux in front of it, so a request without it is matched once.
+	h := server.New(solver, opts)
 	if *pprofFlag {
+		mux := http.NewServeMux()
+		mux.Handle("/", h)
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		logger.Info("pprof enabled", "path", "/debug/pprof/")
+		h = mux
 	}
 
-	srv := newHTTPServer(*addr, mux, logger)
+	srv := newHTTPServer(*addr, h, logger)
 	logger.Info("listening", "addr", *addr, "timeout", *timeout, "budget", *budget,
 		"degrade", *degrade, "max_inflight", *inflight, "max_queue", *maxQueue)
 	err := srv.ListenAndServe()

@@ -118,10 +118,13 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request, p pin) {
 	if degraded {
 		w.Header().Set("X-Coskq-Degraded", "batch")
 	}
-	writeJSON(w, batchResponse{
+	resp := batchResponse{
 		CostKind:  cost.String(),
 		Method:    method.String(),
 		ElapsedMs: float64(time.Since(start).Microseconds()) / 1000,
 		Results:   items,
-	})
+	}
+	bb := bodyPool.Get().(*bodyBuf)
+	bb.b, err = resp.appendJSON(bb.b)
+	writeBody(w, bb, err)
 }

@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -34,11 +36,17 @@ type ShardCall struct {
 // SlowLog retains the k slowest recently observed query executions in a
 // fixed-capacity, mutex-protected buffer: Observe replaces the current
 // fastest retained entry once the buffer is full, so memory stays bounded
-// no matter the request rate. Safe for concurrent use.
+// no matter the request rate. The log keeps the elapsed time of that
+// fastest entry, so Admits answers without the mutex and Observe rescans
+// the buffer only when it replaces an entry. Safe for concurrent use.
 type SlowLog struct {
 	mu      sync.Mutex
 	cap     int
 	entries []Entry
+	fastest int // index of the first entry of least ElapsedMs, once full
+	// floor holds the math.Float64bits of entries[fastest].ElapsedMs once
+	// the buffer is full, and of -Inf before.
+	floor atomic.Uint64
 }
 
 // NewSlowLog returns a log retaining the k slowest entries (k ≥ 1).
@@ -46,11 +54,21 @@ func NewSlowLog(k int) *SlowLog {
 	if k < 1 {
 		k = 1
 	}
-	return &SlowLog{cap: k}
+	l := &SlowLog{cap: k}
+	l.floor.Store(math.Float64bits(math.Inf(-1)))
+	return l
 }
 
 // Cap returns the retention capacity.
 func (l *SlowLog) Cap() int { return l.cap }
+
+// Admits reports whether an execution of elapsedMs would be retained if
+// offered now: a caller that builds its Entry only when this holds
+// skips that work for the executions the log would drop. A concurrent
+// Observe may change the answer before the caller's own Observe.
+func (l *SlowLog) Admits(elapsedMs float64) bool {
+	return elapsedMs > math.Float64frombits(l.floor.Load())
+}
 
 // Observe offers one finished execution. It is retained when the buffer
 // has room or when it is slower than the fastest retained entry.
@@ -59,17 +77,29 @@ func (l *SlowLog) Observe(e Entry) {
 	defer l.mu.Unlock()
 	if len(l.entries) < l.cap {
 		l.entries = append(l.entries, e)
+		if len(l.entries) == l.cap {
+			l.rescan()
+		}
 		return
 	}
-	fastest := 0
+	if e.ElapsedMs > l.entries[l.fastest].ElapsedMs {
+		l.entries[l.fastest] = e
+		l.rescan()
+	}
+}
+
+// rescan finds the first entry of least elapsed time in the full buffer
+// — the one the next admitted execution replaces — and publishes its
+// time as the admission floor.
+func (l *SlowLog) rescan() {
+	f := 0
 	for i := 1; i < len(l.entries); i++ {
-		if l.entries[i].ElapsedMs < l.entries[fastest].ElapsedMs {
-			fastest = i
+		if l.entries[i].ElapsedMs < l.entries[f].ElapsedMs {
+			f = i
 		}
 	}
-	if e.ElapsedMs > l.entries[fastest].ElapsedMs {
-		l.entries[fastest] = e
-	}
+	l.fastest = f
+	l.floor.Store(math.Float64bits(l.entries[f].ElapsedMs))
 }
 
 // Snapshot returns the retained entries, slowest first.

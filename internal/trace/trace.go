@@ -153,6 +153,10 @@ type Span struct {
 	open     bool
 	attrs    []Attr
 	children []*Span
+	// attrBuf is the first backing array of attrs for a span opened by
+	// Begin: no span the solvers record carries more than five
+	// attributes, so annotating one allocates nothing.
+	attrBuf [5]Attr
 }
 
 // Trace is the per-query trace: a root span, the open-span stack (one
@@ -204,6 +208,7 @@ func (t *Trace) BeginAt(name string, start time.Time) *Span {
 	}
 	t.nspans++
 	s := &Span{t: t, parent: t.cur, name: name, start: start.Sub(t.start), open: true}
+	s.attrs = s.attrBuf[:0]
 	t.cur.children = append(t.cur.children, s)
 	t.cur = s
 	return s
@@ -294,6 +299,7 @@ func (g *Group) Begin(name string) *Span {
 	}
 	g.t.nspans++
 	s := &Span{t: g.t, parent: g.s, grp: g, name: name, start: time.Since(g.t.start), open: true}
+	s.attrs = s.attrBuf[:0]
 	g.s.children = append(g.s.children, s)
 	return s
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -286,6 +288,58 @@ func TestSlowLogKeepsSlowest(t *testing.T) {
 	}
 	if got[0].ElapsedMs != 10 || got[1].ElapsedMs != 9 || got[2].ElapsedMs != 8 {
 		t.Fatalf("kept %v, want the 3 slowest, slowest first", got)
+	}
+}
+
+// refSlowLog is the slow log's admission rule written as the rescan it
+// replaces: find the first entry of least elapsed time on every Observe.
+type refSlowLog struct {
+	cap     int
+	entries []Entry
+}
+
+func (l *refSlowLog) observe(e Entry) bool {
+	if len(l.entries) < l.cap {
+		l.entries = append(l.entries, e)
+		return true
+	}
+	fastest := 0
+	for i := 1; i < len(l.entries); i++ {
+		if l.entries[i].ElapsedMs < l.entries[fastest].ElapsedMs {
+			fastest = i
+		}
+	}
+	if e.ElapsedMs > l.entries[fastest].ElapsedMs {
+		l.entries[fastest] = e
+		return true
+	}
+	return false
+}
+
+// TestSlowLogMatchesRescan: over random sequences — elapsed times drawn
+// from a narrow range so ties are common — the log keeps the same
+// entries in the same slots as the rescanning rule, so Snapshot's order
+// (ties included) is the same, and Admits predicts every retention.
+func TestSlowLogMatchesRescan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		k := 1 + rng.Intn(20)
+		l, ref := NewSlowLog(k), &refSlowLog{cap: k}
+		for i := 0; i < 400; i++ {
+			e := Entry{Query: fmt.Sprintf("q%d", i), ElapsedMs: float64(rng.Intn(40)) / 4}
+			admits := l.Admits(e.ElapsedMs)
+			l.Observe(e)
+			if kept := ref.observe(e); kept != admits {
+				t.Fatalf("trial %d, entry %d (%v ms): Admits %v, rescan kept %v", trial, i, e.ElapsedMs, admits, kept)
+			}
+			if !reflect.DeepEqual(l.entries, ref.entries) {
+				t.Fatalf("trial %d, entry %d: retained %v, rescan retains %v", trial, i, l.entries, ref.entries)
+			}
+		}
+		want := (&SlowLog{entries: ref.entries}).Snapshot()
+		if got := l.Snapshot(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: snapshot %v, want %v", trial, got, want)
+		}
 	}
 }
 
