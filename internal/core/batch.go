@@ -7,6 +7,7 @@ import (
 
 	"coskq/internal/geo"
 	"coskq/internal/kwds"
+	"coskq/internal/trace"
 )
 
 // BatchItem is the outcome of one query in a batch execution.
@@ -51,8 +52,10 @@ func (e *Engine) SolveBatch(queries []Query, cost CostKind, method Method, worke
 // mid-batch, in-flight queries are interrupted (their items carry the
 // context error) and queued queries are marked with the context error
 // without being run, so the call returns promptly with partial results
-// rather than draining the whole batch.
+// rather than draining the whole batch. A trace ctx carries records
+// nothing: the items solve concurrently (untraced).
 func (e *Engine) SolveBatchCtx(ctx context.Context, queries []Query, cost CostKind, method Method, workers int) []BatchItem {
+	ctx = untraced(ctx)
 	out := make([]BatchItem, len(queries))
 	keywords := 0
 	for _, q := range queries {
@@ -76,6 +79,7 @@ func (e *Engine) SolveBatchCtx(ctx context.Context, queries []Query, cost CostKi
 // cache private to the batch — the queries whose words it knows, the
 // ones a caller resolving first would pass there.
 func SolveWordsBatch(ctx context.Context, sv Solver, queries []WordQuery, cost CostKind, method Method, workers int) []BatchAnswer {
+	ctx = untraced(ctx)
 	out := make([]BatchAnswer, len(queries))
 	solve := func(i int) (Answer, error) {
 		return sv.SolveWords(ctx, queries[i].Loc, queries[i].Words, cost, method)
@@ -104,6 +108,15 @@ func SolveWordsBatch(ctx context.Context, sv Solver, queries []WordQuery, cost C
 		out[i].Err = err
 	})
 	return out
+}
+
+// untraced returns ctx without the trace it may carry: a batch's items
+// solve concurrently, and a trace has one writer.
+func untraced(ctx context.Context) context.Context {
+	if trace.FromContext(ctx) == nil {
+		return ctx
+	}
+	return trace.NewContext(ctx, nil)
 }
 
 // runBatch is the one batch worker pool: it calls do(i, nil) for every i

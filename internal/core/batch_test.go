@@ -15,6 +15,7 @@ import (
 	"coskq/internal/geo"
 	"coskq/internal/kwds"
 	"coskq/internal/testutil"
+	"coskq/internal/trace"
 )
 
 // skewedBatch generates a production-shaped batch: most queries cluster
@@ -429,5 +430,36 @@ func TestSolveWordsBatchMatchesSolveBatch(t *testing.T) {
 				t.Fatalf("%s: empty item err = %v, want ErrNoKeywords", label, err)
 			}
 		}
+	}
+}
+
+// TestTracedBatchLeavesTraceAlone: a batch solved under a traced context
+// records nothing into the caller's trace — its items solve concurrently,
+// and a trace has one writer — and answers as an untraced batch does.
+// Under -race a worker writing the shared trace is a reported race.
+func TestTracedBatchLeavesTraceAlone(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	e := genEngine(rng, 400, 10, 3)
+	queries := skewedBatch(rng, 32, 10)
+	words := make([]WordQuery, len(queries))
+	for i, q := range queries {
+		words[i].Loc = q.Loc
+		for _, id := range q.Keywords {
+			words[i].Words = append(words[i].Words, e.DS.Vocab.Word(id))
+		}
+	}
+	want := e.SolveBatch(queries, MaxSum, OwnerExact, 4)
+	tr := trace.New("batch")
+	ctx := trace.NewContext(context.Background(), tr)
+	compareBatchItems(t, "SolveBatchCtx", e.SolveBatchCtx(ctx, queries, MaxSum, OwnerExact, 4), want)
+	got := SolveWordsBatch(ctx, e, words, MaxSum, OwnerExact, 4)
+	items := make([]BatchItem, len(got))
+	for i := range got {
+		items[i] = BatchItem{Result: got[i].Result, Err: got[i].Err}
+	}
+	compareBatchItems(t, "SolveWordsBatch", items, want)
+	tr.Finish()
+	if x := tr.Export(); len(x.Spans) != 0 || len(x.Prunes) != 0 {
+		t.Fatalf("batch items wrote the caller's trace: %d spans, prunes %v", len(x.Spans), x.Prunes)
 	}
 }

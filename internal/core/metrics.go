@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"coskq/internal/metrics"
@@ -44,7 +46,50 @@ type EngineMetrics struct {
 	sets     *metrics.Histogram
 
 	batchQueries *metrics.Counter
+
+	// The labeled series of the three families below, resolved from the
+	// registry at their first count (seriesCache).
+	byCostMethod seriesCache // coskq_queries_total{cost,method}, by costMethod
+	byError      seriesCache // coskq_query_errors_total{reason}, by errorReason
+	byDegrade    seriesCache // coskq_degraded_queries_total{reason}, by degradeReasons
 }
+
+// seriesCache holds the handles of one labeled counter family, indexed
+// by label value. A handle is resolved — its name formatted, the
+// registry locked — at its series' first count and loaded atomically
+// after that, so no series is exposed before its first count. An index
+// outside the cache (a label outside the fixed vocabulary) is looked up
+// on every count.
+type seriesCache []atomic.Pointer[metrics.Counter]
+
+// inc counts one on series i of the family, naming it with name.
+func (c seriesCache) inc(reg *metrics.Registry, i int, name func() string) {
+	if i < 0 || i >= len(c) {
+		reg.Counter(name()).Inc()
+		return
+	}
+	h := c[i].Load()
+	if h == nil {
+		h = reg.Counter(name())
+		c[i].Store(h)
+	}
+	h.Inc()
+}
+
+// The (cost, method) index spans every CostKind and every Method.
+const numCosts, numMethods = int(SumMax) + 1, int(PairsExact) + 1
+
+// costMethod indexes a (cost, method) pair in byCostMethod; -1 when
+// either is outside its enumeration.
+func costMethod(cost CostKind, method Method) int {
+	if cost < 0 || int(cost) >= numCosts || method < 0 || int(method) >= numMethods {
+		return -1
+	}
+	return int(cost)*numMethods + int(method)
+}
+
+// degradeReasons is the vocabulary byDegrade is indexed by.
+var degradeReasons = [...]DegradeReason{DegradeReasonBudget, DegradeReasonDeadline, DegradeReasonCancelled, DegradeReasonShard}
 
 // NewEngineMetrics returns a sink recording into reg (nil for a fresh
 // private registry). Sharing one registry between the engine sink and the
@@ -65,6 +110,10 @@ func NewEngineMetrics(reg *metrics.Registry) *EngineMetrics {
 		sets:     reg.Histogram("coskq_query_sets_evaluated", effortBuckets),
 
 		batchQueries: reg.Counter("coskq_batch_queries_total"),
+
+		byCostMethod: make(seriesCache, numCosts*numMethods),
+		byError:      make(seriesCache, len(errorReasons)),
+		byDegrade:    make(seriesCache, len(degradeReasons)),
 	}
 }
 
@@ -88,21 +137,24 @@ func (m *EngineMetrics) DegradedTotal() uint64 { return m.degraded.Value() }
 // still reads it.
 func (m *EngineMetrics) BatchWarmStarts() uint64 { return 0 }
 
-// errorReason maps an execution error to a bounded label vocabulary.
-func errorReason(err error) string {
+// errorReasons is the bounded label vocabulary of execution errors.
+var errorReasons = [...]string{"infeasible", "budget", "unsupported", "deadline", "cancelled", "other"}
+
+// errorReason maps an execution error to its index in errorReasons.
+func errorReason(err error) int {
 	switch {
 	case errors.Is(err, ErrInfeasible):
-		return "infeasible"
+		return 0
 	case errors.Is(err, ErrBudgetExceeded):
-		return "budget"
+		return 1
 	case errors.Is(err, ErrUnsupported), errors.Is(err, ErrTooManyKeywords):
-		return "unsupported"
+		return 2
 	case errors.Is(err, context.DeadlineExceeded):
-		return "deadline"
+		return 3
 	case errors.Is(err, context.Canceled):
-		return "cancelled"
+		return 4
 	default:
-		return "other"
+		return 5
 	}
 }
 
@@ -113,7 +165,9 @@ func errorReason(err error) string {
 // answers additionally feed coskq_degraded_queries_total, by reason.
 func (m *EngineMetrics) recordSolve(cost CostKind, method Method, res Result, err error, elapsed time.Duration) {
 	m.queries.Inc()
-	m.reg.Counter(fmt.Sprintf("coskq_queries_total{cost=%q,method=%q}", cost.String(), method.String())).Inc()
+	m.byCostMethod.inc(m.reg, costMethod(cost, method), func() string {
+		return fmt.Sprintf("coskq_queries_total{cost=%q,method=%q}", cost.String(), method.String())
+	})
 	m.latency.Observe(elapsed.Seconds())
 	m.owners.Observe(float64(res.Stats.OwnersTried))
 	m.nodes.Observe(float64(res.Stats.NodesExpanded))
@@ -121,11 +175,17 @@ func (m *EngineMetrics) recordSolve(cost CostKind, method Method, res Result, er
 	m.sets.Observe(float64(res.Stats.SetsEvaluated))
 	if err != nil {
 		m.errs.Inc()
-		m.reg.Counter(fmt.Sprintf("coskq_query_errors_total{reason=%q}", errorReason(err))).Inc()
+		r := errorReason(err)
+		m.byError.inc(m.reg, r, func() string {
+			return fmt.Sprintf("coskq_query_errors_total{reason=%q}", errorReasons[r])
+		})
 		return
 	}
 	if res.Degraded {
 		m.degraded.Inc()
-		m.reg.Counter(fmt.Sprintf("coskq_degraded_queries_total{reason=%q}", res.Stats.DegradeReason)).Inc()
+		r := res.Stats.DegradeReason
+		m.byDegrade.inc(m.reg, slices.Index(degradeReasons[:], r), func() string {
+			return fmt.Sprintf("coskq_degraded_queries_total{reason=%q}", r)
+		})
 	}
 }

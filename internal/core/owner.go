@@ -199,15 +199,23 @@ type ownerEnum struct {
 	maximal []kwds.Mask
 }
 
-// owners opens the enumeration for q (and the "owner_loop" span),
-// emptying s.own's pool and bits. The caller calls finish once the loop
-// is done.
+// owners opens the enumeration for q and its "owner_loop" span. The
+// caller calls finish once the loop is done.
 func (s *search) owners(q Query, qi *kwds.QueryIndex, cost costFn, df float64, exact bool, stats *Stats) ownerEnum {
+	loop := s.tr.Begin("owner_loop")
+	en := s.ownerStream(q, qi, cost, df, exact, stats)
+	en.loop = loop
+	return en
+}
+
+// ownerStream opens the enumeration for q without a span, emptying
+// s.own's pool and bits: pairsExact only drains it, inside a span of its
+// own.
+func (s *search) ownerStream(q Query, qi *kwds.QueryIndex, cost costFn, df float64, exact bool, stats *Stats) ownerEnum {
 	s.own.pool = s.own.pool[:0]
 	s.own.ensureBits(qi.Size())
 	en := ownerEnum{
 		s: s, qi: qi, cost: cost, df: df, stats: stats, exact: exact,
-		loop:  s.tr.Begin("owner_loop"),
 		start: time.Now(),
 		it:    s.src.relevant(q.Loc, qi),
 	}

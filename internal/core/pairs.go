@@ -47,9 +47,8 @@ func (s *search) pairsExact(q Query, cost CostKind) (Result, error) {
 	// its set) — the candidate stream drained to the incumbent, which is
 	// this span's whole content.
 	matSp := s.tr.Begin("materialize")
-	en := s.owners(q, qi, fn, df, false, &stats)
+	en := s.ownerStream(q, qi, fn, df, false, &stats)
 	en.drain(curCost)
-	en.loop.Drop()
 	cands := s.own.pool
 	stats.Phases.Materialize = time.Since(en.start)
 	if matSp != nil {

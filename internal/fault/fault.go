@@ -11,10 +11,6 @@
 // rules, and per-point hit sequence observe identical fault schedules.
 // Concurrency can reorder which goroutine observes a firing, but the
 // set of firing ordinals per point is fixed.
-//
-// Building with -tags coskq_nofault compiles every injection point down
-// to a no-op (Compiled reports false) for deployments that want the
-// call sites physically inert.
 package fault
 
 import (
@@ -154,7 +150,7 @@ func Disarm() {
 
 // Armed reports whether a schedule is currently installed.
 func Armed() bool {
-	return Compiled && active.Load() != nil
+	return active.Load() != nil
 }
 
 // Hits returns the total number of times point has been hit under the
@@ -176,11 +172,8 @@ func Hits(p Point) uint64 {
 
 // Hit records one pass through injection point p and fires any due
 // rules. With no schedule armed (the production state) it is one atomic
-// load; compiled out entirely under -tags coskq_nofault.
+// load.
 func Hit(p Point) {
-	if !Compiled {
-		return
-	}
 	s := active.Load()
 	if s == nil {
 		return

@@ -378,39 +378,3 @@ func TestServerNodeBudgetFromDeadline(t *testing.T) {
 		wantBudget(t, it.Degraded, it.Reason, len(it.Objects))
 	})
 }
-
-// TestTimeoutMiddlewareClientDisconnect: a dropped connection is
-// distinguished from a deadline — 503 in the access log path, not the
-// deadline's 504 — still via the JSON envelope.
-func TestTimeoutMiddlewareClientDisconnect(t *testing.T) {
-	entered := make(chan struct{})
-	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		close(entered)
-		<-r.Context().Done()
-	})
-	rec := httptest.NewRecorder()
-	ctx, cancel := context.WithCancel(context.Background())
-	req := httptest.NewRequest(http.MethodGet, "/query", nil).WithContext(ctx)
-	done := make(chan struct{})
-	go func() {
-		timeoutMiddleware(time.Hour, slow).ServeHTTP(rec, req)
-		close(done)
-	}()
-	<-entered
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("middleware did not return after client disconnect")
-	}
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503 for client disconnect", rec.Code)
-	}
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("content type %q, want the JSON envelope", ct)
-	}
-	var body map[string]string
-	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || !strings.Contains(body["error"], "disconnected") {
-		t.Fatalf("body %q, want a disconnect JSON error", rec.Body.String())
-	}
-}

@@ -213,9 +213,6 @@ func TestBatchEndpointGet(t *testing.T) {
 // pinned once by it, even after a write publishes the next one, and
 // items solved after the write answer as the generation they started on.
 func TestLiveBatchPinsOneGeneration(t *testing.T) {
-	if !fault.Compiled {
-		t.Skip("the latency rule that holds the batch open is compiled out")
-	}
 	testutil.CheckGoroutineLeaks(t)
 	srv, st := liveServer(t, epoch.Options{})
 	var before queryResponse

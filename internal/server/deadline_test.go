@@ -47,12 +47,26 @@ func TestDeadlineDecidedAtCommit(t *testing.T) {
 		status     int              // the status sent (logged and counted)
 		header     string           // a response header that must be present ("" = none)
 		body       string           // the exact body, or "" for the JSON error envelope
+		says       string           // what the envelope's error must say ("" = anything)
 		absent     string           // what must not reach the client
+		logs       string           // what the server log must hold besides the access line
 	}{
 		{
 			name:   "solve observes the deadline",
 			path:   "/query?x=0&y=0&kw=cafe",
 			status: http.StatusGatewayTimeout,
+		},
+		{
+			name: "fast handler passes through",
+			path: "/test/fast",
+			handler: func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("X-Fast", "yes")
+				w.WriteHeader(http.StatusTeapot)
+				io.WriteString(w, "brewing")
+			},
+			status: http.StatusTeapot,
+			header: "X-Fast",
+			body:   "brewing",
 		},
 		{
 			name: "committed before the deadline",
@@ -78,6 +92,7 @@ func TestDeadlineDecidedAtCommit(t *testing.T) {
 				io.WriteString(w, "late answer")
 			},
 			status: http.StatusGatewayTimeout,
+			says:   "server timeout",
 			absent: "late answer",
 		},
 		{
@@ -88,6 +103,7 @@ func TestDeadlineDecidedAtCommit(t *testing.T) {
 			},
 			disconnect: true,
 			status:     http.StatusServiceUnavailable,
+			says:       "disconnected",
 		},
 		{
 			name: "handler panics",
@@ -96,6 +112,7 @@ func TestDeadlineDecidedAtCommit(t *testing.T) {
 				panic("boom")
 			},
 			status: http.StatusInternalServerError,
+			logs:   "panic=boom",
 		},
 		{
 			name: "handler panics after committing",
@@ -191,9 +208,12 @@ func TestDeadlineDecidedAtCommit(t *testing.T) {
 					t.Errorf("content type %q, want the JSON envelope", ct)
 				}
 				var env map[string]string
-				if err := json.Unmarshal([]byte(body), &env); err != nil || env["error"] == "" {
-					t.Errorf("body %q, want a JSON error", body)
+				if err := json.Unmarshal([]byte(body), &env); err != nil || env["error"] == "" || !strings.Contains(env["error"], tc.says) {
+					t.Errorf("body %q, want a JSON error saying %q", body, tc.says)
 				}
+			}
+			if !strings.Contains(logged.String(), tc.logs) {
+				t.Errorf("server log %q missing %q", logged.String(), tc.logs)
 			}
 			if tc.absent != "" && strings.Contains(body, tc.absent) {
 				t.Errorf("body %q carries the handler's bytes %q", body, tc.absent)

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"coskq/internal/core"
 	"coskq/internal/dataset"
 	"coskq/internal/geo"
+	"coskq/internal/shard"
 	"coskq/internal/trace"
 )
 
@@ -176,5 +178,45 @@ func TestSlowLogDisabled(t *testing.T) {
 	getJSON(t, srv.URL+"/query?x=0&y=0&kw=cafe,museum&explain=1", http.StatusOK, &got)
 	if got.Trace == nil {
 		t.Fatal("explain=1 returned no trace with slowlog disabled")
+	}
+}
+
+// TestCoordinatorExplainShardOrder: a coordinator over in-process shards
+// at full fan-out explains every query with the RPC spans of each
+// scatter phase in shard order, however the calls were scheduled — the
+// query's goroutine grafts them once all have returned.
+func TestCoordinatorExplainShardOrder(t *testing.T) {
+	_, all := districts()
+	rt, err := shard.NewLocalRouter(all, 3, shard.Grid(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewScatterGather(rt, Options{}))
+	t.Cleanup(srv.Close)
+	for i := 0; i < 20; i++ {
+		var got queryResponse
+		getJSON(t, srv.URL+"/query?x=50&y=30&kw=cafe,museum,park&explain=1", http.StatusOK, &got)
+		if got.Trace == nil {
+			t.Fatal("explain=1 returned no trace")
+		}
+		for _, phase := range []string{"nn", "collect"} {
+			var names []string
+			for _, sp := range got.Trace.Spans {
+				if sp.Name == "shard_"+phase {
+					for _, c := range sp.Children {
+						names = append(names, c.Name)
+					}
+				}
+			}
+			var want []string
+			for _, b := range rt.Backends {
+				if slices.Contains(names, phase+":"+b.Name()) {
+					want = append(want, phase+":"+b.Name())
+				}
+			}
+			if len(names) < 2 || !slices.Equal(names, want) {
+				t.Fatalf("query %d: shard_%s RPC spans %v, want at least two in shard order %v", i, phase, names, want)
+			}
+		}
 	}
 }

@@ -273,7 +273,7 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Request-Id", id)
 	rw, r, cancel := serveUnder(trace.ContextWithRequestID(r.Context(), id), w, r, start, s.timeout)
 	defer cancel()
-	abort := s.serveRecovering(rw, r, s.mux)
+	abort := s.serveRecovering(rw, r)
 	rw.finish()
 	elapsed := time.Since(start)
 	status := rw.sent()
@@ -522,24 +522,13 @@ func (b *deadlineBody) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// recoverMiddleware converts handler panics into a JSON 500 instead of
-// tearing down the connection (serveRecovering); ServeHTTP runs the same
-// recovery inline.
-func (s *server) recoverMiddleware(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.serveRecovering(w, r, next) {
-			panic(http.ErrAbortHandler)
-		}
-	})
-}
-
-// serveRecovering serves r with next, converting a panic into a logged
-// JSON 500 and preserving http.ErrAbortHandler's contract. A response
-// already committed cannot become a 500: serveRecovering records the
-// 500 and reports abort, and the caller aborts the connection
-// (http.ErrAbortHandler) so the client sees a broken response, not the
-// envelope appended to the handler's bytes.
-func (s *server) serveRecovering(w http.ResponseWriter, r *http.Request, next http.Handler) (abort bool) {
+// serveRecovering serves r with the route mux, converting a panic into
+// a logged JSON 500 and preserving http.ErrAbortHandler's contract. A
+// response already committed cannot become a 500: serveRecovering
+// records the 500 and reports abort, and the caller aborts the
+// connection (http.ErrAbortHandler) so the client sees a broken
+// response, not the envelope appended to the handler's bytes.
+func (s *server) serveRecovering(w *responseWriter, r *http.Request) (abort bool) {
 	defer func() {
 		p := recover()
 		if p == nil {
@@ -556,32 +545,19 @@ func (s *server) serveRecovering(w http.ResponseWriter, r *http.Request, next ht
 				"panic", fmt.Sprint(p),
 				"stack", string(debug.Stack()))
 		}
-		if rw, ok := w.(*responseWriter); ok && rw.status != 0 {
+		if w.status != 0 {
 			// A dropped response already sent the deadline's error
 			// whole; the handler's panic changes nothing the client sees.
-			if !rw.dropped {
-				rw.status = http.StatusInternalServerError
+			if !w.dropped {
+				w.status = http.StatusInternalServerError
 				abort = true
 			}
 			return
 		}
 		jsonError(w, http.StatusInternalServerError, "internal server error")
 	}()
-	next.ServeHTTP(w, r)
+	s.mux.ServeHTTP(w, r)
 	return false
-}
-
-// timeoutMiddleware runs next under a deadline of d on its own, with
-// ServeHTTP's deadline rule (serveUnder): next runs on the calling
-// goroutine, so a panic reaches the caller, and a cancellation-aware
-// next unwinds at the deadline.
-func timeoutMiddleware(d time.Duration, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rw, r, cancel := serveUnder(r.Context(), w, r, time.Now(), d)
-		defer cancel()
-		next.ServeHTTP(rw, r)
-		rw.finish()
-	})
 }
 
 // jsonError writes a JSON error body with the given status.

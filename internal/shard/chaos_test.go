@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"coskq/internal/geo"
 	"coskq/internal/kwds"
 	"coskq/internal/testutil"
+	"coskq/internal/trace"
 )
 
 // quadrantDataset puts one tight cluster in each quadrant of [0,1000]².
@@ -170,8 +172,9 @@ func TestChaosStrictPolicyFailsDeterministically(t *testing.T) {
 
 // TestChaosSlowShardTimesOutWithoutLeaking: an injected 100ms stall
 // against a 5ms per-shard deadline turns the slow shard into a failed
-// one; the abandoned call drains into its buffered channel and exits
-// (the leak check would catch it otherwise).
+// one; the call runs on the scattering goroutine and its backend returns
+// the expired context's error, so no goroutine outlives the query (the
+// leak check would catch it otherwise).
 func TestChaosSlowShardTimesOutWithoutLeaking(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	r, eng, q := chaosRouter(t, core.DegradeIncumbent)
@@ -190,6 +193,56 @@ func TestChaosSlowShardTimesOutWithoutLeaking(t *testing.T) {
 	}
 	if !eng.Feasible(q, res.Set) {
 		t.Fatalf("degraded set %v infeasible", res.Set)
+	}
+}
+
+// TestTracedShardTimeoutKeepsOneWriter: a traced route whose stalled
+// shard call runs into its 5ms deadline still yields one whole trace —
+// every alive shard's RPC span in shard order under its phase span, none
+// left open — because the call has returned before the router grafts
+// its private trace. Under -race a call still writing its trace after
+// the graft is a reported race.
+func TestTracedShardTimeoutKeepsOneWriter(t *testing.T) {
+	testutil.CheckGoroutineLeaks(t)
+	r, _, q := chaosRouter(t, core.DegradeIncumbent)
+	r.ShardTimeout = 5 * time.Millisecond
+	defer fault.Arm(3, fault.Rule{
+		Point: fault.ShardFanout, Kind: fault.KindLatency,
+		Latency: 30 * time.Millisecond,
+		After:   1, Every: 1, Count: 1, // stall exactly the second shard call
+	})()
+	tr := trace.New("query")
+	res, err := r.SolveCtx(trace.NewContext(context.Background(), tr), q, core.MaxSum, core.OwnerExact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.DegradeReason != core.DegradeReasonShard {
+		t.Fatalf("want a shard-degraded answer, got reason %q", res.Stats.DegradeReason)
+	}
+	tr.Finish()
+	x := tr.Export()
+	if x.UnclosedSpans != 0 {
+		t.Fatalf("%d spans left open", x.UnclosedSpans)
+	}
+	phases := map[string]*trace.SpanExport{}
+	for _, sp := range x.Spans {
+		phases[sp.Name] = sp
+	}
+	for _, phase := range []string{"nn", "collect"} {
+		var want, got []string
+		for i, b := range r.Backends {
+			if phase == "nn" || i != 1 { // the timed-out nn call drops shard 1 from collect
+				want = append(want, phase+":"+b.Name())
+			}
+		}
+		if sp := phases["shard_"+phase]; sp != nil {
+			for _, c := range sp.Children {
+				got = append(got, c.Name)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("shard_%s RPC spans %v, want %v", phase, got, want)
+		}
 	}
 }
 

@@ -12,6 +12,8 @@ import (
 	"testing"
 
 	"coskq/internal/core"
+	"coskq/internal/dataset"
+	"coskq/internal/geo"
 	"coskq/internal/kwds"
 )
 
@@ -159,5 +161,40 @@ func TestShardFailuresAreTyped(t *testing.T) {
 		check("SolveCtx", err)
 		_, err = router().RouteWords(context.Background(), q.Loc, words, core.MaxSum, core.OwnerExact)
 		check("RouteWords", err)
+	}
+}
+
+// doneAfter is a context whose Err turns context.Canceled at its n-th
+// call: a deadline that expires while a call is scanning.
+type doneAfter struct {
+	context.Context
+	n int
+}
+
+func (c *doneAfter) Err() error {
+	if c.n--; c.n <= 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestEngineBackendHonoursContext: NN and Collect return the context's
+// error when it is done on entry, and when it ends mid-scan — the
+// contract the router's ShardTimeout rests on, since a call runs on the
+// goroutine that scatters it.
+func TestEngineBackendHonoursContext(t *testing.T) {
+	b := dataset.NewBuilder("wide")
+	for i := 0; i < 4*(cancelPollMask+1); i++ {
+		b.Add(geo.Point{X: float64(i % 64), Y: float64(i / 64)}, "cafe")
+	}
+	eb := NewEngineBackend("wide", Shard{DS: b.Build()})
+	q := ShardQuery{Loc: geo.Point{}, Words: []string{"cafe"}}
+	for _, n := range []int{1, 2} { // done on entry; done at the first poll mid-scan
+		if _, err := eb.NN(&doneAfter{context.Background(), n}, q); !errors.Is(err, context.Canceled) {
+			t.Errorf("NN under a context done at Err call %d: err %v, want context.Canceled", n, err)
+		}
+		if _, err := eb.Collect(&doneAfter{context.Background(), n}, q, 1e9); !errors.Is(err, context.Canceled) {
+			t.Errorf("Collect under a context done at Err call %d: err %v, want context.Canceled", n, err)
+		}
 	}
 }

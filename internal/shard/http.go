@@ -6,6 +6,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"time"
 
 	"coskq/internal/client"
 	"coskq/internal/dataset"
@@ -113,9 +114,11 @@ func wireValues(q ShardQuery) url.Values {
 }
 
 // attachFragment validates a shard's trace fragment and grafts it into
-// the call's local trace. A fragment that fails validation — malformed
-// JSON, oversized, hostile times — is dropped and counted on the trace;
-// telemetry must never fail the data-plane call that carried it.
+// the call's trace. A fragment that fails validation — malformed JSON,
+// oversized, hostile times — is dropped and counted on the trace;
+// telemetry must never fail the data-plane call that carried it. The
+// fragment's root is the shard server's handler, which ended about now:
+// it is grafted by its own duration, so no remote clock enters the tree.
 func attachFragment(ctx context.Context, raw json.RawMessage) {
 	tr := trace.FromContext(ctx)
 	if tr == nil || len(raw) == 0 {
@@ -126,7 +129,8 @@ func attachFragment(ctx context.Context, raw json.RawMessage) {
 		tr.DropFragment()
 		return
 	}
-	tr.AttachFragment(x)
+	d := time.Duration(max(x.DurUs, 0) * float64(time.Microsecond))
+	tr.Graft(x.Name, time.Now().Add(-d), d, x)
 }
 
 // FetchMetrics implements MetricsFetcher: the peer's /metrics page for

@@ -235,7 +235,14 @@ type Router struct {
 
 	mu     sync.Mutex
 	metas  []Meta
+	spans  []callSpans   // per shard ordinal
 	series []shardSeries // per shard ordinal; nil when unmetered
+}
+
+// callSpans holds one shard's per-call span names, "nn:<shard>" and
+// "collect:<shard>", built once by Init.
+type callSpans struct {
+	nn, collect string
 }
 
 // Init fetches every shard's routing summary. Routing calls it lazily;
@@ -263,6 +270,10 @@ func (r *Router) Init(ctx context.Context) error {
 		}
 		metas[i] = m
 	}
+	r.spans = make([]callSpans, len(r.Backends))
+	for i, b := range r.Backends {
+		r.spans[i] = callSpans{nn: "nn:" + b.Name(), collect: "collect:" + b.Name()}
+	}
 	if r.Metrics != nil {
 		r.series = make([]shardSeries, len(r.Backends))
 		for i, b := range r.Backends {
@@ -283,6 +294,14 @@ func (r *Router) phaseSeries(ord int, phase string) *phaseSeries {
 		return &r.series[ord].nn
 	}
 	return &r.series[ord].collect
+}
+
+// spanName returns the name of one shard call's RPC span.
+func (r *Router) spanName(ord int, phase string) string {
+	if phase == "nn" {
+		return r.spans[ord].nn
+	}
+	return r.spans[ord].collect
 }
 
 // Solve mirrors core.Engine.Solve over the shard fleet.
@@ -342,54 +361,46 @@ func dedupeWords(words []string) []string {
 // ids, so the shard ordinal is part of the identity.
 func sameObject(a, b Candidate) bool { return a.GID == b.GID && a.Shard == b.Shard }
 
-// callShard runs one shard call under the fault injection point, the
-// per-shard timeout, and a panic shield. The router models the process
-// boundary of a distributed deployment: any panic out of a backend —
-// including injected fault.Crash — is converted into a failed call, so
-// one crashing shard can degrade a query but never tear down the
-// router or produce a torn merge.
-func (r *Router) callShard(ctx context.Context, ord int, phase string, fn func(context.Context) error) error {
+// callShard runs one shard call on the calling goroutine, under the
+// fault injection point, the per-shard timeout, and a panic shield. A
+// backend honours its context (the Backend contract), so the timeout
+// ends the call and no call outlives the scatter that made it. The
+// router models the process boundary of a distributed deployment: any
+// panic out of a backend — including injected fault.Crash — is
+// converted into a failed call, so one crashing shard can degrade a
+// query but never tear down the router or produce a torn merge.
+func (r *Router) callShard(ctx context.Context, ord int, phase string, fn func(context.Context) error) (err error) {
 	ps := r.phaseSeries(ord, phase)
 	ps.call()
-	cctx := ctx
-	var cancel context.CancelFunc
 	if r.ShardTimeout > 0 {
-		cctx, cancel = context.WithTimeout(ctx, r.ShardTimeout)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, r.ShardTimeout)
 		defer cancel()
 	}
-	run := func() (err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				if e, ok := p.(error); ok {
-					err = e
-				} else {
-					err = fmt.Errorf("shard panic: %v", p)
-				}
+	defer func() {
+		if p := recover(); p != nil {
+			if e, ok := p.(error); ok {
+				err = e
+			} else {
+				err = fmt.Errorf("shard panic: %v", p)
 			}
-		}()
-		fault.Hit(fault.ShardFanout)
-		return fn(cctx)
-	}
-	var err error
-	if cctx.Done() == nil {
-		err = run()
-	} else {
-		// The body may not be context-aware (in-process index walks are
-		// not), so enforce the deadline from outside: the abandoned call
-		// finishes into a buffered channel and its goroutine exits.
-		done := make(chan error, 1)
-		go func() { done <- run() }()
-		select {
-		case err = <-done:
-		case <-cctx.Done():
-			err = cctx.Err()
 		}
-	}
-	if err != nil {
-		ps.failure()
-		return &ShardError{Name: r.Backends[ord].Name(), Shard: ord, Phase: phase, Err: err}
-	}
-	return nil
+		if err != nil {
+			ps.failure()
+			err = &ShardError{Name: r.Backends[ord].Name(), Shard: ord, Phase: phase, Err: err}
+		}
+	}()
+	fault.Hit(fault.ShardFanout)
+	return fn(ctx)
+}
+
+// shardCall is what one scatter worker fills in: the call's outcome, its
+// timing and, when the coordinator is tracing, the call's private trace.
+type shardCall struct {
+	err     error
+	start   time.Time
+	elapsed time.Duration
+	tr      *trace.Trace
 }
 
 // scatter fans call out over the given shard ordinals, bounded by
@@ -398,56 +409,32 @@ func (r *Router) callShard(ctx context.Context, ord int, phase string, fn func(c
 // slice is indexed by shard ordinal; the call records follow the shards
 // argument's order.
 //
-// When the coordinator is tracing, each call gets a *private* trace in
-// its context (the coordinator's trace is single-goroutine, the workers
-// are not): in-process backends instrument into it directly, HTTP
-// backends graft the shard server's validated fragment into it, and
-// after the call returns its export is stitched under the per-shard RPC
-// span via the group-lock-aware Span.Graft. The call also carries a
-// child span context, so remote shards see a W3C-style traceparent and
-// tag their fragments with the coordinator's trace id.
-func (r *Router) scatter(ctx context.Context, phase string, grp *trace.Group, shards []int, call func(context.Context, int) error) ([]error, []trace.ShardCall) {
-	errs := make([]error, len(r.Backends))
-	recs := make([]trace.ShardCall, len(r.Backends))
+// A trace has one writer. When the coordinator is tracing, each call
+// records into a private trace in its context: in-process backends
+// instrument into it directly, and HTTP backends graft the shard
+// server's validated fragment into it. The call also carries a child
+// span context, so remote shards see a W3C-style traceparent and tag
+// their fragments with the coordinator's trace id. Once every call has
+// returned, the calling goroutine grafts each call's trace, in shard
+// order, as the per-shard RPC span under the innermost open span — the
+// phase span its caller opened.
+func (r *Router) scatter(ctx context.Context, phase string, shards []int, call func(context.Context, int) error) ([]error, []trace.ShardCall) {
 	tr := trace.FromContext(ctx)
 	sc, _ := trace.SpanContextFromContext(ctx)
+	calls := make([]shardCall, len(r.Backends))
 	one := func(ord int) {
-		name := r.Backends[ord].Name()
+		c := &calls[ord]
 		cctx := ctx
-		var local *trace.Trace
-		var sp *trace.Span
 		if tr != nil {
-			sp = grp.Begin(fmt.Sprintf("%s:%s", phase, name))
-			local = trace.New(phase)
-			cctx = trace.NewContext(ctx, local)
+			c.tr = trace.New(phase)
+			cctx = trace.NewContext(ctx, c.tr)
 			if sc.Valid() {
 				cctx = trace.ContextWithSpanContext(cctx, sc.Child())
 			}
 		}
-		start := time.Now()
-		errs[ord] = r.callShard(cctx, ord, phase, func(c context.Context) error { return call(c, ord) })
-		elapsed := time.Since(start)
-		r.phaseSeries(ord, phase).rpc(elapsed.Seconds(), errs[ord] != nil)
-		rec := trace.ShardCall{Shard: name, Phase: phase, ElapsedMs: float64(elapsed.Nanoseconds()) / 1e6}
-		if errs[ord] != nil {
-			rec.Err = errs[ord].Error()
-		}
-		if tr != nil {
-			local.Finish()
-			x := local.Export()
-			// The local trace's root is scaffolding; its children — the
-			// backend's own spans, or the remote fragment — belong directly
-			// under the per-shard RPC span.
-			sp.Graft(x)
-			rec.Spans = x.SpanCount() - 1
-			for _, v := range x.Prunes {
-				rec.Prunes += v
-			}
-			r.Metrics.fragmentDrops(name, x.DroppedFragments)
-			r.Metrics.rpcPrunes(name, rec.Prunes)
-		}
-		sp.End()
-		recs[ord] = rec
+		c.start = time.Now()
+		c.err = r.callShard(cctx, ord, phase, func(ctx context.Context) error { return call(ctx, ord) })
+		c.elapsed = time.Since(c.start)
 	}
 	fanout := r.fanout
 	if fanout <= 0 || fanout > len(shards) {
@@ -471,11 +458,34 @@ func (r *Router) scatter(ctx context.Context, phase string, grp *trace.Group, sh
 		}
 		wg.Wait()
 	}
-	calls := make([]trace.ShardCall, 0, len(shards))
+	errs := make([]error, len(r.Backends))
+	recs := make([]trace.ShardCall, 0, len(shards))
 	for _, ord := range shards {
-		calls = append(calls, recs[ord])
+		c := &calls[ord]
+		name := r.Backends[ord].Name()
+		errs[ord] = c.err
+		r.phaseSeries(ord, phase).rpc(c.elapsed.Seconds(), c.err != nil)
+		rec := trace.ShardCall{Shard: name, Phase: phase, ElapsedMs: float64(c.elapsed.Nanoseconds()) / 1e6}
+		if c.err != nil {
+			rec.Err = c.err.Error()
+		}
+		if c.tr != nil {
+			c.tr.Finish()
+			// The call trace's root is scaffolding; its children — the
+			// backend's own spans, or the remote fragment — belong directly
+			// under the per-shard RPC span.
+			x := c.tr.Export()
+			tr.Graft(r.spanName(ord, phase), c.start, c.elapsed, x)
+			rec.Spans = x.SpanCount() - 1
+			for _, v := range x.Prunes {
+				rec.Prunes += v
+			}
+			r.Metrics.fragmentDrops(name, x.DroppedFragments)
+			r.Metrics.rpcPrunes(name, rec.Prunes)
+		}
+		recs = append(recs, rec)
 	}
-	return errs, calls
+	return errs, recs
 }
 
 // genRouteAttempts bounds how often a route torn by a mid-scatter
@@ -550,8 +560,8 @@ func (r *Router) routeOnce(ctx context.Context, loc geo.Point, words []string, c
 	// deterministic tie order the merge contract promises.
 	hits := make([][]NNHit, len(r.Backends))
 	nnGens := make([]uint64, len(r.Backends))
-	grp := tr.BeginGroup("shard_nn")
-	nnErrs, nnCalls := r.scatter(ctx, "nn", grp, alive, func(c context.Context, ord int) error {
+	sp := tr.Begin("shard_nn")
+	nnErrs, nnCalls := r.scatter(ctx, "nn", alive, func(c context.Context, ord int) error {
 		h, err := r.Backends[ord].NN(c, sq)
 		if err != nil {
 			return err
@@ -563,8 +573,8 @@ func (r *Router) routeOnce(ctx context.Context, loc geo.Point, words []string, c
 		nnGens[ord] = h.Gen
 		return nil
 	})
-	grp.Attr("shards", float64(len(alive)))
-	grp.End()
+	sp.Attr("shards", float64(len(alive)))
+	sp.End()
 	info.Calls = nnCalls
 
 	failed := make([]bool, len(r.Backends))
@@ -641,8 +651,8 @@ func (r *Router) routeOnce(ctx context.Context, loc geo.Point, words []string, c
 	// Phase 5: gather every relevant object inside the disk from the
 	// surviving shards.
 	collected := make([][]Candidate, len(r.Backends))
-	grp = tr.BeginGroup("shard_collect")
-	colErrs, colCalls := r.scatter(ctx, "collect", grp, keep, func(c context.Context, ord int) error {
+	sp = tr.Begin("shard_collect")
+	colErrs, colCalls := r.scatter(ctx, "collect", keep, func(c context.Context, ord int) error {
 		res, err := r.Backends[ord].Collect(c, sq, info.Radius)
 		if err != nil {
 			return err
@@ -653,9 +663,9 @@ func (r *Router) routeOnce(ctx context.Context, loc geo.Point, words []string, c
 		collected[ord] = res.Objects
 		return nil
 	})
-	grp.Attr("shards", float64(len(keep)))
-	grp.Attr("radius", info.Radius)
-	grp.End()
+	sp.Attr("shards", float64(len(keep)))
+	sp.Attr("radius", info.Radius)
+	sp.End()
 	info.Calls = append(info.Calls, colCalls...)
 
 	for _, ord := range keep {

@@ -225,11 +225,19 @@ type MetricsFetcher interface {
 // per-keyword nearest-neighbor probe, and a bounded relevant-object
 // gather. Implementations must be safe for concurrent calls.
 //
+// Every call honours ctx: once ctx is done it returns promptly with
+// ctx.Err() (EngineBackend polls it between postings, HTTPBackend's
+// client aborts the request). The router runs each call on the
+// goroutine that scatters it and enforces Router.ShardTimeout only
+// through ctx, so a backend that ignored ctx would hold the query past
+// its deadline.
+//
 // Backends observe the trace carried by ctx (trace.FromContext): a
 // traced call records its shard-local search anatomy into it — the
-// router hands each call a private trace and stitches the exports, so
-// concurrent backends never share one. With no trace in ctx the
-// instrumentation is nil-safe branch-only code that never allocates.
+// router hands each call a private trace and grafts the exports once
+// the calls have returned, so concurrent backends never share one. With
+// no trace in ctx the instrumentation is nil-safe branch-only code that
+// never allocates.
 type Backend interface {
 	// Name identifies the shard in errors and metrics labels.
 	Name() string
@@ -319,12 +327,21 @@ func checkWords(q ShardQuery) error {
 	return nil
 }
 
+// cancelPollMask downsamples the context checks of the posting scans:
+// NN and Collect poll ctx on entry and then once every cancelPollMask+1
+// postings, so a call ends within a few hundred distance tests of its
+// deadline.
+const cancelPollMask = 255
+
 // NN implements Backend with one scan of each known word's posting list:
 // a probe is textually selective and spatially unbounded, which is the
 // shape an inverted list serves with less work than a best-first IR-tree
 // descent. A static backend is always generation 0.
 func (b *EngineBackend) NN(ctx context.Context, q ShardQuery) (NNResult, error) {
 	if err := checkWords(q); err != nil {
+		return NNResult{}, err
+	}
+	if err := ctx.Err(); err != nil {
 		return NNResult{}, err
 	}
 	tr := trace.FromContext(ctx)
@@ -340,21 +357,26 @@ func (b *EngineBackend) NN(ctx context.Context, q ShardQuery) (NNResult, error) 
 			ids[i], known = kw, known|1<<uint(i)
 		}
 	}
-	found := 0
+	found, scanned := 0, 0
 	for i := range q.Words {
-		ps := tr.Begin("probe")
-		ps.Attr("kw", float64(i))
 		var post []dataset.ObjectID
 		if known&(1<<uint(i)) != 0 {
 			post = b.inv.Postings(ids[i])
 		}
 		if len(post) == 0 {
-			ps.Drop()
 			continue
 		}
+		ps := tr.Begin("probe")
+		ps.Attr("kw", float64(i))
 		// Postings ascend by id, so strict < keeps the lowest id on ties.
 		best, bestD := post[0], q.Loc.Dist(ds.Objects[post[0]].Loc)
 		for _, id := range post[1:] {
+			if scanned++; scanned&cancelPollMask == 0 {
+				if err := ctx.Err(); err != nil {
+					ps.End()
+					return NNResult{}, err
+				}
+			}
 			if d := q.Loc.Dist(ds.Objects[id].Loc); d < bestD {
 				best, bestD = id, d
 			}
@@ -391,6 +413,9 @@ func (b *EngineBackend) Collect(ctx context.Context, q ShardQuery, radius float6
 	if err := checkWords(q); err != nil {
 		return CollectResult{}, err
 	}
+	if err := ctx.Err(); err != nil {
+		return CollectResult{}, err
+	}
 	tr := trace.FromContext(ctx)
 	sp := tr.Begin("collect_scan")
 	defer sp.End()
@@ -398,12 +423,18 @@ func (b *EngineBackend) Collect(ctx context.Context, q ShardQuery, radius float6
 	ds := b.ds
 	disk := geo.Circle{C: q.Loc, R: radius}
 	in := make([]maskedID, 0, 64) // stays on the stack for the common small gather
+	scanned := 0
 	for i, w := range q.Words {
 		kw, ok := ds.Vocab.Lookup(w)
 		if !ok {
 			continue
 		}
 		for _, id := range b.inv.Postings(kw) {
+			if scanned++; scanned&cancelPollMask == 0 {
+				if err := ctx.Err(); err != nil {
+					return CollectResult{}, err
+				}
+			}
 			if disk.ContainsPoint(ds.Objects[id].Loc) {
 				in = append(in, maskedID{id: id, bit: 1 << uint(i)})
 			}

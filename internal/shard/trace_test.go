@@ -82,7 +82,7 @@ func TestEngineBackendTracedSpans(t *testing.T) {
 	if nn.Attrs["keywords"] != 2 || nn.Attrs["found"] != 1 {
 		t.Fatalf("nn_probes attrs = %v", nn.Attrs)
 	}
-	// The miss probe is Dropped; only the hit probe is retained.
+	// A probe span is opened for a word the shard holds: the hit probe.
 	if len(nn.Children) != 1 || nn.Children[0].Name != "probe" {
 		t.Fatalf("probe children = %+v", nn.Children)
 	}
@@ -111,7 +111,7 @@ func stitchFixture(t *testing.T, fanout int) (*Router, *metrics.Registry) {
 // TestRouterStitchedTrace: a traced RouteWords produces one tree with
 // the coordinator's phases and, under each per-shard RPC span, the
 // shard's own serve spans — the in-process half of the distributed
-// stitch (the HTTP half rides the identical Span.Graft path).
+// stitch (the HTTP half rides the identical Trace.Graft path).
 func TestRouterStitchedTrace(t *testing.T) {
 	for _, fanout := range []int{1, 0} { // serial and concurrent schedules
 		t.Run(fmt.Sprintf("fanout=%d", fanout), func(t *testing.T) {

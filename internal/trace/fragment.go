@@ -135,55 +135,24 @@ func (t *Trace) DroppedFragments() int {
 	return t.droppedFrags
 }
 
-// AttachFragment grafts a decoded fragment as one child span of the
-// innermost open span: the fragment's root becomes the child (carrying
-// the remote handler's duration and name) with the remote span tree
-// beneath it, re-based onto the current trace time. Prune counters and
-// span counts merge into the trace. Returns false — counting a dropped fragment —
-// when the retained-span budget cannot hold the fragment's root.
-//
-// Like Begin, AttachFragment is owner-goroutine-only; concurrent
-// stitching goes through Span.Graft, which takes the group lock.
-func (t *Trace) AttachFragment(x *Export) bool {
+// Graft attaches x as one closed child span of the innermost open span:
+// the span is named name, starts at start and lasts dur, and x's spans —
+// offsets from x's own trace start — hang beneath it, re-based onto
+// start, so remote wall clocks never enter the tree. x's prune counters
+// and span counts merge into the trace. When the retained-span budget
+// cannot hold the grafted span, Graft counts a dropped fragment instead.
+// Nil-safe; like Begin, it is for the trace's owner only.
+func (t *Trace) Graft(name string, start time.Time, dur time.Duration, x *Export) {
 	if t == nil {
-		return true
-	}
-	if x == nil {
-		t.DropFragment()
-		return false
-	}
-	base := time.Since(t.start) - durUs(x.DurUs)
-	if base < 0 {
-		base = 0
-	}
-	root := t.graftSpan(t.cur, nil, x.Name, base, durUs(x.DurUs), nil)
-	if root == nil {
-		t.droppedFrags++
-		return false
-	}
-	t.graftChildren(root, nil, x.Spans, base)
-	t.prunes.mergeMap(x.Prunes)
-	t.dropped += x.DroppedSpans
-	t.unclosed += x.UnclosedSpans
-	t.droppedFrags += x.DroppedFragments
-	return true
-}
-
-// Graft attaches a fragment's spans directly under s — the coordinator's
-// per-shard RPC span — re-based onto s's start, merging the fragment's
-// prune counters and span counts into s's trace. Safe for concurrent use
-// by scatter workers when s was created via Group.Begin (the group lock
-// serializes budget and counter updates); nil-safe on both receivers.
-func (s *Span) Graft(x *Export) {
-	if s == nil || x == nil {
 		return
 	}
-	if g := s.grp; g != nil {
-		g.mu.Lock()
-		defer g.mu.Unlock()
+	base := max(start.Sub(t.start), 0)
+	s := t.graftSpan(t.cur, name, base, max(dur, 0), nil)
+	if s == nil {
+		t.droppedFrags++
+		return
 	}
-	t := s.t
-	t.graftChildren(s, s.grp, x.Spans, s.start)
+	t.graftChildren(s, x.Spans, base)
 	t.prunes.mergeMap(x.Prunes)
 	t.dropped += x.DroppedSpans
 	t.unclosed += x.UnclosedSpans
@@ -192,24 +161,23 @@ func (s *Span) Graft(x *Export) {
 
 // graftSpan appends one closed span under parent, consuming one slot of
 // the retained-span budget; it returns nil (counting the drop) when the
-// budget is exhausted. Callers hold the group lock when grafting into a
-// group subtree.
-func (t *Trace) graftSpan(parent *Span, grp *Group, name string, start, dur time.Duration, attrs []Attr) *Span {
+// budget is exhausted.
+func (t *Trace) graftSpan(parent *Span, name string, start, dur time.Duration, attrs []Attr) *Span {
 	if t.nspans >= t.max {
 		t.dropped++
 		return nil
 	}
 	t.nspans++
-	s := &Span{t: t, parent: parent, grp: grp, name: name, start: start, dur: dur, attrs: attrs}
+	s := &Span{t: t, parent: parent, name: name, start: start, dur: dur, attrs: attrs}
 	parent.children = append(parent.children, s)
 	return s
 }
 
 // graftChildren converts exported spans into closed spans under parent,
 // offsetting their trace-relative starts by base.
-func (t *Trace) graftChildren(parent *Span, grp *Group, spans []*SpanExport, base time.Duration) {
+func (t *Trace) graftChildren(parent *Span, spans []*SpanExport, base time.Duration) {
 	for i, x := range spans {
-		s := t.graftSpan(parent, grp, x.Name, base+durUs(x.StartUs), durUs(x.DurUs), attrsOf(x.Attrs))
+		s := t.graftSpan(parent, x.Name, base+durUs(x.StartUs), durUs(x.DurUs), attrsOf(x.Attrs))
 		if s == nil {
 			// Budget exhausted: graftSpan counted the span it refused;
 			// count the rest of this level's subtree as dropped without
@@ -217,7 +185,7 @@ func (t *Trace) graftChildren(parent *Span, grp *Group, spans []*SpanExport, bas
 			t.dropped += countSpans(spans[i:]) - 1
 			return
 		}
-		t.graftChildren(s, grp, x.Children, base)
+		t.graftChildren(s, x.Children, base)
 	}
 }
 

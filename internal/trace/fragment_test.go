@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -32,7 +31,14 @@ func buildServeTrace() *Trace {
 	return tr
 }
 
-// TestFragmentRoundTrip: Export → JSON → DecodeFragment → AttachFragment
+// attach grafts a fragment the way a shard call does: as the handler
+// span that ended now and lasted the fragment's own duration.
+func attach(tr *Trace, x *Export) {
+	d := durUs(x.DurUs)
+	tr.Graft(x.Name, time.Now().Add(-d), d, x)
+}
+
+// TestFragmentRoundTrip: Export → JSON → DecodeFragment → Graft
 // reproduces the remote span tree under the local trace, re-based and
 // with prune counters merged — the full wire path of one shard call.
 func TestFragmentRoundTrip(t *testing.T) {
@@ -50,9 +56,7 @@ func TestFragmentRoundTrip(t *testing.T) {
 	}
 
 	local := New("rpc")
-	if !local.AttachFragment(x) {
-		t.Fatal("AttachFragment refused a valid fragment")
-	}
+	attach(local, x)
 	local.Finish()
 	out := local.Export()
 	if local.DroppedFragments() != 0 {
@@ -99,7 +103,7 @@ func TestFragmentClockSkewTolerance(t *testing.T) {
 		t.Fatalf("skewed-but-finite fragment should validate: %v", err)
 	}
 	local := New("rpc")
-	local.AttachFragment(x)
+	attach(local, x)
 	local.Finish()
 	out := local.Export()
 	if len(out.Spans) != 1 {
@@ -171,7 +175,7 @@ func TestFragmentNonFiniteTimes(t *testing.T) {
 // (or a hostile shard) are ignored, not crashed on and not counted.
 func TestFragmentUnknownPruneLabels(t *testing.T) {
 	local := New("rpc")
-	local.AttachFragment(&Export{
+	attach(local, &Export{
 		Name:   "serve",
 		DurUs:  1,
 		Prunes: map[string]int64{"owner_ring": 3, "totally_made_up": 99},
@@ -198,11 +202,12 @@ func TestAttachFragmentBudget(t *testing.T) {
 	frag := &Export{Name: "serve", DurUs: 1, Spans: []*SpanExport{
 		{Name: "a", DurUs: 1}, {Name: "b", DurUs: 1}, {Name: "c", DurUs: 1},
 	}}
-	if !tr.AttachFragment(frag) {
-		t.Fatal("root slot was available; attach should succeed partially")
-	}
+	attach(tr, frag)
 	tr.Finish()
 	out := tr.Export()
+	if out.DroppedFragments != 0 {
+		t.Fatal("root slot was available; attach should succeed partially")
+	}
 	if out.DroppedSpans != 2 {
 		t.Fatalf("dropped %d spans, want 2 (b and c over budget)", out.DroppedSpans)
 	}
@@ -212,60 +217,23 @@ func TestAttachFragmentBudget(t *testing.T) {
 	for i := 0; i < DefaultMaxSpans; i++ {
 		tr2.Begin("filler").End()
 	}
-	if tr2.AttachFragment(frag) {
-		t.Fatal("attach over an exhausted budget reported success")
-	}
+	attach(tr2, frag)
 	if tr2.DroppedFragments() != 1 {
 		t.Fatalf("dropped fragments %d, want 1", tr2.DroppedFragments())
 	}
 }
 
-// TestSpanGraftConcurrent: scatter workers graft their shards' exports
-// under group spans concurrently; counters and the span budget must stay
-// consistent (run under -race in CI's observability suite).
-func TestSpanGraftConcurrent(t *testing.T) {
-	frag := buildServeTrace().Export()
-	tr := New("scatter")
-	grp := tr.BeginGroup("shard_nn")
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sp := grp.Begin("nn:shard")
-			sp.Graft(frag)
-			sp.End()
-		}()
-	}
-	wg.Wait()
-	grp.End()
-	tr.Finish()
-	out := tr.Export()
-	if out.Prunes["owner_ring"] != 8*4 {
-		t.Fatalf("concurrent prune merge lost counts: %v", out.Prunes)
-	}
-	// Span.Graft attaches the fragment's children (3 spans here) under
-	// each RPC span — the fragment root is the caller's scaffolding. So:
-	// 1 group + 8 RPC + 8×3 grafted = 33, within budget, none dropped.
-	total := out.SpanCount() - 1 + out.DroppedSpans
-	if total != 1+8+8*3 {
-		t.Fatalf("span accounting off: %d present + %d dropped", out.SpanCount()-1, out.DroppedSpans)
-	}
-}
-
-// TestGraftRebasing: Span.Graft offsets grafted children by the RPC
+// TestGraftRebasing: Graft offsets the grafted children by the RPC
 // span's start, so a shard's 0-based offsets land inside the RPC span.
 func TestGraftRebasing(t *testing.T) {
 	tr := New("scatter")
 	time.Sleep(2 * time.Millisecond) // move the RPC span's start off 0
-	sp := tr.Begin("nn:shard0")
-	sp.Graft(&Export{Name: "serve", DurUs: 1, Spans: []*SpanExport{{Name: "nn_probes", StartUs: 0, DurUs: 1}}})
-	sp.End()
+	tr.Graft("nn:shard0", time.Now(), time.Microsecond, &Export{Name: "nn", DurUs: 1, Spans: []*SpanExport{{Name: "nn_probes", StartUs: 0, DurUs: 1}}})
 	tr.Finish()
 	out := tr.Export()
 	rpc := out.Spans[0]
-	if len(rpc.Children) != 1 {
-		t.Fatalf("graft lost the child: %+v", rpc)
+	if rpc.Name != "nn:shard0" || rpc.StartUs < 2000 || len(rpc.Children) != 1 {
+		t.Fatalf("graft placed %+v, want the nn:shard0 span after 2 ms with its child", rpc)
 	}
 	if got := rpc.Children[0].StartUs; got < rpc.StartUs {
 		t.Fatalf("grafted child starts at %v, before its RPC span %v", got, rpc.StartUs)

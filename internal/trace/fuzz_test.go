@@ -76,7 +76,7 @@ func FuzzDecodeFragment(f *testing.F) {
 			t.Fatalf("accepted fragment fails re-validation: %v", err)
 		}
 		tr := New("rpc")
-		tr.AttachFragment(x)
+		attach(tr, x)
 		tr.Finish()
 		out := tr.Export()
 		if _, err := json.Marshal(out); err != nil {

@@ -17,9 +17,11 @@
 // concatenation, fmt.Sprintf) as arguments on hot paths; span names are
 // compile-time literals.
 //
-// A Trace is owned by a single query execution and is not safe for
-// concurrent use; the SlowLog (slowlog.go) that retains finished traces
-// is lock-protected and safe to share.
+// A Trace has one writer: the goroutine running its query. Work fanned
+// out to other goroutines records into private traces of its own, which
+// the owner grafts in (Trace.Graft) once the work has returned. The
+// SlowLog (slowlog.go) that retains finished traces is lock-protected
+// and safe to share.
 package trace
 
 import (
@@ -27,7 +29,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -146,7 +147,6 @@ type Attr struct {
 type Span struct {
 	t        *Trace
 	parent   *Span
-	grp      *Group // non-nil for spans created via Group.Begin
 	name     string
 	start    time.Duration // offset from trace start
 	dur      time.Duration
@@ -221,105 +221,9 @@ func (s *Span) End() {
 	}
 	s.open = false
 	s.dur = time.Since(s.t.start) - s.start
-	if s.grp != nil {
-		// Group children never become the trace's current span, so there
-		// is no stack to pop (and t.cur must not be touched from a worker
-		// goroutine).
-		return
-	}
 	if s.t.cur == s {
 		s.t.cur = s.parent
 	}
-}
-
-// Drop closes the span and removes it from the trace — used to discard
-// the bulk of uninteresting per-owner sub-search spans while keeping the
-// ones that improved the incumbent. The freed slot returns to the
-// retained-span budget. Nil-safe.
-func (s *Span) Drop() {
-	if s == nil {
-		return
-	}
-	s.End()
-	if g := s.grp; g != nil {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-	}
-	if p := s.parent; p != nil {
-		for i := len(p.children) - 1; i >= 0; i-- {
-			if p.children[i] == s {
-				p.children = append(p.children[:i], p.children[i+1:]...)
-				s.t.nspans--
-				break
-			}
-		}
-	}
-}
-
-// Group is a span under which concurrent worker goroutines may open
-// sibling child spans: Group.Begin is safe for concurrent use, unlike
-// Trace.Begin, whose open-span stack assumes a single goroutine. Group
-// children never join the open-span stack, so workers can End or Drop
-// them in any order.
-//
-// Protocol: the goroutine owning the trace calls BeginGroup, hands the
-// group to its workers, waits for them, then calls Group.End. While the
-// group is open the owning goroutine must not Begin or End spans of its
-// own — the group's mutex protects the group subtree only, not the rest
-// of the trace.
-type Group struct {
-	mu sync.Mutex
-	t  *Trace
-	s  *Span // the group's own span, parent of all worker spans
-}
-
-// BeginGroup opens a span named name and returns it wrapped as a Group
-// for concurrent child creation. On a nil trace (or an exhausted span
-// budget) it returns nil; all Group methods are nil-safe.
-func (t *Trace) BeginGroup(name string) *Group {
-	s := t.Begin(name)
-	if s == nil {
-		return nil
-	}
-	return &Group{t: t, s: s}
-}
-
-// Begin opens a child span of the group. Safe for concurrent use;
-// returns nil once the retained-span budget is exhausted. The returned
-// span is owned by the calling goroutine until it Ends or Drops it.
-func (g *Group) Begin(name string) *Span {
-	if g == nil {
-		return nil
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.t.nspans >= g.t.max {
-		g.t.dropped++
-		return nil
-	}
-	g.t.nspans++
-	s := &Span{t: g.t, parent: g.s, grp: g, name: name, start: time.Since(g.t.start), open: true}
-	s.attrs = s.attrBuf[:0]
-	g.s.children = append(g.s.children, s)
-	return s
-}
-
-// Attr annotates the group's own span. Nil-safe; must only be called by
-// the goroutine that owns the trace (like BeginGroup/End).
-func (g *Group) Attr(key string, v float64) {
-	if g == nil {
-		return
-	}
-	g.s.Attr(key, v)
-}
-
-// End closes the group's span. All worker spans must be Ended (or
-// Dropped) first. Nil-safe.
-func (g *Group) End() {
-	if g == nil {
-		return
-	}
-	g.s.End()
 }
 
 // Attr annotates the span. Nil-safe; values are float64 so counts,
@@ -346,10 +250,16 @@ func (t *Trace) Finish() {
 	if t == nil {
 		return
 	}
-	for t.cur != nil && t.cur != &t.root {
-		t.unclosed++
-		t.cur.End()
+	// Walk the parent chain rather than the stack End pops: a span ended
+	// before its open child leaves the stack on a closed span, and
+	// ending that one again would pop nothing.
+	for s := t.cur; s != nil && s != &t.root; s = s.parent {
+		if s.open {
+			t.unclosed++
+			s.End()
+		}
 	}
+	t.cur = &t.root
 	if t.root.open {
 		t.root.open = false
 		t.root.dur = time.Since(t.start)
