@@ -6,8 +6,8 @@ package core
 //
 // for α ∈ (0, 1]; the paper (like its predecessors) evaluates α = 0.5 and
 // rescales by 2, which is this package's MaxSum. The owner-driven exact and
-// approximate searches run for arbitrary α as they are: SolveAlpha hands
-// ownerExact / ownerAppro the cost value with weights (α, 1−α), which
+// approximate searches run for arbitrary α as they are: SolveAlpha runs
+// MaxSum's cells with the cost value of weights (α, 1−α), which
 // plugs in the combiner and, through it, the ring break — cost_α ≥
 // α·d(owner,q), so the enumeration stops at d(o,q) ≥ curCost/α instead of
 // curCost (owner.go).
@@ -24,38 +24,24 @@ import (
 	"coskq/internal/geo"
 )
 
-func checkAlpha(alpha float64) error {
-	if !(alpha > 0 && alpha <= 1) {
-		return fmt.Errorf("coskq: alpha %v outside (0, 1]", alpha)
-	}
-	return nil
-}
-
-// EvalCostAlpha computes cost_α(S). It panics on an empty set; it returns
-// an error via SolveAlpha's validation for out-of-range α, so here α is
-// assumed valid.
+// EvalCostAlpha computes cost_α(S). It panics on an empty set; α is
+// assumed valid (SolveAlpha is what rejects one outside (0, 1]).
 func (e *Engine) EvalCostAlpha(alpha float64, q geo.Point, set []dataset.ObjectID) float64 {
 	return e.treeSource().evalSet(costAlpha(alpha), q, set)
 }
 
-// SolveAlpha answers q under cost_α with the distance owner-driven
-// algorithms. Supported methods: OwnerExact, OwnerAppro, Brute.
-// SolveAlpha(q, 0.5, m) equals Solve(q, MaxSum, m) up to the factor 2.
+// SolveAlpha answers q under cost_α with MaxSum's OwnerExact, OwnerAppro
+// and Brute cells, run under cost_α's value. SolveAlpha(q, 0.5, m) equals
+// Solve(q, MaxSum, m) up to the factor 2.
 func (e *Engine) SolveAlpha(q Query, alpha float64, method Method) (res Result, err error) {
-	if err := checkAlpha(alpha); err != nil {
-		return Result{}, err
+	if !(alpha > 0 && alpha <= 1) {
+		return Result{}, fmt.Errorf("coskq: alpha %v outside (0, 1]", alpha)
 	}
 	err = e.enter(context.Background(), e.treeSource(), q, func(s *search) (err error) {
-		switch method {
-		case OwnerExact:
-			res, err = s.ownerExact(q, costAlpha(alpha), 1)
-		case OwnerAppro:
-			res, err = s.ownerAppro(q, costAlpha(alpha))
-		case Brute:
-			res, err = s.bruteForce(q, costAlpha(alpha))
-		default:
-			err = fmt.Errorf("%w: cost_α with %v", ErrUnsupported, method)
+		if method != OwnerExact && method != OwnerAppro && method != Brute {
+			return fmt.Errorf("%w: cost_α with %v", ErrUnsupported, method)
 		}
+		res, err = cells[MaxSum][method].run(s, q, costAlpha(alpha))
 		return err
 	})
 	return res, err

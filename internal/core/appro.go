@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"time"
 
 	"coskq/internal/dataset"
@@ -12,7 +11,7 @@ import (
 // ownerAppro is the distance owner-driven approximation of the
 // farthest-member rows: MaxSum-Appro (ratio 1.375), Dia-Appro (ratio √3)
 // and cost_α. (The other rows approximate by running their exact search
-// with slack; see costFn.approSlack.)
+// at their ratio as slack; see cells.)
 //
 // It enumerates candidate owners o in ascending distance within the ring
 // [d_f, curCost) and constructs one feasible set per owner from the
@@ -38,7 +37,7 @@ func (s *search) ownerAppro(q Query, cost costFn) (Result, error) {
 		return Result{}, err
 	}
 	curSet := canonical(seed)
-	s.noteIncumbent(curSet, curCost, cost.kind)
+	s.noteIncumbent(curSet, curCost)
 	stats.SetsEvaluated = 1
 
 	set := make([]dataset.ObjectID, 0, qi.Size()+1)
@@ -50,7 +49,7 @@ func (s *search) ownerAppro(q Query, cost costFn) (Result, error) {
 		if qi.Full()&^owner.mask == 0 {
 			stats.SetsEvaluated++
 			curSet, curCost = []dataset.ObjectID{owner.id}, cost.combine(owner.d, 0)
-			s.noteIncumbent(curSet, curCost, cost.kind)
+			s.noteIncumbent(curSet, curCost)
 			continue
 		}
 		stepStart := s.traceClock()
@@ -69,14 +68,14 @@ func (s *search) ownerAppro(q Query, cost costFn) (Result, error) {
 				osp.End()
 			}
 			curSet, curCost = canonical(set), c
-			s.noteIncumbent(curSet, curCost, cost.kind)
+			s.noteIncumbent(curSet, curCost)
 		}
 	}
 	en.finish(curCost)
 	algo.End()
 
 	stats.Elapsed = time.Since(start)
-	return Result{Set: curSet, Cost: curCost, Cost2: cost.kind, Stats: stats}, nil
+	return Result{Set: curSet, Cost: curCost, Stats: stats}, nil
 }
 
 // nearestCover is the 2013 paper's construction around the owner, pool's
@@ -128,43 +127,4 @@ func nearestCover(qi *kwds.QueryIndex, cost costFn, pool []cand, bits [][]int32,
 		set = append(set, pool[bestIdx].id)
 	}
 	return set, true
-}
-
-// ApproRatioBound returns the proven approximation ratio of method under
-// cost: 1 for the exact algorithms, the paper's ratio for the
-// approximations (MaxSum-Appro 1.375, Dia-Appro √3, Cao-Appro1 3,
-// Cao-Appro2 2 under MaxSum), the slack the extension rows run their
-// exact search with (costFn.approSlack: MinMax 2; Sum and SumMax
-// H_{|q.ψ|}, reported at its largest, H_64, since |q.ψ| ≤
-// kwds.MaxQueryKeywords), and 0 when no bound is established for the
-// combination.
-func ApproRatioBound(cost CostKind, method Method) float64 {
-	switch cost {
-	case MaxSum:
-		switch method {
-		case OwnerExact, PairsExact, CaoExact, Brute:
-			return 1
-		case OwnerAppro:
-			return 1.375
-		case CaoAppro1:
-			return 3
-		case CaoAppro2:
-			return 2
-		}
-	case Dia:
-		switch method {
-		case OwnerExact, PairsExact, CaoExact, Brute:
-			return 1
-		case OwnerAppro:
-			return math.Sqrt(3)
-		}
-	case Sum, MinMax, SumMax:
-		switch {
-		case method == OwnerExact, method == Brute, method == CaoExact && cost == Sum:
-			return 1
-		case method == OwnerAppro:
-			return costOf(cost).approSlack(kwds.MaxQueryKeywords)
-		}
-	}
-	return 0
 }

@@ -98,5 +98,5 @@ func (s *search) bruteForce(q Query, cost costFn) (Result, error) {
 	dfs(0)
 
 	stats.Elapsed = time.Since(start)
-	return Result{Set: bestSet, Cost: bestCost, Cost2: cost.kind, Stats: stats}, nil
+	return Result{Set: bestSet, Cost: bestCost, Stats: stats}, nil
 }

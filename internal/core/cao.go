@@ -13,23 +13,18 @@ import (
 // neighbor set N(q). For MaxSum its ratio is 3 (each member is within d_f
 // of q, so the pairwise component is at most 2·d_f while any feasible set
 // costs at least d_f).
-func (s *search) caoAppro1(q Query, cost CostKind) (Result, error) {
+func (s *search) caoAppro1(q Query, cost costFn) (Result, error) {
 	start := time.Now()
 	algo := s.tr.Begin("cao_appro1")
 	var stats Stats
-	seed, c, _, _, err := s.nnSeed(q, costOf(cost), &stats)
+	seed, c, _, _, err := s.nnSeed(q, cost, &stats)
 	algo.End()
 	if err != nil {
 		return Result{}, err
 	}
 	stats.SetsEvaluated = 1
 	stats.Elapsed = time.Since(start)
-	return Result{
-		Set:   canonical(seed),
-		Cost:  c,
-		Cost2: cost,
-		Stats: stats,
-	}, nil
+	return Result{Set: canonical(seed), Cost: c, Stats: stats}, nil
 }
 
 // caoAppro2 is Cao et al.'s iterative approximation (ratio 2 for MaxSum):
@@ -38,19 +33,19 @@ func (s *search) caoAppro1(q Query, cost CostKind) (Result, error) {
 // the algorithm tries each object o containing t_f in ascending distance
 // (stopping at the best-known cost) and builds the set
 // {o} ∪ { NN(o, t) : t ∈ q.ψ uncovered by o }.
-func (s *search) caoAppro2(q Query, cost CostKind) (Result, error) {
+func (s *search) caoAppro2(q Query, cost costFn) (Result, error) {
 	start := time.Now()
 	qi := kwds.NewQueryIndex(q.Keywords)
 	algo := s.tr.Begin("cao_appro2")
 	var stats Stats
 	s.trackStats(&stats)
-	seed, curCost, _, tf, err := s.nnSeed(q, costOf(cost), &stats)
+	seed, curCost, _, tf, err := s.nnSeed(q, cost, &stats)
 	if err != nil {
 		algo.End()
 		return Result{}, err
 	}
 	curSet := canonical(seed)
-	s.noteIncumbent(curSet, curCost, cost)
+	s.noteIncumbent(curSet, curCost)
 	stats.SetsEvaluated = 1
 
 	loop := s.tr.Begin("owner_loop")
@@ -72,9 +67,9 @@ func (s *search) caoAppro2(q Query, cost CostKind) (Result, error) {
 			continue
 		}
 		stats.SetsEvaluated++
-		if c := s.src.evalSet(costOf(cost), q.Loc, set); c < curCost {
+		if c := s.src.evalSet(cost, q.Loc, set); c < curCost {
 			curSet, curCost = canonical(set), c
-			s.noteIncumbent(curSet, curCost, cost)
+			s.noteIncumbent(curSet, curCost)
 		}
 	}
 	stats.Phases.Search = time.Since(searchStart)
@@ -87,7 +82,7 @@ func (s *search) caoAppro2(q Query, cost CostKind) (Result, error) {
 	algo.End()
 
 	stats.Elapsed = time.Since(start)
-	return Result{Set: curSet, Cost: curCost, Cost2: cost, Stats: stats}, nil
+	return Result{Set: curSet, Cost: curCost, Stats: stats}, nil
 }
 
 // nnAroundObject builds {o} ∪ { NN(o, t) : t uncovered by o }; ok is false
@@ -143,7 +138,7 @@ func (cs *caoSearch) dfs(covered kwds.Mask, maxD, maxPair float64) {
 		if c < cs.bestCost {
 			cs.bestCost = c
 			cs.bestSet = canonical(cs.chosenIDs)
-			cs.run.noteIncumbent(cs.bestSet, c, cs.cost.kind)
+			cs.run.noteIncumbent(cs.bestSet, c)
 		}
 		return
 	}
@@ -194,7 +189,7 @@ func (cs *caoSearch) dfs(covered kwds.Mask, maxD, maxPair float64) {
 // C(q, curCost) with curCost seeded by Cao-Appro2 — there is no distance
 // owner enumeration, which is exactly the structural difference the paper
 // exploits.
-func (s *search) caoExact(q Query, cost CostKind) (Result, error) {
+func (s *search) caoExact(q Query, cost costFn) (Result, error) {
 	start := time.Now()
 	qi := kwds.NewQueryIndex(q.Keywords)
 
@@ -242,7 +237,7 @@ func (s *search) caoExact(q Query, cost CostKind) (Result, error) {
 	searchSp := s.tr.Begin("bnb_search")
 	searchStart := time.Now()
 	cs := &caoSearch{
-		run: s, qi: qi, cost: costOf(cost), cands: cands, stats: &stats,
+		run: s, qi: qi, cost: cost, cands: cands, stats: &stats,
 		chosen:    s.cao.chosen[:0],
 		chosenIDs: s.cao.chosenIDs[:0],
 		bestCost:  curCost,
@@ -261,5 +256,5 @@ func (s *search) caoExact(q Query, cost CostKind) (Result, error) {
 	algo.End()
 
 	stats.Elapsed = time.Since(start)
-	return Result{Set: curSet, Cost: curCost, Cost2: cost, Stats: stats}, nil
+	return Result{Set: curSet, Cost: curCost, Stats: stats}, nil
 }

@@ -19,7 +19,9 @@
 // and, as extensions, Cao et al.'s Sum, MinMax and SumMax costs, each an
 // exact search on the same owner-driven machinery under its row of the
 // cost table (owner.go), and an approximation that is the same search run
-// with a fixed slack (approSlack).
+// with its proven ratio as slack. Which (cost, method) pairs exist, and
+// each one's algorithm and proven ratio, are written once: the cells
+// table below, which Solve, ApproRatioBound and SolveAlpha read.
 //
 // Following the CoSKQ literature, answer sets consist of relevant objects
 // only — objects sharing at least one keyword with the query. (For the
@@ -32,6 +34,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -75,23 +79,18 @@ const (
 	SumMax
 )
 
-// String implements fmt.Stringer.
-func (c CostKind) String() string {
-	switch c {
-	case MaxSum:
-		return "MaxSum"
-	case Dia:
-		return "Dia"
-	case Sum:
-		return "Sum"
-	case MinMax:
-		return "MinMax"
-	case SumMax:
-		return "SumMax"
-	default:
-		return fmt.Sprintf("CostKind(%d)", int(c))
-	}
+// costNames is the name row of each CostKind: the name String prints,
+// then the lower-case spellings ParseCost accepts.
+var costNames = [...][]string{
+	MaxSum: {"MaxSum", "maxsum"},
+	Dia:    {"Dia", "dia"},
+	Sum:    {"Sum", "sum"},
+	MinMax: {"MinMax", "minmax"},
+	SumMax: {"SumMax", "summax"},
 }
+
+// String implements fmt.Stringer.
+func (c CostKind) String() string { return rowName(costNames[:], int(c), "CostKind") }
 
 // Method selects the algorithm used to answer a query.
 type Method int
@@ -101,16 +100,15 @@ const (
 	// (MaxSum-Exact / Dia-Exact depending on the cost).
 	OwnerExact Method = iota
 	// OwnerAppro is the paper's distance owner-driven approximation
-	// (MaxSum-Appro, ratio 1.375 / Dia-Appro, ratio √3). Under the
-	// extension costs it is the exact search run with a fixed slack:
-	// ratio H_{|q.ψ|} for Sum and SumMax, 2 for MinMax.
+	// (MaxSum-Appro / Dia-Appro). Under the extension costs it is the
+	// exact search run at the pair's ratio as slack (cells).
 	OwnerAppro
 	// CaoExact is the Cao et al. branch-and-bound exact baseline
 	// (adapted to Dia when combined with that cost).
 	CaoExact
-	// CaoAppro1 returns the nearest neighbor set N(q) (ratio 3 for MaxSum).
+	// CaoAppro1 returns the nearest neighbor set N(q).
 	CaoAppro1
-	// CaoAppro2 is Cao et al.'s iterative improvement (ratio 2 for MaxSum).
+	// CaoAppro2 is Cao et al.'s iterative improvement.
 	CaoAppro2
 	// Brute is the exhaustive oracle; exponential, for tests and tiny
 	// inputs only.
@@ -122,64 +120,139 @@ const (
 	PairsExact
 )
 
-// String implements fmt.Stringer.
-func (m Method) String() string {
-	switch m {
-	case OwnerExact:
-		return "OwnerExact"
-	case OwnerAppro:
-		return "OwnerAppro"
-	case CaoExact:
-		return "Cao-Exact"
-	case CaoAppro1:
-		return "Cao-Appro1"
-	case CaoAppro2:
-		return "Cao-Appro2"
-	case Brute:
-		return "Brute"
-	case PairsExact:
-		return "PairsExact"
-	default:
-		return fmt.Sprintf("Method(%d)", int(m))
-	}
+// methodNames is the name row of each Method: the name String prints,
+// then the lower-case spellings ParseMethod accepts. PairsExact has none.
+var methodNames = [...][]string{
+	OwnerExact: {"OwnerExact", "exact", "owner-exact"},
+	OwnerAppro: {"OwnerAppro", "appro", "owner-appro"},
+	CaoExact:   {"Cao-Exact", "cao-exact"},
+	CaoAppro1:  {"Cao-Appro1", "cao-appro1"},
+	CaoAppro2:  {"Cao-Appro2", "cao-appro2"},
+	Brute:      {"Brute", "brute"},
+	PairsExact: {"PairsExact"},
 }
+
+// The (cost, method) index spans every CostKind and every Method.
+const numCosts, numMethods = len(costNames), len(methodNames)
+
+// String implements fmt.Stringer.
+func (m Method) String() string { return rowName(methodNames[:], int(m), "Method") }
 
 // ParseCost maps the CLI / HTTP spelling of a cost function (any case) to
 // its CostKind.
-func ParseCost(s string) (CostKind, error) {
-	switch strings.ToLower(s) {
-	case "maxsum":
-		return MaxSum, nil
-	case "dia":
-		return Dia, nil
-	case "sum":
-		return Sum, nil
-	case "minmax":
-		return MinMax, nil
-	case "summax":
-		return SumMax, nil
-	}
-	return 0, fmt.Errorf("unknown cost %q (want maxsum, dia, sum, minmax or summax)", s)
-}
+func ParseCost(s string) (CostKind, error) { return parseRow[CostKind](costNames[:], s, "cost") }
 
 // ParseMethod maps the CLI / HTTP spelling of an algorithm (any case) to
 // its Method.
-func ParseMethod(s string) (Method, error) {
-	switch strings.ToLower(s) {
-	case "exact", "owner-exact":
-		return OwnerExact, nil
-	case "appro", "owner-appro":
-		return OwnerAppro, nil
-	case "cao-exact":
-		return CaoExact, nil
-	case "cao-appro1":
-		return CaoAppro1, nil
-	case "cao-appro2":
-		return CaoAppro2, nil
-	case "brute":
-		return Brute, nil
+func ParseMethod(s string) (Method, error) { return parseRow[Method](methodNames[:], s, "method") }
+
+// rowName is the name of row i of rows, or typ(i) outside them.
+func rowName(rows [][]string, i int, typ string) string {
+	if i < 0 || i >= len(rows) {
+		return fmt.Sprintf("%s(%d)", typ, i)
 	}
-	return 0, fmt.Errorf("unknown method %q (want exact, appro, cao-exact, cao-appro1, cao-appro2 or brute)", s)
+	return rows[i][0]
+}
+
+// parseRow returns the index of the row of rows spelling s in any case,
+// or an error listing each row's first spelling.
+func parseRow[T ~int](rows [][]string, s, what string) (T, error) {
+	low := strings.ToLower(s)
+	for i, row := range rows {
+		if slices.Contains(row[1:], low) {
+			return T(i), nil
+		}
+	}
+	var want []string
+	for _, row := range rows {
+		want = append(want, row[1:min(2, len(row))]...)
+	}
+	last := len(want) - 1
+	return 0, fmt.Errorf("unknown %s %q (want %s or %s)", what, s, strings.Join(want[:last], ", "), want[last])
+}
+
+// cell is one (cost, method) pair: run answers it under the cost's
+// value, and ratio is the approximation ratio it proves for a query of k
+// keywords. The zero cell is an unsupported pair; a nil ratio is a pair
+// that runs with no proven ratio.
+type cell struct {
+	run   func(*search, Query, costFn) (Result, error)
+	ratio func(k int) float64
+}
+
+// cells holds every supported pair. The extension costs approximate by
+// running their exact search at the ratio as slack (atRatio).
+var cells = [numCosts][numMethods]cell{
+	MaxSum: {
+		OwnerExact: atRatio((*search).ownerExact, exactRatio),
+		OwnerAppro: {(*search).ownerAppro, fixedRatio(1.375)},
+		CaoExact:   {(*search).caoExact, exactRatio},
+		CaoAppro1:  {(*search).caoAppro1, fixedRatio(3)},
+		CaoAppro2:  {(*search).caoAppro2, fixedRatio(2)},
+		Brute:      {(*search).bruteForce, exactRatio},
+		PairsExact: {(*search).pairsExact, exactRatio},
+	},
+	Dia: {
+		OwnerExact: atRatio((*search).ownerExact, exactRatio),
+		OwnerAppro: {(*search).ownerAppro, fixedRatio(math.Sqrt(3))},
+		CaoExact:   {(*search).caoExact, exactRatio},
+		CaoAppro1:  {(*search).caoAppro1, nil},
+		CaoAppro2:  {(*search).caoAppro2, nil},
+		Brute:      {(*search).bruteForce, exactRatio},
+		PairsExact: {(*search).pairsExact, exactRatio},
+	},
+	Sum: {
+		OwnerExact: atRatio((*search).ownerExact, exactRatio),
+		OwnerAppro: atRatio((*search).ownerExact, harmonic),
+		CaoExact:   atRatio((*search).ownerExact, exactRatio), // a name for the exact Sum search
+		Brute:      {(*search).bruteForce, exactRatio},
+	},
+	MinMax: {
+		OwnerExact: atRatio((*search).nearestOwner, exactRatio),
+		OwnerAppro: atRatio((*search).nearestOwner, fixedRatio(2)),
+		Brute:      {(*search).bruteForce, exactRatio},
+	},
+	SumMax: {
+		OwnerExact: atRatio((*search).ownerExact, exactRatio),
+		OwnerAppro: atRatio((*search).ownerExact, harmonic),
+		Brute:      {(*search).bruteForce, exactRatio},
+	},
+}
+
+// atRatio is the cell of a search that answers within a given slack of
+// the optimum (ownerExact, nearestOwner), run at the cell's own ratio:
+// exact at ratio 1, and within the ratio by construction otherwise.
+func atRatio(run func(*search, Query, costFn, float64) (Result, error), ratio func(k int) float64) cell {
+	at := func(s *search, q Query, cost costFn) (Result, error) {
+		return run(s, q, cost, ratio(q.Keywords.Len()))
+	}
+	return cell{at, ratio}
+}
+
+// fixedRatio is a ratio independent of the keyword count.
+func fixedRatio(r float64) func(int) float64 { return func(int) float64 { return r } }
+
+// exactRatio is the ratio of an exact search.
+func exactRatio(int) float64 { return 1 }
+
+// harmonic returns H_k = 1 + 1/2 + … + 1/k.
+func harmonic(k int) float64 {
+	h := 0.0
+	for i := 1; i <= k; i++ {
+		h += 1 / float64(i)
+	}
+	return h
+}
+
+// ApproRatioBound returns the proven approximation ratio of method under
+// cost for the largest query (|q.ψ| = kwds.MaxQueryKeywords, so Sum and
+// SumMax report H_64): 1 for the exact algorithms, and 0 when no bound is
+// established for the combination.
+func ApproRatioBound(cost CostKind, method Method) float64 {
+	if costMethod(cost, method) < 0 || cells[cost][method].ratio == nil {
+		return 0
+	}
+	return cells[cost][method].ratio(kwds.MaxQueryKeywords)
 }
 
 // ErrInfeasible is returned when some query keyword appears in no object,
@@ -302,9 +375,8 @@ type PhaseBreakdown struct {
 
 // Result is the answer to one CoSKQ execution.
 type Result struct {
-	Set   []dataset.ObjectID // the feasible set, ascending object id
-	Cost  float64
-	Cost2 CostKind // the cost function the value refers to
+	Set  []dataset.ObjectID // the feasible set, ascending object id
+	Cost float64
 	// Degraded marks an anytime answer: the search was cut short (node
 	// budget, deadline, cancellation) and Set is the best feasible
 	// incumbent — or an approximation fallback — rather than the

@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"coskq/internal/dataset"
@@ -647,5 +649,60 @@ func TestApproRatioBoundMatchesSolve(t *testing.T) {
 				t.Errorf("%v/%v: ApproRatioBound %v, Solve err %v", cost, m, bound, err)
 			}
 		}
+	}
+}
+
+// TestNameRows: the name rows are the ones the CLI and the wire know;
+// every spelling parses to its row's value in any case (a lower-case one
+// without allocating), String prints the row's first name, values outside
+// an enumeration print as their type and number, and PairsExact has no
+// spelling.
+func TestNameRows(t *testing.T) {
+	if got, want := fmt.Sprint(costNames), "[[MaxSum maxsum] [Dia dia] [Sum sum] [MinMax minmax] [SumMax summax]]"; got != want {
+		t.Errorf("cost rows %s, want %s", got, want)
+	}
+	if got, want := fmt.Sprint(methodNames), "[[OwnerExact exact owner-exact] [OwnerAppro appro owner-appro] [Cao-Exact cao-exact] [Cao-Appro1 cao-appro1] [Cao-Appro2 cao-appro2] [Brute brute] [PairsExact]]"; got != want {
+		t.Errorf("method rows %s, want %s", got, want)
+	}
+	cases := func(s string) []string { return []string{s, strings.ToUpper(s), strings.ToUpper(s[:1]) + s[1:]} }
+	for i, row := range costNames {
+		c := CostKind(i)
+		if c.String() != row[0] {
+			t.Errorf("CostKind(%d).String() = %q, want %q", i, c.String(), row[0])
+		}
+		for _, sp := range row[1:] {
+			for _, in := range cases(sp) {
+				if got, err := ParseCost(in); err != nil || got != c {
+					t.Errorf("ParseCost(%q) = %v, %v; want %v", in, got, err, c)
+				}
+			}
+		}
+	}
+	for i, row := range methodNames {
+		m := Method(i)
+		if m.String() != row[0] {
+			t.Errorf("Method(%d).String() = %q, want %q", i, m.String(), row[0])
+		}
+		for _, sp := range row[1:] {
+			for _, in := range cases(sp) {
+				if got, err := ParseMethod(in); err != nil || got != m {
+					t.Errorf("ParseMethod(%q) = %v, %v; want %v", in, got, err, m)
+				}
+			}
+		}
+	}
+	if got, want := fmt.Sprint(CostKind(-1), CostKind(numCosts), Method(-1), Method(numMethods)), "CostKind(-1) CostKind(5) Method(-1) Method(7)"; got != want {
+		t.Errorf("out-of-range values print %q, want %q", got, want)
+	}
+	for _, in := range []string{"pairsexact", "PairsExact"} {
+		if _, err := ParseMethod(in); err == nil || err.Error() != `unknown method "`+in+`" (want exact, appro, cao-exact, cao-appro1, cao-appro2 or brute)` {
+			t.Errorf("ParseMethod(%q) err = %v", in, err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { ParseCost("summax"); ParseMethod("brute") }); n != 0 {
+		t.Errorf("parsing a lower-case spelling allocates %v times", n)
+	}
+	if _, err := ParseCost("max-sum"); err == nil || err.Error() != `unknown cost "max-sum" (want maxsum, dia, sum, minmax or summax)` {
+		t.Errorf("ParseCost(max-sum) err = %v", err)
 	}
 }

@@ -113,7 +113,6 @@ type anytime struct {
 	valid bool
 	set   []dataset.ObjectID
 	cost  float64
-	kind  CostKind
 	// stats points at the running algorithm's live Stats so the unwind
 	// path can recover the effort counters accumulated before the trip
 	// (they escape the unwound frames through this pointer).
@@ -126,14 +125,14 @@ type anytime struct {
 // noteIncumbent publishes a feasible incumbent into the call's holder.
 // set need not be canonical and may alias caller scratch; it is copied.
 // On a search without a holder (the fallback) it is a no-op.
-func (s *search) noteIncumbent(set []dataset.ObjectID, cost float64, kind CostKind) {
+func (s *search) noteIncumbent(set []dataset.ObjectID, cost float64) {
 	h := s.any
 	if h == nil || len(set) == 0 {
 		return
 	}
 	h.valid = true
 	h.set = append(h.set[:0], set...)
-	h.cost, h.kind = cost, kind
+	h.cost = cost
 }
 
 // trackStats registers the running algorithm's Stats with the holder so
@@ -173,7 +172,6 @@ func (s *search) degradeSolve(q Query, cost CostKind, method Method, res Result,
 	if h := s.any; h != nil && h.valid {
 		res.Set = canonical(h.set)
 		res.Cost = h.cost
-		res.Cost2 = h.kind
 		res.Degraded = true
 		res.Stats.DegradeReason = reason
 		return res, nil
@@ -204,7 +202,7 @@ func (s *search) fallbackAppro(q Query, cost CostKind) (res Result, err error) {
 	fb := search{Config: s.Config, src: s.src, tr: s.tr}
 	switch cost {
 	case MaxSum, Dia:
-		return fb.caoAppro2(q, cost)
+		return fb.caoAppro2(q, costOf(cost))
 	}
-	return fb.caoAppro1(q, cost)
+	return fb.caoAppro1(q, costOf(cost))
 }

@@ -24,7 +24,7 @@ import (
 // curCost/slack, so every set pruned or rejected costs at least the final
 // cost over slack, and the answer is within slack of the optimum. At 1
 // the division is exact and so is the search; OwnerAppro under the sum
-// rows runs it at costFn.approSlack.
+// rows runs it at its ratio, H_{|q.ψ|} (cells).
 func (s *search) ownerExact(q Query, cost costFn, slack float64) (Result, error) {
 	start := time.Now()
 	qi := kwds.NewQueryIndex(q.Keywords)
@@ -40,7 +40,7 @@ func (s *search) ownerExact(q Query, cost costFn, slack float64) (Result, error)
 		return Result{}, err
 	}
 	curSet := canonical(seed)
-	s.noteIncumbent(curSet, curCost, cost.kind)
+	s.noteIncumbent(curSet, curCost)
 	stats.SetsEvaluated = 1
 
 	en := s.owners(q, qi, cost, df, true, &stats)
@@ -63,11 +63,11 @@ func (s *search) ownerExact(q Query, cost costFn, slack float64) (Result, error)
 			osp.End()
 		}
 		curSet, curCost = canonical(set), c
-		s.noteIncumbent(curSet, curCost, cost.kind)
+		s.noteIncumbent(curSet, curCost)
 	}
 	en.finish(curCost)
 	algo.End()
 
 	stats.Elapsed = time.Since(start)
-	return Result{Set: curSet, Cost: curCost, Cost2: cost.kind, Stats: stats}, nil
+	return Result{Set: curSet, Cost: curCost, Stats: stats}, nil
 }

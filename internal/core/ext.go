@@ -18,7 +18,7 @@ import (
 // nearestOwner solves a nearest-member cost, exactly at slack 1 and
 // within ratio slack otherwise: as in ownerExact, the drain, the owner
 // break, the pool filter and the cover search's bound all read
-// curCost/slack (OwnerAppro runs it at costFn.approSlack, 2).
+// curCost/slack (OwnerAppro runs it at its ratio, 2; see cells).
 //
 // Every member x of a set cheaper than the incumbent lies in
 // C(q, curCost), since d(x,q) ≤ d(o,q) + d(x,o) for its owner o, so one
@@ -41,7 +41,7 @@ func (s *search) nearestOwner(q Query, cost costFn, slack float64) (Result, erro
 		return Result{}, err
 	}
 	curSet := canonical(seed)
-	s.noteIncumbent(curSet, curCost, cost.kind)
+	s.noteIncumbent(curSet, curCost)
 	stats.SetsEvaluated = 1
 
 	en := s.owners(q, qi, cost, 0, true, &stats)
@@ -71,12 +71,12 @@ func (s *search) nearestOwner(q Query, cost costFn, slack float64) (Result, erro
 
 		if found, c := s.bestWithOwner(qi, cost, sub, bound, &stats, nil); found != nil {
 			curSet, curCost = canonical(found), c
-			s.noteIncumbent(curSet, curCost, cost.kind)
+			s.noteIncumbent(curSet, curCost)
 		}
 	}
 	en.finish(curCost)
 	algo.End()
 
 	stats.Elapsed = time.Since(start)
-	return Result{Set: curSet, Cost: curCost, Cost2: cost.kind, Stats: stats}, nil
+	return Result{Set: curSet, Cost: curCost, Stats: stats}, nil
 }

@@ -76,9 +76,6 @@ func (c seriesCache) inc(reg *metrics.Registry, i int, name func() string) {
 	h.Inc()
 }
 
-// The (cost, method) index spans every CostKind and every Method.
-const numCosts, numMethods = int(SumMax) + 1, int(PairsExact) + 1
-
 // costMethod indexes a (cost, method) pair in byCostMethod; -1 when
 // either is outside its enumeration.
 func costMethod(cost CostKind, method Method) int {

@@ -41,7 +41,7 @@ const (
 // costAlpha are the only places that say which cost is which. ×1 and +0
 // are exact, so the unit-weight rows evaluate to the plain d+p / max(d,p).
 type costFn struct {
-	kind    CostKind // what Result.Cost2 reports
+	kind    CostKind // the row; pairsExact reads it
 	key     keyMember
 	joinMax bool
 	wq, wp  float64
@@ -55,29 +55,6 @@ var costRows = [...]costFn{
 	Sum:    {kind: Sum, key: total, wq: 1, wp: 0},
 	MinMax: {kind: MinMax, key: nearest, wq: 1, wp: 1},
 	SumMax: {kind: SumMax, key: total, wq: 1, wp: 1},
-}
-
-// approSlack is 1+ε, the ratio OwnerAppro runs the exact search at for a
-// query of k keywords (DESIGN.md §4.1): H_k under the sum rows, 2 under
-// the nearest-member row. The farthest-member rows run the paper's
-// constructions instead (ownerAppro).
-func (c costFn) approSlack(k int) float64 {
-	switch c.key {
-	case total:
-		return harmonic(k)
-	case nearest:
-		return 2
-	}
-	return 1
-}
-
-// harmonic returns H_k = 1 + 1/2 + … + 1/k.
-func harmonic(k int) float64 {
-	h := 0.0
-	for i := 1; i <= k; i++ {
-		h += 1 / float64(i)
-	}
-	return h
 }
 
 // costOf returns kind's row.

@@ -25,20 +25,19 @@ import (
 )
 
 // pairsExact is the pair-owners-first exact search for MaxSum and Dia.
-func (s *search) pairsExact(q Query, cost CostKind) (Result, error) {
+func (s *search) pairsExact(q Query, cost costFn) (Result, error) {
 	start := time.Now()
 	qi := kwds.NewQueryIndex(q.Keywords)
 	algo := s.tr.Begin("pairs_exact")
 	var stats Stats
 	s.trackStats(&stats)
-	fn := costOf(cost)
-	seed, curCost, df, _, err := s.nnSeed(q, fn, &stats)
+	seed, curCost, df, _, err := s.nnSeed(q, cost, &stats)
 	if err != nil {
 		algo.End()
 		return Result{}, err
 	}
 	curSet := canonical(seed)
-	s.noteIncumbent(curSet, curCost, cost)
+	s.noteIncumbent(curSet, curCost)
 	stats.SetsEvaluated = 1
 	stats.Phases.Seed = time.Since(start)
 
@@ -47,7 +46,7 @@ func (s *search) pairsExact(q Query, cost CostKind) (Result, error) {
 	// its set) — the candidate stream drained to the incumbent, which is
 	// this span's whole content.
 	matSp := s.tr.Begin("materialize")
-	en := s.ownerStream(q, qi, fn, df, false, &stats)
+	en := s.ownerStream(q, qi, cost, df, false, &stats)
 	en.drain(curCost)
 	cands := s.own.pool
 	stats.Phases.Materialize = time.Since(en.start)
@@ -73,7 +72,7 @@ func (s *search) pairsExact(q Query, cost CostKind) (Result, error) {
 			maxDq := math.Max(cands[i].d, cands[j].d)
 			minDq := math.Min(cands[i].d, cands[j].d)
 			var dUB, costLB float64
-			if cost == Dia {
+			if cost.kind == Dia {
 				dUB = curCost
 				costLB = math.Max(math.Max(dij, maxDq), df)
 			} else {
@@ -114,7 +113,7 @@ func (s *search) pairsExact(q Query, cost CostKind) (Result, error) {
 		// diameter d(oi,oj), so no dij term belongs in r_LB.
 		rLB := math.Max(math.Max(oi.d, oj.d), df)
 		var rUB float64
-		if cost == Dia {
+		if cost.kind == Dia {
 			rUB = curCost
 		} else {
 			rUB = curCost - p.dij
@@ -132,7 +131,7 @@ func (s *search) pairsExact(q Query, cost CostKind) (Result, error) {
 			set, c := s.bestFeasibleForTriple(q, qi, cost, cands, p.i, p.j, m, p.dij, curCost, &stats)
 			if set != nil && c < curCost {
 				curSet, curCost = canonical(set), c
-				s.noteIncumbent(curSet, curCost, cost)
+				s.noteIncumbent(curSet, curCost)
 			}
 		}
 	}
@@ -147,20 +146,20 @@ func (s *search) pairsExact(q Query, cost CostKind) (Result, error) {
 	algo.End()
 
 	stats.Elapsed = time.Since(start)
-	return Result{Set: curSet, Cost: curCost, Cost2: cost, Stats: stats}, nil
+	return Result{Set: curSet, Cost: curCost, Stats: stats}, nil
 }
 
 // bestFeasibleForTriple finds the cheapest feasible set containing the
 // triple (oi, oj, om), with the remaining members drawn from the region
 // R = C(oi, dij) ∩ C(oj, dij) ∩ C(q, d(om, q)) (the paper's
 // findBestFeasibleSet). Returns (nil, 0) when none beats bound.
-func (s *search) bestFeasibleForTriple(q Query, qi *kwds.QueryIndex, cost CostKind, cands []cand, i, j, m int, dij, bound float64, stats *Stats) ([]dataset.ObjectID, float64) {
+func (s *search) bestFeasibleForTriple(q Query, qi *kwds.QueryIndex, cost costFn, cands []cand, i, j, m int, dij, bound float64, stats *Stats) ([]dataset.ObjectID, float64) {
 	oi, oj, om := &cands[i], &cands[j], &cands[m]
 	base := []dataset.ObjectID{oi.id, oj.id, om.id}
 	covered := oi.mask | oj.mask | om.mask
 	if covered == qi.Full() {
 		stats.SetsEvaluated++
-		c := s.src.evalSet(costOf(cost), q.Loc, base)
+		c := s.src.evalSet(cost, q.Loc, base)
 		if c < bound {
 			return base, c
 		}
@@ -197,7 +196,7 @@ func (s *search) bestFeasibleForTriple(q Query, qi *kwds.QueryIndex, cost CostKi
 				set = append(set, cands[r].id)
 			}
 			stats.SetsEvaluated++
-			if c := s.src.evalSet(costOf(cost), q.Loc, canonical(set)); c < bestCost {
+			if c := s.src.evalSet(cost, q.Loc, canonical(set)); c < bestCost {
 				bestCost = c
 				bestSet = canonical(set)
 			}

@@ -121,53 +121,15 @@ func (s *search) solve(q Query, cost CostKind, method Method) (Result, error) {
 	return res, err
 }
 
-// solveInner dispatches to the per-(cost, method) algorithm. No algorithm
-// shields itself: a budget or cancellation unwind from any of them lands
-// on the recover deferred here, so solve sees it as an error to degrade.
+// solveInner runs the pair's cell. No algorithm shields itself: a
+// budget or cancellation unwind from any of them lands on the recover
+// deferred here, so solve sees it as an error to degrade.
 func (s *search) solveInner(q Query, cost CostKind, method Method) (res Result, err error) {
 	defer recoverBudget(&err)
-	switch cost {
-	case MaxSum, Dia:
-		switch method {
-		case OwnerExact:
-			return s.ownerExact(q, costOf(cost), 1)
-		case PairsExact:
-			return s.pairsExact(q, cost)
-		case OwnerAppro:
-			return s.ownerAppro(q, costOf(cost))
-		case CaoExact:
-			return s.caoExact(q, cost)
-		case CaoAppro1:
-			return s.caoAppro1(q, cost)
-		case CaoAppro2:
-			return s.caoAppro2(q, cost)
-		case Brute:
-			return s.bruteForce(q, costOf(cost))
-		}
-	case Sum, SumMax:
-		switch method {
-		case OwnerExact:
-			return s.ownerExact(q, costOf(cost), 1)
-		case CaoExact:
-			if cost == Sum { // accepted as a name for the exact Sum search
-				return s.ownerExact(q, costOf(cost), 1)
-			}
-		case OwnerAppro:
-			return s.ownerExact(q, costOf(cost), costOf(cost).approSlack(q.Keywords.Len()))
-		case Brute:
-			return s.bruteForce(q, costOf(cost))
-		}
-	case MinMax:
-		switch method {
-		case OwnerExact:
-			return s.nearestOwner(q, costOf(cost), 1)
-		case OwnerAppro:
-			return s.nearestOwner(q, costOf(cost), costOf(cost).approSlack(q.Keywords.Len()))
-		case Brute:
-			return s.bruteForce(q, costOf(cost))
-		}
+	if costMethod(cost, method) < 0 || cells[cost][method].run == nil {
+		return Result{}, fmt.Errorf("%w: %v with %v", ErrUnsupported, cost, method)
 	}
-	return Result{}, fmt.Errorf("%w: %v with %v", ErrUnsupported, cost, method)
+	return cells[cost][method].run(s, q, costOf(cost))
 }
 
 // cancelPollMask downsamples cancellation checks in the hot loops: the

@@ -34,7 +34,7 @@ type topKHeap struct {
 	src  source
 	q    Query
 	qi   *kwds.QueryIndex
-	cost CostKind
+	cost costFn
 }
 
 // bound returns the pruning threshold: the k-th best cost once k sets are
@@ -58,7 +58,7 @@ func setKey(ids []dataset.ObjectID) string {
 // form's cost, if it makes the top k and was not seen before.
 func (h *topKHeap) offerCover(cover []dataset.ObjectID) {
 	set := irredundant(h.src, h.qi, cover)
-	cost := h.src.evalSet(costOf(h.cost), h.q.Loc, set)
+	cost := h.src.evalSet(h.cost, h.q.Loc, set)
 	key := setKey(set)
 	if h.seen[key] {
 		return
@@ -67,7 +67,7 @@ func (h *topKHeap) offerCover(cover []dataset.ObjectID) {
 		return
 	}
 	h.seen[key] = true
-	h.sets = append(h.sets, Result{Set: set, Cost: cost, Cost2: h.cost})
+	h.sets = append(h.sets, Result{Set: set, Cost: cost})
 	sort.SliceStable(h.sets, func(i, j int) bool { return h.sets[i].Cost < h.sets[j].Cost })
 	if len(h.sets) > h.k {
 		evicted := h.sets[h.k]
@@ -159,7 +159,7 @@ func (s *search) topKInner(q Query, cost CostKind, k int) (res []Result, err err
 
 	// The seed enters in its irredundant form, which may be cheaper than
 	// N(q) itself.
-	top := &topKHeap{k: k, seen: make(map[string]bool), src: s.src, q: q, qi: qi, cost: cost}
+	top := &topKHeap{k: k, seen: make(map[string]bool), src: s.src, q: q, qi: qi, cost: fn}
 	s.trackTopK(top)
 	verifySp := s.tr.Begin("verify")
 	top.offerCover(seed)

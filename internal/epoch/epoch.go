@@ -212,8 +212,8 @@ type Store struct {
 // New builds a Store seeded from an existing engine: the seed dataset's
 // objects get stable keys 0..n-1 and the engine itself is published as
 // generation 0, so wrapping a static deployment costs a key map until
-// the first mutation. The engine's serving knobs (budget, parallelism,
-// degrade policy, metrics, NN-cache capacity) and its tree's fanout are
+// the first mutation. The engine's serving knobs (budget, degrade
+// policy, metrics, NN-cache capacity) and its tree's fanout are
 // inherited by every later generation, each of which is derived from the
 // engine's DS, Tree and Inv — eng must carry all three (core.NewEngine).
 func New(eng *core.Engine, opts Options) *Store {

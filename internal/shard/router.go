@@ -146,12 +146,12 @@ var rpcBuckets = []float64{0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5}
 
 // phaseSeries is the per-(phase, shard) series of one kind of shard
 // call. A routed query makes 2 calls per surviving shard and touches up
-// to four series per call, so the handles are resolved once (Router.Init)
+// to three series per call, so the handles are resolved once (Router.Init)
 // instead of formatting a name and taking the registry lock each time.
 // The nil receiver is the unmetered router.
 type phaseSeries struct {
-	calls, failures, rpcErrors *metrics.Counter
-	seconds                    *metrics.Histogram
+	calls, rpcErrors *metrics.Counter
+	seconds          *metrics.Histogram
 }
 
 // shardSeries holds one shard's series for the two scatter phases.
@@ -162,7 +162,6 @@ type shardSeries struct {
 func (m *Metrics) phaseSeries(phase, name string) phaseSeries {
 	return phaseSeries{
 		calls:     m.reg.Counter(fmt.Sprintf("coskq_shard_calls_total{phase=%q,shard=%q}", phase, name)),
-		failures:  m.reg.Counter(fmt.Sprintf("coskq_shard_failures_total{phase=%q,shard=%q}", phase, name)),
 		rpcErrors: m.reg.Counter(fmt.Sprintf("coskq_shard_rpc_errors_total{phase=%q,shard=%q}", phase, name)),
 		seconds:   m.reg.Histogram(fmt.Sprintf("coskq_shard_rpc_seconds{phase=%q,shard=%q}", phase, name), rpcBuckets),
 	}
@@ -171,12 +170,6 @@ func (m *Metrics) phaseSeries(phase, name string) phaseSeries {
 func (p *phaseSeries) call() {
 	if p != nil {
 		p.calls.Inc()
-	}
-}
-
-func (p *phaseSeries) failure() {
-	if p != nil {
-		p.failures.Inc()
 	}
 }
 
@@ -386,7 +379,6 @@ func (r *Router) callShard(ctx context.Context, ord int, phase string, fn func(c
 			}
 		}
 		if err != nil {
-			ps.failure()
 			err = &ShardError{Name: r.Backends[ord].Name(), Shard: ord, Phase: phase, Err: err}
 		}
 	}()

@@ -181,6 +181,36 @@ func TestRouterMetrics(t *testing.T) {
 	}
 }
 
+// TestShardFailureCountedOnce: one failing shard call moves the shard's
+// call series and its error series by exactly one each, and no other
+// series counts the failure.
+func TestShardFailureCountedOnce(t *testing.T) {
+	ds := testDataset(55, 150)
+	eng := core.NewEngine(ds, 0)
+	reg := metrics.NewRegistry()
+	r := &Router{Vocab: ds.Vocab, Metrics: NewMetrics(reg), Backends: []Backend{
+		WrapEngine("ok", ds, eng.Inv),
+		&countingBackend{Backend: WrapEngine("bad", ds, eng.Inv), fail: "nn"},
+	}}
+	if err := r.Init(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	calls := reg.Counter(`coskq_shard_calls_total{phase="nn",shard="bad"}`)
+	errs := reg.Counter(`coskq_shard_rpc_errors_total{phase="nn",shard="bad"}`)
+	calls0, errs0 := calls.Value(), errs.Value()
+	if _, err := r.RouteWords(context.Background(), pt(500, 500), genQueryWords(t, eng), core.MaxSum, core.OwnerExact); !errors.Is(err, errShardDown) {
+		t.Fatalf("RouteWords err = %v, want the failed shard's error", err)
+	}
+	if dc, de := calls.Value()-calls0, errs.Value()-errs0; dc != 1 || de != 1 {
+		t.Fatalf("one failed call moved calls by %d and rpc errors by %d, want 1 and 1", dc, de)
+	}
+	var buf bytes.Buffer
+	reg.WriteText(&buf)
+	if strings.Contains(buf.String(), "coskq_shard_failures_total") {
+		t.Fatalf("a second series counts shard failures:\n%s", buf.String())
+	}
+}
+
 // TestWrapEngine: the identity backend a server exposes must agree with
 // a partitioner-built single shard.
 func TestWrapEngine(t *testing.T) {
