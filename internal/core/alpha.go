@@ -31,18 +31,18 @@ func (e *Engine) EvalCostAlpha(alpha float64, q geo.Point, set []dataset.ObjectI
 }
 
 // SolveAlpha answers q under cost_α with MaxSum's OwnerExact, OwnerAppro
-// and Brute cells, run under cost_α's value. SolveAlpha(q, 0.5, m) equals
-// Solve(q, MaxSum, m) up to the factor 2.
-func (e *Engine) SolveAlpha(q Query, alpha float64, method Method) (res Result, err error) {
+// and Brute cells, run under cost_α's value through the path every solve
+// takes, so Config.Degrade applies and Elapsed is stamped; cost_α solves
+// are not counted in the metrics, whose cost label names no α.
+// SolveAlpha(q, 0.5, m) equals Solve(q, MaxSum, m) up to the factor 2.
+func (e *Engine) SolveAlpha(q Query, alpha float64, method Method) (Result, error) {
 	if !(alpha > 0 && alpha <= 1) {
 		return Result{}, fmt.Errorf("coskq: alpha %v outside (0, 1]", alpha)
 	}
-	err = e.enter(context.Background(), e.treeSource(), q, func(s *search) (err error) {
+	return e.run(context.Background(), e.treeSource(), q, func(s *search) (Result, error) {
 		if method != OwnerExact && method != OwnerAppro && method != Brute {
-			return fmt.Errorf("%w: cost_α with %v", ErrUnsupported, method)
+			return Result{}, fmt.Errorf("%w: cost_α with %v", ErrUnsupported, method)
 		}
-		res, err = cells[MaxSum][method].run(s, q, costAlpha(alpha))
-		return err
+		return cells[MaxSum].methods[method].run(s, q, costAlpha(alpha))
 	})
-	return res, err
 }

@@ -1,10 +1,7 @@
 package core
 
 import (
-	"time"
-
 	"coskq/internal/dataset"
-	"coskq/internal/kwds"
 	"coskq/internal/trace"
 )
 
@@ -26,40 +23,28 @@ import (
 // construction runs over an in-memory pool instead of repeated index
 // searches.
 func (s *search) ownerAppro(q Query, cost costFn) (Result, error) {
-	start := time.Now()
-	qi := kwds.NewQueryIndex(q.Keywords)
-	algo := s.tr.Begin("owner_appro")
-	var stats Stats
-	s.trackStats(&stats)
-	seed, curCost, df, _, err := s.nnSeed(q, cost, &stats)
-	if err != nil {
-		algo.End()
+	if err := s.open(q, cost, "owner_appro", true); err != nil {
 		return Result{}, err
 	}
-	curSet := canonical(seed)
-	s.noteIncumbent(curSet, curCost)
-	stats.SetsEvaluated = 1
+	set := make([]dataset.ObjectID, 0, s.qi.Size()+1)
+	bitOrder := make([]int, 0, s.qi.Size())
 
-	set := make([]dataset.ObjectID, 0, qi.Size()+1)
-	bitOrder := make([]int, 0, qi.Size())
-
-	en := s.owners(q, qi, cost, df, false, &stats)
-	for en.next(curCost) {
+	en := s.owners(s.df, false)
+	for en.next(s.incCost) {
 		owner := en.owner()
-		if qi.Full()&^owner.mask == 0 {
-			stats.SetsEvaluated++
-			curSet, curCost = []dataset.ObjectID{owner.id}, cost.combine(owner.d, 0)
-			s.noteIncumbent(curSet, curCost)
+		if s.qi.Full()&^owner.mask == 0 {
+			s.stats.SetsEvaluated++
+			s.improve([]dataset.ObjectID{owner.id}, cost.combine(owner.d, 0))
 			continue
 		}
 		stepStart := s.traceClock()
 		var ok bool
-		set, ok = nearestCover(qi, cost, s.own.pool, s.own.bits, curCost, append(set[:0], owner.id), bitOrder, &stats)
+		set, ok = s.nearestCover(append(set[:0], owner.id), bitOrder)
 		if !ok {
 			continue
 		}
-		stats.SetsEvaluated++
-		if c := s.src.evalSet(cost, q.Loc, set); c < curCost {
+		s.stats.SetsEvaluated++
+		if c := s.src.evalSet(cost, q.Loc, set); c < s.incCost {
 			// Construction spans exist only for improving owners.
 			if osp := s.tr.BeginAt("greedy_construct", stepStart); osp != nil {
 				osp.Attr("owner_id", float64(owner.id))
@@ -67,30 +52,27 @@ func (s *search) ownerAppro(q Query, cost costFn) (Result, error) {
 				osp.Attr("cost", c)
 				osp.End()
 			}
-			curSet, curCost = canonical(set), c
-			s.noteIncumbent(curSet, curCost)
+			s.improve(set, c)
 		}
 	}
-	en.finish(curCost)
-	algo.End()
-
-	stats.Elapsed = time.Since(start)
-	return Result{Set: curSet, Cost: curCost, Stats: stats}, nil
+	en.finish(s.incCost)
+	return s.result()
 }
 
-// nearestCover is the 2013 paper's construction around the owner, pool's
-// last entry: for each keyword the owner lacks, append to set the owner's
-// nearest pool object covering it. Every chosen member is at most
+// nearestCover is the 2013 paper's construction around the owner, the
+// candidate pool's last entry: for each keyword the owner lacks, append
+// to set the owner's nearest pool object covering it. Every chosen member is at most
 // maxPair(S_opt) from the optimal owner when the owner is that owner,
 // which is what the 1.375 / √3 ratio proofs use. It reports false when
 // some keyword is not coverable from the pool or the construction cannot
-// beat curCost. bitOrder is scratch.
+// beat the incumbent. bitOrder is scratch.
 //
 // Keywords are processed in ascending candidate-count order and each
 // per-keyword minimum lower-bounds the final pairwise component, so
 // hopeless owners are abandoned after scanning only the rarest keyword's
 // short list.
-func nearestCover(qi *kwds.QueryIndex, cost costFn, pool []cand, bits [][]int32, curCost float64, set []dataset.ObjectID, bitOrder []int, stats *Stats) ([]dataset.ObjectID, bool) {
+func (s *search) nearestCover(set []dataset.ObjectID, bitOrder []int) ([]dataset.ObjectID, bool) {
+	qi, cost, pool, bits := s.qi, s.cost, s.own.pool, s.own.bits
 	owner := pool[len(pool)-1]
 	need := qi.Full() &^ owner.mask
 	bitOrder = bitOrder[:0]
@@ -120,8 +102,8 @@ func nearestCover(qi *kwds.QueryIndex, cost costFn, pool []cand, bits [][]int32,
 			maxToOwner = bestDist
 		}
 		// maxToOwner lower-bounds the final pairwise component.
-		if cost.combine(owner.d, maxToOwner) >= curCost {
-			stats.Prunes[trace.PruneGreedyBound]++
+		if cost.combine(owner.d, maxToOwner) >= s.incCost {
+			s.stats.Prunes[trace.PruneGreedyBound]++
 			return set, false
 		}
 		set = append(set, pool[bestIdx].id)

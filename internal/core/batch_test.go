@@ -302,7 +302,7 @@ func TestSolveBatchPreCancelled(t *testing.T) {
 // results, the in-flight item unwinds with the context error, and the
 // queued tail is marked without running. Afterwards the serial alloc
 // guard re-runs to prove the unwound items returned their pooled searches
-// (anytime holders, scratch buffers) — a leak shows up as fresh
+// (execution records, scratch buffers) — a leak shows up as fresh
 // allocations.
 func TestSolveBatchCtxCancelBetweenItems(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)

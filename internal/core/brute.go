@@ -1,7 +1,7 @@
 package core
 
 import (
-	"time"
+	"slices"
 
 	"coskq/internal/dataset"
 	"coskq/internal/kwds"
@@ -22,8 +22,10 @@ import (
 // anchor fixed as the nearest member, removing any redundant other member
 // never increases the cost, so one anchor per minimal cover suffices.
 func (s *search) bruteForce(q Query, cost costFn) (Result, error) {
-	start := time.Now()
-	qi := kwds.NewQueryIndex(q.Keywords)
+	if err := s.open(q, cost, "brute", false); err != nil {
+		return Result{}, err
+	}
+	qi := s.qi
 
 	type rc struct {
 		id   dataset.ObjectID
@@ -38,40 +40,26 @@ func (s *search) bruteForce(q Query, cost costFn) (Result, error) {
 		union |= m
 	})
 	if union != qi.Full() {
+		s.algo.End()
 		return Result{}, ErrInfeasible
 	}
 
-	stats := Stats{CandidatesSeen: len(cands)}
-	var (
-		bestSet  []dataset.ObjectID
-		bestCost float64
-		found    bool
-		chosen   []dataset.ObjectID
-	)
+	s.stats.CandidatesSeen = len(cands)
+	var chosen []dataset.ObjectID
 	consider := func(set []dataset.ObjectID) {
-		stats.SetsEvaluated++
-		c := s.src.evalSet(cost, q.Loc, set)
-		if !found || c < bestCost {
-			found = true
-			bestCost = c
-			bestSet = canonical(set)
+		s.stats.SetsEvaluated++
+		if c := s.src.evalSet(cost, q.Loc, set); !s.found || c < s.incCost {
+			s.improve(set, c)
 		}
 	}
 	var dfs func(covered kwds.Mask)
 	dfs = func(covered kwds.Mask) {
-		s.chargeNode(&stats)
+		s.chargeNode()
 		if covered == qi.Full() {
 			consider(chosen)
 			if cost.key == nearest {
 				for _, a := range cands {
-					already := false
-					for _, id := range chosen {
-						if id == a.id {
-							already = true
-							break
-						}
-					}
-					if !already {
+					if !slices.Contains(chosen, a.id) {
 						consider(append(append([]dataset.ObjectID(nil), chosen...), a.id))
 					}
 				}
@@ -96,7 +84,5 @@ func (s *search) bruteForce(q Query, cost costFn) (Result, error) {
 		}
 	}
 	dfs(0)
-
-	stats.Elapsed = time.Since(start)
-	return Result{Set: bestSet, Cost: bestCost, Stats: stats}, nil
+	return s.result()
 }

@@ -14,7 +14,7 @@ import (
 	"coskq/internal/trace"
 )
 
-// cancelOnBind is live until the engine binds it to a search — enter's
+// cancelOnBind is live until the engine binds it to a search — Config.run's
 // trace lookup is its first Value call — and cancelled from then on. The
 // entry checks therefore pass, and only the algorithms' own polls can
 // see the cancellation. Done is never closed: it only marks the context

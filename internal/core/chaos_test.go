@@ -236,9 +236,9 @@ func chaosEntries(e *Engine, q Query) []chaosEntry {
 }
 
 // TestChaosEveryEntryPointIsShielded: no algorithm shields itself — a
-// budget or cancellation unwind is caught by the frame every search is
-// entered under (Config.enter, and solveInner / topKInner beneath it so a
-// degrade can act on the error). So whatever entry point, cost, method
+// budget or cancellation unwind is caught by the one recover every
+// execution runs under (search.exec, beneath Config.run, which then
+// degrades the error). So whatever entry point, cost, method
 // and degrade policy a fault lands in, the caller sees a typed
 // error or a flagged degraded answer, never a panic.
 func TestChaosEveryEntryPointIsShielded(t *testing.T) {
@@ -293,7 +293,7 @@ func TestChaosEveryEntryPointIsShielded(t *testing.T) {
 	for _, p := range points {
 		for _, k := range []fault.Kind{fault.KindBudget, fault.KindCancel} {
 			rule := fault.Rule{Point: p, Kind: k, After: 1, Every: 1}
-			for _, policy := range []DegradePolicy{DegradeFail, DegradeIncumbent} {
+			for _, policy := range []DegradePolicy{DegradeFail, DegradeIncumbent, DegradeFallbackAppro} {
 				e := *base
 				e.Degrade = policy
 				for _, en := range entries {

@@ -21,7 +21,8 @@
 // cost table (owner.go), and an approximation that is the same search run
 // with its proven ratio as slack. Which (cost, method) pairs exist, and
 // each one's algorithm and proven ratio, are written once: the cells
-// table below, which Solve, ApproRatioBound and SolveAlpha read.
+// table below, which Solve, ApproRatioBound, SolveAlpha, TopK and the
+// degrade fallback read.
 //
 // Following the CoSKQ literature, answer sets consist of relevant objects
 // only — objects sharing at least one keyword with the query. (For the
@@ -180,10 +181,21 @@ type cell struct {
 	ratio func(k int) float64
 }
 
+// costRow is one cost's line of the table: a cell per method; fallback,
+// the cheap approximation DegradeFallbackAppro answers with when an
+// interrupted search holds no incumbent; and topK, whether TopK ranks
+// under the cost — its enumeration needs an owner that is the farthest
+// member, whose disk the ascending stream's prefix is.
+type costRow struct {
+	methods  [numMethods]cell
+	fallback func(*search, Query, costFn) (Result, error)
+	topK     bool
+}
+
 // cells holds every supported pair. The extension costs approximate by
 // running their exact search at the ratio as slack (atRatio).
-var cells = [numCosts][numMethods]cell{
-	MaxSum: {
+var cells = [numCosts]costRow{
+	MaxSum: {methods: [numMethods]cell{
 		OwnerExact: atRatio((*search).ownerExact, exactRatio),
 		OwnerAppro: {(*search).ownerAppro, fixedRatio(1.375)},
 		CaoExact:   {(*search).caoExact, exactRatio},
@@ -191,8 +203,8 @@ var cells = [numCosts][numMethods]cell{
 		CaoAppro2:  {(*search).caoAppro2, fixedRatio(2)},
 		Brute:      {(*search).bruteForce, exactRatio},
 		PairsExact: {(*search).pairsExact, exactRatio},
-	},
-	Dia: {
+	}, fallback: (*search).caoAppro2, topK: true},
+	Dia: {methods: [numMethods]cell{
 		OwnerExact: atRatio((*search).ownerExact, exactRatio),
 		OwnerAppro: {(*search).ownerAppro, fixedRatio(math.Sqrt(3))},
 		CaoExact:   {(*search).caoExact, exactRatio},
@@ -200,23 +212,41 @@ var cells = [numCosts][numMethods]cell{
 		CaoAppro2:  {(*search).caoAppro2, nil},
 		Brute:      {(*search).bruteForce, exactRatio},
 		PairsExact: {(*search).pairsExact, exactRatio},
-	},
-	Sum: {
+	}, fallback: (*search).caoAppro2, topK: true},
+	Sum: {methods: [numMethods]cell{
 		OwnerExact: atRatio((*search).ownerExact, exactRatio),
 		OwnerAppro: atRatio((*search).ownerExact, harmonic),
 		CaoExact:   atRatio((*search).ownerExact, exactRatio), // a name for the exact Sum search
 		Brute:      {(*search).bruteForce, exactRatio},
-	},
-	MinMax: {
+	}, fallback: (*search).caoAppro1},
+	MinMax: {methods: [numMethods]cell{
 		OwnerExact: atRatio((*search).nearestOwner, exactRatio),
 		OwnerAppro: atRatio((*search).nearestOwner, fixedRatio(2)),
 		Brute:      {(*search).bruteForce, exactRatio},
-	},
-	SumMax: {
+	}, fallback: (*search).caoAppro1},
+	SumMax: {methods: [numMethods]cell{
 		OwnerExact: atRatio((*search).ownerExact, exactRatio),
 		OwnerAppro: atRatio((*search).ownerExact, harmonic),
 		Brute:      {(*search).bruteForce, exactRatio},
-	},
+	}, fallback: (*search).caoAppro1},
+}
+
+// rowOf returns cost's row of the table, or nil for a value outside
+// CostKind.
+func rowOf(cost CostKind) *costRow {
+	if cost < 0 || int(cost) >= numCosts {
+		return nil
+	}
+	return &cells[cost]
+}
+
+// cellOf returns the (cost, method) cell, or nil for an unsupported pair.
+func cellOf(cost CostKind, method Method) *cell {
+	r := rowOf(cost)
+	if r == nil || method < 0 || int(method) >= numMethods || r.methods[method].run == nil {
+		return nil
+	}
+	return &r.methods[method]
 }
 
 // atRatio is the cell of a search that answers within a given slack of
@@ -249,10 +279,10 @@ func harmonic(k int) float64 {
 // SumMax report H_64): 1 for the exact algorithms, and 0 when no bound is
 // established for the combination.
 func ApproRatioBound(cost CostKind, method Method) float64 {
-	if costMethod(cost, method) < 0 || cells[cost][method].ratio == nil {
-		return 0
+	if c := cellOf(cost, method); c != nil && c.ratio != nil {
+		return c.ratio(kwds.MaxQueryKeywords)
 	}
-	return cells[cost][method].ratio(kwds.MaxQueryKeywords)
+	return 0
 }
 
 // ErrInfeasible is returned when some query keyword appears in no object,
@@ -294,9 +324,8 @@ type searchCanceled struct{ err error }
 // else. Injected fault unwinds (internal/fault) translate the same way, so
 // an armed fault surfaces exactly like the real condition it simulates;
 // injected crashes (fault.Crash) deliberately re-panic. It is deferred
-// with the address of the frame's named error result: by Config.enter for
-// every entry point, and again by solveInner, topKInner and fallbackAppro
-// because their callers act on the error (degrade.go).
+// with the address of the frame's named error result: by search.exec,
+// the one recover every execution runs under, and by HitFault.
 func recoverBudget(err *error) {
 	if r := recover(); r != nil {
 		switch p := r.(type) {
@@ -349,14 +378,17 @@ type Stats struct {
 	Prunes trace.PruneCounts
 }
 
-// merge folds another execution's counters into s (a degrade fallback
-// adds the aborted search's effort to its own).
-func (s *Stats) merge(o *Stats) {
+// merge folds another execution's counters and its seed and search
+// time into s (a degrade fallback adds the aborted search's effort to its
+// own).
+func (s *Stats) merge(o Stats) {
 	s.OwnersTried += o.OwnersTried
 	s.SetsEvaluated += o.SetsEvaluated
 	s.NodesExpanded += o.NodesExpanded
 	s.CandidatesSeen += o.CandidatesSeen
 	s.Prunes.Merge(o.Prunes)
+	s.Phases.Seed += o.Phases.Seed
+	s.Phases.Search += o.Phases.Search
 }
 
 // PhaseBreakdown splits one execution's elapsed time across the coarse
@@ -588,17 +620,16 @@ func (e *Engine) Members(set []dataset.ObjectID) []Member {
 	return out
 }
 
-// solveOn is SolveCtx over the given source, under c.
-func (c *Config) solveOn(ctx context.Context, src source, q Query, cost CostKind, method Method) (res Result, err error) {
-	start := time.Now()
-	err = c.enter(ctx, src, q, func(s *search) (err error) {
-		res, err = s.solve(q, cost, method)
-		return err
+// solveOn is SolveCtx over the given source, under c: the pair's cell,
+// run through Config.run, counted in the metrics.
+func (c *Config) solveOn(ctx context.Context, src source, q Query, cost CostKind, method Method) (Result, error) {
+	res, err := c.run(ctx, src, q, func(s *search) (Result, error) {
+		cl := cellOf(cost, method)
+		if cl == nil {
+			return Result{}, fmt.Errorf("%w: %v with %v", ErrUnsupported, cost, method)
+		}
+		return cl.run(s, q, costOf(cost))
 	})
-	// Every algorithm stamps its own Elapsed, but error unwinds (budget,
-	// cancellation) and future algorithms may not; stamp the wall time of
-	// the whole call here so the field is populated uniformly.
-	res.Stats.Elapsed = time.Since(start)
 	if c.Metrics != nil {
 		c.Metrics.recordSolve(cost, method, res, err, res.Stats.Elapsed)
 	}

@@ -8,18 +8,17 @@ package core
 // feasible incumbent from the NN seed onward, so almost any interrupted
 // exact query has a meaningful answer to give.
 //
-// Mechanics: the call's pooled search (search.go) carries an anytime
-// holder. Algorithms publish every incumbent improvement into it
-// (noteIncumbent) and register their live Stats (trackStats); when the
-// budget/cancel panic unwinds through recoverBudget, solve consults the
-// holder — the improvements survive the unwind because the holder lives
-// on the search, not on the unwound stack frames.
+// Mechanics: every algorithm keeps its counters and its incumbent in the
+// execution record of the call's pooled search (search.go), written in
+// place, so they survive the budget/cancel panic that unwinds the
+// algorithm's frames. Every entry point — Solve, TopK, SolveAlpha —
+// reaches the algorithms through Config.run, whose one recover turns the
+// unwind into an error and whose one degrade function, below, answers
+// from the record.
 
 import (
 	"context"
 	"errors"
-
-	"coskq/internal/dataset"
 )
 
 // DegradePolicy selects what Solve does when an exact search is cut
@@ -33,13 +32,14 @@ const (
 	DegradeFail DegradePolicy = iota
 	// DegradeIncumbent returns the best feasible incumbent found before
 	// the trip, with Result.Degraded set and Stats.DegradeReason naming
-	// the cause. When no incumbent exists yet (the trip happened before
-	// the NN seed completed) the error is returned as under DegradeFail.
+	// the cause. When no incumbent exists yet (the trip came before the
+	// first cover: inside the NN seed, or before Brute's first leaf) the
+	// error is returned as under DegradeFail.
 	DegradeIncumbent
 	// DegradeFallbackAppro is DegradeIncumbent plus a safety net: with no
-	// incumbent, the engine runs the cost function's cheap approximation
-	// (Cao-Appro2 for MaxSum/Dia, Cao-Appro1 — the NN set N(q) — for Sum,
-	// SumMax and MinMax) detached from the budget and context, so a
+	// incumbent, the engine runs the cost row's cheap approximation
+	// (cells: Cao-Appro2 for MaxSum/Dia, Cao-Appro1 — the NN set N(q) —
+	// for Sum, SumMax and MinMax) detached from the budget and context, so a
 	// feasible query always yields a feasible — if approximate — answer.
 	// The fallback is near-linear work, bounding how far past a deadline
 	// it can run.
@@ -105,104 +105,50 @@ func degradeReason(err error) DegradeReason {
 	return ""
 }
 
-// anytime is the per-call incumbent holder, pooled with its search. set
-// reuses one backing buffer across improvements (noteIncumbent copies
-// into it), so noting is allocation-free in steady state; consumers copy
-// out via canonical before the holder recirculates.
-type anytime struct {
-	valid bool
-	set   []dataset.ObjectID
-	cost  float64
-	// stats points at the running algorithm's live Stats so the unwind
-	// path can recover the effort counters accumulated before the trip
-	// (they escape the unwound frames through this pointer).
-	stats *Stats
-	// topk, when the execution is a TopK, points at the live heap so a
-	// degrade can return the partial ranking.
-	topk *topKHeap
-}
-
-// noteIncumbent publishes a feasible incumbent into the call's holder.
-// set need not be canonical and may alias caller scratch; it is copied.
-// On a search without a holder (the fallback) it is a no-op.
-func (s *search) noteIncumbent(set []dataset.ObjectID, cost float64) {
-	h := s.any
-	if h == nil || len(set) == 0 {
-		return
-	}
-	h.valid = true
-	h.set = append(h.set[:0], set...)
-	h.cost = cost
-}
-
-// trackStats registers the running algorithm's Stats with the holder so
-// an unwind can recover the counters. Nested executions (Cao-Exact
-// seeding via Appro2) re-register in call order; the innermost running
-// algorithm wins, which is the one whose counters the unwind would
-// otherwise lose.
-func (s *search) trackStats(st *Stats) {
-	if h := s.any; h != nil {
-		h.stats = st
-	}
-}
-
-// trackTopK registers a TopK execution's live heap with the holder.
-func (s *search) trackTopK(t *topKHeap) {
-	if h := s.any; h != nil {
-		h.topk = t
-	}
-}
-
-// degradeSolve applies the engine's degrade policy to a failed solve.
-// It is called by solve after solveInner returned err; res carries
-// whatever the unwind produced (usually nothing). Satellite invariant:
-// whatever the policy, the aborted execution's Stats are recovered from
-// the holder so failed queries are fully accounted in slowlog/metrics.
-func (s *search) degradeSolve(q Query, cost CostKind, method Method, res Result, err error) (Result, error) {
+// degrade applies Config.Degrade to the execution err interrupted,
+// reading its record. Whatever the policy, the effort spent before the
+// trip comes back in Stats, so failed queries are fully accounted in the
+// slow log and metrics. Policy permitting, the incumbent — or, with none,
+// the cost's cheap approximation — becomes the anytime answer, at the cost
+// its set evaluates to. An error no incumbent could answer (infeasible,
+// unsupported) returns as it is.
+func (s *search) degrade(err error) (Result, error) {
 	reason := degradeReason(err)
 	if reason == "" {
+		return Result{}, err
+	}
+	res := Result{Stats: s.stats}
+	switch {
+	case s.Degrade == DegradeFail:
 		return res, err
-	}
-	if h := s.any; h != nil && h.stats != nil {
-		res.Stats = *h.stats
-	}
-	if s.Degrade == DegradeFail {
-		return res, err
-	}
-	if h := s.any; h != nil && h.valid {
-		res.Set = canonical(h.set)
-		res.Cost = h.cost
-		res.Degraded = true
-		res.Stats.DegradeReason = reason
-		return res, nil
-	}
-	if s.Degrade == DegradeFallbackAppro {
-		fb, fbErr := s.fallbackAppro(q, cost)
-		if fbErr == nil {
-			fb.Stats.merge(&res.Stats)
-			fb.Stats.Phases.Seed += res.Stats.Phases.Seed
-			fb.Stats.Phases.Search += res.Stats.Phases.Search
-			fb.Degraded = true
-			fb.Stats.DegradeReason = reason
-			return fb, nil
+	case s.found:
+		res.Set = canonical(s.inc)
+	case s.Degrade == DegradeFallbackAppro:
+		fb, fbErr := s.fallbackAppro()
+		if fbErr != nil {
+			return res, err
 		}
+		fb.Stats.merge(res.Stats)
+		res = fb
+	default:
+		return res, err
 	}
-	return res, err
+	// The search's running cost of a set can miss EvalCost's by an ulp
+	// under the sum rows; an anytime answer reports the set's own.
+	res.Cost = s.src.evalSet(s.cost, s.q.Loc, res.Set)
+	res.Degraded, res.Stats.DegradeReason = true, reason
+	return res, nil
 }
 
-// fallbackAppro runs the cost function's cheap approximation on a child
-// search that shares only the call's Config, source (with its NN cache)
-// and trace: no node budget, no context (the original is already tripped
-// — the approximation is near-linear, so the overrun is bounded), no
-// holder, no scratch.
-// The shield converts any stray unwind (there should be none) into an
-// error instead of escaping.
-func (s *search) fallbackAppro(q Query, cost CostKind) (res Result, err error) {
-	defer recoverBudget(&err)
+// fallbackAppro runs the cost row's cheap approximation (cells) on a
+// child search that shares only the call's Config, source (with its NN
+// cache) and trace: no node budget, no context (the original is already
+// tripped — the approximation is near-linear, so the overrun is bounded)
+// and a record of its own. It runs under the same recover as every
+// execution, which turns any stray unwind (there should be none) into an
+// error.
+func (s *search) fallbackAppro() (Result, error) {
 	fb := search{Config: s.Config, src: s.src, tr: s.tr}
-	switch cost {
-	case MaxSum, Dia:
-		return fb.caoAppro2(q, costOf(cost))
-	}
-	return fb.caoAppro1(q, costOf(cost))
+	q, cost := s.q, s.cost
+	return fb.exec(func(fb *search) (Result, error) { return cells[cost.kind].fallback(fb, q, cost) })
 }

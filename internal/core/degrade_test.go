@@ -3,9 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
+
+	"coskq/internal/dataset"
+	"coskq/internal/fault"
 )
 
 // hardQuery returns a (engine, query, full-effort result) triple where the
@@ -258,4 +262,244 @@ func TestParseDegradePolicy(t *testing.T) {
 			t.Errorf("ParseDegradePolicy(%q) = (%v, %v), want (%v, %v)", c.in, got, ok, c.want, c.ok)
 		}
 	}
+}
+
+// degradeEntry is one way into the algorithms under the degrade contract:
+// a (cost, method) cell through Solve, TopK under a cost, or SolveAlpha
+// with a method. run reports the call's answers — one, or a ranking; none
+// when a ranking fails — and eval is the cost an answer's set evaluates to.
+type degradeEntry struct {
+	name string
+	run  func(e *Engine, q Query) ([]Result, error)
+	eval func(e *Engine, q Query, set []dataset.ObjectID) float64
+}
+
+// degradeAlpha is the cost_α the degrade tests run SolveAlpha at.
+const degradeAlpha = 0.3
+
+// degradeEntries lists every (cost, method) pair — the unsupported ones
+// answer ErrUnsupported, which callers skip — then TopK under the costs it
+// ranks and SolveAlpha with the methods it accepts.
+func degradeEntries() []degradeEntry {
+	var out []degradeEntry
+	for c := MaxSum; c <= SumMax; c++ {
+		eval := func(e *Engine, q Query, set []dataset.ObjectID) float64 { return e.EvalCost(c, q.Loc, set) }
+		for m := OwnerExact; m <= PairsExact; m++ {
+			out = append(out, degradeEntry{fmt.Sprintf("Solve/%v/%v", c, m), func(e *Engine, q Query) ([]Result, error) {
+				res, err := e.Solve(q, c, m)
+				return []Result{res}, err
+			}, eval})
+		}
+	}
+	for _, c := range []CostKind{MaxSum, Dia} {
+		out = append(out, degradeEntry{fmt.Sprintf("TopK/%v", c), func(e *Engine, q Query) ([]Result, error) {
+			return e.TopK(q, c, 3)
+		}, func(e *Engine, q Query, set []dataset.ObjectID) float64 { return e.EvalCost(c, q.Loc, set) }})
+	}
+	for _, m := range []Method{OwnerExact, OwnerAppro, Brute} {
+		out = append(out, degradeEntry{fmt.Sprintf("SolveAlpha/%v", m), func(e *Engine, q Query) ([]Result, error) {
+			res, err := e.SolveAlpha(q, degradeAlpha, m)
+			return []Result{res}, err
+		}, func(e *Engine, q Query, set []dataset.ObjectID) float64 {
+			return e.EvalCostAlpha(degradeAlpha, q.Loc, set)
+		}})
+	}
+	return out
+}
+
+// TestDegradeRecoversEveryEntry stops every entry point's search halfway
+// through by its node budget. Under DegradeFail the typed error comes with
+// the effort spent (more nodes than the budget) and the wall time; under
+// DegradeIncumbent an execution that had found a cover answers with it,
+// flagged, feasible and at its own cost. A method that charges no search
+// node cannot be stopped by a budget, and answers as it does unbudgeted.
+func TestDegradeRecoversEveryEntry(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	e := genEngine(rng, 900, 20, 4)
+	q := randQuery(rng, 20, 4)
+	// The probe's ceiling: a search need not finish for half its nodes to
+	// stop it mid-search, and Brute would not, soon.
+	const ceiling = 4096
+	stopped := 0
+	for _, en := range degradeEntries() {
+		probe := *e
+		probe.NodeBudget = ceiling
+		full, err := en.run(&probe, q)
+		nodes := ceiling
+		switch {
+		case errors.Is(err, ErrUnsupported):
+			continue
+		case err == nil:
+			nodes = full[0].Stats.NodesExpanded
+		case !errors.Is(err, ErrBudgetExceeded):
+			t.Fatalf("%s: probe: %v", en.name, err)
+		}
+
+		run := *e
+		if nodes < 2 {
+			run.NodeBudget = 1
+			got, err := en.run(&run, q)
+			if err != nil || len(got) != len(full) || got[0].Cost != full[0].Cost || got[0].Degraded {
+				t.Errorf("%s charges no node, yet a budget of 1 changed its answer: %v, %v", en.name, got, err)
+			}
+			continue
+		}
+		stopped++
+		run.NodeBudget = nodes / 2
+		got, err := en.run(&run, q)
+		if !errors.Is(err, ErrBudgetExceeded) {
+			t.Errorf("%s: DegradeFail at budget %d: err = %v, want ErrBudgetExceeded", en.name, run.NodeBudget, err)
+			continue
+		}
+		// A failed ranking carries no Result; a seeded ranking always
+		// holds a cover before its first node.
+		found := true
+		if len(got) > 0 {
+			st := got[0].Stats
+			if st.NodesExpanded <= run.NodeBudget {
+				t.Errorf("%s: DegradeFail reports %d nodes expanded, want > budget %d", en.name, st.NodesExpanded, run.NodeBudget)
+			}
+			if st.Elapsed == 0 {
+				t.Errorf("%s: DegradeFail reports no Elapsed", en.name)
+			}
+			found = st.SetsEvaluated > 0
+		}
+
+		run.Degrade = DegradeIncumbent
+		got, err = en.run(&run, q)
+		if !found {
+			if !errors.Is(err, ErrBudgetExceeded) {
+				t.Errorf("%s: no cover before the stop, yet DegradeIncumbent answered %v, %v", en.name, got, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: DegradeIncumbent: err = %v, want the incumbent", en.name, err)
+			continue
+		}
+		for i, r := range got {
+			if !r.Degraded || r.Stats.DegradeReason != DegradeReasonBudget {
+				t.Errorf("%s[%d]: Degraded = %v, reason %q; want true, %q", en.name, i, r.Degraded, r.Stats.DegradeReason, DegradeReasonBudget)
+			}
+			if !e.Feasible(q, r.Set) {
+				t.Errorf("%s[%d]: set %v is not feasible", en.name, i, r.Set)
+			} else if c := en.eval(e, q, r.Set); c != r.Cost {
+				t.Errorf("%s[%d]: cost %v, set %v evaluates to %v", en.name, i, r.Cost, r.Set, c)
+			}
+			if r.Stats.NodesExpanded <= run.NodeBudget {
+				t.Errorf("%s[%d]: reports %d nodes expanded, want > budget %d", en.name, i, r.Stats.NodesExpanded, run.NodeBudget)
+			}
+		}
+	}
+	if stopped == 0 {
+		t.Fatal("no entry was stopped mid-search")
+	}
+}
+
+// TestTopKFallbackFromSeed: a ranking stopped inside its N(q) seed holds
+// no cover, so DegradeIncumbent fails, and DegradeFallbackAppro answers
+// with the cost's cheap approximation as a one-set ranking. The stop is a
+// budget trip at the first keyword-NN cache probe.
+func TestTopKFallbackFromSeed(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	e := genEngine(rng, 600, 18, 4)
+	e.EnableNNCache(256)
+	q := randQuery(rng, 18, 4)
+	firstProbe := fault.Rule{Point: fault.NNCacheProbe, Kind: fault.KindBudget, Every: 1, Count: 1}
+	for _, c := range []CostKind{MaxSum, Dia} {
+		run := *e
+		run.Degrade = DegradeIncumbent
+		disarm := fault.Arm(1, firstProbe)
+		_, err := run.TopK(q, c, 3)
+		disarm()
+		if !errors.Is(err, ErrBudgetExceeded) {
+			t.Errorf("%v: DegradeIncumbent stopped in the seed: err = %v, want ErrBudgetExceeded", c, err)
+		}
+
+		run.Degrade = DegradeFallbackAppro
+		disarm = fault.Arm(1, firstProbe)
+		got, err := run.TopK(q, c, 3)
+		disarm()
+		if err != nil {
+			t.Fatalf("%v: DegradeFallbackAppro: %v", c, err)
+		}
+		if len(got) != 1 {
+			t.Fatalf("%v: fallback ranking holds %d sets, want 1", c, len(got))
+		}
+		r := got[0]
+		if !r.Degraded || r.Stats.DegradeReason != DegradeReasonBudget {
+			t.Errorf("%v: Degraded = %v, reason %q; want true, %q", c, r.Degraded, r.Stats.DegradeReason, DegradeReasonBudget)
+		}
+		if !e.Feasible(q, r.Set) || e.EvalCost(c, q.Loc, r.Set) != r.Cost {
+			t.Errorf("%v: fallback set %v at cost %v: feasible %v, evaluates to %v", c, r.Set, r.Cost, e.Feasible(q, r.Set), e.EvalCost(c, q.Loc, r.Set))
+		}
+		want, err := e.Solve(q, c, CaoAppro2)
+		if err != nil || want.Cost != r.Cost {
+			t.Errorf("%v: fallback cost %v, Cao-Appro2 answers %v (%v)", c, r.Cost, want.Cost, err)
+		}
+	}
+}
+
+// FuzzDegradeContract runs one budgeted call on a small generated engine,
+// the fuzzer choosing the world, the node budget, the degrade policy, the
+// cost, the method and the entry point (Solve, TopK, SolveAlpha). Every
+// outcome is a typed error or feasible answers, and a degraded answer has
+// a reason, a policy that permits it, and the cost its set evaluates to.
+func FuzzDegradeContract(f *testing.F) {
+	f.Add(int64(5), uint16(40), uint8(DegradeIncumbent), uint8(MaxSum), uint8(OwnerExact), uint8(0))
+	f.Add(int64(6), uint16(9), uint8(DegradeFallbackAppro), uint8(MinMax), uint8(Brute), uint8(0))
+	f.Add(int64(7), uint16(3), uint8(DegradeIncumbent), uint8(Dia), uint8(OwnerExact), uint8(1))
+	f.Add(int64(8), uint16(30), uint8(DegradeIncumbent), uint8(MaxSum), uint8(Brute), uint8(2))
+	f.Add(int64(9), uint16(2), uint8(DegradeFallbackAppro), uint8(SumMax), uint8(OwnerAppro), uint8(0))
+	// A SumMax incumbent whose running sum misses its set's cost by an ulp.
+	f.Add(int64(145), uint16(3), uint8(26), uint8(59), uint8(0), uint8(150))
+	// A Sum fallback, N(q), summed in keyword order.
+	f.Add(int64(-37), uint16(0), uint8(23), uint8(67), uint8(96), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, budget uint16, policy, cost, method, entry uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		e := genEngine(rng, 80, 10, 3)
+		q := randQuery(rng, 10, 1+rng.Intn(4))
+		e.NodeBudget = 1 + int(budget)%2048
+		e.Degrade = DegradePolicy(policy % 3)
+		c, m := CostKind(int(cost)%numCosts), Method(int(method)%numMethods)
+		alpha := float64(1+rng.Intn(10)) / 10
+		eval := func(set []dataset.ObjectID) float64 { return e.EvalCost(c, q.Loc, set) }
+
+		var rs []Result
+		var err error
+		switch entry % 3 {
+		case 0:
+			var res Result
+			res, err = e.Solve(q, c, m)
+			rs = []Result{res}
+		case 1:
+			rs, err = e.TopK(q, c, 1+int(method)%4)
+		case 2:
+			var res Result
+			res, err = e.SolveAlpha(q, alpha, m)
+			rs = []Result{res}
+			eval = func(set []dataset.ObjectID) float64 { return e.EvalCostAlpha(alpha, q.Loc, set) }
+		}
+		what := fmt.Sprintf("entry %d, %v/%v, budget %d, %v", entry%3, c, m, e.NodeBudget, e.Degrade)
+		if err != nil {
+			if !errors.Is(err, ErrBudgetExceeded) && !errors.Is(err, ErrUnsupported) && !errors.Is(err, ErrInfeasible) {
+				t.Fatalf("%s: untyped error %v", what, err)
+			}
+			return
+		}
+		for i, r := range rs {
+			if !e.Feasible(q, r.Set) {
+				t.Fatalf("%s [%d]: infeasible set %v", what, i, r.Set)
+			}
+			if !r.Degraded {
+				continue
+			}
+			if e.Degrade == DegradeFail || r.Stats.DegradeReason == "" {
+				t.Fatalf("%s [%d]: degraded with reason %q", what, i, r.Stats.DegradeReason)
+			}
+			if got := eval(r.Set); got != r.Cost {
+				t.Fatalf("%s [%d]: degraded cost %v, set %v evaluates to %v", what, i, r.Cost, r.Set, got)
+			}
+		}
+	})
 }

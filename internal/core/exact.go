@@ -1,11 +1,5 @@
 package core
 
-import (
-	"time"
-
-	"coskq/internal/kwds"
-)
-
 // ownerExact is the distance owner-driven exact algorithm of the paper
 // (MaxSum-Exact, Dia-Exact, the cost_α exact search of alpha.go) and,
 // under the sum rows of the cost table, the exact Sum and SumMax search:
@@ -26,28 +20,17 @@ import (
 // the division is exact and so is the search; OwnerAppro under the sum
 // rows runs it at its ratio, H_{|q.ψ|} (cells).
 func (s *search) ownerExact(q Query, cost costFn, slack float64) (Result, error) {
-	start := time.Now()
-	qi := kwds.NewQueryIndex(q.Keywords)
-	algo := s.tr.Begin("owner_exact")
-	if slack != 1 {
-		algo.Attr("epsilon", slack-1)
-	}
-	var stats Stats
-	s.trackStats(&stats)
-	seed, curCost, df, _, err := s.nnSeed(q, cost, &stats)
-	if err != nil {
-		algo.End()
+	if err := s.open(q, cost, "owner_exact", true); err != nil {
 		return Result{}, err
 	}
-	curSet := canonical(seed)
-	s.noteIncumbent(curSet, curCost)
-	stats.SetsEvaluated = 1
-
-	en := s.owners(q, qi, cost, df, true, &stats)
-	for en.next(curCost / slack) {
+	if slack != 1 {
+		s.algo.Attr("epsilon", slack-1)
+	}
+	en := s.owners(s.df, true)
+	for en.next(s.incCost / slack) {
 		stepStart := s.traceClock()
-		nodes0 := stats.NodesExpanded
-		set, c := s.bestWithOwner(qi, cost, &s.own, curCost/slack, &stats, nil)
+		nodes0 := s.stats.NodesExpanded
+		set, c := s.bestWithOwner(&s.own, s.incCost/slack)
 		if set == nil {
 			continue
 		}
@@ -58,16 +41,12 @@ func (s *search) ownerExact(q Query, cost costFn, slack float64) (Result, error)
 			o := en.owner()
 			osp.Attr("owner_id", float64(o.id))
 			osp.Attr("d_owner", o.d)
-			osp.Attr("nodes", float64(stats.NodesExpanded-nodes0))
+			osp.Attr("nodes", float64(s.stats.NodesExpanded-nodes0))
 			osp.Attr("cost", c)
 			osp.End()
 		}
-		curSet, curCost = canonical(set), c
-		s.noteIncumbent(curSet, curCost)
+		s.improve(set, c)
 	}
-	en.finish(curCost)
-	algo.End()
-
-	stats.Elapsed = time.Since(start)
-	return Result{Set: curSet, Cost: curCost, Stats: stats}, nil
+	en.finish(s.incCost)
+	return s.result()
 }

@@ -8,12 +8,7 @@ package core
 // shared cover search (bestWithOwner). The sum rows need no file: they
 // are ownerExact under their cost value.
 
-import (
-	"time"
-
-	"coskq/internal/kwds"
-	"coskq/internal/trace"
-)
+import "coskq/internal/trace"
 
 // nearestOwner solves a nearest-member cost, exactly at slack 1 and
 // within ratio slack otherwise: as in ownerExact, the drain, the owner
@@ -27,38 +22,27 @@ import (
 // that add a keyword and sit close enough to the owner for the pair of
 // them to beat the incumbent.
 func (s *search) nearestOwner(q Query, cost costFn, slack float64) (Result, error) {
-	start := time.Now()
-	qi := kwds.NewQueryIndex(q.Keywords)
-	algo := s.tr.Begin("nearest_owner")
-	if slack != 1 {
-		algo.Attr("epsilon", slack-1)
-	}
-	var stats Stats
-	s.trackStats(&stats)
-	seed, curCost, _, _, err := s.nnSeed(q, cost, &stats)
-	if err != nil {
-		algo.End()
+	if err := s.open(q, cost, "nearest_owner", true); err != nil {
 		return Result{}, err
 	}
-	curSet := canonical(seed)
-	s.noteIncumbent(curSet, curCost)
-	stats.SetsEvaluated = 1
-
-	en := s.owners(q, qi, cost, 0, true, &stats)
-	en.drain(curCost / slack)
+	if slack != 1 {
+		s.algo.Attr("epsilon", slack-1)
+	}
+	en := s.owners(0, true)
+	en.drain(s.incCost / slack)
 	// The owner's pool: the search's second scratch, the owner appended
 	// as its last entry (where bestWithOwner looks for it) and left out
 	// of the bit index.
 	sub := &s.sub
 	for i, owner := range s.own.pool {
-		bound := curCost / slack
+		bound := s.incCost / slack
 		if cost.combine(owner.d, 0) >= bound {
-			stats.Prunes[trace.PruneIncumbentBreak]++
+			s.stats.Prunes[trace.PruneIncumbentBreak]++
 			break // every later owner is at least as far
 		}
-		stats.OwnersTried++
-		s.pollCancel(stats.OwnersTried)
-		pool, bits := sub.pool[:0], sub.ensureBits(qi.Size())
+		s.stats.OwnersTried++
+		s.pollCancel(s.stats.OwnersTried)
+		pool, bits := sub.pool[:0], sub.ensureBits(s.qi.Size())
 		for _, c := range s.own.pool[i+1:] {
 			if c.mask&^owner.mask == 0 || cost.combine(owner.d, c.loc.Dist(owner.loc)) >= bound {
 				continue
@@ -69,14 +53,10 @@ func (s *search) nearestOwner(q Query, cost costFn, slack float64) (Result, erro
 		pool = append(pool, owner)
 		sub.pool = pool
 
-		if found, c := s.bestWithOwner(qi, cost, sub, bound, &stats, nil); found != nil {
-			curSet, curCost = canonical(found), c
-			s.noteIncumbent(curSet, curCost)
+		if found, c := s.bestWithOwner(sub, bound); found != nil {
+			s.improve(found, c)
 		}
 	}
-	en.finish(curCost)
-	algo.End()
-
-	stats.Elapsed = time.Since(start)
-	return Result{Set: curSet, Cost: curCost, Stats: stats}, nil
+	en.finish(s.incCost)
+	return s.result()
 }

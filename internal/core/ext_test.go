@@ -238,12 +238,14 @@ func TestDominanceFilterStructure(t *testing.T) {
 		t.Helper()
 		eng := *e
 		eng.Ablation = ab
-		if err := eng.enter(context.Background(), eng.treeSource(), q, func(s *search) error {
-			var stats Stats
-			en := s.owners(q, qi, costOf(Sum), 0, true, &stats)
+		if _, err := eng.run(context.Background(), eng.treeSource(), q, func(s *search) (Result, error) {
+			if err := s.open(q, costOf(Sum), "", false); err != nil {
+				return Result{}, err
+			}
+			en := s.owners(0, true)
 			en.drain(math.Inf(1))
-			check(s.own.pool, &stats)
-			return nil
+			check(s.own.pool, &s.stats)
+			return Result{}, nil
 		}); err != nil {
 			t.Fatal(err)
 		}

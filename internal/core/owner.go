@@ -157,11 +157,9 @@ type cand struct {
 // per-owner step needs. Pool and bits are the search's scratch, so they
 // recycle with it.
 type ownerEnum struct {
-	s     *search
-	qi    *kwds.QueryIndex
-	cost  costFn
-	df    float64
-	stats *Stats
+	s    *search
+	cost costFn
+	df   float64
 	// exact marks the exact searches' enumeration: it alone honours the
 	// ablation switches (abl stays zero otherwise) and carries the
 	// core.owner fault point.
@@ -176,25 +174,25 @@ type ownerEnum struct {
 	maximal []kwds.Mask
 }
 
-// owners opens the enumeration for q and its "owner_loop" span. The
-// caller calls finish once the loop is done.
-func (s *search) owners(q Query, qi *kwds.QueryIndex, cost costFn, df float64, exact bool, stats *Stats) ownerEnum {
+// owners opens the enumeration for the record's query and its
+// "owner_loop" span, with df as the owner ring's inner radius. The caller
+// calls finish once the loop is done.
+func (s *search) owners(df float64, exact bool) ownerEnum {
 	loop := s.tr.Begin("owner_loop")
-	en := s.ownerStream(q, qi, cost, df, exact, stats)
+	en := s.ownerStream(df, exact)
 	en.loop = loop
 	return en
 }
 
-// ownerStream opens the enumeration for q without a span, emptying
-// s.own's pool and bits: pairsExact only drains it, inside a span of its
-// own.
-func (s *search) ownerStream(q Query, qi *kwds.QueryIndex, cost costFn, df float64, exact bool, stats *Stats) ownerEnum {
+// ownerStream opens the enumeration without a span, emptying s.own's
+// pool and bits: pairsExact only drains it, inside a span of its own.
+func (s *search) ownerStream(df float64, exact bool) ownerEnum {
 	s.own.pool = s.own.pool[:0]
-	s.own.ensureBits(qi.Size())
+	s.own.ensureBits(s.qi.Size())
 	en := ownerEnum{
-		s: s, qi: qi, cost: cost, df: df, stats: stats, exact: exact,
+		s: s, cost: s.cost, df: df, exact: exact,
 		start: time.Now(),
-		it:    s.src.relevant(q.Loc, qi),
+		it:    s.src.relevant(s.q.Loc, s.qi),
 	}
 	if exact {
 		en.abl = s.Ablation
@@ -208,6 +206,7 @@ func (s *search) ownerStream(q Query, qi *kwds.QueryIndex, cost costFn, df float
 // set containing an object with combine(d, 0) ≥ bound costs at least
 // bound. Every pop polls the call's context.
 func (e *ownerEnum) pop(bound float64) bool {
+	stats := &e.s.stats
 	for {
 		if e.exact {
 			fault.Hit(fault.OwnerEnum)
@@ -222,18 +221,18 @@ func (e *ownerEnum) pop(bound float64) bool {
 		if e.cost.combine(d, 0) >= bound {
 			// Ablation A1 measures what this break is worth by degrading
 			// it to a per-object skip.
-			e.stats.Prunes[trace.PruneIncumbentBreak]++
+			stats.Prunes[trace.PruneIncumbentBreak]++
 			if !e.abl.NoIncumbentBreak {
 				return false
 			}
-			e.stats.CandidatesSeen++
+			stats.CandidatesSeen++
 			continue
 		}
-		e.stats.CandidatesSeen++
-		e.s.pollCancel(e.stats.CandidatesSeen)
+		stats.CandidatesSeen++
+		e.s.pollCancel(stats.CandidatesSeen)
 		mask := e.it.Mask()
 		if e.cost.positionBlind() && !e.abl.NoSumDominance && e.dominated(mask) {
-			e.stats.Prunes[trace.PruneDominated]++
+			stats.Prunes[trace.PruneDominated]++
 			continue
 		}
 		own := &e.s.own
@@ -279,10 +278,10 @@ func (e *ownerEnum) next(bound float64) bool {
 			// No feasible set has its query distance owner closer than the
 			// farthest keyword NN; the pop stays in the pool as a potential
 			// non-owner member.
-			e.stats.Prunes[trace.PruneOwnerRing]++
+			e.s.stats.Prunes[trace.PruneOwnerRing]++
 			continue
 		}
-		e.stats.OwnersTried++
+		e.s.stats.OwnersTried++
 		return true
 	}
 	return false
@@ -303,14 +302,15 @@ func (e *ownerEnum) owner() cand {
 }
 
 // finish closes the loop: the search phase time and the span's effort
-// attributes, read off stats as they stand.
+// attributes, read off the record's counters as they stand.
 func (e *ownerEnum) finish(cost float64) {
-	e.stats.Phases.Search = time.Since(e.start)
+	stats := &e.s.stats
+	stats.Phases.Search = time.Since(e.start)
 	if e.loop != nil {
-		e.loop.Attr("candidates", float64(e.stats.CandidatesSeen))
-		e.loop.Attr("owners_tried", float64(e.stats.OwnersTried))
-		e.loop.Attr("nodes", float64(e.stats.NodesExpanded))
-		e.loop.Attr("sets_evaluated", float64(e.stats.SetsEvaluated))
+		e.loop.Attr("candidates", float64(stats.CandidatesSeen))
+		e.loop.Attr("owners_tried", float64(stats.OwnersTried))
+		e.loop.Attr("nodes", float64(stats.NodesExpanded))
+		e.loop.Attr("sets_evaluated", float64(stats.SetsEvaluated))
 		e.loop.Attr("cost", cost)
 	}
 	e.loop.End()
@@ -330,13 +330,15 @@ func (e *ownerEnum) finish(cost float64) {
 // least its nearest candidate, the first entry of its bit list since the
 // pool is ascending, so D grows by at least the largest of those.
 //
-// With top non-nil the leaf action changes from keep-the-cheapest to
-// rank-them-all: every cover reached is offered to the top-k heap, whose
-// k-th best cost is the bound from then on, and nothing is returned.
+// On a TopK execution (s.top set) the leaf action changes from
+// keep-the-cheapest to rank-them-all: every cover reached is offered to
+// the top-k heap, whose k-th best cost is the bound from then on, and
+// nothing is returned.
 //
-// The returned set aliases sc.bestSet: callers copy (canonical) what
-// they keep.
-func (s *search) bestWithOwner(qi *kwds.QueryIndex, cost costFn, sc *ownerScratch, bound float64, stats *Stats, top *topKHeap) ([]dataset.ObjectID, float64) {
+// The returned set aliases sc.bestSet: callers copy (improve) what they
+// keep.
+func (s *search) bestWithOwner(sc *ownerScratch, bound float64) ([]dataset.ObjectID, float64) {
+	qi, cost, stats, top := s.qi, s.cost, &s.stats, s.top
 	pool, bits := sc.pool, sc.bits
 	owner := pool[len(pool)-1]
 	dof := owner.d
@@ -348,7 +350,7 @@ func (s *search) bestWithOwner(qi *kwds.QueryIndex, cost costFn, sc *ownerScratc
 		sc.bestSet = append(sc.bestSet[:0], owner.id)
 		switch {
 		case top != nil:
-			top.offerCover(sc.bestSet)
+			s.offerCover(sc.bestSet)
 		case c < bound:
 			return sc.bestSet, c
 		}
@@ -372,7 +374,7 @@ func (s *search) bestWithOwner(qi *kwds.QueryIndex, cost costFn, sc *ownerScratc
 
 	var dfs func(covered kwds.Mask, D, maxPair float64)
 	dfs = func(covered kwds.Mask, D, maxPair float64) {
-		s.chargeNode(stats)
+		s.chargeNode()
 		if covered == qi.Full() {
 			c := cost.combine(D, maxPair)
 			stats.SetsEvaluated++
@@ -384,7 +386,7 @@ func (s *search) bestWithOwner(qi *kwds.QueryIndex, cost costFn, sc *ownerScratc
 				bestSet = append(bestSet, pool[ci].id)
 			}
 			if top != nil {
-				top.offerCover(bestSet)
+				s.offerCover(bestSet)
 				bestCost = top.bound()
 			} else {
 				bestCost, found = c, true

@@ -26,28 +26,19 @@ import (
 
 // pairsExact is the pair-owners-first exact search for MaxSum and Dia.
 func (s *search) pairsExact(q Query, cost costFn) (Result, error) {
-	start := time.Now()
-	qi := kwds.NewQueryIndex(q.Keywords)
-	algo := s.tr.Begin("pairs_exact")
-	var stats Stats
-	s.trackStats(&stats)
-	seed, curCost, df, _, err := s.nnSeed(q, cost, &stats)
-	if err != nil {
-		algo.End()
+	if err := s.open(q, cost, "pairs_exact", true); err != nil {
 		return Result{}, err
 	}
-	curSet := canonical(seed)
-	s.noteIncumbent(curSet, curCost)
-	stats.SetsEvaluated = 1
-	stats.Phases.Seed = time.Since(start)
+	stats, df := &s.stats, s.df
+	stats.Phases.Seed = time.Since(s.start)
 
 	// Step 0: all relevant objects in R_S = C(q, r1); r1 = curCost for
 	// both costs (any member farther than the incumbent cost disqualifies
 	// its set) — the candidate stream drained to the incumbent, which is
 	// this span's whole content.
 	matSp := s.tr.Begin("materialize")
-	en := s.ownerStream(q, qi, cost, df, false, &stats)
-	en.drain(curCost)
+	en := s.ownerStream(df, false)
+	en.drain(s.incCost)
 	cands := s.own.pool
 	stats.Phases.Materialize = time.Since(en.start)
 	if matSp != nil {
@@ -73,10 +64,10 @@ func (s *search) pairsExact(q Query, cost costFn) (Result, error) {
 			minDq := math.Min(cands[i].d, cands[j].d)
 			var dUB, costLB float64
 			if cost.kind == Dia {
-				dUB = curCost
+				dUB = s.incCost
 				costLB = math.Max(math.Max(dij, maxDq), df)
 			} else {
-				dUB = curCost - df
+				dUB = s.incCost - df
 				costLB = dij + math.Max(maxDq, df)
 			}
 			if dij >= dUB {
@@ -87,7 +78,7 @@ func (s *search) pairsExact(q Query, cost costFn) (Result, error) {
 				stats.Prunes[trace.PrunePairBound]++
 				continue
 			}
-			if costLB >= curCost {
+			if costLB >= s.incCost {
 				stats.Prunes[trace.PrunePairBound]++
 				continue
 			}
@@ -99,7 +90,7 @@ func (s *search) pairsExact(q Query, cost costFn) (Result, error) {
 	})
 
 	for _, p := range pairs {
-		if p.costLB >= curCost {
+		if p.costLB >= s.incCost {
 			stats.Prunes[trace.PruneIncumbentBreak]++
 			break // ascending order: nothing later can improve
 		}
@@ -114,13 +105,13 @@ func (s *search) pairsExact(q Query, cost costFn) (Result, error) {
 		rLB := math.Max(math.Max(oi.d, oj.d), df)
 		var rUB float64
 		if cost.kind == Dia {
-			rUB = curCost
+			rUB = s.incCost
 		} else {
-			rUB = curCost - p.dij
+			rUB = s.incCost - p.dij
 		}
 		for m := range cands {
 			om := &cands[m]
-			s.chargeNode(&stats)
+			s.chargeNode()
 			if om.d < rLB || om.d >= rUB {
 				continue
 			}
@@ -128,10 +119,8 @@ func (s *search) pairsExact(q Query, cost costFn) (Result, error) {
 				continue
 			}
 			stats.OwnersTried++
-			set, c := s.bestFeasibleForTriple(q, qi, cost, cands, p.i, p.j, m, p.dij, curCost, &stats)
-			if set != nil && c < curCost {
-				curSet, curCost = canonical(set), c
-				s.noteIncumbent(curSet, curCost)
+			if set, c := s.bestFeasibleForTriple(cands, p.i, p.j, m, p.dij); set != nil {
+				s.improve(set, c)
 			}
 		}
 	}
@@ -140,20 +129,18 @@ func (s *search) pairsExact(q Query, cost costFn) (Result, error) {
 		searchSp.Attr("pairs", float64(len(pairs)))
 		searchSp.Attr("owners_tried", float64(stats.OwnersTried))
 		searchSp.Attr("sets_evaluated", float64(stats.SetsEvaluated))
-		searchSp.Attr("cost", curCost)
+		searchSp.Attr("cost", s.incCost)
 	}
 	searchSp.End()
-	algo.End()
-
-	stats.Elapsed = time.Since(start)
-	return Result{Set: curSet, Cost: curCost, Stats: stats}, nil
+	return s.result()
 }
 
 // bestFeasibleForTriple finds the cheapest feasible set containing the
 // triple (oi, oj, om), with the remaining members drawn from the region
 // R = C(oi, dij) ∩ C(oj, dij) ∩ C(q, d(om, q)) (the paper's
-// findBestFeasibleSet). Returns (nil, 0) when none beats bound.
-func (s *search) bestFeasibleForTriple(q Query, qi *kwds.QueryIndex, cost costFn, cands []cand, i, j, m int, dij, bound float64, stats *Stats) ([]dataset.ObjectID, float64) {
+// findBestFeasibleSet). Returns (nil, 0) when none beats the incumbent.
+func (s *search) bestFeasibleForTriple(cands []cand, i, j, m int, dij float64) ([]dataset.ObjectID, float64) {
+	q, qi, cost, stats, bound := s.q, s.qi, s.cost, &s.stats, s.incCost
 	oi, oj, om := &cands[i], &cands[j], &cands[m]
 	base := []dataset.ObjectID{oi.id, oj.id, om.id}
 	covered := oi.mask | oj.mask | om.mask
@@ -189,7 +176,7 @@ func (s *search) bestFeasibleForTriple(q Query, qi *kwds.QueryIndex, cost costFn
 	)
 	var dfs func(cov kwds.Mask)
 	dfs = func(cov kwds.Mask) {
-		s.chargeNode(stats)
+		s.chargeNode()
 		if cov == qi.Full() {
 			set := append(append([]dataset.ObjectID(nil), base...), make([]dataset.ObjectID, 0, len(chosen))...)
 			for _, r := range chosen {

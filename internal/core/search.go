@@ -2,18 +2,19 @@ package core
 
 // Per-search state. An Engine is the immutable index plus the Config it
 // serves under, shared by every query; everything one execution mutates
-// lives on a search: the call's bindings, its anytime holder and its
+// lives on a search: the call's bindings, the execution record and the
 // algorithm scratch (pool.go). Every exported query entry point reaches
-// the algorithms through Config.enter, which takes a search from
-// searchPool and releases it; searchPool is the package's only pool. A
-// helper execution inside a call (the degrade fallback) builds a child
-// search literal that names exactly what it shares with its parent, so
-// anything not named is zero: no budget, no context, no holder, no
-// scratch.
+// the algorithms through Config.run, which takes a search from searchPool
+// and releases it; searchPool is the package's only pool. A helper
+// execution inside a call (the degrade fallback) builds a child search
+// literal that names exactly what it shares with its parent, so anything
+// not named is zero: no budget, no context, no scratch, a record of its
+// own.
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -40,10 +41,28 @@ type search struct {
 	// budget is this call's node budget (Config.callBudget); zero
 	// means unlimited.
 	budget int
-	// any is the anytime holder: the feasible incumbent and live Stats
-	// the degrade path falls back on when the search is cut short
-	// (degrade.go).
-	any *anytime
+
+	// The execution record: what the running algorithm has done so far,
+	// written in place, so an unwind loses none of it — the degrade path
+	// reads it (degrade.go). open starts it, improve records each cheaper
+	// cover and result turns it into the answer.
+	q     Query
+	cost  costFn
+	qi    *kwds.QueryIndex
+	algo  *trace.Span // the algorithm's span
+	start time.Time
+	stats Stats
+	// inc is the incumbent, the cheapest feasible cover found so far, at
+	// cost incCost; both hold once found is set. inc is a reused buffer.
+	inc     []dataset.ObjectID
+	incCost float64
+	found   bool
+	// df and tf are the N(q) seed's d_f and t_f (nnSeed).
+	df float64
+	tf kwds.ID
+	// top, on a TopK execution, is the ranking: the cover search's leaf
+	// action (topk.go).
+	top *topKHeap
 
 	// own is the candidate stream's pool and bit index (ownerEnum) and
 	// the cover search's scratch; sub holds nearestOwner's per-owner
@@ -52,48 +71,57 @@ type search struct {
 	cao      caoScratch
 }
 
-// searchPool recycles searches together with their holder and scratch
-// buffers.
-var searchPool = sync.Pool{New: func() any { return &search{any: new(anytime)} }}
+// searchPool recycles searches together with their scratch buffers.
+var searchPool = sync.Pool{New: func() any { return new(search) }}
 
 // release drops every reference the call attached — a parked search pins
-// no context, trace, Stats or ranking — and returns s to the pool with
+// no context, trace, query or ranking — and returns s to the pool with
 // its buffers, grown capacity included.
 func (s *search) release() {
-	h := s.any
-	h.valid, h.stats, h.topk = false, nil, nil
-	*s = search{any: h, own: s.own, sub: s.sub, cao: s.cao}
+	*s = search{inc: s.inc[:0], own: s.own, sub: s.sub, cao: s.cao}
 	searchPool.Put(s)
 }
 
-// enter is the one way into the algorithms: it rejects a query the
-// keyword masks cannot represent, takes a search from the pool, binds the
-// call's source, context, trace and node budget, runs fn on it and
-// releases it. A budget or cancellation unwind that no frame below
-// converted (solveInner, topKInner and fallbackAppro do, so that their
-// callers can degrade) surfaces as fn's error, never as a panic. A search
-// only ever comes from here, or from a child literal built beneath this
-// frame, so the shield is structural.
-func (c *Config) enter(ctx context.Context, src source, q Query, fn func(*search) error) (err error) {
-	if len(q.Keywords) > kwds.MaxQueryKeywords {
-		return fmt.Errorf("%w (%d given)", ErrTooManyKeywords, len(q.Keywords))
-	}
+// run is the one way into the algorithms: it rejects a query the keyword
+// masks cannot represent, takes a search from the pool, binds the call's
+// source, context, trace and node budget, runs exec on it under the one
+// recover (search.exec), applies the degrade policy to an interrupted
+// execution (search.degrade) and releases the search. Elapsed is the
+// wall time of the whole call, and the prune counters reach the trace
+// whatever the outcome. A search only ever comes from here, or from a
+// child literal built beneath this frame, so the shield is structural.
+func (c *Config) run(ctx context.Context, src source, q Query, exec func(*search) (Result, error)) (res Result, err error) {
+	start := time.Now()
 	cancellable := ctx != nil && ctx.Done() != nil
-	if cancellable {
-		if err := ctx.Err(); err != nil {
-			return err
+	if len(q.Keywords) > kwds.MaxQueryKeywords {
+		err = fmt.Errorf("%w (%d given)", ErrTooManyKeywords, len(q.Keywords))
+	} else if cancellable {
+		err = ctx.Err()
+	}
+	if err == nil {
+		s := searchPool.Get().(*search)
+		s.Config, s.src, s.budget = *c, src, c.callBudget(ctx)
+		if cancellable {
+			s.ctx = ctx
 		}
+		if ctx != nil {
+			s.tr = trace.FromContext(ctx)
+		}
+		if res, err = s.exec(exec); err != nil {
+			res, err = s.degrade(err)
+		}
+		s.tr.AddPrunes(res.Stats.Prunes)
+		s.release()
 	}
-	s := searchPool.Get().(*search)
-	defer s.release()
+	res.Stats.Elapsed = time.Since(start)
+	return res, err
+}
+
+// exec runs one execution under the one recover: a budget or
+// cancellation unwind from any algorithm — no algorithm shields itself —
+// surfaces as exec's error.
+func (s *search) exec(fn func(*search) (Result, error)) (res Result, err error) {
 	defer recoverBudget(&err)
-	s.Config, s.src, s.budget = *c, src, c.callBudget(ctx)
-	if cancellable {
-		s.ctx = ctx
-	}
-	if ctx != nil {
-		s.tr = trace.FromContext(ctx)
-	}
 	return fn(s)
 }
 
@@ -108,28 +136,37 @@ func (c *Config) callBudget(ctx context.Context) int {
 	return c.NodeBudget
 }
 
-// solve runs the dispatch and, when the search was cut short, applies
-// the call's degrade policy: recover the aborted execution's Stats
-// and — policy permitting — turn the error into an anytime answer
-// (degrade.go). Whatever the outcome, the prune counters reach the trace.
-func (s *search) solve(q Query, cost CostKind, method Method) (Result, error) {
-	res, err := s.solveInner(q, cost, method)
-	if err != nil {
-		res, err = s.degradeSolve(q, cost, method, res, err)
+// open starts the record of one algorithm run on q under cost: the
+// counters and the incumbent reset, q's keyword index, the run's span
+// (name) and its clock. With seeded it computes N(q), the first
+// incumbent (nnSeed); an infeasible query ends the span and fails.
+func (s *search) open(q Query, cost costFn, name string, seeded bool) error {
+	s.q, s.cost, s.qi = q, cost, kwds.NewQueryIndex(q.Keywords)
+	s.stats, s.found, s.df, s.tf = Stats{}, false, 0, 0
+	s.start = time.Now()
+	s.algo = s.tr.Begin(name)
+	if !seeded {
+		return nil
 	}
-	s.tr.AddPrunes(res.Stats.Prunes)
-	return res, err
+	if err := s.nnSeed(); err != nil {
+		s.algo.End()
+		return err
+	}
+	return nil
 }
 
-// solveInner runs the pair's cell. No algorithm shields itself: a
-// budget or cancellation unwind from any of them lands on the recover
-// deferred here, so solve sees it as an error to degrade.
-func (s *search) solveInner(q Query, cost CostKind, method Method) (res Result, err error) {
-	defer recoverBudget(&err)
-	if costMethod(cost, method) < 0 || cells[cost][method].run == nil {
-		return Result{}, fmt.Errorf("%w: %v with %v", ErrUnsupported, cost, method)
-	}
-	return cells[cost][method].run(s, q, costOf(cost))
+// improve records a feasible cover of cost c as the incumbent. set is
+// copied into the record's buffer, so it may alias the caller's scratch.
+func (s *search) improve(set []dataset.ObjectID, c float64) {
+	s.inc = append(s.inc[:0], set...)
+	s.incCost, s.found = c, true
+}
+
+// result closes a completed run: its span ends, and its answer is the
+// incumbent with the run's counters.
+func (s *search) result() (Result, error) {
+	s.algo.End()
+	return Result{Set: canonical(s.inc), Cost: s.incCost, Stats: s.stats}, nil
 }
 
 // cancelPollMask downsamples cancellation checks in the hot loops: the
@@ -140,9 +177,9 @@ const cancelPollMask = 255
 
 // chargeNode counts one expanded search node against the budget and,
 // on a cancellable call, periodically polls the context.
-func (s *search) chargeNode(stats *Stats) {
-	stats.NodesExpanded++
-	n := stats.NodesExpanded
+func (s *search) chargeNode() {
+	s.stats.NodesExpanded++
+	n := s.stats.NodesExpanded
 	if s.budget > 0 && n > s.budget {
 		panic(budgetExceeded{})
 	}
@@ -202,44 +239,38 @@ func (s *search) lookupNN(p geo.Point, kw kwds.ID) (dataset.ObjectID, float64, b
 	return id, d1, ok
 }
 
-// nnSeed computes the nearest neighbor set N(q), its cost under the given
-// cost function, d_f = max_{o∈N(q)} d(o,q) and t_f, the first query
-// keyword whose NN is that far (Cao-Appro2's pivot). It returns
-// ErrInfeasible when some query keyword has no object. The phase is
-// charged to stats.Phases.Seed and recorded as an "nn_seed" span when
+// nnSeed records the nearest neighbor set N(q) as the incumbent, at its
+// cost under the run's cost function, with d_f = max_{o∈N(q)} d(o,q) and
+// t_f, the first query keyword whose NN is that far (Cao-Appro2's pivot).
+// It returns ErrInfeasible when some query keyword has no object. The
+// phase is charged to Phases.Seed and recorded as an "nn_seed" span when
 // tracing.
-func (s *search) nnSeed(q Query, cost costFn, stats *Stats) (set []dataset.ObjectID, c, df float64, tf kwds.ID, err error) {
+func (s *search) nnSeed() error {
 	sp := s.tr.Begin("nn_seed")
 	t0 := time.Now()
-	ids := make([]dataset.ObjectID, 0, len(q.Keywords))
+	q, ids := s.q, s.inc[:0]
 	for i, kw := range q.Keywords {
 		id, d, ok := s.lookupNN(q.Loc, kw)
 		if !ok {
-			stats.Phases.Seed += time.Since(t0)
+			s.stats.Phases.Seed += time.Since(t0)
 			sp.End()
-			return nil, 0, 0, 0, ErrInfeasible
+			return ErrInfeasible
 		}
-		if i == 0 || d > df {
-			df, tf = d, kw
+		if i == 0 || d > s.df {
+			s.df, s.tf = d, kw
 		}
-		dup := false
-		for _, x := range ids {
-			if x == id {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if !slices.Contains(ids, id) {
 			ids = append(ids, id)
 		}
 	}
-	c = s.src.evalSet(cost, q.Loc, ids)
-	stats.Phases.Seed += time.Since(t0)
+	s.inc, s.incCost, s.found = ids, s.src.evalSet(s.cost, q.Loc, ids), true
+	s.stats.SetsEvaluated = 1
+	s.stats.Phases.Seed += time.Since(t0)
 	if sp != nil {
 		sp.Attr("seed_size", float64(len(ids)))
-		sp.Attr("seed_cost", c)
-		sp.Attr("d_f", df)
+		sp.Attr("seed_cost", s.incCost)
+		sp.Attr("d_f", s.df)
 	}
 	sp.End()
-	return ids, c, df, tf, nil
+	return nil
 }

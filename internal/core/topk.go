@@ -17,24 +17,18 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"time"
 
 	"coskq/internal/dataset"
 	"coskq/internal/kwds"
 )
 
 // topKHeap keeps the best k candidate sets found so far, deduplicated by
-// canonical membership. It knows the query and the cost, so the cover
-// search can hand it raw covers (offerCover).
+// canonical membership. A TopK execution binds it to its record
+// (search.top), where the cover search hands it raw covers (offerCover).
 type topKHeap struct {
 	k    int
 	sets []Result
 	seen map[string]bool
-
-	src  source
-	q    Query
-	qi   *kwds.QueryIndex
-	cost costFn
 }
 
 // bound returns the pruning threshold: the k-th best cost once k sets are
@@ -56,9 +50,10 @@ func setKey(ids []dataset.ObjectID) string {
 
 // offerCover ranks one feasible cover: its irredundant form, at that
 // form's cost, if it makes the top k and was not seen before.
-func (h *topKHeap) offerCover(cover []dataset.ObjectID) {
-	set := irredundant(h.src, h.qi, cover)
-	cost := h.src.evalSet(h.cost, h.q.Loc, set)
+func (s *search) offerCover(cover []dataset.ObjectID) {
+	h := s.top
+	set := irredundant(s.src, s.qi, cover)
+	cost := s.src.evalSet(s.cost, s.q.Loc, set)
 	key := setKey(set)
 	if h.seen[key] {
 		return
@@ -76,6 +71,23 @@ func (h *topKHeap) offerCover(cover []dataset.ObjectID) {
 	}
 }
 
+// ranking is the answer of a TopK execution that ended in res: the
+// heap's sets, best first, each carrying res's Stats and Degraded flag —
+// or, with the heap empty, res alone when the degrade fallback gave it a
+// set.
+func (h *topKHeap) ranking(res Result) []Result {
+	if len(h.sets) == 0 {
+		if res.Set == nil {
+			return nil
+		}
+		return []Result{res}
+	}
+	for i := range h.sets {
+		h.sets[i].Degraded, h.sets[i].Stats = res.Degraded, res.Stats
+	}
+	return h.sets
+}
+
 // TopK returns the k cheapest irredundant feasible sets for q under the
 // MaxSum or Dia cost, best first (fewer when fewer exist). It reuses the
 // distance owner-driven enumeration with the k-th best cost as the ring
@@ -84,102 +96,47 @@ func (e *Engine) TopK(q Query, cost CostKind, k int) ([]Result, error) {
 	return e.TopKCtx(context.Background(), q, cost, k)
 }
 
-// TopKCtx is TopK with cancellation, using the same per-call mechanism as
-// SolveCtx: when ctx is cancelled, the enumeration unwinds promptly and
-// the context's error is returned.
-func (e *Engine) TopKCtx(ctx context.Context, q Query, cost CostKind, k int) (res []Result, err error) {
-	err = e.enter(ctx, e.treeSource(), q, func(s *search) (err error) {
-		res, err = s.topK(q, cost, k)
-		return err
-	})
-	return res, err
-}
-
-// topK runs the enumeration and, when it is cut short, applies the
-// engine's degrade policy: the partial ranking accumulated in the heap
-// is itself the anytime answer (each entry marked Degraded), and with
-// DegradeFallbackAppro an empty heap falls back to one approximate set.
-func (s *search) topK(q Query, cost CostKind, k int) ([]Result, error) {
-	start := time.Now()
-	res, err := s.topKInner(q, cost, k)
-	if err == nil {
-		return res, nil
-	}
-	reason := degradeReason(err)
-	if reason == "" || s.Degrade == DegradeFail {
-		return res, err
-	}
-	var stats Stats
-	if h := s.any; h != nil && h.stats != nil {
-		stats = *h.stats
-	}
-	stats.Elapsed = time.Since(start)
-	stats.DegradeReason = reason
-	if h := s.any; h != nil && h.topk != nil && len(h.topk.sets) > 0 {
-		out := make([]Result, len(h.topk.sets))
-		for i, r := range h.topk.sets {
-			r.Degraded = true
-			r.Stats = stats
-			out[i] = r
-		}
-		return out, nil
-	}
-	if s.Degrade == DegradeFallbackAppro {
-		fb, fbErr := s.fallbackAppro(q, cost)
-		if fbErr == nil {
-			fb.Degraded = true
-			fb.Stats.merge(&stats)
-			fb.Stats.DegradeReason = reason
-			fb.Stats.Elapsed = time.Since(start)
-			return []Result{fb}, nil
-		}
-	}
-	return nil, err
-}
-
-func (s *search) topKInner(q Query, cost CostKind, k int) (res []Result, err error) {
-	defer recoverBudget(&err)
-	if cost != MaxSum && cost != Dia {
-		return nil, fmt.Errorf("%w: TopK supports MaxSum and Dia, got %v", ErrUnsupported, cost)
-	}
-	if k <= 0 {
-		return nil, nil
-	}
-	start := time.Now()
-	qi, fn := kwds.NewQueryIndex(q.Keywords), costOf(cost)
-	algo := s.tr.Begin("topk")
-	var stats Stats
-	s.trackStats(&stats)
-	seed, _, df, _, err := s.nnSeed(q, fn, &stats)
+// TopKCtx is TopK with cancellation, on the path every solve takes:
+// when ctx is cancelled, the enumeration unwinds promptly, and the
+// engine's degrade policy applies — the partial ranking accumulated in
+// the heap is itself the anytime answer (each entry marked Degraded), and
+// under DegradeFallbackAppro an empty heap falls back to one approximate
+// set.
+func (e *Engine) TopKCtx(ctx context.Context, q Query, cost CostKind, k int) ([]Result, error) {
+	top := &topKHeap{k: k, seen: make(map[string]bool)}
+	res, err := e.run(ctx, e.treeSource(), q, func(s *search) (Result, error) { return s.topK(q, cost, top) })
 	if err != nil {
-		algo.End()
 		return nil, err
 	}
-	stats.SetsEvaluated = 1
+	return top.ranking(res), nil
+}
 
+// topK is the owner-driven skeleton with top as the ranking: the k-th
+// best cost is the ring and every pruning bound, and the per-owner step
+// is the cover search with the heap as its leaf action.
+func (s *search) topK(q Query, cost CostKind, top *topKHeap) (Result, error) {
+	if r := rowOf(cost); r == nil || !r.topK {
+		return Result{}, fmt.Errorf("%w: TopK under %v", ErrUnsupported, cost)
+	}
+	if top.k <= 0 {
+		return Result{}, nil
+	}
+	if err := s.open(q, costOf(cost), "topk", true); err != nil {
+		return Result{}, err
+	}
 	// The seed enters in its irredundant form, which may be cheaper than
 	// N(q) itself.
-	top := &topKHeap{k: k, seen: make(map[string]bool), src: s.src, q: q, qi: qi, cost: fn}
-	s.trackTopK(top)
+	s.top = top
 	verifySp := s.tr.Begin("verify")
-	top.offerCover(seed)
+	s.offerCover(s.inc)
 	verifySp.End()
 
-	// The ring and every pruning bound are the k-th best cost; the
-	// per-owner step is the cover search with the heap as its leaf action.
-	en := s.owners(q, qi, fn, df, false, &stats)
+	en := s.owners(s.df, false)
 	for en.next(top.bound()) {
-		s.bestWithOwner(qi, fn, &s.own, top.bound(), &stats, top)
+		s.bestWithOwner(&s.own, top.bound())
 	}
 	en.finish(top.sets[0].Cost)
-	algo.End()
-	s.tr.AddPrunes(stats.Prunes)
-
-	for i := range top.sets {
-		top.sets[i].Stats = stats
-		top.sets[i].Stats.Elapsed = time.Since(start)
-	}
-	return top.sets, nil
+	return s.result()
 }
 
 // irredundant drops members whose removal keeps the set feasible

@@ -173,20 +173,18 @@ func TestTracedSolveAllocs(t *testing.T) {
 // incumbent in ownerExact's loop, run here untraced.
 func improvingOwners(t *testing.T, e *Engine, q Query, kind CostKind) int {
 	n := 0
-	err := e.enter(context.Background(), e.treeSource(), q, func(s *search) error {
-		var stats Stats
-		cost, qi := costOf(kind), kwds.NewQueryIndex(q.Keywords)
-		_, cur, df, _, err := s.nnSeed(q, cost, &stats)
-		if err != nil {
-			return err
+	_, err := e.run(context.Background(), e.treeSource(), q, func(s *search) (Result, error) {
+		if err := s.open(q, costOf(kind), "", true); err != nil {
+			return Result{}, err
 		}
-		en := s.owners(q, qi, cost, df, true, &stats)
+		cur := s.incCost
+		en := s.owners(s.df, true)
 		for en.next(cur) {
-			if set, c := s.bestWithOwner(qi, cost, &s.own, cur, &stats, nil); set != nil {
+			if set, c := s.bestWithOwner(&s.own, cur); set != nil {
 				n, cur = n+1, c
 			}
 		}
-		return nil
+		return Result{}, nil
 	})
 	if err != nil {
 		t.Fatal(err)

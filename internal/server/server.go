@@ -911,10 +911,6 @@ func (s *server) handleTopK(w http.ResponseWriter, r *http.Request, p pin) {
 		jsonError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if cost != core.MaxSum && cost != core.Dia {
-		jsonError(w, http.StatusBadRequest, "topk supports cost=maxsum and cost=dia")
-		return
-	}
 	n := 3
 	if nv := q.Get("n"); nv != "" {
 		n, err = strconv.Atoi(nv)
