@@ -575,6 +575,59 @@ func TestPairsExactMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestPairsExactRoundingWitnesses: two integer-grid worlds where the
+// pair prune's triangle inequality d(oi,oj) ≥ d_f − min(d(q,oi), d(q,oj))
+// holds with equality in the reals — the points are collinear with q —
+// and rounding made the strict test discard the optimal pair. Both are
+// held to Brute.
+func TestPairsExactRoundingWitnesses(t *testing.T) {
+	type obj struct {
+		x, y  float64
+		words []string
+	}
+	for _, w := range []struct {
+		name  string
+		cost  CostKind
+		q     geo.Point
+		psi   []string
+		items []obj
+	}{
+		{"maxsum", MaxSum, geo.Point{X: 4, Y: 4}, []string{"k0", "k1", "k2"}, []obj{
+			{0, 0, []string{"k2"}}, {1, 1, []string{"k0", "k1"}}, {5, 2, []string{"k0"}}, {2, 5, []string{"k1"}},
+		}},
+		// Found by a sweep of generated integer grids (seed 102971).
+		{"dia", Dia, geo.Point{X: 9, Y: 17}, []string{"k0", "k1"}, []obj{
+			{8, 16, []string{"k2", "k0"}}, {0, 14, []string{"k2"}}, {16, 13, []string{"k2"}}, {7, 19, []string{"k2"}},
+			{17, 6, []string{"k1"}}, {2, 0, []string{"k2"}}, {11, 8, []string{"k1", "k0"}}, {5, 13, []string{"k1"}},
+			{11, 11, []string{"k1"}}, {9, 18, []string{"k0"}}, {3, 6, []string{"k2", "k1"}}, {15, 18, []string{"k1"}},
+		}},
+	} {
+		t.Run(w.name, func(t *testing.T) {
+			b := dataset.NewBuilder(w.name)
+			for _, o := range w.items {
+				b.Add(geo.Point{X: o.x, Y: o.y}, o.words...)
+			}
+			e := NewEngine(b.Build(), 4)
+			kw, err := e.ResolveWords(w.psi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := Query{Loc: w.q, Keywords: kw}
+			want, err := e.Solve(q, w.cost, Brute)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := e.Solve(q, w.cost, PairsExact)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(got.Cost-want.Cost) > 1e-9 {
+				t.Fatalf("PairsExact %v %v, Brute %v %v", got.Cost, got.Set, want.Cost, want.Set)
+			}
+		})
+	}
+}
+
 // TestPairsExactAgreesWithOwnerExact: two independently-derived exact
 // implementations must agree on larger instances where the brute-force
 // oracle cannot go.

@@ -74,7 +74,10 @@ func (s *search) pairsExact(q Query, cost costFn) (Result, error) {
 				stats.Prunes[trace.PrunePairBound]++
 				continue
 			}
-			if dij < df-minDq { // d_LB from the triangle inequality
+			// d_LB from the triangle inequality. Collinear with q, the two
+			// sides are equal in the reals; the one-sided slack (as in
+			// geo.Circle.ContainsPoint) keeps rounding from pruning them.
+			if dij < (df-minDq)*(1-1e-12) {
 				stats.Prunes[trace.PrunePairBound]++
 				continue
 			}

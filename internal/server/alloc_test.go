@@ -12,6 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"coskq/internal/core"
+	"coskq/internal/shard"
 	"coskq/internal/trace"
 )
 
@@ -44,15 +46,16 @@ func (w *discardWriter) reset() {
 
 // TestQueryHandlerAllocs pins the allocations of one request through the
 // whole handler stack, configured as coskq-server configures it: a 30 s
-// timeout, the default slow log and a logger (to io.Discard). The slow
-// log is filled with entries no request outruns first, so every measured
-// request takes its steady-state path: traced, but neither exported nor
+// timeout, the default slow log and a logger (to io.Discard), over an
+// engine and over a coordinator routing to four in-process shards. The
+// slow log is filled with entries no request outruns first, so every
+// measured request takes its steady-state path: untraced, and not
 // retained. The ceilings are the counts measured with the stack on the
-// connection's goroutine and GOMAXPROCS 2 (/query 51; /batch 1,770 to
-// 1,771, its batch workers and the solves' pooled scratch moving it by
-// one or two): a worker goroutine with its channels and buffered
-// response (+8 per request) trips both, a fmt.Sprintf request id (+1)
-// the /query row.
+// connection's goroutine and GOMAXPROCS 2 (/query 37; the routed /query
+// 84; /batch 1,420 to 1,421, under a looser ceiling): a worker goroutine
+// with its channels and buffered response (+8 per request) trips every
+// row, a fmt.Sprintf request id (+1) the /query rows, and tracing every
+// request (45 on the engine, 215 routed) both /query rows.
 func TestQueryHandlerAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under -race")
@@ -60,14 +63,23 @@ func TestQueryHandlerAllocs(t *testing.T) {
 	// /batch runs GOMAXPROCS workers, each with its own goroutine and
 	// per-P pool misses: fix the count so the ceiling holds on any host.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	h := New(gridEngine(), Options{
-		Timeout: 30 * time.Second,
-		Logger:  slog.New(slog.NewTextHandler(io.Discard, nil)),
-	})
-	s := h.(*server)
-	for i := 0; i < s.slow.Cap(); i++ {
-		s.slow.Observe(trace.Entry{Query: "fill", ElapsedMs: math.MaxFloat64})
+	handler := func(sv core.Solver) http.Handler {
+		h := New(sv, Options{
+			Timeout: 30 * time.Second,
+			Logger:  slog.New(slog.NewTextHandler(io.Discard, nil)),
+		})
+		s := h.(*server)
+		for i := 0; i < s.slow.Cap(); i++ {
+			s.slow.Observe(trace.Entry{Query: "fill", ElapsedMs: math.MaxFloat64})
+		}
+		return h
 	}
+	h := handler(gridEngine())
+	rt, err := shard.NewLocalRouter(gridEngine().DS, 4, shard.Subtree(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routed := handler(rt)
 
 	queries := make([]batchQueryJSON, 64)
 	words := []string{"cafe", "museum", "park", "inn"}
@@ -79,20 +91,23 @@ func TestQueryHandlerAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := bytes.NewReader(batch)
+	const query = "/query?x=10&y=10&kw=cafe,museum&method=appro"
 
 	for _, tc := range []struct {
 		name      string
+		h         http.Handler
 		req       *http.Request
 		maxAllocs float64
 	}{
-		{"query", httptest.NewRequest(http.MethodGet, "/query?x=10&y=10&kw=cafe,museum&method=appro", nil), 51},
-		{"batch", httptest.NewRequest(http.MethodPost, "/batch", io.NopCloser(body)), 1775},
+		{"query", h, httptest.NewRequest(http.MethodGet, query, nil), 37},
+		{"routed query", routed, httptest.NewRequest(http.MethodGet, query, nil), 84},
+		{"batch", h, httptest.NewRequest(http.MethodPost, "/batch", io.NopCloser(body)), 1775},
 	} {
 		w := &discardWriter{h: make(http.Header)}
 		serve := func() {
 			body.Reset(batch)
 			w.reset()
-			h.ServeHTTP(w, tc.req)
+			tc.h.ServeHTTP(w, tc.req)
 			if w.status != http.StatusOK || w.n == 0 {
 				t.Fatalf("%s: status %d, %d body bytes", tc.name, w.status, w.n)
 			}

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"testing"
 
 	"coskq/internal/core"
@@ -81,7 +82,7 @@ func TestExplainQuery(t *testing.T) {
 }
 
 // TestExplainAbsentByDefault: without explain=1 the response carries no
-// trace, even though the slow-query log traces the execution internally.
+// trace, and the request is not traced at all.
 func TestExplainAbsentByDefault(t *testing.T) {
 	srv, _ := testServer(t)
 	var got queryResponse
@@ -108,7 +109,9 @@ func TestExplainTopK(t *testing.T) {
 }
 
 // TestSlowLogEndpoint: every query feeds the slow-query log; the
-// endpoint returns the retained entries slowest first, each with a trace.
+// endpoint returns the retained entries slowest first, each with its
+// answer's effort counters. Only an explained request was traced, so
+// only its entry carries a trace.
 func TestSlowLogEndpoint(t *testing.T) {
 	srv, _ := testServer(t)
 	for i := 0; i < 3; i++ {
@@ -124,8 +127,11 @@ func TestSlowLogEndpoint(t *testing.T) {
 		t.Fatalf("%d entries, want 3", len(got.Entries))
 	}
 	for i, e := range got.Entries {
-		if e.Trace == nil {
-			t.Fatalf("entry %d has no trace", i)
+		if e.Trace != nil {
+			t.Fatalf("entry %d of an untraced query has a trace", i)
+		}
+		if e.OwnersTried == 0 || e.SetsEvaluated == 0 || e.SearchUs <= 0 {
+			t.Fatalf("entry %d lacks its answer's effort: %+v", i, e)
 		}
 		if e.ID == "" {
 			t.Fatalf("entry %d has no request id", i)
@@ -136,6 +142,26 @@ func TestSlowLogEndpoint(t *testing.T) {
 		if i > 0 && e.ElapsedMs > got.Entries[i-1].ElapsedMs {
 			t.Fatal("slowlog entries not slowest-first")
 		}
+	}
+
+	// The log has room, so it admits an explained request, and keeps
+	// that request's trace.
+	var qr queryResponse
+	getJSON(t, srv.URL+"/query?x=0&y=0&kw=cafe,museum&explain=1", http.StatusOK, &qr)
+	getJSON(t, srv.URL+"/debug/slowlog", http.StatusOK, &got)
+	traced := 0
+	for _, e := range got.Entries {
+		if strings.Contains(e.Query, "explain=1") {
+			traced++
+			if e.Trace == nil || e.Trace.Name != "query" {
+				t.Fatalf("explained entry kept no trace: %+v", e)
+			}
+		} else if e.Trace != nil {
+			t.Fatalf("untraced entry has a trace: %+v", e)
+		}
+	}
+	if len(got.Entries) != 4 || traced != 1 {
+		t.Fatalf("%d entries, %d explained; want 4 and 1", len(got.Entries), traced)
 	}
 }
 

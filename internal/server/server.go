@@ -14,7 +14,7 @@
 //	POST /batch         many queries in one request (batch.go)
 //	GET /healthz        liveness probe
 //	GET /metrics        text exposition of the query/effort/latency metrics
-//	GET /debug/slowlog  the retained slowest query traces
+//	GET /debug/slowlog  the retained slowest queries and their effort
 //
 // An engine or a store is also served (each read pins one generation):
 //
@@ -87,7 +87,7 @@ type Options struct {
 	Registry *metrics.Registry
 	// SlowLog sets the capacity of the slow-query log served at
 	// GET /debug/slowlog. Zero means DefaultSlowLogSize; negative
-	// disables the log (and the per-query tracing feeding it).
+	// disables the log.
 	SlowLog int
 	// MaxInFlight bounds the number of concurrently solving /query and
 	// /topk requests; excess requests wait in a bounded queue and beyond
@@ -687,60 +687,53 @@ type queryResponse struct {
 	Trace     *trace.Export `json:"trace,omitempty"`
 }
 
-// beginTrace decides whether this request is traced — explicitly when
-// it asked (?explain=1), or implicitly to feed the slow-query log — and
-// returns the (possibly unchanged) context plus the trace.
+// beginTrace starts the request's trace when it asked for one
+// (?explain=1); an untraced request keeps its context and a nil trace.
+// A traced coordinator request also gets a span context, so its shard
+// calls carry a traceparent and remote fragments join one trace; an
+// untraced route sends none, and its shards build no fragment.
 func (s *server) beginTrace(r *http.Request, explain bool, root string) (context.Context, *trace.Trace) {
-	if !explain && s.slow == nil {
+	if !explain {
 		return r.Context(), nil
 	}
 	tr := trace.New(root)
 	ctx := trace.NewContext(r.Context(), tr)
-	// A coordinator mints the distributed trace ids alongside the trace:
-	// outbound shard calls made under this context carry a traceparent
-	// child of this span context, so remote fragments join one trace. A
-	// solve on an engine or a store makes no outbound calls, so it gets
-	// none.
 	if s.router != nil {
 		ctx = trace.ContextWithSpanContext(ctx, trace.NewSpanContext())
 	}
 	return ctx, tr
 }
 
-// finishTrace stamps the trace, offers it to the slow-query log — with
-// the per-shard RPC breakdown when the execution was distributed — and
-// returns the export for inlining in the response, nil unless the
-// request asked for it (explain). The trace is exported only when one
-// of the two will use it.
-func (s *server) finishTrace(r *http.Request, tr *trace.Trace, explain bool, elapsed time.Duration, err error, shards []trace.ShardCall) *trace.Export {
-	if tr == nil {
-		return nil
-	}
-	tr.Finish()
+// observeSlow offers one finished execution to the slow-query log. The
+// entry — the answer's effort counters, phases, prunes and degrade
+// reason, a routed query's shard calls, and the trace x when the
+// request was traced — is built only once the log admits it.
+func (s *server) observeSlow(r *http.Request, elapsed time.Duration, st core.Stats, shards []trace.ShardCall, x *trace.Export, err error) {
 	ms := float64(elapsed.Microseconds()) / 1000
-	keep := s.slow != nil && s.slow.Admits(ms)
-	if !explain && !keep {
-		return nil
+	if s.slow == nil || !s.slow.Admits(ms) {
+		return
 	}
-	x := tr.Export()
-	if keep {
-		e := trace.Entry{
-			Time:      time.Now(),
-			ID:        trace.RequestIDFromContext(r.Context()),
-			Query:     r.URL.RequestURI(),
-			ElapsedMs: ms,
-			Shards:    shards,
-			Trace:     x,
-		}
-		if err != nil {
-			e.Err = err.Error()
-		}
-		s.slow.Observe(e)
+	e := trace.Entry{
+		Time:          time.Now(),
+		ID:            trace.RequestIDFromContext(r.Context()),
+		Query:         r.URL.RequestURI(),
+		ElapsedMs:     ms,
+		OwnersTried:   st.OwnersTried,
+		SetsEvaluated: st.SetsEvaluated,
+		Nodes:         st.NodesExpanded,
+		Candidates:    st.CandidatesSeen,
+		SeedUs:        float64(st.Phases.Seed) / 1e3,
+		MaterializeUs: float64(st.Phases.Materialize) / 1e3,
+		SearchUs:      float64(st.Phases.Search) / 1e3,
+		Prunes:        st.Prunes.Map(),
+		DegradeReason: string(st.DegradeReason),
+		Shards:        shards,
+		Trace:         x,
 	}
-	if !explain {
-		return nil
+	if err != nil {
+		e.Err = err.Error()
 	}
-	return x
+	s.slow.Observe(e)
 }
 
 // slowLogResponse is the GET /debug/slowlog body.
@@ -750,7 +743,7 @@ type slowLogResponse struct {
 }
 
 // handleSlowLog serves the retained slowest query executions, slowest
-// first, each with its full trace.
+// first, each with its effort and, when it was traced, its trace.
 func (s *server) handleSlowLog(w http.ResponseWriter, r *http.Request) {
 	if s.slow == nil {
 		jsonError(w, http.StatusNotFound, "slow-query log disabled")
@@ -866,12 +859,13 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeSolveError(w, err)
 		return
 	}
-	explain := q.Get("explain") == "1"
-	ctx, tr := s.beginTrace(r, explain, "query")
+	ctx, tr := s.beginTrace(r, q.Get("explain") == "1", "query")
 	start := time.Now()
 	ans, err := s.solver.SolveWords(ctx, loc, words, cost, method)
 	elapsed := time.Since(start)
-	x := s.finishTrace(r, tr, explain, elapsed, err, ans.Calls)
+	tr.Finish()
+	x := tr.Export()
+	s.observeSlow(r, elapsed, ans.Stats, ans.Calls, x, err)
 	if err != nil {
 		writeSolveError(w, err)
 		return
@@ -923,11 +917,17 @@ func (s *server) handleTopK(w http.ResponseWriter, r *http.Request, p pin) {
 		writeSolveError(w, err)
 		return
 	}
-	explain := q.Get("explain") == "1"
-	ctx, tr := s.beginTrace(r, explain, "topk")
+	ctx, tr := s.beginTrace(r, q.Get("explain") == "1", "topk")
 	start := time.Now()
 	results, err := p.eng.TopKCtx(ctx, core.Query{Loc: loc, Keywords: keywords}, cost, n)
-	x := s.finishTrace(r, tr, explain, time.Since(start), err, nil)
+	elapsed := time.Since(start)
+	tr.Finish()
+	x := tr.Export()
+	var st core.Stats
+	if len(results) > 0 {
+		st = results[0].Stats
+	}
+	s.observeSlow(r, elapsed, st, nil, x, err)
 	if err != nil {
 		writeSolveError(w, err)
 		return

@@ -183,12 +183,6 @@ func (p *phaseSeries) rpc(seconds float64, failed bool) {
 	}
 }
 
-func (m *Metrics) rpcPrunes(name string, n int64) {
-	if m != nil && n > 0 {
-		m.reg.Counter(fmt.Sprintf("coskq_shard_rpc_prunes_total{shard=%q}", name)).Add(uint64(n))
-	}
-}
-
 func (m *Metrics) fragmentDrops(name string, n int) {
 	if m != nil && n > 0 {
 		m.reg.Counter(fmt.Sprintf("coskq_shard_fragment_drops_total{shard=%q}", name)).Add(uint64(n))
@@ -468,12 +462,7 @@ func (r *Router) scatter(ctx context.Context, phase string, shards []int, call f
 			// under the per-shard RPC span.
 			x := c.tr.Export()
 			tr.Graft(r.spanName(ord, phase), c.start, c.elapsed, x)
-			rec.Spans = x.SpanCount() - 1
-			for _, v := range x.Prunes {
-				rec.Prunes += v
-			}
 			r.Metrics.fragmentDrops(name, x.DroppedFragments)
-			r.Metrics.rpcPrunes(name, rec.Prunes)
 		}
 		recs = append(recs, rec)
 	}

@@ -169,9 +169,6 @@ func TestRouterStitchedTrace(t *testing.T) {
 				if c.Shard == "" || (c.Phase != "nn" && c.Phase != "collect") {
 					t.Fatalf("malformed call record %+v", c)
 				}
-				if c.Spans <= 0 {
-					t.Fatalf("call %+v stitched no spans", c)
-				}
 			}
 			if nnCalls != 3 {
 				t.Fatalf("%d nn calls recorded, want 3", nnCalls)
@@ -181,8 +178,7 @@ func TestRouterStitchedTrace(t *testing.T) {
 }
 
 // TestRouterUntracedNoCallSpans: without a trace in the context the
-// router still records the per-shard breakdown (it feeds the slowlog)
-// but stitches nothing and never touches a trace.
+// router still records the per-shard breakdown (it feeds the slowlog).
 func TestRouterUntracedNoCallSpans(t *testing.T) {
 	rt, _ := stitchFixture(t, 0)
 	ans, err := rt.RouteWords(context.Background(), geo.Point{X: 50, Y: 3}, []string{"cafe", "museum"}, core.MaxSum, core.OwnerExact)
@@ -193,9 +189,6 @@ func TestRouterUntracedNoCallSpans(t *testing.T) {
 		t.Fatal("untraced route recorded no calls")
 	}
 	for _, c := range ans.Info.Calls {
-		if c.Spans != 0 {
-			t.Fatalf("untraced call claims stitched spans: %+v", c)
-		}
 		if c.ElapsedMs < 0 {
 			t.Fatalf("negative elapsed: %+v", c)
 		}

@@ -7,29 +7,38 @@ import (
 	"time"
 )
 
-// Entry is one retained slow query: what ran, how long it took, and (when
-// the execution was traced) the full trace. Distributed queries carry a
-// per-shard RPC breakdown so a slow scatter-gather entry answers "which
-// shard was slow" without reading the stitched trace.
+// Entry is one retained slow query: what ran, how long it took, its
+// answer's effort — the counters under the names ?explain=1 puts on its
+// spans, the phases, the prune counters and the degrade reason — and,
+// when the execution was traced, the full trace. Distributed queries
+// carry a per-shard RPC breakdown so a slow scatter-gather entry answers
+// "which shard was slow" without a trace.
 type Entry struct {
-	Time      time.Time   `json:"time"`
-	ID        string      `json:"id,omitempty"` // request id, when served over HTTP
-	Query     string      `json:"query"`        // human-readable query description
-	ElapsedMs float64     `json:"elapsedMs"`
-	Err       string      `json:"error,omitempty"`
-	Shards    []ShardCall `json:"shards,omitempty"`
-	Trace     *Export     `json:"trace,omitempty"`
+	Time          time.Time        `json:"time"`
+	ID            string           `json:"id,omitempty"` // request id, when served over HTTP
+	Query         string           `json:"query"`        // human-readable query description
+	ElapsedMs     float64          `json:"elapsedMs"`
+	Err           string           `json:"error,omitempty"`
+	OwnersTried   int              `json:"owners_tried"`
+	SetsEvaluated int              `json:"sets_evaluated"`
+	Nodes         int              `json:"nodes"`
+	Candidates    int              `json:"candidates"`
+	SeedUs        float64          `json:"seedUs"`
+	MaterializeUs float64          `json:"materializeUs"`
+	SearchUs      float64          `json:"searchUs"`
+	Prunes        map[string]int64 `json:"prunes,omitempty"` // PruneCounts.Map
+	DegradeReason string           `json:"degradeReason,omitempty"`
+	Shards        []ShardCall      `json:"shards,omitempty"`
+	Trace         *Export          `json:"trace,omitempty"`
 }
 
 // ShardCall is one per-shard RPC of a distributed query: which shard,
-// which data-plane phase, how long the call took, how many spans its
-// trace fragment contributed, and how it failed (if it did).
+// which data-plane phase, how long the call took, and how it failed (if
+// it did).
 type ShardCall struct {
 	Shard     string  `json:"shard"`
 	Phase     string  `json:"phase"` // "nn" or "collect"
 	ElapsedMs float64 `json:"elapsedMs"`
-	Spans     int     `json:"spans,omitempty"`  // spans stitched from this call's fragment
-	Prunes    int64   `json:"prunes,omitempty"` // prune events the fragment reported
 	Err       string  `json:"error,omitempty"`
 }
 

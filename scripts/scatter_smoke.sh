@@ -90,6 +90,26 @@ if [ "$(costs <<<"$batch")" != "$want" ] || [ "$(wc -l <<<"$want")" -ne 3 ]; the
     exit 1
 fi
 
+# The slow log keeps each answer's effort counters and shard calls, and
+# a trace only for a request that asked for one: after the plain queries
+# above, no entry has one.
+slow="$(curl -fsS http://127.0.0.1:9470/debug/slowlog)"
+echo "slowlog: $slow"
+for key in owners_tried sets_evaluated nodes candidates; do
+    grep -q "\"$key\":" <<<"$slow"
+done
+grep -q '"shards":\[{"shard":"http://127.0.0.1:947' <<<"$slow"
+if grep -q '"trace":' <<<"$slow"; then
+    echo "untraced query retained a trace" >&2
+    exit 1
+fi
+
+# An explained query is traced end to end: the shards' fragments, with
+# their own nn_probes spans, stitch under the coordinator's RPC spans.
+explain="$(curl -fsS 'http://127.0.0.1:9470/query?x=500&y=500&kw=w000000,w000001&explain=1')"
+grep -q '"name":"nn:http://127.0.0.1:947' <<<"$explain"
+grep -q '"name":"nn_probes"' <<<"$explain"
+
 # The shard data plane every server mounts must agree with the meta the
 # coordinator routed on.
 curl -fsS "http://127.0.0.1:${ports[0]}/shard/meta" | grep -q '"objects":400'
