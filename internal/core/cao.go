@@ -32,13 +32,13 @@ func (s *search) caoAppro2(q Query, cost costFn) (Result, error) {
 	}
 	loop := s.tr.Begin("owner_loop")
 	searchStart := time.Now()
-	it := s.src.keyword(q.Loc, s.tf)
+	it := s.src.keyword(q.Loc, s.qi, s.tf)
 	for {
-		o, d, ok := it.Next()
+		o, ok := it.Next()
 		if !ok {
 			break
 		}
-		if d >= s.incCost {
+		if o.d >= s.incCost {
 			s.stats.Prunes[trace.PruneIncumbentBreak]++
 			break // o ∈ S implies cost(S) ≥ d(o, q) under MaxSum and Dia
 		}
@@ -65,14 +65,13 @@ func (s *search) caoAppro2(q Query, cost costFn) (Result, error) {
 
 // nnAroundObject builds {o} ∪ { NN(o, t) : t uncovered by o }; ok is false
 // when some keyword has no object at all.
-func (s *search) nnAroundObject(o *dataset.Object) ([]dataset.ObjectID, bool) {
-	set := []dataset.ObjectID{o.ID}
-	covered := s.src.maskOf(s.qi, o)
+func (s *search) nnAroundObject(o cand) ([]dataset.ObjectID, bool) {
+	set := []dataset.ObjectID{o.id}
 	for i, kw := range s.qi.Keywords() {
-		if covered&(1<<uint(i)) != 0 {
+		if o.mask&(1<<uint(i)) != 0 {
 			continue
 		}
-		id, _, ok := s.src.nn(o.Loc, kw)
+		id, _, ok := s.src.nn(o.loc, kw)
 		if !ok {
 			return nil, false
 		}
@@ -81,26 +80,23 @@ func (s *search) nnAroundObject(o *dataset.Object) ([]dataset.ObjectID, bool) {
 	return set, true
 }
 
-// kwCand is one Cao-Exact candidate: an object containing a particular
-// query keyword, with its distance from q and covered-keyword mask.
-type kwCand struct {
-	o    *dataset.Object
-	d    float64
-	mask kwds.Mask
-}
-
 // caoDFS is Cao-Exact's branch and bound, one DFS over the whole tree:
-// it expands the partial set s.cao.chosen (covering covered, with maxD
-// the farthest member from q and maxPair the largest pairwise distance)
-// by the uncovered keyword with the fewest candidates, pruned by the
-// incumbent's cost.
+// it expands the partial set s.own.chosen (indices into s.own.pool,
+// covering covered, with maxD the farthest member from q and maxPair the
+// largest pairwise distance) by the uncovered keyword with the fewest
+// candidates, pruned by the incumbent's cost.
 func (s *search) caoDFS(covered kwds.Mask, maxD, maxPair float64) {
 	s.chargeNode()
-	cao := &s.cao
+	own := &s.own
 	if covered == s.qi.Full() {
 		s.stats.SetsEvaluated++
 		if c := s.cost.combine(maxD, maxPair); c < s.incCost {
-			s.improve(cao.chosenIDs, c)
+			set := own.bestSet[:0]
+			for _, ci := range own.chosen {
+				set = append(set, own.pool[ci].id)
+			}
+			own.bestSet = set
+			s.improve(set, c)
 		}
 		return
 	}
@@ -110,25 +106,26 @@ func (s *search) caoDFS(covered kwds.Mask, maxD, maxPair float64) {
 		if covered&(1<<uint(b)) != 0 {
 			continue
 		}
-		if n := len(cao.cands[b]); n < branchLen {
+		if n := len(own.bits[b]); n < branchLen {
 			branch, branchLen = b, n
 		}
 	}
-	for _, kc := range cao.cands[branch] {
-		if kc.mask&^covered == 0 {
+	for _, ci := range own.bits[branch] {
+		c := &own.pool[ci]
+		if c.mask&^covered == 0 {
 			s.stats.Prunes[trace.PruneNoNewKeyword]++
 			continue
 		}
-		if kc.d >= s.incCost {
+		if c.d >= s.incCost {
 			// ascending distance: every later candidate also exceeds
 			// the bound
 			s.stats.Prunes[trace.PruneDistanceBreak]++
 			break
 		}
-		nd := math.Max(maxD, kc.d)
+		nd := math.Max(maxD, c.d)
 		np := maxPair
-		for _, m := range cao.chosen {
-			if d := kc.o.Loc.Dist(m.Loc); d > np {
+		for _, m := range own.chosen {
+			if d := c.loc.Dist(own.pool[m].loc); d > np {
 				np = d
 			}
 		}
@@ -136,11 +133,9 @@ func (s *search) caoDFS(covered kwds.Mask, maxD, maxPair float64) {
 			s.stats.Prunes[trace.PrunePairBound]++
 			continue
 		}
-		cao.chosen = append(cao.chosen, kc.o)
-		cao.chosenIDs = append(cao.chosenIDs, kc.o.ID)
-		s.caoDFS(covered|kc.mask, nd, np)
-		cao.chosen = cao.chosen[:len(cao.chosen)-1]
-		cao.chosenIDs = cao.chosenIDs[:len(cao.chosenIDs)-1]
+		own.chosen = append(own.chosen, ci)
+		s.caoDFS(covered|c.mask, nd, np)
+		own.chosen = own.chosen[:len(own.chosen)-1]
 	}
 }
 
@@ -169,24 +164,27 @@ func (s *search) caoExact(q Query, cost costFn) (Result, error) {
 	s.stats = Stats{SetsEvaluated: s.stats.SetsEvaluated, Prunes: s.stats.Prunes}
 	s.stats.Phases.Seed = time.Since(start)
 
-	// Materialize, per query keyword, the candidate objects containing it
-	// within C(q, curCost), ascending by distance. The lists are the
-	// search's scratch, so they recycle with it.
+	// Materialize, per query keyword b, the candidates holding it within
+	// C(q, curCost) off its keyword stream: s.own.bits[b] indexes them in
+	// s.own.pool, ascending by distance. An object holding k query
+	// keywords enters the pool k times.
 	matSp := s.tr.Begin("materialize")
 	matStart := time.Now()
-	cands := s.cao.ensureCands(s.qi.Size())
+	pool, bits := s.own.pool[:0], s.own.ensureBits(s.qi.Size())
 	for b, kw := range s.qi.Keywords() {
-		it := s.src.keyword(q.Loc, kw)
+		it := s.src.keyword(q.Loc, s.qi, kw)
 		for {
-			o, d, ok := it.Next()
-			if !ok || d >= s.incCost {
+			c, ok := it.Next()
+			if !ok || c.d >= s.incCost {
 				break
 			}
-			cands[b] = append(cands[b], kwCand{o: o, d: d, mask: s.src.maskOf(s.qi, o)})
+			bits[b] = append(bits[b], int32(len(pool)))
+			pool = append(pool, c)
 			s.stats.CandidatesSeen++
 			s.pollCancel(s.stats.CandidatesSeen)
 		}
 	}
+	s.own.pool = pool
 	s.stats.Phases.Materialize = time.Since(matStart)
 	if matSp != nil {
 		matSp.Attr("candidates", float64(s.stats.CandidatesSeen))
@@ -195,7 +193,7 @@ func (s *search) caoExact(q Query, cost costFn) (Result, error) {
 
 	searchSp := s.tr.Begin("bnb_search")
 	searchStart := time.Now()
-	s.cao.chosen, s.cao.chosenIDs = s.cao.chosen[:0], s.cao.chosenIDs[:0]
+	s.own.chosen = s.own.chosen[:0]
 	s.caoDFS(0, 0, 0)
 	s.stats.Phases.Search = time.Since(searchStart)
 	if searchSp != nil {

@@ -136,17 +136,6 @@ func (c costFn) eval(q geo.Point, pts []geo.Point) float64 {
 	return c.combine([...]float64{farthest: maxD, nearest: minD, total: sumD}[c.key], maxPair)
 }
 
-// cand is one relevant object materialized by the ascending-distance
-// iterator: the candidate pool of the owner-driven search. It holds what
-// the per-owner steps read — id and location inline, so the cover
-// search's pairwise distances do not chase an object pointer each.
-type cand struct {
-	id   dataset.ObjectID
-	loc  geo.Point
-	d    float64   // d(o, q)
-	mask kwds.Mask // query keywords covered by o
-}
-
 // ownerEnum is the one candidate stream: relevant objects popped in
 // ascending d(o,q) up to the ring break, each joining the search's
 // s.own.pool, with s.own.bits[b] indexing the pool entries that cover
@@ -214,11 +203,11 @@ func (e *ownerEnum) pop(bound float64) bool {
 		if !e.abl.NoIncumbentBreak {
 			e.it.Limit(e.cost.ownerLimit(bound))
 		}
-		o, d, ok := e.it.Next()
+		c, ok := e.it.Next()
 		if !ok {
 			return false
 		}
-		if e.cost.combine(d, 0) >= bound {
+		if e.cost.combine(c.d, 0) >= bound {
 			// Ablation A1 measures what this break is worth by degrading
 			// it to a per-object skip.
 			stats.Prunes[trace.PruneIncumbentBreak]++
@@ -230,14 +219,13 @@ func (e *ownerEnum) pop(bound float64) bool {
 		}
 		stats.CandidatesSeen++
 		e.s.pollCancel(stats.CandidatesSeen)
-		mask := e.it.Mask()
-		if e.cost.positionBlind() && !e.abl.NoSumDominance && e.dominated(mask) {
+		if e.cost.positionBlind() && !e.abl.NoSumDominance && e.dominated(c.mask) {
 			stats.Prunes[trace.PruneDominated]++
 			continue
 		}
 		own := &e.s.own
-		own.pool = append(own.pool, cand{id: o.ID, loc: o.Loc, d: d, mask: mask})
-		indexBits(own.bits, len(own.pool)-1, mask)
+		own.pool = append(own.pool, c)
+		indexBits(own.bits, len(own.pool)-1, c.mask)
 		return true
 	}
 }

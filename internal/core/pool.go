@@ -5,13 +5,8 @@ package core
 // partial-set scratch; they are value fields of the pooled search
 // (search.go), so they recycle with it and the steady-state per-query
 // allocation count stays small and flat (pinned by TestOwnerExactAllocs).
-//
-// Parked scratch keeps what it last held. The owner-driven slices hold
-// ids and locations only, but Cao-Exact's lists hold *dataset.Object
-// pointers: a parked search can pin objects of a dataset no engine serves
-// any more — a live store's retired generation (internal/epoch) — until
-// a later Cao-Exact run overwrites them or the pool drops the search at
-// a garbage collection.
+// Parked scratch keeps what it last held: ids, locations and pool
+// indices, never an object pointer, so a parked search pins no dataset.
 
 import "coskq/internal/dataset"
 
@@ -20,7 +15,8 @@ import "coskq/internal/dataset"
 // (bits), and the cover enumeration's partial-set scratch. The search's
 // own is the candidate stream's (ownerEnum); nearestOwner builds each
 // owner's pool in its sub; pairsExact uses region/ichosen for its
-// per-triple enumeration.
+// per-triple enumeration; Cao-Exact fills pool and bits from its keyword
+// streams and walks them with chosen.
 type ownerScratch struct {
 	pool    []cand
 	bits    [][]int32
@@ -41,25 +37,4 @@ func (s *ownerScratch) ensureBits(n int) [][]int32 {
 		s.bits[b] = s.bits[b][:0]
 	}
 	return s.bits
-}
-
-// caoScratch bundles Cao-Exact's reusable slices: the per-keyword
-// materialized candidate lists and the branch-and-bound partial set.
-type caoScratch struct {
-	cands     [][]kwCand
-	chosen    []*dataset.Object
-	chosenIDs []dataset.ObjectID
-}
-
-// ensureCands returns cands resized to n empty per-keyword lists,
-// keeping grown capacity.
-func (s *caoScratch) ensureCands(n int) [][]kwCand {
-	if cap(s.cands) < n {
-		s.cands = make([][]kwCand, n)
-	}
-	s.cands = s.cands[:n]
-	for b := range s.cands {
-		s.cands[b] = s.cands[b][:0]
-	}
-	return s.cands
 }

@@ -66,9 +66,8 @@ type search struct {
 
 	// own is the candidate stream's pool and bit index (ownerEnum) and
 	// the cover search's scratch; sub holds nearestOwner's per-owner
-	// pool; cao is Cao-Exact's. Only the buffers survive a release.
+	// pool. Only the buffers survive a release.
 	own, sub ownerScratch
-	cao      caoScratch
 }
 
 // searchPool recycles searches together with their scratch buffers.
@@ -78,7 +77,7 @@ var searchPool = sync.Pool{New: func() any { return new(search) }}
 // no context, trace, query or ranking — and returns s to the pool with
 // its buffers, grown capacity included.
 func (s *search) release() {
-	*s = search{inc: s.inc[:0], own: s.own, sub: s.sub, cao: s.cao}
+	*s = search{inc: s.inc[:0], own: s.own, sub: s.sub}
 	searchPool.Put(s)
 }
 
@@ -233,7 +232,7 @@ func (s *search) lookupNN(p geo.Point, kw kwds.ID) (dataset.ObjectID, float64, b
 	id, d1, d2, ok := s.src.nn2(p, kw)
 	var loc geo.Point
 	if ok {
-		loc = s.src.object(id).Loc
+		loc = s.src.loc(id)
 	}
 	cache.Store(p, kw, id, loc, d1, d2, ok)
 	return id, d1, ok

@@ -239,17 +239,15 @@ func TestOwnerExactAllocs(t *testing.T) {
 	for i := range queries {
 		queries[i] = randQuery(rng, 20, 3)
 	}
-	// Ceilings are the values measured on this fixture with the per-call
-	// engine clone the pooled search replaced (one heap copy per solve):
-	// the search must not cost more than the clone did, and allocating
-	// any one of its scratch buffers (candidates, bits, partial sets) per
-	// call instead blows them. The nearest-owner row (MinMax, ext.go)
-	// measured 12, and 24 with a fresh per-owner scratch per call.
+	// Each ceiling is this fixture's measured count plus one, so one more
+	// allocation per solve fails: a scratch buffer (candidates, bits,
+	// partial sets) allocated per call instead of recycled with the
+	// pooled search, or a stream allocating per candidate.
 	for _, tc := range []struct {
 		cost      CostKind
 		m         Method
 		maxAllocs float64
-	}{{MaxSum, OwnerExact, 15}, {MaxSum, PairsExact, 43}, {MaxSum, CaoExact, 47}, {MinMax, OwnerExact, 16}} {
+	}{{MaxSum, OwnerExact, 10}, {MaxSum, PairsExact, 39}, {MaxSum, CaoExact, 37}, {MinMax, OwnerExact, 10}} {
 		name := tc.cost.String() + "/" + tc.m.String()
 		// Warm the scratch pools.
 		for _, q := range queries {

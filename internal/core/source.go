@@ -1,9 +1,10 @@
 package core
 
 // The candidate source (DESIGN.md §4.1). Every read a search makes of the
-// objects it ranks goes through one source: the relevant stream, the
-// keyword stream, keyword NN and NN2, and object access for Brute and cost
-// evaluation. It has two arms:
+// objects it ranks goes through one source: the relevant stream and the
+// keyword stream, which yield each object as one record (cand), keyword
+// NN and NN2, Brute's scan, and an answer member's location and mask for
+// cost evaluation. It has two arms:
 //
 //   - the tree arm: an engine's dataset and IR-tree, and the keyword-NN
 //     cache over that tree, if any;
@@ -41,22 +42,22 @@ type source struct {
 // treeSource is the engine's own arm.
 func (e *Engine) treeSource() source { return source{tree: e.Tree, ds: e.DS, cache: e.NNCache} }
 
-// object returns the object with the given id.
-func (src source) object(id dataset.ObjectID) *dataset.Object {
+// loc returns the location of the object with the given id.
+func (src source) loc(id dataset.ObjectID) geo.Point {
 	if p := src.pool; p != nil {
-		return &p.ents[id].Object
+		return p.ents[id].loc
 	}
-	return src.ds.Object(id)
+	return src.ds.Object(id).Loc
 }
 
-// maskOf returns the query keywords o covers. On the pool arm the query
-// is always the pool's whole word list (Pool.query), so the stored mask
-// is already over qi's bits.
-func (src source) maskOf(qi *kwds.QueryIndex, o *dataset.Object) kwds.Mask {
+// mask returns the query keywords of qi the object with the given id
+// covers. On the pool arm the query is always the pool's whole word list
+// (Pool.query), so the stored mask is already over qi's bits.
+func (src source) mask(qi *kwds.QueryIndex, id dataset.ObjectID) kwds.Mask {
 	if p := src.pool; p != nil {
-		return p.ents[o.ID].mask
+		return p.ents[id].mask
 	}
-	return qi.MaskOf(o.Keywords)
+	return qi.MaskOf(src.ds.Object(id).Keywords)
 }
 
 // nn returns the object nearest to p holding kw, with its distance; ok is
@@ -89,13 +90,13 @@ func (src source) relevant(p geo.Point, qi *kwds.QueryIndex) relevantStream {
 }
 
 // keyword opens the keyword stream from p: the objects holding kw,
-// ascending by distance.
-func (src source) keyword(p geo.Point, kw kwds.ID) keywordStream {
+// ascending by distance, each with its mask over qi.
+func (src source) keyword(p geo.Point, qi *kwds.QueryIndex, kw kwds.ID) keywordStream {
 	if pl := src.pool; pl != nil {
 		pl.mustStreamFrom(p)
 		return keywordStream{pool: pl, list: pl.words[kw]}
 	}
-	return keywordStream{it: src.tree.NewKeywordNNIterator(p, kw)}
+	return keywordStream{it: src.tree.NewKeywordNNIterator(p, kw), qi: qi}
 }
 
 // scan calls fn on every object relevant to qi with its mask, in identity
@@ -129,9 +130,20 @@ func (src source) evalSet(c costFn, q geo.Point, set []dataset.ObjectID) float64
 	var buf [16]geo.Point
 	pts := buf[:0]
 	for _, id := range set {
-		pts = append(pts, src.object(id).Loc)
+		pts = append(pts, src.loc(id))
 	}
 	return c.eval(q, pts)
+}
+
+// cand is the one candidate record: what every stream yields and every
+// search reads of a relevant object — its id, location, distance from
+// the query point and query mask. The location sits inline, so the cover
+// search's pairwise distances do not chase an object pointer each.
+type cand struct {
+	id   dataset.ObjectID
+	loc  geo.Point
+	d    float64   // d(o, q)
+	mask kwds.Mask // query keywords covered by o
 }
 
 // relevantStream is the relevant stream of one search: the tree's
@@ -153,52 +165,53 @@ func (r *relevantStream) Limit(d float64) {
 	}
 }
 
-// Next returns the next relevant object and its distance, or ok=false at
-// the end of the stream or the limit. Every advance passes the
-// fault.RTreeVisit point, on either arm.
-func (r *relevantStream) Next() (*dataset.Object, float64, bool) {
+// Next returns the next relevant object, or ok=false at the end of the
+// stream or the limit. Every advance passes the fault.RTreeVisit point,
+// on either arm.
+func (r *relevantStream) Next() (cand, bool) {
 	if r.it != nil {
-		return r.it.Next()
+		o, d, ok := r.it.Next()
+		if !ok {
+			return cand{}, false
+		}
+		return cand{id: o.ID, loc: o.Loc, d: d, mask: r.it.Mask()}, true
 	}
 	fault.Hit(fault.RTreeVisit)
 	p := r.pool
 	if r.next == len(p.ents) || p.ents[r.next].d >= r.limit {
-		return nil, 0, false
+		return cand{}, false
 	}
-	e := &p.ents[r.next]
 	r.next++
-	return &e.Object, e.d, true
-}
-
-// Mask returns the query mask of the object Next returned last.
-func (r *relevantStream) Mask() kwds.Mask {
-	if r.it != nil {
-		return r.it.Mask()
-	}
-	return r.pool.ents[r.next-1].mask
+	return p.ents[r.next-1].cand, true
 }
 
 // keywordStream is the keyword stream of one search: the tree's
-// best-first iterator, or a cursor over the pool's list for the word.
+// best-first iterator with the query its masks are over, or a cursor over
+// the pool's list for the word.
 type keywordStream struct {
 	it   *irtree.KeywordNNIterator
+	qi   *kwds.QueryIndex
 	pool *Pool
 	list []int32 // the pool arm's entries not yet yielded
 }
 
-// Next returns the next object holding the keyword and its distance, or
-// ok=false when exhausted, passing fault.RTreeVisit on either arm.
-func (k *keywordStream) Next() (*dataset.Object, float64, bool) {
+// Next returns the next object holding the keyword, or ok=false when
+// exhausted, passing fault.RTreeVisit on either arm.
+func (k *keywordStream) Next() (cand, bool) {
 	if k.it != nil {
-		return k.it.Next()
+		o, d, ok := k.it.Next()
+		if !ok {
+			return cand{}, false
+		}
+		return cand{id: o.ID, loc: o.Loc, d: d, mask: k.qi.MaskOf(o.Keywords)}, true
 	}
 	fault.Hit(fault.RTreeVisit)
 	if len(k.list) == 0 {
-		return nil, 0, false
+		return cand{}, false
 	}
 	e := &k.pool.ents[k.list[0]]
 	k.list = k.list[1:]
-	return &e.Object, e.d, true
+	return e.cand, true
 }
 
 // Pool is the pool arm of the candidate source: the relevant objects of
@@ -213,14 +226,13 @@ type Pool struct {
 	words [][]int32
 }
 
-// poolEntry is one pooled object; its Object.ID is its local id and its
-// Keywords stay nil (the mask is the object's whole textual content).
+// poolEntry is one pooled object: its record, whose id is its local id
+// and whose mask is its whole textual content, and the caller's Key and
+// Ref.
 type poolEntry struct {
-	dataset.Object
-	d    float64
-	mask kwds.Mask
-	key  uint64
-	ref  int32
+	cand
+	key uint64
+	ref int32
 }
 
 // PoolObject is one candidate handed to NewPool.
@@ -282,7 +294,7 @@ func NewPool(at geo.Point, words int, objs []PoolObject) *Pool {
 	for _, r := range rel {
 		b := bucket(r.d)
 		o := &objs[r.i]
-		p.ents[next[b]] = poolEntry{Object: dataset.Object{Loc: o.Loc}, d: r.d, mask: o.Mask & full, key: o.Key, ref: o.Ref}
+		p.ents[next[b]] = poolEntry{cand: cand{loc: o.Loc, d: r.d, mask: o.Mask & full}, key: o.Key, ref: o.Ref}
 		next[b]++
 	}
 	byDistance := func(a, b poolEntry) int {
@@ -304,7 +316,7 @@ func NewPool(at geo.Point, words int, objs []PoolObject) *Pool {
 	var counts [kwds.MaxQueryKeywords]int
 	total := 0
 	for j := range p.ents {
-		p.ents[j].ID = dataset.ObjectID(j)
+		p.ents[j].id = dataset.ObjectID(j)
 		for m := p.ents[j].mask; m != 0; m &= m - 1 {
 			counts[bits.TrailingZeros64(uint64(m))]++
 			total++
@@ -362,9 +374,9 @@ func (p *Pool) nn2(at geo.Point, kw kwds.ID) (dataset.ObjectID, float64, float64
 		}
 		return dataset.ObjectID(list[0]), p.ents[list[0]].d, d2, true
 	}
-	best, d1, d2 := list[0], at.Dist(p.ents[list[0]].Loc), math.Inf(1)
+	best, d1, d2 := list[0], at.Dist(p.ents[list[0]].loc), math.Inf(1)
 	for _, i := range list[1:] {
-		switch d := at.Dist(p.ents[i].Loc); {
+		switch d := at.Dist(p.ents[i].loc); {
 		case d < d1:
 			best, d1, d2 = i, d, d1
 		case d < d2:

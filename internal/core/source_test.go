@@ -130,28 +130,32 @@ func newPoolPair(at geo.Point, words int, objs []PoolObject) *poolPair {
 	return pp
 }
 
-// key is the identity of an object arm src yielded.
-func (pp *poolPair) key(src source, o *dataset.Object) uint64 {
+// key is the identity of the object id of arm src.
+func (pp *poolPair) key(src source, id dataset.ObjectID) uint64 {
 	if src.pool != nil {
-		return src.pool.ents[o.ID].key
+		return src.pool.ents[id].key
 	}
-	return pp.keyOf[o.ID]
+	return pp.keyOf[id]
 }
 
 // drain reads a stream of arm src to its end, read(j) being its j-th
-// read, and checks it yields ascending distances, each object's own.
-func (pp *poolPair) drain(t testing.TB, name string, src source, read func(j int) (*dataset.Object, float64, bool), mask func(*dataset.Object) kwds.Mask) []hit {
+// read, and checks it yields ascending distances and each object's own
+// record: its distance, location and mask are what the arm says of its id.
+func (pp *poolPair) drain(t testing.TB, name string, src source, read func(j int) (cand, bool)) []hit {
 	t.Helper()
 	var out []hit
 	for j := 0; ; j++ {
-		o, d, ok := read(j)
+		c, ok := read(j)
 		if !ok {
 			return out
 		}
-		if d != pp.at.Dist(o.Loc) || (len(out) > 0 && math.Float64bits(d) < out[len(out)-1].d) {
-			t.Fatalf("%s: object %d at %v out of order or misplaced (%v)", name, o.ID, d, out)
+		if c.d != pp.at.Dist(c.loc) || (len(out) > 0 && math.Float64bits(c.d) < out[len(out)-1].d) {
+			t.Fatalf("%s: object %d at %v out of order or misplaced (%v)", name, c.id, c.d, out)
 		}
-		out = append(out, hit{math.Float64bits(d), pp.key(src, o), mask(o)})
+		if c.loc != src.loc(c.id) || c.mask != src.mask(pp.qi, c.id) {
+			t.Fatalf("%s: object %d yielded at %v with mask %b, its own are %v and %b", name, c.id, c.loc, c.mask, src.loc(c.id), src.mask(pp.qi, c.id))
+		}
+		out = append(out, hit{math.Float64bits(c.d), pp.key(src, c.id), c.mask})
 	}
 }
 
@@ -208,11 +212,11 @@ func (pp *poolPair) check(t testing.TB) {
 		var got [2][]hit
 		for a, src := range arms {
 			st := src.relevant(pp.at, pp.qi)
-			read := func(j int) (*dataset.Object, float64, bool) {
+			read := func(j int) (cand, bool) {
 				st.Limit(limit(j)) // before every read, as ownerEnum.pop does
 				return st.Next()
 			}
-			got[a] = pp.drain(t, "relevant/"+name, src, read, func(*dataset.Object) kwds.Mask { return st.Mask() })
+			got[a] = pp.drain(t, "relevant/"+name, src, read)
 		}
 		if want := sorted(got[0]); !slices.Equal(got[1], want) {
 			t.Fatalf("relevant stream, limits %s: pool %v, tree %v", name, got[1], want)
@@ -222,16 +226,15 @@ func (pp *poolPair) check(t testing.TB) {
 	for kw := kwds.ID(0); int(kw) < pp.words; kw++ {
 		var got [2][]hit
 		for a, src := range arms {
-			st := src.keyword(pp.at, kw)
-			read := func(int) (*dataset.Object, float64, bool) { return st.Next() }
-			got[a] = pp.drain(t, "keyword", src, read, func(o *dataset.Object) kwds.Mask { return src.maskOf(pp.qi, o) })
+			st := src.keyword(pp.at, pp.qi, kw)
+			got[a] = pp.drain(t, "keyword", src, func(int) (cand, bool) { return st.Next() })
 		}
 		if want := sorted(got[0]); !slices.Equal(got[1], want) {
 			t.Fatalf("keyword %d stream: pool %v, tree %v", kw, got[1], want)
 		}
 		points := []geo.Point{pp.at, {X: 17.25, Y: 83.5}}
 		if len(pp.pool.ents) > 0 {
-			points = append(points, pp.pool.ents[len(pp.pool.ents)/2].Loc)
+			points = append(points, pp.pool.ents[len(pp.pool.ents)/2].loc)
 		}
 		for _, p := range points {
 			var d1s, d2s [2]float64
@@ -242,7 +245,7 @@ func (pp *poolPair) check(t testing.TB) {
 				if nid != id || nd != d1 || nok != ok {
 					t.Fatalf("NN(%v, %d) = %d at %v (%v), NN2 says %d at %v (%v)", p, kw, nid, nd, nok, id, d1, ok)
 				}
-				if ok && (src.maskOf(pp.qi, src.object(id))&(1<<kw) == 0 || p.Dist(src.object(id).Loc) != d1) {
+				if ok && (src.mask(pp.qi, id)&(1<<kw) == 0 || p.Dist(src.loc(id)) != d1) {
 					t.Fatalf("NN(%v, %d) = object %d, which lacks the word or is not at %v", p, kw, id, d1)
 				}
 				d1s[a], d2s[a], oks[a] = d1, d2, ok
@@ -256,10 +259,10 @@ func (pp *poolPair) check(t testing.TB) {
 	var scanned [2][]uint64
 	for a, src := range arms {
 		src.scan(pp.qi, func(id dataset.ObjectID, m kwds.Mask) {
-			if m != src.maskOf(pp.qi, src.object(id)) {
-				t.Fatalf("scan: object %d with mask %b, its own is %b", id, m, src.maskOf(pp.qi, src.object(id)))
+			if m != src.mask(pp.qi, id) {
+				t.Fatalf("scan: object %d with mask %b, its own is %b", id, m, src.mask(pp.qi, id))
 			}
-			scanned[a] = append(scanned[a], pp.key(src, src.object(id)))
+			scanned[a] = append(scanned[a], pp.key(src, id))
 		})
 	}
 	if slices.Sort(scanned[0]); !slices.Equal(scanned[1], scanned[0]) {
@@ -326,7 +329,7 @@ func TestPoolStreamsOnlyFromItsPoint(t *testing.T) {
 	src := source{pool: NewPool(at, 2, objs)}
 	for name, open := range map[string]func(){
 		"relevant": func() { src.relevant(geo.Point{X: 1}, nil) },
-		"keyword":  func() { src.keyword(geo.Point{X: 1}, 0) },
+		"keyword":  func() { src.keyword(geo.Point{X: 1}, nil, 0) },
 	} {
 		func() {
 			defer func() {

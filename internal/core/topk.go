@@ -151,7 +151,7 @@ func irredundant(src source, qi *kwds.QueryIndex, set []dataset.ObjectID) []data
 			if j == i {
 				continue
 			}
-			m |= src.maskOf(qi, src.object(id))
+			m |= src.mask(qi, id)
 		}
 		if m == qi.Full() {
 			out = append(out[:i], out[i+1:]...)
